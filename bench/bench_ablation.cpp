@@ -103,7 +103,7 @@ void print_iteration_cap_ablation() {
     const patch::PipelineResult result =
         patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
     table.add_row({std::to_string(cap),
-                   std::to_string(result.final_campaign.vulnerabilities.size()),
+                   std::to_string(result.final_campaign.order1.vulnerabilities.size()),
                    bench::percent(result.overhead_percent())});
   }
   std::printf("%s\n", table.render().c_str());

@@ -20,8 +20,8 @@ void print_skip_claim() {
     const elf::Image input = guests::build_image(*guest);
     fault::CampaignConfig skip_only;
     skip_only.models.bit_flip = false;
-    const fault::CampaignResult baseline =
-        fault::run_campaign(input, guest->good_input, guest->bad_input, skip_only);
+    const sim::CampaignResult baseline =
+        fault::run_campaign(input, guest->good_input, guest->bad_input, skip_only).order1;
 
     patch::PipelineConfig fp_config;
     fp_config.campaign = skip_only;
@@ -29,11 +29,11 @@ void print_skip_claim() {
         patch::faulter_patcher(input, guest->good_input, guest->bad_input, fp_config);
     table.add_row({guest->name, "Faulter+Patcher",
                    std::to_string(baseline.vulnerable_addresses().size()),
-                   std::to_string(fp.final_campaign.vulnerable_addresses().size())});
+                   std::to_string(fp.final_campaign.order1.vulnerable_addresses().size())});
 
     const harden::HybridResult hybrid = harden::hybrid_harden(input);
-    const fault::CampaignResult hybrid_campaign = fault::run_campaign(
-        hybrid.hardened, guest->good_input, guest->bad_input, skip_only);
+    const sim::CampaignResult hybrid_campaign = fault::run_campaign(
+        hybrid.hardened, guest->good_input, guest->bad_input, skip_only).order1;
     table.add_row({guest->name, "Hybrid",
                    std::to_string(baseline.vulnerable_addresses().size()),
                    std::to_string(hybrid_campaign.vulnerable_addresses().size())});
@@ -52,15 +52,15 @@ void print_bitflip_claim() {
     const elf::Image input = guests::build_image(*guest);
     fault::CampaignConfig flips;
     flips.models.skip = false;
-    const fault::CampaignResult before =
-        fault::run_campaign(input, guest->good_input, guest->bad_input, flips);
+    const sim::CampaignResult before =
+        fault::run_campaign(input, guest->good_input, guest->bad_input, flips).order1;
 
     patch::PipelineConfig config;
     config.campaign = flips;
     config.max_iterations = 6;
     const patch::PipelineResult result =
         patch::faulter_patcher(input, guest->good_input, guest->bad_input, config);
-    const std::size_t after = result.final_campaign.vulnerable_addresses().size();
+    const std::size_t after = result.final_campaign.order1.vulnerable_addresses().size();
     const std::size_t base = before.vulnerable_addresses().size();
     const double reduction =
         base == 0 ? 0.0
@@ -91,8 +91,8 @@ void print_outcome_histogram() {
   std::printf("fault outcome histogram (pincheck, both models, unprotected)\n");
   const guests::Guest& guest = guests::pincheck();
   const elf::Image input = guests::build_image(guest);
-  const fault::CampaignResult campaign =
-      fault::run_campaign(input, guest.good_input, guest.bad_input);
+  const sim::CampaignResult campaign =
+      fault::run_campaign(input, guest.good_input, guest.bad_input).order1;
   harden::TextTable table;
   table.add_row({"outcome", "count"});
   for (const auto& [outcome, count] : campaign.outcome_counts) {

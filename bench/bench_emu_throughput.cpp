@@ -10,8 +10,9 @@
 //   * sustained emulated instructions/sec, cached >= 3x uncached, in the
 //     engine's own restore+run usage pattern, swept over every registered
 //     isa::Target;
-//   * order-2 pairs/sec, cached+batched engine >= 2x the uncached unbatched
-//     engine, with byte-identical pair classification.
+//   * order-2 pairs/sec through Engine::run_tuples(2), cached+batched
+//     engine >= 2x the uncached unbatched engine, with byte-identical pair
+//     classification.
 //
 // Writes bench_emu_throughput.json (schema in docs/formats.md) with the
 // obs metrics snapshot spliced in, so the emu.block_cache.* counters ride
@@ -73,10 +74,10 @@ Throughput measure_emu(const elf::Image& image, const guests::Guest& guest,
 
 struct PairRate {
   double seconds = 0;
-  sim::PairCampaignResult result;
+  sim::TupleCampaignResult result;
 
   [[nodiscard]] double per_second() const {
-    return seconds > 0 ? static_cast<double>(result.total_pairs) / seconds : 0.0;
+    return seconds > 0 ? static_cast<double>(result.total_tuples) / seconds : 0.0;
   }
 };
 
@@ -94,7 +95,7 @@ PairRate measure_pairs(const elf::Image& image, const guests::Guest& guest,
 
   PairRate rate;
   bench::Phase phase(span);
-  rate.result = engine.run_pairs(models);
+  rate.result = engine.run_tuples(models);
   rate.seconds = phase.stop();
   return rate;
 }
@@ -200,11 +201,11 @@ int main(int argc, char** argv) {
       legacy.per_second() > 0 ? fast.per_second() / legacy.per_second() : 0.0;
   std::printf("legacy (no cache, no batching): %8.0f pairs/sec (%llu pairs in %.3fs)\n",
               legacy.per_second(),
-              static_cast<unsigned long long>(legacy.result.total_pairs),
+              static_cast<unsigned long long>(legacy.result.total_tuples),
               legacy.seconds);
   std::printf("cached + lockstep batched:      %8.0f pairs/sec (%llu pairs in %.3fs)\n",
               fast.per_second(),
-              static_cast<unsigned long long>(fast.result.total_pairs),
+              static_cast<unsigned long long>(fast.result.total_tuples),
               fast.seconds);
   std::printf("speedup: %.2fx (acceptance: >= 2x)\n", pair_speedup);
   const bool identical = fast.result.to_json() == legacy.result.to_json();
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
          << "  \"cached_instructions_per_second\": "
          << legs.front().cached.per_second() << ",\n"
          << "  \"emu_speedup\": " << legs.front().speedup << ",\n"
-         << "  \"total_pairs\": " << fast.result.total_pairs << ",\n"
+         << "  \"total_pairs\": " << fast.result.total_tuples << ",\n"
          << "  \"legacy_pairs_per_second\": " << legacy.per_second() << ",\n"
          << "  \"batched_pairs_per_second\": " << fast.per_second() << ",\n"
          << "  \"pair_speedup\": " << pair_speedup << ",\n"

@@ -37,7 +37,7 @@ void print_series(const guests::Guest& guest, bool bit_flips) {
   }
   std::printf("%s", table.render().c_str());
   std::printf("final: %zu residual successful faults, overhead %s\n\n",
-              result.final_campaign.vulnerabilities.size(),
+              result.final_campaign.order1.vulnerabilities.size(),
               bench::percent(result.overhead_percent()).c_str());
 }
 

@@ -5,7 +5,11 @@
 //
 // Self-checking (CI gates on the exit code):
 //   * every guest must reach the order-1 and order-2 fix points with zero
-//     residue (the bench_order2_fixpoint gate, re-asserted here);
+//     residue;
+//   * on each guest's order-2-hardened binary, the pruned and exhaustive
+//     order-2 sweeps must be identical at 1 and 8 threads (the
+//     reinforcement patterns must not break the engine's pruning
+//     soundness);
 //   * toymov must reach the order-3 fix point — zero residual triples
 //     (skip model, pair window 8) — and record one OrderMilestone per
 //     rung; pincheck and bootloader carry known residual-risk triples and
@@ -17,6 +21,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,18 +43,51 @@ patch::PipelineConfig ladder_config(unsigned order) {
   return config;
 }
 
-/// The residue the order-k run is judged on: singles at k = 1, pairs at
-/// k = 2, top-level tuples at k >= 3.
+/// The residue the order-k run is judged on: singles at k = 1, top-level
+/// tuples at k >= 2.
 std::uint64_t residual_count(const patch::PipelineResult& result, unsigned order) {
-  if (order == 1) return result.final_campaign.vulnerabilities.size();
-  if (order == 2) return result.final_campaign.pair_vulnerabilities.size();
-  return result.final_campaign.tuple_vulnerabilities.size();
+  if (order == 1) return result.final_campaign.order1.vulnerabilities.size();
+  return result.final_campaign.vulnerabilities.size();
 }
 
 bool clean_at(const patch::PipelineResult& result, unsigned order) {
-  if (order == 1) return result.fixpoint;
-  if (order == 2) return result.order2_fixpoint;
-  return result.orderk_fixpoint;
+  return order == 1 ? result.fixpoint : result.orderk_fixpoint;
+}
+
+/// Pruned vs exhaustive order-2 sweeps on `image`, at 1 and 8 threads: all
+/// four runs must agree on the order-1 sweep, the outcome counts and every
+/// successful pair (faults, golden and hit addresses). Returns false on
+/// divergence.
+bool order2_sweeps_identical(const elf::Image& image, const guests::Guest& guest) {
+  sim::FaultModels models;
+  models.bit_flip = false;
+  models.order = 2;
+  models.pair_window = 8;
+
+  std::optional<sim::TupleCampaignResult> reference;
+  for (const unsigned threads : {1u, 8u}) {
+    for (const bool exhaustive : {false, true}) {
+      sim::EngineConfig config;
+      config.threads = threads;
+      config.convergence_pruning = !exhaustive;
+      config.pair_outcome_reuse = !exhaustive;
+      sim::TupleCampaignResult result =
+          sim::Engine(image, guest.good_input, guest.bad_input, config).run_tuples(models);
+      if (!reference) {
+        reference = std::move(result);
+        continue;
+      }
+      if (result.vulnerabilities != reference->vulnerabilities ||
+          result.outcome_counts != reference->outcome_counts ||
+          result.order1.vulnerabilities != reference->order1.vulnerabilities ||
+          result.order1.outcome_counts != reference->order1.outcome_counts) {
+        std::printf("FAILED: order-2 sweep diverged on %s (threads=%u exhaustive=%d)\n",
+                    guest.name.c_str(), threads, exhaustive ? 1 : 0);
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// One timed order-3 sweep over `image` (skip model, window 8): fills
@@ -136,9 +174,15 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(residual), result.overhead_percent(),
           result.iterations.size(), seconds);
 
-      // Order 1 and 2 stay the bench_order2_fixpoint gate on every guest;
-      // order 3 is gated where the patterns are known to close the space.
+      // Order 1 and 2 are gated on every guest; order 3 where the patterns
+      // are known to close the space.
       if (order <= 2 && (!clean || residual != 0)) ok = false;
+      if (order == 2) {
+        const bool identical = order2_sweeps_identical(result.hardened, *guest);
+        std::printf("%-10s order-2 sweeps pruned vs exhaustive, 1 vs 8 threads: %s\n",
+                    guest->name.c_str(), identical ? "identical" : "DIVERGED");
+        if (!identical) ok = false;
+      }
       if (order == 3 && gated && (!clean || residual != 0)) ok = false;
       if (result.overhead_percent() + 1e-9 < previous_overhead) {
         std::printf("FAILED: overhead decreased from k=%u to k=%u on %s\n",

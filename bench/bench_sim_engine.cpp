@@ -20,11 +20,11 @@ using namespace r2r;
 
 /// The seed implementation, preserved verbatim as the baseline: a fresh
 /// machine replayed from entry for every fault of the sweep.
-fault::CampaignResult seed_serial_campaign(const elf::Image& image,
-                                           const guests::Guest& guest) {
+sim::CampaignResult seed_serial_campaign(const elf::Image& image,
+                                         const guests::Guest& guest) {
   const fault::Oracle oracle =
       fault::make_oracle(image, guest.good_input, guest.bad_input);
-  fault::CampaignResult result;
+  sim::CampaignResult result;
   result.trace_length = oracle.bad_trace.size();
 
   emu::RunConfig run_config;
@@ -44,11 +44,11 @@ fault::CampaignResult seed_serial_campaign(const elf::Image& image,
   return result;
 }
 
-fault::CampaignResult engine_campaign(const elf::Image& image,
-                                      const guests::Guest& guest, unsigned threads) {
+sim::CampaignResult engine_campaign(const elf::Image& image,
+                                    const guests::Guest& guest, unsigned threads) {
   fault::CampaignConfig config;
   config.threads = threads;
-  return fault::run_campaign(image, guest.good_input, guest.bad_input, config);
+  return fault::run_campaign(image, guest.good_input, guest.bad_input, config).order1;
 }
 
 /// One-shot wall-clock comparison per guest; returns the speedup of the
@@ -58,15 +58,15 @@ double compare_guest(const guests::Guest& guest, bool check_acceptance) {
   const elf::Image image = guests::build_image(guest);
 
   bench::Phase seed_phase("bench.seed_campaign");
-  const fault::CampaignResult seed = seed_serial_campaign(image, guest);
+  const sim::CampaignResult seed = seed_serial_campaign(image, guest);
   const double seed_seconds = seed_phase.stop();
 
   bench::Phase one_phase("bench.engine_campaign_1");
-  const fault::CampaignResult one = engine_campaign(image, guest, 1);
+  const sim::CampaignResult one = engine_campaign(image, guest, 1);
   const double one_seconds = one_phase.stop();
 
   bench::Phase eight_phase("bench.engine_campaign_8");
-  const fault::CampaignResult eight = engine_campaign(image, guest, 8);
+  const sim::CampaignResult eight = engine_campaign(image, guest, 8);
   const double eight_seconds = eight_phase.stop();
 
   const bool seed_identical = one.vulnerabilities == seed.vulnerabilities &&

@@ -97,11 +97,11 @@ void print_table() {
   skip_only.models.bit_flip = false;
   bir::Module unprotected = mov_victim();
   elf::Image unprotected_image = bir::assemble(unprotected);
-  const fault::CampaignResult before =
-      fault::run_campaign(unprotected_image, kGoodInput, kBadInput, skip_only);
+  const sim::CampaignResult before =
+      fault::run_campaign(unprotected_image, kGoodInput, kBadInput, skip_only).order1;
   elf::Image protected_image = bir::assemble(module);
-  const fault::CampaignResult after =
-      fault::run_campaign(protected_image, kGoodInput, kBadInput, skip_only);
+  const sim::CampaignResult after =
+      fault::run_campaign(protected_image, kGoodInput, kBadInput, skip_only).order1;
 
   harden::TextTable table;
   table.add_row({"binary", "skip faults", "successful", "detected"});

@@ -91,10 +91,10 @@ void print_table() {
 
   fault::CampaignConfig config;  // both models
   bir::Module unprotected = cmp_victim();
-  const fault::CampaignResult before = fault::run_campaign(
-      bir::assemble(unprotected), kGoodInput, kBadInput, config);
-  const fault::CampaignResult after =
-      fault::run_campaign(protected_image, kGoodInput, kBadInput, config);
+  const sim::CampaignResult before = fault::run_campaign(
+      bir::assemble(unprotected), kGoodInput, kBadInput, config).order1;
+  const sim::CampaignResult after =
+      fault::run_campaign(protected_image, kGoodInput, kBadInput, config).order1;
 
   harden::TextTable table;
   table.add_row({"binary", "faults", "successful", "detected", "crash"});

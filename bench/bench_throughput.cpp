@@ -61,8 +61,8 @@ void BM_FullCampaignToymov(benchmark::State& state) {
   const elf::Image image = guests::build_image(guest);
   std::uint64_t faults = 0;
   for (auto _ : state) {
-    const fault::CampaignResult result =
-        fault::run_campaign(image, guest.good_input, guest.bad_input);
+    const sim::CampaignResult result =
+        fault::run_campaign(image, guest.good_input, guest.bad_input).order1;
     faults += result.total_faults;
   }
   state.counters["faults/s"] =

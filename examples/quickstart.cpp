@@ -76,7 +76,7 @@ no:  .asciz "NO\n"
   // 3. Fault campaign: which instruction-skips flip "NO" into "YES"?
   fault::CampaignConfig config;
   config.models.bit_flip = false;  // instruction-skip model only
-  fault::CampaignResult campaign = fault::run_campaign(image, "A", "B", config);
+  sim::CampaignResult campaign = fault::run_campaign(image, "A", "B", config).order1;
   std::printf("fault campaign (skip model): %llu faults injected, %zu successful\n",
               static_cast<unsigned long long>(campaign.total_faults),
               campaign.vulnerabilities.size());
@@ -99,7 +99,7 @@ no:  .asciz "NO\n"
   std::printf("run(\"A\") after patch: exit %lld; run(\"B\"): exit %lld\n",
               static_cast<long long>(good2.exit_code),
               static_cast<long long>(bad2.exit_code));
-  campaign = fault::run_campaign(image, "A", "B", config);
+  campaign = fault::run_campaign(image, "A", "B", config).order1;
   std::printf("fault campaign after patch: %zu successful fault(s), %llu detected\n",
               campaign.vulnerabilities.size(),
               static_cast<unsigned long long>(campaign.count(fault::Outcome::kDetected)));

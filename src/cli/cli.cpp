@@ -329,11 +329,11 @@ void add_campaign_flags(ArgParser& parser) {
   parser.add_flag({"--pair-window", "W",
                    "order 2+: max trace distance between consecutive faults", "8"});
   parser.add_flag({"--max-tuples", "N",
-                   "order 3+: sample at most N top-level tuples per sweep\n(seeded, "
+                   "order 2+: sample at most N top-level tuples per sweep\n(seeded, "
                    "thread-count independent; 0 = exhaustive)",
                    "0"});
   parser.add_flag({"--sample-seed", "S",
-                   "order 3+: RNG seed for the --max-tuples sample", "24301"});
+                   "order 2+: RNG seed for the --max-tuples sample", "24301"});
   parser.add_flag({"--threads", "N",
                    "worker threads per sweep (0 = hardware concurrency);\nresults are "
                    "bit-identical for every value",

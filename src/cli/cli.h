@@ -68,12 +68,12 @@ void add_guest_flags(ArgParser& parser);
 GuestOverrides overrides_from(const ArgParser& parser);
 
 /// Registers the campaign knobs: --model, --order, --pair-window,
-/// --threads, --no-reuse.
+/// --max-tuples, --sample-seed, --threads, --no-reuse.
 void add_campaign_flags(ArgParser& parser);
 
 /// Builds the campaign config the flags select (models parsed against
 /// sim::fault_model_names()). Throws Error{kInvalidArgument} on an unknown
-/// model or order outside {1, 2}.
+/// model or an order outside 1..fault::kMaxCampaignOrder.
 fault::CampaignConfig campaign_config_from(const ArgParser& parser);
 
 // ---- subcommand entry points (one per src/cli/cmd_*.cpp) --------------------

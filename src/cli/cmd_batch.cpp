@@ -22,7 +22,6 @@
 #include "harden/report.h"
 #include "obs/obs.h"
 #include "patch/pipeline.h"
-#include "sim/engine.h"
 #include "support/error.h"
 #include "support/strings.h"
 #include "svc/job.h"
@@ -81,16 +80,13 @@ struct BatchPlan {
 
 std::vector<std::string> header_for(const std::string& cmd, unsigned order) {
   if (cmd == "campaign") {
-    if (order >= 3) {
-      return {"guest", "status", "trace", "faults", "successful", "tuples",
-              "successful tuples", "strictly order-" + std::to_string(order)};
-    }
-    return {"guest", "status", "trace", "faults", "successful", "pairs",
-            "successful pairs", "strictly order-2"};
+    if (order < 2) return {"guest", "status", "trace", "faults", "successful"};
+    return {"guest", "status", "trace", "faults", "successful", "tuples",
+            "successful tuples", "strictly order-" + std::to_string(order)};
   }
   if (cmd == "fixpoint") {
-    return {"guest", "status", "iterations", "residual faults",
-            order >= 3 ? "residual sets" : "residual pairs",
+    if (order < 2) return {"guest", "status", "iterations", "residual faults", "overhead"};
+    return {"guest", "status", "iterations", "residual faults", "residual sets",
             "order-1 overhead", "total overhead"};
   }
   if (cmd == "harden") {
@@ -118,23 +114,17 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
   const elf::Image image = guests::build_image(guest);
 
   if (plan.cmd == "campaign") {
-    const fault::CampaignResult result =
+    const fault::TupleCampaignResult result =
         fault::run_campaign(image, guest.good_input, guest.bad_input, plan.campaign);
     row.ok = true;
-    if (plan.campaign.models.order >= 3) {
-      row.cells = {std::to_string(result.trace_length),
-                   std::to_string(result.total_faults),
-                   std::to_string(result.count(fault::Outcome::kSuccess)),
-                   std::to_string(result.total_tuples),
-                   std::to_string(result.tuple_count(fault::Outcome::kSuccess)),
-                   std::to_string(result.strictly_order_k_count())};
-    } else {
-      row.cells = {std::to_string(result.trace_length),
-                   std::to_string(result.total_faults),
-                   std::to_string(result.count(fault::Outcome::kSuccess)),
-                   std::to_string(result.total_pairs),
-                   std::to_string(result.pair_count(fault::Outcome::kSuccess)),
-                   std::to_string(result.strictly_second_order_count())};
+    row.cells = {std::to_string(result.trace_length),
+                 std::to_string(result.order1.total_faults),
+                 std::to_string(result.order1.count(fault::Outcome::kSuccess))};
+    if (result.order >= 2) {
+      row.cells.insert(row.cells.end(),
+                       {std::to_string(result.total_tuples),
+                        std::to_string(result.count(fault::Outcome::kSuccess)),
+                        std::to_string(result.strictly_higher_order().size())});
     }
     row.json = "\"campaign\": " + result.to_json();
   } else if (plan.cmd == "fixpoint") {
@@ -144,17 +134,15 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     const patch::PipelineResult result =
         patch::faulter_patcher(image, guest.good_input, guest.bad_input, config);
     row.ok = plan.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
-    // Residual fault sets at the requested order: pairs for order-2 runs,
-    // top-level tuples for order-3+ runs (whichever the final campaign ran).
-    const std::uint64_t residual_sets =
-        plan.campaign.models.order >= 3
-            ? result.final_campaign.tuple_vulnerabilities.size()
-            : result.final_campaign.pair_vulnerabilities.size();
     row.cells = {std::to_string(result.iterations.size()),
-                 std::to_string(result.final_campaign.vulnerabilities.size()),
-                 std::to_string(residual_sets),
-                 support::format_fixed(result.order1_overhead_percent(), 1) + "%",
-                 support::format_fixed(result.overhead_percent(), 1) + "%"};
+                 std::to_string(result.final_campaign.order1.vulnerabilities.size())};
+    if (plan.campaign.models.order >= 2) {
+      // Residual top-level fault sets of the final campaign's sweep.
+      row.cells.insert(row.cells.end(),
+                       {std::to_string(result.final_campaign.vulnerabilities.size()),
+                        support::format_fixed(result.order1_overhead_percent(), 1) + "%"});
+    }
+    row.cells.push_back(support::format_fixed(result.overhead_percent(), 1) + "%");
     row.json = "\"fixpoint\": " + result.to_json();
   } else if (plan.cmd == "harden") {
     elf::Image hardened;

@@ -1,12 +1,10 @@
-// r2r campaign — drive the sim:: engine against one guest: order-1 fault
-// sweeps, order-2 pair sweeps, or order-k tuple sweeps, with
+// r2r campaign — one fault::run_campaign sweep against one guest: order-1
+// single faults or order-k fault tuples (k = 2 is the pair sweep), with
 // text/JSON/markdown reports.
 #include <ostream>
 
 #include "cli/cli.h"
 #include "harden/report.h"
-#include "sim/engine.h"
-#include "support/error.h"
 
 namespace r2r::cli {
 
@@ -32,51 +30,16 @@ int run_campaign_cmd(const ArgParser& args, std::ostream& out, std::ostream& err
   const Format format = format_from(args);  // validated before the sweep
   const guests::Guest guest = load_guest(args.positionals()[0], overrides_from(args));
   const elf::Image image = guests::build_image(guest);
-  const fault::CampaignConfig config = campaign_config_from(args);
-
-  // Every campaign knob the engine shares must cross over — a dropped
-  // field would make `r2r campaign` and `r2r batch --cmd campaign` (which
-  // routes through fault::run_campaign) classify differently.
-  sim::EngineConfig engine_config;
-  engine_config.threads = config.threads;
-  engine_config.detected_exit_code = config.detected_exit_code;
-  engine_config.fuel_multiplier = config.fuel_multiplier;
-  engine_config.fuel_slack = config.fuel_slack;
-  engine_config.pair_outcome_reuse = config.pair_outcome_reuse;
-  const sim::Engine engine(image, guest.good_input, guest.bad_input, engine_config);
+  const fault::TupleCampaignResult result = fault::run_campaign(
+      image, guest.good_input, guest.bad_input, campaign_config_from(args));
 
   std::string text;
-  if (config.models.order >= 3) {
-    const sim::TupleCampaignResult result = engine.run_tuples(config.models);
-    switch (format) {
-      case Format::kText:
-        text = harden::residual_tuple_fault_section(guest.name, result);
-        break;
-      case Format::kJson: text = result.to_json(); break;
-      case Format::kMarkdown:
-        text = harden::tuple_campaign_markdown_section(guest.name, result);
-        break;
-    }
-  } else if (config.models.order >= 2) {
-    const sim::PairCampaignResult result = engine.run_pairs(config.models);
-    switch (format) {
-      case Format::kText:
-        text = harden::residual_double_fault_section(guest.name, result);
-        break;
-      case Format::kJson: text = result.to_json(); break;
-      case Format::kMarkdown:
-        text = harden::pair_campaign_markdown_section(guest.name, result);
-        break;
-    }
-  } else {
-    const sim::CampaignResult result = engine.run(config.models);
-    switch (format) {
-      case Format::kText: text = harden::campaign_section(guest.name, result); break;
-      case Format::kJson: text = result.to_json(); break;
-      case Format::kMarkdown:
-        text = harden::campaign_markdown_section(guest.name, result);
-        break;
-    }
+  switch (format) {
+    case Format::kText: text = harden::campaign_section(guest.name, result); break;
+    case Format::kJson: text = result.to_json(); break;
+    case Format::kMarkdown:
+      text = harden::campaign_markdown_section(guest.name, result);
+      break;
   }
   emit_output(args, out, text);
   return 0;

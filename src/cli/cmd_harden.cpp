@@ -8,6 +8,7 @@
 #include "elf/image.h"
 #include "emu/machine.h"
 #include "harden/hybrid.h"
+#include "harden/report.h"
 #include "patch/pipeline.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -60,14 +61,7 @@ int run_harden(const ArgParser& args, std::ostream& out, std::ostream& err) {
     config.max_iterations = static_cast<unsigned>(args.count_or("--max-iterations", 12));
     const patch::PipelineResult result =
         patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
-    out << "faulter+patcher: " << result.iterations.size() << " iteration(s), fix-point "
-        << (result.fixpoint ? "reached" : "NOT reached (cap hit)") << ", residual "
-        << result.final_campaign.vulnerabilities.size() << " fault(s) / "
-        << result.final_campaign.pair_vulnerabilities.size() << " pair(s)";
-    if (config.campaign.models.order >= 3) {
-      out << " / " << result.final_campaign.tuple_vulnerabilities.size() << " tuple(s)";
-    }
-    out << "\n";
+    out << harden::patterns_summary_line(result);
     hardened = result.hardened;
   } else {
     harden::HybridConfig config;

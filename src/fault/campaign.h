@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,11 +27,9 @@ namespace r2r::fault {
 // The classification vocabulary and vulnerability record are defined by
 // the engine; fault:: re-exports them as its public campaign API.
 using sim::Outcome;
-using sim::pair_patch_sites;
-using sim::PairVulnerability;
-using sim::strictly_order_k;
 using sim::to_string;
 using sim::tuple_patch_sites;
+using sim::TupleCampaignResult;
 using sim::TupleLevelSummary;
 using sim::TupleVulnerability;
 using sim::Vulnerability;
@@ -48,7 +45,7 @@ struct CampaignConfig {
   /// sim::FaultModels is automatically campaign-visible (the previous
   /// field-by-field copy silently dropped any knob it didn't know about).
   /// Covers the paper's models (skip, bit_flip), the r2r extension models,
-  /// and the campaign order / pair_window of order-2 sweeps.
+  /// and the campaign order / pair_window / max_tuples of order-k sweeps.
   sim::FaultModels models;
   /// Exit code the injected fault handler uses; defaults to the one
   /// patch-layer constant so the faulter and the patcher cannot drift.
@@ -60,66 +57,10 @@ struct CampaignConfig {
   /// Worker threads for the sweep (0 = hardware concurrency). Results are
   /// bit-identical for every thread count.
   unsigned threads = 1;
-  /// Order 2: classify pairs from the order-1 profiles where provably
-  /// equivalent instead of simulating them (exact; see sim::EngineConfig).
+  /// Order 2+: classify fault sets from the lower-order profiles where
+  /// provably equivalent instead of simulating them (exact; see
+  /// sim::EngineConfig).
   bool pair_outcome_reuse = true;
-};
-
-struct CampaignResult {
-  std::vector<Vulnerability> vulnerabilities;
-  std::map<Outcome, std::uint64_t> outcome_counts;
-  std::uint64_t total_faults = 0;
-  std::uint64_t trace_length = 0;
-
-  /// Order-2 extension: filled only when CampaignConfig::models.order == 2.
-  /// The order-1 fields above are still populated (phase A of the pair
-  /// sweep).
-  std::vector<PairVulnerability> pair_vulnerabilities;
-  std::map<Outcome, std::uint64_t> pair_outcome_counts;
-  std::uint64_t total_pairs = 0;
-  std::uint64_t reused_pairs = 0;  ///< pairs classified without simulation
-
-  /// Order-k (>= 3) extension: filled only when models.order >= 3. The
-  /// order-1 fields above are still populated; the pair fields stay empty —
-  /// `tuple_levels` carries the per-level (order 2..k) residue instead.
-  unsigned tuple_order = 0;
-  std::vector<TupleVulnerability> tuple_vulnerabilities;
-  std::map<Outcome, std::uint64_t> tuple_outcome_counts;
-  std::uint64_t total_tuples = 0;       ///< classified at the top level
-  std::uint64_t enumerated_tuples = 0;  ///< full top-level space
-  std::uint64_t reused_tuples = 0;      ///< top-level tuples classified without simulation
-  bool tuples_sampled = false;          ///< the top level ran under a max_tuples budget
-  std::vector<TupleLevelSummary> tuple_levels;
-
-  [[nodiscard]] std::uint64_t count(Outcome outcome) const {
-    const auto it = outcome_counts.find(outcome);
-    return it == outcome_counts.end() ? 0 : it->second;
-  }
-  [[nodiscard]] std::uint64_t pair_count(Outcome outcome) const {
-    const auto it = pair_outcome_counts.find(outcome);
-    return it == pair_outcome_counts.end() ? 0 : it->second;
-  }
-  [[nodiscard]] std::uint64_t tuple_count(Outcome outcome) const {
-    const auto it = tuple_outcome_counts.find(outcome);
-    return it == tuple_outcome_counts.end() ? 0 : it->second;
-  }
-  /// Successful tuples at the intermediate levels (orders 2..k-1) of an
-  /// order-k campaign — lower-order residue the recursion surfaced anyway.
-  [[nodiscard]] std::uint64_t successful_lower_tuples() const;
-  /// Successful top-level tuples none of whose faults succeeds alone.
-  [[nodiscard]] std::uint64_t strictly_order_k_count() const;
-  /// Distinct static instruction addresses with at least one successful
-  /// fault — the paper's "number of vulnerable points".
-  [[nodiscard]] std::vector<std::uint64_t> vulnerable_addresses() const;
-  /// Successful pairs neither of whose component faults succeeds alone —
-  /// the flattened analogue of sim::PairCampaignResult::strictly_higher_order.
-  [[nodiscard]] std::uint64_t strictly_second_order_count() const;
-
-  /// JSON document for downstream tooling: the order-1 counters and
-  /// vulnerable addresses, plus the pair counters / implicated patch sites
-  /// when the campaign ran at order 2, plus the tuple counters / level
-  /// summaries when it ran at order >= 3 (schema in docs/formats.md).
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Golden (fault-free) references for both inputs. Throws Error{kExecution}
@@ -135,8 +76,11 @@ struct Oracle {
 Oracle make_oracle(const elf::Image& image, const std::string& good_input,
                    const std::string& bad_input);
 
-CampaignResult run_campaign(const elf::Image& image, const std::string& good_input,
-                            const std::string& bad_input,
-                            const CampaignConfig& config = {});
+/// Runs the campaign at config.models.order through one sim::Engine: the
+/// order-1 sweep (Engine::run) at order 1 — `levels` empty, the sweep in
+/// `order1` — and Engine::run_tuples at every order k >= 2.
+TupleCampaignResult run_campaign(const elf::Image& image, const std::string& good_input,
+                                 const std::string& bad_input,
+                                 const CampaignConfig& config = {});
 
 }  // namespace r2r::fault

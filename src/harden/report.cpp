@@ -100,8 +100,8 @@ std::string tuple_level_summary_line(const sim::TupleCampaignResult& tuples) {
 }
 
 /// The highest campaign order this pipeline run swept — what picks the
-/// fix-point rendering (order-1 table, order-2 table, or the order-k
-/// extras).
+/// fix-point rendering (order-1 table, or the ladder table with its
+/// order-k extras).
 unsigned max_iteration_order(const patch::PipelineResult& result) {
   unsigned order = result.order1_code_size != 0 ? 2 : 1;
   for (const patch::IterationReport& it : result.iterations) {
@@ -113,22 +113,15 @@ unsigned max_iteration_order(const patch::PipelineResult& result) {
   return order;
 }
 
-/// "2/500"-style residual column: pairs for order-2 rows, top-level tuples
-/// for order-3+ rows, "-" for order-1 rows.
+/// "2/500"-style residual column: top-level fault sets for order-2+ rows,
+/// "-" for order-1 rows.
 std::string residual_cell(const patch::IterationReport& it) {
-  if (it.order >= 3) {
-    return std::to_string(it.successful_tuples) + "/" + std::to_string(it.total_tuples);
-  }
-  if (it.order == 2) {
-    return std::to_string(it.successful_pairs) + "/" + std::to_string(it.total_pairs);
-  }
-  return "-";
+  if (it.order < 2) return "-";
+  return std::to_string(it.successful_tuples) + "/" + std::to_string(it.total_tuples);
 }
 
 std::string sites_cell(const patch::IterationReport& it) {
-  if (it.order >= 3) return std::to_string(it.tuple_patch_sites);
-  if (it.order == 2) return std::to_string(it.pair_patch_sites);
-  return "-";
+  return it.order < 2 ? "-" : std::to_string(it.tuple_patch_sites);
 }
 
 /// The overhead-vs-k trajectory line, rendered only for order-3+ runs.
@@ -165,10 +158,23 @@ harden::TextTable vulnerable_point_table(const sim::CampaignResult& campaign) {
   return table;
 }
 
-}  // namespace
+/// The ladder's per-iteration table (order, faults, residual sets, sites,
+/// patches, code size), shared by the text and markdown fix-point sections.
+harden::TextTable ladder_table(const patch::PipelineResult& result) {
+  TextTable table;
+  table.add_row({"iteration", "order", "faults", "sets", "sites", "patched", "code bytes"});
+  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
+    const patch::IterationReport& it = result.iterations[i];
+    table.add_row({std::to_string(i), std::to_string(it.order),
+                   std::to_string(it.successful_faults), residual_cell(it),
+                   sites_cell(it), std::to_string(it.patches_applied),
+                   std::to_string(it.code_size)});
+  }
+  return table;
+}
 
-std::string campaign_section(const std::string& binary_name,
-                             const sim::CampaignResult& campaign) {
+std::string order1_campaign_section(const std::string& binary_name,
+                                    const sim::CampaignResult& campaign) {
   std::string out = "fault campaign: " + binary_name + "\n";
   out += "  faults: " + std::to_string(campaign.total_faults) + " over " +
          std::to_string(campaign.trace_length) + " trace entries (" +
@@ -187,8 +193,8 @@ std::string campaign_section(const std::string& binary_name,
   return out;
 }
 
-std::string campaign_markdown_section(const std::string& binary_name,
-                                      const sim::CampaignResult& campaign) {
+std::string order1_campaign_markdown_section(const std::string& binary_name,
+                                             const sim::CampaignResult& campaign) {
   std::string out = "### Fault campaign: " + binary_name + "\n\n";
   out += std::to_string(campaign.total_faults) + " faults over " +
          std::to_string(campaign.trace_length) + " trace entries; **" +
@@ -206,155 +212,63 @@ std::string campaign_markdown_section(const std::string& binary_name,
   return out;
 }
 
-std::string pair_campaign_markdown_section(const std::string& binary_name,
-                                           const sim::PairCampaignResult& order2) {
-  std::string out = "### Double-fault campaign: " + binary_name + "\n\n";
-  out += std::to_string(order2.total_pairs) + " pairs within window " +
-         std::to_string(order2.pair_window) + " over " +
-         std::to_string(order2.trace_length) + " trace entries; **" +
-         std::to_string(order2.count(sim::Outcome::kSuccess)) + " successful**, " +
-         std::to_string(order2.strictly_higher_order().size()) +
-         " invisible to order 1. Order-1 phase: " +
-         std::to_string(order2.order1.total_faults) + " faults, " +
-         std::to_string(order2.order1.count(sim::Outcome::kSuccess)) +
-         " successful. Pruning: " + std::to_string(order2.reused_pairs()) +
-         " pairs reused from order-1 profiles, " +
-         std::to_string(order2.simulated_pairs) + " simulated.\n\n";
-  out += outcome_table("pair outcome", order2.outcome_counts).render_markdown();
-  if (!order2.vulnerabilities.empty()) {
-    TextTable table;
-    table.add_row({"first fault", "second fault", "successful pairs"});
-    for (const auto& [addresses, count] : order2.merged_vulnerable_pairs()) {
-      table.add_row({support::hex_string(addresses.first),
-                     support::hex_string(addresses.second), std::to_string(count)});
-    }
-    out += "\n" + table.render_markdown();
-  }
-  return out;
-}
-
-std::string fixpoint_markdown_section(const std::string& binary_name,
-                                      const patch::PipelineResult& result) {
-  std::string out = "### Faulter+Patcher fix-point: " + binary_name + "\n\n";
+/// The order-2+ fix-point section: the per-iteration trajectory of the
+/// ladder-aware Faulter+Patcher loop plus the Table-V-style overhead split
+/// — what order-1 hardening cost, and what closing the higher-order gap
+/// added on top. Runs that climbed past order 2 also get the
+/// overhead-vs-k milestone trajectory.
+std::string ladder_fixpoint_section(const std::string& binary_name,
+                                    const patch::PipelineResult& result) {
   const unsigned max_order = max_iteration_order(result);
-  TextTable table;
-  table.add_row({"iteration", "order", "faults",
-                 max_order >= 3 ? "sets" : "pairs", "sites", "patched",
-                 "code bytes"});
-  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
-    const patch::IterationReport& it = result.iterations[i];
-    table.add_row({std::to_string(i), std::to_string(it.order),
-                   std::to_string(it.successful_faults), residual_cell(it),
-                   sites_cell(it), std::to_string(it.patches_applied),
-                   std::to_string(it.code_size)});
-  }
-  out += table.render_markdown();
-  out += "\nFix-point: **" + std::string(result.fixpoint ? "yes" : "NO (cap hit)") +
-         "**; order-2 clean: **" + std::string(result.order2_fixpoint ? "yes" : "NO") +
-         "**";
-  if (max_order >= 3) {
-    out += "; order-" + std::to_string(max_order) +
-           " clean: **" + std::string(result.orderk_fixpoint ? "yes" : "NO") + "**";
-  }
-  out += ". Overhead (Table-V style): " +
-         support::format_fixed(result.overhead_percent(), 1) + "%";
-  if (result.order1_code_size != 0) {
-    out += " (order-1 " + support::format_fixed(result.order1_overhead_percent(), 1) +
-           "% + " + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
-           " points for closing the order-2 gap)";
-  }
-  out += ".";
+  const std::string order_k = "order-" + std::to_string(max_order);
+  std::string out = order_k + " fix-point trajectory: " + binary_name + "\n";
+  out += ladder_table(result).render();
+  out += "  fix-point: " + std::string(result.fixpoint ? "yes" : "NO (cap hit)") + ", " +
+         order_k + " clean: " + std::string(result.orderk_fixpoint ? "yes" : "NO") + "\n";
+  out += "  overhead (Table-V style): order-1 " +
+         support::format_fixed(result.order1_overhead_percent(), 1) + "% -> " + order_k +
+         " " + support::format_fixed(result.overhead_percent(), 1) + "% (+" +
+         support::format_fixed(result.order2_overhead_delta_percent(), 1) +
+         " points for closing the " + order_k + " gap)\n";
   if (max_order >= 3 && !result.order_milestones.empty()) {
-    out += " Overhead vs k: " + milestone_line(result) + ".";
+    out += "  overhead vs k:  " + milestone_line(result) + "\n";
   }
-  out += "\n";
   return out;
 }
 
-std::string residual_double_fault_section(const std::string& binary_name,
-                                          const sim::PairCampaignResult& order2) {
-  std::string out = "residual double-fault campaign: " + binary_name + "\n";
-  out += "  order-1 faults: " + std::to_string(order2.order1.total_faults) +
-         " (" + std::to_string(order2.order1.count(sim::Outcome::kSuccess)) +
-         " successful)\n";
-  out += "  order-2 pairs:  " + std::to_string(order2.total_pairs) + " within window " +
-         std::to_string(order2.pair_window) + " (" +
-         std::to_string(order2.count(sim::Outcome::kSuccess)) + " successful, " +
-         std::to_string(order2.strictly_higher_order().size()) +
+}  // namespace
+
+std::string campaign_section(const std::string& binary_name,
+                             const sim::TupleCampaignResult& campaign) {
+  if (campaign.order < 2) return order1_campaign_section(binary_name, campaign.order1);
+  const std::string k = std::to_string(campaign.order);
+  std::string out = "residual " + k + "-tuple campaign: " + binary_name + "\n";
+  out += "  order-1 faults: " + std::to_string(campaign.order1.total_faults) + " (" +
+         std::to_string(campaign.order1.count(sim::Outcome::kSuccess)) + " successful)\n";
+  out += "  order-" + k + " tuples: " + std::to_string(campaign.total_tuples) +
+         " within window " + std::to_string(campaign.pair_window) + " (" +
+         std::to_string(campaign.count(sim::Outcome::kSuccess)) + " successful, " +
+         std::to_string(campaign.strictly_higher_order().size()) +
          " invisible to order 1)\n";
+  out += "  levels:         " + tuple_level_summary_line(campaign) + "\n";
   const double reuse_rate =
-      order2.total_pairs == 0
+      campaign.total_tuples == 0
           ? 0.0
-          : 100.0 * static_cast<double>(order2.reused_pairs()) /
-                static_cast<double>(order2.total_pairs);
-  out += "  pruning:        " + std::to_string(order2.reused_pairs()) +
-         " pairs reused from order-1 profiles (" +
-         support::format_fixed(reuse_rate, 1) + "%), " +
-         std::to_string(order2.simulated_pairs) + " simulated, " +
-         std::to_string(order2.fully_pruned_first_faults) +
-         " first faults fully pruned\n";
-  if (!order2.vulnerabilities.empty()) {
-    const auto sites = order2.patch_sites();
-    out += "  patch sites:    ";
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += support::hex_string(sites[i]);
-    }
-    out += "\n";
-  }
-
-  TextTable outcomes;
-  outcomes.add_row({"pair outcome", "count"});
-  for (const auto& [outcome, count] : order2.outcome_counts) {
-    outcomes.add_row({std::string(sim::to_string(outcome)), std::to_string(count)});
-  }
-  out += outcomes.render();
-
-  if (order2.vulnerabilities.empty()) {
-    out += "no residual double-fault vulnerabilities.\n";
-    return out;
-  }
-  TextTable table;
-  table.add_row({"first fault", "second fault", "successful pairs"});
-  for (const auto& [addresses, count] : order2.merged_vulnerable_pairs()) {
-    table.add_row({support::hex_string(addresses.first),
-                   support::hex_string(addresses.second), std::to_string(count)});
-  }
-  out += table.render();
-  return out;
-}
-
-std::string residual_tuple_fault_section(const std::string& binary_name,
-                                         const sim::TupleCampaignResult& tuples) {
-  std::string out = "residual " + std::to_string(tuples.order) + "-tuple campaign: " +
-                    binary_name + "\n";
-  out += "  order-1 faults: " + std::to_string(tuples.order1.total_faults) + " (" +
-         std::to_string(tuples.order1.count(sim::Outcome::kSuccess)) + " successful)\n";
-  out += "  order-" + std::to_string(tuples.order) +
-         " tuples: " + std::to_string(tuples.total_tuples) + " within window " +
-         std::to_string(tuples.pair_window) + " (" +
-         std::to_string(tuples.count(sim::Outcome::kSuccess)) + " successful, " +
-         std::to_string(tuples.strictly_higher_order().size()) +
-         " invisible to order 1)\n";
-  out += "  levels:         " + tuple_level_summary_line(tuples) + "\n";
-  const double reuse_rate =
-      tuples.total_tuples == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(tuples.reused_tuples()) /
-                static_cast<double>(tuples.total_tuples);
-  out += "  pruning:        " + std::to_string(tuples.reused_tuples()) +
+          : 100.0 * static_cast<double>(campaign.reused_tuples()) /
+                static_cast<double>(campaign.total_tuples);
+  out += "  pruning:        " + std::to_string(campaign.reused_tuples()) +
          " tuples reused from lower-order profiles (" +
          support::format_fixed(reuse_rate, 1) + "%), " +
-         std::to_string(tuples.simulated_tuples()) + " simulated\n";
-  if (tuples.sampled) {
-    out += "  sampling:       seeded sample of " + std::to_string(tuples.total_tuples) +
-           " / " + std::to_string(tuples.enumerated_tuples) +
-           " tuples (--max-tuples " + std::to_string(tuples.max_tuples) + ", seed " +
-           std::to_string(tuples.sample_seed) + ")\n";
+         std::to_string(campaign.simulated_tuples()) + " simulated\n";
+  if (campaign.sampled) {
+    out += "  sampling:       seeded sample of " + std::to_string(campaign.total_tuples) +
+           " / " + std::to_string(campaign.enumerated_tuples) +
+           " tuples (--max-tuples " + std::to_string(campaign.max_tuples) + ", seed " +
+           std::to_string(campaign.sample_seed) + ")\n";
   }
-  if (!tuples.vulnerabilities.empty()) {
-    const auto sites = tuples.patch_sites();
+  if (!campaign.vulnerabilities.empty()) {
     out += "  patch sites:    ";
+    const auto sites = campaign.patch_sites();
     for (std::size_t i = 0; i < sites.size(); ++i) {
       if (i != 0) out += ", ";
       out += support::hex_string(sites[i]);
@@ -362,51 +276,53 @@ std::string residual_tuple_fault_section(const std::string& binary_name,
     out += "\n";
   }
 
-  out += outcome_table("tuple outcome", tuples.outcome_counts).render();
-  if (tuples.vulnerabilities.empty()) {
-    out += "no residual " + std::to_string(tuples.order) +
-           "-tuple vulnerabilities.\n";
+  out += outcome_table("tuple outcome", campaign.outcome_counts).render();
+  if (campaign.vulnerabilities.empty()) {
+    out += "no residual " + k + "-tuple vulnerabilities.\n";
     return out;
   }
-  out += vulnerable_tuple_table(tuples).render();
+  out += vulnerable_tuple_table(campaign).render();
   return out;
 }
 
-std::string tuple_campaign_markdown_section(const std::string& binary_name,
-                                            const sim::TupleCampaignResult& tuples) {
-  std::string out = "### " + std::to_string(tuples.order) +
+std::string campaign_markdown_section(const std::string& binary_name,
+                                      const sim::TupleCampaignResult& campaign) {
+  if (campaign.order < 2) {
+    return order1_campaign_markdown_section(binary_name, campaign.order1);
+  }
+  std::string out = "### " + std::to_string(campaign.order) +
                     "-tuple fault campaign: " + binary_name + "\n\n";
-  out += std::to_string(tuples.total_tuples) + " tuples within window " +
-         std::to_string(tuples.pair_window) + " over " +
-         std::to_string(tuples.trace_length) + " trace entries; **" +
-         std::to_string(tuples.count(sim::Outcome::kSuccess)) + " successful**, " +
-         std::to_string(tuples.strictly_higher_order().size()) +
+  out += std::to_string(campaign.total_tuples) + " tuples within window " +
+         std::to_string(campaign.pair_window) + " over " +
+         std::to_string(campaign.trace_length) + " trace entries; **" +
+         std::to_string(campaign.count(sim::Outcome::kSuccess)) + " successful**, " +
+         std::to_string(campaign.strictly_higher_order().size()) +
          " invisible to order 1. Order-1 phase: " +
-         std::to_string(tuples.order1.total_faults) + " faults, " +
-         std::to_string(tuples.order1.count(sim::Outcome::kSuccess)) +
-         " successful. Levels: " + tuple_level_summary_line(tuples) +
-         ". Pruning: " + std::to_string(tuples.reused_tuples()) +
+         std::to_string(campaign.order1.total_faults) + " faults, " +
+         std::to_string(campaign.order1.count(sim::Outcome::kSuccess)) +
+         " successful. Levels: " + tuple_level_summary_line(campaign) +
+         ". Pruning: " + std::to_string(campaign.reused_tuples()) +
          " tuples reused from lower-order profiles, " +
-         std::to_string(tuples.simulated_tuples()) + " simulated.";
-  if (tuples.sampled) {
-    out += " Sampling: " + std::to_string(tuples.total_tuples) + " / " +
-           std::to_string(tuples.enumerated_tuples) + " tuples (max " +
-           std::to_string(tuples.max_tuples) + ", seed " +
-           std::to_string(tuples.sample_seed) + ").";
+         std::to_string(campaign.simulated_tuples()) + " simulated.";
+  if (campaign.sampled) {
+    out += " Sampling: " + std::to_string(campaign.total_tuples) + " / " +
+           std::to_string(campaign.enumerated_tuples) + " tuples (max " +
+           std::to_string(campaign.max_tuples) + ", seed " +
+           std::to_string(campaign.sample_seed) + ").";
   }
   out += "\n\n";
-  out += outcome_table("tuple outcome", tuples.outcome_counts).render_markdown();
-  if (!tuples.vulnerabilities.empty()) {
-    out += "\n" + vulnerable_tuple_table(tuples).render_markdown();
+  out += outcome_table("tuple outcome", campaign.outcome_counts).render_markdown();
+  if (!campaign.vulnerabilities.empty()) {
+    out += "\n" + vulnerable_tuple_table(campaign).render_markdown();
   }
   return out;
 }
 
 std::string fixpoint_section(const std::string& binary_name,
                              const patch::PipelineResult& result) {
-  // Order-2+ runs get the full trajectory section; order-1 runs the same
-  // table without the pair columns.
-  if (result.order1_code_size != 0) return order2_fixpoint_section(binary_name, result);
+  // Order-2+ runs get the ladder trajectory section; order-1 runs the
+  // paper's per-iteration table.
+  if (result.order1_code_size != 0) return ladder_fixpoint_section(binary_name, result);
   std::string out = "fix-point trajectory: " + binary_name + "\n";
   TextTable table;
   table.add_row({"iteration", "faults", "points", "patched", "unpatchable", "code bytes"});
@@ -425,41 +341,44 @@ std::string fixpoint_section(const std::string& binary_name,
   return out;
 }
 
-std::string order2_fixpoint_section(const std::string& binary_name,
-                                    const patch::PipelineResult& result) {
+std::string fixpoint_markdown_section(const std::string& binary_name,
+                                      const patch::PipelineResult& result) {
+  std::string out = "### Faulter+Patcher fix-point: " + binary_name + "\n\n";
   const unsigned max_order = max_iteration_order(result);
-  std::string out = "order-" + std::to_string(max_order) +
-                    " fix-point trajectory: " + binary_name + "\n";
-
-  TextTable table;
-  table.add_row({"iteration", "order", "faults",
-                 max_order >= 3 ? "sets" : "pairs", "sites", "patched",
-                 "code bytes"});
-  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
-    const patch::IterationReport& it = result.iterations[i];
-    table.add_row({std::to_string(i), std::to_string(it.order),
-                   std::to_string(it.successful_faults), residual_cell(it),
-                   sites_cell(it), std::to_string(it.patches_applied),
-                   std::to_string(it.code_size)});
+  const std::string order_k = "order-" + std::to_string(max_order);
+  out += ladder_table(result).render_markdown();
+  out += "\nFix-point: **" + std::string(result.fixpoint ? "yes" : "NO (cap hit)") + "**";
+  if (max_order >= 2) {
+    out += "; " + order_k + " clean: **" +
+           std::string(result.orderk_fixpoint ? "yes" : "NO") + "**";
   }
-  out += table.render();
-
-  out += "  fix-point: " + std::string(result.fixpoint ? "yes" : "NO (cap hit)") +
-         ", order-2 clean: " + std::string(result.order2_fixpoint ? "yes" : "NO");
-  if (max_order >= 3) {
-    out += ", order-" + std::to_string(max_order) +
-           " clean: " + std::string(result.orderk_fixpoint ? "yes" : "NO");
+  out += ". Overhead (Table-V style): " +
+         support::format_fixed(result.overhead_percent(), 1) + "%";
+  if (result.order1_code_size != 0) {
+    out += " (order-1 " + support::format_fixed(result.order1_overhead_percent(), 1) +
+           "% + " + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
+           " points for closing the " + order_k + " gap)";
+  }
+  out += ".";
+  if (max_order >= 3 && !result.order_milestones.empty()) {
+    out += " Overhead vs k: " + milestone_line(result) + ".";
   }
   out += "\n";
-  out += "  overhead (Table-V style): order-1 " +
-         support::format_fixed(result.order1_overhead_percent(), 1) +
-         "% -> order-2 " + support::format_fixed(result.overhead_percent(), 1) +
-         "% (+" + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
-         " points for closing the order-2 gap)\n";
-  if (max_order >= 3 && !result.order_milestones.empty()) {
-    out += "  overhead vs k:  " + milestone_line(result) + "\n";
-  }
   return out;
+}
+
+std::string patterns_summary_line(const patch::PipelineResult& result) {
+  std::string out = "faulter+patcher: " + std::to_string(result.iterations.size()) +
+                    " iteration(s), fix-point " +
+                    (result.fixpoint ? "reached" : "NOT reached (cap hit)") +
+                    ", residual " +
+                    std::to_string(result.final_campaign.order1.vulnerabilities.size()) +
+                    " fault(s)";
+  if (result.final_campaign.order >= 2) {
+    out += " / " + std::to_string(result.final_campaign.vulnerabilities.size()) +
+           " tuple(s)";
+  }
+  return out + "\n";
 }
 
 }  // namespace r2r::harden

@@ -5,8 +5,6 @@
 #include <vector>
 
 namespace r2r::sim {
-struct CampaignResult;
-struct PairCampaignResult;
 struct TupleCampaignResult;
 }  // namespace r2r::sim
 
@@ -30,55 +28,39 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// The single-fault campaign section of a hardening report: outcome
-/// counters, engine telemetry, and the vulnerable points merged by static
-/// address — the text rendering of sim::CampaignResult.
-std::string campaign_section(const std::string& binary_name,
-                             const sim::CampaignResult& campaign);
+// One renderer per report format, each covering every campaign order. The
+// CLI subcommands, `r2r batch` and the r2rd service all render through
+// these, so a daemon answer is byte-identical to the one-shot subcommand's
+// (the JSON format is TupleCampaignResult::to_json / PipelineResult::to_json).
 
-/// Markdown renderings of the three report surfaces (same data as the text
-/// sections, emitted as `###` headings + pipe tables) — what `r2r
-/// --markdown` and the batch summary artifact are built from.
+/// The campaign section of a hardening report. Order 1: outcome counters,
+/// engine telemetry, and the vulnerable points merged by static address.
+/// Order k >= 2: what the order-k sweep still finds — the per-level
+/// reuse/sampling telemetry of the recursive sweep and the successful
+/// k-tuples, merged by static address chain.
+std::string campaign_section(const std::string& binary_name,
+                             const sim::TupleCampaignResult& campaign);
+
+/// Markdown rendering of campaign_section (same data as `###` headings +
+/// pipe tables) — what `r2r --format markdown` and the batch summary
+/// artifact are built from.
 std::string campaign_markdown_section(const std::string& binary_name,
-                                      const sim::CampaignResult& campaign);
-std::string pair_campaign_markdown_section(const std::string& binary_name,
-                                           const sim::PairCampaignResult& order2);
-std::string tuple_campaign_markdown_section(const std::string& binary_name,
-                                            const sim::TupleCampaignResult& tuples);
+                                      const sim::TupleCampaignResult& campaign);
+
+/// The fix-point trajectory section for a Faulter+Patcher run — the text
+/// rendering of patch::PipelineResult. Order-1 runs get the paper's
+/// per-iteration table; order-2+ runs the ladder trajectory (campaign
+/// order, faults and residual fault sets found, implicated sites, patches
+/// applied, code size), the order-k clean flag and the Table-V-style
+/// overhead split, plus the overhead-vs-k milestones past order 2.
+std::string fixpoint_section(const std::string& binary_name,
+                             const patch::PipelineResult& result);
 std::string fixpoint_markdown_section(const std::string& binary_name,
                                       const patch::PipelineResult& result);
 
-/// The residual-double-fault section of a hardening report: what an order-2
-/// campaign still finds on a binary after (single-fault) hardening —
-/// outcome counters, prune telemetry, and the successful pairs that no
-/// order-1 sweep can surface, merged by static address pair.
-std::string residual_double_fault_section(const std::string& binary_name,
-                                          const sim::PairCampaignResult& order2);
-
-/// The residual-k-tuple section: what an order-k (k >= 3) campaign still
-/// finds — the per-level reuse/sampling telemetry of the recursive sweep
-/// and the successful k-tuples no order-1 sweep can surface, merged by
-/// static address chain.
-std::string residual_tuple_fault_section(const std::string& binary_name,
-                                         const sim::TupleCampaignResult& tuples);
-
-/// The fix-point trajectory section for a Faulter+Patcher run — the text
-/// rendering of patch::PipelineResult. Order-2 runs (order1_code_size set)
-/// delegate to order2_fixpoint_section; order-1 runs render the same
-/// per-iteration table without the pair columns. Shared by `r2r fixpoint`
-/// and the r2rd campaign service, so a daemon answer is byte-identical to
-/// the one-shot subcommand's.
-std::string fixpoint_section(const std::string& binary_name,
-                             const patch::PipelineResult& result);
-
-/// The order-2+ fix-point section of a hardening report: the per-iteration
-/// trajectory of the ladder-aware Faulter+Patcher loop (campaign order,
-/// faults and residual pairs/tuples found, implicated sites, patches
-/// applied, code size) plus the Table-V-style overhead split — what order-1
-/// hardening cost, and what closing each higher-order gap added on top.
-/// Runs that climbed past order 2 get an extra order-k clean flag and the
-/// overhead-vs-k milestone trajectory.
-std::string order2_fixpoint_section(const std::string& binary_name,
-                                    const patch::PipelineResult& result);
+/// The one-line `faulter+patcher:` summary of `r2r harden --patterns`:
+/// iterations, fix-point, and the residue of the final campaign at the
+/// order it swept (single faults, plus top-level tuples at order 2+).
+std::string patterns_summary_line(const patch::PipelineResult& result);
 
 }  // namespace r2r::harden

@@ -56,12 +56,6 @@ PatchStats reinforce_sites(bir::Module& module, std::vector<std::uint64_t> sites
   });
 }
 
-PatchStats apply_pair_patches(bir::Module& module,
-                              const std::vector<fault::PairVulnerability>& pairs,
-                              std::uint64_t pair_window) {
-  return reinforce_sites(module, fault::pair_patch_sites(pairs), pair_window);
-}
-
 PatchStats apply_tuple_patches(bir::Module& module,
                                const std::vector<fault::TupleVulnerability>& tuples,
                                std::uint64_t pair_window, unsigned order) {

@@ -37,18 +37,10 @@ PatchStats apply_patches(bir::Module& module,
 /// (reinforce_instruction) at degree `order`. Sites with no applicable
 /// reinforcement are reported in `unpatchable`; a fault set is only truly
 /// unpatchable when all of its sites are. Sites come from
-/// fault::pair_patch_sites / fault::tuple_patch_sites (callers may
-/// pre-filter, e.g. addresses the order-1 patcher already protected in the
-/// same round).
+/// fault::tuple_patch_sites (callers may pre-filter, e.g. addresses the
+/// order-1 patcher already protected in the same round).
 PatchStats reinforce_sites(bir::Module& module, std::vector<std::uint64_t> sites,
                            std::uint64_t pair_window, unsigned order = 2);
-
-/// pair → site attribution + reinforcement in one step: reinforce_sites
-/// over fault::pair_patch_sites(pairs) — the first fault's address plus
-/// the address the second fault actually struck, per pair.
-PatchStats apply_pair_patches(bir::Module& module,
-                              const std::vector<fault::PairVulnerability>& pairs,
-                              std::uint64_t pair_window);
 
 /// tuple → site attribution + reinforcement in one step: reinforce_sites
 /// over fault::tuple_patch_sites(tuples) — every address a tuple's faults

@@ -96,11 +96,11 @@ PatternKind classify_pattern(const bir::Module& module, std::size_t index);
 PatternKind protect_instruction(bir::Module& module, std::size_t index);
 
 /// Order-k reinforcement of the instruction at `index`, a site implicated
-/// in a residual fault pair or tuple (sim::PairCampaignResult /
-/// sim::TupleCampaignResult patch_sites). Original instructions get the
-/// ordinary order-1 pattern (a fault set often defeats a *check* that no
-/// single fault could, e.g. a loop back-edge); synthesized countermeasure
-/// code — which protect_instruction refuses to touch — gets the deeper
+/// in a residual fault pair or tuple (sim::TupleCampaignResult::
+/// patch_sites). Original instructions get the ordinary order-1 pattern
+/// (a fault set often defeats a *check* that no single fault could, e.g. a
+/// loop back-edge); synthesized countermeasure code — which
+/// protect_instruction refuses to touch — gets the deeper
 /// redundancy patterns above, at a redundancy degree scaled to `order`:
 /// the duplication patterns insert order-1 extra copies per application
 /// (an order-k attacker can skip k dynamic instructions), and kCmpFar

@@ -13,25 +13,25 @@ namespace r2r::patch {
 
 namespace {
 
-IterationReport make_report(const fault::CampaignResult& campaign, unsigned order,
+IterationReport make_report(const fault::TupleCampaignResult& campaign,
                             std::uint64_t code_size) {
   IterationReport report;
-  report.order = order;
-  report.successful_faults = campaign.vulnerabilities.size();
-  report.vulnerable_points = campaign.vulnerable_addresses().size();
+  report.order = campaign.order;
+  report.successful_faults = campaign.order1.vulnerabilities.size();
+  report.vulnerable_points = campaign.order1.vulnerable_addresses().size();
   report.code_size = code_size;
+  report.total_tuples = campaign.total_tuples;
+  report.successful_tuples = campaign.vulnerabilities.size();
   return report;
 }
 
 /// Lowest campaign order with a successful fault set, or 0 when the
-/// campaign is clean at every level it swept. Order-2 campaigns carry their
-/// level-2 residue in pair_vulnerabilities; order-3+ campaigns carry every
-/// level 2..k in tuple_levels (the top level's successes are both the last
-/// level summary and tuple_vulnerabilities).
-unsigned lowest_dirty_order(const fault::CampaignResult& campaign) {
-  if (!campaign.vulnerabilities.empty()) return 1;
-  if (!campaign.pair_vulnerabilities.empty()) return 2;
-  for (const fault::TupleLevelSummary& level : campaign.tuple_levels) {
+/// campaign is clean at every level it swept (singles, then every level
+/// 2..k; the top level's successes are both the last level summary and
+/// `vulnerabilities`).
+unsigned lowest_dirty_order(const fault::TupleCampaignResult& campaign) {
+  if (!campaign.order1.vulnerabilities.empty()) return 1;
+  for (const fault::TupleLevelSummary& level : campaign.levels) {
     if (level.successful != 0) return level.order;
   }
   return 0;
@@ -89,17 +89,17 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
                         obs::args_u64({{"iteration", iteration}, {"order", 1}}));
     iterations_total.add(1);
     elf::Image image = bir::assemble(result.module);
-    fault::CampaignResult campaign = [&] {
+    fault::TupleCampaignResult campaign = [&] {
       obs::Span span("fixpoint.campaign");
       return fault::run_campaign(image, good_input, bad_input, order1_campaign);
     }();
-    IterationReport report = make_report(campaign, 1, image.code_size());
+    IterationReport report = make_report(campaign, image.code_size());
     iter_span.set_args(obs::args_u64({{"iteration", iteration},
                                       {"order", 1},
                                       {"successful_faults",
                                        report.successful_faults}}));
 
-    if (campaign.vulnerabilities.empty()) {
+    if (campaign.order1.vulnerabilities.empty()) {
       result.hardened = std::move(image);
       result.final_campaign = std::move(campaign);
       result.fixpoint = true;
@@ -109,7 +109,7 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
 
     const PatchStats stats = [&] {
       obs::Span span("fixpoint.patch");
-      return apply_patches(result.module, campaign.vulnerabilities);
+      return apply_patches(result.module, campaign.order1.vulnerabilities);
     }();
     report.patches_applied = stats.total_applied();
     patches_total.add(stats.total_applied());
@@ -170,40 +170,25 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
                                        {"order", current_order}}));
     iterations_total.add(1);
     elf::Image image = bir::assemble(result.module);
-    fault::CampaignResult campaign = [&] {
+    fault::TupleCampaignResult campaign = [&] {
       obs::Span span("fixpoint.campaign");
       return fault::run_campaign(image, good_input, bad_input, ladder_campaign);
     }();
 
-    IterationReport report = make_report(campaign, current_order, image.code_size());
-    report.total_pairs = campaign.total_pairs;
-    report.successful_pairs = campaign.pair_vulnerabilities.size();
-    report.total_tuples = campaign.total_tuples;
-    report.successful_tuples = campaign.tuple_vulnerabilities.size();
+    IterationReport report = make_report(campaign, image.code_size());
     iter_span.set_args(obs::args_u64(
         {{"iteration", iteration},
          {"order", current_order},
          {"successful_faults", report.successful_faults},
-         {"successful_pairs", report.successful_pairs},
          {"successful_tuples", report.successful_tuples}}));
     // Reinforce only the strictly-order-m sets: a set one of whose faults
     // succeeds alone is just that order-1 vulnerability republished
     // (reuse-from-first pads it with golden addresses the later faults
     // never strike) — the order-1 patcher owns those sites.
-    std::vector<std::uint64_t> sites;
-    if (current_order == 2) {
-      const std::vector<fault::PairVulnerability> strict = sim::strictly_higher_order(
-          campaign.vulnerabilities, campaign.pair_vulnerabilities);
-      report.strictly_second_order = strict.size();
-      sites = fault::pair_patch_sites(strict);
-      report.pair_patch_sites = sites.size();
-    } else {
-      const std::vector<fault::TupleVulnerability> strict = fault::strictly_order_k(
-          campaign.vulnerabilities, campaign.tuple_vulnerabilities);
-      report.strictly_order_k = strict.size();
-      sites = fault::tuple_patch_sites(strict);
-      report.tuple_patch_sites = sites.size();
-    }
+    const std::vector<fault::TupleVulnerability> strict = campaign.strictly_higher_order();
+    report.strictly_order_k = strict.size();
+    std::vector<std::uint64_t> sites = fault::tuple_patch_sites(strict);
+    report.tuple_patch_sites = sites.size();
 
     const unsigned dirty_order = lowest_dirty_order(campaign);
     if (dirty_order == 0) {
@@ -213,7 +198,6 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
         result.hardened = std::move(image);
         result.final_campaign = std::move(campaign);
         result.fixpoint = true;
-        result.order2_fixpoint = true;
         result.orderk_fixpoint = true;
         break;
       }
@@ -222,13 +206,13 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     }
 
     obs::Span patch_span("fixpoint.patch");
-    PatchStats stats = apply_patches(result.module, campaign.vulnerabilities);
+    PatchStats stats = apply_patches(result.module, campaign.order1.vulnerabilities);
     // A site can be order-1 vulnerable *and* set-implicated (a different
     // fault kind at the same address); the order-1 patcher just protected
     // those, so reinforcing them again would stack the identical pattern
     // twice in one pass. Sites apply_patches could not handle stay:
     // synthesized code it refuses is exactly what reinforcement is for.
-    std::vector<std::uint64_t> patched = campaign.vulnerable_addresses();
+    std::vector<std::uint64_t> patched = campaign.order1.vulnerable_addresses();
     for (const std::uint64_t address : stats.unpatchable) {
       patched.erase(std::remove(patched.begin(), patched.end(), address),
                     patched.end());
@@ -286,14 +270,13 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     // Iteration cap hit: report the state of the last reinforced module
     // against the *requested* order. (When phase 1 consumed the whole cap,
     // this is the first — and only — higher-order campaign, so the caller
-    // still gets pair/tuple data.) A clean final campaign is a genuine fix
+    // still gets tuple data.) A clean final campaign is a genuine fix
     // point even at the cap.
     result.hardened = bir::assemble(result.module);
     result.final_campaign =
         fault::run_campaign(result.hardened, good_input, bad_input, config.campaign);
     const bool clean = lowest_dirty_order(result.final_campaign) == 0;
     result.orderk_fixpoint = clean;
-    result.order2_fixpoint = clean;
     result.fixpoint = clean;
     if (clean) {
       record_milestone(result.order_milestones, requested_order,
@@ -307,8 +290,6 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
 std::string PipelineResult::to_json() const {
   std::string json = "{\n";
   json += "  \"fixpoint\": " + std::string(fixpoint ? "true" : "false") + ",\n";
-  json += "  \"order2_fixpoint\": " + std::string(order2_fixpoint ? "true" : "false") +
-          ",\n";
   json += "  \"orderk_fixpoint\": " + std::string(orderk_fixpoint ? "true" : "false") +
           ",\n";
   json += "  \"original_code_size\": " + std::to_string(original_code_size) + ",\n";
@@ -345,10 +326,6 @@ std::string PipelineResult::to_json() const {
             ", \"patches_applied\": " + std::to_string(it.patches_applied) +
             ", \"unpatchable_points\": " + std::to_string(it.unpatchable_points) +
             ", \"code_size\": " + std::to_string(it.code_size) +
-            ", \"total_pairs\": " + std::to_string(it.total_pairs) +
-            ", \"successful_pairs\": " + std::to_string(it.successful_pairs) +
-            ", \"strictly_second_order\": " + std::to_string(it.strictly_second_order) +
-            ", \"pair_patch_sites\": " + std::to_string(it.pair_patch_sites) +
             ", \"total_tuples\": " + std::to_string(it.total_tuples) +
             ", \"successful_tuples\": " + std::to_string(it.successful_tuples) +
             ", \"strictly_order_k\": " + std::to_string(it.strictly_order_k) +
@@ -356,16 +333,7 @@ std::string PipelineResult::to_json() const {
     json += i + 1 < iterations.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
-  json += "  \"final_campaign\": ";
-  std::string campaign_json = final_campaign.to_json();
-  // Indent the nested document two spaces so the composite stays readable.
-  if (!campaign_json.empty() && campaign_json.back() == '\n') campaign_json.pop_back();
-  std::string indented;
-  for (const char c : campaign_json) {
-    indented += c;
-    if (c == '\n') indented += "  ";
-  }
-  json += indented + "\n}\n";
+  json += "  \"final_campaign\": " + support::nest_json(final_campaign.to_json()) + "\n}\n";
   return json;
 }
 

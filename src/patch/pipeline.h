@@ -45,13 +45,8 @@ struct IterationReport {
   std::uint64_t patches_applied = 0;
   std::uint64_t unpatchable_points = 0;
   std::uint64_t code_size = 0;           ///< bytes of .text at this iteration
-  // Order-2 iterations only:
-  std::uint64_t total_pairs = 0;             ///< pairs swept this iteration
-  std::uint64_t successful_pairs = 0;        ///< residual pairs found
-  std::uint64_t strictly_second_order = 0;   ///< invisible to any order-1 sweep
-  std::uint64_t pair_patch_sites = 0;        ///< distinct static sites implicated
-  // Order-3+ iterations only:
-  std::uint64_t total_tuples = 0;        ///< k-tuples in the swept space
+  // Order-2+ iterations only:
+  std::uint64_t total_tuples = 0;        ///< k-tuples classified this iteration
   std::uint64_t successful_tuples = 0;   ///< residual top-level tuples found
   std::uint64_t strictly_order_k = 0;    ///< sharing no fault with an order-1 vuln
   std::uint64_t tuple_patch_sites = 0;   ///< distinct static sites implicated
@@ -68,22 +63,16 @@ struct PipelineResult {
   bir::Module module;            ///< final (hardened) module
   elf::Image hardened;           ///< final image
   std::vector<IterationReport> iterations;
-  fault::CampaignResult final_campaign;  ///< campaign against the final image
+  fault::TupleCampaignResult final_campaign;  ///< campaign against the final image
   bool fixpoint = false;         ///< no patchable vulnerabilities remain
-  /// Order-2+ mode: the final campaign found zero successful pairs (and zero
-  /// successful single faults). Always false when order 1 was requested; at
-  /// order >= 3 this follows from orderk_fixpoint (a clean order-k sweep
-  /// includes a clean level-2 pass).
-  bool order2_fixpoint = false;
   /// Order-2+ mode: the final campaign at the *requested* order found zero
   /// successful fault sets at every level (singles and every tuple level
-  /// 2..k). Equals order2_fixpoint when order 2 was requested; always false
-  /// when order 1 was requested.
+  /// 2..k). Always false when order 1 was requested.
   bool orderk_fixpoint = false;
   std::uint64_t original_code_size = 0;
   std::uint64_t hardened_code_size = 0;
-  /// Order-2 mode: bytes of .text at the order-1 fix-point — the baseline
-  /// of the order-2 overhead delta. Zero when order 1 was requested.
+  /// Order-2+ mode: bytes of .text at the order-1 fix-point — the baseline
+  /// of the higher-order overhead delta. Zero when order 1 was requested.
   std::uint64_t order1_code_size = 0;
   /// Overhead-vs-k trajectory, ascending by order: code size at each order's
   /// latest clean sweep (order 1 mirrors order1_code_size; the requested
@@ -100,7 +89,7 @@ struct PipelineResult {
            static_cast<double>(original_code_size);
   }
 
-  /// Table-V-style overhead of the order-1 phase alone (order-2 mode only).
+  /// Table-V-style overhead of the order-1 phase alone (order-2+ mode only).
   [[nodiscard]] double order1_overhead_percent() const noexcept {
     if (original_code_size == 0 || order1_code_size == 0) return 0.0;
     return 100.0 *
@@ -109,8 +98,8 @@ struct PipelineResult {
            static_cast<double>(original_code_size);
   }
 
-  /// What closing the order-2 gap cost on top of order-1 hardening, in
-  /// percentage points of the original code size (order-2 mode only).
+  /// What closing the higher-order gap cost on top of order-1 hardening, in
+  /// percentage points of the original code size (order-2+ mode only).
   [[nodiscard]] double order2_overhead_delta_percent() const noexcept {
     if (order1_code_size == 0) return 0.0;
     return overhead_percent() - order1_overhead_percent();

@@ -89,7 +89,7 @@ unsigned run_sharded_state(unsigned configured_threads, std::size_t count,
   return threads;
 }
 
-/// The classic one-machine-per-worker shard (order-1 profile, per-pair
+/// The classic one-machine-per-worker shard (order-1 profile, per-tuple
 /// simulation). `block_cache` selects the worker machines' dispatch mode.
 template <typename PerItem>
 unsigned run_sharded(const elf::Image& image, const std::string& stdin_data,
@@ -121,35 +121,13 @@ std::vector<std::pair<std::size_t, std::size_t>> index_ranges(
   return ranges;
 }
 
-/// Canonical pair enumeration order, shared by enumerate_fault_pairs and the
-/// engine's order-2 sweep: ascending first fault (order-1 plan order), then
-/// ascending second-fault trace index within the window, then canonical
-/// order within that index. fn receives order-1 plan indices (i, j).
-template <typename Fn>
-void for_each_pair(const std::vector<PlannedFault>& plan,
-                   const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-                   std::uint64_t pair_window, const Fn& fn) {
-  const std::uint64_t trace_length = ranges.size();
-  // Clamp to the trace so `t1 + window` cannot wrap for huge ("unbounded")
-  // window values. A zero window enumerates no pairs, per the
-  // 0 < t2 - t1 <= pair_window contract.
-  const std::uint64_t window = std::min(pair_window, trace_length);
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const std::uint64_t t1 = plan[i].spec.trace_index;
-    if (t1 + 1 >= trace_length) continue;
-    const std::uint64_t last = std::min(t1 + window, trace_length - 1);
-    for (std::uint64_t t2 = t1 + 1; t2 <= last; ++t2) {
-      for (std::size_t j = ranges[t2].first; j < ranges[t2].second; ++j) fn(i, j);
-    }
-  }
-}
-
 /// Order-k enumeration geometry. A level-s tuple is s faults at strictly
 /// ascending trace indices with every consecutive gap in (0, window]; the
 /// canonical order is lexicographic over (plan index of fault 1, plan index
-/// of fault 2, ...), which for s == 2 is exactly for_each_pair's order.
-/// Because every fault at trace index t roots an identical subtree, the
-/// subtree sizes form a per-trace-index DP:
+/// of fault 2, ...): ascending first fault, then ascending second-fault
+/// trace index within the window, then canonical order within that index,
+/// and so on. Because every fault at trace index t roots an identical
+/// subtree, the subtree sizes form a per-trace-index DP:
 ///
 ///   subtree[1][t] = 1
 ///   subtree[s][t] = Σ_{u in (t, t+window]} faults(u) · subtree[s-1][u]
@@ -378,7 +356,7 @@ void timed_restore(const MachineSnapshot& snapshot, emu::Machine& machine) {
   restore_ns.observe(obs::now_ns() - begin);
 }
 
-/// Order-1 outcome/prune counters, shared by run() and run_pairs() phase A.
+/// Order-1 outcome/prune counters, shared by run() and run_tuples() phase A.
 /// Everything recorded here is derived from the deterministic sweep result,
 /// so totals are invariant across thread counts (tested).
 void record_order1_metrics(const CampaignResult& result) {
@@ -466,18 +444,6 @@ std::vector<PlannedFault> enumerate_faults(const FaultModels& models,
     }
   }
   return plan;
-}
-
-std::vector<PlannedPair> enumerate_fault_pairs(const FaultModels& models,
-                                               const std::vector<emu::TraceEntry>& trace) {
-  const std::vector<PlannedFault> plan = enumerate_faults(models, trace);
-  const auto ranges = index_ranges(plan, trace.size());
-  std::vector<PlannedPair> pairs;
-  for_each_pair(plan, ranges, models.pair_window, [&](std::size_t i, std::size_t j) {
-    pairs.push_back(PlannedPair{plan[i].spec, plan[j].spec, plan[i].address,
-                                plan[j].address});
-  });
-  return pairs;
 }
 
 std::uint64_t SnapshotPolicy::interval_for(std::uint64_t trace_length) const noexcept {
@@ -629,41 +595,6 @@ Engine::FaultProfile Engine::profile_one(emu::Machine& machine, const PlannedFau
                              pruned);
 }
 
-Engine::PairSim Engine::simulate_pair(emu::Machine& machine, const emu::FaultSpec& first,
-                                      const emu::FaultSpec& second,
-                                      std::uint64_t golden_second_address,
-                                      std::atomic<std::uint64_t>& converged) const {
-  const std::uint64_t t1 = first.trace_index;
-  const std::uint64_t t2 = second.trace_index;
-  const std::size_t nearest = std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
-  timed_restore(chain_[nearest], machine);
-
-  // Leg 1: run with the first fault armed, pausing just before the second
-  // injection point. A run that terminates here is the first fault alone
-  // (the second fault never fires, so its hit address stays the golden one
-  // — matching what the reuse rules record for the same pair).
-  RunConfig config;
-  config.fault = first;
-  config.fuel = std::min(t2, fuel_);
-  const RunResult leg1 = machine.run(config);
-  if (leg1.reason != StopReason::kFuelExhausted || config.fuel >= fuel_) {
-    return {classify(refs_, leg1, config_.detected_exit_code), golden_second_address};
-  }
-
-  // The machine is paused exactly before executing dynamic step t2: its rip
-  // is the instruction the second fault actually strikes. Deterministic, so
-  // identical across thread counts; equal to the golden address whenever the
-  // first fault's run has reconverged by t2 (the pruned sweep's reuse case).
-  const std::uint64_t second_hit = machine.cpu().rip;
-
-  // Leg 2: arm the second fault and resume, with the same convergence
-  // pruning as the order-1 sweep past the second injection.
-  return {finish_with_pruning(machine, second, (t2 / interval_ + 1) * interval_,
-                              converged)
-              .outcome,
-          second_hit};
-}
-
 unsigned Engine::profile_all(const std::vector<PlannedFault>& plan,
                              std::vector<FaultProfile>& profiles,
                              std::atomic<std::uint64_t>& pruned,
@@ -733,91 +664,6 @@ unsigned Engine::profile_all(const std::vector<PlannedFault>& plan,
       });
 }
 
-unsigned Engine::simulate_pair_groups(
-    const std::vector<PlannedFault>& plan,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    const std::vector<std::size_t>& sim_indices, std::vector<Outcome>& outcomes,
-    std::vector<std::uint64_t>& sim_hits, std::atomic<std::uint64_t>& converged,
-    obs::Progress& progress) const {
-  // Pair enumeration is grouped by first fault with ascending second
-  // injection points inside each group — exactly the shape the lockstep
-  // walk wants: one walker runs leg 1 (first fault armed) through the
-  // ascending t2 sequence, pausing at each, and every pair at that t2
-  // forks into the scratch machine for leg 2. simulate_pair's per-pair
-  // decisions are reproduced verbatim at each pause.
-  struct Group {
-    std::size_t begin = 0;
-    std::size_t end = 0;  ///< [begin, end) range into sim_indices
-  };
-  std::vector<Group> groups;
-  for (std::size_t s = 0; s < sim_indices.size();) {
-    const std::uint32_t first = pairs[sim_indices[s]].first;
-    std::size_t e = s;
-    while (e < sim_indices.size() && pairs[sim_indices[e]].first == first) ++e;
-    groups.push_back(Group{s, e});
-    s = e;
-  }
-
-  struct State {
-    emu::Machine walker;
-    emu::Machine scratch;
-  };
-  return run_sharded_state(
-      config_.threads, groups.size(), /*chunk=*/1, "sim.pair_worker", nullptr,
-      [&]() {
-        State state{emu::Machine(image_, bad_input_), emu::Machine(image_, bad_input_)};
-        state.walker.set_block_cache_enabled(config_.block_cache);
-        state.scratch.set_block_cache_enabled(config_.block_cache);
-        return state;
-      },
-      [&](State& state, std::size_t g) {
-        const Group group = groups[g];
-        const emu::FaultSpec& first = plan[pairs[sim_indices[group.begin]].first].spec;
-        const std::uint64_t t1 = first.trace_index;
-        const std::size_t nearest =
-            std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
-        timed_restore(chain_[nearest], state.walker);
-
-        RunConfig leg1_config;
-        leg1_config.fault = first;  // fires exactly once, at step t1
-        bool terminated = false;
-        Outcome terminal_outcome = Outcome::kNoEffect;
-        std::uint64_t walked_t2 = kNeverStep;
-        std::uint64_t second_hit = 0;
-        std::optional<MachineSnapshot> at_t2;
-        for (std::size_t s = group.begin; s < group.end; ++s) {
-          const std::size_t k = sim_indices[s];
-          const emu::FaultSpec& second = plan[pairs[k].second].spec;
-          const std::uint64_t t2 = second.trace_index;
-          if (!terminated && t2 != walked_t2) {
-            leg1_config.fuel = std::min(t2, fuel_);
-            const RunResult leg1 = state.walker.run(leg1_config);
-            if (leg1.reason != StopReason::kFuelExhausted || leg1_config.fuel >= fuel_) {
-              // The first fault's run ended before t2: every remaining pair
-              // of the group (t2 only grows) is the first fault alone.
-              terminated = true;
-              terminal_outcome = classify(refs_, leg1, config_.detected_exit_code);
-            } else {
-              walked_t2 = t2;
-              second_hit = state.walker.cpu().rip;
-              at_t2 = capture(state.walker);
-            }
-          }
-          if (terminated) {
-            outcomes[k] = terminal_outcome;
-            sim_hits[s] = plan[pairs[k].second].address;
-            continue;
-          }
-          timed_restore(*at_t2, state.scratch);
-          outcomes[k] = finish_with_pruning(state.scratch, second,
-                                            (t2 / interval_ + 1) * interval_, converged)
-                            .outcome;
-          sim_hits[s] = second_hit;
-        }
-        progress.tick(group.end - group.begin);
-      });
-}
-
 CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
                                         const std::vector<Outcome>& outcomes,
                                         std::uint64_t pruned, unsigned threads) const {
@@ -839,8 +685,8 @@ CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
 
 CampaignResult Engine::run(const FaultModels& models) const {
   check(models.order == 1, ErrorKind::kExecution,
-        "the order-1 sweep requires FaultModels::order == 1; order-2 models "
-        "go to run_pairs(), order-k models to run_tuples()");
+        "the order-1 sweep requires FaultModels::order == 1; order-k models "
+        "(k >= 2) go to run_tuples()");
   const std::vector<PlannedFault> plan = enumerate_faults(models, refs_.bad_trace);
   std::vector<FaultProfile> profiles;
   std::atomic<std::uint64_t> pruned_total{0};
@@ -861,189 +707,6 @@ CampaignResult Engine::run(const FaultModels& models) const {
   if (sweep_ns > 0) {
     obs::Metrics::instance().gauge("sim.faults_per_second")
         .set(static_cast<std::int64_t>(plan.size() * 1'000'000'000ull / sweep_ns));
-  }
-  return result;
-}
-
-PairCampaignResult Engine::run_pairs(const FaultModels& models) const {
-  check(models.order == 2, ErrorKind::kExecution,
-        "run_pairs() requires FaultModels::order == 2");
-  const std::vector<PlannedFault> plan = enumerate_faults(models, refs_.bad_trace);
-  check(plan.size() <= std::numeric_limits<std::uint32_t>::max(), ErrorKind::kExecution,
-        "order-2 sweep: order-1 plan exceeds 2^32 faults");
-  const auto ranges = index_ranges(plan, refs_.bad_trace.size());
-
-  // Pre-count the fan-out (prefix sums over the per-index fault counts) and
-  // refuse oversized sweeps with a clear error instead of exhausting memory
-  // materialising the pair plan below.
-  {
-    const std::uint64_t trace_length = ranges.size();
-    const std::uint64_t window =
-        std::min(models.pair_window, trace_length);
-    std::vector<std::uint64_t> prefix(trace_length + 1, 0);
-    for (std::uint64_t t = 0; t < trace_length; ++t) {
-      prefix[t + 1] = prefix[t] + (ranges[t].second - ranges[t].first);
-    }
-    std::uint64_t pair_count = 0;
-    for (std::uint64_t t1 = 0; t1 + 1 < trace_length; ++t1) {
-      const std::uint64_t faults_here = ranges[t1].second - ranges[t1].first;
-      const std::uint64_t last = std::min(t1 + window, trace_length - 1);
-      pair_count += faults_here * (prefix[last + 1] - prefix[t1 + 1]);
-      check(pair_count <= config_.max_pairs, ErrorKind::kExecution,
-            "order-2 sweep exceeds EngineConfig::max_pairs (" +
-                std::to_string(config_.max_pairs) +
-                "); narrow the fault models or pair_window");
-    }
-  }
-
-  PairCampaignResult result;
-  result.trace_length = refs_.bad_trace.size();
-  result.pair_window = models.pair_window;
-
-  obs::Span run_span("sim.run_pairs");
-  // Reset up front so a sub-nanosecond sweep can't republish a stale rate
-  // (mirrors the order-1 fix).
-  obs::Metrics::instance().gauge("sim.pairs_per_second").set(0);
-  const std::uint64_t pairs_begin = obs::now_ns();
-
-  // ---- phase A: profile every single fault. This *is* the order-1 sweep
-  // (bit-identical to run(models)), plus the reconvergence/termination
-  // metadata pairs are pruned with.
-  std::vector<FaultProfile> profiles;
-  std::atomic<std::uint64_t> pruned_total{0};
-  unsigned threads_profile = 0;
-  {
-    obs::Span span("sim.pairs_profile", obs::args_u64({{"faults", plan.size()}}));
-    obs::Progress progress("order-2 profile", plan.size());
-    threads_profile = profile_all(plan, profiles, pruned_total, progress);
-  }
-
-  std::vector<Outcome> order1_outcomes(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    order1_outcomes[i] = profiles[i].outcome;
-  }
-  result.order1 =
-      aggregate_order1(plan, order1_outcomes, pruned_total.load(), threads_profile);
-  record_order1_metrics(result.order1);
-
-  // ---- phase B: enumerate the pair plan and classify by outcome reuse
-  // wherever the first fault's profile proves the answer. Both rules are
-  // exact, not heuristic: a first fault that reconverged with golden by
-  // step b makes every pair with t2 >= b identical to the second fault
-  // alone, and one that terminated at step e makes every pair with t2 >= e
-  // identical to the first fault alone (the second never fires).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  for_each_pair(plan, ranges, models.pair_window, [&](std::size_t i, std::size_t j) {
-    pairs.emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
-  });
-
-  std::vector<Outcome> outcomes(pairs.size(), Outcome::kNoEffect);
-  std::vector<std::uint8_t> needs_sim(pairs.size(), 1);
-  {
-    obs::Span span("sim.pairs_reuse", obs::args_u64({{"pairs", pairs.size()}}));
-    if (config_.pair_outcome_reuse && config_.convergence_pruning) {
-      for (std::size_t k = 0; k < pairs.size(); ++k) {
-        const FaultProfile& first = profiles[pairs[k].first];
-        const std::uint64_t t2 = plan[pairs[k].second].spec.trace_index;
-        if (t2 >= first.reconverge_step) {
-          outcomes[k] = profiles[pairs[k].second].outcome;
-          needs_sim[k] = 0;
-          ++result.reused_from_second;
-        } else if (t2 >= first.end_step) {
-          outcomes[k] = first.outcome;
-          needs_sim[k] = 0;
-          ++result.reused_from_first;
-        }
-      }
-    }
-  }
-
-  // ---- phase C: simulate only the pairs reuse could not classify. The
-  // plan is compacted first so worker chunks stay uniformly full of real
-  // work at high prune rates; slot k is still written only by pair k.
-  std::vector<std::size_t> sim_indices;
-  sim_indices.reserve(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    if (needs_sim[k] != 0) sim_indices.push_back(k);
-  }
-  std::vector<std::uint64_t> sim_hits(sim_indices.size(), 0);
-  std::atomic<std::uint64_t> converged_total{0};
-  unsigned threads_pairs = 0;
-  if (!sim_indices.empty()) {
-    obs::Span span("sim.pairs_simulate",
-                   obs::args_u64({{"pairs", sim_indices.size()}}));
-    obs::Progress progress("order-2 pair sweep", sim_indices.size());
-    if (config_.lockstep_batching) {
-      threads_pairs = simulate_pair_groups(plan, pairs, sim_indices, outcomes,
-                                           sim_hits, converged_total, progress);
-    } else {
-      threads_pairs = run_sharded(
-          image_, bad_input_, config_.block_cache, config_.threads,
-          sim_indices.size(), "sim.pair_worker", &progress,
-          [&](emu::Machine& machine, std::size_t s) {
-            const std::size_t k = sim_indices[s];
-            const PairSim sim =
-                simulate_pair(machine, plan[pairs[k].first].spec,
-                              plan[pairs[k].second].spec,
-                              plan[pairs[k].second].address, converged_total);
-            outcomes[k] = sim.outcome;
-            sim_hits[s] = sim.second_hit_address;
-          });
-    }
-  }
-
-  result.total_pairs = pairs.size();
-  result.converged_pairs = converged_total.load();
-  result.simulated_pairs = pairs.size() - result.reused_pairs();
-  result.threads_used = std::max(threads_profile, threads_pairs);
-  // sim_indices is ascending, so one cursor recovers each simulated pair's
-  // recorded hit address; reused pairs hit the golden address by definition
-  // (reused-from-second means the run had reconverged with golden before t2;
-  // reused-from-first means the second fault never fired).
-  std::size_t sim_cursor = 0;
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    std::uint64_t hit = plan[pairs[k].second].address;
-    if (sim_cursor < sim_indices.size() && sim_indices[sim_cursor] == k) {
-      hit = sim_hits[sim_cursor];
-      ++sim_cursor;
-    }
-    ++result.outcome_counts[outcomes[k]];
-    if (outcomes[k] == Outcome::kSuccess) {
-      result.vulnerabilities.push_back(
-          PairVulnerability{plan[pairs[k].first].spec, plan[pairs[k].second].spec,
-                            plan[pairs[k].first].address, plan[pairs[k].second].address,
-                            hit});
-    }
-  }
-
-  // Pair enumeration is grouped by first fault, so one scan counts the
-  // first faults whose entire second-fault fan-out was classified by reuse.
-  for (std::size_t scan = 0; scan < pairs.size();) {
-    const std::uint32_t i = pairs[scan].first;
-    bool all_reused = true;
-    while (scan < pairs.size() && pairs[scan].first == i) {
-      if (needs_sim[scan] != 0) all_reused = false;
-      ++scan;
-    }
-    if (all_reused) ++result.fully_pruned_first_faults;
-  }
-
-  auto& metrics = obs::Metrics::instance();
-  metrics.counter("sim.sweeps_order2").add(1);
-  metrics.counter("sim.pairs_planned").add(result.total_pairs);
-  metrics.counter("sim.pairs_reused_first").add(result.reused_from_first);
-  metrics.counter("sim.pairs_reused_second").add(result.reused_from_second);
-  metrics.counter("sim.pairs_simulated").add(result.simulated_pairs);
-  metrics.counter("sim.pairs_converged").add(result.converged_pairs);
-  for (const auto& [outcome, count] : result.outcome_counts) {
-    metrics.counter("sim.pair_outcome." + std::string(to_string(outcome)))
-        .add(count);
-  }
-  const std::uint64_t pairs_ns = obs::now_ns() - pairs_begin;
-  if (pairs_ns > 0) {
-    metrics.gauge("sim.pairs_per_second")
-        .set(static_cast<std::int64_t>(result.total_pairs * 1'000'000'000ull /
-                                       pairs_ns));
   }
   return result;
 }
@@ -1369,62 +1032,6 @@ std::string CampaignResult::to_json() const {
   return json;
 }
 
-std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-PairCampaignResult::merged_vulnerable_pairs() const {
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> merged;
-  for (const PairVulnerability& v : vulnerabilities) {
-    ++merged[{v.first_address, v.second_address}];
-  }
-  return merged;
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-PairCampaignResult::vulnerable_address_pairs() const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> addresses;
-  for (const auto& [address_pair, hits] : merged_vulnerable_pairs()) {
-    addresses.push_back(address_pair);
-  }
-  return addresses;
-}
-
-std::vector<std::uint64_t> pair_patch_sites(const std::vector<PairVulnerability>& pairs) {
-  std::vector<std::uint64_t> sites;
-  sites.reserve(pairs.size() * 2);
-  for (const PairVulnerability& v : pairs) {
-    sites.push_back(v.first_address);
-    sites.push_back(v.second_hit_address);
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
-  return sites;
-}
-
-std::vector<std::uint64_t> PairCampaignResult::patch_sites() const {
-  return pair_patch_sites(strictly_higher_order());
-}
-
-std::vector<PairVulnerability> strictly_higher_order(
-    const std::vector<Vulnerability>& singles,
-    const std::vector<PairVulnerability>& pairs) {
-  const auto key = [](const emu::FaultSpec& spec) {
-    return std::tuple(static_cast<unsigned>(spec.kind), spec.trace_index, spec.bit_offset);
-  };
-  std::set<std::tuple<unsigned, std::uint64_t, std::uint32_t>> single;
-  for (const Vulnerability& v : singles) single.insert(key(v.spec));
-
-  std::vector<PairVulnerability> out;
-  for (const PairVulnerability& pair : pairs) {
-    if (!single.contains(key(pair.first)) && !single.contains(key(pair.second))) {
-      out.push_back(pair);
-    }
-  }
-  return out;
-}
-
-std::vector<PairVulnerability> PairCampaignResult::strictly_higher_order() const {
-  return sim::strictly_higher_order(order1.vulnerabilities, vulnerabilities);
-}
-
 std::vector<std::uint64_t> tuple_patch_sites(const std::vector<TupleVulnerability>& tuples) {
   std::vector<std::uint64_t> sites;
   for (const TupleVulnerability& v : tuples) {
@@ -1435,33 +1042,21 @@ std::vector<std::uint64_t> tuple_patch_sites(const std::vector<TupleVulnerabilit
   return sites;
 }
 
-std::vector<TupleVulnerability> strictly_order_k(
-    const std::vector<Vulnerability>& singles,
-    const std::vector<TupleVulnerability>& tuples) {
+std::vector<TupleVulnerability> TupleCampaignResult::strictly_higher_order() const {
   const auto key = [](const emu::FaultSpec& spec) {
     return std::tuple(static_cast<unsigned>(spec.kind), spec.trace_index, spec.bit_offset);
   };
   std::set<std::tuple<unsigned, std::uint64_t, std::uint32_t>> single;
-  for (const Vulnerability& v : singles) single.insert(key(v.spec));
+  for (const Vulnerability& v : order1.vulnerabilities) single.insert(key(v.spec));
 
   std::vector<TupleVulnerability> out;
-  for (const TupleVulnerability& tuple : tuples) {
+  for (const TupleVulnerability& tuple : vulnerabilities) {
     const bool any_single =
         std::any_of(tuple.faults.begin(), tuple.faults.end(),
                     [&](const emu::FaultSpec& spec) { return single.contains(key(spec)); });
     if (!any_single) out.push_back(tuple);
   }
   return out;
-}
-
-std::uint64_t TupleCampaignResult::successful_below_top() const noexcept {
-  std::uint64_t successful = 0;
-  for (std::size_t i = 0; i + 1 < levels.size(); ++i) successful += levels[i].successful;
-  return successful;
-}
-
-std::vector<TupleVulnerability> TupleCampaignResult::strictly_higher_order() const {
-  return strictly_order_k(order1.vulnerabilities, vulnerabilities);
 }
 
 std::vector<std::uint64_t> TupleCampaignResult::patch_sites() const {
@@ -1478,28 +1073,24 @@ TupleCampaignResult::merged_vulnerable_tuples() const {
 std::string TupleCampaignResult::to_json() const {
   const TupleLevelSummary empty;
   const TupleLevelSummary& top = levels.empty() ? empty : levels.back();
+  const auto hex_list = [](const std::vector<std::uint64_t>& addresses) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < addresses.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += "\"" + support::hex_string(addresses[i]) + "\"";
+    }
+    return out + "]";
+  };
   std::string json = "{\n";
   json += "  \"order\": " + std::to_string(order) + ",\n";
   json += "  \"trace_length\": " + std::to_string(trace_length) + ",\n";
   json += "  \"pair_window\": " + std::to_string(pair_window) + ",\n";
-  json += "  \"total_tuples\": " + std::to_string(total_tuples) + ",\n";
-  json += "  \"enumerated_tuples\": " + std::to_string(enumerated_tuples) + ",\n";
-  json += std::string("  \"sampled\": ") + (sampled ? "true" : "false") + ",\n";
-  json += "  \"max_tuples\": " + std::to_string(max_tuples) + ",\n";
-  json += "  \"sample_seed\": " + std::to_string(sample_seed) + ",\n";
-  json += "  \"reused_suffix\": " + std::to_string(top.reused_suffix) + ",\n";
-  json += "  \"reused_prefix\": " + std::to_string(top.reused_prefix) + ",\n";
-  json += "  \"simulated_tuples\": " + std::to_string(top.simulated) + ",\n";
-  json += "  \"converged_tuples\": " + std::to_string(top.converged) + ",\n";
   json += "  \"threads\": " + std::to_string(threads_used) + ",\n";
-  json += "  \"order1_total_faults\": " + std::to_string(order1.total_faults) + ",\n";
-  json += "  \"order1_successful\": " + std::to_string(order1.count(Outcome::kSuccess)) +
-          ",\n";
+  json += "  \"order1\": " + support::nest_json(order1.to_json()) + ",\n";
   json += "  \"levels\": [";
-  bool first = true;
-  for (const TupleLevelSummary& level : levels) {
-    if (!first) json += ", ";
-    first = false;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const TupleLevelSummary& level = levels[i];
+    if (i != 0) json += ", ";
     json += "{\"order\": " + std::to_string(level.order) +
             ", \"enumerated\": " + std::to_string(level.enumerated) +
             ", \"classified\": " + std::to_string(level.classified) +
@@ -1511,8 +1102,19 @@ std::string TupleCampaignResult::to_json() const {
             (level.sampled ? "true" : "false") + "}";
   }
   json += "],\n";
+  json += "  \"total_tuples\": " + std::to_string(total_tuples) + ",\n";
+  json += "  \"enumerated_tuples\": " + std::to_string(enumerated_tuples) + ",\n";
+  json += std::string("  \"sampled\": ") + (sampled ? "true" : "false") + ",\n";
+  json += "  \"max_tuples\": " + std::to_string(max_tuples) + ",\n";
+  json += "  \"sample_seed\": " + std::to_string(sample_seed) + ",\n";
+  json += "  \"reused_suffix\": " + std::to_string(top.reused_suffix) + ",\n";
+  json += "  \"reused_prefix\": " + std::to_string(top.reused_prefix) + ",\n";
+  json += "  \"simulated_tuples\": " + std::to_string(top.simulated) + ",\n";
+  json += "  \"converged_tuples\": " + std::to_string(top.converged) + ",\n";
+  json += "  \"strictly_higher_order\": " + std::to_string(strictly_higher_order().size()) +
+          ",\n";
   json += "  \"outcomes\": {";
-  first = true;
+  bool first = true;
   for (const auto& [outcome, outcome_count] : outcome_counts) {
     if (!first) json += ", ";
     first = false;
@@ -1525,69 +1127,11 @@ std::string TupleCampaignResult::to_json() const {
   for (const auto& [addresses, hits] : merged_vulnerable_tuples()) {
     if (!first) json += ", ";
     first = false;
-    json += "{\"addresses\": [";
-    bool first_address = true;
-    for (const std::uint64_t address : addresses) {
-      if (!first_address) json += ", ";
-      first_address = false;
-      json += "\"" + support::hex_string(address) + "\"";
-    }
-    json += "], \"hits\": " + std::to_string(hits) + "}";
+    json += "{\"addresses\": " + hex_list(addresses) +
+            ", \"hits\": " + std::to_string(hits) + "}";
   }
   json += "],\n";
-  json += "  \"patch_sites\": [";
-  first = true;
-  for (const std::uint64_t site : patch_sites()) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + support::hex_string(site) + "\"";
-  }
-  json += "]\n}\n";
-  return json;
-}
-
-std::string PairCampaignResult::to_json() const {
-  std::string json = "{\n";
-  json += "  \"trace_length\": " + std::to_string(trace_length) + ",\n";
-  json += "  \"pair_window\": " + std::to_string(pair_window) + ",\n";
-  json += "  \"total_pairs\": " + std::to_string(total_pairs) + ",\n";
-  json += "  \"reused_from_first\": " + std::to_string(reused_from_first) + ",\n";
-  json += "  \"reused_from_second\": " + std::to_string(reused_from_second) + ",\n";
-  json += "  \"simulated_pairs\": " + std::to_string(simulated_pairs) + ",\n";
-  json += "  \"converged_pairs\": " + std::to_string(converged_pairs) + ",\n";
-  json += "  \"fully_pruned_first_faults\": " + std::to_string(fully_pruned_first_faults) +
-          ",\n";
-  json += "  \"threads\": " + std::to_string(threads_used) + ",\n";
-  json += "  \"order1_total_faults\": " + std::to_string(order1.total_faults) + ",\n";
-  json += "  \"order1_successful\": " + std::to_string(order1.count(Outcome::kSuccess)) +
-          ",\n";
-  json += "  \"outcomes\": {";
-  bool first = true;
-  for (const auto& [outcome, count] : outcome_counts) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + std::string(to_string(outcome)) + "\": " + std::to_string(count);
-  }
-  json += "},\n";
-
-  json += "  \"vulnerable_pairs\": [";
-  first = true;
-  for (const auto& [addresses, hits] : merged_vulnerable_pairs()) {
-    if (!first) json += ", ";
-    first = false;
-    json += "{\"first\": \"" + support::hex_string(addresses.first) +
-            "\", \"second\": \"" + support::hex_string(addresses.second) +
-            "\", \"hits\": " + std::to_string(hits) + "}";
-  }
-  json += "],\n";
-  json += "  \"patch_sites\": [";
-  first = true;
-  for (const std::uint64_t site : patch_sites()) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + support::hex_string(site) + "\"";
-  }
-  json += "]\n}\n";
+  json += "  \"patch_sites\": " + hex_list(patch_sites()) + "\n}\n";
   return json;
 }
 

@@ -78,17 +78,16 @@ struct FaultModels {
   std::vector<unsigned> register_flip_regs = {0, 1, 2, 3, 6, 7};
   unsigned register_flip_bit_stride = 8;
 
-  /// Campaign order: 1 sweeps single faults (Engine::run), 2 sweeps fault
-  /// *pairs* (f1 at t1, f2 at t2) with 0 < t2 - t1 <= pair_window
-  /// (Engine::run_pairs), k >= 3 sweeps fault k-tuples (f1 at t1, ..., fk
-  /// at tk) with every consecutive gap 0 < t(i+1) - t(i) <= pair_window
-  /// (Engine::run_tuples). All faults of a set draw from the same model
-  /// set above. Each entry point rejects models of the other orders, so an
+  /// Campaign order: 1 sweeps single faults (Engine::run), k >= 2 sweeps
+  /// fault k-tuples (f1 at t1, ..., fk at tk) with every consecutive gap
+  /// 0 < t(i+1) - t(i) <= pair_window (Engine::run_tuples; k = 2 is the
+  /// fault-pair sweep). All faults of a set draw from the same model set
+  /// above. Each entry point rejects models of the other orders, so an
   /// order-k request can never silently degrade to a lower-order sweep.
   unsigned order = 1;
   std::uint64_t pair_window = 8;
 
-  /// Order-k (>= 3) sweeps: budget on the number of k-tuples classified at
+  /// Order-k (>= 2) sweeps: budget on the number of k-tuples classified at
   /// the top level. 0 sweeps the whole space. A non-zero budget smaller
   /// than the space switches the top level to seeded sampling: a
   /// rank-uniform subset of exactly `max_tuples` tuples, drawn with
@@ -116,29 +115,11 @@ struct PlannedFault {
   std::uint64_t address = 0;
 };
 
-/// One planned fault pair of an order-2 sweep. `first` always strikes
-/// strictly before `second` (trace_index ordering).
-struct PlannedPair {
-  emu::FaultSpec first;
-  emu::FaultSpec second;
-  std::uint64_t first_address = 0;   ///< static address under the first fault
-  std::uint64_t second_address = 0;  ///< static address under the second fault
-
-  friend bool operator==(const PlannedPair&, const PlannedPair&) = default;
-};
-
 /// Expands the (trace-index × fault-model) product into a flat plan.
 /// The order is the canonical campaign order: ascending trace index, and
 /// per index skip → bit flips → register flips → flag flips.
 std::vector<PlannedFault> enumerate_faults(const FaultModels& models,
                                            const std::vector<emu::TraceEntry>& trace);
-
-/// Expands the order-2 plan: for every first fault f1 at t1 (canonical
-/// order-1 order), every second fault f2 at t2 in (t1, t1 + pair_window],
-/// again in canonical order. Materialises the full pair list — use modest
-/// models/windows; the count is |plan|·window·faults-per-index.
-std::vector<PlannedPair> enumerate_fault_pairs(const FaultModels& models,
-                                               const std::vector<emu::TraceEntry>& trace);
 
 /// Number of order-`models.order` fault tuples under the consecutive-gap
 /// window rule — the saturating dynamic-programming pre-count run_tuples
@@ -199,19 +180,15 @@ struct EngineConfig {
   /// golden run at a checkpoint boundary (sound: the machine is
   /// deterministic). Disable to force every run to completion.
   bool convergence_pruning = true;
-  /// Order-2 sweeps: classify a pair without simulating it whenever the
-  /// order-1 profile of the first fault proves the answer — the first
-  /// fault's run reconverged with golden before the second strikes (pair ≡
-  /// second fault alone), or terminated before the second strikes (pair ≡
-  /// first fault alone). Exact, hence bit-identical to exhaustive
-  /// enumeration; requires convergence_pruning. Disable to force every
-  /// pair through the simulator.
+  /// Order-k (>= 2) sweeps: classify a fault set without simulating it
+  /// whenever the order-1 profile of its first fault proves the answer —
+  /// the first fault's run reconverged with golden before the second
+  /// strikes (set ≡ its tail alone), or terminated before the second
+  /// strikes (set ≡ first fault alone). Exact, hence bit-identical to
+  /// exhaustive enumeration; requires convergence_pruning. Disable to force
+  /// every set through the simulator.
   bool pair_outcome_reuse = true;
-  /// Order-2 sweeps materialise the pair plan up front (~18 bytes/pair of
-  /// bookkeeping); run_pairs pre-counts the fan-out and throws a clear
-  /// Error{kExecution} instead of exhausting memory when it exceeds this.
-  std::uint64_t max_pairs = 1ULL << 27;
-  /// Order-k (>= 3) sweeps materialise one level's tuple plan at a time
+  /// Order-k (>= 2) sweeps materialise one level's tuple plan at a time
   /// (4·level bytes per tuple). A level that would exceed this cap throws
   /// Error{kExecution} — except the top level, which falls back to seeded
   /// sampling when FaultModels::max_tuples allows it.
@@ -264,100 +241,16 @@ struct CampaignResult {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// One successful fault pair: a second-order breach of the binary.
-struct PairVulnerability {
-  emu::FaultSpec first;
-  emu::FaultSpec second;
-  std::uint64_t first_address = 0;
-  /// Static address of trace index `second` in the *golden* bad-input trace.
-  std::uint64_t second_address = 0;
-  /// Static address the second fault actually struck. Once the first fault
-  /// redirects control (e.g. skips a branch), the faulted run diverges from
-  /// the golden trace and the instruction at step t2 is a different one —
-  /// this is the address a patcher must strengthen, not `second_address`.
-  /// Equal to `second_address` when the first fault's run reconverged (or
-  /// terminated) before the second fault fired. Deterministic: identical
-  /// across thread counts and across pruned/exhaustive sweeps.
-  std::uint64_t second_hit_address = 0;
-
-  friend bool operator==(const PairVulnerability&, const PairVulnerability&) = default;
-};
-
-/// Pair → static-site attribution: the distinct addresses implicated by
-/// `pairs` — every first fault's address plus the address its second fault
-/// actually struck — sorted, deduplicated. The one attribution rule shared
-/// by PairCampaignResult::patch_sites(), the patcher and the pipeline.
-std::vector<std::uint64_t> pair_patch_sites(const std::vector<PairVulnerability>& pairs);
-
-/// The pairs of `pairs` neither of whose component faults appears in
-/// `singles` — the one pair-identity rule shared by
-/// PairCampaignResult::strictly_higher_order() and the flattened
-/// fault::CampaignResult counterpart.
-std::vector<PairVulnerability> strictly_higher_order(
-    const std::vector<Vulnerability>& singles,
-    const std::vector<PairVulnerability>& pairs);
-
-/// Order-2 sweep aggregation (deterministic across thread counts). Carries
-/// the order-1 sweep it was pruned against, so callers get the "does the
-/// second fault add anything?" comparison for free.
-struct PairCampaignResult {
-  std::vector<PairVulnerability> vulnerabilities;
-  std::map<Outcome, std::uint64_t> outcome_counts;  ///< per-pair outcome counts
-  std::uint64_t total_pairs = 0;
-  std::uint64_t trace_length = 0;
-  std::uint64_t pair_window = 0;
-
-  /// The order-1 sweep over the same models (phase A of the pair sweep);
-  /// bit-identical to Engine::run(models).
-  CampaignResult order1;
-
-  // Engine telemetry.
-  std::uint64_t reused_from_second = 0;  ///< pair ≡ second fault alone
-  std::uint64_t reused_from_first = 0;   ///< pair ≡ first fault alone
-  std::uint64_t simulated_pairs = 0;     ///< pairs that went through the simulator
-  std::uint64_t converged_pairs = 0;     ///< simulated pairs cut at a checkpoint
-  std::uint64_t fully_pruned_first_faults = 0;  ///< first faults whose whole fan-out was reused
-  unsigned threads_used = 0;
-
-  [[nodiscard]] std::uint64_t reused_pairs() const noexcept {
-    return reused_from_first + reused_from_second;
-  }
-  [[nodiscard]] std::uint64_t count(Outcome outcome) const {
-    const auto it = outcome_counts.find(outcome);
-    return it == outcome_counts.end() ? 0 : it->second;
-  }
-  /// Distinct (first, second) static address pairs with at least one
-  /// successful pair — the order-2 analogue of "vulnerable points".
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  vulnerable_address_pairs() const;
-  /// Successful pairs merged by (first, second) static address — the one
-  /// merge key shared by to_json() and the text report.
-  [[nodiscard]] std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-  merged_vulnerable_pairs() const;
-  /// Successful pairs neither of whose component faults succeeds alone —
-  /// the vulnerabilities only a higher-order campaign can surface.
-  [[nodiscard]] std::vector<PairVulnerability> strictly_higher_order() const;
-  /// Pair → static-site attribution: the distinct static addresses an
-  /// order-2 patcher must strengthen *beyond* order-1 patching — for every
-  /// strictly-second-order pair, the first fault's address and the address
-  /// the second fault *actually* struck (second_hit_address, which diverges
-  /// from the golden-trace address once the first fault redirects control).
-  /// Pairs one of whose faults succeeds alone are excluded: they are the
-  /// order-1 vulnerability republished (and reuse-from-first pads them with
-  /// golden addresses the second fault never executes). Sorted, dedup'd.
-  [[nodiscard]] std::vector<std::uint64_t> patch_sites() const;
-
-  /// JSON document for downstream tooling, mirroring CampaignResult.
-  [[nodiscard]] std::string to_json() const;
-};
-
 /// One successful fault k-tuple: an order-k breach of the binary. The
 /// faults are in ascending trace-index order; `addresses` are the golden
 /// static addresses of the faulted trace entries, `hit_addresses` the
-/// addresses each fault *actually* struck (they diverge once an earlier
-/// fault of the tuple redirects control — the order-k generalisation of
-/// PairVulnerability::second_hit_address, with the same determinism
-/// contract: identical across thread counts and pruned/exhaustive sweeps).
+/// addresses each fault *actually* struck. They diverge once an earlier
+/// fault of the tuple redirects control (e.g. skips a branch): the faulted
+/// run leaves the golden trace, so the instruction at a later fault's step
+/// is a different one — the address a patcher must strengthen. A fault
+/// whose run reconverged with (or terminated before) the next injection
+/// leaves the next hit address golden. Deterministic: identical across
+/// thread counts and across pruned/exhaustive sweeps.
 struct TupleVulnerability {
   std::vector<emu::FaultSpec> faults;
   std::vector<std::uint64_t> addresses;
@@ -367,16 +260,10 @@ struct TupleVulnerability {
 };
 
 /// Tuple → static-site attribution: the distinct addresses the faults of
-/// `tuples` actually struck — sorted, deduplicated. The order-k analogue of
-/// pair_patch_sites (for pairs the two rules coincide: the first fault of a
-/// set always strikes its golden address).
+/// `tuples` actually struck — sorted, deduplicated (the first fault of a set
+/// always strikes its golden address). The one attribution rule shared by
+/// TupleCampaignResult::patch_sites(), the patcher and the pipeline.
 std::vector<std::uint64_t> tuple_patch_sites(const std::vector<TupleVulnerability>& tuples);
-
-/// The tuples of `tuples` none of whose component faults appears in
-/// `singles` — the order-k analogue of strictly_higher_order for pairs.
-std::vector<TupleVulnerability> strictly_order_k(
-    const std::vector<Vulnerability>& singles,
-    const std::vector<TupleVulnerability>& tuples);
 
 /// Per-level telemetry of an order-k sweep. run_tuples computes every level
 /// m = 2..k bottom-up (a reconverged or terminated prefix reduces an
@@ -395,10 +282,11 @@ struct TupleLevelSummary {
   bool sampled = false;             ///< top level only, when max_tuples binds
 };
 
-/// Order-k (k >= 2) sweep aggregation, deterministic across thread counts.
-/// Carries the order-1 sweep it was pruned against plus one TupleLevelSummary
-/// per recursion level; `vulnerabilities` and `outcome_counts` describe the
-/// top level only.
+/// Campaign aggregation at any order, deterministic across thread counts.
+/// Carries the order-1 sweep plus one TupleLevelSummary per recursion level
+/// 2..k; `vulnerabilities` and `outcome_counts` describe the top level only.
+/// An order-1 campaign has an empty `levels` and empty top-level fields:
+/// its whole sweep sits in `order1`.
 struct TupleCampaignResult {
   unsigned order = 0;
   std::vector<TupleVulnerability> vulnerabilities;
@@ -429,10 +317,6 @@ struct TupleCampaignResult {
   [[nodiscard]] std::uint64_t simulated_tuples() const noexcept {
     return levels.empty() ? 0 : levels.back().simulated;
   }
-  /// Successful tuples at any level m in 2..k — zero means the recursion
-  /// found no order-m residue anywhere under the requested order (the
-  /// order-k fix-point condition, together with zero order-1 successes).
-  [[nodiscard]] std::uint64_t successful_below_top() const noexcept;
   /// Successful top-level tuples none of whose faults succeeds alone.
   [[nodiscard]] std::vector<TupleVulnerability> strictly_higher_order() const;
   /// Distinct static addresses an order-k patcher must strengthen beyond
@@ -443,7 +327,8 @@ struct TupleCampaignResult {
   [[nodiscard]] std::map<std::vector<std::uint64_t>, std::uint64_t>
   merged_vulnerable_tuples() const;
 
-  /// JSON document for downstream tooling, mirroring PairCampaignResult.
+  /// The one campaign JSON document (schema in docs/formats.md): keyed by
+  /// `order` and `levels`, with the order-1 sweep nested as `order1`.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -459,13 +344,6 @@ class Engine {
   /// Runs the full sweep for `models`. The sweep spawns and joins its own
   /// worker threads; run one sweep at a time per engine.
   CampaignResult run(const FaultModels& models) const;
-
-  /// Runs the order-2 sweep: phase A profiles every single fault (the
-  /// order-1 sweep, plus reconvergence/termination metadata), phase B
-  /// classifies every pair — by outcome reuse where the profile proves the
-  /// answer, through the simulator otherwise. Bit-identical across thread
-  /// counts and across pair_outcome_reuse on/off.
-  PairCampaignResult run_pairs(const FaultModels& models) const;
 
   /// Runs the order-k sweep for `models.order >= 2`: phase A profiles every
   /// single fault, then every level m = 2..k is classified bottom-up — by
@@ -493,7 +371,7 @@ class Engine {
   static constexpr std::uint64_t kNeverStep = ~std::uint64_t{0};
 
   /// What one first fault does on its own: the order-1 outcome plus the two
-  /// step counts the pair sweep prunes with. kNeverStep means "not before
+  /// step counts the order-k sweep prunes with. kNeverStep means "not before
   /// the run ended / not observed".
   struct FaultProfile {
     Outcome outcome = Outcome::kNoEffect;
@@ -507,35 +385,18 @@ class Engine {
 
   /// Simulates one planned fault on a worker-owned machine and records its
   /// profile. With convergence pruning enabled the boundary scan both
-  /// classifies early and yields the reconvergence step the pair sweep
+  /// classifies early and yields the reconvergence step the order-k sweep
   /// prunes with; `pruned` counts runs classified that way.
   FaultProfile profile_one(emu::Machine& machine, const PlannedFault& fault,
                            std::atomic<std::uint64_t>& pruned) const;
 
   /// Runs `machine` to completion with `fault` armed, scanning checkpoint
   /// boundaries from `boundary` on and pruning as soon as the state matches
-  /// golden. The one boundary loop shared by the order-1 and pair sweeps;
+  /// golden. The one boundary loop shared by the order-1 and order-k sweeps;
   /// `pruned` counts runs classified via the state match.
   FaultProfile finish_with_pruning(emu::Machine& machine, const emu::FaultSpec& fault,
                                    std::uint64_t boundary,
                                    std::atomic<std::uint64_t>& pruned) const;
-
-  /// Outcome of one simulated pair plus where the second fault landed.
-  struct PairSim {
-    Outcome outcome = Outcome::kNoEffect;
-    std::uint64_t second_hit_address = 0;
-  };
-
-  /// Simulates one fault pair: rehydrate before the first fault, run to the
-  /// second injection point, continue with the second fault armed.
-  /// `golden_second_address` is the fallback hit address when the second
-  /// fault never fires (the first fault's run terminated early) — it keeps
-  /// the record identical to what the reuse rules report for the same pair.
-  /// `converged` counts pair runs cut early at a checkpoint boundary.
-  PairSim simulate_pair(emu::Machine& machine, const emu::FaultSpec& first,
-                        const emu::FaultSpec& second,
-                        std::uint64_t golden_second_address,
-                        std::atomic<std::uint64_t>& converged) const;
 
   /// Simulates one k-tuple: rehydrate before the first fault, then one leg
   /// per fault — fault i armed, paused just before fault i+1's injection
@@ -551,14 +412,14 @@ class Engine {
                          std::uint64_t* hits,
                          std::atomic<std::uint64_t>& converged) const;
 
-  /// The one order-1 aggregation shared by run() and run_pairs() phase A —
+  /// The one order-1 aggregation shared by run() and run_tuples() phase A —
   /// what keeps the two sweeps bit-identical by construction.
   CampaignResult aggregate_order1(const std::vector<PlannedFault>& plan,
                                   const std::vector<Outcome>& outcomes,
                                   std::uint64_t pruned, unsigned threads) const;
 
   /// Profiles every fault of `plan` into `profiles` — the shared heart of
-  /// run() and run_pairs() phase A. Per-fault profile_one scheduling, or
+  /// run() and run_tuples() phase A. Per-fault profile_one scheduling, or
   /// the lockstep batched segment walk when config_.lockstep_batching is
   /// on; slot i is written only by fault i either way. Returns the thread
   /// count used.
@@ -566,18 +427,6 @@ class Engine {
                        std::vector<FaultProfile>& profiles,
                        std::atomic<std::uint64_t>& pruned,
                        obs::Progress& progress) const;
-
-  /// Phase C batched counterpart of simulate_pair: pairs needing
-  /// simulation, grouped by first fault, execute behind one walker with the
-  /// first fault armed, advancing through ascending second-injection
-  /// points. Writes outcomes[k] / sim_hits[s] exactly like the per-pair
-  /// schedule.
-  unsigned simulate_pair_groups(
-      const std::vector<PlannedFault>& plan,
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-      const std::vector<std::size_t>& sim_indices, std::vector<Outcome>& outcomes,
-      std::vector<std::uint64_t>& sim_hits, std::atomic<std::uint64_t>& converged,
-      obs::Progress& progress) const;
 
   elf::Image image_;
   std::string bad_input_;

@@ -118,4 +118,14 @@ std::string json_quote(std::string_view text) {
   return out;
 }
 
+std::string nest_json(std::string_view document) {
+  if (!document.empty() && document.back() == '\n') document.remove_suffix(1);
+  std::string nested;
+  for (const char c : document) {
+    nested += c;
+    if (c == '\n') nested += "  ";
+  }
+  return nested;
+}
+
 }  // namespace r2r::support

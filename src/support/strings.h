@@ -39,4 +39,9 @@ std::string format_fixed(double value, int decimals);
 /// valid UTF-8 documents (byte values, Latin-1 style — not code points).
 std::string json_quote(std::string_view text);
 
+/// A pretty-printed JSON document as a nested value: the trailing newline
+/// dropped and every later line indented two spaces, so the composite stays
+/// readable.
+std::string nest_json(std::string_view document);
+
 }  // namespace r2r::support

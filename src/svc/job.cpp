@@ -5,11 +5,11 @@
 
 #include "elf/image.h"
 #include "emu/machine.h"
+#include "fault/campaign.h"
 #include "harden/hybrid.h"
 #include "harden/report.h"
 #include "isa/target.h"
 #include "patch/pipeline.h"
-#include "sim/engine.h"
 #include "support/error.h"
 #include "support/sha256.h"
 #include "support/strings.h"
@@ -117,8 +117,10 @@ std::string JobSpec::cache_key() const {
   Message canonical;
   // Schema 2: order-k fields (model_max_tuples, model_sample_seed) joined
   // the identity set — an order-3 budgeted sweep must never resolve to a
-  // cached order-3 exhaustive (or differently-seeded) answer.
-  canonical.set("r2rd_cache_key_schema", "2");
+  // cached order-3 exhaustive (or differently-seeded) answer. Schema 3:
+  // order 2 runs through the order-k sweep, so order-2 report bytes (and
+  // the campaign JSON at every order) changed shape.
+  canonical.set("r2rd_cache_key_schema", "3");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }
@@ -204,45 +206,17 @@ std::string elf_bytes(const elf::Image& image) {
 
 JobResult run_campaign_job(const JobSpec& spec) {
   const elf::Image image = guests::build_image(spec.guest);
-  // The same engine wiring as `r2r campaign`, knob for knob, so a daemon
+  // The same campaign call and renderers as `r2r campaign`, so a daemon
   // report is byte-identical to the one-shot subcommand's.
-  sim::EngineConfig engine_config;
-  engine_config.threads = spec.campaign.threads;
-  engine_config.detected_exit_code = spec.campaign.detected_exit_code;
-  engine_config.fuel_multiplier = spec.campaign.fuel_multiplier;
-  engine_config.fuel_slack = spec.campaign.fuel_slack;
-  engine_config.pair_outcome_reuse = spec.campaign.pair_outcome_reuse;
-  const sim::Engine engine(image, spec.guest.good_input, spec.guest.bad_input,
-                           engine_config);
-
+  const fault::TupleCampaignResult campaign = fault::run_campaign(
+      image, spec.guest.good_input, spec.guest.bad_input, spec.campaign);
   JobResult result;
-  if (spec.campaign.models.order >= 3) {
-    const sim::TupleCampaignResult campaign = engine.run_tuples(spec.campaign.models);
-    if (spec.format == "json") {
-      result.report = campaign.to_json();
-    } else if (spec.format == "markdown") {
-      result.report = harden::tuple_campaign_markdown_section(spec.guest.name, campaign);
-    } else {
-      result.report = harden::residual_tuple_fault_section(spec.guest.name, campaign);
-    }
-  } else if (spec.campaign.models.order >= 2) {
-    const sim::PairCampaignResult campaign = engine.run_pairs(spec.campaign.models);
-    if (spec.format == "json") {
-      result.report = campaign.to_json();
-    } else if (spec.format == "markdown") {
-      result.report = harden::pair_campaign_markdown_section(spec.guest.name, campaign);
-    } else {
-      result.report = harden::residual_double_fault_section(spec.guest.name, campaign);
-    }
+  if (spec.format == "json") {
+    result.report = campaign.to_json();
+  } else if (spec.format == "markdown") {
+    result.report = harden::campaign_markdown_section(spec.guest.name, campaign);
   } else {
-    const sim::CampaignResult campaign = engine.run(spec.campaign.models);
-    if (spec.format == "json") {
-      result.report = campaign.to_json();
-    } else if (spec.format == "markdown") {
-      result.report = harden::campaign_markdown_section(spec.guest.name, campaign);
-    } else {
-      result.report = harden::campaign_section(spec.guest.name, campaign);
-    }
+    result.report = harden::campaign_section(spec.guest.name, campaign);
   }
   return result;
 }
@@ -281,12 +255,7 @@ JobResult run_harden_job(const JobSpec& spec) {
     config.max_iterations = spec.max_iterations;
     const patch::PipelineResult result = patch::faulter_patcher(
         input, spec.guest.good_input, spec.guest.bad_input, config);
-    text += "faulter+patcher: " + std::to_string(result.iterations.size()) +
-            " iteration(s), fix-point " +
-            (result.fixpoint ? "reached" : "NOT reached (cap hit)") + ", residual " +
-            std::to_string(result.final_campaign.vulnerabilities.size()) + " fault(s) / " +
-            std::to_string(result.final_campaign.pair_vulnerabilities.size()) +
-            " pair(s)\n";
+    text += harden::patterns_summary_line(result);
     hardened = result.hardened;
   } else {
     // Daemon harden jobs run the default Hybrid configuration

@@ -345,7 +345,7 @@ TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedUnbatchedEngine) {
   models.bit_flip = false;  // keep the pair fan-out tier-1-sized
   models.order = 2;
   models.pair_window = 4;
-  EXPECT_EQ(cached.run_pairs(models).to_json(), baseline.run_pairs(models).to_json());
+  EXPECT_EQ(cached.run_tuples(models).to_json(), baseline.run_tuples(models).to_json());
 }
 
 TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveWithBatching) {
@@ -361,10 +361,10 @@ TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveWithBatching) {
   models.order = 2;
   models.pair_window = 4;
 
-  const sim::PairCampaignResult a =
-      sim::Engine(image, guest.good_input, guest.bad_input, pruned).run_pairs(models);
-  const sim::PairCampaignResult b =
-      sim::Engine(image, guest.good_input, guest.bad_input, exhaustive).run_pairs(models);
+  const sim::TupleCampaignResult a =
+      sim::Engine(image, guest.good_input, guest.bad_input, pruned).run_tuples(models);
+  const sim::TupleCampaignResult b =
+      sim::Engine(image, guest.good_input, guest.bad_input, exhaustive).run_tuples(models);
   EXPECT_EQ(a.vulnerabilities, b.vulnerabilities);
   EXPECT_EQ(a.outcome_counts, b.outcome_counts);
 }
@@ -374,7 +374,7 @@ TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveWithBatching) {
 TEST(EngineGauges, SweepRateGaugesResetAtSweepStart) {
   auto& metrics = obs::Metrics::instance();
   metrics.gauge("sim.faults_per_second").set(123456789);
-  metrics.gauge("sim.pairs_per_second").set(123456789);
+  metrics.gauge("sim.tuples_per_second").set(123456789);
 
   const guests::Guest& guest = guests::toymov();
   const sim::Engine engine(guests::build_image(guest), guest.good_input,
@@ -386,9 +386,9 @@ TEST(EngineGauges, SweepRateGaugesResetAtSweepStart) {
       << "order-1 sweep left a stale faults/sec value standing";
 
   models.order = 2;
-  engine.run_pairs(models);
-  EXPECT_NE(metrics.gauge("sim.pairs_per_second").value(), 123456789)
-      << "order-2 sweep left a stale pairs/sec value standing";
+  engine.run_tuples(models);
+  EXPECT_NE(metrics.gauge("sim.tuples_per_second").value(), 123456789)
+      << "order-2 sweep left a stale tuples/sec value standing";
 }
 
 }  // namespace

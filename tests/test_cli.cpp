@@ -18,6 +18,7 @@
 #include "fault/campaign.h"
 #include "guests/guests.h"
 #include "sim/engine.h"
+#include "support/strings.h"
 
 namespace {
 
@@ -119,16 +120,26 @@ TEST(Cli, LiftIrPrintsTheCompilerIr) {
 // ---- campaign ---------------------------------------------------------------
 
 TEST(Cli, CampaignJsonMatchesTheEngineByteForByte) {
-  const CliResult result =
-      run_cli({"campaign", "toymov", "--model", "skip", "--format", "json"});
-  ASSERT_EQ(result.exit_code, 0);
-
   const guests::Guest& guest = guests::toymov();
   const sim::Engine engine(guests::build_image(guest), guest.good_input, guest.bad_input,
                            {});
   sim::FaultModels models;
   models.bit_flip = false;
-  EXPECT_EQ(result.out, engine.run(models).to_json());
+  for (const unsigned order : {1u, 2u, 3u}) {
+    const CliResult result = run_cli({"campaign", "toymov", "--model", "skip", "--order",
+                                      std::to_string(order), "--format", "json"});
+    ASSERT_EQ(result.exit_code, 0);
+    models.order = order;
+    if (order == 1) {
+      // The order-1 sweep nests as `order1`, with no levels above it.
+      EXPECT_NE(result.out.find("\"order\": 1,"), std::string::npos);
+      EXPECT_NE(result.out.find("\"levels\": [],"), std::string::npos);
+      EXPECT_NE(result.out.find(support::nest_json(engine.run(models).to_json())),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(result.out, engine.run_tuples(models).to_json()) << "order " << order;
+    }
+  }
 }
 
 TEST(Cli, CampaignTextReportsTheSweep) {
@@ -139,21 +150,22 @@ TEST(Cli, CampaignTextReportsTheSweep) {
   EXPECT_NE(result.out.find("successful-fault"), std::string::npos);
 }
 
-TEST(Cli, CampaignOrder2EmitsPairReports) {
+TEST(Cli, CampaignOrder2EmitsTupleReports) {
   const CliResult text = run_cli({"campaign", "toymov", "--model", "skip", "--order", "2"});
   EXPECT_EQ(text.exit_code, 0);
-  EXPECT_NE(text.out.find("order-2 pairs:"), std::string::npos);
+  EXPECT_NE(text.out.find("order-2 tuples:"), std::string::npos);
 
   const CliResult json = run_cli(
       {"campaign", "toymov", "--model", "skip", "--order", "2", "--format", "json"});
   EXPECT_EQ(json.exit_code, 0);
+  EXPECT_NE(json.out.find("\"order\": 2,"), std::string::npos);
   EXPECT_NE(json.out.find("\"pair_window\": 8"), std::string::npos);
-  EXPECT_NE(json.out.find("\"vulnerable_pairs\""), std::string::npos);
+  EXPECT_NE(json.out.find("\"vulnerable_tuples\""), std::string::npos);
 
   const CliResult markdown = run_cli(
       {"campaign", "toymov", "--model", "skip", "--order", "2", "--format", "markdown"});
   EXPECT_EQ(markdown.exit_code, 0);
-  EXPECT_NE(markdown.out.find("### Double-fault campaign: toymov"), std::string::npos);
+  EXPECT_NE(markdown.out.find("### 2-tuple fault campaign: toymov"), std::string::npos);
 }
 
 TEST(Cli, CampaignOutWritesTheReportFile) {
@@ -181,16 +193,16 @@ TEST(Cli, FixpointJsonAndElfOutputs) {
   const CliResult result = run_cli({"fixpoint", "toymov", "--model", "skip", "--order",
                                     "2", "--format", "json", "--elf", elf_path});
   EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.out.find("\"order2_fixpoint\": true"), std::string::npos);
+  EXPECT_NE(result.out.find("\"orderk_fixpoint\": true"), std::string::npos);
   EXPECT_NE(result.out.find("\"iterations\": ["), std::string::npos);
 
   // The written ELF is loadable and order-1 clean under the skip model.
   fault::CampaignConfig config;
   config.models.bit_flip = false;
   const guests::Guest& guest = guests::toymov();
-  const fault::CampaignResult campaign = fault::run_campaign(
+  const fault::TupleCampaignResult campaign = fault::run_campaign(
       read_image(elf_path), guest.good_input, guest.bad_input, config);
-  EXPECT_TRUE(campaign.vulnerabilities.empty());
+  EXPECT_TRUE(campaign.order1.vulnerabilities.empty());
 }
 
 // ---- harden -----------------------------------------------------------------
@@ -218,9 +230,9 @@ TEST(Cli, HardenPatternsEliminatesSkipFaults) {
   fault::CampaignConfig config;
   config.models.bit_flip = false;
   const guests::Guest& guest = guests::toymov();
-  const fault::CampaignResult campaign = fault::run_campaign(
+  const fault::TupleCampaignResult campaign = fault::run_campaign(
       read_image(path), guest.good_input, guest.bad_input, config);
-  EXPECT_TRUE(campaign.vulnerabilities.empty());
+  EXPECT_TRUE(campaign.order1.vulnerabilities.empty());
 }
 
 TEST(Cli, HardenRejectsConflictingApproaches) {

@@ -2,9 +2,13 @@
 // --metrics-out, --progress) through cli::run: the inertness guarantees
 // (artifacts byte-identical with tracing on vs off, counters invariant
 // across thread counts, stderr silent without --progress), trace/metrics
-// JSON well-formedness, and the expected span inventory of a fixpoint run.
+// JSON well-formedness, the expected span inventory of a fixpoint run, and
+// that every emitted metric and span name is documented.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -180,7 +184,7 @@ TEST(CliObs, MetricsCounterTotalsAreThreadCountInvariant) {
   // test_cli.cpp); here the *obs counters* must be too.
   EXPECT_EQ(counters_section(json_1), counters_section(json_8));
   EXPECT_NE(json_1.find("\"sim.faults_planned\""), std::string::npos) << json_1;
-  EXPECT_NE(json_1.find("\"sim.pairs_planned\""), std::string::npos) << json_1;
+  EXPECT_NE(json_1.find("\"sim.tuples_planned\""), std::string::npos) << json_1;
 }
 
 // ---- artifact shape ---------------------------------------------------------
@@ -236,6 +240,102 @@ TEST(CliObs, MetricsFileIsWellFormedAndScopedToTheRun) {
   EXPECT_TRUE(testjson::valid_json(json_a)) << json_a;
   EXPECT_EQ(counters_section(json_a), counters_section(cli::read_file(metrics_b)));
   EXPECT_NE(json_a.find("\"sim.engines_built\": 1"), std::string::npos) << json_a;
+}
+
+// ---- name drift -------------------------------------------------------------
+
+/// The names docs/observability.md lists: every backticked token, plus the
+/// family prefixes of `<layer>.<what>.<class>` / `<layer>.*` tokens, which
+/// cover any one further name segment.
+struct DocumentedNames {
+  std::set<std::string> exact;
+  std::vector<std::string> families;
+
+  [[nodiscard]] bool covers(const std::string& name) const {
+    if (exact.contains(name)) return true;
+    return std::any_of(families.begin(), families.end(), [&](const std::string& prefix) {
+      return name.size() > prefix.size() && name.starts_with(prefix) &&
+             name.find('.', prefix.size()) == std::string::npos;
+    });
+  }
+};
+
+DocumentedNames documented_names(const std::string& doc) {
+  DocumentedNames names;
+  std::size_t open = doc.find('`');
+  while (open != std::string::npos) {
+    const std::size_t close = doc.find('`', open + 1);
+    if (close == std::string::npos) break;
+    const std::string token = doc.substr(open + 1, close - open - 1);
+    std::size_t family = token.find(".<");
+    if (family == std::string::npos) family = token.find(".*");
+    if (family != std::string::npos) {
+      names.families.push_back(token.substr(0, family + 1));
+    } else {
+      names.exact.insert(token);
+    }
+    open = doc.find('`', close + 1);
+  }
+  return names;
+}
+
+/// Metric names of a --metrics-out document: the keys one level inside the
+/// counters / gauges / histograms objects.
+std::set<std::string> metric_names(const std::string& metrics_json) {
+  std::set<std::string> names;
+  static const std::regex key(R"re(^    "([^"]+)": )re");
+  std::istringstream lines(metrics_json);
+  std::smatch match;
+  for (std::string line; std::getline(lines, line);) {
+    if (std::regex_search(line, match, key)) names.insert(match[1]);
+  }
+  return names;
+}
+
+/// Span names of a --trace-out document (complete events only).
+std::set<std::string> span_names(const std::string& trace_json) {
+  std::set<std::string> names;
+  static const std::regex event(R"re(\{"name": "([^"]+)", "cat": "r2r", "ph": "X")re");
+  for (std::sregex_iterator it(trace_json.begin(), trace_json.end(), event), end;
+       it != end; ++it) {
+    names.insert((*it)[1]);
+  }
+  return names;
+}
+
+TEST(CliObs, EveryEmittedNameIsDocumented) {
+  const DocumentedNames documented = documented_names(
+      cli::read_file(std::string(R2R_SOURCE_DIR) + "/docs/observability.md"));
+  const std::vector<std::vector<std::string>> runs = {
+      {"campaign", "toymov", "--model", "skip", "--order", "1"},
+      {"campaign", "toymov", "--model", "skip", "--order", "2"},
+      {"campaign", "toymov", "--model", "skip", "--order", "3"},
+      {"campaign", "toymov", "--model", "skip", "--order", "3", "--max-tuples", "20"},
+      {"fixpoint", "toymov", "--model", "skip", "--order", "3"},
+      {"batch", "toymov", "synth:7", "--cmd", "campaign", "--model", "skip"},
+      {"batch", "toymov", "--cmd", "harden"},
+  };
+  std::set<std::string> emitted;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const std::string stem = "obs_names_" + std::to_string(i);
+    const std::string metrics = temp_path(stem + ".metrics.json");
+    const std::string trace = temp_path(stem + ".trace.json");
+    std::vector<std::string> args = runs[i];
+    args.insert(args.end(), {"--metrics-out", metrics, "--trace-out", trace});
+    const CliResult result = run_cli(args);
+    ASSERT_EQ(result.exit_code, 0) << args.front() << ": " << result.err;
+    emitted.merge(metric_names(cli::read_file(metrics)));
+    emitted.merge(span_names(cli::read_file(trace)));
+  }
+  // The runs above reach every layer a CLI subcommand instruments.
+  for (const char* name : {"sim.run_tuples", "sim.tuples_planned", "sim.tuple_sampler",
+                           "fixpoint.run", "batch.guests", "harden.hybrid"}) {
+    EXPECT_TRUE(emitted.contains(name)) << "expected " << name << " to be emitted";
+  }
+  for (const std::string& name : emitted) {
+    EXPECT_TRUE(documented.covers(name))
+        << "'" << name << "' is emitted but not documented in docs/observability.md";
+  }
 }
 
 }  // namespace

@@ -35,9 +35,9 @@ class PipelineDifferential : public testing::TestWithParam<const Guest*> {};
 TEST_P(PipelineDifferential, FullChainPreservesBehaviourAndNeverAddsVulnerabilities) {
   const Guest& guest = *GetParam();
   const elf::Image input = guests::build_image(guest);
-  const fault::CampaignResult original =
+  const sim::CampaignResult original =
       fault::run_campaign(input, guest.good_input, guest.bad_input,
-                          fast_skip_campaign());
+                          fast_skip_campaign()).order1;
 
   // lift -> harden -> lower (the Hybrid pipeline, branch hardening).
   const harden::HybridResult hybrid = harden::hybrid_harden(input);
@@ -66,9 +66,9 @@ TEST_P(PipelineDifferential, FullChainPreservesBehaviourAndNeverAddsVulnerabilit
   }
 
   // Hardening must not open new order-1 holes anywhere along the chain.
-  const fault::CampaignResult final_campaign =
+  const sim::CampaignResult final_campaign =
       fault::run_campaign(reloaded, guest.good_input, guest.bad_input,
-                          fast_skip_campaign());
+                          fast_skip_campaign()).order1;
   EXPECT_LE(final_campaign.vulnerabilities.size(), original.vulnerabilities.size())
       << guest.name << ": the hardened binary has more vulnerabilities";
   EXPECT_LE(final_campaign.vulnerable_addresses().size(),
@@ -80,36 +80,36 @@ TEST_P(PipelineDifferential, FullChainPreservesBehaviourAndNeverAddsVulnerabilit
 
 TEST_P(PipelineDifferential, OrderTwoHardeningNeverAddsPairVulnerabilities) {
   // The order-2 differential invariant: for every guest, running the
-  // pair-aware Faulter+Patcher must never leave the binary with *more* pair
-  // vulnerabilities than it started with — and on these guests it actually
-  // reaches zero. The ELF round-trip is part of the surface: the campaign
-  // runs against the re-read bytes, not the in-memory image.
+  // order-2 Faulter+Patcher ladder must never leave the binary with *more*
+  // pair vulnerabilities than it started with — and on these guests it
+  // actually reaches zero. The ELF round-trip is part of the surface: the
+  // campaign runs against the re-read bytes, not the in-memory image.
   const Guest& guest = *GetParam();
   const elf::Image input = guests::build_image(guest);
 
   fault::CampaignConfig order2 = fast_skip_campaign();
   order2.models.order = 2;
   order2.models.pair_window = 8;
-  const fault::CampaignResult original =
+  const fault::TupleCampaignResult original =
       fault::run_campaign(input, guest.good_input, guest.bad_input, order2);
 
   patch::PipelineConfig config;
   config.campaign = order2;
   const patch::PipelineResult patched =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
-  EXPECT_TRUE(patched.order2_fixpoint) << guest.name;
+  EXPECT_TRUE(patched.orderk_fixpoint) << guest.name;
 
   const std::vector<std::uint8_t> bytes = elf::write_elf(patched.hardened);
   const elf::Image reloaded = elf::read_elf(bytes);
-  const fault::CampaignResult after =
+  const fault::TupleCampaignResult after =
       fault::run_campaign(reloaded, guest.good_input, guest.bad_input, order2);
 
-  EXPECT_LE(after.pair_vulnerabilities.size(), original.pair_vulnerabilities.size())
-      << guest.name << ": hardening added pair vulnerabilities";
   EXPECT_LE(after.vulnerabilities.size(), original.vulnerabilities.size())
+      << guest.name << ": hardening added pair vulnerabilities";
+  EXPECT_LE(after.order1.vulnerabilities.size(), original.order1.vulnerabilities.size())
       << guest.name;
-  EXPECT_EQ(after.pair_vulnerabilities.size(), 0u) << guest.name;
   EXPECT_EQ(after.vulnerabilities.size(), 0u) << guest.name;
+  EXPECT_EQ(after.order1.vulnerabilities.size(), 0u) << guest.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGuests, PipelineDifferential,

@@ -59,8 +59,8 @@ TEST(Campaign, SkipModelFindsKnownToymovVulnerability) {
   const elf::Image image = guests::build_image(guest);
   CampaignConfig config;
   config.models.bit_flip = false;
-  const CampaignResult result =
-      run_campaign(image, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult result =
+      run_campaign(image, guest.good_input, guest.bad_input, config).order1;
   // One fault per dynamic instruction.
   EXPECT_EQ(result.total_faults, result.trace_length);
   // The jne must be skippable into the granting path.
@@ -75,8 +75,8 @@ TEST(Campaign, BitFlipModelEnumeratesEveryBit) {
   const elf::Image image = guests::build_image(guest);
   CampaignConfig config;
   config.models.skip = false;
-  const CampaignResult result =
-      run_campaign(image, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult result =
+      run_campaign(image, guest.good_input, guest.bad_input, config).order1;
   // Total faults = 8 bits per encoded byte of the executed trace.
   std::uint64_t expected = 0;
   const Oracle oracle = make_oracle(image, guest.good_input, guest.bad_input);
@@ -88,8 +88,10 @@ TEST(Campaign, BitFlipModelEnumeratesEveryBit) {
 TEST(Campaign, IsDeterministic) {
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const CampaignResult a = run_campaign(image, guest.good_input, guest.bad_input);
-  const CampaignResult b = run_campaign(image, guest.good_input, guest.bad_input);
+  const sim::CampaignResult a =
+      run_campaign(image, guest.good_input, guest.bad_input).order1;
+  const sim::CampaignResult b =
+      run_campaign(image, guest.good_input, guest.bad_input).order1;
   EXPECT_EQ(a.total_faults, b.total_faults);
   EXPECT_EQ(a.vulnerabilities.size(), b.vulnerabilities.size());
   EXPECT_EQ(a.vulnerable_addresses(), b.vulnerable_addresses());
@@ -99,7 +101,8 @@ TEST(Campaign, IsDeterministic) {
 TEST(Campaign, OutcomeCountsCoverEveryInjection) {
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const CampaignResult result = run_campaign(image, guest.good_input, guest.bad_input);
+  const sim::CampaignResult result =
+      run_campaign(image, guest.good_input, guest.bad_input).order1;
   std::uint64_t sum = 0;
   for (const auto& [outcome, count] : result.outcome_counts) sum += count;
   EXPECT_EQ(sum, result.total_faults);
@@ -108,7 +111,8 @@ TEST(Campaign, OutcomeCountsCoverEveryInjection) {
 TEST(Campaign, VulnerableAddressesAreSortedUnique) {
   const Guest& guest = guests::pincheck();
   const elf::Image image = guests::build_image(guest);
-  const CampaignResult result = run_campaign(image, guest.good_input, guest.bad_input);
+  const sim::CampaignResult result =
+      run_campaign(image, guest.good_input, guest.bad_input).order1;
   const auto addresses = result.vulnerable_addresses();
   for (std::size_t i = 1; i < addresses.size(); ++i) {
     EXPECT_LT(addresses[i - 1], addresses[i]);
@@ -122,31 +126,37 @@ TEST(Campaign, OrderTwoKnobSweepsFaultPairs) {
   config.models.bit_flip = false;
   config.models.order = 2;
   config.models.pair_window = 4;
-  const CampaignResult result =
+  const TupleCampaignResult result =
       run_campaign(image, guest.good_input, guest.bad_input, config);
 
   // The order-1 section is still the single-fault sweep...
   CampaignConfig single = config;
   single.models.order = 1;
-  const CampaignResult order1 =
+  const TupleCampaignResult order1 =
       run_campaign(image, guest.good_input, guest.bad_input, single);
-  EXPECT_EQ(result.vulnerabilities, order1.vulnerabilities);
-  EXPECT_EQ(result.outcome_counts, order1.outcome_counts);
-  EXPECT_EQ(result.total_faults, order1.total_faults);
+  EXPECT_EQ(result.order1.vulnerabilities, order1.order1.vulnerabilities);
+  EXPECT_EQ(result.order1.outcome_counts, order1.order1.outcome_counts);
+  EXPECT_EQ(result.order1.total_faults, order1.order1.total_faults);
 
-  // ...and the pair section covers every pair in the window exactly once.
-  EXPECT_GT(result.total_pairs, 0u);
+  // ...and the pair level covers every pair in the window exactly once.
+  EXPECT_EQ(result.order, 2u);
+  ASSERT_EQ(result.levels.size(), 1u);
+  EXPECT_GT(result.total_tuples, 0u);
   std::uint64_t pair_sum = 0;
-  for (const auto& [outcome, count] : result.pair_outcome_counts) pair_sum += count;
-  EXPECT_EQ(pair_sum, result.total_pairs);
-  EXPECT_EQ(result.pair_count(Outcome::kSuccess), result.pair_vulnerabilities.size());
-  for (const PairVulnerability& pair : result.pair_vulnerabilities) {
-    EXPECT_LT(pair.first.trace_index, pair.second.trace_index);
-    EXPECT_LE(pair.second.trace_index - pair.first.trace_index, config.models.pair_window);
+  for (const auto& [outcome, count] : result.outcome_counts) pair_sum += count;
+  EXPECT_EQ(pair_sum, result.total_tuples);
+  EXPECT_EQ(result.count(Outcome::kSuccess), result.vulnerabilities.size());
+  for (const TupleVulnerability& pair : result.vulnerabilities) {
+    ASSERT_EQ(pair.faults.size(), 2u);
+    EXPECT_LT(pair.faults[0].trace_index, pair.faults[1].trace_index);
+    EXPECT_LE(pair.faults[1].trace_index - pair.faults[0].trace_index,
+              config.models.pair_window);
   }
-  // An order-1 config leaves the pair section empty.
-  EXPECT_EQ(order1.total_pairs, 0u);
-  EXPECT_TRUE(order1.pair_vulnerabilities.empty());
+  // An order-1 config leaves the tuple levels empty.
+  EXPECT_EQ(order1.order, 1u);
+  EXPECT_TRUE(order1.levels.empty());
+  EXPECT_EQ(order1.total_tuples, 0u);
+  EXPECT_TRUE(order1.vulnerabilities.empty());
 }
 
 TEST(Campaign, DetectedExitCodeIsTheOnePatchLayerConstant) {
@@ -174,8 +184,8 @@ TEST(Campaign, ModelsReachTheEngineVerbatim) {
   config.models.register_flip = true;
   config.models.register_flip_regs = {0, 3};
   config.models.register_flip_bit_stride = 16;
-  const CampaignResult campaign =
-      run_campaign(image, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult campaign =
+      run_campaign(image, guest.good_input, guest.bad_input, config).order1;
 
   sim::EngineConfig engine_config;
   engine_config.threads = config.threads;

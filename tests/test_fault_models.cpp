@@ -76,8 +76,8 @@ TEST(ExtensionCampaign, FlagModelFindsBranchVulnerabilities) {
   config.models.skip = false;
   config.models.bit_flip = false;
   config.models.flag_flip = true;
-  const fault::CampaignResult result =
-      fault::run_campaign(image, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult result =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config).order1;
   EXPECT_EQ(result.total_faults, result.trace_length * 6);
   // Flipping ZF at the guarding jne grants access.
   EXPECT_FALSE(result.vulnerabilities.empty());
@@ -95,8 +95,8 @@ TEST(ExtensionCampaign, RegisterModelRespectsStrideAndRegisterSet) {
   config.models.register_flip = true;
   config.models.register_flip_regs = {0, 3};  // rax, rbx
   config.models.register_flip_bit_stride = 16;
-  const fault::CampaignResult result =
-      fault::run_campaign(image, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult result =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config).order1;
   EXPECT_EQ(result.total_faults, result.trace_length * 2 * (64 / 16));
 }
 
@@ -114,12 +114,12 @@ TEST(ExtensionCampaign, HybridChecksumCatchesFlagFlipsLocalPatternsMiss) {
   config.models.bit_flip = false;
   config.models.flag_flip = true;
 
-  const fault::CampaignResult unprotected =
-      fault::run_campaign(input, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult unprotected =
+      fault::run_campaign(input, guest.good_input, guest.bad_input, config).order1;
 
   const harden::HybridResult hybrid = harden::hybrid_harden(input);
-  const fault::CampaignResult hardened = fault::run_campaign(
-      hybrid.hardened, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult hardened = fault::run_campaign(
+      hybrid.hardened, guest.good_input, guest.bad_input, config).order1;
 
   EXPECT_GT(unprotected.vulnerabilities.size(), 0u);
   EXPECT_LE(hardened.vulnerable_addresses().size(),
@@ -202,8 +202,8 @@ TEST_P(ExtensionModelSweep, FaultCampaignMatchesEngineSweep) {
 
   fault::CampaignConfig config;
   config.models = models;
-  const fault::CampaignResult campaign =
-      fault::run_campaign(image, guest.good_input, guest.bad_input, config);
+  const sim::CampaignResult campaign =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config).order1;
   EXPECT_EQ(campaign.vulnerabilities, expected.vulnerabilities);
   EXPECT_EQ(campaign.outcome_counts, expected.outcome_counts);
   EXPECT_EQ(campaign.total_faults, expected.total_faults);

@@ -159,8 +159,8 @@ TEST_P(HybridSkipCoverage, HardenedBinaryHasZeroSkipVulnerabilities) {
 
   fault::CampaignConfig skip_only;
   skip_only.models.bit_flip = false;
-  const fault::CampaignResult campaign = fault::run_campaign(
-      result.hardened, guest.good_input, guest.bad_input, skip_only);
+  const sim::CampaignResult campaign = fault::run_campaign(
+      result.hardened, guest.good_input, guest.bad_input, skip_only).order1;
   EXPECT_EQ(campaign.vulnerabilities.size(), 0u)
       << guest.name << " hybrid-hardened binary still has skip vulnerabilities";
   EXPECT_GT(campaign.count(fault::Outcome::kDetected), 0u)

@@ -85,8 +85,8 @@ TEST(Patterns, JccPatternKillsSkipFaultOnBranch) {
   elf::Image unprotected = bir::assemble(module);
   fault::CampaignConfig skip_only;
   skip_only.models.bit_flip = false;
-  const fault::CampaignResult before =
-      fault::run_campaign(unprotected, guest.good_input, guest.bad_input, skip_only);
+  const sim::CampaignResult before =
+      fault::run_campaign(unprotected, guest.good_input, guest.bad_input, skip_only).order1;
   ASSERT_FALSE(before.vulnerabilities.empty())
       << "unprotected toymov must be skip-vulnerable";
 
@@ -94,8 +94,8 @@ TEST(Patterns, JccPatternKillsSkipFaultOnBranch) {
   EXPECT_GT(stats.total_applied(), 0u);
 
   elf::Image patched = bir::assemble(module);
-  const fault::CampaignResult after =
-      fault::run_campaign(patched, guest.good_input, guest.bad_input, skip_only);
+  const sim::CampaignResult after =
+      fault::run_campaign(patched, guest.good_input, guest.bad_input, skip_only).order1;
   EXPECT_LT(after.vulnerabilities.size(), before.vulnerabilities.size());
 }
 
@@ -326,8 +326,8 @@ TEST(Reinforce, ShapesWithNoLocalReinforcementReturnNone) {
 }
 
 TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
-  // apply_pair_patches reinforces the first fault's site and the site the
-  // second fault actually struck, once per distinct address.
+  // apply_tuple_patches on a pair reinforces the first fault's site and the
+  // site the second fault actually struck, once per distinct address.
   const Guest& guest = guests::pincheck();
   bir::Module module = guests::build_module(guest);
   const elf::Image image = bir::assemble(module);
@@ -348,11 +348,11 @@ TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
   ASSERT_NE(ret_address, 0u);
   ASSERT_NE(jcc_address, 0u);
 
-  fault::PairVulnerability pair;
-  pair.first_address = ret_address;
-  pair.second_address = 0xdead;  // golden-trace address: deliberately stale
-  pair.second_hit_address = jcc_address;
-  const patch::PatchStats stats = patch::apply_pair_patches(module, {pair}, 8);
+  fault::TupleVulnerability pair;
+  pair.faults.resize(2);
+  pair.addresses = {ret_address, 0xdead};  // golden-trace address: deliberately stale
+  pair.hit_addresses = {ret_address, jcc_address};
+  const patch::PatchStats stats = patch::apply_tuple_patches(module, {pair}, 8, 2);
   EXPECT_EQ(stats.total_applied(), 2u);
   EXPECT_EQ(stats.applied.at(PatternKind::kRetDup), 1u);
   EXPECT_EQ(stats.applied.at(PatternKind::kJcc), 1u);

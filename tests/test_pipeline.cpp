@@ -32,7 +32,7 @@ TEST_P(SkipPipeline, ReachesFixpointWithZeroSkipVulnerabilities) {
   EXPECT_TRUE(result.fixpoint);
   // Section V-C: "In the case of the instruction skip fault model, we were
   // able to resolve all the vulnerabilities".
-  EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u)
+  EXPECT_EQ(result.final_campaign.order1.vulnerabilities.size(), 0u)
       << guest.name << " retains skip vulnerabilities after patching";
 }
 
@@ -114,11 +114,12 @@ TEST_P(Order2Pipeline, ReachesOrderTwoFixpointWithZeroResidualPairs) {
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
 
   EXPECT_TRUE(result.fixpoint) << guest.name;
-  EXPECT_TRUE(result.order2_fixpoint) << guest.name;
-  EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u) << guest.name;
-  EXPECT_EQ(result.final_campaign.pair_vulnerabilities.size(), 0u)
+  EXPECT_TRUE(result.orderk_fixpoint) << guest.name;
+  EXPECT_EQ(result.final_campaign.order, 2u) << guest.name;
+  EXPECT_EQ(result.final_campaign.order1.vulnerabilities.size(), 0u) << guest.name;
+  EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u)
       << guest.name << " retains double-fault vulnerabilities after reinforcement";
-  EXPECT_GT(result.final_campaign.total_pairs, 0u) << guest.name;
+  EXPECT_GT(result.final_campaign.total_tuples, 0u) << guest.name;
 
   // The trajectory: order-1 iterations first, then order-2 ones; the first
   // order-2 pass must have found the residual pairs PR 2 demonstrated, and
@@ -130,14 +131,14 @@ TEST_P(Order2Pipeline, ReachesOrderTwoFixpointWithZeroResidualPairs) {
   for (const auto& iteration : result.iterations) {
     if (!seen_order2 && iteration.order == 2) {
       seen_order2 = true;
-      first_order2_pairs = iteration.successful_pairs;
+      first_order2_pairs = iteration.successful_tuples;
     }
   }
   ASSERT_TRUE(seen_order2);
   EXPECT_GT(first_order2_pairs, 0u)
       << guest.name << ": order-1 hardening left no pairs; the scenario degenerated";
   EXPECT_EQ(result.iterations.back().order, 2u);
-  EXPECT_EQ(result.iterations.back().successful_pairs, 0u);
+  EXPECT_EQ(result.iterations.back().successful_tuples, 0u);
 
   // Overhead bookkeeping: original <= order-1 fixpoint <= order-2 fixpoint.
   EXPECT_GT(result.order1_code_size, result.original_code_size);
@@ -179,16 +180,17 @@ TEST(Order2PipelineDeterminism, ThreadCountDoesNotChangeTheHardenedBinary) {
 
   EXPECT_EQ(elf::write_elf(one.hardened), elf::write_elf(eight.hardened));
   // Order-1 results bit-identical at every thread count, on the final image.
+  EXPECT_EQ(one.final_campaign.order1.vulnerabilities,
+            eight.final_campaign.order1.vulnerabilities);
+  EXPECT_EQ(one.final_campaign.order1.outcome_counts,
+            eight.final_campaign.order1.outcome_counts);
+  EXPECT_EQ(one.final_campaign.order1.total_faults,
+            eight.final_campaign.order1.total_faults);
   EXPECT_EQ(one.final_campaign.vulnerabilities, eight.final_campaign.vulnerabilities);
   EXPECT_EQ(one.final_campaign.outcome_counts, eight.final_campaign.outcome_counts);
-  EXPECT_EQ(one.final_campaign.total_faults, eight.final_campaign.total_faults);
-  EXPECT_EQ(one.final_campaign.pair_vulnerabilities,
-            eight.final_campaign.pair_vulnerabilities);
-  EXPECT_EQ(one.final_campaign.pair_outcome_counts,
-            eight.final_campaign.pair_outcome_counts);
   ASSERT_EQ(one.iterations.size(), eight.iterations.size());
   for (std::size_t i = 0; i < one.iterations.size(); ++i) {
-    EXPECT_EQ(one.iterations[i].successful_pairs, eight.iterations[i].successful_pairs);
+    EXPECT_EQ(one.iterations[i].successful_tuples, eight.iterations[i].successful_tuples);
     EXPECT_EQ(one.iterations[i].patches_applied, eight.iterations[i].patches_applied);
   }
 }
@@ -201,8 +203,8 @@ TEST(PipelineBitFlip, BitFlipVulnerabilitiesAreReducedInPincheck) {
 
   fault::CampaignConfig flips;
   flips.models.skip = false;
-  const fault::CampaignResult before =
-      fault::run_campaign(input, guest.good_input, guest.bad_input, flips);
+  const sim::CampaignResult before =
+      fault::run_campaign(input, guest.good_input, guest.bad_input, flips).order1;
   ASSERT_GT(before.vulnerable_addresses().size(), 0u);
 
   patch::PipelineConfig config;
@@ -211,7 +213,7 @@ TEST(PipelineBitFlip, BitFlipVulnerabilitiesAreReducedInPincheck) {
   const patch::PipelineResult result =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
 
-  const std::size_t after = result.final_campaign.vulnerable_addresses().size();
+  const std::size_t after = result.final_campaign.order1.vulnerable_addresses().size();
   EXPECT_LE(after, before.vulnerable_addresses().size() / 2)
       << "bit-flip vulnerable points not reduced by at least 50%";
 }

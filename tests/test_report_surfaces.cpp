@@ -1,7 +1,7 @@
 // Golden-file style tests for the report/JSON surfaces: the exact text of
-// harden::order2_fixpoint_section and residual_double_fault_section on
-// fixed inputs, and the field inventory of the campaign JSON documents on
-// a real synthetic-guest sweep. A report refactor that drops a field or
+// harden::fixpoint_section and campaign_section on fixed order-2 inputs,
+// the one campaign JSON schema, and its field inventory on a real
+// synthetic-guest sweep at orders 1 and 2. A report refactor that drops a field or
 // reshuffles a column fails here, not in a downstream consumer.
 #include <gtest/gtest.h>
 
@@ -33,28 +33,30 @@ patch::PipelineResult fixed_pipeline_result() {
   it1.code_size = 148;
   patch::IterationReport it2;
   it2.order = 2;
-  it2.total_pairs = 500;
-  it2.successful_pairs = 2;
-  it2.strictly_second_order = 2;
-  it2.pair_patch_sites = 3;
+  it2.total_tuples = 500;
+  it2.successful_tuples = 2;
+  it2.strictly_order_k = 2;
+  it2.tuple_patch_sites = 3;
   it2.patches_applied = 3;
   it2.code_size = 148;
   patch::IterationReport it3;
   it3.order = 2;
-  it3.total_pairs = 520;
+  it3.total_tuples = 520;
   it3.code_size = 180;
   result.iterations = {it0, it1, it2, it3};
   result.fixpoint = true;
-  result.order2_fixpoint = true;
+  result.orderk_fixpoint = true;
   result.original_code_size = 100;
   result.order1_code_size = 148;
   result.hardened_code_size = 180;
   return result;
 }
 
-sim::PairCampaignResult fixed_pair_result() {
-  sim::PairCampaignResult pairs;
-  pairs.total_pairs = 1252;
+sim::TupleCampaignResult fixed_pair_result() {
+  sim::TupleCampaignResult pairs;
+  pairs.order = 2;
+  pairs.total_tuples = 1252;
+  pairs.enumerated_tuples = 1252;
   pairs.trace_length = 161;
   pairs.pair_window = 8;
   pairs.order1.total_faults = 161;
@@ -64,20 +66,25 @@ sim::PairCampaignResult fixed_pair_result() {
   pairs.outcome_counts[sim::Outcome::kNoEffect] = 1000;
   pairs.outcome_counts[sim::Outcome::kSuccess] = 2;
   pairs.outcome_counts[sim::Outcome::kDetected] = 250;
-  pairs.reused_from_first = 600;
-  pairs.reused_from_second = 500;
-  pairs.simulated_pairs = 152;
-  pairs.fully_pruned_first_faults = 20;
-  sim::PairVulnerability v1;
-  v1.first.kind = emu::FaultSpec::Kind::kSkip;
-  v1.first.trace_index = 10;
-  v1.second.kind = emu::FaultSpec::Kind::kSkip;
-  v1.second.trace_index = 12;
-  v1.first_address = 0x401010;
-  v1.second_address = 0x401018;
-  v1.second_hit_address = 0x401020;
-  sim::PairVulnerability v2 = v1;
-  v2.second.trace_index = 13;
+  sim::TupleLevelSummary level;
+  level.order = 2;
+  level.enumerated = 1252;
+  level.classified = 1252;
+  level.successful = 2;
+  level.reused_prefix = 600;
+  level.reused_suffix = 500;
+  level.simulated = 152;
+  pairs.levels = {level};
+  sim::TupleVulnerability v1;
+  v1.faults.resize(2);
+  v1.faults[0].kind = emu::FaultSpec::Kind::kSkip;
+  v1.faults[0].trace_index = 10;
+  v1.faults[1].kind = emu::FaultSpec::Kind::kSkip;
+  v1.faults[1].trace_index = 12;
+  v1.addresses = {0x401010, 0x401018};
+  v1.hit_addresses = {0x401010, 0x401020};
+  sim::TupleVulnerability v2 = v1;
+  v2.faults[1].trace_index = 13;
   pairs.vulnerabilities = {v1, v2};
   return pairs;
 }
@@ -87,7 +94,7 @@ sim::PairCampaignResult fixed_pair_result() {
 TEST(ReportGolden, Order2FixpointSection) {
   const std::string expected =
       "order-2 fix-point trajectory: demo\n"
-      "| iteration | order | faults | pairs | sites | patched | code bytes |\n"
+      "| iteration | order | faults | sets  | sites | patched | code bytes |\n"
       "|-----------|-------|--------|-------|-------|---------|------------|\n"
       "| 0         | 1     | 4      | -     | -     | 3       | 100        |\n"
       "| 1         | 1     | 0      | -     | -     | 0       | 148        |\n"
@@ -96,60 +103,74 @@ TEST(ReportGolden, Order2FixpointSection) {
       "  fix-point: yes, order-2 clean: yes\n"
       "  overhead (Table-V style): order-1 48.0% -> order-2 80.0% "
       "(+32.0 points for closing the order-2 gap)\n";
-  EXPECT_EQ(harden::order2_fixpoint_section("demo", fixed_pipeline_result()),
-            expected);
+  EXPECT_EQ(harden::fixpoint_section("demo", fixed_pipeline_result()), expected);
 }
 
-TEST(ReportGolden, ResidualDoubleFaultSection) {
+TEST(ReportGolden, Order2CampaignSection) {
   const std::string expected =
-      "residual double-fault campaign: demo\n"
+      "residual 2-tuple campaign: demo\n"
       "  order-1 faults: 161 (0 successful)\n"
-      "  order-2 pairs:  1252 within window 8 (2 successful, 2 invisible to "
+      "  order-2 tuples: 1252 within window 8 (2 successful, 2 invisible to "
       "order 1)\n"
-      "  pruning:        1100 pairs reused from order-1 profiles (87.9%), 152 "
-      "simulated, 20 first faults fully pruned\n"
+      "  levels:         order 2: 1252 classified (2 successful)\n"
+      "  pruning:        1100 tuples reused from lower-order profiles (87.9%), 152 "
+      "simulated\n"
       "  patch sites:    0x401010, 0x401020\n"
-      "| pair outcome     | count |\n"
+      "| tuple outcome    | count |\n"
       "|------------------|-------|\n"
       "| no-effect        | 1000  |\n"
       "| successful-fault | 2     |\n"
       "| detected         | 250   |\n"
-      "| first fault | second fault | successful pairs |\n"
-      "|-------------|--------------|------------------|\n"
-      "| 0x401010    | 0x401018     | 2                |\n";
-  EXPECT_EQ(harden::residual_double_fault_section("demo", fixed_pair_result()),
-            expected);
+      "| fault addresses      | successful tuples |\n"
+      "|----------------------|-------------------|\n"
+      "| 0x401010 -> 0x401018 | 2                 |\n";
+  EXPECT_EQ(harden::campaign_section("demo", fixed_pair_result()), expected);
 }
 
 TEST(ReportGolden, CleanCampaignRendersNoVulnerabilityTable) {
-  sim::PairCampaignResult clean = fixed_pair_result();
+  sim::TupleCampaignResult clean = fixed_pair_result();
   clean.vulnerabilities.clear();
   clean.outcome_counts.erase(sim::Outcome::kSuccess);
-  const std::string section = harden::residual_double_fault_section("demo", clean);
-  EXPECT_NE(section.find("no residual double-fault vulnerabilities."),
-            std::string::npos);
+  const std::string section = harden::campaign_section("demo", clean);
+  EXPECT_NE(section.find("no residual 2-tuple vulnerabilities."), std::string::npos);
   EXPECT_EQ(section.find("patch sites"), std::string::npos);
-  EXPECT_EQ(section.find("| first fault"), std::string::npos);
+  EXPECT_EQ(section.find("| fault addresses"), std::string::npos);
 }
 
-TEST(ReportGolden, PairCampaignJson) {
+TEST(ReportGolden, Order2CampaignJson) {
   const std::string expected =
       "{\n"
+      "  \"order\": 2,\n"
       "  \"trace_length\": 161,\n"
       "  \"pair_window\": 8,\n"
-      "  \"total_pairs\": 1252,\n"
-      "  \"reused_from_first\": 600,\n"
-      "  \"reused_from_second\": 500,\n"
-      "  \"simulated_pairs\": 152,\n"
-      "  \"converged_pairs\": 0,\n"
-      "  \"fully_pruned_first_faults\": 20,\n"
       "  \"threads\": 0,\n"
-      "  \"order1_total_faults\": 161,\n"
-      "  \"order1_successful\": 0,\n"
+      "  \"order1\": {\n"
+      "    \"trace_length\": 161,\n"
+      "    \"total_faults\": 161,\n"
+      "    \"checkpoint_interval\": 0,\n"
+      "    \"snapshot_count\": 0,\n"
+      "    \"pruned_faults\": 0,\n"
+      "    \"threads\": 0,\n"
+      "    \"outcomes\": {\"no-effect\": 150, \"detected\": 11},\n"
+      "    \"vulnerable_points\": []\n"
+      "  },\n"
+      "  \"levels\": [{\"order\": 2, \"enumerated\": 1252, \"classified\": 1252, "
+      "\"successful\": 2, \"reused_suffix\": 500, \"reused_prefix\": 600, "
+      "\"simulated\": 152, \"converged\": 0, \"sampled\": false}],\n"
+      "  \"total_tuples\": 1252,\n"
+      "  \"enumerated_tuples\": 1252,\n"
+      "  \"sampled\": false,\n"
+      "  \"max_tuples\": 0,\n"
+      "  \"sample_seed\": 0,\n"
+      "  \"reused_suffix\": 500,\n"
+      "  \"reused_prefix\": 600,\n"
+      "  \"simulated_tuples\": 152,\n"
+      "  \"converged_tuples\": 0,\n"
+      "  \"strictly_higher_order\": 2,\n"
       "  \"outcomes\": {\"no-effect\": 1000, \"successful-fault\": 2, "
       "\"detected\": 250},\n"
-      "  \"vulnerable_pairs\": [{\"first\": \"0x401010\", \"second\": "
-      "\"0x401018\", \"hits\": 2}],\n"
+      "  \"vulnerable_tuples\": [{\"addresses\": [\"0x401010\", \"0x401018\"], "
+      "\"hits\": 2}],\n"
       "  \"patch_sites\": [\"0x401010\", \"0x401020\"]\n"
       "}\n";
   EXPECT_EQ(fixed_pair_result().to_json(), expected);
@@ -165,20 +186,29 @@ void expect_fields(const std::string& json, const std::vector<std::string>& fiel
   }
 }
 
+// The one campaign schema carries the same keys at every order.
+const std::vector<std::string> kCampaignFields = {
+    "order",          "trace_length",     "pair_window",      "threads",
+    "order1",         "total_faults",     "checkpoint_interval", "snapshot_count",
+    "pruned_faults",  "vulnerable_points", "levels",          "total_tuples",
+    "enumerated_tuples", "sampled",       "max_tuples",       "sample_seed",
+    "reused_suffix",  "reused_prefix",    "simulated_tuples", "converged_tuples",
+    "strictly_higher_order", "outcomes",  "vulnerable_tuples", "patch_sites"};
+
 TEST(ReportSurfaces, CampaignJsonFieldInventoryOnSynthGuest) {
   const guests::Guest guest = guests::synth::generate(36);
   const elf::Image image = guests::build_image(guest);
-  sim::FaultModels models;
-  models.bit_flip = false;
-  const sim::Engine engine(image, guest.good_input, guest.bad_input, {});
-  const sim::CampaignResult result = engine.run(models);
+  fault::CampaignConfig config;
+  config.models.bit_flip = false;
+  const fault::TupleCampaignResult result =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config);
 
   const std::string json = result.to_json();
-  expect_fields(json, {"trace_length", "total_faults", "checkpoint_interval",
-                       "snapshot_count", "pruned_faults", "threads", "outcomes",
-                       "vulnerable_points"});
+  expect_fields(json, kCampaignFields);
+  EXPECT_NE(json.find("\"order\": 1,"), std::string::npos);
+  EXPECT_NE(json.find("\"levels\": [],"), std::string::npos);
   // Values must round-trip: counters rendered verbatim.
-  EXPECT_NE(json.find("\"total_faults\": " + std::to_string(result.total_faults)),
+  EXPECT_NE(json.find("\"total_faults\": " + std::to_string(result.order1.total_faults)),
             std::string::npos);
   EXPECT_NE(json.find("\"trace_length\": " + std::to_string(result.trace_length)),
             std::string::npos);
@@ -187,26 +217,21 @@ TEST(ReportSurfaces, CampaignJsonFieldInventoryOnSynthGuest) {
 TEST(ReportSurfaces, PairCampaignJsonFieldInventoryOnSynthGuest) {
   const guests::Guest guest = guests::synth::generate(36);
   const elf::Image image = guests::build_image(guest);
-  sim::FaultModels models;
-  models.bit_flip = false;
-  models.order = 2;
-  models.pair_window = 4;
-  const sim::Engine engine(image, guest.good_input, guest.bad_input, {});
-  const sim::PairCampaignResult result = engine.run_pairs(models);
+  fault::CampaignConfig config;
+  config.models.bit_flip = false;
+  config.models.order = 2;
+  config.models.pair_window = 4;
+  const fault::TupleCampaignResult result =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config);
 
   const std::string json = result.to_json();
-  expect_fields(json,
-                {"trace_length", "pair_window", "total_pairs", "reused_from_first",
-                 "reused_from_second", "simulated_pairs", "converged_pairs",
-                 "fully_pruned_first_faults", "threads", "order1_total_faults",
-                 "order1_successful", "outcomes", "vulnerable_pairs", "patch_sites"});
-  EXPECT_NE(json.find("\"total_pairs\": " + std::to_string(result.total_pairs)),
+  expect_fields(json, kCampaignFields);
+  EXPECT_NE(json.find("\"total_tuples\": " + std::to_string(result.total_tuples)),
             std::string::npos);
 
   // The rendered text section agrees with the JSON on the headline number.
-  const std::string section =
-      harden::residual_double_fault_section(guest.name, result);
-  EXPECT_NE(section.find(std::to_string(result.total_pairs) + " within window"),
+  const std::string section = harden::campaign_section(guest.name, result);
+  EXPECT_NE(section.find(std::to_string(result.total_tuples) + " within window"),
             std::string::npos);
 }
 

@@ -240,16 +240,17 @@ TEST(Engine, FixedIntervalPartialFinalSegmentMatchesDefaultPairSweep) {
 
   EngineConfig reference_config;
   const Engine reference(image, guest.good_input, guest.bad_input, reference_config);
-  const PairCampaignResult expected = reference.run_pairs(models);
+  const TupleCampaignResult expected = reference.run_tuples(models);
 
   EngineConfig fixed;
   fixed.policy.fixed_interval = 7;
   const Engine engine(image, guest.good_input, guest.bad_input, fixed);
   ASSERT_NE(engine.references().bad_trace.size() % 7, 0u)
       << "trace length became a multiple of the interval; pick another";
-  const PairCampaignResult result = engine.run_pairs(models);
+  const TupleCampaignResult result = engine.run_tuples(models);
   EXPECT_EQ(result.outcome_counts, expected.outcome_counts);
   EXPECT_EQ(result.vulnerabilities, expected.vulnerabilities);
+  EXPECT_EQ(result.order1.vulnerabilities, expected.order1.vulnerabilities);
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangeResults) {
@@ -259,10 +260,10 @@ TEST(Scheduler, ThreadCountDoesNotChangeResults) {
     serial.threads = 1;
     fault::CampaignConfig parallel;
     parallel.threads = 8;
-    const fault::CampaignResult one =
-        fault::run_campaign(image, guest->good_input, guest->bad_input, serial);
-    const fault::CampaignResult eight =
-        fault::run_campaign(image, guest->good_input, guest->bad_input, parallel);
+    const CampaignResult one =
+        fault::run_campaign(image, guest->good_input, guest->bad_input, serial).order1;
+    const CampaignResult eight =
+        fault::run_campaign(image, guest->good_input, guest->bad_input, parallel).order1;
     EXPECT_EQ(one.vulnerabilities, eight.vulnerabilities) << guest->name;
     EXPECT_EQ(one.outcome_counts, eight.outcome_counts) << guest->name;
     EXPECT_EQ(one.total_faults, eight.total_faults) << guest->name;
@@ -270,93 +271,13 @@ TEST(Scheduler, ThreadCountDoesNotChangeResults) {
   }
 }
 
-// ---- order-2 (double fault) campaigns ---------------------------------------
+// ---- order-2 (double fault) campaigns through run_tuples(2) ------------------
 
 FaultModels pair_models(std::uint64_t window) {
   FaultModels models;
   models.order = 2;
   models.pair_window = window;
   return models;
-}
-
-TEST(PairEnumeration, RespectsWindowAndCanonicalOrder) {
-  std::vector<emu::TraceEntry> trace = {{0x10, 2}, {0x12, 1}, {0x13, 3}, {0x16, 1}};
-  FaultModels skip_only = pair_models(2);
-  skip_only.bit_flip = false;
-
-  const std::vector<PlannedPair> pairs = enumerate_fault_pairs(skip_only, trace);
-  // skip-only: one fault per index; pairs (t1, t2) with 0 < t2 - t1 <= 2.
-  ASSERT_EQ(pairs.size(), 5u);  // (0,1) (0,2) (1,2) (1,3) (2,3)
-  for (const PlannedPair& pair : pairs) {
-    EXPECT_LT(pair.first.trace_index, pair.second.trace_index);
-    EXPECT_LE(pair.second.trace_index - pair.first.trace_index, 2u);
-    EXPECT_EQ(pair.first.kind, emu::FaultSpec::Kind::kSkip);
-    EXPECT_EQ(pair.first_address, trace[pair.first.trace_index].address);
-    EXPECT_EQ(pair.second_address, trace[pair.second.trace_index].address);
-  }
-  // Canonical order: ascending first fault, then ascending second.
-  EXPECT_EQ(pairs[0].second.trace_index, 1u);
-  EXPECT_EQ(pairs[1].second.trace_index, 2u);
-  EXPECT_EQ(pairs[4].first.trace_index, 2u);
-
-  // A zero window enumerates no pairs (0 < t2 - t1 <= 0 is unsatisfiable).
-  EXPECT_TRUE(enumerate_fault_pairs(pair_models(0), trace).empty());
-
-  // With bit flips on, every pair of the per-index fault groups appears.
-  const std::vector<PlannedPair> full = enumerate_fault_pairs(pair_models(1), trace);
-  std::uint64_t expected = 0;
-  const auto faults_at = [&](std::size_t i) { return 1ULL + trace[i].length * 8ULL; };
-  for (std::size_t t = 0; t + 1 < trace.size(); ++t) {
-    expected += faults_at(t) * faults_at(t + 1);
-  }
-  EXPECT_EQ(full.size(), expected);
-}
-
-TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
-  // Ground truth: a fresh machine replayed from entry for every pair — run
-  // with the first fault armed up to the second injection point, then
-  // resume with the second fault armed. No snapshots, no pruning.
-  const Guest& guest = guests::toymov();
-  const elf::Image image = guests::build_image(guest);
-  const fault::Oracle oracle =
-      fault::make_oracle(image, guest.good_input, guest.bad_input);
-
-  const FaultModels models = pair_models(3);
-  const std::uint64_t fuel = oracle.bad_reference.steps * 8 + 4096;
-  std::map<Outcome, std::uint64_t> expected_counts;
-  std::vector<PairVulnerability> expected_vulnerabilities;
-  for (const PlannedPair& pair : enumerate_fault_pairs(models, oracle.bad_trace)) {
-    emu::Machine machine(image, guest.bad_input);
-    emu::RunConfig leg1;
-    leg1.fault = pair.first;
-    leg1.fuel = pair.second.trace_index;
-    emu::RunResult run = machine.run(leg1);
-    // Where the second fault actually lands: the paused machine's rip, or
-    // the golden address when the first fault's run already terminated.
-    std::uint64_t second_hit = pair.second_address;
-    if (run.reason == emu::StopReason::kFuelExhausted) {
-      second_hit = machine.cpu().rip;
-      emu::RunConfig leg2;
-      leg2.fault = pair.second;
-      leg2.fuel = fuel;
-      run = machine.run(leg2);
-    }
-    const Outcome outcome = oracle.classify(run, 42);
-    ++expected_counts[outcome];
-    if (outcome == Outcome::kSuccess) {
-      expected_vulnerabilities.push_back(PairVulnerability{
-          pair.first, pair.second, pair.first_address, pair.second_address,
-          second_hit});
-    }
-  }
-
-  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
-  const PairCampaignResult result = engine.run_pairs(models);
-  EXPECT_EQ(result.outcome_counts, expected_counts);
-  EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
-  EXPECT_EQ(result.total_pairs,
-            enumerate_fault_pairs(models, oracle.bad_trace).size());
-  EXPECT_GT(result.count(Outcome::kSuccess), 0u);
 }
 
 TEST(Engine, PairSweepEmbedsTheOrderOneSweep) {
@@ -368,7 +289,7 @@ TEST(Engine, PairSweepEmbedsTheOrderOneSweep) {
   FaultModels single = models;
   single.order = 1;
   const CampaignResult order1 = engine.run(single);
-  const PairCampaignResult order2 = engine.run_pairs(models);
+  const TupleCampaignResult order2 = engine.run_tuples(models);
   EXPECT_EQ(order2.order1.outcome_counts, order1.outcome_counts);
   EXPECT_EQ(order2.order1.vulnerabilities, order1.vulnerabilities);
   EXPECT_EQ(order2.order1.total_faults, order1.total_faults);
@@ -377,7 +298,7 @@ TEST(Engine, PairSweepEmbedsTheOrderOneSweep) {
   // Each entry point rejects models of the other order — an order-2
   // request can never silently degrade into an order-1 sweep.
   EXPECT_THROW(engine.run(models), support::Error);
-  EXPECT_THROW(engine.run_pairs(single), support::Error);
+  EXPECT_THROW(engine.run_tuples(single), support::Error);
 }
 
 TEST(Engine, PairOutcomeReuseIsExact) {
@@ -397,17 +318,17 @@ TEST(Engine, PairOutcomeReuseIsExact) {
 
   const Engine pruned(image, guest.good_input, guest.bad_input, pruned_config);
   const Engine exhaustive(image, guest.good_input, guest.bad_input, exhaustive_config);
-  const PairCampaignResult a = pruned.run_pairs(models);
-  const PairCampaignResult b = exhaustive.run_pairs(models);
+  const TupleCampaignResult a = pruned.run_tuples(models);
+  const TupleCampaignResult b = exhaustive.run_tuples(models);
 
   EXPECT_EQ(a.outcome_counts, b.outcome_counts);
   EXPECT_EQ(a.vulnerabilities, b.vulnerabilities);
   EXPECT_EQ(a.order1.outcome_counts, b.order1.outcome_counts);
   EXPECT_EQ(a.order1.vulnerabilities, b.order1.vulnerabilities);
-  EXPECT_GT(a.reused_pairs(), 0u) << "outcome reuse never fired on a real guest";
-  EXPECT_LT(a.simulated_pairs, a.total_pairs);
-  EXPECT_EQ(b.reused_pairs(), 0u);
-  EXPECT_EQ(b.simulated_pairs, b.total_pairs);
+  EXPECT_GT(a.reused_tuples(), 0u) << "outcome reuse never fired on a real guest";
+  EXPECT_LT(a.simulated_tuples(), a.total_tuples);
+  EXPECT_EQ(b.reused_tuples(), 0u);
+  EXPECT_EQ(b.simulated_tuples(), b.total_tuples);
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangePairResults) {
@@ -422,13 +343,13 @@ TEST(Scheduler, ThreadCountDoesNotChangePairResults) {
   const Engine eight(image, guest.good_input, guest.bad_input, parallel);
 
   const FaultModels models = pair_models(4);
-  const PairCampaignResult a = one.run_pairs(models);
-  const PairCampaignResult b = eight.run_pairs(models);
+  const TupleCampaignResult a = one.run_tuples(models);
+  const TupleCampaignResult b = eight.run_tuples(models);
   EXPECT_EQ(a.vulnerabilities, b.vulnerabilities);
   EXPECT_EQ(a.outcome_counts, b.outcome_counts);
   EXPECT_EQ(a.order1.vulnerabilities, b.order1.vulnerabilities);
-  EXPECT_EQ(a.reused_pairs(), b.reused_pairs());
-  EXPECT_EQ(a.total_pairs, b.total_pairs);
+  EXPECT_EQ(a.reused_tuples(), b.reused_tuples());
+  EXPECT_EQ(a.total_tuples, b.total_tuples);
   EXPECT_EQ(b.threads_used, 8u);
 }
 
@@ -447,7 +368,7 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
   FaultModels models = pair_models(8);
   models.bit_flip = false;
 
-  std::optional<PairCampaignResult> reference;
+  std::optional<TupleCampaignResult> reference;
   for (const unsigned threads : {1u, 8u}) {
     for (const bool exhaustive : {false, true}) {
       EngineConfig config;
@@ -455,7 +376,7 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
       config.convergence_pruning = !exhaustive;
       config.pair_outcome_reuse = !exhaustive;
       const Engine engine(patched.hardened, guest.good_input, guest.bad_input, config);
-      const PairCampaignResult result = engine.run_pairs(models);
+      const TupleCampaignResult result = engine.run_tuples(models);
       if (!reference) {
         reference = result;
         continue;
@@ -476,12 +397,14 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
       << "every residual pair was already visible to order 1";
 
   // Pair → site attribution: on this binary some residual pairs start by
-  // skipping a branch, so the second fault lands off the golden trace —
-  // second_hit_address must track the diverged control flow (it feeds the
+  // skipping a branch, so the second fault lands off the golden trace — the
+  // second hit address must track the diverged control flow (it feeds the
   // order-2 patcher), and patch_sites() merges both ends of every pair.
   bool any_diverged = false;
-  for (const PairVulnerability& pair : reference->vulnerabilities) {
-    if (pair.second_hit_address != pair.second_address) any_diverged = true;
+  for (const TupleVulnerability& pair : reference->vulnerabilities) {
+    ASSERT_EQ(pair.hit_addresses.size(), 2u);
+    EXPECT_EQ(pair.hit_addresses[0], pair.addresses[0]);
+    if (pair.hit_addresses[1] != pair.addresses[1]) any_diverged = true;
   }
   EXPECT_TRUE(any_diverged)
       << "no pair diverged from the golden trace; hit attribution untested";
@@ -489,10 +412,10 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
   ASSERT_FALSE(sites.empty());
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
   EXPECT_EQ(std::adjacent_find(sites.begin(), sites.end()), sites.end());
-  for (const PairVulnerability& pair : reference->strictly_higher_order()) {
-    EXPECT_TRUE(std::binary_search(sites.begin(), sites.end(), pair.first_address));
-    EXPECT_TRUE(
-        std::binary_search(sites.begin(), sites.end(), pair.second_hit_address));
+  for (const TupleVulnerability& pair : reference->strictly_higher_order()) {
+    for (const std::uint64_t hit : pair.hit_addresses) {
+      EXPECT_TRUE(std::binary_search(sites.begin(), sites.end(), hit));
+    }
   }
 }
 
@@ -500,22 +423,23 @@ TEST(Engine, PairResultExportsJsonAndDerivedViews) {
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
   const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
-  const PairCampaignResult result = engine.run_pairs(pair_models(4));
+  const TupleCampaignResult result = engine.run_tuples(pair_models(4));
 
   const std::string json = result.to_json();
-  EXPECT_NE(json.find("\"total_pairs\""), std::string::npos);
-  EXPECT_NE(json.find("\"vulnerable_pairs\""), std::string::npos);
-  EXPECT_NE(json.find("\"order1_total_faults\""), std::string::npos);
+  EXPECT_NE(json.find("\"order\": 2,"), std::string::npos);
+  EXPECT_NE(json.find("\"order1\": {"), std::string::npos);
+  EXPECT_NE(json.find("\"levels\": [{\"order\": 2,"), std::string::npos);
+  EXPECT_NE(json.find("\"vulnerable_tuples\""), std::string::npos);
 
-  const auto addresses = result.vulnerable_address_pairs();
-  EXPECT_LE(addresses.size(), result.vulnerabilities.size());
-  if (!result.vulnerabilities.empty()) EXPECT_FALSE(addresses.empty());
+  const auto merged = result.merged_vulnerable_tuples();
+  EXPECT_LE(merged.size(), result.vulnerabilities.size());
+  EXPECT_EQ(merged.empty(), result.vulnerabilities.empty());
   // Every strictly-second-order pair is a successful pair whose halves both
   // fail alone.
-  for (const PairVulnerability& pair : result.strictly_higher_order()) {
+  for (const TupleVulnerability& pair : result.strictly_higher_order()) {
     for (const Vulnerability& single : result.order1.vulnerabilities) {
-      EXPECT_FALSE(single.spec == pair.first);
-      EXPECT_FALSE(single.spec == pair.second);
+      EXPECT_FALSE(single.spec == pair.faults[0]);
+      EXPECT_FALSE(single.spec == pair.faults[1]);
     }
   }
 }

@@ -1,6 +1,7 @@
 // Tests for r2r::svc — the r2rd campaign service: wire framing, the
 // bounded priority queue, the content-addressed result cache and its key,
-// and full daemon lifecycles over a real Unix socket (cached-equals-fresh
+// job reports byte-identical to the one-shot `r2r` subcommands, and full
+// daemon lifecycles over a real Unix socket (cached-equals-fresh
 // byte-identity, worker kill -9 isolation and respawn, graceful drain,
 // backpressure refusal).
 #include <csignal>
@@ -10,12 +11,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cli/cli.h"
 #include "guests/guests.h"
 #include "obs/metrics.h"
 #include "support/error.h"
@@ -261,6 +264,77 @@ TEST(SvcJob, SpecSurvivesWireRoundTrip) {
   EXPECT_EQ(back.campaign.threads, 3u);
   EXPECT_EQ(back.format, "markdown");
   EXPECT_EQ(back.cache_key(), spec.cache_key());
+}
+
+// ---- daemon == CLI ----------------------------------------------------------
+
+struct CliRun {
+  int exit_code = -1;
+  std::string out;
+};
+
+CliRun run_cli(const std::vector<std::string>& args) {
+  std::ostringstream out;
+  std::ostringstream err;
+  CliRun run;
+  run.exit_code = cli::run(args, out, err);
+  run.out = out.str();
+  return run;
+}
+
+TEST(SvcJob, CampaignAndFixpointReportsEqualTheCliOutput) {
+  // A daemon job and the one-shot subcommand share the campaign call and
+  // one renderer per format, so the job report is the subcommand's stdout
+  // byte for byte — at every order, in every format.
+  const guests::Guest& guest = guests::toymov();
+  for (const svc::JobKind kind : {svc::JobKind::kCampaign, svc::JobKind::kFixpoint}) {
+    for (const unsigned order : {1u, 2u, 3u}) {
+      for (const char* format : {"text", "json", "markdown"}) {
+        const std::string where = std::string(svc::to_string(kind)) + " order " +
+                                  std::to_string(order) + " " + format;
+        svc::JobSpec spec;
+        spec.kind = kind;
+        spec.guest = guest;
+        spec.campaign.models.bit_flip = false;
+        spec.campaign.models.order = order;
+        spec.format = format;
+        const svc::JobResult job = svc::run_job(spec);
+        ASSERT_FALSE(job.infra) << where << ": " << job.error;
+
+        const CliRun cli =
+            run_cli({std::string(svc::to_string(kind)), guest.name, "--model", "skip",
+                     "--order", std::to_string(order), "--format", format});
+        EXPECT_EQ(job.report, cli.out) << where;
+        EXPECT_EQ(job.exit_code, cli.exit_code) << where;
+      }
+    }
+  }
+}
+
+TEST(SvcJob, HardenPatternsResidualLineEqualsTheCli) {
+  // pincheck keeps one unpatchable triple at order 3: both surfaces must
+  // report it on the same `faulter+patcher:` line.
+  const guests::Guest& guest = guests::pincheck();
+  svc::JobSpec spec;
+  spec.kind = svc::JobKind::kHarden;
+  spec.guest = guest;
+  spec.patterns = true;
+  spec.campaign.models.bit_flip = false;
+  spec.campaign.models.order = 3;
+  const svc::JobResult job = svc::run_job(spec);
+  ASSERT_FALSE(job.infra) << job.error;
+
+  const std::string elf = (fs::path(testing::TempDir()) / "svc_harden.elf").string();
+  const CliRun cli = run_cli({"harden", guest.name, "--patterns", "--model", "skip",
+                              "--order", "3", "--out", elf});
+  ASSERT_EQ(cli.exit_code, 0);
+  const std::string line = job.report.substr(0, job.report.find('\n') + 1);
+  EXPECT_EQ(line, cli.out.substr(0, cli.out.find('\n') + 1));
+  EXPECT_NE(line.find("residual 0 fault(s) / 1 tuple(s)"), std::string::npos) << line;
+  // The rest of the daemon report (code size, behaviour) matches too; only
+  // the CLI's trailing "hardened ELF written" line is its own.
+  EXPECT_EQ(cli.out.rfind(job.report, 0), 0u) << job.report << "\nvs\n" << cli.out;
+  EXPECT_EQ(job.exit_code, cli.exit_code);
 }
 
 // ---- daemon lifecycle -------------------------------------------------------

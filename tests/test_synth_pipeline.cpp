@@ -227,8 +227,8 @@ TEST_P(SynthPipeline, FullChainPreservesBehaviourAndNeverAddsVulnerabilities) {
   // The raw binary shows exactly the generated contract.
   expect_contract(input, guest, "raw image");
 
-  const fault::CampaignResult original =
-      fault::run_campaign(input, guest.good_input, guest.bad_input, skip_campaign());
+  const sim::CampaignResult original =
+      fault::run_campaign(input, guest.good_input, guest.bad_input, skip_campaign()).order1;
 
   // lift -> harden -> lower.
   const harden::HybridResult hybrid = harden::hybrid_harden(input);
@@ -251,8 +251,8 @@ TEST_P(SynthPipeline, FullChainPreservesBehaviourAndNeverAddsVulnerabilities) {
 
   // Hardening must never add order-1 vulnerabilities — measured on the
   // re-read bytes so the writer/reader are part of the surface.
-  const fault::CampaignResult after = fault::run_campaign(
-      reloaded, guest.good_input, guest.bad_input, skip_campaign());
+  const sim::CampaignResult after = fault::run_campaign(
+      reloaded, guest.good_input, guest.bad_input, skip_campaign()).order1;
   EXPECT_LE(after.vulnerabilities.size(), original.vulnerabilities.size())
       << "hardening added vulnerabilities";
   EXPECT_LE(after.vulnerable_addresses().size(),
@@ -332,18 +332,18 @@ TEST_P(SynthOrder2, Order2FixpointAndThreadInvariantBinary) {
   const patch::PipelineResult one =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, serial);
   EXPECT_TRUE(one.fixpoint) << "order-1 fix-point not reached";
-  EXPECT_TRUE(one.order2_fixpoint) << "order-2 fix-point not reached";
+  EXPECT_TRUE(one.orderk_fixpoint) << "order-2 fix-point not reached";
+  EXPECT_EQ(one.final_campaign.order1.vulnerabilities.size(), 0u);
   EXPECT_EQ(one.final_campaign.vulnerabilities.size(), 0u);
-  EXPECT_EQ(one.final_campaign.pair_vulnerabilities.size(), 0u);
   expect_contract(one.hardened, guest, "order-2 hardened image");
 
   const patch::PipelineResult eight =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, parallel);
   EXPECT_EQ(elf::write_elf(one.hardened), elf::write_elf(eight.hardened))
       << "hardened binary differs between 1 and 8 worker threads";
-  EXPECT_EQ(one.final_campaign.pair_outcome_counts,
-            eight.final_campaign.pair_outcome_counts);
   EXPECT_EQ(one.final_campaign.outcome_counts, eight.final_campaign.outcome_counts);
+  EXPECT_EQ(one.final_campaign.order1.outcome_counts,
+            eight.final_campaign.order1.outcome_counts);
 }
 
 using SynthOrder3 = SynthSeedTest;
@@ -362,7 +362,7 @@ TEST_P(SynthOrder3, Order3FixpointNeverAddsTupleVulnsThroughElfRoundTrip) {
   campaign.models.order = 3;
   campaign.models.pair_window = 8;
 
-  const fault::CampaignResult original =
+  const fault::TupleCampaignResult original =
       fault::run_campaign(input, guest.good_input, guest.bad_input, campaign);
 
   patch::PipelineConfig config;
@@ -375,8 +375,8 @@ TEST_P(SynthOrder3, Order3FixpointNeverAddsTupleVulnsThroughElfRoundTrip) {
   // when the pipeline claims it.
   EXPECT_TRUE(result.fixpoint) << "no fix-point reached (iteration cap hit)";
   if (result.orderk_fixpoint) {
+    EXPECT_EQ(result.final_campaign.order1.vulnerabilities.size(), 0u);
     EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u);
-    EXPECT_EQ(result.final_campaign.tuple_vulnerabilities.size(), 0u);
   }
   expect_contract(result.hardened, guest, "order-3 hardened image");
 
@@ -389,15 +389,15 @@ TEST_P(SynthOrder3, Order3FixpointNeverAddsTupleVulnsThroughElfRoundTrip) {
   EXPECT_EQ(elf::write_elf(reloaded), bytes) << "ELF round-trip not byte-stable";
   expect_contract(reloaded, guest, "reloaded order-3 image");
 
-  const fault::CampaignResult after =
+  const fault::TupleCampaignResult after =
       fault::run_campaign(reloaded, guest.good_input, guest.bad_input, campaign);
-  EXPECT_EQ(after.vulnerabilities, result.final_campaign.vulnerabilities)
+  EXPECT_EQ(after.order1.vulnerabilities, result.final_campaign.order1.vulnerabilities)
       << "order-1 result changed through the ELF round-trip";
-  EXPECT_EQ(after.tuple_vulnerabilities, result.final_campaign.tuple_vulnerabilities)
+  EXPECT_EQ(after.vulnerabilities, result.final_campaign.vulnerabilities)
       << "tuple result changed through the ELF round-trip";
-  EXPECT_LE(after.vulnerabilities.size(), original.vulnerabilities.size())
+  EXPECT_LE(after.order1.vulnerabilities.size(), original.order1.vulnerabilities.size())
       << "hardening added order-1 vulnerabilities";
-  EXPECT_LE(after.tuple_vulnerabilities.size(), original.tuple_vulnerabilities.size())
+  EXPECT_LE(after.vulnerabilities.size(), original.vulnerabilities.size())
       << "hardening added tuple vulnerabilities";
 }
 

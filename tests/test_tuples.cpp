@@ -1,8 +1,8 @@
-// sim:: order-k tuple sweeps — enumeration counts, agreement with the
-// order-2 pair sweep, bit-identical classification against a brute-force
-// three-leg replay oracle, exactness of the recursive outcome-reuse
-// pruning at every thread count, and seeded reproducibility of the
-// budgeted (sampled) top level.
+// sim:: order-k tuple sweeps — enumeration counts, bit-identical
+// classification against brute-force two- and three-leg replay oracles,
+// exactness of the recursive outcome-reuse pruning at every thread count
+// (orders 2 and 3), and seeded reproducibility of the budgeted (sampled)
+// top level.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,25 +75,38 @@ void expect_same_classification(const TupleCampaignResult& a,
 
 // ---- enumeration ------------------------------------------------------------
 
-TEST(TupleEnumeration, CountMatchesPairPlanAndBruteForceTripleCount) {
+/// Faults the plan of `models` places at each trace index.
+std::vector<std::uint64_t> faults_per_index(const FaultModels& models,
+                                            const std::vector<emu::TraceEntry>& trace) {
+  std::vector<std::uint64_t> faults_at(trace.size(), 0);
+  for (const PlannedFault& fault : enumerate_faults(models, trace)) {
+    ++faults_at[fault.spec.trace_index];
+  }
+  return faults_at;
+}
+
+TEST(TupleEnumeration, CountMatchesBruteForcePairAndTripleCounts) {
   const std::vector<emu::TraceEntry> trace = {
       {0x10, 2}, {0x12, 1}, {0x13, 3}, {0x16, 1}, {0x17, 2}, {0x19, 1}};
 
-  // Order 2: the DP pre-count must equal the materialised pair plan.
+  // Order 2: brute-force pair count over the per-index fault groups.
   for (const std::uint64_t window : {0ULL, 1ULL, 2ULL, 4ULL}) {
     const FaultModels models = tuple_models(2, window);
-    EXPECT_EQ(count_fault_tuples(models, trace),
-              enumerate_fault_pairs(models, trace).size())
-        << "window " << window;
+    const std::vector<std::uint64_t> faults_at = faults_per_index(models, trace);
+    std::uint64_t expected = 0;
+    for (std::size_t t1 = 0; t1 < trace.size(); ++t1) {
+      for (std::size_t t2 = t1 + 1; t2 < trace.size() && t2 - t1 <= window; ++t2) {
+        expected += faults_at[t1] * faults_at[t2];
+      }
+    }
+    EXPECT_EQ(count_fault_tuples(models, trace), expected) << "window " << window;
+    EXPECT_EQ(expected == 0, window == 0) << "window " << window;
   }
 
   // Order 3: brute-force triple count over the per-index fault groups.
   for (const std::uint64_t window : {1ULL, 2ULL, 3ULL}) {
     const FaultModels models = tuple_models(3, window);
-    std::vector<std::uint64_t> faults_at(trace.size(), 0);
-    for (const PlannedFault& fault : enumerate_faults(models, trace)) {
-      ++faults_at[fault.spec.trace_index];
-    }
+    const std::vector<std::uint64_t> faults_at = faults_per_index(models, trace);
     std::uint64_t expected = 0;
     for (std::size_t t1 = 0; t1 < trace.size(); ++t1) {
       for (std::size_t t2 = t1 + 1; t2 < trace.size() && t2 - t1 <= window; ++t2) {
@@ -107,45 +120,67 @@ TEST(TupleEnumeration, CountMatchesPairPlanAndBruteForceTripleCount) {
   }
 }
 
-// ---- the k = 2 degenerate case ----------------------------------------------
+// ---- ground truth -----------------------------------------------------------
 
-TEST(Engine, TupleSweepAtOrderTwoMatchesThePairSweep) {
-  // run_tuples(order=2) and run_pairs are two implementations of the same
-  // sweep; every classification-bearing field must agree exactly.
+TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
+  // Ground truth for order 2: a fresh machine replayed from entry for every
+  // pair — run with the first fault armed up to the second injection point,
+  // then resume with the second fault armed. No snapshots, no pruning. The
+  // sweep's pair classification and hit-address attribution must match
+  // this replay bit for bit, under both of the paper's fault models.
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
+  const fault::Oracle oracle =
+      fault::make_oracle(image, guest.good_input, guest.bad_input);
 
-  const FaultModels models = tuple_models(2, 4);
-  const PairCampaignResult pairs = engine.run_pairs(models);
-  const TupleCampaignResult tuples = engine.run_tuples(models);
-
-  EXPECT_EQ(tuples.order, 2u);
-  EXPECT_EQ(tuples.total_tuples, pairs.total_pairs);
-  EXPECT_EQ(tuples.enumerated_tuples, pairs.total_pairs);
-  EXPECT_EQ(tuples.outcome_counts, pairs.outcome_counts);
-  EXPECT_FALSE(tuples.sampled);
-  ASSERT_EQ(tuples.levels.size(), 1u);
-  EXPECT_EQ(tuples.levels[0].order, 2u);
-  EXPECT_EQ(tuples.levels[0].successful, pairs.count(Outcome::kSuccess));
-  EXPECT_EQ(tuples.order1.vulnerabilities, pairs.order1.vulnerabilities);
-  EXPECT_EQ(tuples.order1.outcome_counts, pairs.order1.outcome_counts);
-
-  ASSERT_EQ(tuples.vulnerabilities.size(), pairs.vulnerabilities.size());
-  for (std::size_t i = 0; i < tuples.vulnerabilities.size(); ++i) {
-    const TupleVulnerability& t = tuples.vulnerabilities[i];
-    const PairVulnerability& p = pairs.vulnerabilities[i];
-    ASSERT_EQ(t.faults.size(), 2u);
-    EXPECT_EQ(t.faults[0], p.first);
-    EXPECT_EQ(t.faults[1], p.second);
-    EXPECT_EQ(t.addresses, (std::vector<std::uint64_t>{p.first_address, p.second_address}));
-    EXPECT_EQ(t.hit_addresses,
-              (std::vector<std::uint64_t>{p.first_address, p.second_hit_address}));
+  const FaultModels models = tuple_models(2, 3);
+  const std::vector<PlannedFault> plan = enumerate_faults(models, oracle.bad_trace);
+  const std::uint64_t fuel = oracle.bad_reference.steps * 8 + 4096;
+  std::map<Outcome, std::uint64_t> expected_counts;
+  std::vector<TupleVulnerability> expected_vulnerabilities;
+  // The plan ascends by trace index, so this walks pairs in canonical order.
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const std::uint64_t t1 = plan[i].spec.trace_index;
+    for (std::size_t j = i + 1; j < plan.size(); ++j) {
+      const std::uint64_t t2 = plan[j].spec.trace_index;
+      if (t2 == t1) continue;
+      if (t2 - t1 > models.pair_window) break;
+      emu::Machine machine(image, guest.bad_input);
+      emu::RunConfig leg1;
+      leg1.fault = plan[i].spec;
+      leg1.fuel = t2;  // fuel is an absolute step budget: pause before t2
+      emu::RunResult run = machine.run(leg1);
+      // Where the second fault actually lands: the paused machine's rip, or
+      // the golden address when the first fault's run already terminated.
+      std::uint64_t hit2 = plan[j].address;
+      if (run.reason == emu::StopReason::kFuelExhausted) {
+        hit2 = machine.cpu().rip;
+        emu::RunConfig leg2;
+        leg2.fault = plan[j].spec;
+        leg2.fuel = fuel;
+        run = machine.run(leg2);
+      }
+      const Outcome outcome = oracle.classify(run, patch::kDetectedExit);
+      ++expected_counts[outcome];
+      if (outcome == Outcome::kSuccess) {
+        expected_vulnerabilities.push_back(
+            TupleVulnerability{{plan[i].spec, plan[j].spec},
+                               {plan[i].address, plan[j].address},
+                               {plan[i].address, hit2}});
+      }
+    }
   }
-  EXPECT_EQ(tuples.patch_sites(), pairs.patch_sites());
-}
 
-// ---- ground truth -----------------------------------------------------------
+  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
+  const TupleCampaignResult result = engine.run_tuples(models);
+  EXPECT_EQ(result.outcome_counts, expected_counts);
+  EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
+  EXPECT_EQ(result.total_tuples, count_fault_tuples(models, oracle.bad_trace));
+  EXPECT_FALSE(result.sampled);
+  ASSERT_EQ(result.levels.size(), 1u);
+  EXPECT_EQ(result.levels[0].successful, result.count(Outcome::kSuccess));
+  EXPECT_GT(result.count(Outcome::kSuccess), 0u);
+}
 
 TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
   // Ground truth for order 3: a fresh machine replayed from entry for every
@@ -218,7 +253,7 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
 // ---- exactness of the recursive pruning (the satellite-1 property) ----------
 
 /// One case of the pruned-vs-exhaustive / 1-vs-8-threads property. Runs
-/// the order-3 sweep three ways — pruned at 1 thread, pruned at 8 threads,
+/// the order-k sweep three ways — pruned at 1 thread, pruned at 8 threads,
 /// exhaustive (outcome reuse off) at 1 thread — and requires:
 ///   * the 1-thread and 8-thread pruned sweeps byte-agree on the whole
 ///     JSON document once `threads_used` is normalised;
@@ -228,8 +263,8 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
 /// caller can assert the property is not vacuous across its case set (a
 /// single case may legitimately see zero reuse — e.g. flag flips whose
 /// first fault never reconverges before the second strikes).
-std::uint64_t expect_order3_exactness(const elf::Image& image, const Guest& guest,
-                                      const FaultModels& models) {
+std::uint64_t expect_pruning_exactness(const elf::Image& image, const Guest& guest,
+                                       const FaultModels& models) {
   EngineConfig one;
   one.threads = 1;
   EngineConfig eight;
@@ -265,13 +300,15 @@ TEST(Engine, Order3PruningIsExactUnderEveryFaultModel) {
   const elf::Image image = guests::build_image(guest);
   std::uint64_t reused = 0;
   for (const std::string_view name : fault_model_names()) {
-    SCOPED_TRACE(std::string(name));
-    FaultModels models = single_model(name, 3, 2);
-    // Big per-index fan-outs (bit/register flips) explode the top level; a
-    // budget switches it to seeded sampling, which the exactness contract
-    // covers too (identical sampled set in every mode).
-    models.max_tuples = 1000;
-    reused += expect_order3_exactness(image, guest, models);
+    for (const unsigned order : {2u, 3u}) {
+      SCOPED_TRACE(std::string(name) + " order " + std::to_string(order));
+      FaultModels models = single_model(name, order, 2);
+      // Big per-index fan-outs (bit/register flips) explode the top level; a
+      // budget switches it to seeded sampling, which the exactness contract
+      // covers too (identical sampled set in every mode).
+      models.max_tuples = 1000;
+      reused += expect_pruning_exactness(image, guest, models);
+    }
   }
   // The pruning must actually fire somewhere, or the property is vacuous.
   EXPECT_GT(reused, 0u);
@@ -280,12 +317,14 @@ TEST(Engine, Order3PruningIsExactUnderEveryFaultModel) {
 TEST(Engine, Order3PruningIsExactOnEveryBuiltinGuest) {
   std::uint64_t reused = 0;
   for (const Guest* guest : guests::all_guests()) {
-    SCOPED_TRACE(guest->name);
     const elf::Image image = guests::build_image(*guest);
-    FaultModels models = tuple_models(3, 2);
-    models.bit_flip = false;  // the paper's skip model
-    models.max_tuples = 1000;
-    reused += expect_order3_exactness(image, *guest, models);
+    for (const unsigned order : {2u, 3u}) {
+      SCOPED_TRACE(guest->name + " order " + std::to_string(order));
+      FaultModels models = tuple_models(order, 2);
+      models.bit_flip = false;  // the paper's skip model
+      models.max_tuples = 1000;
+      reused += expect_pruning_exactness(image, *guest, models);
+    }
   }
   EXPECT_GT(reused, 0u);
 }
@@ -293,13 +332,16 @@ TEST(Engine, Order3PruningIsExactOnEveryBuiltinGuest) {
 TEST(Engine, Order3PruningIsExactOnTheFrozenSynthCorpus) {
   std::uint64_t reused = 0;
   for (const synth_corpus::CorpusSeed& c : synth_corpus::kCorpus) {
-    SCOPED_TRACE("seed " + std::to_string(c.seed) + " (" + c.why + ")");
     const Guest guest = guests::synth::generate(c.seed);
     const elf::Image image = guests::build_image(guest);
-    FaultModels models = tuple_models(3, 2);
-    models.bit_flip = false;  // the paper's skip model
-    models.max_tuples = 1000;
-    reused += expect_order3_exactness(image, guest, models);
+    for (const unsigned order : {2u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(c.seed) + " (" + c.why + ") order " +
+                   std::to_string(order));
+      FaultModels models = tuple_models(order, 2);
+      models.bit_flip = false;  // the paper's skip model
+      models.max_tuples = 1000;
+      reused += expect_pruning_exactness(image, guest, models);
+    }
   }
   EXPECT_GT(reused, 0u);
 }
@@ -379,7 +421,7 @@ TEST(Engine, TupleSweepRejectsWrongOrdersAndOverBudgetLevels) {
   // request can never silently degrade into a lower-order sweep.
   EXPECT_THROW(engine.run_tuples(tuple_models(1, 4)), support::Error);
   EXPECT_THROW(engine.run(tuple_models(3, 4)), support::Error);
-  EXPECT_THROW(engine.run_pairs(tuple_models(3, 4)), support::Error);
+  EXPECT_THROW(engine.run(tuple_models(2, 4)), support::Error);
 
   // An unbudgeted top level over the planning cap must refuse, not OOM.
   FaultModels wide = tuple_models(3, 8);  // bit flips: tens of millions of triples
