@@ -3,16 +3,15 @@
 // The seed emulator re-fetched and re-decoded every dynamic instruction.
 // The decoded-block cache (src/emu/block_cache.h) decodes each basic block
 // once into a flat arena and replays it through a tight indexed loop, and
-// sim::Engine's lockstep batching drives whole fault batches through those
-// cached blocks from shared checkpoints. This bench measures both layers on
-// the largest synthetic guest and self-checks the acceptance bars:
+// every sim::Engine machine dispatches through it. This bench measures the
+// raw dispatch loop and a whole sweep on the largest synthetic guest and
+// self-checks the acceptance bars:
 //
 //   * sustained emulated instructions/sec, cached >= 3x uncached, in the
 //     engine's own restore+run usage pattern, swept over every registered
 //     isa::Target;
-//   * order-2 pairs/sec through Engine::run_tuples(2), cached+batched
-//     engine >= 2x the uncached unbatched engine, with byte-identical pair
-//     classification.
+//   * order-2 pairs/sec through Engine::run_tuples(2), cached engine >= 2x
+//     the uncached engine, with byte-identical pair classification.
 //
 // Writes bench_emu_throughput.json (schema in docs/formats.md) with the
 // obs metrics snapshot spliced in, so the emu.block_cache.* counters ride
@@ -82,16 +81,15 @@ struct PairRate {
 };
 
 PairRate measure_pairs(const elf::Image& image, const guests::Guest& guest,
-                       bool fast, const char* span) {
+                       bool block_cache, const char* span) {
   sim::EngineConfig config;
   config.threads = 1;  // algorithmic comparison, no parallelism on either side
-  config.block_cache = fast;
-  config.lockstep_batching = fast;
+  config.block_cache = block_cache;
   const sim::Engine engine(image, guest.good_input, guest.bad_input, config);
 
   sim::FaultModels models;  // skip + bit flip
   models.order = 2;
-  models.pair_window = 4;  // half the default window keeps the legacy leg CI-sized
+  models.pair_window = 4;  // half the default window keeps the uncached leg CI-sized
 
   PairRate rate;
   bench::Phase phase(span);
@@ -176,7 +174,7 @@ bool run_emu_leg(const isa::Target& target, unsigned repeats, TargetLeg& leg) {
 int main(int argc, char** argv) {
   r2r::bench::enable_observability();
   r2r::bench::print_header(
-      "Decoded-block cache + lockstep batched fault execution",
+      "Decoded-block cache under the fault sweep",
       "decode-once superblock dispatch under the Fig. 2 faulter");
 
   // -- raw dispatch throughput (restore+run, the sweep's inner loop), on
@@ -192,26 +190,24 @@ int main(int argc, char** argv) {
   const guests::Guest guest = guests::synth::generate(kLargestSynthSeed);
   const elf::Image image = guests::build_image(guest);
 
-  // -- order-2 sweep throughput (cached+batched vs the legacy engine) -------
+  // -- order-2 sweep throughput (cached vs uncached engine) -----------------
   std::printf("\n-- order-2 pairs/sec on %s (skip + bit-flip, window 4) --\n",
               guest.name.c_str());
-  const PairRate legacy = measure_pairs(image, guest, false, "bench.pairs_legacy");
-  const PairRate fast = measure_pairs(image, guest, true, "bench.pairs_fast");
+  const PairRate uncached = measure_pairs(image, guest, false, "bench.pairs_uncached");
+  const PairRate cached = measure_pairs(image, guest, true, "bench.pairs_cached");
   const double pair_speedup =
-      legacy.per_second() > 0 ? fast.per_second() / legacy.per_second() : 0.0;
-  std::printf("legacy (no cache, no batching): %8.0f pairs/sec (%llu pairs in %.3fs)\n",
-              legacy.per_second(),
-              static_cast<unsigned long long>(legacy.result.total_tuples),
-              legacy.seconds);
-  std::printf("cached + lockstep batched:      %8.0f pairs/sec (%llu pairs in %.3fs)\n",
-              fast.per_second(),
-              static_cast<unsigned long long>(fast.result.total_tuples),
-              fast.seconds);
+      uncached.per_second() > 0 ? cached.per_second() / uncached.per_second() : 0.0;
+  std::printf("uncached: %8.0f pairs/sec (%llu pairs in %.3fs)\n", uncached.per_second(),
+              static_cast<unsigned long long>(uncached.result.total_tuples),
+              uncached.seconds);
+  std::printf("cached:   %8.0f pairs/sec (%llu pairs in %.3fs)\n", cached.per_second(),
+              static_cast<unsigned long long>(cached.result.total_tuples),
+              cached.seconds);
   std::printf("speedup: %.2fx (acceptance: >= 2x)\n", pair_speedup);
-  const bool identical = fast.result.to_json() == legacy.result.to_json();
+  const bool identical = cached.result.to_json() == uncached.result.to_json();
   std::printf("pair classification identical: %s\n", identical ? "yes" : "NO");
   if (!identical) {
-    std::printf("FAILED: cached+batched pair sweep diverged from the legacy engine\n");
+    std::printf("FAILED: cached pair sweep diverged from the uncached engine\n");
     return 1;
   }
   if (pair_speedup < 2.0) {
@@ -245,9 +241,9 @@ int main(int argc, char** argv) {
          << "  \"cached_instructions_per_second\": "
          << legs.front().cached.per_second() << ",\n"
          << "  \"emu_speedup\": " << legs.front().speedup << ",\n"
-         << "  \"total_pairs\": " << fast.result.total_tuples << ",\n"
-         << "  \"legacy_pairs_per_second\": " << legacy.per_second() << ",\n"
-         << "  \"batched_pairs_per_second\": " << fast.per_second() << ",\n"
+         << "  \"total_pairs\": " << cached.result.total_tuples << ",\n"
+         << "  \"uncached_pairs_per_second\": " << uncached.per_second() << ",\n"
+         << "  \"cached_pairs_per_second\": " << cached.per_second() << ",\n"
          << "  \"pair_speedup\": " << pair_speedup << ",\n"
          << "  \"classification_identical\": " << (identical ? "true" : "false")
          << "\n"

@@ -50,10 +50,6 @@ std::uint64_t residual_count(const patch::PipelineResult& result, unsigned order
   return result.final_campaign.vulnerabilities.size();
 }
 
-bool clean_at(const patch::PipelineResult& result, unsigned order) {
-  return order == 1 ? result.fixpoint : result.orderk_fixpoint;
-}
-
 /// Pruned vs exhaustive order-2 sweeps on `image`, at 1 and 8 threads: all
 /// four runs must agree on the order-1 sweep, the outcome counts and every
 /// successful pair (faults, golden and hit addresses). Returns false on
@@ -166,7 +162,7 @@ int main(int argc, char** argv) {
       const double seconds = phase.stop();
 
       const std::uint64_t residual = residual_count(result, order);
-      const bool clean = clean_at(result, order);
+      const bool clean = result.verdict();
       std::printf(
           "%-10s k=%u clean=%-3s residual=%llu overhead=%5.1f%% "
           "iterations=%zu %6.2fs\n",

@@ -22,19 +22,19 @@ using namespace r2r;
 /// machine replayed from entry for every fault of the sweep.
 sim::CampaignResult seed_serial_campaign(const elf::Image& image,
                                          const guests::Guest& guest) {
-  const fault::Oracle oracle =
-      fault::make_oracle(image, guest.good_input, guest.bad_input);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
   sim::CampaignResult result;
-  result.trace_length = oracle.bad_trace.size();
+  result.trace_length = refs.bad_trace.size();
 
   emu::RunConfig run_config;
-  run_config.fuel = oracle.bad_reference.steps * 8 + 4096;
+  run_config.fuel = refs.bad_reference.steps * 8 + 4096;
   sim::FaultModels models;  // the paper's two models (skip + bit flip)
   for (const sim::PlannedFault& planned :
-       sim::enumerate_faults(models, oracle.bad_trace)) {
+       sim::enumerate_faults(models, refs.bad_trace)) {
     run_config.fault = planned.spec;
     const emu::RunResult run = emu::run_image(image, guest.bad_input, run_config);
-    const fault::Outcome outcome = oracle.classify(run, 42);
+    const fault::Outcome outcome = sim::classify(refs, run, 42);
     ++result.outcome_counts[outcome];
     ++result.total_faults;
     if (outcome == fault::Outcome::kSuccess) {

@@ -133,7 +133,7 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     config.max_iterations = plan.max_iterations;
     const patch::PipelineResult result =
         patch::faulter_patcher(image, guest.good_input, guest.bad_input, config);
-    row.ok = plan.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
+    row.ok = result.verdict();
     row.cells = {std::to_string(result.iterations.size()),
                  std::to_string(result.final_campaign.order1.vulnerabilities.size())};
     if (plan.campaign.models.order >= 2) {

@@ -21,7 +21,7 @@ ArgParser make_fixpoint_parser() {
       "residual fault pair's (then k-tuple's) sites until the sweep at the\n"
       "requested order comes back clean. Exits 0 only at a genuine fix-point.");
   add_campaign_flags(parser);
-  parser.add_flag({"--max-iterations", "N", "iteration cap across all phases", "12"});
+  parser.add_flag({"--max-iterations", "N", "iteration cap across all ladder rungs", "12"});
   parser.add_flag({"--elf", "FILE", "also write the hardened ELF to FILE", ""});
   add_guest_flags(parser);
   add_format_flags(parser);
@@ -60,12 +60,7 @@ int run_fixpoint(const ArgParser& args, std::ostream& out, std::ostream& err) {
     out << "hardened ELF written to " << *elf_path << " (" << bytes.size() << " bytes)\n";
   }
 
-  // Order 1: the paper's fix-point (no *patchable* vulnerability remains —
-  // unpatchable residue is reported, not a failure). Order 2+: zero residual
-  // fault sets at every level up to the requested order.
-  const bool clean =
-      config.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
-  return clean ? 0 : 1;
+  return result.verdict() ? 0 : 1;
 }
 
 }  // namespace r2r::cli

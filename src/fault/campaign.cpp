@@ -1,24 +1,8 @@
 #include "fault/campaign.h"
 
-#include <utility>
-
 #include "support/error.h"
 
 namespace r2r::fault {
-
-Outcome Oracle::classify(const emu::RunResult& run, int detected_exit_code) const {
-  return sim::classify(good_reference, bad_reference, run, detected_exit_code);
-}
-
-Oracle make_oracle(const elf::Image& image, const std::string& good_input,
-                   const std::string& bad_input) {
-  sim::References refs = sim::make_references(image, good_input, bad_input);
-  Oracle oracle;
-  oracle.good_reference = std::move(refs.good_reference);
-  oracle.bad_reference = std::move(refs.bad_reference);
-  oracle.bad_trace = std::move(refs.bad_trace);
-  return oracle;
-}
 
 TupleCampaignResult run_campaign(const elf::Image& image, const std::string& good_input,
                                  const std::string& bad_input,
@@ -42,7 +26,6 @@ TupleCampaignResult run_campaign(const elf::Image& image, const std::string& goo
   result.order = 1;
   result.order1 = engine.run(config.models);
   result.trace_length = result.order1.trace_length;
-  result.threads_used = result.order1.threads_used;
   return result;
 }
 

@@ -15,10 +15,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "elf/image.h"
-#include "emu/machine.h"
 #include "patch/detected_exit.h"
 #include "sim/engine.h"
 
@@ -62,19 +60,6 @@ struct CampaignConfig {
   /// sim::EngineConfig).
   bool pair_outcome_reuse = true;
 };
-
-/// Golden (fault-free) references for both inputs. Throws Error{kExecution}
-/// if the binary does not show the expected differential behaviour.
-struct Oracle {
-  emu::RunResult good_reference;
-  emu::RunResult bad_reference;
-  std::vector<emu::TraceEntry> bad_trace;
-
-  Outcome classify(const emu::RunResult& run, int detected_exit_code) const;
-};
-
-Oracle make_oracle(const elf::Image& image, const std::string& good_input,
-                   const std::string& bad_input);
 
 /// Runs the campaign at config.models.order through one sim::Engine: the
 /// order-1 sweep (Engine::run) at order 1 — `levels` empty, the sweep in

@@ -182,8 +182,7 @@ std::string order1_campaign_section(const std::string& binary_name,
          std::to_string(campaign.vulnerable_addresses().size()) + " point(s))\n";
   out += "  engine: checkpoint interval " + std::to_string(campaign.checkpoint_interval) +
          ", " + std::to_string(campaign.snapshot_count) + " snapshots, " +
-         std::to_string(campaign.pruned_faults) + " runs convergence-pruned, " +
-         std::to_string(campaign.threads_used) + " thread(s)\n";
+         std::to_string(campaign.pruned_faults) + " runs convergence-pruned\n";
   out += outcome_table("outcome", campaign.outcome_counts).render();
   if (campaign.vulnerabilities.empty()) {
     out += "no vulnerabilities.\n";
@@ -203,8 +202,7 @@ std::string order1_campaign_markdown_section(const std::string& binary_name,
          " vulnerable point(s). Engine: checkpoint interval " +
          std::to_string(campaign.checkpoint_interval) + ", " +
          std::to_string(campaign.snapshot_count) + " snapshots, " +
-         std::to_string(campaign.pruned_faults) + " runs convergence-pruned, " +
-         std::to_string(campaign.threads_used) + " thread(s).\n\n";
+         std::to_string(campaign.pruned_faults) + " runs convergence-pruned.\n\n";
   out += outcome_table("outcome", campaign.outcome_counts).render_markdown();
   if (!campaign.vulnerabilities.empty()) {
     out += "\n" + vulnerable_point_table(campaign).render_markdown();

@@ -56,10 +56,4 @@ PatchStats reinforce_sites(bir::Module& module, std::vector<std::uint64_t> sites
   });
 }
 
-PatchStats apply_tuple_patches(bir::Module& module,
-                               const std::vector<fault::TupleVulnerability>& tuples,
-                               std::uint64_t pair_window, unsigned order) {
-  return reinforce_sites(module, fault::tuple_patch_sites(tuples), pair_window, order);
-}
-
 }  // namespace r2r::patch

@@ -42,11 +42,4 @@ PatchStats apply_patches(bir::Module& module,
 PatchStats reinforce_sites(bir::Module& module, std::vector<std::uint64_t> sites,
                            std::uint64_t pair_window, unsigned order = 2);
 
-/// tuple → site attribution + reinforcement in one step: reinforce_sites
-/// over fault::tuple_patch_sites(tuples) — every address a tuple's faults
-/// actually struck — at redundancy degree `order`.
-PatchStats apply_tuple_patches(bir::Module& module,
-                               const std::vector<fault::TupleVulnerability>& tuples,
-                               std::uint64_t pair_window, unsigned order);
-
 }  // namespace r2r::patch

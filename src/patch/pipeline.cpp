@@ -76,109 +76,35 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
   result.original_code_size = input.code_size();
   result.module = bir::recover(input);
 
-  // ---- phase 1: the paper's Fig. 2 loop — order-1 campaigns only. Even
-  // when order 2 was requested, the single-fault fix-point is driven by
-  // order-1 sweeps: they are a fraction of a pair sweep's cost, and the
-  // order-2 phase re-checks the order-1 residue anyway.
-  fault::CampaignConfig order1_campaign = config.campaign;
-  order1_campaign.models.order = 1;
-
-  unsigned iteration = 0;
-  for (; iteration < config.max_iterations; ++iteration) {
+  // The order ladder. Each iteration sweeps fault sets at the current rung
+  // m, patches every order-1 vulnerability, maps every residual
+  // strictly-order-m set back to its static sites (every address its faults
+  // actually struck) and reinforces them at redundancy degree m. Rung 1 is
+  // the paper's Fig. 2 loop: its order-1 sweeps cost a fraction of a set
+  // sweep and carry no sets, so only apply_patches acts on them.
+  // The order-1 sweep is phase A of every higher-order sweep — and at order
+  // >= 3 every level 2..m-1 is swept on the way up — so regressions
+  // reinforcement introduces at a cheaper order are caught in the same pass
+  // and send the ladder back down to the lowest dirty rung, never below 2.
+  // A rung proven clean advances the ladder and records its code size as
+  // that order's milestone (the overhead-vs-k trajectory).
+  unsigned rung = 1;
+  fault::CampaignConfig campaign_config = config.campaign;
+  for (unsigned iteration = 0; iteration < config.max_iterations; ++iteration) {
+    campaign_config.models.order = rung;
     obs::Span iter_span("fixpoint.iteration",
-                        obs::args_u64({{"iteration", iteration}, {"order", 1}}));
+                        obs::args_u64({{"iteration", iteration}, {"order", rung}}));
     iterations_total.add(1);
     elf::Image image = bir::assemble(result.module);
     fault::TupleCampaignResult campaign = [&] {
       obs::Span span("fixpoint.campaign");
-      return fault::run_campaign(image, good_input, bad_input, order1_campaign);
-    }();
-    IterationReport report = make_report(campaign, image.code_size());
-    iter_span.set_args(obs::args_u64({{"iteration", iteration},
-                                      {"order", 1},
-                                      {"successful_faults",
-                                       report.successful_faults}}));
-
-    if (campaign.order1.vulnerabilities.empty()) {
-      result.hardened = std::move(image);
-      result.final_campaign = std::move(campaign);
-      result.fixpoint = true;
-      result.iterations.push_back(report);
-      break;
-    }
-
-    const PatchStats stats = [&] {
-      obs::Span span("fixpoint.patch");
-      return apply_patches(result.module, campaign.order1.vulnerabilities);
-    }();
-    report.patches_applied = stats.total_applied();
-    patches_total.add(stats.total_applied());
-    report.unpatchable_points = stats.unpatchable.size();
-    result.iterations.push_back(report);
-
-    if (stats.total_applied() == 0) {
-      // Every remaining vulnerability is unpatchable: a fix-point with
-      // residual risk (the paper's single-bit-flip case).
-      result.hardened = std::move(image);
-      result.final_campaign = std::move(campaign);
-      result.fixpoint = true;
-      break;
-    }
-  }
-
-  if (result.hardened.segments.empty()) {
-    // Iteration cap hit mid-phase-1: report the state of the last patched
-    // module (order-2 phase never ran).
-    result.hardened = bir::assemble(result.module);
-    result.final_campaign =
-        fault::run_campaign(result.hardened, good_input, bad_input, order1_campaign);
-    result.hardened_code_size = result.hardened.code_size();
-    return result;
-  }
-
-  if (requested_order < 2) {
-    result.hardened_code_size = result.hardened.code_size();
-    return result;
-  }
-
-  // ---- phase 2: the order ladder. Each pass sweeps fault sets at the
-  // current rung (starting at pairs), maps every residual strictly-order-m
-  // set back to its static sites (every address its faults actually struck)
-  // and reinforces them at redundancy degree m; iterations count against
-  // the same cap as phase 1. The order-1 sweep is phase A of every
-  // higher-order sweep — and at order >= 3 every level 2..m-1 is swept on
-  // the way up — so regressions reinforcement introduces at a cheaper order
-  // are caught in the same pass and send the ladder back down to the lowest
-  // dirty rung. A rung proven clean advances the ladder and records its
-  // code size as that order's milestone (the overhead-vs-k trajectory).
-  result.order1_code_size = result.hardened.code_size();
-  record_milestone(result.order_milestones, 1, result.order1_code_size);
-  const std::uint64_t pair_window = config.campaign.models.pair_window;
-  result.fixpoint = false;
-  result.hardened = elf::Image{};  // re-established by the ladder
-
-  unsigned current_order = 2;
-  fault::CampaignConfig ladder_campaign = config.campaign;
-
-  // The shared cap counts campaigns actually run: phase 1's fix-point pass
-  // broke out before its ++, so resume from the report count.
-  iteration = static_cast<unsigned>(result.iterations.size());
-  for (; iteration < config.max_iterations; ++iteration) {
-    ladder_campaign.models.order = current_order;
-    obs::Span iter_span("fixpoint.iteration",
-                        obs::args_u64({{"iteration", iteration},
-                                       {"order", current_order}}));
-    iterations_total.add(1);
-    elf::Image image = bir::assemble(result.module);
-    fault::TupleCampaignResult campaign = [&] {
-      obs::Span span("fixpoint.campaign");
-      return fault::run_campaign(image, good_input, bad_input, ladder_campaign);
+      return fault::run_campaign(image, good_input, bad_input, campaign_config);
     }();
 
     IterationReport report = make_report(campaign, image.code_size());
     iter_span.set_args(obs::args_u64(
         {{"iteration", iteration},
-         {"order", current_order},
+         {"order", rung},
          {"successful_faults", report.successful_faults},
          {"successful_tuples", report.successful_tuples}}));
     // Reinforce only the strictly-order-m sets: a set one of whose faults
@@ -191,94 +117,95 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     report.tuple_patch_sites = sites.size();
 
     const unsigned dirty_order = lowest_dirty_order(campaign);
-    if (dirty_order == 0) {
-      record_milestone(result.order_milestones, current_order, image.code_size());
+    if (dirty_order != 0) {
+      obs::Span patch_span("fixpoint.patch");
+      PatchStats stats = apply_patches(result.module, campaign.order1.vulnerabilities);
+      // A site can be order-1 vulnerable *and* set-implicated (a different
+      // fault kind at the same address); the order-1 patcher just protected
+      // those, so reinforcing them again would stack the identical pattern
+      // twice in one pass. Sites apply_patches could not handle stay:
+      // synthesized code it refuses is exactly what reinforcement is for.
+      std::vector<std::uint64_t> patched = campaign.order1.vulnerable_addresses();
+      for (const std::uint64_t address : stats.unpatchable) {
+        patched.erase(std::remove(patched.begin(), patched.end(), address),
+                      patched.end());
+      }
+      sites.erase(std::remove_if(sites.begin(), sites.end(),
+                                 [&](std::uint64_t site) {
+                                   return std::binary_search(patched.begin(),
+                                                             patched.end(), site);
+                                 }),
+                  sites.end());
+      const PatchStats reinforce_stats = reinforce_sites(
+          result.module, std::move(sites), config.campaign.models.pair_window, rung);
+      patch_span.end();
+      for (const auto& [kind, count] : reinforce_stats.applied) {
+        stats.applied[kind] += count;
+      }
+      report.patches_applied = stats.total_applied();
+      patches_total.add(stats.total_applied());
+      // An address can be unpatchable to both passes; count it once.
+      std::vector<std::uint64_t> unpatchable = stats.unpatchable;
+      unpatchable.insert(unpatchable.end(), reinforce_stats.unpatchable.begin(),
+                         reinforce_stats.unpatchable.end());
+      std::sort(unpatchable.begin(), unpatchable.end());
+      unpatchable.erase(std::unique(unpatchable.begin(), unpatchable.end()),
+                        unpatchable.end());
+      report.unpatchable_points = unpatchable.size();
       result.iterations.push_back(report);
-      if (current_order >= requested_order) {
+
+      // Resume at the lowest dirty rung (never below 2 — singles ride along
+      // in every sweep) so cheap sweeps clear cheap regressions before the
+      // next expensive order-m sweep. When nothing was patched because this
+      // sweep's top level is clean but an intermediate level still succeeds
+      // (no fault set to map to sites), that rung's own sweep exposes the
+      // level's sets as top-level vulnerabilities the patcher can reach.
+      const bool drop_back = dirty_order >= 2 && dirty_order < rung;
+      if (drop_back) rung = dirty_order;
+      if (stats.total_applied() != 0 || drop_back) continue;
+      if (rung >= 2) {
+        // No patch or reinforcement left anywhere: a fix-point with
+        // residual risk (e.g. an unpatchable order-1 bit-flip residue,
+        // whose republished sets are filtered above, so the loop does not
+        // burn the cap re-sweeping a binary it cannot improve).
         result.hardened = std::move(image);
         result.final_campaign = std::move(campaign);
         result.fixpoint = true;
-        result.orderk_fixpoint = true;
         break;
       }
-      ++current_order;  // rung clean — climb (re-sweeping the same image)
-      continue;
+      // Rung 1 with every vulnerability unpatchable: the paper's fix-point
+      // with residual risk (its single-bit-flip case). It ends rung 1 like
+      // a clean sweep does, so a higher requested order still climbs.
+    } else {
+      result.iterations.push_back(report);
     }
 
-    obs::Span patch_span("fixpoint.patch");
-    PatchStats stats = apply_patches(result.module, campaign.order1.vulnerabilities);
-    // A site can be order-1 vulnerable *and* set-implicated (a different
-    // fault kind at the same address); the order-1 patcher just protected
-    // those, so reinforcing them again would stack the identical pattern
-    // twice in one pass. Sites apply_patches could not handle stay:
-    // synthesized code it refuses is exactly what reinforcement is for.
-    std::vector<std::uint64_t> patched = campaign.order1.vulnerable_addresses();
-    for (const std::uint64_t address : stats.unpatchable) {
-      patched.erase(std::remove(patched.begin(), patched.end(), address),
-                    patched.end());
+    if (requested_order >= 2) {
+      if (rung == 1) result.order1_code_size = image.code_size();
+      record_milestone(result.order_milestones, rung, image.code_size());
     }
-    sites.erase(std::remove_if(sites.begin(), sites.end(),
-                               [&](std::uint64_t site) {
-                                 return std::binary_search(patched.begin(),
-                                                           patched.end(), site);
-                               }),
-                sites.end());
-    const PatchStats reinforce_stats = reinforce_sites(
-        result.module, std::move(sites), pair_window, current_order);
-    patch_span.end();
-    for (const auto& [kind, count] : reinforce_stats.applied) {
-      stats.applied[kind] += count;
-    }
-    report.patches_applied = stats.total_applied();
-    patches_total.add(stats.total_applied());
-    // An address can be unpatchable to both passes; count it once.
-    std::vector<std::uint64_t> unpatchable = stats.unpatchable;
-    unpatchable.insert(unpatchable.end(), reinforce_stats.unpatchable.begin(),
-                       reinforce_stats.unpatchable.end());
-    std::sort(unpatchable.begin(), unpatchable.end());
-    unpatchable.erase(std::unique(unpatchable.begin(), unpatchable.end()),
-                      unpatchable.end());
-    report.unpatchable_points = unpatchable.size();
-    result.iterations.push_back(report);
-
-    if (stats.total_applied() == 0) {
-      if (dirty_order >= 2 && dirty_order < current_order) {
-        // This sweep's top level is clean but an intermediate level still
-        // succeeds, so there was no fault set to map to sites. Drop back to
-        // the dirty rung: its own sweep exposes that level's fault sets as
-        // top-level vulnerabilities the patcher can reach.
-        current_order = dirty_order;
-        continue;
-      }
-      // No patch or reinforcement left anywhere — the ladder analogue of
-      // phase 1's fix-point with residual risk (e.g. an unpatchable order-1
-      // bit-flip residue, whose republished sets are filtered above, so
-      // the loop does not burn the cap re-sweeping a binary it cannot
-      // improve).
+    if (rung >= requested_order) {
       result.hardened = std::move(image);
       result.final_campaign = std::move(campaign);
       result.fixpoint = true;
+      result.orderk_fixpoint = requested_order >= 2;
       break;
     }
-    // Something was patched. Resume at the lowest dirty rung (never below
-    // 2 — singles ride along in every sweep) so cheap sweeps clear cheap
-    // regressions before the next expensive order-m sweep.
-    if (dirty_order >= 2 && dirty_order < current_order) current_order = dirty_order;
+    ++rung;  // rung done — climb (re-sweeping the same image)
   }
 
   if (result.hardened.segments.empty()) {
-    // Iteration cap hit: report the state of the last reinforced module
-    // against the *requested* order. (When phase 1 consumed the whole cap,
-    // this is the first — and only — higher-order campaign, so the caller
-    // still gets tuple data.) A clean final campaign is a genuine fix
-    // point even at the cap.
+    // Iteration cap hit: report the state of the last patched module
+    // against the *requested* order, so an order-k caller always gets
+    // order-k data. A clean final campaign is a genuine fix-point even at
+    // the cap.
     result.hardened = bir::assemble(result.module);
     result.final_campaign =
         fault::run_campaign(result.hardened, good_input, bad_input, config.campaign);
     const bool clean = lowest_dirty_order(result.final_campaign) == 0;
-    result.orderk_fixpoint = clean;
     result.fixpoint = clean;
-    if (clean) {
+    result.orderk_fixpoint = clean && requested_order >= 2;
+    if (clean && requested_order >= 2) {
       record_milestone(result.order_milestones, requested_order,
                        result.hardened.code_size());
     }

@@ -8,15 +8,17 @@
 // iteration cap is hit. Patching changes distances between instructions and
 // can surface new vulnerabilities, exactly as Section IV-B.3 describes.
 //
-// Order-k mode (campaign.models.order == k >= 2): once the order-1
-// fix-point is reached, the loop climbs an order ladder — campaigns at
-// order m map every residual strictly-order-m fault set back to its static
-// patch sites and reinforce them at redundancy degree m
-// (reinforce_instruction), advancing to order m+1 only when order m is
-// clean and dropping back to the lowest dirty level whenever reinforcement
-// regresses a cheaper order. This closes the gap the paper's Fig. 2 leaves
-// open: its loop only ever re-runs order-1 campaigns, so it declares
-// victory on binaries a k-glitch attacker still breaks.
+// The loop is one order ladder whose first rung is the paper's loop: rung
+// 1 runs order-1 campaigns and applies the Tables I-III patterns until no
+// patchable vulnerability remains. With campaign.models.order == k >= 2 it
+// then climbs — campaigns at order m map every residual strictly-order-m
+// fault set back to its static patch sites and reinforce them at
+// redundancy degree m (reinforce_instruction), advancing to order m+1 only
+// when order m is clean and dropping back to the lowest dirty rung (never
+// below 2) whenever reinforcement regresses a cheaper order. This closes
+// the gap the paper's Fig. 2 leaves open: its loop only ever re-runs
+// order-1 campaigns, so it declares victory on binaries a k-glitch
+// attacker still breaks.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +32,13 @@
 namespace r2r::patch {
 
 struct PipelineConfig {
-  /// campaign.models.order selects the fix-point target: 1 = the paper's
-  /// loop, k >= 2 = order-1 fix-point followed by the order ladder up to
-  /// order-k reinforcement (campaign.models.max_tuples / sample_seed bound
-  /// the order-3+ sweeps). The iteration cap is shared across all phases.
+  /// campaign.models.order selects the top rung of the ladder: 1 = the
+  /// paper's loop, k >= 2 = rung 1 followed by rungs 2..k
+  /// (campaign.models.max_tuples / sample_seed bound the order-2+ sweeps).
   fault::CampaignConfig campaign;
+  /// Campaigns the ladder may run, across every rung. A run that hits the
+  /// cap re-sweeps the last patched module at the requested order; a clean
+  /// sweep there is still a fix-point.
   unsigned max_iterations = 12;
 };
 
@@ -63,22 +67,36 @@ struct PipelineResult {
   bir::Module module;            ///< final (hardened) module
   elf::Image hardened;           ///< final image
   std::vector<IterationReport> iterations;
-  fault::TupleCampaignResult final_campaign;  ///< campaign against the final image
-  bool fixpoint = false;         ///< no patchable vulnerabilities remain
+  /// Campaign against the final image; order >= 2 exactly when order >= 2
+  /// was requested.
+  fault::TupleCampaignResult final_campaign;
+  /// No patchable vulnerability remains (when the iteration cap hit: the
+  /// final sweep at the requested order is clean).
+  bool fixpoint = false;
   /// Order-2+ mode: the final campaign at the *requested* order found zero
   /// successful fault sets at every level (singles and every tuple level
   /// 2..k). Always false when order 1 was requested.
   bool orderk_fixpoint = false;
   std::uint64_t original_code_size = 0;
   std::uint64_t hardened_code_size = 0;
-  /// Order-2+ mode: bytes of .text at the order-1 fix-point — the baseline
-  /// of the higher-order overhead delta. Zero when order 1 was requested.
+  /// Order-2+ mode: bytes of .text where rung 1 ended (the order-1
+  /// fix-point) — the baseline of the higher-order overhead delta. Zero when
+  /// order 1 was requested or the iteration cap hit on rung 1.
   std::uint64_t order1_code_size = 0;
   /// Overhead-vs-k trajectory, ascending by order: code size at each order's
   /// latest clean sweep (order 1 mirrors order1_code_size; the requested
   /// order appears only if the ladder proved it clean). Empty when order 1
   /// was requested.
   std::vector<OrderMilestone> order_milestones;
+
+  /// The fix-point verdict `r2r fixpoint`, `r2r batch` and the r2rd
+  /// fixpoint job exit with. Order 1: the paper's fix-point (no *patchable*
+  /// vulnerability remains — unpatchable residue is reported, not a
+  /// failure). Order 2+: zero residual fault sets at every level up to the
+  /// requested order.
+  [[nodiscard]] bool verdict() const noexcept {
+    return final_campaign.order >= 2 ? orderk_fixpoint : fixpoint;
+  }
 
   /// Code-size overhead percentage — the paper's Table V metric.
   [[nodiscard]] double overhead_percent() const noexcept {
@@ -89,7 +107,7 @@ struct PipelineResult {
            static_cast<double>(original_code_size);
   }
 
-  /// Table-V-style overhead of the order-1 phase alone (order-2+ mode only).
+  /// Table-V-style overhead of rung 1 alone (order-2+ mode only).
   [[nodiscard]] double order1_overhead_percent() const noexcept {
     if (original_code_size == 0 || order1_code_size == 0) return 0.0;
     return 100.0 *

@@ -31,19 +31,17 @@ using support::ErrorKind;
 
 /// Chunked dynamic scheduling shared by every sweep: workers pull
 /// fixed-size index ranges from a shared cursor; each owns private state
-/// built by make_state() (a Machine, or a walker/scratch pair for the
-/// batched sweeps). Slot i of the caller's result vector is written only by
-/// per_item(state, i), so aggregation order — and every derived counter —
-/// is identical for every thread count. The first worker exception is
-/// rethrown after the join. Each worker covers its lifetime with an obs
-/// span named `span_label` and ticks `progress` (when non-null) once per
-/// item — both no-ops unless the caller opted into observability, and
-/// neither touches the result slots. Returns the thread count used.
+/// built by make_state() (a Machine, or nothing for the sampler). Slot i of
+/// the caller's result vector is written only by per_item(state, i), so
+/// aggregation order — and every derived counter — is identical for every
+/// thread count. The first worker exception is rethrown after the join.
+/// Each worker covers its lifetime with an obs span named `span_label` and
+/// ticks `progress` (when non-null) once per item — both no-ops unless the
+/// caller opted into observability, and neither touches the result slots.
 template <typename MakeState, typename PerItem>
-unsigned run_sharded_state(unsigned configured_threads, std::size_t count,
-                           std::size_t chunk, const char* span_label,
-                           obs::Progress* progress, const MakeState& make_state,
-                           const PerItem& per_item) {
+void run_sharded_state(unsigned configured_threads, std::size_t count, std::size_t chunk,
+                       const char* span_label, obs::Progress* progress,
+                       const MakeState& make_state, const PerItem& per_item) {
   unsigned threads = configured_threads != 0
                          ? configured_threads
                          : std::max(1u, std::thread::hardware_concurrency());
@@ -86,17 +84,15 @@ unsigned run_sharded_state(unsigned configured_threads, std::size_t count,
     for (std::thread& thread : pool) thread.join();
   }
   if (first_error) std::rethrow_exception(first_error);
-  return threads;
 }
 
 /// The classic one-machine-per-worker shard (order-1 profile, per-tuple
 /// simulation). `block_cache` selects the worker machines' dispatch mode.
 template <typename PerItem>
-unsigned run_sharded(const elf::Image& image, const std::string& stdin_data,
-                     bool block_cache, unsigned configured_threads, std::size_t count,
-                     const char* span_label, obs::Progress* progress,
-                     const PerItem& per_item) {
-  return run_sharded_state(
+void run_sharded(const elf::Image& image, const std::string& stdin_data, bool block_cache,
+                 unsigned configured_threads, std::size_t count, const char* span_label,
+                 obs::Progress* progress, const PerItem& per_item) {
+  run_sharded_state(
       configured_threads, count, /*chunk=*/64, span_label, progress,
       [&]() {
         emu::Machine machine(image, stdin_data);
@@ -595,85 +591,25 @@ Engine::FaultProfile Engine::profile_one(emu::Machine& machine, const PlannedFau
                              pruned);
 }
 
-unsigned Engine::profile_all(const std::vector<PlannedFault>& plan,
-                             std::vector<FaultProfile>& profiles,
-                             std::atomic<std::uint64_t>& pruned,
-                             obs::Progress& progress) const {
+void Engine::profile_all(const std::vector<PlannedFault>& plan,
+                         std::vector<FaultProfile>& profiles,
+                         std::atomic<std::uint64_t>& pruned, obs::Progress& progress) const {
   profiles.assign(plan.size(), FaultProfile{});
-  if (!config_.lockstep_batching) {
-    return run_sharded(image_, bad_input_, config_.block_cache, config_.threads,
-                       plan.size(), "sim.worker", &progress,
-                       [&](emu::Machine& machine, std::size_t i) {
-                         profiles[i] = profile_one(machine, plan[i], pruned);
-                       });
-  }
-
-  // Lockstep batching: the plan (grouped by ascending trace index) is cut
-  // into checkpoint segments. A worker restores the segment's checkpoint
-  // once into its walker, advances the walker along the golden prefix once
-  // per distinct injection point, and forks every fault at that point from
-  // a local snapshot into its scratch machine — instead of replaying the
-  // prefix from the checkpoint for every single fault. Determinism makes
-  // this exact: a machine forked at step t is the machine replayed to t.
-  struct Segment {
-    std::size_t begin = 0;
-    std::size_t end = 0;  ///< [begin, end) range of plan indices
-  };
-  std::vector<Segment> segments;
-  for (std::size_t i = 0; i < plan.size();) {
-    const std::uint64_t key = plan[i].spec.trace_index / interval_;
-    std::size_t j = i;
-    while (j < plan.size() && plan[j].spec.trace_index / interval_ == key) ++j;
-    segments.push_back(Segment{i, j});
-    i = j;
-  }
-
-  struct State {
-    emu::Machine walker;
-    emu::Machine scratch;
-  };
-  return run_sharded_state(
-      config_.threads, segments.size(), /*chunk=*/1, "sim.worker", nullptr,
-      [&]() {
-        State state{emu::Machine(image_, bad_input_), emu::Machine(image_, bad_input_)};
-        state.walker.set_block_cache_enabled(config_.block_cache);
-        state.scratch.set_block_cache_enabled(config_.block_cache);
-        return state;
-      },
-      [&](State& state, std::size_t s) {
-        const Segment segment = segments[s];
-        const std::size_t checkpoint = std::min<std::size_t>(
-            plan[segment.begin].spec.trace_index / interval_, chain_.size() - 1);
-        timed_restore(chain_[checkpoint], state.walker);
-        RunConfig advance;
-        std::size_t i = segment.begin;
-        while (i < segment.end) {
-          const std::uint64_t t = plan[i].spec.trace_index;
-          // The golden run exits strictly after the last trace index, so
-          // this never terminates early.
-          advance.fuel = t;
-          state.walker.run(advance);
-          const MachineSnapshot at_t = capture(state.walker);
-          const std::uint64_t boundary = (t / interval_ + 1) * interval_;
-          for (; i < segment.end && plan[i].spec.trace_index == t; ++i) {
-            timed_restore(at_t, state.scratch);
-            profiles[i] = finish_with_pruning(state.scratch, plan[i].spec, boundary, pruned);
-          }
-        }
-        progress.tick(segment.end - segment.begin);
-      });
+  run_sharded(image_, bad_input_, config_.block_cache, config_.threads, plan.size(),
+              "sim.worker", &progress, [&](emu::Machine& machine, std::size_t i) {
+                profiles[i] = profile_one(machine, plan[i], pruned);
+              });
 }
 
 CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
                                         const std::vector<Outcome>& outcomes,
-                                        std::uint64_t pruned, unsigned threads) const {
+                                        std::uint64_t pruned) const {
   CampaignResult result;
   result.trace_length = refs_.bad_trace.size();
   result.total_faults = plan.size();
   result.checkpoint_interval = interval_;
   result.snapshot_count = chain_.size();
   result.pruned_faults = pruned;
-  result.threads_used = threads;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     ++result.outcome_counts[outcomes[i]];
     if (outcomes[i] == Outcome::kSuccess) {
@@ -697,12 +633,12 @@ CampaignResult Engine::run(const FaultModels& models) const {
   // not leave a previous sweep's rate standing in-process.
   obs::Metrics::instance().gauge("sim.faults_per_second").set(0);
   const std::uint64_t sweep_begin = obs::now_ns();
-  const unsigned threads = profile_all(plan, profiles, pruned_total, progress);
+  profile_all(plan, profiles, pruned_total, progress);
   const std::uint64_t sweep_ns = obs::now_ns() - sweep_begin;
 
   std::vector<Outcome> outcomes(plan.size(), Outcome::kNoEffect);
   for (std::size_t i = 0; i < plan.size(); ++i) outcomes[i] = profiles[i].outcome;
-  CampaignResult result = aggregate_order1(plan, outcomes, pruned_total.load(), threads);
+  CampaignResult result = aggregate_order1(plan, outcomes, pruned_total.load());
   record_order1_metrics(result);
   if (sweep_ns > 0) {
     obs::Metrics::instance().gauge("sim.faults_per_second")
@@ -769,18 +705,16 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   // reconvergence/termination metadata every level prunes with).
   std::vector<FaultProfile> profiles;
   std::atomic<std::uint64_t> pruned_total{0};
-  unsigned threads_used = 0;
   {
     obs::Span span("sim.tuples_profile", obs::args_u64({{"faults", plan.size()}}));
     obs::Progress progress("order-" + std::to_string(order) + " profile", plan.size());
-    threads_used = profile_all(plan, profiles, pruned_total, progress);
+    profile_all(plan, profiles, pruned_total, progress);
   }
   std::vector<Outcome> order1_outcomes(profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     order1_outcomes[i] = profiles[i].outcome;
   }
-  result.order1 =
-      aggregate_order1(plan, order1_outcomes, pruned_total.load(), threads_used);
+  result.order1 = aggregate_order1(plan, order1_outcomes, pruned_total.load());
   record_order1_metrics(result.order1);
 
   const bool reuse = config_.pair_outcome_reuse && config_.convergence_pruning;
@@ -872,14 +806,13 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
       obs::Progress progress("order-" + std::to_string(order) + " tuple sweep (level " +
                                  std::to_string(m) + ")",
                              sim_indices.size());
-      const unsigned threads = run_sharded(
-          image_, bad_input_, config_.block_cache, config_.threads, sim_indices.size(),
-          "sim.tuple_worker", &progress, [&](emu::Machine& machine, std::size_t s) {
-            const std::size_t n = sim_indices[s];
-            outcomes[n] = simulate_tuple(machine, &flat[n * m], m, plan,
-                                         &sim_hits[s * (m - 1)], converged_total);
-          });
-      threads_used = std::max(threads_used, threads);
+      run_sharded(image_, bad_input_, config_.block_cache, config_.threads,
+                  sim_indices.size(), "sim.tuple_worker", &progress,
+                  [&](emu::Machine& machine, std::size_t s) {
+                    const std::size_t n = sim_indices[s];
+                    outcomes[n] = simulate_tuple(machine, &flat[n * m], m, plan,
+                                                 &sim_hits[s * (m - 1)], converged_total);
+                  });
     }
     level.simulated = sim_indices.size();
     level.converged = converged_total.load();
@@ -945,7 +878,6 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   result.total_tuples = summit.classified;
   result.enumerated_tuples = summit.enumerated;
   result.sampled = summit.sampled;
-  result.threads_used = threads_used;
 
   auto& metrics = obs::Metrics::instance();
   metrics.counter("sim.sweeps_orderk").add(1);
@@ -1004,7 +936,6 @@ std::string CampaignResult::to_json() const {
   json += "  \"checkpoint_interval\": " + std::to_string(checkpoint_interval) + ",\n";
   json += "  \"snapshot_count\": " + std::to_string(snapshot_count) + ",\n";
   json += "  \"pruned_faults\": " + std::to_string(pruned_faults) + ",\n";
-  json += "  \"threads\": " + std::to_string(threads_used) + ",\n";
   json += "  \"outcomes\": {";
   bool first = true;
   for (const auto& [outcome, count] : outcome_counts) {
@@ -1085,7 +1016,6 @@ std::string TupleCampaignResult::to_json() const {
   json += "  \"order\": " + std::to_string(order) + ",\n";
   json += "  \"trace_length\": " + std::to_string(trace_length) + ",\n";
   json += "  \"pair_window\": " + std::to_string(pair_window) + ",\n";
-  json += "  \"threads\": " + std::to_string(threads_used) + ",\n";
   json += "  \"order1\": " + support::nest_json(order1.to_json()) + ",\n";
   json += "  \"levels\": [";
   for (std::size_t i = 0; i < levels.size(); ++i) {

@@ -198,13 +198,6 @@ struct EngineConfig {
   /// fetch+decode — the bench baseline. Classification is bit-identical
   /// either way.
   bool block_cache = true;
-  /// Lockstep batched sweeps: all faults sharing a checkpoint segment run
-  /// behind one golden-prefix walker (restore the checkpoint once, walk
-  /// each prefix once, fork every fault from a per-index snapshot) instead
-  /// of replaying the prefix per fault. Bit-identical to the per-fault
-  /// schedule — the machine is deterministic, so forking from a snapshot
-  /// at step t equals replaying to step t.
-  bool lockstep_batching = true;
 };
 
 /// Sweep outcome aggregation (deterministic across thread counts).
@@ -218,7 +211,6 @@ struct CampaignResult {
   std::uint64_t checkpoint_interval = 0;
   std::uint64_t snapshot_count = 0;
   std::uint64_t pruned_faults = 0;  ///< classified via convergence pruning
-  unsigned threads_used = 0;
 
   [[nodiscard]] std::uint64_t count(Outcome outcome) const {
     const auto it = outcome_counts.find(outcome);
@@ -305,7 +297,6 @@ struct TupleCampaignResult {
   /// Engine::run(models).
   CampaignResult order1;
   std::vector<TupleLevelSummary> levels;  ///< orders 2..k, ascending
-  unsigned threads_used = 0;
 
   [[nodiscard]] std::uint64_t count(Outcome outcome) const {
     const auto it = outcome_counts.find(outcome);
@@ -416,17 +407,14 @@ class Engine {
   /// what keeps the two sweeps bit-identical by construction.
   CampaignResult aggregate_order1(const std::vector<PlannedFault>& plan,
                                   const std::vector<Outcome>& outcomes,
-                                  std::uint64_t pruned, unsigned threads) const;
+                                  std::uint64_t pruned) const;
 
   /// Profiles every fault of `plan` into `profiles` — the shared heart of
-  /// run() and run_tuples() phase A. Per-fault profile_one scheduling, or
-  /// the lockstep batched segment walk when config_.lockstep_batching is
-  /// on; slot i is written only by fault i either way. Returns the thread
-  /// count used.
-  unsigned profile_all(const std::vector<PlannedFault>& plan,
-                       std::vector<FaultProfile>& profiles,
-                       std::atomic<std::uint64_t>& pruned,
-                       obs::Progress& progress) const;
+  /// run() and run_tuples() phase A: profile_one per fault across the
+  /// worker threads, slot i written only by fault i.
+  void profile_all(const std::vector<PlannedFault>& plan,
+                   std::vector<FaultProfile>& profiles,
+                   std::atomic<std::uint64_t>& pruned, obs::Progress& progress) const;
 
   elf::Image image_;
   std::string bad_input_;

@@ -119,8 +119,10 @@ std::string JobSpec::cache_key() const {
   // the identity set — an order-3 budgeted sweep must never resolve to a
   // cached order-3 exhaustive (or differently-seeded) answer. Schema 3:
   // order 2 runs through the order-k sweep, so order-2 report bytes (and
-  // the campaign JSON at every order) changed shape.
-  canonical.set("r2rd_cache_key_schema", "3");
+  // the campaign JSON at every order) changed shape. Schema 4: campaign
+  // reports no longer carry a thread count, and a fix-point that hits the
+  // iteration cap on rung 1 answers at the requested order.
+  canonical.set("r2rd_cache_key_schema", "4");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }
@@ -238,9 +240,7 @@ JobResult run_fixpoint_job(const JobSpec& spec) {
     job.report = harden::fixpoint_section(spec.guest.name, result);
   }
   job.elf = elf_bytes(result.hardened);
-  const bool clean =
-      spec.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
-  job.exit_code = clean ? 0 : 1;
+  job.exit_code = result.verdict() ? 0 : 1;
   return job;
 }
 

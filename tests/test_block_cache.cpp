@@ -324,31 +324,30 @@ TEST(FaultInjection, OutOfRangeBitFlipFailsLoudlyInBothModes) {
   }
 }
 
-// ---- engine: cached+batched vs legacy classification ------------------------
+// ---- engine: cached vs uncached classification ------------------------------
 
-TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedUnbatchedEngine) {
+TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedEngine) {
   const guests::Guest& guest = guests::pincheck();
   const elf::Image image = guests::build_image(guest);
 
-  sim::EngineConfig fast;
-  fast.threads = 1;
-  sim::EngineConfig legacy = fast;
-  legacy.block_cache = false;
-  legacy.lockstep_batching = false;
+  sim::EngineConfig cached_config;
+  cached_config.threads = 1;
+  sim::EngineConfig uncached_config = cached_config;
+  uncached_config.block_cache = false;
 
-  const sim::Engine cached(image, guest.good_input, guest.bad_input, fast);
-  const sim::Engine baseline(image, guest.good_input, guest.bad_input, legacy);
+  const sim::Engine cached(image, guest.good_input, guest.bad_input, cached_config);
+  const sim::Engine uncached(image, guest.good_input, guest.bad_input, uncached_config);
 
   sim::FaultModels models;  // skip + bit flip
-  EXPECT_EQ(cached.run(models).to_json(), baseline.run(models).to_json());
+  EXPECT_EQ(cached.run(models).to_json(), uncached.run(models).to_json());
 
   models.bit_flip = false;  // keep the pair fan-out tier-1-sized
   models.order = 2;
   models.pair_window = 4;
-  EXPECT_EQ(cached.run_tuples(models).to_json(), baseline.run_tuples(models).to_json());
+  EXPECT_EQ(cached.run_tuples(models).to_json(), uncached.run_tuples(models).to_json());
 }
 
-TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveWithBatching) {
+TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustive) {
   const guests::Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
 

@@ -180,8 +180,9 @@ TEST(CliObs, MetricsCounterTotalsAreThreadCountInvariant) {
   const std::string json_8 = cli::read_file(metrics_8);
   EXPECT_TRUE(testjson::valid_json(json_1)) << json_1;
   EXPECT_TRUE(testjson::valid_json(json_8)) << json_8;
-  // Campaign reports are already byte-identical across --threads (pinned by
-  // test_cli.cpp); here the *obs counters* must be too.
+  // Campaign reports are byte-identical across --threads, and so must the
+  // *obs counters* be.
+  EXPECT_EQ(one.out, eight.out);
   EXPECT_EQ(counters_section(json_1), counters_section(json_8));
   EXPECT_NE(json_1.find("\"sim.faults_planned\""), std::string::npos) << json_1;
   EXPECT_NE(json_1.find("\"sim.tuples_planned\""), std::string::npos) << json_1;

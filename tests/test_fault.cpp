@@ -1,4 +1,4 @@
-// Fault campaign: oracle classification, determinism, model coverage.
+// Fault campaign: reference classification, determinism, model coverage.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,44 +14,47 @@ namespace {
 
 using guests::Guest;
 
-TEST(Oracle, RejectsIndistinguishableInputs) {
+TEST(References, RejectsIndistinguishableInputs) {
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  EXPECT_THROW(make_oracle(image, guest.good_input, guest.good_input), support::Error);
+  EXPECT_THROW(sim::make_references(image, guest.good_input, guest.good_input),
+               support::Error);
 }
 
-TEST(Oracle, ClassifiesReferenceRuns) {
+TEST(References, ClassifiesReferenceRuns) {
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const Oracle oracle = make_oracle(image, guest.good_input, guest.bad_input);
-  EXPECT_EQ(oracle.classify(oracle.good_reference, 42), Outcome::kSuccess);
-  EXPECT_EQ(oracle.classify(oracle.bad_reference, 42), Outcome::kNoEffect);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
+  EXPECT_EQ(sim::classify(refs, refs.good_reference, 42), Outcome::kSuccess);
+  EXPECT_EQ(sim::classify(refs, refs.bad_reference, 42), Outcome::kNoEffect);
 
   emu::RunResult detected;
   detected.reason = emu::StopReason::kExited;
   detected.exit_code = 42;
-  EXPECT_EQ(oracle.classify(detected, 42), Outcome::kDetected);
+  EXPECT_EQ(sim::classify(refs, detected, 42), Outcome::kDetected);
 
   emu::RunResult crashed;
   crashed.reason = emu::StopReason::kCrashed;
-  EXPECT_EQ(oracle.classify(crashed, 42), Outcome::kCrash);
+  EXPECT_EQ(sim::classify(refs, crashed, 42), Outcome::kCrash);
 
   emu::RunResult hung;
   hung.reason = emu::StopReason::kFuelExhausted;
-  EXPECT_EQ(oracle.classify(hung, 42), Outcome::kHang);
+  EXPECT_EQ(sim::classify(refs, hung, 42), Outcome::kHang);
 
   emu::RunResult garbled;
   garbled.reason = emu::StopReason::kExited;
   garbled.exit_code = 9;
   garbled.output = "???";
-  EXPECT_EQ(oracle.classify(garbled, 42), Outcome::kOtherBehavior);
+  EXPECT_EQ(sim::classify(refs, garbled, 42), Outcome::kOtherBehavior);
 }
 
-TEST(Oracle, TraceMatchesBadReferenceSteps) {
+TEST(References, TraceMatchesBadReferenceSteps) {
   const Guest& guest = guests::pincheck();
   const elf::Image image = guests::build_image(guest);
-  const Oracle oracle = make_oracle(image, guest.good_input, guest.bad_input);
-  EXPECT_EQ(oracle.bad_trace.size(), oracle.bad_reference.steps);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
+  EXPECT_EQ(refs.bad_trace.size(), refs.bad_reference.steps);
 }
 
 TEST(Campaign, SkipModelFindsKnownToymovVulnerability) {
@@ -79,8 +82,9 @@ TEST(Campaign, BitFlipModelEnumeratesEveryBit) {
       run_campaign(image, guest.good_input, guest.bad_input, config).order1;
   // Total faults = 8 bits per encoded byte of the executed trace.
   std::uint64_t expected = 0;
-  const Oracle oracle = make_oracle(image, guest.good_input, guest.bad_input);
-  for (const auto& entry : oracle.bad_trace) expected += 8ULL * entry.length;
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
+  for (const auto& entry : refs.bad_trace) expected += 8ULL * entry.length;
   EXPECT_EQ(result.total_faults, expected);
   EXPECT_FALSE(result.vulnerabilities.empty());
 }

@@ -326,8 +326,8 @@ TEST(Reinforce, ShapesWithNoLocalReinforcementReturnNone) {
 }
 
 TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
-  // apply_tuple_patches on a pair reinforces the first fault's site and the
-  // site the second fault actually struck, once per distinct address.
+  // Reinforcing a pair's tuple_patch_sites covers the first fault's site and
+  // the site the second fault actually struck, once per distinct address.
   const Guest& guest = guests::pincheck();
   bir::Module module = guests::build_module(guest);
   const elf::Image image = bir::assemble(module);
@@ -352,7 +352,8 @@ TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
   pair.faults.resize(2);
   pair.addresses = {ret_address, 0xdead};  // golden-trace address: deliberately stale
   pair.hit_addresses = {ret_address, jcc_address};
-  const patch::PatchStats stats = patch::apply_tuple_patches(module, {pair}, 8, 2);
+  const patch::PatchStats stats =
+      patch::reinforce_sites(module, sim::tuple_patch_sites({pair}), 8, 2);
   EXPECT_EQ(stats.total_applied(), 2u);
   EXPECT_EQ(stats.applied.at(PatternKind::kRetDup), 1u);
   EXPECT_EQ(stats.applied.at(PatternKind::kJcc), 1u);

@@ -195,6 +195,51 @@ TEST(Order2PipelineDeterminism, ThreadCountDoesNotChangeTheHardenedBinary) {
   }
 }
 
+// ---- the iteration cap -------------------------------------------------------
+
+TEST(PipelineCap, CleanSweepAtTheCapIsAFixpointAtOrderOne) {
+  // toymov's one skip vulnerability takes one patch; the cap then re-sweeps
+  // the patched module, and a clean sweep there is a fix-point.
+  const Guest& guest = guests::toymov();
+  const elf::Image input = guests::build_image(guest);
+  patch::PipelineConfig config;
+  config.campaign = skip_only();
+  config.max_iterations = 1;
+  const patch::PipelineResult result =
+      patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
+
+  ASSERT_EQ(result.iterations.size(), 1u);
+  EXPECT_GT(result.iterations.front().patches_applied, 0u);
+  EXPECT_TRUE(result.fixpoint);
+  EXPECT_TRUE(result.verdict());
+  EXPECT_EQ(result.final_campaign.order, 1u);
+  EXPECT_EQ(result.final_campaign.order1.vulnerabilities.size(), 0u);
+}
+
+TEST(PipelineCap, CapOnRungOneStillReportsTheRequestedOrder) {
+  // The cap hits while the ladder is still on rung 1: the final campaign
+  // sweeps the requested order, so an order-2 caller gets order-2 data.
+  const Guest& guest = guests::toymov();
+  const elf::Image input = guests::build_image(guest);
+  patch::PipelineConfig config;
+  config.campaign = skip_pairs();
+  config.max_iterations = 1;
+  const patch::PipelineResult result =
+      patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
+
+  ASSERT_EQ(result.iterations.size(), 1u);
+  EXPECT_EQ(result.iterations.front().order, 1u);
+  EXPECT_EQ(result.final_campaign.order, 2u);
+  ASSERT_EQ(result.final_campaign.levels.size(), 1u);
+  EXPECT_EQ(result.final_campaign.levels.front().order, 2u);
+  EXPECT_GT(result.final_campaign.total_tuples, 0u);
+  // The order-1 fix-point still falls to fault pairs, and the verdict is
+  // judged at the requested order.
+  EXPECT_GT(result.final_campaign.vulnerabilities.size(), 0u);
+  EXPECT_FALSE(result.fixpoint);
+  EXPECT_FALSE(result.verdict());
+}
+
 TEST(PipelineBitFlip, BitFlipVulnerabilitiesAreReducedInPincheck) {
   // Section V-C: "In the case of the single bit flip fault model we were
   // able to reduce the number of vulnerable points by 50%".

@@ -143,14 +143,12 @@ TEST(ReportGolden, Order2CampaignJson) {
       "  \"order\": 2,\n"
       "  \"trace_length\": 161,\n"
       "  \"pair_window\": 8,\n"
-      "  \"threads\": 0,\n"
       "  \"order1\": {\n"
       "    \"trace_length\": 161,\n"
       "    \"total_faults\": 161,\n"
       "    \"checkpoint_interval\": 0,\n"
       "    \"snapshot_count\": 0,\n"
       "    \"pruned_faults\": 0,\n"
-      "    \"threads\": 0,\n"
       "    \"outcomes\": {\"no-effect\": 150, \"detected\": 11},\n"
       "    \"vulnerable_points\": []\n"
       "  },\n"
@@ -188,8 +186,8 @@ void expect_fields(const std::string& json, const std::vector<std::string>& fiel
 
 // The one campaign schema carries the same keys at every order.
 const std::vector<std::string> kCampaignFields = {
-    "order",          "trace_length",     "pair_window",      "threads",
-    "order1",         "total_faults",     "checkpoint_interval", "snapshot_count",
+    "order",          "trace_length",     "pair_window",      "order1",
+    "total_faults",   "checkpoint_interval", "snapshot_count",
     "pruned_faults",  "vulnerable_points", "levels",          "total_tuples",
     "enumerated_tuples", "sampled",       "max_tuples",       "sample_seed",
     "reused_suffix",  "reused_prefix",    "simulated_tuples", "converged_tuples",

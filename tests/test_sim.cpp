@@ -131,21 +131,21 @@ TEST(Engine, SerialSweepMatchesFullReplaySeedSemantics) {
   // machine replayed from entry for every planned fault.
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const fault::Oracle oracle =
-      fault::make_oracle(image, guest.good_input, guest.bad_input);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
 
   const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
   const std::vector<PlannedFault> plan =
-      enumerate_faults(paper_models(), oracle.bad_trace);
+      enumerate_faults(paper_models(), refs.bad_trace);
 
   emu::RunConfig replay;
-  replay.fuel = oracle.bad_reference.steps * 8 + 4096;
+  replay.fuel = refs.bad_reference.steps * 8 + 4096;
   std::vector<Vulnerability> expected_vulnerabilities;
   std::map<Outcome, std::uint64_t> expected_counts;
   for (const PlannedFault& fault : plan) {
     replay.fault = fault.spec;
     const emu::RunResult run = emu::run_image(image, guest.bad_input, replay);
-    const Outcome outcome = oracle.classify(run, 42);
+    const Outcome outcome = sim::classify(refs, run, 42);
     ++expected_counts[outcome];
     if (outcome == Outcome::kSuccess) {
       expected_vulnerabilities.push_back(Vulnerability{fault.spec, fault.address});
@@ -187,22 +187,22 @@ TEST(Engine, FixedIntervalPartialFinalSegmentMatchesFullReplay) {
   // checkpoint and classify exactly like a replay from entry.
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const fault::Oracle oracle =
-      fault::make_oracle(image, guest.good_input, guest.bad_input);
-  const std::uint64_t length = oracle.bad_trace.size();
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
+  const std::uint64_t length = refs.bad_trace.size();
   ASSERT_GT(length, 8u);
 
   // Ground truth once: the seed full-replay sweep.
   const std::vector<PlannedFault> plan =
-      enumerate_faults(paper_models(), oracle.bad_trace);
+      enumerate_faults(paper_models(), refs.bad_trace);
   emu::RunConfig replay;
-  replay.fuel = oracle.bad_reference.steps * 8 + 4096;
+  replay.fuel = refs.bad_reference.steps * 8 + 4096;
   std::map<Outcome, std::uint64_t> expected_counts;
   std::vector<Vulnerability> expected_vulnerabilities;
   for (const PlannedFault& fault : plan) {
     replay.fault = fault.spec;
     const emu::RunResult run = emu::run_image(image, guest.bad_input, replay);
-    const Outcome outcome = oracle.classify(run, 42);
+    const Outcome outcome = sim::classify(refs, run, 42);
     ++expected_counts[outcome];
     if (outcome == Outcome::kSuccess) {
       expected_vulnerabilities.push_back(Vulnerability{fault.spec, fault.address});
@@ -350,7 +350,7 @@ TEST(Scheduler, ThreadCountDoesNotChangePairResults) {
   EXPECT_EQ(a.order1.vulnerabilities, b.order1.vulnerabilities);
   EXPECT_EQ(a.reused_tuples(), b.reused_tuples());
   EXPECT_EQ(a.total_tuples, b.total_tuples);
-  EXPECT_EQ(b.threads_used, 8u);
+  EXPECT_EQ(a.to_json(), b.to_json());
 }
 
 TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {

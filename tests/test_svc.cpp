@@ -285,25 +285,41 @@ CliRun run_cli(const std::vector<std::string>& args) {
 TEST(SvcJob, CampaignAndFixpointReportsEqualTheCliOutput) {
   // A daemon job and the one-shot subcommand share the campaign call and
   // one renderer per format, so the job report is the subcommand's stdout
-  // byte for byte — at every order, in every format.
+  // byte for byte — at every order, in every format, and at a different
+  // thread count: the cache key leaves `threads` out, so a cached answer
+  // must not depend on it. The capped fix-point (one iteration, still on
+  // rung 1) pins the shared verdict, exit code included.
+  struct Case {
+    svc::JobKind kind;
+    unsigned max_iterations;
+  };
   const guests::Guest& guest = guests::toymov();
-  for (const svc::JobKind kind : {svc::JobKind::kCampaign, svc::JobKind::kFixpoint}) {
+  for (const Case& c : {Case{svc::JobKind::kCampaign, 12}, Case{svc::JobKind::kFixpoint, 12},
+                        Case{svc::JobKind::kFixpoint, 1}}) {
+    const std::string cmd(svc::to_string(c.kind));
     for (const unsigned order : {1u, 2u, 3u}) {
       for (const char* format : {"text", "json", "markdown"}) {
-        const std::string where = std::string(svc::to_string(kind)) + " order " +
-                                  std::to_string(order) + " " + format;
+        const std::string where = cmd + " order " + std::to_string(order) +
+                                  " max-iterations " + std::to_string(c.max_iterations) +
+                                  " " + format;
         svc::JobSpec spec;
-        spec.kind = kind;
+        spec.kind = c.kind;
         spec.guest = guest;
         spec.campaign.models.bit_flip = false;
         spec.campaign.models.order = order;
+        spec.campaign.threads = 4;
+        spec.max_iterations = c.max_iterations;
         spec.format = format;
         const svc::JobResult job = svc::run_job(spec);
         ASSERT_FALSE(job.infra) << where << ": " << job.error;
 
-        const CliRun cli =
-            run_cli({std::string(svc::to_string(kind)), guest.name, "--model", "skip",
-                     "--order", std::to_string(order), "--format", format});
+        std::vector<std::string> args = {cmd, guest.name, "--model", "skip", "--order",
+                                         std::to_string(order), "--threads", "1",
+                                         "--format", format};
+        if (c.kind == svc::JobKind::kFixpoint) {
+          args.insert(args.end(), {"--max-iterations", std::to_string(c.max_iterations)});
+        }
+        const CliRun cli = run_cli(args);
         EXPECT_EQ(job.report, cli.out) << where;
         EXPECT_EQ(job.exit_code, cli.exit_code) << where;
       }

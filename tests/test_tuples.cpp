@@ -39,15 +39,6 @@ FaultModels single_model(std::string_view name, unsigned order, std::uint64_t wi
   return models;
 }
 
-/// to_json with the execution-environment field zeroed: `threads_used` is
-/// the ONE field allowed to differ between a 1-thread and an 8-thread
-/// sweep, so byte-comparing the normalised documents pins everything else.
-std::string normalized_json(TupleCampaignResult result) {
-  result.threads_used = 0;
-  result.order1.threads_used = 0;
-  return result.to_json();
-}
-
 /// The classification-bearing fields two sweeps of the same tuple set must
 /// agree on bit for bit, whatever the pruning mode. Reuse telemetry
 /// (reused_suffix / reused_prefix / simulated / converged) is *meant* to
@@ -130,12 +121,12 @@ TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
   // this replay bit for bit, under both of the paper's fault models.
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const fault::Oracle oracle =
-      fault::make_oracle(image, guest.good_input, guest.bad_input);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
 
   const FaultModels models = tuple_models(2, 3);
-  const std::vector<PlannedFault> plan = enumerate_faults(models, oracle.bad_trace);
-  const std::uint64_t fuel = oracle.bad_reference.steps * 8 + 4096;
+  const std::vector<PlannedFault> plan = enumerate_faults(models, refs.bad_trace);
+  const std::uint64_t fuel = refs.bad_reference.steps * 8 + 4096;
   std::map<Outcome, std::uint64_t> expected_counts;
   std::vector<TupleVulnerability> expected_vulnerabilities;
   // The plan ascends by trace index, so this walks pairs in canonical order.
@@ -160,7 +151,7 @@ TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
         leg2.fuel = fuel;
         run = machine.run(leg2);
       }
-      const Outcome outcome = oracle.classify(run, patch::kDetectedExit);
+      const Outcome outcome = sim::classify(refs, run, patch::kDetectedExit);
       ++expected_counts[outcome];
       if (outcome == Outcome::kSuccess) {
         expected_vulnerabilities.push_back(
@@ -175,7 +166,7 @@ TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
   const TupleCampaignResult result = engine.run_tuples(models);
   EXPECT_EQ(result.outcome_counts, expected_counts);
   EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
-  EXPECT_EQ(result.total_tuples, count_fault_tuples(models, oracle.bad_trace));
+  EXPECT_EQ(result.total_tuples, count_fault_tuples(models, refs.bad_trace));
   EXPECT_FALSE(result.sampled);
   ASSERT_EQ(result.levels.size(), 1u);
   EXPECT_EQ(result.levels[0].successful, result.count(Outcome::kSuccess));
@@ -190,17 +181,17 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
   // this replay bit for bit.
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
-  const fault::Oracle oracle =
-      fault::make_oracle(image, guest.good_input, guest.bad_input);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
 
   FaultModels models = tuple_models(3, 3);
   models.bit_flip = false;  // skip-only keeps the replay oracle tractable
 
-  const std::vector<PlannedFault> plan = enumerate_faults(models, oracle.bad_trace);
+  const std::vector<PlannedFault> plan = enumerate_faults(models, refs.bad_trace);
   // Skip-only: exactly one fault per trace index, in ascending order.
-  ASSERT_EQ(plan.size(), oracle.bad_trace.size());
+  ASSERT_EQ(plan.size(), refs.bad_trace.size());
 
-  const std::uint64_t fuel = oracle.bad_reference.steps * 8 + 4096;
+  const std::uint64_t fuel = refs.bad_reference.steps * 8 + 4096;
   std::map<Outcome, std::uint64_t> expected_counts;
   std::vector<TupleVulnerability> expected_vulnerabilities;
   const std::uint64_t window = models.pair_window;
@@ -230,7 +221,7 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
             run = machine.run(leg3);
           }
         }
-        const Outcome outcome = oracle.classify(run, patch::kDetectedExit);
+        const Outcome outcome = sim::classify(refs, run, patch::kDetectedExit);
         ++expected_counts[outcome];
         if (outcome == Outcome::kSuccess) {
           expected_vulnerabilities.push_back(TupleVulnerability{
@@ -246,7 +237,7 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
   const TupleCampaignResult result = engine.run_tuples(models);
   EXPECT_EQ(result.outcome_counts, expected_counts);
   EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
-  EXPECT_EQ(result.total_tuples, count_fault_tuples(models, oracle.bad_trace));
+  EXPECT_EQ(result.total_tuples, count_fault_tuples(models, refs.bad_trace));
   EXPECT_GT(result.count(Outcome::kSuccess), 0u);
 }
 
@@ -256,7 +247,7 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
 /// the order-k sweep three ways — pruned at 1 thread, pruned at 8 threads,
 /// exhaustive (outcome reuse off) at 1 thread — and requires:
 ///   * the 1-thread and 8-thread pruned sweeps byte-agree on the whole
-///     JSON document once `threads_used` is normalised;
+///     JSON document;
 ///   * the pruned and exhaustive sweeps agree on every
 ///     classification-bearing field (telemetry legitimately differs).
 /// Returns how many tuples the pruned sweep classified by reuse, so the
@@ -281,7 +272,7 @@ std::uint64_t expect_pruning_exactness(const elf::Image& image, const Guest& gue
   const TupleCampaignResult pruned_eight = engine_eight.run_tuples(models);
   const TupleCampaignResult flat = engine_exhaustive.run_tuples(models);
 
-  EXPECT_EQ(normalized_json(pruned_one), normalized_json(pruned_eight))
+  EXPECT_EQ(pruned_one.to_json(), pruned_eight.to_json())
       << "1-thread and 8-thread sweeps diverge";
   expect_same_classification(pruned_one, flat, "pruned vs exhaustive");
   EXPECT_EQ(flat.reused_tuples(), 0u) << "exhaustive sweep reused outcomes";
@@ -379,10 +370,10 @@ TEST(Engine, SampledSweepIsSeedDeterministicAcrossThreadsAndPruning) {
   EXPECT_FALSE(serial.levels.front().sampled) << "intermediate level sampled";
   EXPECT_EQ(serial.levels.back().classified, models.max_tuples);
 
-  // Same seed, 8 threads: byte-identical modulo the threads field.
+  // Same seed, 8 threads: byte-identical.
   const TupleCampaignResult parallel =
       Engine(image, guest.good_input, guest.bad_input, eight).run_tuples(models);
-  EXPECT_EQ(normalized_json(serial), normalized_json(parallel));
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
 
   // Same seed, outcome reuse off: the exhaustive sweep classifies the same
   // sampled set, so every classification field agrees.
@@ -399,7 +390,7 @@ TEST(Engine, SampledSweepIsSeedDeterministicAcrossThreadsAndPruning) {
   EXPECT_EQ(other.total_tuples, models.max_tuples);
   // Strip the sample_seed line (the one intended difference) and compare.
   const auto without_seed_line = [](const TupleCampaignResult& r) {
-    std::string json = normalized_json(r);
+    std::string json = r.to_json();
     const std::size_t at = json.find("\"sample_seed\"");
     EXPECT_NE(at, std::string::npos);
     const std::size_t end = json.find('\n', at);
