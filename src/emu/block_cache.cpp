@@ -27,8 +27,8 @@ bool is_terminator(isa::Mnemonic mnemonic) noexcept {
     case isa::Mnemonic::kUd2:
       return true;
     default:
-      // kSyscall stays mid-block: it does not redirect rip (exit() unwinds
-      // via an exception, which leaves the cache untouched).
+      // kSyscall stays mid-block: it does not redirect rip (exit() ends the
+      // run through the machine's run-end status, after the instruction).
       return false;
   }
 }
@@ -68,14 +68,16 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
   std::uint64_t address = rip;
   std::array<std::uint8_t, isa::kMaxInstructionLength> window{};
   while (block.count < kMaxBlockInstructions) {
+    // Unfetchable or undecodable: end the block here. The slow path hits
+    // the identical fault or error when execution actually reaches this
+    // address.
+    std::size_t fetched = 0;
+    if (memory.try_fetch(address, window, fetched) != AccessFault::kNone) break;
     isa::Decoded decoded;
     try {
-      const std::size_t fetched = memory.fetch(address, window);
       decoded = target_->decode(std::span<const std::uint8_t>(window.data(), fetched),
                                 address);
     } catch (const support::Error&) {
-      // Unfetchable or undecodable: end the block here. The slow path hits
-      // the identical error when execution actually reaches this address.
       break;
     }
     arena_.push_back(CachedInstr{decoded.instr, decoded.length});

@@ -4,12 +4,24 @@
 // run it with a given stdin, capture stdout/exit-code, optionally record an
 // instruction trace, and optionally inject one transient fault (skip or
 // encoding bit flip) at a chosen trace offset.
+//
+// How a run ends. A guest exit(2) and the run's first failed memory access
+// (load, store or fetch) are recorded as status, not thrown: the
+// instruction that raised them makes no further memory or output side
+// effect, the dispatch loop stops after it, and run() formats
+// `crash_detail` once, with the text of the Error{kMemory} that
+// Memory::read/write/fetch would throw. Decoder errors and traps (hlt,
+// int3, ud2, the output limit) still throw and are caught in run(). The
+// Cpu state after a crash is unspecified: registers the crashing
+// instruction writes may or may not hold its result. Callers that reuse a
+// machine restore a snapshot first, as the sim:: engine always does.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "elf/image.h"
@@ -93,7 +105,8 @@ class Machine {
 
   /// Runs until exit/crash or until the step counter reaches config.fuel.
   /// Calling run() again on a fuel-exhausted machine resumes execution —
-  /// the sim:: engine uses this to pause at checkpoint boundaries.
+  /// the sim:: engine uses this to pause at checkpoint boundaries. After a
+  /// crash the Cpu state is unspecified (see the header comment).
   RunResult run(const RunConfig& config);
 
   /// The decoded-block cache is on by default; turning it off reverts to
@@ -114,7 +127,8 @@ class Machine {
   // --- snapshot hooks (used by sim::MachineSnapshot) ------------------------
   // The full guest-visible machine state is (cpu, memory, steps, stdin_pos,
   // output); capturing and restoring all five makes a resumed run
-  // indistinguishable from one replayed from entry.
+  // indistinguishable from one replayed from entry. The run-end status is
+  // not part of it: run() clears it on entry.
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
   void set_steps(std::uint64_t steps) noexcept { steps_ = steps; }
   [[nodiscard]] std::size_t stdin_pos() const noexcept { return stdin_pos_; }
@@ -127,8 +141,21 @@ class Machine {
   static constexpr std::uint64_t kStackSize = 1ULL << 20;
 
  private:
-  struct ExitRequested {
-    std::int64_t code;
+  /// Attempted instructions not yet added to the `emu.instructions`
+  /// counter, which the machine's teardown flushes. A move hands the tally
+  /// over, so every instruction is counted once.
+  class InstructionTally {
+   public:
+    InstructionTally() = default;
+    InstructionTally(InstructionTally&& other) noexcept
+        : pending_(std::exchange(other.pending_, 0)) {}
+    InstructionTally& operator=(InstructionTally&& other) noexcept;
+    ~InstructionTally() { flush(); }
+    void add(std::uint64_t n) noexcept { pending_ += n; }
+
+   private:
+    void flush() noexcept;
+    std::uint64_t pending_ = 0;
   };
 
   /// Executes one instruction. When `entry` is non-null the decoded length
@@ -136,9 +163,10 @@ class Machine {
   /// instructions that exit or crash).
   void step(bool faulted_this_step, const FaultSpec* fault, TraceEntry* entry);
   /// Executes as many steps as possible through the decoded-block cache,
-  /// stopping before fuel, before the faulted step, and after any store
-  /// into code. Returns false when nothing could be executed (no block at
-  /// rip) — the caller then takes the per-step slow path.
+  /// stopping before fuel, before the faulted step, after any store into
+  /// code, and after an instruction that ends the run. Returns false when
+  /// nothing could be executed (no block at rip) — the caller then takes
+  /// the per-step slow path.
   bool run_cached(const RunConfig& config, const FaultSpec* fault, RunResult& result);
   void execute(const isa::Instruction& instr, std::uint64_t next_rip);
   std::uint64_t effective_address(const isa::MemOperand& mem) const;
@@ -148,6 +176,13 @@ class Machine {
   void push64(std::uint64_t value);
   std::uint64_t pop64();
 
+  // Guest memory accesses: a failure records the run's memory fault (the
+  // first one wins) and a load then yields 0. Once the run has ended, a
+  // store changes nothing.
+  std::uint64_t load(std::uint64_t address, unsigned bytes);
+  void store(std::uint64_t address, std::uint64_t value, unsigned bytes);
+  void record_fault(AccessFault fault, std::uint64_t address) noexcept;
+
   const isa::Target* target_;
   Cpu cpu_;
   Memory memory_;
@@ -156,6 +191,14 @@ class Machine {
   std::string output_;
   std::uint64_t steps_ = 0;
   std::unique_ptr<BlockCache> cache_;  ///< null when the cache is disabled
+  InstructionTally instructions_;
+
+  // Run-end status, reset by run(): `ended_` is set by exit(2) (with
+  // `exit_code_`) or by the first failed memory access (with `fault_`).
+  bool ended_ = false;
+  std::int64_t exit_code_ = 0;
+  AccessFault fault_ = AccessFault::kNone;
+  std::uint64_t fault_address_ = 0;
 };
 
 /// Convenience wrapper used everywhere: fresh machine, one run.

@@ -324,6 +324,41 @@ TEST(FaultInjection, OutOfRangeBitFlipFailsLoudlyInBothModes) {
   }
 }
 
+TEST(FaultInjection, HigherOrderFlipPastAShortFetchWindowCrashesInBothModes) {
+  // Order 2 on synth:15: a first bit flip (step 43, bit 15) sends control to
+  // 0x4002aa, 7 bytes before the end of .text (0x4002b1). The second fault
+  // was planned against golden step 44, whose encoding is longer, so its
+  // bit 56 (byte 7) lies past the 7-byte fetch window. The run crashes;
+  // docs/higher-order.md records why this classification stays.
+  const guests::Guest guest = guests::synth::generate(15);
+  const elf::Image image = guests::build_image(guest);
+  const elf::Segment* text = image.find_segment(".text");
+  ASSERT_NE(text, nullptr);
+  ASSERT_EQ(text->vaddr + text->size_in_memory(), 0x4002b1u);
+  const sim::References refs =
+      sim::make_references(image, guest.good_input, guest.bad_input);
+  ASSERT_GT(refs.bad_trace.size(), 44u);
+  EXPECT_GT(refs.bad_trace[44].length * 8u, 56u) << "the planned offset is in range on golden";
+
+  for (const bool block_cache : {true, false}) {
+    SCOPED_TRACE(block_cache ? "cached" : "uncached");
+    Machine machine(image, guest.bad_input);
+    machine.set_block_cache_enabled(block_cache);
+    RunConfig first;
+    first.fault = FaultSpec{FaultSpec::Kind::kBitFlip, 43, 15};
+    first.fuel = 44;
+    ASSERT_EQ(machine.run(first).reason, StopReason::kFuelExhausted);
+    EXPECT_EQ(machine.cpu().rip, 0x4002aau);
+
+    RunConfig second;
+    second.fault = FaultSpec{FaultSpec::Kind::kBitFlip, 44, 56};
+    const RunResult result = machine.run(second);
+    EXPECT_EQ(result.reason, StopReason::kCrashed);
+    EXPECT_EQ(result.crash_detail, "execution: bit-flip fault offset past the fetched encoding");
+    EXPECT_EQ(result.steps, 45u);
+  }
+}
+
 // ---- engine: cached vs uncached classification ------------------------------
 
 TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedEngine) {

@@ -5,9 +5,11 @@
 #include "bir/assemble.h"
 #include "bir/module.h"
 #include "emu/machine.h"
+#include "sim/snapshot.h"
 #include "support/bits.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/strings.h"
 
 namespace r2r::emu {
 namespace {
@@ -264,6 +266,32 @@ TEST(Memory, CrossBoundaryAccessFails) {
   EXPECT_THROW(memory.read(0x1009, 8), support::Error);
 }
 
+TEST(Memory, HostAccessorsThrowTheGuestFaultMessages) {
+  Memory memory;
+  memory.map("ro", 0x1000, 0x100, elf::kRead);
+  const auto message = [](const auto& access) -> std::string {
+    try {
+      access();
+    } catch (const support::Error& error) {
+      EXPECT_EQ(error.kind(), support::ErrorKind::kMemory);
+      return error.what();
+    }
+    return "no error";
+  };
+  std::array<std::uint8_t, 4> window{};
+  EXPECT_EQ(message([&] { (void)memory.read(0x3000, 1); }),
+            "memory: unmapped read at 0x3000");
+  EXPECT_EQ(message([&] { memory.write(0x1000, 1, 1); }),
+            "memory: permission violation writing 0x1000");
+  EXPECT_EQ(message([&] { (void)memory.fetch(0x1000, window); }),
+            "memory: fetch from non-executable memory at 0x1000");
+  EXPECT_EQ(message([&] { (void)memory.read_block(0x10ff, 2); }),
+            "memory: unmapped block read at 0x10ff");
+  const std::array<std::uint8_t, 2> bytes{};
+  EXPECT_EQ(message([&] { memory.write_block(0x2000, bytes); }),
+            "memory: unmapped block write at 0x2000");
+}
+
 TEST(Memory, LittleEndianValues) {
   Memory memory;
   memory.map("a", 0x1000, 0x10, elf::kRead | elf::kWrite);
@@ -298,6 +326,189 @@ TEST(MachineCrashes, FuelExhaustionOnInfiniteLoop) {
   EXPECT_EQ(result.reason, StopReason::kFuelExhausted);
   EXPECT_EQ(result.steps, 1000u);
 }
+
+// ---- run-end contract -----------------------------------------------------------------
+// An exit and a memory fault end a run as machine status, not as a thrown
+// exception. Every RunResult field must read as it always has, with the
+// decoded-block cache on (parameter true) and off.
+
+class RunEnd : public testing::TestWithParam<bool> {
+ protected:
+  /// One traced run of `image` on a fresh machine.
+  RunResult run_fresh(const elf::Image& image, const std::string& input = {}) const {
+    Machine machine(image, input);
+    machine.set_block_cache_enabled(GetParam());
+    return machine.run(traced());
+  }
+
+  static RunConfig traced() {
+    RunConfig config;
+    config.record_trace = true;
+    return config;
+  }
+};
+
+void expect_same_result(const RunResult& actual, const RunResult& expected) {
+  EXPECT_EQ(actual.reason, expected.reason);
+  EXPECT_EQ(actual.exit_code, expected.exit_code);
+  EXPECT_EQ(actual.output, expected.output);
+  EXPECT_EQ(actual.crash_detail, expected.crash_detail);
+  EXPECT_EQ(actual.steps, expected.steps);
+  ASSERT_EQ(actual.trace.size(), expected.trace.size());
+  for (std::size_t i = 0; i < actual.trace.size(); ++i) {
+    EXPECT_EQ(actual.trace[i].address, expected.trace[i].address) << "trace entry " << i;
+    EXPECT_EQ(actual.trace[i].length, expected.trace[i].length) << "trace entry " << i;
+  }
+}
+
+TEST_P(RunEnd, MemoryFaultCrashDetailGoldens) {
+  const elf::Image data_image = build(
+      "    mov rax, offset buf\n"
+      "    jmp rax\n"
+      ".section .data\n"
+      "buf: .zero 8\n");
+  const elf::Symbol* buf = data_image.find_symbol("buf");
+  ASSERT_NE(buf, nullptr);
+
+  struct Case {
+    elf::Image image;
+    std::string detail;
+    std::uint64_t steps;
+  };
+  const elf::Image store_image = build(
+      "    mov rbx, offset _start\n"
+      "    mov [rbx], rax\n");
+  const std::vector<Case> cases = {
+      {build("    mov rax, [0x1]\n"), "memory: unmapped read at 0x1", 1},
+      {build("    mov rax, 5\n    mov [0x10], rax\n"), "memory: unmapped write at 0x10", 2},
+      {store_image,
+       "memory: permission violation writing " + support::hex_string(store_image.entry), 2},
+      {build("    mov rax, 0x12345\n    jmp rax\n"), "memory: unmapped fetch at 0x12345", 3},
+      {data_image,
+       "memory: fetch from non-executable memory at " + support::hex_string(buf->value), 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.detail);
+    const RunResult result = run_fresh(c.image);
+    EXPECT_EQ(result.reason, StopReason::kCrashed);
+    EXPECT_EQ(result.crash_detail, c.detail);
+    EXPECT_EQ(result.exit_code, -1);
+    EXPECT_EQ(result.steps, c.steps);
+    ASSERT_EQ(result.trace.size(), c.steps);
+    // A fetch that faults leaves its trace entry's length at 0.
+    const bool fetch_fault = c.detail.find("fetch") != std::string::npos;
+    EXPECT_EQ(result.trace.back().length == 0, fetch_fault);
+  }
+}
+
+TEST_P(RunEnd, WriteSyscallRunningOffItsMappingKeepsTheBytesBeforeTheFault) {
+  // rsp starts 16 bytes below the stack top; the buffer at rsp+8 holds
+  // "hello" and runs 8 bytes past the end of the stack mapping.
+  const elf::Image image = build(
+      "    mov rax, 0x6f6c6c6568\n"
+      "    mov [rsp+8], rax\n"
+      "    mov rax, 1\n"
+      "    mov rdi, 1\n"
+      "    lea rsi, [rsp+8]\n"
+      "    mov rdx, 16\n"
+      "    syscall\n"
+      "    mov rax, 60\n"
+      "    mov rdi, 0\n"
+      "    syscall\n");
+  const RunResult result = run_fresh(image);
+  EXPECT_EQ(result.reason, StopReason::kCrashed);
+  EXPECT_EQ(result.crash_detail,
+            "memory: unmapped read at " + support::hex_string(Machine::kStackBase));
+  EXPECT_EQ(result.output, std::string("hello\0\0\0", 8));
+  EXPECT_EQ(result.steps, 7u);
+}
+
+TEST_P(RunEnd, ReadSyscallRunningOffItsMappingKeepsTheBytesBeforeTheFault) {
+  // rsp+12 is 4 bytes below the stack top: four stdin bytes land, the
+  // fifth store faults, and the stdin cursor does not move.
+  const elf::Image image = build(
+      "    mov rax, 0\n"
+      "    mov rdi, 0\n"
+      "    lea rsi, [rsp+12]\n"
+      "    mov rdx, 8\n"
+      "    syscall\n");
+  Machine machine(image, "abcdefgh");
+  machine.set_block_cache_enabled(GetParam());
+  const RunResult result = machine.run(traced());
+  EXPECT_EQ(result.reason, StopReason::kCrashed);
+  EXPECT_EQ(result.crash_detail,
+            "memory: unmapped write at " + support::hex_string(Machine::kStackBase));
+  EXPECT_EQ(result.steps, 5u);
+  const std::vector<std::uint8_t> landed =
+      machine.memory().read_block(Machine::kStackBase - 4, 4);
+  EXPECT_EQ(std::string(landed.begin(), landed.end()), "abcd");
+  EXPECT_EQ(machine.stdin_pos(), 0u);
+}
+
+TEST_P(RunEnd, FaultingLoadStopsTheRestOfTheInstruction) {
+  // push qword ptr [0x1] (ff 34 25 01 00 00 00): the load faults, so the
+  // push stores nothing over the marker below rsp.
+  const elf::Image image = build(
+      "    mov rax, 0x1234\n"
+      "    mov [rsp-8], rax\n"
+      "    .byte 0xff, 0x34, 0x25, 0x01, 0x00, 0x00, 0x00\n");
+  Machine machine(image, "");
+  machine.set_block_cache_enabled(GetParam());
+  const RunResult result = machine.run(traced());
+  EXPECT_EQ(result.reason, StopReason::kCrashed);
+  EXPECT_EQ(result.crash_detail, "memory: unmapped read at 0x1");
+  EXPECT_EQ(result.steps, 3u);
+  EXPECT_EQ(machine.memory().read(Machine::kStackBase - 24, 8), 0x1234u);
+}
+
+TEST_P(RunEnd, ExitAndCrashStateDoNotLeakAcrossRestores) {
+  const elf::Image exits = build(
+      "    mov rax, 1\n"
+      "    mov rdi, 1\n"
+      "    mov rsi, offset msg\n"
+      "    mov rdx, 2\n"
+      "    syscall\n"
+      "    mov rax, 60\n"
+      "    mov rdi, 3\n"
+      "    syscall\n"
+      ".section .data\n"
+      "msg: .ascii \"ok\"\n");
+  const elf::Image crashes = build(
+      "    mov rax, 1\n"
+      "    mov rbx, 2\n"
+      "    mov rcx, [0x1]\n");
+  RunConfig pause;
+  pause.fuel = 2;
+  for (const elf::Image* image : {&exits, &crashes}) {
+    Machine fresh(*image, "");
+    fresh.set_block_cache_enabled(GetParam());
+    ASSERT_EQ(fresh.run(pause).reason, StopReason::kFuelExhausted);
+    const RunResult reference = fresh.run(traced());
+
+    Machine machine(*image, "");
+    machine.set_block_cache_enabled(GetParam());
+    const sim::MachineSnapshot entry = sim::capture(machine);
+    ASSERT_EQ(machine.run(pause).reason, StopReason::kFuelExhausted);
+    const sim::MachineSnapshot paused = sim::capture(machine);
+    expect_same_result(machine.run(traced()), reference);
+
+    // Back to the pause point, then to entry (the synced snapshot and one
+    // that is not): each rerun ends exactly as a fresh machine's does.
+    sim::restore(paused, machine);
+    expect_same_result(machine.run(traced()), reference);
+    sim::restore(entry, machine);
+    ASSERT_EQ(machine.run(pause).reason, StopReason::kFuelExhausted);
+    expect_same_result(machine.run(traced()), reference);
+  }
+  EXPECT_EQ(run_fresh(exits).exit_code, 3);
+  EXPECT_EQ(run_fresh(exits).output, "ok");
+  EXPECT_EQ(run_fresh(crashes).crash_detail, "memory: unmapped read at 0x1");
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockCache, RunEnd, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "cached" : "uncached";
+                         });
 
 // ---- fault injection mechanics ---------------------------------------------------------
 

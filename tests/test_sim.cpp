@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "bir/assemble.h"
+#include "bir/module.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
 #include "patch/pipeline.h"
@@ -104,6 +106,184 @@ TEST(MachineSnapshot, CowIsolatesWorkerMachines) {
   // Restoring rewinds the scribble.
   restore(snapshot, worker);
   EXPECT_TRUE(same_state(snapshot, worker));
+}
+
+// ---- restore paths -----------------------------------------------------------
+// Restoring the snapshot the memory is synced to rewrites only the pages
+// dirtied since; any other snapshot takes the full page scan. Either way
+// the bytes must be exactly the snapshot's.
+
+elf::Image assemble(const std::string& text) {
+  bir::Module module = bir::module_from_assembly(".global _start\n_start:\n" + text);
+  return bir::assemble(module);
+}
+
+/// Increments a .data counter through the stack and exits with it (42).
+elf::Image counter_guest() {
+  return assemble(
+      "    mov rbx, offset counter\n"
+      "    mov rax, [rbx]\n"
+      "    add rax, 1\n"
+      "    mov [rbx], rax\n"
+      "    push rax\n"
+      "    pop rdi\n"
+      "    mov rax, 60\n"
+      "    syscall\n"
+      ".section .data\n"
+      "counter: .quad 41\n");
+}
+
+/// Byte-level check, independent of the dirty bits and page identities
+/// that same_state() relies on.
+void expect_bytes_match(const MachineSnapshot& snapshot, const emu::Machine& machine) {
+  for (const auto& region : snapshot.memory.regions) {
+    std::vector<std::uint8_t> expected;
+    for (const auto& page : region.pages) {
+      expected.insert(expected.end(), page->begin(), page->end());
+    }
+    EXPECT_EQ(machine.memory().read_block(region.base, region.size), expected)
+        << "region at " << region.base;
+  }
+}
+
+struct RestoreFixture {
+  elf::Image image = counter_guest();
+  emu::Machine machine{image, ""};
+  std::uint64_t data = image.find_symbol("counter")->value;
+  std::uint64_t stack = emu::Machine::kStackBase - 64;
+};
+
+TEST(SnapshotRestore, SyncedSnapshotUndoesWritesInTwoRegions) {
+  RestoreFixture f;
+  const MachineSnapshot synced = capture(f.machine);
+  f.machine.memory().write(f.data, 0x1111, 8);
+  f.machine.memory().write(f.stack, 0x2222, 8);
+  EXPECT_FALSE(same_state(synced, f.machine));
+
+  restore(synced, f.machine);
+  EXPECT_TRUE(same_state(synced, f.machine));
+  expect_bytes_match(synced, f.machine);
+  EXPECT_EQ(f.machine.memory().read(f.data, 8), 41u);
+  EXPECT_EQ(f.machine.memory().read(f.stack, 8), 0u);
+
+  // A guest run dirties both regions too; each rerun from the synced
+  // snapshot ends exactly as the first.
+  const emu::RunResult first = f.machine.run(emu::RunConfig{});
+  ASSERT_EQ(first.exit_code, 42);
+  restore(synced, f.machine);
+  expect_bytes_match(synced, f.machine);
+  const emu::RunResult again = f.machine.run(emu::RunConfig{});
+  EXPECT_TRUE(again.observably_equal(first));
+  EXPECT_EQ(again.steps, first.steps);
+}
+
+TEST(SnapshotRestore, SwitchingBetweenSnapshotsLandsOnEachExactly) {
+  RestoreFixture f;
+  emu::Memory& memory = f.machine.memory();
+  const MachineSnapshot a = capture(f.machine);
+  memory.write(f.data, 1, 8);
+  memory.write(f.stack, 2, 8);
+  const MachineSnapshot b = capture(f.machine);
+  memory.write(f.data, 3, 8);
+
+  restore(a, f.machine);  // synced to b: full path
+  expect_bytes_match(a, f.machine);
+  EXPECT_EQ(memory.read(f.data, 8), 41u);
+  EXPECT_EQ(memory.read(f.stack, 8), 0u);
+
+  memory.write(f.stack, 4, 8);
+  restore(b, f.machine);  // synced to a: full path
+  expect_bytes_match(b, f.machine);
+  EXPECT_EQ(memory.read(f.data, 8), 1u);
+  EXPECT_EQ(memory.read(f.stack, 8), 2u);
+
+  memory.write(f.data, 5, 8);
+  memory.write(f.stack, 6, 8);
+  restore(a, f.machine);
+  expect_bytes_match(a, f.machine);
+  memory.write(f.stack, 7, 8);
+  restore(a, f.machine);  // synced to a: dirty pages only
+  expect_bytes_match(a, f.machine);
+  EXPECT_TRUE(same_state(a, f.machine));
+}
+
+TEST(SnapshotRestore, CopyOfASnapshotRestoresLikeTheOriginal) {
+  RestoreFixture f;
+  const MachineSnapshot original = capture(f.machine);
+  const MachineSnapshot copy = original;
+  EXPECT_NE(original.memory.id(), 0u);
+  EXPECT_EQ(copy.memory.id(), original.memory.id());
+  EXPECT_NE(capture(f.machine).memory.id(), original.memory.id());
+
+  f.machine.memory().write(f.data, 9, 8);
+  f.machine.memory().write(f.stack, 9, 8);
+  restore(copy, f.machine);
+  expect_bytes_match(original, f.machine);
+  EXPECT_TRUE(same_state(original, f.machine));
+}
+
+TEST(SnapshotRestore, MapAfterCaptureMakesRestoreThrow) {
+  emu::Memory memory;
+  memory.map("a", 0x1000, 0x2000, elf::kRead | elf::kWrite);
+  const emu::Memory::Snapshot snapshot = memory.capture();
+  memory.write(0x1000, 7, 1);
+  memory.map("b", 0x8000, 0x1000, elf::kRead | elf::kWrite);
+  try {
+    memory.restore(snapshot);
+    ADD_FAILURE() << "restore across a changed layout did not throw";
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kInvalidArgument);
+  }
+  EXPECT_EQ(memory.read(0x1000, 1), 7u) << "the refused restore changed memory";
+}
+
+TEST(SnapshotRestore, SelfModifyingGuestRerunMatchesAFreshRun) {
+  // The guest overwrites its own `mov rdi, 1` (48 c7 c7 01 00 00 00) with
+  // `mov rdi, 9` at step 5; the 8-byte store also rewrites the next
+  // instruction's first byte with its original value (0x48).
+  elf::Image image = assemble(
+      "    mov rbx, offset patch\n"
+      "    mov rcx, 0x48\n"
+      "    shl rcx, 56\n"
+      "    mov rax, 0x09c7c748\n"
+      "    or rax, rcx\n"
+      "    mov [rbx], rax\n"
+      "patch:\n"
+      "    mov rdi, 1\n"
+      "    mov rax, 60\n"
+      "    syscall\n");
+  for (elf::Segment& segment : image.segments) {
+    if (segment.name == ".text") segment.flags |= elf::kWrite;
+  }
+  // Skipping the store runs the original code. A restore that left the
+  // patched block in the decoded-block cache would exit 9 instead.
+  emu::RunConfig skip_store;
+  skip_store.fault = emu::FaultSpec{emu::FaultSpec::Kind::kSkip, 5, 0};
+  skip_store.record_trace = true;
+  const emu::RunResult fresh = emu::run_image(image, "", skip_store);
+  ASSERT_EQ(fresh.exit_code, 1);
+
+  emu::Machine machine(image, "");
+  const MachineSnapshot entry = capture(machine);
+  const auto expect_fresh = [&](const emu::RunResult& rerun) {
+    EXPECT_TRUE(rerun.observably_equal(fresh));
+    EXPECT_EQ(rerun.steps, fresh.steps);
+    ASSERT_EQ(rerun.trace.size(), fresh.trace.size());
+    for (std::size_t i = 0; i < rerun.trace.size(); ++i) {
+      EXPECT_EQ(rerun.trace[i].address, fresh.trace[i].address);
+      EXPECT_EQ(rerun.trace[i].length, fresh.trace[i].length);
+    }
+  };
+
+  ASSERT_EQ(machine.run(emu::RunConfig{}).exit_code, 9);
+  restore(entry, machine);  // synced to entry: dirty pages only
+  expect_fresh(machine.run(skip_store));
+
+  restore(entry, machine);
+  (void)capture(machine);  // sync elsewhere, so the next restore scans
+  ASSERT_EQ(machine.run(emu::RunConfig{}).exit_code, 9);
+  restore(entry, machine);
+  expect_fresh(machine.run(skip_store));
 }
 
 TEST(SnapshotPolicy, TunesIntervalToTraceLength) {
