@@ -6,7 +6,6 @@
 #include "emu/memory.h"
 #include "isa/decoder.h"
 #include "obs/metrics.h"
-#include "support/error.h"
 
 namespace r2r::emu {
 
@@ -73,13 +72,9 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
     // address.
     std::size_t fetched = 0;
     if (memory.try_fetch(address, window, fetched) != AccessFault::kNone) break;
+    const std::span<const std::uint8_t> bytes(window.data(), fetched);
     isa::Decoded decoded;
-    try {
-      decoded = target_->decode(std::span<const std::uint8_t>(window.data(), fetched),
-                                address);
-    } catch (const support::Error&) {
-      break;
-    }
+    if (!target_->try_decode(bytes, address, decoded).ok()) break;
     arena_.push_back(CachedInstr{decoded.instr, decoded.length});
     ++block.count;
     address += decoded.length;

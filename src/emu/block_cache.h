@@ -1,7 +1,7 @@
 // r2r::emu — decoded-superblock cache.
 //
 // Every workload (campaigns, order-2 fixpoint, synth sweeps) bottoms out in
-// Machine::step calling isa::decode on raw bytes for each executed
+// Machine::step calling isa::Target::try_decode on raw bytes for each executed
 // instruction. The cache decodes each basic block once into a flat arena of
 // CachedInstr and lets the machine dispatch through an indexed loop instead
 // of per-step fetch+decode. Blocks are keyed by their exact start address

@@ -156,16 +156,39 @@ std::uint64_t Machine::load(std::uint64_t address, unsigned bytes) {
 }
 
 void Machine::store(std::uint64_t address, std::uint64_t value, unsigned bytes) {
-  if (ended_) return;
+  if (ended()) return;
   const AccessFault fault = memory_.try_write(address, value, bytes);
   if (fault != AccessFault::kNone) [[unlikely]] record_fault(fault, address);
 }
 
 void Machine::record_fault(AccessFault fault, std::uint64_t address) noexcept {
-  if (ended_) return;
-  ended_ = true;
+  if (ended()) return;
+  end_ = End::kMemory;
   fault_ = fault;
   fault_address_ = address;
+}
+
+void Machine::record_decode_failure(const isa::DecodeStatus& status) noexcept {
+  if (ended()) return;
+  end_ = End::kDecode;
+  decode_status_ = status;
+}
+
+void Machine::trap(const char* what) noexcept {
+  if (ended()) return;
+  end_ = End::kTrap;
+  trap_ = what;
+}
+
+[[gnu::cold]] std::string Machine::crash_detail() const {
+  switch (end_) {
+    case End::kMemory: return access_error(fault_, fault_address_).what();
+    case End::kDecode: return isa::decode_error(decode_status_).what();
+    case End::kTrap: return support::Error(ErrorKind::kExecution, trap_).what();
+    case End::kNone:
+    case End::kExit: break;
+  }
+  return {};
 }
 
 void Machine::do_syscall() {
@@ -185,7 +208,7 @@ void Machine::do_syscall() {
       if (count > available) count = available;
       for (std::uint64_t i = 0; i < count; ++i) {
         store(a1 + i, static_cast<std::uint8_t>(stdin_data_[stdin_pos_ + i]), 1);
-        if (ended_) return;  // the bytes before the fault stay written
+        if (ended()) return;  // the bytes before the fault stay written
       }
       stdin_pos_ += count;
       result = static_cast<std::int64_t>(count);
@@ -196,18 +219,21 @@ void Machine::do_syscall() {
         result = -9;
         break;
       }
-      support::check(output_.size() + a2 <= kOutputLimit, ErrorKind::kExecution,
-                     "guest output limit exceeded");
+      // Compared as room left, which cannot wrap for any length.
+      if (output_.size() > kOutputLimit || a2 > kOutputLimit - output_.size()) {
+        trap("guest output limit exceeded");
+        return;
+      }
       for (std::uint64_t i = 0; i < a2; ++i) {
         const std::uint64_t byte = load(a1 + i, 1);
-        if (ended_) return;  // the bytes before the fault stay written
+        if (ended()) return;  // the bytes before the fault stay written
         output_.push_back(static_cast<char>(byte));
       }
       result = static_cast<std::int64_t>(a2);
       break;
     }
     case 60:  // exit(code)
-      ended_ = true;
+      end_ = End::kExit;
       exit_code_ = static_cast<std::int64_t>(a0);
       return;
     default:
@@ -428,11 +454,14 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
     case Mnemonic::kNop:
       break;
     case Mnemonic::kHlt:
-      support::fail(ErrorKind::kExecution, "hlt in user mode");
+      trap("hlt in user mode");
+      break;
     case Mnemonic::kInt3:
-      support::fail(ErrorKind::kExecution, "breakpoint trap");
+      trap("breakpoint trap");
+      break;
     case Mnemonic::kUd2:
-      support::fail(ErrorKind::kExecution, "ud2 invalid opcode");
+      trap("ud2 invalid opcode");
+      break;
 
     case Mnemonic::kReadFlags:
       write_operand(instr.op(0), w, f.to_rflags());
@@ -478,14 +507,21 @@ void Machine::step(bool faulted_this_step, const FaultSpec* fault, TraceEntry* e
     // flips a byte of whatever follows; docs/higher-order.md records the
     // open question.)
     const std::uint32_t byte_index = fault->bit_offset / 8;
-    support::check(byte_index < fetched, ErrorKind::kExecution,
-                   "bit-flip fault offset past the fetched encoding");
+    if (byte_index >= fetched) {
+      trap("bit-flip fault offset past the fetched encoding");
+      return;
+    }
     window[byte_index] =
         static_cast<std::uint8_t>(window[byte_index] ^ (1U << (fault->bit_offset % 8)));
   }
 
-  const isa::Decoded decoded =
-      target_->decode(std::span<const std::uint8_t>(window.data(), fetched), cpu_.rip);
+  isa::Decoded decoded;
+  const isa::DecodeStatus status = target_->try_decode(
+      std::span<const std::uint8_t>(window.data(), fetched), cpu_.rip, decoded);
+  if (!status.ok()) {
+    record_decode_failure(status);
+    return;
+  }
   if (entry != nullptr) entry->length = decoded.length;
 
   if (faulted_this_step && fault->kind == FaultSpec::Kind::kSkip) {
@@ -520,7 +556,7 @@ bool Machine::run_cached(const RunConfig& config, const FaultSpec* fault,
     execute(ci.instr, cpu_.rip + ci.length);
     // A store into code invalidates blocks — break out so the next
     // iteration re-syncs before touching the cache again.
-    if (ended_ || memory_.code_write_epoch() != epoch) break;
+    if (ended() || memory_.code_write_epoch() != epoch) break;
   }
   return executed;
 }
@@ -529,10 +565,9 @@ RunResult Machine::run(const RunConfig& config) {
   RunResult result;
   const FaultSpec* fault = config.fault ? &*config.fault : nullptr;
   const std::uint64_t first_step = steps_;
-  ended_ = false;
-  fault_ = AccessFault::kNone;
+  end_ = End::kNone;
   try {
-    while (steps_ < config.fuel && !ended_) {
+    while (steps_ < config.fuel && !ended()) {
       const bool faulted = fault != nullptr && steps_ == fault->trace_index;
       if (cache_ != nullptr && !faulted && run_cached(config, fault, result)) {
         continue;
@@ -547,16 +582,18 @@ RunResult Machine::run(const RunConfig& config) {
       ++steps_;  // count attempted instructions, including the last
       step(faulted, fault, entry);
     }
-    if (!ended_) {
+    if (!ended()) {
       result.reason = StopReason::kFuelExhausted;
-    } else if (fault_ == AccessFault::kNone) {
+    } else if (end_ == End::kExit) {
       result.reason = StopReason::kExited;
       result.exit_code = exit_code_;
     } else {
       result.reason = StopReason::kCrashed;
-      result.crash_detail = access_error(fault_, fault_address_).what();
+      result.crash_detail = crash_detail();
     }
   } catch (const support::Error& error) {
+    // Backstop for internal invariant errors ("label operand reached the
+    // executor"); every guest-caused run end is status.
     result.reason = StopReason::kCrashed;
     result.crash_detail = error.what();
   }

@@ -5,16 +5,19 @@
 // instruction trace, and optionally inject one transient fault (skip or
 // encoding bit flip) at a chosen trace offset.
 //
-// How a run ends. A guest exit(2) and the run's first failed memory access
-// (load, store or fetch) are recorded as status, not thrown: the
-// instruction that raised them makes no further memory or output side
-// effect, the dispatch loop stops after it, and run() formats
-// `crash_detail` once, with the text of the Error{kMemory} that
-// Memory::read/write/fetch would throw. Decoder errors and traps (hlt,
-// int3, ud2, the output limit) still throw and are caught in run(). The
-// Cpu state after a crash is unspecified: registers the crashing
-// instruction writes may or may not hold its result. Callers that reuse a
-// machine restore a snapshot first, as the sim:: engine always does.
+// How a run ends. Every run end is recorded as machine status, not
+// thrown: a guest exit(2), the run's first failed memory access (load,
+// store or fetch), a failed decode (isa::Target::try_decode), a trap
+// (hlt, int3, ud2), a bit flip planned past the fetched encoding, and
+// the output limit. The first one wins. The instruction that raised it
+// makes no further memory or output side effect, the dispatch loop stops
+// after it, and run() formats `crash_detail` once, through one cold
+// formatter, with the text of the Error that Memory::read/write/fetch,
+// isa::Target::decode or the trap would throw. The catch in run() is
+// only a backstop for internal invariant errors. The Cpu state after a
+// crash is unspecified: registers the crashing instruction writes may or
+// may not hold its result. Callers that reuse a machine restore a
+// snapshot first, as the sim:: engine always does.
 #pragma once
 
 #include <cstdint>
@@ -176,12 +179,19 @@ class Machine {
   void push64(std::uint64_t value);
   std::uint64_t pop64();
 
-  // Guest memory accesses: a failure records the run's memory fault (the
-  // first one wins) and a load then yields 0. Once the run has ended, a
-  // store changes nothing.
+  // Guest memory accesses: a failure records the run's memory fault and a
+  // load then yields 0. Once the run has ended, a store changes nothing.
   std::uint64_t load(std::uint64_t address, unsigned bytes);
   void store(std::uint64_t address, std::uint64_t value, unsigned bytes);
+
+  // Run-end recorders: the first one to run ends the run; later calls
+  // change nothing.
   void record_fault(AccessFault fault, std::uint64_t address) noexcept;
+  void record_decode_failure(const isa::DecodeStatus& status) noexcept;
+  void trap(const char* what) noexcept;
+  [[nodiscard]] bool ended() const noexcept { return end_ != End::kNone; }
+  /// The crash_detail text of a crashed run; cold, runs once per crash.
+  [[nodiscard]] std::string crash_detail() const;
 
   const isa::Target* target_;
   Cpu cpu_;
@@ -193,12 +203,21 @@ class Machine {
   std::unique_ptr<BlockCache> cache_;  ///< null when the cache is disabled
   InstructionTally instructions_;
 
-  // Run-end status, reset by run(): `ended_` is set by exit(2) (with
-  // `exit_code_`) or by the first failed memory access (with `fault_`).
-  bool ended_ = false;
+  // Run-end status, reset by run(). `end_` says how the run ended, and
+  // the fields named beside each kind hold what its message needs.
+  enum class End : std::uint8_t {
+    kNone,    ///< still running
+    kExit,    ///< exit(2): `exit_code_`
+    kMemory,  ///< the first failed memory access: `fault_`, `fault_address_`
+    kDecode,  ///< an undecodable instruction: `decode_status_`
+    kTrap,    ///< hlt, int3, ud2, a bit flip past the window, the output limit: `trap_`
+  };
+  End end_ = End::kNone;
   std::int64_t exit_code_ = 0;
   AccessFault fault_ = AccessFault::kNone;
   std::uint64_t fault_address_ = 0;
+  isa::DecodeStatus decode_status_;
+  const char* trap_ = "";  ///< static Error{kExecution} message
 };
 
 /// Convenience wrapper used everywhere: fresh machine, one run.

@@ -1,40 +1,56 @@
 #include "isa/decoder.h"
 
-#include "support/bits.h"
-#include "support/bytes.h"
-#include "support/error.h"
+#include <string>
 
 namespace r2r::isa {
 
 namespace {
-
-using support::ByteReader;
-using support::check;
-using support::ErrorKind;
-using support::sign_extend;
 
 struct RexBits {
   bool present = false;
   bool w = false, r = false, x = false, b = false;
 };
 
-/// Cursor over one instruction's bytes; tracks RIP-relative pending fix-up
-/// because the absolute target needs the final instruction length.
+/// Cursor over one instruction's bytes. It records the decode's first
+/// failure (an underrun or a rejected field) and hands back zeros after
+/// it, so every check runs as a plain statement in source order and the
+/// first one to fail is the one reported. It also tracks a pending
+/// RIP-relative fix-up, because the absolute target needs the final
+/// instruction length.
 class Cursor {
  public:
   Cursor(std::span<const std::uint8_t> bytes, std::uint64_t address)
-      : reader_(bytes), address_(address) {}
+      : bytes_(bytes), address_(address) {}
 
-  std::uint8_t u8() { return reader_.read_u8(); }
-  std::uint32_t u32() { return reader_.read_u32(); }
-  std::uint64_t u64() { return reader_.read_u64(); }
-  std::int64_t i8() { return static_cast<std::int8_t>(reader_.read_u8()); }
-  std::int64_t i32() { return static_cast<std::int32_t>(reader_.read_u32()); }
+  std::uint8_t u8() noexcept {
+    if (offset_ == bytes_.size()) [[unlikely]] {
+      fail("byte reader underrun");
+      return 0;
+    }
+    return bytes_[offset_++];
+  }
+  std::uint32_t u32() noexcept {
+    std::uint32_t value = 0;
+    for (unsigned shift = 0; shift < 32; shift += 8) value |= std::uint32_t{u8()} << shift;
+    return value;
+  }
+  std::uint64_t u64() noexcept {
+    const std::uint64_t low = u32();
+    return low | (std::uint64_t{u32()} << 32);
+  }
+  std::int64_t i8() noexcept { return static_cast<std::int8_t>(u8()); }
+  std::int64_t i32() noexcept { return static_cast<std::int32_t>(u32()); }
 
-  [[nodiscard]] std::size_t consumed() const { return reader_.offset(); }
-  [[nodiscard]] std::uint64_t address() const { return address_; }
+  /// Records `reason` unless an earlier check already failed.
+  void fail(const char* reason) noexcept {
+    if (failure_ == nullptr) failure_ = reason;
+  }
+  [[nodiscard]] const char* failure() const noexcept { return failure_; }
 
-  void note_rip_relative(std::int64_t disp32) {
+  [[nodiscard]] std::size_t consumed() const noexcept { return offset_; }
+  [[nodiscard]] std::uint64_t address() const noexcept { return address_; }
+
+  void note_rip_relative(std::int64_t disp32) noexcept {
     rip_pending_ = true;
     rip_disp_ = disp32;
   }
@@ -53,8 +69,10 @@ class Cursor {
   }
 
  private:
-  ByteReader reader_;
+  std::span<const std::uint8_t> bytes_;
+  std::size_t offset_ = 0;
   std::uint64_t address_;
+  const char* failure_ = nullptr;
   bool rip_pending_ = false;
   std::int64_t rip_disp_ = 0;
 };
@@ -135,7 +153,7 @@ Instruction alu_rm(Mnemonic m, Cursor& cur, const RexBits& rex, Width w) {
   return make2(m, reg_from_number(modrm.reg_field), modrm.rm, w);
 }
 
-Mnemonic group1_mnemonic(unsigned ext) {
+Mnemonic group1_mnemonic(unsigned ext, Cursor& cur) noexcept {
   switch (ext) {
     case 0: return Mnemonic::kAdd;
     case 1: return Mnemonic::kOr;
@@ -144,24 +162,53 @@ Mnemonic group1_mnemonic(unsigned ext) {
     case 6: return Mnemonic::kXor;
     case 7: return Mnemonic::kCmp;
     default:
-      support::fail(ErrorKind::kDecode, "unsupported group-1 extension (adc/sbb)");
+      cur.fail("unsupported group-1 extension (adc/sbb)");
+      return Mnemonic::kAdd;
   }
 }
 
-Mnemonic group2_mnemonic(unsigned ext) {
+Mnemonic group2_mnemonic(unsigned ext, Cursor& cur) noexcept {
   switch (ext) {
     case 4: return Mnemonic::kShl;
     case 5: return Mnemonic::kShr;
     case 7: return Mnemonic::kSar;
-    default: support::fail(ErrorKind::kDecode, "unsupported shift-group extension");
+    default:
+      cur.fail("unsupported shift-group extension");
+      return Mnemonic::kShl;
   }
 }
 
 }  // namespace
 
+[[gnu::cold]] support::Error decode_error(const DecodeStatus& status) {
+  std::string message;
+  switch (status.form) {
+    case DecodeStatus::Form::kWord:
+      message = std::string(status.reason) + " (word " + std::to_string(status.value) + ")";
+      break;
+    case DecodeStatus::Form::kRegister:
+      message = "register x" + std::to_string(status.value) + " is not in the " +
+                status.reason + " register file";
+      break;
+    case DecodeStatus::Form::kOk:
+    case DecodeStatus::Form::kReason:
+      message = status.reason;
+      break;
+  }
+  return support::Error(support::ErrorKind::kDecode, message);
+}
+
 Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
-  check(!bytes.empty(), ErrorKind::kDecode, "empty byte stream");
-  if (bytes.size() > 15) bytes = bytes.first(15);
+  Decoded out;
+  const DecodeStatus status = try_decode(bytes, address, out);
+  if (!status.ok()) [[unlikely]] throw decode_error(status);
+  return out;
+}
+
+DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t address,
+                        Decoded& out) {
+  if (bytes.empty()) return {DecodeStatus::Form::kReason, "empty byte stream"};
+  if (bytes.size() > kMaxInstructionLength) bytes = bytes.first(kMaxInstructionLength);
   Cursor cur(bytes, address);
 
   RexBits rex;
@@ -182,14 +229,14 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
   const Width w = width_from_rex(rex);
 
   const auto rel_branch = [&cur](Mnemonic m, Cond cond, std::int64_t rel) {
-    Instruction out = make1(m, ImmOperand{0, {}});
-    out.cond = cond;
+    Instruction branch = make1(m, ImmOperand{0, {}});
+    branch.cond = cond;
     // Target = end of instruction + rel; consumed() is final here because
     // rel is the last field of every branch encoding.
     const std::uint64_t target =
         cur.address() + cur.consumed() + static_cast<std::uint64_t>(rel);
-    out.operands[0] = ImmOperand{static_cast<std::int64_t>(target), {}};
-    return out;
+    branch.operands[0] = ImmOperand{static_cast<std::int64_t>(target), {}};
+    return branch;
   };
 
   switch (opcode) {
@@ -246,19 +293,19 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
     // --- group 1: ALU r/m, imm ----------------------------------------------
     case 0x80: {
       const ModRm modrm = read_modrm(cur, rex);
-      const Mnemonic m = group1_mnemonic(modrm.reg_field & 7);
+      const Mnemonic m = group1_mnemonic(modrm.reg_field & 7, cur);
       instr = make2(m, modrm.rm, ImmOperand{cur.i8(), {}}, Width::b8);
       break;
     }
     case 0x81: {
       const ModRm modrm = read_modrm(cur, rex);
-      const Mnemonic m = group1_mnemonic(modrm.reg_field & 7);
+      const Mnemonic m = group1_mnemonic(modrm.reg_field & 7, cur);
       instr = make2(m, modrm.rm, ImmOperand{cur.i32(), {}}, w);
       break;
     }
     case 0x83: {
       const ModRm modrm = read_modrm(cur, rex);
-      const Mnemonic m = group1_mnemonic(modrm.reg_field & 7);
+      const Mnemonic m = group1_mnemonic(modrm.reg_field & 7, cur);
       instr = make2(m, modrm.rm, ImmOperand{cur.i8(), {}}, w);
       break;
     }
@@ -273,7 +320,7 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
 
     case 0x8D: {
       const ModRm modrm = read_modrm(cur, rex);
-      check(is_mem(modrm.rm), ErrorKind::kDecode, "lea requires memory operand");
+      if (!is_mem(modrm.rm)) cur.fail("lea requires memory operand");
       instr = make2(Mnemonic::kLea, reg_from_number(modrm.reg_field), modrm.rm, w);
       break;
     }
@@ -307,35 +354,37 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
     // --- shift groups ----------------------------------------------------------
     case 0xC0: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7), modrm.rm,
-                    ImmOperand{static_cast<std::int64_t>(cur.u8()), {}}, Width::b8);
+      const Mnemonic m = group2_mnemonic(modrm.reg_field & 7, cur);
+      const auto count = static_cast<std::int64_t>(cur.u8());
+      instr = make2(m, modrm.rm, ImmOperand{count, {}}, Width::b8);
       break;
     }
     case 0xC1: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7), modrm.rm,
-                    ImmOperand{static_cast<std::int64_t>(cur.u8()), {}}, w);
+      const Mnemonic m = group2_mnemonic(modrm.reg_field & 7, cur);
+      const auto count = static_cast<std::int64_t>(cur.u8());
+      instr = make2(m, modrm.rm, ImmOperand{count, {}}, w);
       break;
     }
     case 0xD0: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7), modrm.rm, ImmOperand{1, {}},
+      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, ImmOperand{1, {}},
                     Width::b8);
       break;
     }
     case 0xD1: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7), modrm.rm, ImmOperand{1, {}}, w);
+      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, ImmOperand{1, {}}, w);
       break;
     }
     case 0xD2: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7), modrm.rm, Reg::rcx, Width::b8);
+      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, Reg::rcx, Width::b8);
       break;
     }
     case 0xD3: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7), modrm.rm, Reg::rcx, w);
+      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, Reg::rcx, w);
       break;
     }
 
@@ -343,14 +392,14 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
 
     case 0xC6: {
       const ModRm modrm = read_modrm(cur, rex);
-      check((modrm.reg_field & 7) == 0, ErrorKind::kDecode, "bad C6 extension");
+      if ((modrm.reg_field & 7) != 0) cur.fail("bad C6 extension");
       instr = make2(Mnemonic::kMov, modrm.rm,
                     ImmOperand{cur.i8(), {}}, Width::b8);
       break;
     }
     case 0xC7: {
       const ModRm modrm = read_modrm(cur, rex);
-      check((modrm.reg_field & 7) == 0, ErrorKind::kDecode, "bad C7 extension");
+      if ((modrm.reg_field & 7) != 0) cur.fail("bad C7 extension");
       // Canonical immediate form: sign-extended at the operand width, the
       // same convention as the group-1 ALU immediates. (The mov reg,imm and
       // imm8 encoder paths also accept the zero-extended alias byte-for-byte.)
@@ -387,7 +436,7 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
           break;
         case 2: instr = make1(Mnemonic::kNot, modrm.rm, Width::b8); break;
         case 3: instr = make1(Mnemonic::kNeg, modrm.rm, Width::b8); break;
-        default: support::fail(ErrorKind::kDecode, "unsupported F6 extension");
+        default: cur.fail("unsupported F6 extension"); break;
       }
       break;
     }
@@ -399,7 +448,7 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
           break;
         case 2: instr = make1(Mnemonic::kNot, modrm.rm, w); break;
         case 3: instr = make1(Mnemonic::kNeg, modrm.rm, w); break;
-        default: support::fail(ErrorKind::kDecode, "unsupported F7 extension");
+        default: cur.fail("unsupported F7 extension"); break;
       }
       break;
     }
@@ -409,7 +458,7 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
       switch (modrm.reg_field & 7) {
         case 0: instr = make1(Mnemonic::kInc, modrm.rm, Width::b8); break;
         case 1: instr = make1(Mnemonic::kDec, modrm.rm, Width::b8); break;
-        default: support::fail(ErrorKind::kDecode, "unsupported FE extension");
+        default: cur.fail("unsupported FE extension"); break;
       }
       break;
     }
@@ -421,7 +470,7 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
         case 2: instr = make1(Mnemonic::kCallReg, modrm.rm); break;
         case 4: instr = make1(Mnemonic::kJmpReg, modrm.rm); break;
         case 6: instr = make1(Mnemonic::kPush, modrm.rm); break;
-        default: support::fail(ErrorKind::kDecode, "unsupported FF extension");
+        default: cur.fail("unsupported FF extension"); break;
       }
       break;
     }
@@ -465,18 +514,20 @@ Decoded decode(std::span<const std::uint8_t> bytes, std::uint64_t address) {
         instr = make2(m, reg_from_number(modrm.reg_field), modrm.rm, w);
         break;
       }
-      support::fail(ErrorKind::kDecode, "unsupported 0F opcode");
+      cur.fail("unsupported 0F opcode");
+      break;
     }
 
     default:
-      support::fail(ErrorKind::kDecode, "unsupported opcode");
+      cur.fail("unsupported opcode");
+      break;
   }
 
+  if (cur.failure() != nullptr) return {DecodeStatus::Form::kReason, cur.failure()};
   cur.finalize(instr);
-  Decoded out;
   out.instr = std::move(instr);
   out.length = static_cast<std::uint8_t>(cur.consumed());
-  return out;
+  return {};
 }
 
 }  // namespace r2r::isa

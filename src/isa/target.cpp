@@ -12,6 +12,13 @@ std::string_view to_string(Arch arch) noexcept {
   return "?";
 }
 
+Decoded Target::decode(std::span<const std::uint8_t> bytes, std::uint64_t address) const {
+  Decoded out;
+  const DecodeStatus status = try_decode(bytes, address, out);
+  if (!status.ok()) [[unlikely]] throw decode_error(status);
+  return out;
+}
+
 std::size_t Target::encoded_length(const Instruction& instr,
                                    std::uint64_t address) const {
   return encode(instr, address).size();

@@ -4,7 +4,8 @@
 // The shared pipeline IR is the abstract isa::Instruction (mnemonic + cond +
 // width + operands). A Target supplies the per-ISA pieces around it:
 //
-//   * machine-code codec     decode() / encode() / encoded_length()
+//   * machine-code codec     try_decode() / encode() / encoded_length()
+//     (decode() is the base class's throwing wrapper over try_decode())
 //   * register file syntax   reg_name() / parse_reg()
 //   * assembler dialect      print() / parse_instruction() / parse_assembly()
 //     (the two-operand Intel-like dialect is shared; targets only differ in
@@ -91,10 +92,18 @@ class Target {
   /// and bit-flip fault planning are sized against this.
   [[nodiscard]] virtual std::size_t max_instruction_length() const noexcept = 0;
 
-  /// Decodes one instruction at virtual address `address`. PC-relative
-  /// fields become absolute addresses. Throws Error{kDecode} on junk.
-  [[nodiscard]] virtual Decoded decode(std::span<const std::uint8_t> bytes,
-                                       std::uint64_t address) const = 0;
+  /// The target's one decoder: decodes one instruction at virtual address
+  /// `address` into `out`, with PC-relative fields made absolute. Junk is
+  /// reported as the returned status, which formats nothing and is never
+  /// thrown; `out` is written only on success. The emulator's hot path
+  /// calls this.
+  [[nodiscard]] virtual DecodeStatus try_decode(std::span<const std::uint8_t> bytes,
+                                                std::uint64_t address,
+                                                Decoded& out) const = 0;
+
+  /// try_decode() for host callers: throws decode_error() on junk.
+  [[nodiscard]] Decoded decode(std::span<const std::uint8_t> bytes,
+                               std::uint64_t address) const;
 
   /// Encodes one fully resolved instruction placed at `address`. Throws
   /// Error{kEncode} for instructions outside the target's subset.

@@ -12,10 +12,11 @@
 // direct jmp/call use a "checked jal" in custom-2 (0x5B) instead of the
 // standard jal word.
 //
-// Canonicalization: decode() accepts exactly the forms encode() emits (field
-// constraints are checked, junk throws Error{kDecode}), so bit-flip fault
-// campaigns behave like they do on x64 — a flip either yields a different
-// valid instruction or an invalid-opcode crash. The custom words additionally
+// Canonicalization: try_decode() accepts exactly the forms encode() emits
+// (field constraints are checked; junk is reported as a DecodeStatus, which
+// decode() throws as Error{kDecode}), so bit-flip fault campaigns behave
+// like they do on x64 — a flip either yields a different valid instruction
+// or an invalid-opcode crash. The custom words additionally
 // carry an even-parity bit (see the encoding-parity section below): without
 // it, the fixed-width aligned encoding lets a single flipped offset bit
 // retarget a branch or call at another *valid* instruction — the one fault
@@ -33,7 +34,6 @@ namespace r2r::isa {
 namespace {
 
 using support::ErrorKind;
-using support::check;
 using support::fail;
 
 // ---- register map ----------------------------------------------------------
@@ -80,13 +80,6 @@ constexpr std::array<std::int8_t, 32> make_inverse_map() {
 constexpr std::array<std::int8_t, 32> kAbstractFromHw = make_inverse_map();
 
 unsigned hw(Reg reg) noexcept { return kHwNumber[reg_number(reg)]; }
-
-Reg mapped_reg(unsigned hw_number, const char* what) {
-  check(hw_number < 32 && kAbstractFromHw[hw_number] >= 0, ErrorKind::kDecode,
-        std::string("register x") + std::to_string(hw_number) + " is not in the " + what +
-            " register file");
-  return static_cast<Reg>(kAbstractFromHw[hw_number]);
-}
 
 // ---- opcodes / field packing -----------------------------------------------
 
@@ -181,6 +174,41 @@ std::int32_t j_imm(std::uint32_t word) noexcept {
                             (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1);
   return static_cast<std::int32_t>(imm << 11) >> 11;  // sign-extend 21 bits
 }
+
+/// State of one word's decode. Checks run as plain statements in source
+/// order and the first failure is the one reported: reg() records a field
+/// naming a register outside the file and hands back a placeholder so the
+/// statement can finish, and one() and bad() report that earlier failure
+/// in place of their own result.
+class WordDecoder {
+ public:
+  WordDecoder(std::uint32_t word, Decoded& out) noexcept : word_(word), out_(out) {}
+
+  /// The abstract register behind hardware register field `hw_number`.
+  Reg reg(std::uint32_t hw_number) noexcept {
+    const std::int8_t abstract = kAbstractFromHw[hw_number & 0x1F];
+    if (abstract >= 0) return static_cast<Reg>(abstract);
+    if (status_.ok()) status_ = {DecodeStatus::Form::kRegister, "rv32i", hw_number};
+    return Reg::rax;
+  }
+
+  /// Decoded as `instr` (`length` bytes), unless an earlier check failed.
+  DecodeStatus one(Instruction instr, std::uint8_t length = 4) {
+    if (status_.ok()) out_ = Decoded{std::move(instr), length};
+    return status_;
+  }
+
+  /// Rejected because `why`, unless an earlier check failed.
+  DecodeStatus bad(const char* why) noexcept {
+    if (status_.ok()) status_ = {DecodeStatus::Form::kWord, why, word_};
+    return status_;
+  }
+
+ private:
+  std::uint32_t word_;
+  Decoded& out_;
+  DecodeStatus status_;
+};
 
 // ---- encode ----------------------------------------------------------------
 
@@ -404,8 +432,9 @@ class Rv32iTarget final : public Target {
     return 8;  // fused lui+addi mov
   }
 
-  [[nodiscard]] Decoded decode(std::span<const std::uint8_t> bytes,
-                               std::uint64_t address) const override;
+  [[nodiscard]] DecodeStatus try_decode(std::span<const std::uint8_t> bytes,
+                                        std::uint64_t address,
+                                        Decoded& out) const override;
 
   [[nodiscard]] std::vector<std::uint8_t> encode(const Instruction& instr,
                                                  std::uint64_t address) const override;
@@ -627,23 +656,20 @@ std::size_t Rv32iTarget::encoded_length(const Instruction& instr, std::uint64_t)
   return 8;
 }
 
-Decoded Rv32iTarget::decode(std::span<const std::uint8_t> bytes,
-                            std::uint64_t address) const {
-  check(bytes.size() >= 4, ErrorKind::kDecode, "truncated rv32i instruction");
+DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
+                                     std::uint64_t address, Decoded& out) const {
+  if (bytes.size() < 4) return {DecodeStatus::Form::kReason, "truncated rv32i instruction"};
   const auto word = static_cast<std::uint32_t>(bytes[0]) |
                     (static_cast<std::uint32_t>(bytes[1]) << 8) |
                     (static_cast<std::uint32_t>(bytes[2]) << 16) |
                     (static_cast<std::uint32_t>(bytes[3]) << 24);
-  const auto one = [](Instruction instr) { return Decoded{std::move(instr), 4}; };
-  const auto bad = [&](const char* why) -> Decoded {
-    fail(ErrorKind::kDecode, std::string(why) + " (word " + std::to_string(word) + ")");
-  };
+  WordDecoder d(word, out);
 
-  if (word == kWordUd) return one(make0(Mnemonic::kUd2));
-  if (word == kWordNop) return one(nop());
-  if (word == kWordEcall) return one(syscall_());
-  if (word == kWordEbreak) return one(make0(Mnemonic::kInt3));
-  if (word == kWordWfi) return one(hlt());
+  if (word == kWordUd) return d.one(make0(Mnemonic::kUd2));
+  if (word == kWordNop) return d.one(nop());
+  if (word == kWordEcall) return d.one(syscall_());
+  if (word == kWordEbreak) return d.one(make0(Mnemonic::kInt3));
+  if (word == kWordWfi) return d.one(hlt());
 
   const Fields f = fields_of(word);
   switch (f.opcode) {
@@ -651,42 +677,42 @@ Decoded Rv32iTarget::decode(std::span<const std::uint8_t> bytes,
       const std::int32_t imm12 = i_imm(word);
       if (f.f3 == 1 || f.f3 == 5) {  // slli / srli / srai
         const std::uint32_t shamt_f7 = f.f7;
-        if (f.f3 == 1 && shamt_f7 != 0) return bad("bad slli funct7");
-        if (f.f3 == 5 && shamt_f7 != 0 && shamt_f7 != 0x20) return bad("bad srli/srai funct7");
-        const Reg rd = mapped_reg(f.rd, "rv32i");
-        if (f.rs1 != f.rd) return bad("shift-immediate source must equal destination");
+        if (f.f3 == 1 && shamt_f7 != 0) return d.bad("bad slli funct7");
+        if (f.f3 == 5 && shamt_f7 != 0 && shamt_f7 != 0x20) return d.bad("bad srli/srai funct7");
+        const Reg rd = d.reg(f.rd);
+        if (f.rs1 != f.rd) return d.bad("shift-immediate source must equal destination");
         const Mnemonic m = f.f3 == 1 ? Mnemonic::kShl
                                      : (shamt_f7 == 0x20 ? Mnemonic::kSar : Mnemonic::kShr);
-        return one(make2(m, rd, imm(static_cast<std::int64_t>(f.rs2)), Width::b32));
+        return d.one(make2(m, rd, imm(static_cast<std::int64_t>(f.rs2)), Width::b32));
       }
       if (f.f3 == 0) {  // addi: nop / li / add / mv / lea
-        if (f.rd == 0) return bad("addi to x0 is not canonical");
-        const Reg rd = mapped_reg(f.rd, "rv32i");
-        if (f.rs1 == 0) return one(mov(rd, imm(imm12), Width::b32));
-        const Reg rs1 = mapped_reg(f.rs1, "rv32i");
-        if (f.rs1 == f.rd) return one(add(rd, imm(imm12), Width::b32));
-        if (imm12 == 0) return one(mov(rd, rs1, Width::b32));
-        return one(lea(rd, mem(rs1, imm12), Width::b32));
+        if (f.rd == 0) return d.bad("addi to x0 is not canonical");
+        const Reg rd = d.reg(f.rd);
+        if (f.rs1 == 0) return d.one(mov(rd, imm(imm12), Width::b32));
+        const Reg rs1 = d.reg(f.rs1);
+        if (f.rs1 == f.rd) return d.one(add(rd, imm(imm12), Width::b32));
+        if (imm12 == 0) return d.one(mov(rd, rs1, Width::b32));
+        return d.one(lea(rd, mem(rs1, imm12), Width::b32));
       }
       if (f.f3 == 4 || f.f3 == 6 || f.f3 == 7) {  // xori / ori / andi
-        if (f.rd == 0 || f.rs1 != f.rd) return bad("ALU-immediate source must equal destination");
-        const Reg rd = mapped_reg(f.rd, "rv32i");
-        if (f.f3 == 4 && imm12 == -1) return one(make1(Mnemonic::kNot, rd, Width::b32));
+        if (f.rd == 0 || f.rs1 != f.rd) return d.bad("ALU-immediate source must equal destination");
+        const Reg rd = d.reg(f.rd);
+        if (f.f3 == 4 && imm12 == -1) return d.one(make1(Mnemonic::kNot, rd, Width::b32));
         const Mnemonic m = f.f3 == 4 ? Mnemonic::kXor : (f.f3 == 6 ? Mnemonic::kOr : Mnemonic::kAnd);
-        return one(make2(m, rd, imm(imm12), Width::b32));
+        return d.one(make2(m, rd, imm(imm12), Width::b32));
       }
-      return bad("unsupported OP-IMM funct3");
+      return d.bad("unsupported OP-IMM funct3");
     }
     case kOp: {
-      if (f.f7 != 0 && f.f7 != 0x20) return bad("bad OP funct7");
-      if (f.f7 == 0x20 && f.f3 != 0 && f.f3 != 5) return bad("bad OP funct7/funct3 pair");
-      const Reg rd = mapped_reg(f.rd, "rv32i");
+      if (f.f7 != 0 && f.f7 != 0x20) return d.bad("bad OP funct7");
+      if (f.f7 == 0x20 && f.f3 != 0 && f.f3 != 5) return d.bad("bad OP funct7/funct3 pair");
+      const Reg rd = d.reg(f.rd);
       if (f.f3 == 0 && f.f7 == 0x20 && f.rs1 == 0) {  // neg
-        if (f.rs2 != f.rd) return bad("neg operand fields disagree");
-        return one(make1(Mnemonic::kNeg, rd, Width::b32));
+        if (f.rs2 != f.rd) return d.bad("neg operand fields disagree");
+        return d.one(make1(Mnemonic::kNeg, rd, Width::b32));
       }
-      if (f.rs1 != f.rd) return bad("two-operand ALU source must equal destination");
-      const Reg rs2 = mapped_reg(f.rs2, "rv32i");
+      if (f.rs1 != f.rd) return d.bad("two-operand ALU source must equal destination");
+      const Reg rs2 = d.reg(f.rs2);
       Mnemonic m{};
       switch (f.f3) {
         case 0: m = f.f7 == 0x20 ? Mnemonic::kSub : Mnemonic::kAdd; break;
@@ -695,122 +721,128 @@ Decoded Rv32iTarget::decode(std::span<const std::uint8_t> bytes,
         case 5: m = f.f7 == 0x20 ? Mnemonic::kSar : Mnemonic::kShr; break;
         case 6: m = Mnemonic::kOr; break;
         case 7: m = Mnemonic::kAnd; break;
-        default: return bad("unsupported OP funct3");
+        default: return d.bad("unsupported OP funct3");
       }
-      return one(make2(m, rd, rs2, Width::b32));
+      return d.one(make2(m, rd, rs2, Width::b32));
     }
     case kOpLui: {
       // Only the canonical fused mov uses lui; require the addi half.
-      check(bytes.size() >= 8, ErrorKind::kDecode, "truncated fused rv32i mov");
+      if (bytes.size() < 8) return {DecodeStatus::Form::kReason, "truncated fused rv32i mov"};
       const auto word2 = static_cast<std::uint32_t>(bytes[4]) |
                          (static_cast<std::uint32_t>(bytes[5]) << 8) |
                          (static_cast<std::uint32_t>(bytes[6]) << 16) |
                          (static_cast<std::uint32_t>(bytes[7]) << 24);
       const Fields f2 = fields_of(word2);
       if (f2.opcode != kOpImm || f2.f3 != 0 || f2.rd != f.rd || f2.rs1 != f.rd)
-        return bad("lui without matching addi half");
-      const Reg rd = mapped_reg(f.rd, "rv32i");
+        return d.bad("lui without matching addi half");
+      const Reg rd = d.reg(f.rd);
       const std::uint32_t value =
           (word & 0xFFFF'F000) + static_cast<std::uint32_t>(i_imm(word2));
-      return Decoded{mov(rd, imm(static_cast<std::int64_t>(value)), Width::b32), 8};
+      return d.one(mov(rd, imm(static_cast<std::int64_t>(value)), Width::b32), 8);
     }
     case kOpLoad: {
-      const Reg rd = mapped_reg(f.rd, "rv32i");
-      const Reg base = mapped_reg(f.rs1, "rv32i");
+      const Reg rd = d.reg(f.rd);
+      const Reg base = d.reg(f.rs1);
       const Operand src = mem(base, i_imm(word));
       switch (f.f3) {
-        case 0: return one(make2(Mnemonic::kMovsx, rd, src, Width::b32));  // lb
-        case 2: return one(mov(rd, src, Width::b32));                      // lw
-        case 4: return one(movzx(rd, src, Width::b32));                    // lbu
-        default: return bad("unsupported load width");
+        case 0: return d.one(make2(Mnemonic::kMovsx, rd, src, Width::b32));  // lb
+        case 2: return d.one(mov(rd, src, Width::b32));                      // lw
+        case 4: return d.one(movzx(rd, src, Width::b32));                    // lbu
+        default: return d.bad("unsupported load width");
       }
     }
     case kOpStore: {
-      const Reg base = mapped_reg(f.rs1, "rv32i");
-      const Reg value = mapped_reg(f.rs2, "rv32i");
+      const Reg base = d.reg(f.rs1);
+      const Reg value = d.reg(f.rs2);
       const Operand dst = mem(base, s_imm(word));
-      if (f.f3 == 0) return one(mov(dst, value, Width::b8));   // sb
-      if (f.f3 == 2) return one(mov(dst, value, Width::b32));  // sw
-      return bad("unsupported store width");
+      if (f.f3 == 0) return d.one(mov(dst, value, Width::b8));   // sb
+      if (f.f3 == 2) return d.one(mov(dst, value, Width::b32));  // sw
+      return d.bad("unsupported store width");
     }
     case kOpJal:
       // Never emitted: direct jmp/call are the parity-checked custom-2 words,
       // and accepting plain jal would reopen the retargeted-branch fault hole.
-      return bad("rv32i direct jumps use the checked-jal extension word");
+      return d.bad("rv32i direct jumps use the checked-jal extension word");
     case kOpCustom2: {  // checked jal (direct jmp/call)
-      if (!parity_ok(word)) return bad("checked-jal parity check failed");
-      if ((f.rd & 0xE) != 0) return bad("bad checked-jal link field");
+      if (!parity_ok(word)) return d.bad("checked-jal parity check failed");
+      if ((f.rd & 0xE) != 0) return d.bad("bad checked-jal link field");
       const std::int64_t target = static_cast<std::int64_t>(address) + j_imm(word);
-      return one(make1((f.rd & 1) != 0 ? Mnemonic::kCall : Mnemonic::kJmp, imm(target),
+      return d.one(make1((f.rd & 1) != 0 ? Mnemonic::kCall : Mnemonic::kJmp, imm(target),
                        Width::b32));
     }
     case kOpJalr: {
-      if (f.f3 != 0 || i_imm(word) != 0) return bad("non-canonical jalr");
-      if (f.rd == 0 && f.rs1 == 1) return one(ret());
+      if (f.f3 != 0 || i_imm(word) != 0) return d.bad("non-canonical jalr");
+      if (f.rd == 0 && f.rs1 == 1) return d.one(ret());
       if (f.rd == 0)
-        return one(make1(Mnemonic::kJmpReg, mapped_reg(f.rs1, "rv32i"), Width::b32));
+        return d.one(make1(Mnemonic::kJmpReg, d.reg(f.rs1), Width::b32));
       if (f.rd == 1)
-        return one(make1(Mnemonic::kCallReg, mapped_reg(f.rs1, "rv32i"), Width::b32));
-      return bad("jalr may only link through ra");
+        return d.one(make1(Mnemonic::kCallReg, d.reg(f.rs1), Width::b32));
+      return d.bad("jalr may only link through ra");
     }
     case kOpCustom1: {  // jcc
       // rd bit 4 carries encoding parity (see the encoder): a word with odd
       // popcount is a corrupted fetch, never a retargeted branch.
-      if (!parity_ok(word)) return bad("jcc parity check failed");
+      if (!parity_ok(word)) return d.bad("jcc parity check failed");
       Instruction instr = make1(Mnemonic::kJcc,
                                 imm(static_cast<std::int64_t>(address) + j_imm(word)),
                                 Width::b32);
       instr.cond = static_cast<Cond>(f.rd & 0xF);
-      return one(std::move(instr));
+      return d.one(std::move(instr));
     }
     case kOpCustom0: {
       const Width width = (f.rd & 1) != 0 ? Width::b8 : Width::b32;
       // Every form but the byte load (whose rd/rs1/imm fields are all live)
       // carries the encoding parity bit.
-      if (f.f3 != 3 && !parity_ok(word)) return bad("custom-0 parity check failed");
+      if (f.f3 != 3 && !parity_ok(word)) return d.bad("custom-0 parity check failed");
       switch (f.f3) {
         case 0: {  // cmp reg, reg
-          if ((f.rd & 0xE) != 0 || f.f7 != 0) return bad("bad cmp fields");
-          return one(cmp(mapped_reg(f.rs1, "rv32i"), mapped_reg(f.rs2, "rv32i"), width));
+          if ((f.rd & 0xE) != 0 || f.f7 != 0) return d.bad("bad cmp fields");
+          const Reg a = d.reg(f.rs1);
+          const Reg b = d.reg(f.rs2);
+          return d.one(cmp(a, b, width));
         }
         case 1:  // cmp reg, imm
-          if ((f.rd & 0xE) != 0) return bad("bad cmp-immediate fields");
-          return one(cmp(mapped_reg(f.rs1, "rv32i"), imm(i_imm(word)), width));
+          if ((f.rd & 0xE) != 0) return d.bad("bad cmp-immediate fields");
+          return d.one(cmp(d.reg(f.rs1), imm(i_imm(word)), width));
         case 2: {  // test reg, reg
-          if ((f.rd & 0xE) != 0 || f.f7 != 0) return bad("bad test fields");
-          return one(test(mapped_reg(f.rs1, "rv32i"), mapped_reg(f.rs2, "rv32i"), width));
+          if ((f.rd & 0xE) != 0 || f.f7 != 0) return d.bad("bad test fields");
+          const Reg a = d.reg(f.rs1);
+          const Reg b = d.reg(f.rs2);
+          return d.one(test(a, b, width));
         }
-        case 3:  // byte load with x86 merge semantics
-          return one(mov(mapped_reg(f.rd, "rv32i"), mem(mapped_reg(f.rs1, "rv32i"), i_imm(word)),
-                         Width::b8));
+        case 3: {  // byte load with x86 merge semantics
+          const Reg rd = d.reg(f.rd);
+          const Reg base = d.reg(f.rs1);
+          return d.one(mov(rd, mem(base, i_imm(word)), Width::b8));
+        }
         case 4: {  // reg-reg byte mov / movzx / movsx (parity in f7 bit 6)
-          if (f.rs1 != 0) return bad("bad register-move fields");
-          const Reg rd = mapped_reg(f.rd, "rv32i");
-          const Reg rs2 = mapped_reg(f.rs2, "rv32i");
+          if (f.rs1 != 0) return d.bad("bad register-move fields");
+          const Reg rd = d.reg(f.rd);
+          const Reg rs2 = d.reg(f.rs2);
           const std::uint32_t form = f.f7 & 0x3F;
-          if (form == 0) return one(mov(rd, rs2, Width::b8));
-          if (form == 1) return one(movzx(rd, rs2, Width::b32));
-          if (form == 2) return one(make2(Mnemonic::kMovsx, rd, rs2, Width::b32));
-          return bad("bad register-move funct7");
+          if (form == 0) return d.one(mov(rd, rs2, Width::b8));
+          if (form == 1) return d.one(movzx(rd, rs2, Width::b32));
+          if (form == 2) return d.one(make2(Mnemonic::kMovsx, rd, rs2, Width::b32));
+          return d.bad("bad register-move funct7");
         }
         case 5: {  // setcc (parity in imm bit 11)
           const std::uint32_t cc = (word >> 20) & 0x7FF;
-          if (f.rs1 != 0 || cc > 0xF) return bad("bad setcc fields");
-          return one(setcc(static_cast<Cond>(cc), mapped_reg(f.rd, "rv32i")));
+          if (f.rs1 != 0 || cc > 0xF) return d.bad("bad setcc fields");
+          return d.one(setcc(static_cast<Cond>(cc), d.reg(f.rd)));
         }
         case 6: {  // mvflags (parity in f7 bit 6)
-          if (f.rs1 != 0 || f.rs2 != 0 || (f.f7 & 0x3F) != 0) return bad("bad mvflags fields");
-          return one(read_flags(mapped_reg(f.rd, "rv32i"), Width::b32));
+          if (f.rs1 != 0 || f.rs2 != 0 || (f.f7 & 0x3F) != 0) return d.bad("bad mvflags fields");
+          return d.one(read_flags(d.reg(f.rd), Width::b32));
         }
         case 7: {  // wrflags (parity in f7 bit 6)
-          if (f.rd != 0 || f.rs2 != 0 || (f.f7 & 0x3F) != 0) return bad("bad wrflags fields");
-          return one(write_flags(mapped_reg(f.rs1, "rv32i"), Width::b32));
+          if (f.rd != 0 || f.rs2 != 0 || (f.f7 & 0x3F) != 0) return d.bad("bad wrflags fields");
+          return d.one(write_flags(d.reg(f.rs1), Width::b32));
         }
-        default: return bad("unsupported custom-0 funct3");
+        default: return d.bad("unsupported custom-0 funct3");
       }
     }
     default:
-      return bad("unsupported rv32i opcode");
+      return d.bad("unsupported rv32i opcode");
   }
 }
 

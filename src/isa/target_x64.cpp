@@ -20,9 +20,10 @@ class X64Target final : public Target {
     return kMaxInstructionLength;
   }
 
-  [[nodiscard]] Decoded decode(std::span<const std::uint8_t> bytes,
-                               std::uint64_t address) const override {
-    return isa::decode(bytes, address);
+  [[nodiscard]] DecodeStatus try_decode(std::span<const std::uint8_t> bytes,
+                                        std::uint64_t address,
+                                        Decoded& out) const override {
+    return isa::try_decode(bytes, address, out);
   }
 
   [[nodiscard]] std::vector<std::uint8_t> encode(const Instruction& instr,

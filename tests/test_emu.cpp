@@ -328,9 +328,10 @@ TEST(MachineCrashes, FuelExhaustionOnInfiniteLoop) {
 }
 
 // ---- run-end contract -----------------------------------------------------------------
-// An exit and a memory fault end a run as machine status, not as a thrown
-// exception. Every RunResult field must read as it always has, with the
-// decoded-block cache on (parameter true) and off.
+// Every run end (exit, memory fault, failed decode, trap, output limit) is
+// machine status, not a thrown exception. Every RunResult field must read
+// as it always has, with the decoded-block cache on (parameter true) and
+// off.
 
 class RunEnd : public testing::TestWithParam<bool> {
  protected:
@@ -399,6 +400,80 @@ TEST_P(RunEnd, MemoryFaultCrashDetailGoldens) {
     const bool fetch_fault = c.detail.find("fetch") != std::string::npos;
     EXPECT_EQ(result.trace.back().length == 0, fetch_fault);
   }
+}
+
+elf::Image build_rv32i(const std::string& text) {
+  bir::Module module =
+      bir::module_from_assembly(".global _start\n_start:\n" + text, isa::Arch::kRv32i);
+  return bir::assemble(module);
+}
+
+TEST_P(RunEnd, DecodeAndTrapCrashDetailGoldens) {
+  struct Case {
+    elf::Image image;
+    std::string detail;
+    std::uint64_t steps;
+    std::uint8_t last_length;  ///< 0: the last step failed to decode
+  };
+  const std::vector<Case> cases = {
+      {build("    mov rax, 1\n    .byte 0x06\n"), "decode: unsupported opcode", 2, 0},
+      {build("    .byte 0x0f, 0xff\n"), "decode: unsupported 0F opcode", 1, 0},
+      // mov eax, imm32 cut short by the end of .text: a 2-byte window.
+      {build("    mov rax, 1\n    .byte 0xb8, 0x01\n"), "decode: byte reader underrun", 2, 0},
+      // C0 /6 is no shift; the extension is checked before the missing
+      // immediate is read.
+      {build("    .byte 0xc0, 0xf0\n"), "decode: unsupported shift-group extension", 1, 0},
+      {build("    nop\n    hlt\n"), "execution: hlt in user mode", 2, 1},
+      {build("    int3\n"), "execution: breakpoint trap", 1, 1},
+      {build("    nop\n    ud2\n"), "execution: ud2 invalid opcode", 2, 2},
+      {build("    mov rax, 1\n"
+             "    mov rdi, 1\n"
+             "    mov rsi, rsp\n"
+             "    mov rdx, 0x100001\n"
+             "    syscall\n"),
+       "execution: guest output limit exceeded", 5, 2},
+      // rv32i: a plain jal word (jal x0, 0), and addi x3, x3, 1 (gp is
+      // outside the register file).
+      {build_rv32i("    nop\n    .byte 0x6f, 0x00, 0x00, 0x00\n"),
+       "decode: rv32i direct jumps use the checked-jal extension word (word 111)", 2, 0},
+      {build_rv32i("    .byte 0x93, 0x81, 0x11, 0x00\n"),
+       "decode: register x3 is not in the rv32i register file", 1, 0},
+      // cmp x3, x4 (custom-0): both registers are outside the file, and
+      // rs1 is checked first.
+      {build_rv32i("    .byte 0x0b, 0x80, 0x41, 0x00\n"),
+       "decode: register x3 is not in the rv32i register file", 1, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.detail);
+    const RunResult result = run_fresh(c.image);
+    EXPECT_EQ(result.reason, StopReason::kCrashed);
+    EXPECT_EQ(result.crash_detail, c.detail);
+    EXPECT_EQ(result.exit_code, -1);
+    EXPECT_EQ(result.output, "");
+    EXPECT_EQ(result.steps, c.steps);
+    ASSERT_EQ(result.trace.size(), c.steps);
+    EXPECT_EQ(result.trace.back().length, c.last_length);
+  }
+}
+
+TEST_P(RunEnd, OutputLimitHoldsForLengthsNearTwoToThe64) {
+  // One byte of output, then write(1, rsp, -1): the length must not wrap
+  // the limit check around and start reading the stack.
+  const elf::Image image = build(
+      "    mov rax, 1\n"
+      "    mov rdi, 1\n"
+      "    mov rsi, rsp\n"
+      "    mov rdx, 1\n"
+      "    syscall\n"
+      "    mov rax, 1\n"
+      "    mov rdx, -1\n"
+      "    syscall\n");
+  const RunResult result = run_fresh(image);
+  EXPECT_EQ(result.reason, StopReason::kCrashed);
+  EXPECT_EQ(result.crash_detail, "execution: guest output limit exceeded");
+  EXPECT_EQ(result.output, std::string(1, '\0'));
+  EXPECT_EQ(result.steps, 8u);
+  EXPECT_EQ(result.trace.back().length, 2u);
 }
 
 TEST_P(RunEnd, WriteSyscallRunningOffItsMappingKeepsTheBytesBeforeTheFault) {

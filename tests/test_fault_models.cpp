@@ -13,6 +13,7 @@
 #include "harden/hybrid.h"
 #include "isa/decoder.h"
 #include "isa/encoder.h"
+#include "isa/target.h"
 #include "sim/engine.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -227,20 +228,58 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- decoder fuzz property -----------------------------------------------------
 
 TEST(DecoderFuzz, ArbitraryBytesEitherDecodeOrThrowError) {
-  // Property: the decoder never crashes, loops, or reads out of bounds on
-  // arbitrary input — it either yields an instruction with a sane length
-  // or throws support::Error (which the machine reports as a crash).
-  support::Rng rng(20260608);
-  std::vector<std::uint8_t> buffer(15);
-  for (int round = 0; round < 20000; ++round) {
-    for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next());
-    try {
-      const isa::Decoded decoded = isa::decode(buffer, 0x400000);
-      EXPECT_GE(decoded.length, 1u);
-      EXPECT_LE(decoded.length, 15u);
-    } catch (const support::Error& error) {
-      EXPECT_EQ(error.kind(), support::ErrorKind::kDecode);
+  // Property, on every target: the non-throwing core never crashes, loops
+  // or reads out of bounds on arbitrary input, and decode() is its thin
+  // wrapper. On each window (of random length up to the target's maximum)
+  // the two agree on the instruction and its length, or on the message
+  // decode() throws as Error{kDecode}. Half the windows are bit-flipped
+  // valid encodings, the input a bit-flip campaign feeds the decoder.
+  constexpr std::uint64_t kAddress = 0x400000;
+  for (const isa::Target* target : isa::all_targets()) {
+    SCOPED_TRACE(std::string(target->name()));
+    const std::size_t max_length = target->max_instruction_length();
+    const std::vector<std::vector<std::uint8_t>> seeds = {
+        target->encode(isa::add(isa::Reg::rax, isa::Reg::rcx, target->natural_width()),
+                       kAddress),
+        target->encode(isa::cmp(isa::Reg::rbx, isa::imm(7), target->natural_width()),
+                       kAddress),
+        target->encode(isa::mov(isa::Reg::rdx, isa::imm(0x12345678), target->natural_width()),
+                       kAddress),
+    };
+    support::Rng rng(20260608);
+    unsigned decoded_count = 0;
+    unsigned rejected_count = 0;
+    std::vector<std::uint8_t> window;
+    for (int round = 0; round < 20000; ++round) {
+      if (round % 2 == 0) {
+        const auto& seed = seeds[rng.next() % seeds.size()];
+        window.assign(seed.begin(), seed.end());
+        window.resize(max_length, static_cast<std::uint8_t>(rng.next()));
+        window[rng.next() % seed.size()] ^= static_cast<std::uint8_t>(1u << (rng.next() % 8));
+      } else {
+        window.resize(rng.next() % (max_length + 1));
+        for (auto& b : window) b = static_cast<std::uint8_t>(rng.next());
+      }
+
+      isa::Decoded core;
+      const isa::DecodeStatus status = target->try_decode(window, kAddress, core);
+      try {
+        const isa::Decoded wrapped = target->decode(window, kAddress);
+        ASSERT_TRUE(status.ok()) << "decode() accepted what try_decode() rejected";
+        EXPECT_EQ(wrapped.instr, core.instr);
+        EXPECT_EQ(wrapped.length, core.length);
+        EXPECT_GE(core.length, 1u);
+        EXPECT_LE(core.length, window.size());
+        ++decoded_count;
+      } catch (const support::Error& error) {
+        ASSERT_FALSE(status.ok()) << "decode() threw on what try_decode() accepted";
+        EXPECT_EQ(error.kind(), support::ErrorKind::kDecode);
+        EXPECT_EQ(std::string(error.what()), isa::decode_error(status).what());
+        ++rejected_count;
+      }
     }
+    EXPECT_GT(decoded_count, 1000u);
+    EXPECT_GT(rejected_count, 1000u);
   }
 }
 

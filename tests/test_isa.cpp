@@ -7,6 +7,7 @@
 #include "isa/encoder.h"
 #include "isa/printer.h"
 #include "isa/semantics.h"
+#include "isa/target.h"
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -242,6 +243,67 @@ TEST(Decoder, RejectsJunk) {
   EXPECT_THROW(decode(std::vector<std::uint8_t>{0x0F, 0xFF}, kAddr), support::Error);
   EXPECT_THROW(decode(std::vector<std::uint8_t>{0x48}, kAddr), support::Error);
   EXPECT_THROW(decode(std::vector<std::uint8_t>{}, kAddr), support::Error);
+}
+
+/// The message decode() throws for `bytes` on `target`, with try_decode()'s
+/// status checked to be the failure it reports.
+std::string decode_message(const Target& target, const std::vector<std::uint8_t>& bytes) {
+  Decoded out;
+  const DecodeStatus status = target.try_decode(bytes, kAddr, out);
+  EXPECT_FALSE(status.ok());
+  try {
+    (void)target.decode(bytes, kAddr);
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kDecode);
+    EXPECT_EQ(std::string(error.what()), decode_error(status).what());
+    return error.what();
+  }
+  ADD_FAILURE() << "decode() did not throw";
+  return {};
+}
+
+TEST(Decoder, FirstFailureFollowsTheSourceOrder) {
+  // Each decoder reports its first failed check in source order, whatever
+  // order a compiler evaluates function arguments in.
+  const Target& x64 = target(Arch::kX64);
+  // C0/C1 /6 is no shift, and its immediate is missing: the extension is
+  // checked first, as for group 1 (80 /2 is adc).
+  EXPECT_EQ(decode_message(x64, {0xC0, 0xF0}), "decode: unsupported shift-group extension");
+  EXPECT_EQ(decode_message(x64, {0xC1, 0xF0}), "decode: unsupported shift-group extension");
+  EXPECT_EQ(decode_message(x64, {0x80, 0xD0}),
+            "decode: unsupported group-1 extension (adc/sbb)");
+  EXPECT_EQ(decode_message(x64, {0xC0, 0xE0}), "decode: byte reader underrun");
+
+  // rv32i custom-0 words whose register fields both lie outside the file
+  // (x3 = gp, x4 = tp): rs1 is checked before rs2, and a byte load's rd
+  // before its base.
+  const Target& rv32i = target(Arch::kRv32i);
+  EXPECT_EQ(decode_message(rv32i, {0x0B, 0x80, 0x41, 0x00}),  // cmp x3, x4
+            "decode: register x3 is not in the rv32i register file");
+  EXPECT_EQ(decode_message(rv32i, {0x0B, 0xA8, 0x41, 0x00}),  // test x3, x4
+            "decode: register x3 is not in the rv32i register file");
+  EXPECT_EQ(decode_message(rv32i, {0x8B, 0x31, 0x02, 0x00}),  // byte load x3, [x4]
+            "decode: register x3 is not in the rv32i register file");
+}
+
+TEST(Decoder, StatusCarriesWhatTheMessageNeeds) {
+  Decoded out;
+  const DecodeStatus opcode = target(Arch::kX64).try_decode(
+      std::vector<std::uint8_t>{0x06}, kAddr, out);
+  EXPECT_EQ(opcode.form, DecodeStatus::Form::kReason);
+  EXPECT_STREQ(opcode.reason, "unsupported opcode");
+
+  const DecodeStatus word = target(Arch::kRv32i).try_decode(
+      std::vector<std::uint8_t>{0x6F, 0x00, 0x00, 0x00}, kAddr, out);  // plain jal
+  EXPECT_EQ(word.form, DecodeStatus::Form::kWord);
+  EXPECT_EQ(word.value, 0x6Fu);
+  EXPECT_EQ(std::string(decode_error(word).what()),
+            "decode: rv32i direct jumps use the checked-jal extension word (word 111)");
+
+  const DecodeStatus reg = target(Arch::kRv32i).try_decode(
+      std::vector<std::uint8_t>{0x93, 0x81, 0x11, 0x00}, kAddr, out);  // addi x3, x3, 1
+  EXPECT_EQ(reg.form, DecodeStatus::Form::kRegister);
+  EXPECT_EQ(reg.value, 3u);
 }
 
 TEST(Decoder, DecodesShortBranchForms) {
