@@ -1,4 +1,6 @@
 // ELF64 reader for the feature subset write_elf() emits.
+#include <limits>
+
 #include "elf/image.h"
 #include "support/bytes.h"
 #include "support/error.h"
@@ -10,6 +12,12 @@ namespace {
 using support::ByteReader;
 using support::check;
 using support::ErrorKind;
+
+/// True when [offset, offset + size) lies inside a file of `file_size`
+/// bytes. Compared as room left past `offset`, which cannot wrap.
+bool in_file(std::uint64_t offset, std::uint64_t size, std::size_t file_size) noexcept {
+  return offset <= file_size && size <= file_size - offset;
+}
 
 std::string read_cstring(std::span<const std::uint8_t> table, std::uint64_t offset) {
   std::string out;
@@ -95,12 +103,15 @@ Image read_elf(std::span<const std::uint8_t> bytes) {
   std::span<const std::uint8_t> shstrtab;
   if (shstrndx < shdrs.size()) {
     const RawShdr& sh = shdrs[shstrndx];
-    check(sh.offset + sh.size <= bytes.size(), ErrorKind::kElf, "shstrtab out of range");
+    check(in_file(sh.offset, sh.size, bytes.size()), ErrorKind::kElf, "shstrtab out of range");
     shstrtab = bytes.subspan(sh.offset, sh.size);
   }
 
   for (const RawPhdr& ph : phdrs) {
-    check(ph.offset + ph.filesz <= bytes.size(), ErrorKind::kElf, "segment out of range");
+    check(in_file(ph.offset, ph.filesz, bytes.size()), ErrorKind::kElf, "segment out of range");
+    check(ph.memsz >= ph.filesz, ErrorKind::kElf, "segment p_memsz is below p_filesz");
+    check(ph.memsz <= std::numeric_limits<std::uint64_t>::max() - ph.vaddr, ErrorKind::kElf,
+          "segment wraps the address space");
     Segment segment;
     segment.vaddr = ph.vaddr;
     segment.flags = ph.flags;
@@ -126,7 +137,8 @@ Image read_elf(std::span<const std::uint8_t> bytes) {
     if (sh.type != 2) continue;  // SHT_SYMTAB
     check(sh.link < shdrs.size(), ErrorKind::kElf, "symtab strtab link out of range");
     const RawShdr& str = shdrs[sh.link];
-    check(str.offset + str.size <= bytes.size(), ErrorKind::kElf, "strtab out of range");
+    check(in_file(str.offset, str.size, bytes.size()), ErrorKind::kElf, "strtab out of range");
+    check(in_file(sh.offset, sh.size, bytes.size()), ErrorKind::kElf, "symtab out of range");
     const auto strtab = bytes.subspan(str.offset, str.size);
     check(sh.entsize == 24, ErrorKind::kElf, "unexpected symbol entry size");
     const std::size_t count = sh.size / 24;

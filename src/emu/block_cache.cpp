@@ -3,6 +3,7 @@
 #include <array>
 #include <span>
 
+#include "emu/machine.h"
 #include "emu/memory.h"
 #include "isa/decoder.h"
 #include "obs/metrics.h"
@@ -75,7 +76,7 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
     const std::span<const std::uint8_t> bytes(window.data(), fetched);
     isa::Decoded decoded;
     if (!target_->try_decode(bytes, address, decoded).ok()) break;
-    arena_.push_back(CachedInstr{decoded.instr, decoded.length});
+    arena_.push_back(Machine::compile(decoded.instr, decoded.length, target_));
     ++block.count;
     address += decoded.length;
     if (is_terminator(decoded.instr.mnemonic)) break;

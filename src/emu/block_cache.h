@@ -1,12 +1,22 @@
-// r2r::emu — decoded-superblock cache.
+// r2r::emu — the micro-op and the decoded-block cache that stores it.
 //
-// Every workload (campaigns, order-2 fixpoint, synth sweeps) bottoms out in
-// Machine::step calling isa::Target::try_decode on raw bytes for each executed
-// instruction. The cache decodes each basic block once into a flat arena of
-// CachedInstr and lets the machine dispatch through an indexed loop instead
-// of per-step fetch+decode. Blocks are keyed by their exact start address
-// (a branch into the middle of an existing block simply builds a second,
-// overlapping block).
+// Every instruction the machine executes runs as a MicroOp: the decoded
+// isa::Instruction compiled once into a flat record (mnemonic, condition,
+// width, encoded length, operands pre-resolved to register numbers,
+// immediates and base/index/scale/displacement) plus the index of its
+// handler in the machine's one handler table. Handler 0 is the generic
+// entry, the reference semantics of every instruction with eager flags;
+// the other entries are specialized copies of a few hot 64-bit shapes
+// that record flags lazily (emu/machine.cpp lists them).
+//
+// The cache decodes and compiles each basic block once into a flat arena
+// of MicroOps, picking a specialized handler where one exists, and lets
+// the machine dispatch through an indexed loop instead of per-step
+// fetch+decode. Blocks are keyed by their exact start address (a branch
+// into the middle of an existing block simply builds a second,
+// overlapping block). The uncached machine compiles each step on its own
+// and runs only the generic entry, so it is an independent oracle for
+// every specialized handler and for lazy flags.
 //
 // Correctness rules (see docs/architecture.md):
 //  - any store overlapping an executable region invalidates every cached
@@ -21,6 +31,7 @@
 //    identical step accounting.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -32,10 +43,32 @@ namespace r2r::emu {
 
 class Memory;
 
-/// One pre-decoded instruction: the arena payload.
-struct CachedInstr {
-  isa::Instruction instr;
-  std::uint8_t length = 0;  ///< encoded bytes, for rip advance + trace
+/// One pre-resolved operand.
+struct MicroOperand {
+  enum class Kind : std::uint8_t {
+    kNone,  ///< absent, or a symbolic label (no decoder produces one)
+    kReg,
+    kImm,
+    kMem,
+  };
+  Kind kind = Kind::kNone;
+  std::uint8_t reg = 0;      ///< kReg: register number; kMem: base register
+  bool has_base = false;     ///< kMem: `reg` holds a base register
+  std::uint8_t index = 0;    ///< kMem: index register
+  std::uint8_t scale = 0;    ///< kMem: index scale; 0 when there is no index
+  /// kImm: the immediate; kMem: the displacement (the absolute address
+  /// for RIP-relative operands, whose PC the decoder already resolved).
+  std::uint64_t value = 0;
+};
+
+/// One compiled instruction: the arena payload.
+struct MicroOp {
+  isa::Mnemonic mnemonic = isa::Mnemonic::kNop;
+  isa::Cond cond = isa::Cond::none;
+  isa::Width width = isa::Width::b64;
+  std::uint8_t length = 0;   ///< encoded bytes, for rip advance + trace
+  std::uint8_t handler = 0;  ///< handler-table index; 0 is the generic entry
+  std::array<MicroOperand, 2> ops{};
 };
 
 /// A decoded basic block: `count` consecutive arena entries covering guest
@@ -43,7 +76,7 @@ struct CachedInstr {
 struct DecodedBlock {
   std::uint64_t start = 0;
   std::uint64_t end = 0;
-  std::uint32_t first = 0;  ///< arena index of the first instruction
+  std::uint32_t first = 0;  ///< arena index of the first micro-op
   std::uint32_t count = 0;
 };
 
@@ -69,9 +102,9 @@ class BlockCache {
   /// valid until the next sync()/clear().
   const DecodedBlock* lookup(std::uint64_t rip, Memory& memory);
 
-  [[nodiscard]] const CachedInstr& instr(const DecodedBlock& block,
-                                         std::uint32_t i) const noexcept {
-    return arena_[block.first + i];
+  /// The block's `count` micro-ops, in execution order.
+  [[nodiscard]] const MicroOp* ops(const DecodedBlock& block) const noexcept {
+    return arena_.data() + block.first;
   }
 
   void clear();
@@ -91,7 +124,7 @@ class BlockCache {
 
   const isa::Target* target_;
   std::unordered_map<std::uint64_t, DecodedBlock> blocks_;
-  std::vector<CachedInstr> arena_;
+  std::vector<MicroOp> arena_;
   std::uint64_t synced_epoch_ = 0;
 
   std::uint64_t hits_ = 0;

@@ -15,7 +15,6 @@ namespace r2r::emu {
 namespace {
 
 using isa::Cond;
-using isa::Instruction;
 using isa::MemOperand;
 using isa::Mnemonic;
 using isa::Reg;
@@ -100,39 +99,35 @@ void Machine::set_block_cache_enabled(bool enabled) {
   }
 }
 
-std::uint64_t Machine::effective_address(const MemOperand& mem) const {
-  if (mem.rip_relative) {
-    // The decoder resolved RIP-relative displacements to absolute targets.
-    return static_cast<std::uint64_t>(mem.disp);
-  }
-  std::uint64_t address = static_cast<std::uint64_t>(mem.disp);
-  if (mem.base) address += cpu_.read(*mem.base, Width::b64);
-  if (mem.index) address += cpu_.read(*mem.index, Width::b64) * mem.scale;
+std::uint64_t Machine::effective_address(const MicroOperand& mem) const noexcept {
+  std::uint64_t address = mem.value;
+  if (mem.has_base) address += cpu_.gpr[mem.reg];
+  if (mem.scale != 0) address += cpu_.gpr[mem.index] * mem.scale;
   return address;
 }
 
-std::uint64_t Machine::read_operand(const isa::Operand& op, Width width) {
-  if (isa::is_reg(op)) return cpu_.read(std::get<Reg>(op), width);
-  if (isa::is_imm(op)) {
-    return truncate(static_cast<std::uint64_t>(std::get<isa::ImmOperand>(op).value),
-                    bits_of(width));
+std::uint64_t Machine::read(const MicroOperand& op, Width width) {
+  switch (op.kind) {
+    case MicroOperand::Kind::kReg: return truncate(cpu_.gpr[op.reg], bits_of(width));
+    case MicroOperand::Kind::kImm: return truncate(op.value, bits_of(width));
+    case MicroOperand::Kind::kMem:
+      return load(effective_address(op), isa::width_bytes(width));
+    case MicroOperand::Kind::kNone: break;
   }
-  if (isa::is_mem(op)) {
-    return load(effective_address(std::get<MemOperand>(op)), isa::width_bytes(width));
-  }
-  support::fail(ErrorKind::kExecution, "label operand reached the executor");
+  trap("label operand reached the executor");
+  return 0;
 }
 
-void Machine::write_operand(const isa::Operand& op, Width width, std::uint64_t value) {
-  if (isa::is_reg(op)) {
-    cpu_.write(std::get<Reg>(op), width, value);
-    return;
+void Machine::write(const MicroOperand& op, Width width, std::uint64_t value) {
+  switch (op.kind) {
+    case MicroOperand::Kind::kReg: cpu_.write(isa::reg_from_number(op.reg), width, value); return;
+    case MicroOperand::Kind::kMem:
+      store(effective_address(op), value, isa::width_bytes(width));
+      return;
+    case MicroOperand::Kind::kImm:
+    case MicroOperand::Kind::kNone: break;
   }
-  if (isa::is_mem(op)) {
-    store(effective_address(std::get<MemOperand>(op)), value, isa::width_bytes(width));
-    return;
-  }
-  support::fail(ErrorKind::kExecution, "bad destination operand");
+  trap("bad destination operand");
 }
 
 void Machine::push64(std::uint64_t value) {
@@ -246,51 +241,50 @@ void Machine::do_syscall() {
   cpu_.write(Reg::r11, Width::b64, cpu_.flags.to_rflags());
 }
 
-void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
-  const Width w = instr.width;
+void Machine::execute(const MicroOp& op) {
+  materialize_flags();
+  const Width w = op.width;
   Flags& f = cpu_.flags;
-  cpu_.rip = next_rip;  // default; control flow overrides below
+  const std::uint64_t next_rip = cpu_.rip;  // control flow overrides rip below
 
-  switch (instr.mnemonic) {
+  switch (op.mnemonic) {
     case Mnemonic::kMov:
-      write_operand(instr.op(0), w, read_operand(instr.op(1), w));
+      write(op.ops[0], w, read(op.ops[1], w));
       break;
 
     case Mnemonic::kMovzx:
-      write_operand(instr.op(0), w, read_operand(instr.op(1), Width::b8));
+      write(op.ops[0], w, read(op.ops[1], Width::b8));
       break;
 
     case Mnemonic::kMovsx: {
-      const std::uint64_t v = read_operand(instr.op(1), Width::b8);
-      write_operand(instr.op(0), w,
-                    static_cast<std::uint64_t>(support::sign_extend(v, 8)));
+      const std::uint64_t v = read(op.ops[1], Width::b8);
+      write(op.ops[0], w, static_cast<std::uint64_t>(support::sign_extend(v, 8)));
       break;
     }
 
     case Mnemonic::kLea:
-      cpu_.write(std::get<Reg>(instr.op(0)), w,
-                 effective_address(std::get<MemOperand>(instr.op(1))));
+      write(op.ops[0], w, effective_address(op.ops[1]));
       break;
 
     case Mnemonic::kAdd: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      const std::uint64_t b = read_operand(instr.op(1), w);
+      const std::uint64_t a = read(op.ops[0], w);
+      const std::uint64_t b = read(op.ops[1], w);
       const std::uint64_t r = truncate(a + b, bits_of(w));
       set_add_flags(f, a, b, r, w);
-      write_operand(instr.op(0), w, r);
+      write(op.ops[0], w, r);
       break;
     }
     case Mnemonic::kSub: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      const std::uint64_t b = read_operand(instr.op(1), w);
+      const std::uint64_t a = read(op.ops[0], w);
+      const std::uint64_t b = read(op.ops[1], w);
       const std::uint64_t r = truncate(a - b, bits_of(w));
       set_sub_flags(f, a, b, r, w);
-      write_operand(instr.op(0), w, r);
+      write(op.ops[0], w, r);
       break;
     }
     case Mnemonic::kCmp: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      const std::uint64_t b = read_operand(instr.op(1), w);
+      const std::uint64_t a = read(op.ops[0], w);
+      const std::uint64_t b = read(op.ops[1], w);
       set_sub_flags(f, a, b, truncate(a - b, bits_of(w)), w);
       break;
     }
@@ -298,10 +292,10 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
     case Mnemonic::kOr:
     case Mnemonic::kXor:
     case Mnemonic::kTest: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      const std::uint64_t b = read_operand(instr.op(1), w);
+      const std::uint64_t a = read(op.ops[0], w);
+      const std::uint64_t b = read(op.ops[1], w);
       std::uint64_t r = 0;
-      switch (instr.mnemonic) {
+      switch (op.mnemonic) {
         case Mnemonic::kAnd:
         case Mnemonic::kTest: r = a & b; break;
         case Mnemonic::kOr: r = a | b; break;
@@ -309,27 +303,27 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
       }
       r = truncate(r, bits_of(w));
       set_logic_flags(f, r, w);
-      if (instr.mnemonic != Mnemonic::kTest) write_operand(instr.op(0), w, r);
+      if (op.mnemonic != Mnemonic::kTest) write(op.ops[0], w, r);
       break;
     }
 
     case Mnemonic::kNot: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      write_operand(instr.op(0), w, truncate(~a, bits_of(w)));
+      const std::uint64_t a = read(op.ops[0], w);
+      write(op.ops[0], w, truncate(~a, bits_of(w)));
       break;  // not does not affect flags
     }
     case Mnemonic::kNeg: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
+      const std::uint64_t a = read(op.ops[0], w);
       const std::uint64_t r = truncate(0 - a, bits_of(w));
       set_sub_flags(f, 0, a, r, w);
       f.cf = truncate(a, bits_of(w)) != 0;
-      write_operand(instr.op(0), w, r);
+      write(op.ops[0], w, r);
       break;
     }
     case Mnemonic::kInc:
     case Mnemonic::kDec: {
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      const bool inc = instr.mnemonic == Mnemonic::kInc;
+      const std::uint64_t a = read(op.ops[0], w);
+      const bool inc = op.mnemonic == Mnemonic::kInc;
       const std::uint64_t r = truncate(inc ? a + 1 : a - 1, bits_of(w));
       const bool saved_cf = f.cf;  // inc/dec preserve CF
       if (inc) {
@@ -338,22 +332,22 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
         set_sub_flags(f, a, 1, r, w);
       }
       f.cf = saved_cf;
-      write_operand(instr.op(0), w, r);
+      write(op.ops[0], w, r);
       break;
     }
 
     case Mnemonic::kImul: {
       const auto a = static_cast<__int128>(
-          support::sign_extend(read_operand(instr.op(0), w), bits_of(w)));
+          support::sign_extend(read(op.ops[0], w), bits_of(w)));
       const auto b = static_cast<__int128>(
-          support::sign_extend(read_operand(instr.op(1), w), bits_of(w)));
+          support::sign_extend(read(op.ops[1], w), bits_of(w)));
       const __int128 full = a * b;
       const std::uint64_t r = truncate(static_cast<std::uint64_t>(full), bits_of(w));
       const auto back = static_cast<__int128>(support::sign_extend(r, bits_of(w)));
       set_result_flags(f, r, w);  // architecturally undefined; pinned
       f.cf = f.of = (back != full);
       f.af = false;
-      write_operand(instr.op(0), w, r);
+      write(op.ops[0], w, r);
       break;
     }
 
@@ -361,16 +355,16 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
     case Mnemonic::kShr:
     case Mnemonic::kSar: {
       const unsigned n = bits_of(w);
-      const std::uint64_t a = read_operand(instr.op(0), w);
-      const std::uint64_t raw_count = read_operand(instr.op(1), Width::b8);
+      const std::uint64_t a = read(op.ops[0], w);
+      const std::uint64_t raw_count = read(op.ops[1], Width::b8);
       const unsigned count = static_cast<unsigned>(raw_count) & (n == 64 ? 63 : 31);
       if (count == 0) break;  // flags unchanged
       std::uint64_t r = 0;
-      if (instr.mnemonic == Mnemonic::kShl) {
+      if (op.mnemonic == Mnemonic::kShl) {
         r = count >= n ? 0 : truncate(a << count, n);
         f.cf = count <= n && bit(a, n - count);
         f.of = count == 1 ? (msb(r, w) != f.cf) : false;
-      } else if (instr.mnemonic == Mnemonic::kShr) {
+      } else if (op.mnemonic == Mnemonic::kShr) {
         r = count >= n ? 0 : truncate(a, n) >> count;
         f.cf = count <= n && bit(a, count - 1);
         f.of = count == 1 ? msb(a, w) : false;
@@ -382,15 +376,15 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
       }
       set_result_flags(f, r, w);
       f.af = false;
-      write_operand(instr.op(0), w, r);
+      write(op.ops[0], w, r);
       break;
     }
 
     case Mnemonic::kPush:
-      push64(read_operand(instr.op(0), Width::b64));
+      push64(read(op.ops[0], Width::b64));
       break;
     case Mnemonic::kPop:
-      cpu_.write(std::get<Reg>(instr.op(0)), Width::b64, pop64());
+      write(op.ops[0], Width::b64, pop64());
       break;
     case Mnemonic::kPushfq:
       push64(f.to_rflags());
@@ -400,10 +394,10 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
       break;
 
     case Mnemonic::kJmp:
-      cpu_.rip = read_operand(instr.op(0), Width::b64);
+      cpu_.rip = read(op.ops[0], Width::b64);
       break;
     case Mnemonic::kJcc:
-      if (evaluate(instr.cond, f)) cpu_.rip = read_operand(instr.op(0), Width::b64);
+      if (evaluate(op.cond, f)) cpu_.rip = read(op.ops[0], Width::b64);
       break;
     case Mnemonic::kCall:
       if (target_->link_register_calls()) {
@@ -411,13 +405,13 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
       } else {
         push64(next_rip);
       }
-      cpu_.rip = read_operand(instr.op(0), Width::b64);
+      cpu_.rip = read(op.ops[0], Width::b64);
       break;
     case Mnemonic::kJmpReg:
-      cpu_.rip = read_operand(instr.op(0), Width::b64);
+      cpu_.rip = read(op.ops[0], Width::b64);
       break;
     case Mnemonic::kCallReg: {
-      const std::uint64_t target = read_operand(instr.op(0), Width::b64);
+      const std::uint64_t target = read(op.ops[0], Width::b64);
       if (target_->link_register_calls()) {
         cpu_.write(target_->link_register(), Width::b64, next_rip);
       } else {
@@ -433,16 +427,16 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
       break;
 
     case Mnemonic::kSetcc:
-      write_operand(instr.op(0), Width::b8, evaluate(instr.cond, f) ? 1 : 0);
+      write(op.ops[0], Width::b8, evaluate(op.cond, f) ? 1 : 0);
       break;
 
     case Mnemonic::kCmovcc: {
       // In 32-bit width cmov writes (zero-extends) even when the condition
       // is false, exactly like hardware.
-      if (evaluate(instr.cond, f)) {
-        write_operand(instr.op(0), w, read_operand(instr.op(1), w));
+      if (evaluate(op.cond, f)) {
+        write(op.ops[0], w, read(op.ops[1], w));
       } else if (w == Width::b32) {
-        write_operand(instr.op(0), w, cpu_.read(std::get<Reg>(instr.op(0)), w));
+        write(op.ops[0], w, read(op.ops[0], w));
       }
       break;
     }
@@ -464,15 +458,17 @@ void Machine::execute(const Instruction& instr, std::uint64_t next_rip) {
       break;
 
     case Mnemonic::kReadFlags:
-      write_operand(instr.op(0), w, f.to_rflags());
+      write(op.ops[0], w, f.to_rflags());
       break;
     case Mnemonic::kWriteFlags:
-      f = Flags::from_rflags(read_operand(instr.op(0), w));
+      f = Flags::from_rflags(read(op.ops[0], w));
       break;
   }
 }
 
 void Machine::step(bool faulted_this_step, const FaultSpec* fault, TraceEntry* entry) {
+  ++tally_.generic_steps;
+  materialize_flags();  // a flag flip acts on architectural flags
   if (faulted_this_step && fault->kind == FaultSpec::Kind::kRegisterBitFlip) {
     const unsigned reg = (fault->bit_offset / 64) % isa::kRegCount;
     cpu_.gpr[reg] ^= std::uint64_t{1} << (fault->bit_offset % 64);
@@ -524,15 +520,273 @@ void Machine::step(bool faulted_this_step, const FaultSpec* fault, TraceEntry* e
   }
   if (entry != nullptr) entry->length = decoded.length;
 
-  if (faulted_this_step && fault->kind == FaultSpec::Kind::kSkip) {
-    cpu_.rip += decoded.length;
-    return;
-  }
-  execute(decoded.instr, cpu_.rip + decoded.length);
+  cpu_.rip += decoded.length;
+  if (faulted_this_step && fault->kind == FaultSpec::Kind::kSkip) return;
+  execute(compile(decoded.instr, decoded.length));
 }
 
-bool Machine::run_cached(const RunConfig& config, const FaultSpec* fault,
-                         RunResult& result) {
+// ---- lazy flags --------------------------------------------------------------
+
+void Machine::materialize_flags() noexcept {
+  const PendingFlags& p = pending_;
+  Flags& f = cpu_.flags;
+  constexpr Width w = Width::b64;
+  switch (p.op) {
+    case PendingFlags::Op::kNone: return;
+    case PendingFlags::Op::kAdd: set_add_flags(f, p.a, p.b, p.result, w); break;
+    case PendingFlags::Op::kSub: set_sub_flags(f, p.a, p.b, p.result, w); break;
+    case PendingFlags::Op::kLogic: set_logic_flags(f, p.result, w); break;
+    case PendingFlags::Op::kInc:
+      set_add_flags(f, p.a, 1, p.result, w);
+      f.cf = p.carry;
+      break;
+    case PendingFlags::Op::kDec:
+      set_sub_flags(f, p.a, 1, p.result, w);
+      f.cf = p.carry;
+      break;
+    case PendingFlags::Op::kMul:
+      set_result_flags(f, p.result, w);  // architecturally undefined; pinned
+      f.cf = f.of = p.carry;
+      f.af = false;
+      break;
+  }
+  pending_.op = PendingFlags::Op::kNone;
+}
+
+bool Machine::carry_flag() const noexcept {
+  const PendingFlags& p = pending_;
+  switch (p.op) {
+    case PendingFlags::Op::kNone: break;
+    case PendingFlags::Op::kAdd: return p.result < p.a;
+    case PendingFlags::Op::kSub: return p.a < p.b;
+    case PendingFlags::Op::kLogic: return false;
+    case PendingFlags::Op::kInc:
+    case PendingFlags::Op::kDec:
+    case PendingFlags::Op::kMul: return p.carry;
+  }
+  return cpu_.flags.cf;
+}
+
+bool Machine::condition(Cond cond) noexcept {
+  if (pending_.op != PendingFlags::Op::kNone) {
+    if (cond == Cond::e) return pending_.result == 0;
+    if (cond == Cond::ne) return pending_.result != 0;
+    materialize_flags();
+  }
+  return evaluate(cond, cpu_.flags);
+}
+
+// ---- the handler table ---------------------------------------------------------
+//
+// Entry 0 is the generic entry. The specialized entries are the 64-bit
+// register/immediate/memory shapes that the `emu.generic_steps` counter
+// found in the sweeps (campaign_o2, the Faulter+Patcher ladder), plus the
+// direct branches and stack call/ret at any width. Each one does exactly
+// what the generic entry does for its shape, except that flags stay
+// pending.
+
+struct Handlers {
+  using Fn = void (*)(Machine&, const MicroOp&);
+  using PendingFlags = Machine::PendingFlags;
+
+  /// Handler-table indices, in table order. RR/RI/RM/MR: destination and
+  /// source are a register, an immediate or memory.
+  enum Id : std::uint8_t {
+    kGeneric,
+    kMovRI, kMovRM, kMovMR, kMovzxRM, kLeaRM,
+    kAddRI, kAndRI, kOrRR, kXorRR, kXorRI, kCmpRR, kCmpRI, kCmpRM,
+    kInc, kDec, kImulRR, kJcc, kJmp, kCall, kRet,
+    kCount,
+  };
+
+  static void generic(Machine& m, const MicroOp& op) {
+    ++m.tally_.generic_steps;
+    m.execute(op);
+  }
+
+  static std::uint64_t& gpr(Machine& m, const MicroOperand& op) { return m.cpu_.gpr[op.reg]; }
+
+  static void mov_ri(Machine& m, const MicroOp& op) { gpr(m, op.ops[0]) = op.ops[1].value; }
+  static void mov_rm(Machine& m, const MicroOp& op) {
+    gpr(m, op.ops[0]) = m.load(m.effective_address(op.ops[1]), 8);
+  }
+  static void mov_mr(Machine& m, const MicroOp& op) {
+    m.store(m.effective_address(op.ops[0]), gpr(m, op.ops[1]), 8);
+  }
+  static void movzx_rm(Machine& m, const MicroOp& op) {
+    gpr(m, op.ops[0]) = m.load(m.effective_address(op.ops[1]), 1);
+  }
+  static void lea_rm(Machine& m, const MicroOp& op) {
+    gpr(m, op.ops[0]) = m.effective_address(op.ops[1]);
+  }
+
+  /// add/and/or/xor/cmp of a register with a register (kSrc == kReg), an
+  /// immediate or a memory operand.
+  template <Mnemonic kOp, MicroOperand::Kind kSrc>
+  static void alu(Machine& m, const MicroOp& op) {
+    std::uint64_t& dst = gpr(m, op.ops[0]);
+    const std::uint64_t a = dst;
+    std::uint64_t b = 0;
+    if constexpr (kSrc == MicroOperand::Kind::kReg) b = gpr(m, op.ops[1]);
+    if constexpr (kSrc == MicroOperand::Kind::kImm) b = op.ops[1].value;
+    if constexpr (kSrc == MicroOperand::Kind::kMem) b = m.load(m.effective_address(op.ops[1]), 8);
+    PendingFlags& p = m.pending_;
+    p.a = a;
+    p.b = b;
+    if constexpr (kOp == Mnemonic::kAdd) {
+      p.op = PendingFlags::Op::kAdd;
+      p.result = a + b;
+    } else if constexpr (kOp == Mnemonic::kCmp) {
+      p.op = PendingFlags::Op::kSub;
+      p.result = a - b;
+    } else {
+      p.op = PendingFlags::Op::kLogic;
+      if constexpr (kOp == Mnemonic::kAnd) p.result = a & b;
+      if constexpr (kOp == Mnemonic::kOr) p.result = a | b;
+      if constexpr (kOp == Mnemonic::kXor) p.result = a ^ b;
+    }
+    if constexpr (kOp != Mnemonic::kCmp) dst = p.result;
+  }
+
+  template <bool kIncrement>
+  static void inc_dec(Machine& m, const MicroOp& op) {
+    std::uint64_t& dst = gpr(m, op.ops[0]);
+    PendingFlags& p = m.pending_;
+    p.carry = m.carry_flag();  // before the record below replaces it
+    p.op = kIncrement ? PendingFlags::Op::kInc : PendingFlags::Op::kDec;
+    p.a = dst;
+    p.b = 1;
+    p.result = kIncrement ? dst + 1 : dst - 1;
+    dst = p.result;
+  }
+
+  static void imul_rr(Machine& m, const MicroOp& op) {
+    std::uint64_t& dst = gpr(m, op.ops[0]);
+    PendingFlags& p = m.pending_;
+    std::int64_t product = 0;
+    p.carry = __builtin_mul_overflow(static_cast<std::int64_t>(dst),
+                                     static_cast<std::int64_t>(gpr(m, op.ops[1])), &product);
+    p.op = PendingFlags::Op::kMul;
+    p.result = static_cast<std::uint64_t>(product);
+    dst = p.result;
+  }
+
+  static void jcc(Machine& m, const MicroOp& op) {
+    if (m.condition(op.cond)) m.cpu_.rip = op.ops[0].value;
+  }
+  static void jmp(Machine& m, const MicroOp& op) { m.cpu_.rip = op.ops[0].value; }
+  static void call(Machine& m, const MicroOp& op) {
+    m.push64(m.cpu_.rip);
+    m.cpu_.rip = op.ops[0].value;
+  }
+  static void ret(Machine& m, const MicroOp&) { m.cpu_.rip = m.pop64(); }
+
+  /// The specialized handler for `op`'s shape on `target`, or kGeneric.
+  static Id select(const MicroOp& op, const isa::Target& target) noexcept {
+    using Kind = MicroOperand::Kind;
+    const Kind dst = op.ops[0].kind;
+    const Kind src = op.ops[1].kind;
+    const bool stack_calls = !target.link_register_calls();
+    // Branch targets are read at 64 bits whatever the instruction width.
+    switch (op.mnemonic) {
+      case Mnemonic::kJcc: return dst == Kind::kImm ? kJcc : kGeneric;
+      case Mnemonic::kJmp: return dst == Kind::kImm ? kJmp : kGeneric;
+      case Mnemonic::kCall: return dst == Kind::kImm && stack_calls ? kCall : kGeneric;
+      case Mnemonic::kRet: return stack_calls ? kRet : kGeneric;
+      default: break;
+    }
+    if (op.width != Width::b64) return kGeneric;
+    // The handler for a register destination and each source kind.
+    const auto to_reg = [&](Id from_reg, Id from_imm, Id from_mem) {
+      if (dst != Kind::kReg) return kGeneric;
+      switch (src) {
+        case Kind::kReg: return from_reg;
+        case Kind::kImm: return from_imm;
+        case Kind::kMem: return from_mem;
+        case Kind::kNone: break;
+      }
+      return kGeneric;
+    };
+    switch (op.mnemonic) {
+      case Mnemonic::kMov:
+        if (dst == Kind::kMem) return src == Kind::kReg ? kMovMR : kGeneric;
+        return to_reg(kGeneric, kMovRI, kMovRM);
+      case Mnemonic::kMovzx: return to_reg(kGeneric, kGeneric, kMovzxRM);
+      case Mnemonic::kLea: return to_reg(kGeneric, kGeneric, kLeaRM);
+      case Mnemonic::kAdd: return to_reg(kGeneric, kAddRI, kGeneric);
+      case Mnemonic::kAnd: return to_reg(kGeneric, kAndRI, kGeneric);
+      case Mnemonic::kOr: return to_reg(kOrRR, kGeneric, kGeneric);
+      case Mnemonic::kXor: return to_reg(kXorRR, kXorRI, kGeneric);
+      case Mnemonic::kCmp: return to_reg(kCmpRR, kCmpRI, kCmpRM);
+      case Mnemonic::kImul: return to_reg(kImulRR, kGeneric, kGeneric);
+      case Mnemonic::kInc: return dst == Kind::kReg ? kInc : kGeneric;
+      case Mnemonic::kDec: return dst == Kind::kReg ? kDec : kGeneric;
+      default: return kGeneric;
+    }
+  }
+};
+
+namespace {
+
+using Kind = MicroOperand::Kind;
+
+constexpr std::array<Handlers::Fn, Handlers::kCount> kHandlers = {
+    &Handlers::generic,
+    &Handlers::mov_ri, &Handlers::mov_rm, &Handlers::mov_mr, &Handlers::movzx_rm,
+    &Handlers::lea_rm,
+    &Handlers::alu<Mnemonic::kAdd, Kind::kImm>, &Handlers::alu<Mnemonic::kAnd, Kind::kImm>,
+    &Handlers::alu<Mnemonic::kOr, Kind::kReg>, &Handlers::alu<Mnemonic::kXor, Kind::kReg>,
+    &Handlers::alu<Mnemonic::kXor, Kind::kImm>, &Handlers::alu<Mnemonic::kCmp, Kind::kReg>,
+    &Handlers::alu<Mnemonic::kCmp, Kind::kImm>, &Handlers::alu<Mnemonic::kCmp, Kind::kMem>,
+    &Handlers::inc_dec<true>, &Handlers::inc_dec<false>, &Handlers::imul_rr,
+    &Handlers::jcc, &Handlers::jmp, &Handlers::call, &Handlers::ret,
+};
+
+MicroOperand compile_operand(const isa::Operand& operand) {
+  MicroOperand out;
+  if (const auto* reg = std::get_if<Reg>(&operand)) {
+    out.kind = Kind::kReg;
+    out.reg = static_cast<std::uint8_t>(isa::reg_number(*reg));
+  } else if (const auto* imm = std::get_if<isa::ImmOperand>(&operand)) {
+    out.kind = Kind::kImm;
+    out.value = static_cast<std::uint64_t>(imm->value);
+  } else if (const auto* mem = std::get_if<MemOperand>(&operand)) {
+    out.kind = Kind::kMem;
+    out.value = static_cast<std::uint64_t>(mem->disp);
+    if (!mem->rip_relative) {
+      if (mem->base) {
+        out.has_base = true;
+        out.reg = static_cast<std::uint8_t>(isa::reg_number(*mem->base));
+      }
+      if (mem->index) {
+        out.index = static_cast<std::uint8_t>(isa::reg_number(*mem->index));
+        out.scale = mem->scale;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+MicroOp Machine::compile(const isa::Instruction& instr, std::uint8_t length,
+                         const isa::Target* specialize_for) {
+  MicroOp op;
+  op.mnemonic = instr.mnemonic;
+  op.cond = instr.cond;
+  op.width = instr.width;
+  op.length = length;
+  for (std::size_t i = 0; i < op.ops.size() && i < instr.operands.size(); ++i) {
+    op.ops[i] = compile_operand(instr.operands[i]);
+  }
+  if (specialize_for != nullptr) op.handler = Handlers::select(op, *specialize_for);
+  return op;
+}
+
+// ---- dispatch ------------------------------------------------------------------
+
+bool Machine::run_cached(std::uint64_t fuel, const FaultSpec* fault,
+                         std::vector<TraceEntry>* trace) {
   cache_->sync(memory_);
   const DecodedBlock* block = cache_->lookup(cpu_.rip, memory_);
   if (block == nullptr) return false;
@@ -541,82 +795,84 @@ bool Machine::run_cached(const RunConfig& config, const FaultSpec* fault,
   // through the slow path, so the cache never serves a mutated encoding
   // and pre-step register/flag flips land exactly where they would
   // uncached.
-  std::uint64_t limit = config.fuel;
+  std::uint64_t limit = fuel;
   if (fault != nullptr && fault->trace_index >= steps_ && fault->trace_index < limit) {
     limit = fault->trace_index;
   }
+  if (steps_ >= limit) return false;
 
   const std::uint64_t epoch = memory_.code_write_epoch();
-  bool executed = false;
-  for (std::uint32_t i = 0; i < block->count && steps_ < limit; ++i) {
-    const CachedInstr& ci = cache_->instr(*block, i);
-    if (config.record_trace) result.trace.push_back(TraceEntry{cpu_.rip, ci.length});
+  const std::uint64_t count = std::min<std::uint64_t>(block->count, limit - steps_);
+  const MicroOp* ops = cache_->ops(*block);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const MicroOp& op = ops[i];
+    if (trace != nullptr) trace->push_back(TraceEntry{cpu_.rip, op.length});
     ++steps_;
-    executed = true;
-    execute(ci.instr, cpu_.rip + ci.length);
-    // A store into code invalidates blocks — break out so the next
+    cpu_.rip += op.length;
+    kHandlers[op.handler](*this, op);
+    // A store into code invalidates blocks — return so the next
     // iteration re-syncs before touching the cache again.
     if (ended() || memory_.code_write_epoch() != epoch) break;
   }
-  return executed;
+  return true;
+}
+
+StopReason Machine::loop(std::uint64_t fuel, const FaultSpec* fault,
+                         std::vector<TraceEntry>* trace) {
+  const std::uint64_t first_step = steps_;
+  end_ = End::kNone;
+  while (steps_ < fuel && !ended()) {
+    const bool faulted = fault != nullptr && steps_ == fault->trace_index;
+    if (cache_ != nullptr && !faulted && run_cached(fuel, fault, trace)) continue;
+    TraceEntry* entry = nullptr;
+    if (trace != nullptr) {
+      // The entry is created before execution so the trace covers
+      // instructions that exit or crash; step() fills in the length.
+      trace->push_back(TraceEntry{cpu_.rip, 0});
+      entry = &trace->back();
+    }
+    ++steps_;  // count attempted instructions, including the last
+    step(faulted, fault, entry);
+  }
+  materialize_flags();  // flags are architectural outside run()/advance()
+  tally_.instructions += steps_ - first_step;
+  if (!ended()) return StopReason::kFuelExhausted;
+  return end_ == End::kExit ? StopReason::kExited : StopReason::kCrashed;
+}
+
+StopReason Machine::advance(std::uint64_t fuel, const std::optional<FaultSpec>& fault) {
+  return loop(fuel, fault ? &*fault : nullptr, nullptr);
 }
 
 RunResult Machine::run(const RunConfig& config) {
   RunResult result;
-  const FaultSpec* fault = config.fault ? &*config.fault : nullptr;
-  const std::uint64_t first_step = steps_;
-  end_ = End::kNone;
-  try {
-    while (steps_ < config.fuel && !ended()) {
-      const bool faulted = fault != nullptr && steps_ == fault->trace_index;
-      if (cache_ != nullptr && !faulted && run_cached(config, fault, result)) {
-        continue;
-      }
-      TraceEntry* entry = nullptr;
-      if (config.record_trace) {
-        // The entry is created before execution so the trace covers
-        // instructions that exit or crash; step() fills in the length.
-        result.trace.push_back(TraceEntry{cpu_.rip, 0});
-        entry = &result.trace.back();
-      }
-      ++steps_;  // count attempted instructions, including the last
-      step(faulted, fault, entry);
-    }
-    if (!ended()) {
-      result.reason = StopReason::kFuelExhausted;
-    } else if (end_ == End::kExit) {
-      result.reason = StopReason::kExited;
-      result.exit_code = exit_code_;
-    } else {
-      result.reason = StopReason::kCrashed;
-      result.crash_detail = crash_detail();
-    }
-  } catch (const support::Error& error) {
-    // Backstop for internal invariant errors ("label operand reached the
-    // executor"); every guest-caused run end is status.
-    result.reason = StopReason::kCrashed;
-    result.crash_detail = error.what();
-  }
-  instructions_.add(steps_ - first_step);
+  result.reason = loop(config.fuel, config.fault ? &*config.fault : nullptr,
+                       config.record_trace ? &result.trace : nullptr);
+  if (result.reason == StopReason::kExited) result.exit_code = exit_code_;
+  if (result.reason == StopReason::kCrashed) result.crash_detail = crash_detail();
   result.steps = steps_;
   result.output = output_;
   return result;
 }
 
-Machine::InstructionTally& Machine::InstructionTally::operator=(
-    InstructionTally&& other) noexcept {
+Machine::StepTally& Machine::StepTally::operator=(StepTally&& other) noexcept {
   if (this != &other) {
     flush();
-    pending_ = std::exchange(other.pending_, 0);
+    instructions = std::exchange(other.instructions, 0);
+    generic_steps = std::exchange(other.generic_steps, 0);
   }
   return *this;
 }
 
-void Machine::InstructionTally::flush() noexcept {
-  if (pending_ == 0) return;
-  static obs::Counter& instructions = obs::Metrics::instance().counter("emu.instructions");
-  instructions.add(pending_);
-  pending_ = 0;
+void Machine::StepTally::flush() noexcept {
+  static obs::Counter& instructions_counter =
+      obs::Metrics::instance().counter("emu.instructions");
+  static obs::Counter& generic_counter =
+      obs::Metrics::instance().counter("emu.generic_steps");
+  if (instructions != 0) instructions_counter.add(instructions);
+  if (generic_steps != 0) generic_counter.add(generic_steps);
+  instructions = 0;
+  generic_steps = 0;
 }
 
 RunResult run_image(const elf::Image& image, std::string stdin_data,

@@ -5,6 +5,23 @@
 // instruction trace, and optionally inject one transient fault (skip or
 // encoding bit flip) at a chosen trace offset.
 //
+// One micro-op executor. Every step runs a MicroOp (emu/block_cache.h)
+// through one handler table. Entry 0, the generic entry, is the reference
+// semantics of every instruction: a switch over the mnemonic with eager
+// flags. The other entries are specialized handlers for the hot 64-bit
+// shapes (register/immediate/memory forms of mov, movzx, lea, add, and,
+// or, xor, cmp, imul, inc/dec, and the direct branches, which
+// emu.generic_steps picked); they record the arithmetic flags
+// lazily, as the last flag-writing operation with its operands and result
+// (QEMU's cc_op), and je/jne read ZF straight from that record. The record
+// is materialized into Cpu::flags by the generic entry (which also serves
+// pushfq, mvflags and syscall's r11), by a flag-flip fault, and at every
+// run end or pause, so the flags are architectural whenever run() or
+// advance() is not executing. Only cached blocks use specialized handlers:
+// the faulted step and every uncached step compile on their own and take
+// the generic entry, so set_block_cache_enabled(false) is the oracle for
+// each specialized handler and for lazy flags.
+//
 // How a run ends. Every run end is recorded as machine status, not
 // thrown: a guest exit(2), the run's first failed memory access (load,
 // store or fetch), a failed decode (isa::Target::try_decode), a trap
@@ -13,8 +30,7 @@
 // makes no further memory or output side effect, the dispatch loop stops
 // after it, and run() formats `crash_detail` once, through one cold
 // formatter, with the text of the Error that Memory::read/write/fetch,
-// isa::Target::decode or the trap would throw. The catch in run() is
-// only a backstop for internal invariant errors. The Cpu state after a
+// isa::Target::decode or the trap would throw. The Cpu state after a
 // crash is unspecified: registers the crashing instruction writes may or
 // may not hold its result. Callers that reuse a machine restore a
 // snapshot first, as the sim:: engine always does.
@@ -24,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,6 +53,8 @@
 namespace r2r::emu {
 
 class BlockCache;
+struct MicroOp;
+struct MicroOperand;
 
 /// A single transient fault to inject during one run. kSkip and kBitFlip
 /// are the paper's fault models (Section V); kRegisterBitFlip and
@@ -80,11 +99,22 @@ struct RunResult {
   std::vector<TraceEntry> trace;  ///< filled only when requested
 
   /// Observable behaviour: what an attacker (or the oracle) can see.
-  [[nodiscard]] bool observably_equal(const RunResult& other) const noexcept {
-    return reason == other.reason && exit_code == other.exit_code &&
-           output == other.output;
-  }
+  [[nodiscard]] bool observably_equal(const RunResult& other) const noexcept;
 };
+
+/// RunResult::observably_equal for a run given as how it stopped, its exit
+/// code and its output, so a paused machine's status compares without a
+/// RunResult being built.
+[[nodiscard]] inline bool observably_equal(StopReason reason, std::int64_t exit_code,
+                                           std::string_view output,
+                                           const RunResult& reference) noexcept {
+  return reason == reference.reason && exit_code == reference.exit_code &&
+         output == reference.output;
+}
+
+inline bool RunResult::observably_equal(const RunResult& other) const noexcept {
+  return emu::observably_equal(reason, exit_code, output, other);
+}
 
 struct RunConfig {
   /// Absolute step budget: run() stops once the machine's step counter
@@ -107,10 +137,28 @@ class Machine {
   Machine& operator=(Machine&&) noexcept;
 
   /// Runs until exit/crash or until the step counter reaches config.fuel.
-  /// Calling run() again on a fuel-exhausted machine resumes execution —
-  /// the sim:: engine uses this to pause at checkpoint boundaries. After a
-  /// crash the Cpu state is unspecified (see the header comment).
+  /// Calling run() again on a fuel-exhausted machine resumes execution.
+  /// After a crash the Cpu state is unspecified (see the header comment).
   RunResult run(const RunConfig& config);
+
+  /// run() with `fuel` and `fault` but without the RunResult (no output
+  /// copy, no crash_detail text, no trace): returns how the run stopped.
+  /// The run's status stays readable through exit_code(), output() and
+  /// steps() until the next run()/advance(). The sim:: engine pauses at
+  /// checkpoint boundaries and classifies through this.
+  StopReason advance(std::uint64_t fuel, const std::optional<FaultSpec>& fault);
+
+  /// The exit code of a run that ended in exit(2), else -1 (RunResult's
+  /// convention).
+  [[nodiscard]] std::int64_t exit_code() const noexcept {
+    return end_ == End::kExit ? exit_code_ : -1;
+  }
+
+  /// Compiles one decoded instruction into a micro-op. With
+  /// `specialize_for`, the op gets that target's specialized handler when
+  /// its shape has one; without, it runs the generic entry.
+  [[nodiscard]] static MicroOp compile(const isa::Instruction& instr, std::uint8_t length,
+                                       const isa::Target* specialize_for = nullptr);
 
   /// The decoded-block cache is on by default; turning it off reverts to
   /// per-step fetch+decode (the bench baseline and the differential-test
@@ -137,47 +185,80 @@ class Machine {
   [[nodiscard]] std::size_t stdin_pos() const noexcept { return stdin_pos_; }
   void set_stdin_pos(std::size_t pos) noexcept { stdin_pos_ = pos; }
   [[nodiscard]] const std::string& output() const noexcept { return output_; }
-  void set_output(std::string output) { output_ = std::move(output); }
+  /// Assigns into the existing output buffer (no allocation once it has
+  /// grown to the guest's output size).
+  void set_output(std::string_view output) { output_.assign(output); }
 
   /// x86-64 stack top; other targets place theirs at target().stack_base().
   static constexpr std::uint64_t kStackBase = 0x7FFF'0000'0000ULL;
   static constexpr std::uint64_t kStackSize = 1ULL << 20;
 
  private:
-  /// Attempted instructions not yet added to the `emu.instructions`
-  /// counter, which the machine's teardown flushes. A move hands the tally
-  /// over, so every instruction is counted once.
-  class InstructionTally {
+  friend struct Handlers;
+
+  /// Attempted instructions and generic-entry steps not yet added to the
+  /// `emu.instructions` and `emu.generic_steps` counters, which the
+  /// machine's teardown flushes. A move hands the tallies over, so every
+  /// step is counted once.
+  class StepTally {
    public:
-    InstructionTally() = default;
-    InstructionTally(InstructionTally&& other) noexcept
-        : pending_(std::exchange(other.pending_, 0)) {}
-    InstructionTally& operator=(InstructionTally&& other) noexcept;
-    ~InstructionTally() { flush(); }
-    void add(std::uint64_t n) noexcept { pending_ += n; }
+    StepTally() = default;
+    StepTally(StepTally&& other) noexcept
+        : instructions(std::exchange(other.instructions, 0)),
+          generic_steps(std::exchange(other.generic_steps, 0)) {}
+    StepTally& operator=(StepTally&& other) noexcept;
+    ~StepTally() { flush(); }
+
+    std::uint64_t instructions = 0;
+    std::uint64_t generic_steps = 0;
 
    private:
     void flush() noexcept;
-    std::uint64_t pending_ = 0;
   };
 
-  /// Executes one instruction. When `entry` is non-null the decoded length
-  /// is recorded there before execution (so the trace is complete even for
-  /// instructions that exit or crash).
+  /// The last flag-writing operation of a specialized (64-bit) handler,
+  /// not yet materialized into cpu_.flags.
+  struct PendingFlags {
+    enum class Op : std::uint8_t { kNone, kAdd, kSub, kLogic, kInc, kDec, kMul };
+    Op op = Op::kNone;
+    /// kInc/kDec: the CF they preserve; kMul: signed overflow (CF = OF).
+    bool carry = false;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::uint64_t result = 0;
+  };
+
+  /// The dispatch loop shared by run() and advance(); appends to `trace`
+  /// when it is non-null.
+  StopReason loop(std::uint64_t fuel, const FaultSpec* fault, std::vector<TraceEntry>* trace);
+  /// Executes one instruction through the per-step slow path (fetch,
+  /// decode, compile, generic entry). When `entry` is non-null the decoded
+  /// length is recorded there before execution (so the trace is complete
+  /// even for instructions that exit or crash).
   void step(bool faulted_this_step, const FaultSpec* fault, TraceEntry* entry);
-  /// Executes as many steps as possible through the decoded-block cache,
-  /// stopping before fuel, before the faulted step, after any store into
-  /// code, and after an instruction that ends the run. Returns false when
-  /// nothing could be executed (no block at rip) — the caller then takes
-  /// the per-step slow path.
-  bool run_cached(const RunConfig& config, const FaultSpec* fault, RunResult& result);
-  void execute(const isa::Instruction& instr, std::uint64_t next_rip);
-  std::uint64_t effective_address(const isa::MemOperand& mem) const;
-  std::uint64_t read_operand(const isa::Operand& op, isa::Width width);
-  void write_operand(const isa::Operand& op, isa::Width width, std::uint64_t value);
+  /// Executes as many steps of the block at rip as possible through the
+  /// decoded-block cache, stopping before fuel, before the faulted step,
+  /// after any store into code, and after an instruction that ends the
+  /// run. Returns false when nothing could be executed (no block at rip) —
+  /// the caller then takes the per-step slow path.
+  bool run_cached(std::uint64_t fuel, const FaultSpec* fault,
+                  std::vector<TraceEntry>* trace);
+  /// The generic entry: materializes pending flags, then executes `op`
+  /// with eager flags. rip already points past the instruction.
+  void execute(const MicroOp& op);
+  [[nodiscard]] std::uint64_t effective_address(const MicroOperand& mem) const noexcept;
+  std::uint64_t read(const MicroOperand& op, isa::Width width);
+  void write(const MicroOperand& op, isa::Width width, std::uint64_t value);
   void do_syscall();
   void push64(std::uint64_t value);
   std::uint64_t pop64();
+
+  // Lazy flags.
+  void materialize_flags() noexcept;
+  /// CF as the pending record (or cpu_.flags) defines it.
+  [[nodiscard]] bool carry_flag() const noexcept;
+  /// Evaluates `cond`; je/jne read ZF from a pending record directly.
+  [[nodiscard]] bool condition(isa::Cond cond) noexcept;
 
   // Guest memory accesses: a failure records the run's memory fault and a
   // load then yields 0. Once the run has ended, a store changes nothing.
@@ -201,7 +282,8 @@ class Machine {
   std::string output_;
   std::uint64_t steps_ = 0;
   std::unique_ptr<BlockCache> cache_;  ///< null when the cache is disabled
-  InstructionTally instructions_;
+  StepTally tally_;
+  PendingFlags pending_;
 
   // Run-end status, reset by run(). `end_` says how the run ended, and
   // the fields named beside each kind hold what its message needs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -55,6 +56,13 @@ const std::shared_ptr<const Memory::Page>& zero_page() {
 void Memory::map(std::string name, std::uint64_t base, std::uint64_t size,
                  std::uint32_t perms, std::span<const std::uint8_t> initial) {
   check(size > 0, ErrorKind::kInvalidArgument, "empty mapping");
+  if (size > kMaxRegionBytes) {
+    support::fail(ErrorKind::kInvalidArgument,
+                  "mapping '" + name + "' exceeds the region size cap");
+  }
+  if (size > std::numeric_limits<std::uint64_t>::max() - base) {
+    support::fail(ErrorKind::kInvalidArgument, "mapping '" + name + "' wraps the address space");
+  }
   check(initial.size() <= size, ErrorKind::kInvalidArgument, "initial data exceeds size");
   for (const Region& region : regions_) {
     const bool disjoint = base + size <= region.base || region.base + region.bytes.size() <= base;

@@ -81,8 +81,16 @@ class Memory {
     std::uint64_t id_ = 0;
   };
 
+  /// Largest region map() accepts (256 MiB). Guests are small (the stack
+  /// is 1 MiB); the cap turns a corrupt segment size into an error instead
+  /// of a host allocation of its size.
+  static constexpr std::uint64_t kMaxRegionBytes = std::uint64_t{1} << 28;
+
   /// Maps a zero-initialized region; `initial` (if any) seeds the prefix.
-  /// The next restore() takes the full path, which checks the layout.
+  /// Throws Error{kInvalidArgument} for an empty region, one larger than
+  /// kMaxRegionBytes, one whose end wraps past 2^64, and one that overlaps
+  /// a mapped region. The next restore() takes the full path, which checks
+  /// the layout.
   void map(std::string name, std::uint64_t base, std::uint64_t size, std::uint32_t perms,
            std::span<const std::uint8_t> initial = {});
 

@@ -476,14 +476,15 @@ References make_references(const elf::Image& image, const std::string& good_inpu
 }
 
 Outcome classify(const RunResult& good_reference, const RunResult& bad_reference,
-                 const RunResult& run, int detected_exit_code) noexcept {
-  if (run.reason == StopReason::kExited && run.exit_code == detected_exit_code) {
+                 StopReason reason, std::int64_t exit_code, std::string_view output,
+                 int detected_exit_code) noexcept {
+  if (reason == StopReason::kExited && exit_code == detected_exit_code) {
     return Outcome::kDetected;
   }
-  if (run.observably_equal(good_reference)) return Outcome::kSuccess;
-  if (run.observably_equal(bad_reference)) return Outcome::kNoEffect;
-  if (run.reason == StopReason::kCrashed) return Outcome::kCrash;
-  if (run.reason == StopReason::kFuelExhausted) return Outcome::kHang;
+  if (emu::observably_equal(reason, exit_code, output, good_reference)) return Outcome::kSuccess;
+  if (emu::observably_equal(reason, exit_code, output, bad_reference)) return Outcome::kNoEffect;
+  if (reason == StopReason::kCrashed) return Outcome::kCrash;
+  if (reason == StopReason::kFuelExhausted) return Outcome::kHang;
   return Outcome::kOtherBehavior;
 }
 
@@ -506,11 +507,9 @@ Engine::Engine(elf::Image image, std::string good_input, std::string bad_input,
     emu::Machine recorder(image_, bad_input_);
     recorder.set_block_cache_enabled(config_.block_cache);
     chain_.push_back(capture(recorder));
-    RunConfig record_config;
     while (true) {
-      record_config.fuel = static_cast<std::uint64_t>(chain_.size()) * interval_;
-      const RunResult segment = recorder.run(record_config);
-      if (segment.reason != StopReason::kFuelExhausted) break;
+      const std::uint64_t fuel = static_cast<std::uint64_t>(chain_.size()) * interval_;
+      if (recorder.advance(fuel, std::nullopt) != StopReason::kFuelExhausted) break;
       chain_.push_back(capture(recorder));
     }
     span.set_args(obs::args_u64(
@@ -540,35 +539,30 @@ Engine::FaultProfile Engine::finish_with_pruning(emu::Machine& machine,
                                                  std::uint64_t boundary,
                                                  std::atomic<std::uint64_t>& pruned) const {
   FaultProfile profile;
-  const auto finish = [&](const RunResult& run) {
-    profile.outcome = classify(refs_, run, config_.detected_exit_code);
+  const auto finish = [&](StopReason reason) {
+    profile.outcome = classify_stopped(machine, reason);
     // A terminated run pins the step past which a further fault can no
     // longer fire; a fuel-exhausted (hang) run never terminates.
-    if (run.reason != StopReason::kFuelExhausted) profile.end_step = run.steps;
+    if (reason != StopReason::kFuelExhausted) profile.end_step = machine.steps();
     return profile;
   };
 
-  RunConfig config;
-  config.fault = fault;
-  if (!config_.convergence_pruning) {
-    config.fuel = fuel_;
-    return finish(machine.run(config));
-  }
+  const std::optional<emu::FaultSpec> armed = fault;
+  if (!config_.convergence_pruning) return finish(machine.advance(fuel_, armed));
 
   // Run to each checkpoint boundary past the injection; if the faulted
   // machine is back in the golden state there, its future is the golden
   // future — classify without simulating the suffix.
   while (true) {
-    config.fuel = std::min(boundary, fuel_);
-    const RunResult run = machine.run(config);
-    if (run.reason != StopReason::kFuelExhausted || config.fuel >= fuel_) {
-      return finish(run);
+    const std::uint64_t fuel = std::min(boundary, fuel_);
+    const StopReason reason = machine.advance(fuel, armed);
+    if (reason != StopReason::kFuelExhausted || fuel >= fuel_) {
+      return finish(reason);
     }
     const std::size_t checkpoint = boundary / interval_;
     if (checkpoint >= chain_.size()) {
       // Past the last golden checkpoint; no reference state to compare.
-      config.fuel = fuel_;
-      return finish(machine.run(config));
+      return finish(machine.advance(fuel_, armed));
     }
     if (same_state(chain_[checkpoint], machine)) {
       pruned.fetch_add(1, std::memory_order_relaxed);
@@ -659,13 +653,11 @@ Outcome Engine::simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple
   // i+1's injection point. A leg that terminates classifies the whole tuple
   // (the remaining faults never fire; their hit slots keep the caller's
   // golden pre-fill, matching what the reuse rules report for the tuple).
-  RunConfig config;
   for (std::size_t leg = 1; leg < arity; ++leg) {
-    config.fault = plan[tuple[leg - 1]].spec;
-    config.fuel = std::min(plan[tuple[leg]].spec.trace_index, fuel_);
-    const RunResult run = machine.run(config);
-    if (run.reason != StopReason::kFuelExhausted || config.fuel >= fuel_) {
-      return classify(refs_, run, config_.detected_exit_code);
+    const std::uint64_t fuel = std::min(plan[tuple[leg]].spec.trace_index, fuel_);
+    const StopReason reason = machine.advance(fuel, plan[tuple[leg - 1]].spec);
+    if (reason != StopReason::kFuelExhausted || fuel >= fuel_) {
+      return classify_stopped(machine, reason);
     }
     // Paused exactly before dynamic step t(leg): rip is the instruction the
     // next fault actually strikes.

@@ -156,10 +156,22 @@ struct References {
 References make_references(const elf::Image& image, const std::string& good_input,
                            const std::string& bad_input, bool block_cache = true);
 
-/// Classifies one faulted run against the two golden references.
+/// The classify core: one faulted run, given as how it stopped, its exit
+/// code (-1 unless it exited) and its output, against the two golden
+/// references. The engine calls it straight from a paused machine's
+/// status, without building a RunResult.
 Outcome classify(const emu::RunResult& good_reference,
-                 const emu::RunResult& bad_reference, const emu::RunResult& run,
+                 const emu::RunResult& bad_reference, emu::StopReason reason,
+                 std::int64_t exit_code, std::string_view output,
                  int detected_exit_code) noexcept;
+
+/// Classifies one faulted run against the two golden references.
+inline Outcome classify(const emu::RunResult& good_reference,
+                        const emu::RunResult& bad_reference, const emu::RunResult& run,
+                        int detected_exit_code) noexcept {
+  return classify(good_reference, bad_reference, run.reason, run.exit_code, run.output,
+                  detected_exit_code);
+}
 
 inline Outcome classify(const References& refs, const emu::RunResult& run,
                         int detected_exit_code) noexcept {
@@ -373,6 +385,14 @@ class Engine {
     /// at t2 >= end_step never fires.
     std::uint64_t end_step = kNeverStep;
   };
+
+  /// Classifies the run `machine` just stopped (`reason` from advance())
+  /// from its status, exit code and output.
+  [[nodiscard]] Outcome classify_stopped(const emu::Machine& machine,
+                                         emu::StopReason reason) const noexcept {
+    return sim::classify(refs_.good_reference, refs_.bad_reference, reason,
+                         machine.exit_code(), machine.output(), config_.detected_exit_code);
+  }
 
   /// Simulates one planned fault on a worker-owned machine and records its
   /// profile. With convergence pruning enabled the boundary scan both

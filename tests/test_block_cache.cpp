@@ -1,12 +1,15 @@
-// Decoded-block cache: the cached dispatch loop must be step-for-step
-// indistinguishable from the per-step fetch+decode slow path — same trace,
-// same outcome, same step count — on clean runs, on every fault kind, on
-// self-modifying code, and at the edges of mapped code. Plus the
+// Decoded-block cache: the cached dispatch loop (specialized micro-op
+// handlers, lazy flags) must be step-for-step indistinguishable from the
+// per-step fetch+decode slow path (generic entry only) — same trace, same
+// outcome, same step count and the same full machine state — on clean
+// runs, on every fault kind on both targets, on self-modifying code, and
+// at the edges of mapped code. Plus the
 // fault-window regressions this PR pins: bit-flip planning stays within the
 // instruction encoding, out-of-range specs fail loudly, and the sweep-rate
 // gauges reset at sweep start.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,6 +21,8 @@
 #include "emu/machine.h"
 #include "guests/guests.h"
 #include "guests/synth.h"
+#include "isa/target.h"
+#include "machine_oracle.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
 #include "synth_corpus.h"
@@ -51,39 +56,6 @@ elf::Image raw_image(std::vector<std::uint8_t> code) {
   return image;
 }
 
-/// Runs the image twice — cached (default) and uncached — and asserts the
-/// runs are trace-identical: reason, exit code, output, crash detail, step
-/// count, and the full TraceEntry sequence.
-void expect_identical_runs(const elf::Image& image, const std::string& input,
-                           std::optional<FaultSpec> fault = std::nullopt) {
-  RunConfig config;
-  config.record_trace = true;
-  config.fault = fault;
-
-  Machine cached(image, input);
-  ASSERT_TRUE(cached.block_cache_enabled());  // the default
-  Machine uncached(image, input);
-  uncached.set_block_cache_enabled(false);
-
-  const RunResult a = cached.run(config);
-  const RunResult b = uncached.run(config);
-  EXPECT_EQ(a.reason, b.reason);
-  EXPECT_EQ(a.exit_code, b.exit_code);
-  EXPECT_EQ(a.output, b.output);
-  EXPECT_EQ(a.crash_detail, b.crash_detail);
-  EXPECT_EQ(a.steps, b.steps);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    if (a.trace[i].address != b.trace[i].address ||
-        a.trace[i].length != b.trace[i].length) {
-      FAIL() << "trace diverges at step " << i << ": cached 0x" << std::hex
-             << a.trace[i].address << "/" << std::dec << int(a.trace[i].length)
-             << " vs uncached 0x" << std::hex << b.trace[i].address << "/"
-             << std::dec << int(b.trace[i].length);
-    }
-  }
-}
-
 /// The golden trace of `image` on `input` (uncached reference).
 std::vector<emu::TraceEntry> golden_trace(const elf::Image& image,
                                           const std::string& input) {
@@ -107,30 +79,116 @@ std::vector<FaultSpec> mid_trace_faults(const std::vector<emu::TraceEntry>& trac
 
 // ---- differential oracle: builtin guests + frozen synth corpus --------------
 
-TEST(BlockCacheDifferential, BuiltinGuestsFaultlessAndEveryFaultKind) {
-  for (const guests::Guest* guest : guests::all_guests()) {
-    SCOPED_TRACE(guest->name);
-    const elf::Image image = guests::build_image(*guest);
-    expect_identical_runs(image, guest->good_input);
-    expect_identical_runs(image, guest->bad_input);
-    for (const FaultSpec& fault : mid_trace_faults(golden_trace(image, guest->bad_input))) {
-      SCOPED_TRACE("fault kind " + std::string(sim::kind_name(fault.kind)));
-      expect_identical_runs(image, guest->bad_input, fault);
-    }
+/// Both runs of `guest` fault-free, then every fault kind at a mid-trace
+/// step of the bad-input run.
+void expect_guest_identical(const guests::Guest& guest) {
+  const elf::Image image = guests::build_image(guest);
+  oracle::expect_cached_equals_uncached(image, guest.good_input);
+  oracle::expect_cached_equals_uncached(image, guest.bad_input);
+  for (const FaultSpec& fault : mid_trace_faults(golden_trace(image, guest.bad_input))) {
+    SCOPED_TRACE("fault kind " + std::string(sim::kind_name(fault.kind)));
+    oracle::expect_cached_equals_uncached(image, guest.bad_input, fault);
   }
 }
 
-TEST(BlockCacheDifferential, FrozenSynthCorpusFaultlessAndEveryFaultKind) {
+class BlockCacheDifferential : public testing::TestWithParam<isa::Arch> {};
+
+TEST_P(BlockCacheDifferential, BuiltinGuestsFaultlessAndEveryFaultKind) {
+  for (const guests::Guest* guest : guests::all_guests(GetParam())) {
+    SCOPED_TRACE(guest->name);
+    expect_guest_identical(*guest);
+  }
+}
+
+TEST_P(BlockCacheDifferential, FrozenSynthCorpusFaultlessAndEveryFaultKind) {
   for (const synth_corpus::CorpusSeed& corpus_seed : synth_corpus::kCorpus) {
     SCOPED_TRACE("seed " + std::to_string(corpus_seed.seed));
-    const guests::Guest guest = guests::synth::generate(corpus_seed.seed);
-    const elf::Image image = guests::build_image(guest);
-    expect_identical_runs(image, guest.good_input);
-    expect_identical_runs(image, guest.bad_input);
-    for (const FaultSpec& fault : mid_trace_faults(golden_trace(image, guest.bad_input))) {
-      SCOPED_TRACE("fault kind " + std::string(sim::kind_name(fault.kind)));
-      expect_identical_runs(image, guest.bad_input, fault);
-    }
+    expect_guest_identical(guests::synth::generate(corpus_seed.seed, GetParam()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Targets, BlockCacheDifferential,
+                         testing::Values(isa::Arch::kX64, isa::Arch::kRv32i),
+                         [](const testing::TestParamInfo<isa::Arch>& info) {
+                           return std::string(isa::to_string(info.param));
+                         });
+
+// ---- specialized handlers -----------------------------------------------------
+
+/// Every specialized 64-bit shape, and nothing else but the closing
+/// syscall, on values that stress it: negative and wide immediates, stores
+/// over memory whose upper bytes differ, base + index*scale + disp and
+/// RIP-relative operands, CF carried across inc/dec, and a loop so the
+/// shapes also run from a warm cache.
+elf::Image specialized_shapes_image() {
+  return build(
+      "    mov rsi, offset buf\n"
+      "    mov rdi, 2\n"
+      "    mov rcx, 3\n"
+      "loop:\n"
+      "    mov rax, -1\n"
+      "    mov [rsi + 8], rax\n"
+      "    mov [rsi + rdi*8 + 8], rax\n"
+      "    mov rbx, [rsi + 8]\n"
+      "    mov rdx, [rsi + rdi*8 + 8]\n"
+      "    mov r11, [rip+buf]\n"
+      "    movzx rbp, byte ptr [rsi + 8]\n"
+      "    lea r8, [rsi + rdi*4 + 5]\n"
+      "    lea r12, [rip+buf]\n"
+      "    mov r9, 0x123456789\n"
+      "    add r9, -7\n"
+      "    and r9, -16\n"
+      "    or r9, rdx\n"
+      "    xor r9, rbp\n"
+      "    xor r9, -1\n"
+      "    cmp r9, rbx\n"
+      "    cmp r9, -3\n"
+      "    cmp r9, [rsi]\n"
+      "    imul r9, rdx\n"
+      "    add r9, 1\n"
+      "    inc r9\n"
+      "    dec r9\n"
+      "    mov [rsi], r9\n"
+      "    call helper\n"
+      "    dec rcx\n"
+      "    cmp rcx, 0\n"
+      "    jne loop\n"
+      "    jmp done\n"
+      "helper:\n"
+      "    xor r10, r9\n"
+      "    ret\n"
+      "done:\n"
+      "    mov [rsi + 16], r10\n"
+      "    movzx rdi, byte ptr [rsi + 16]\n"
+      "    mov rax, 60\n"
+      "    syscall\n"
+      ".section .data\n"
+      "buf: .zero 64\n");
+}
+
+TEST(BlockCacheHandlers, EverySpecializedShapeMatchesTheGenericEntry) {
+  oracle::expect_cached_equals_uncached(specialized_shapes_image(), "", std::nullopt, 3);
+}
+
+TEST(BlockCacheHandlers, GenericStepsCountTheStepsOffTheSpecializedHandlers) {
+  // Only the closing syscall lacks a specialized handler; with the cache
+  // off every step takes the generic entry.
+  obs::Counter& instructions = obs::Metrics::instance().counter("emu.instructions");
+  obs::Counter& generic = obs::Metrics::instance().counter("emu.generic_steps");
+  for (const bool block_cache : {true, false}) {
+    SCOPED_TRACE(block_cache ? "cached" : "uncached");
+    const std::uint64_t instructions_before = instructions.value();
+    const std::uint64_t generic_before = generic.value();
+    std::uint64_t steps = 0;
+    {
+      Machine machine(specialized_shapes_image(), "");
+      machine.set_block_cache_enabled(block_cache);
+      const RunResult result = machine.run(RunConfig{});
+      ASSERT_EQ(result.reason, StopReason::kExited) << result.crash_detail;
+      steps = result.steps;
+    }  // the machine flushes its tallies at teardown
+    EXPECT_EQ(instructions.value() - instructions_before, steps);
+    EXPECT_EQ(generic.value() - generic_before, block_cache ? 1u : steps);
   }
 }
 
@@ -170,7 +228,7 @@ TEST(BlockCacheSelfModify, GuestStoreIntoCodeInvalidatesAndMatchesUncached) {
   EXPECT_GE(machine.block_cache()->invalidations(), 1u)
       << "store into code did not invalidate any cached block";
 
-  expect_identical_runs(image, "");
+  oracle::expect_cached_equals_uncached(image, "");
 }
 
 TEST(BlockCacheSelfModify, HostWriteBlockBetweenRunsIsPickedUp) {
@@ -213,7 +271,7 @@ TEST(BlockCacheSelfModify, HostWriteBlockBetweenRunsIsPickedUp) {
 
 TEST(BlockCacheBoundary, RunningOffTheEndOfMappedCodeCrashesIdentically) {
   const elf::Image image = raw_image({0x90});  // one nop, then nothing
-  expect_identical_runs(image, "");
+  oracle::expect_cached_equals_uncached(image, "");
   Machine machine(image, "");
   const RunResult result = machine.run(RunConfig{});
   EXPECT_EQ(result.reason, StopReason::kCrashed);
@@ -226,7 +284,7 @@ TEST(BlockCacheBoundary, TruncatedTrailingInstructionCrashesIdentically) {
   // nop, then a lone REX prefix: the decoder runs out of bytes inside the
   // one-byte fetch window at the segment edge.
   const elf::Image image = raw_image({0x90, 0x48});
-  expect_identical_runs(image, "");
+  oracle::expect_cached_equals_uncached(image, "");
   Machine machine(image, "");
   const RunResult result = machine.run(RunConfig{});
   EXPECT_EQ(result.reason, StopReason::kCrashed);
@@ -240,7 +298,7 @@ TEST(BlockCacheBoundary, InstructionEndingAtLastMappedByteExecutes) {
   const elf::Image image = raw_image({0x48, 0xc7, 0xc0, 0x3c, 0x00, 0x00, 0x00,
                                       0x48, 0xc7, 0xc7, 0x05, 0x00, 0x00, 0x00,
                                       0x0f, 0x05});
-  expect_identical_runs(image, "");
+  oracle::expect_cached_equals_uncached(image, "");
   Machine machine(image, "");
   const RunResult result = machine.run(RunConfig{});
   EXPECT_EQ(result.reason, StopReason::kExited);
@@ -258,6 +316,36 @@ TEST(BlockCache, LoopingGuestHitsTheCache) {
   EXPECT_GT(machine.block_cache()->misses(), 0u);
   EXPECT_GT(machine.block_cache()->hits(), machine.block_cache()->misses())
       << "a looping guest should revisit blocks far more often than build them";
+}
+
+TEST(BlockCache, ArenaClearMidRunMatchesUncached) {
+  // A nop sled longer than the arena holds, run twice: building the block
+  // that overflows the arena clears the cache in the middle of the run,
+  // freeing every block built so far, and the run goes on from the new
+  // arena exactly as it would uncached.
+  const std::size_t nops =
+      emu::BlockCache::kMaxCachedInstructions + 3 * emu::BlockCache::kMaxBlockInstructions;
+  std::string sled;
+  for (std::size_t i = 0; i < nops; i += 512) {
+    sled += "    .byte 0x90";
+    for (std::size_t j = i + 1; j < std::min(nops, i + 512); ++j) sled += ", 0x90";
+    sled += "\n";
+  }
+  const elf::Image image = build("    mov rcx, 2\n"
+                                 "sled:\n" + sled +
+                                 "    dec rcx\n"
+                                 "    cmp rcx, 0\n"
+                                 "    jne sled\n"
+                                 "    mov rax, 60\n"
+                                 "    mov rdi, 0\n"
+                                 "    syscall\n");
+  Machine machine(image, "");
+  const RunResult result = machine.run(RunConfig{});
+  ASSERT_EQ(result.reason, StopReason::kExited) << result.crash_detail;
+  const std::uint64_t blocks_per_pass = nops / emu::BlockCache::kMaxBlockInstructions + 1;
+  EXPECT_GE(machine.block_cache()->misses(), 2 * blocks_per_pass)
+      << "the arena clear should force the second pass to rebuild its blocks";
+  oracle::expect_cached_equals_uncached(image, "", std::nullopt, 0);
 }
 
 TEST(BlockCache, DisablingTheCacheFlushesCountersToMetrics) {

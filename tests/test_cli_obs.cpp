@@ -186,6 +186,7 @@ TEST(CliObs, MetricsCounterTotalsAreThreadCountInvariant) {
   EXPECT_EQ(counters_section(json_1), counters_section(json_8));
   EXPECT_NE(json_1.find("\"sim.faults_planned\""), std::string::npos) << json_1;
   EXPECT_NE(json_1.find("\"sim.tuples_planned\""), std::string::npos) << json_1;
+  EXPECT_NE(json_1.find("\"emu.generic_steps\""), std::string::npos) << json_1;
 }
 
 // ---- artifact shape ---------------------------------------------------------
@@ -330,7 +331,8 @@ TEST(CliObs, EveryEmittedNameIsDocumented) {
   }
   // The runs above reach every layer a CLI subcommand instruments.
   for (const char* name : {"sim.run_tuples", "sim.tuples_planned", "sim.tuple_sampler",
-                           "fixpoint.run", "batch.guests", "harden.hybrid"}) {
+                           "fixpoint.run", "batch.guests", "harden.hybrid",
+                           "emu.instructions", "emu.generic_steps"}) {
     EXPECT_TRUE(emitted.contains(name)) << "expected " << name << " to be emitted";
   }
   for (const std::string& name : emitted) {

@@ -1,7 +1,13 @@
 // ELF container: write/read round-trips, structure validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "elf/image.h"
+#include "guests/guests.h"
 #include "support/error.h"
 
 namespace r2r::elf {
@@ -94,6 +100,89 @@ TEST(ElfReader, RejectsMalformedInput) {
   std::vector<std::uint8_t> wrong_class = bytes;
   wrong_class[4] = 1;  // ELFCLASS32
   EXPECT_THROW(read_elf(wrong_class), support::Error);
+}
+
+// ---- byte boundaries: mutated toymov images -----------------------------------
+// Each field below is read as a 64-bit offset or size; values near 2^64 used
+// to wrap the `offset + size <= file size` checks.
+
+constexpr std::uint64_t kNearTop = std::numeric_limits<std::uint64_t>::max() - 7;  // 2^64 - 8
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) value |= std::uint64_t{bytes[at + i]} << (8 * i);
+  return value;
+}
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+std::vector<std::uint8_t> toymov_bytes() {
+  return write_elf(guests::build_image(guests::toymov()));
+}
+
+/// File offset of the first program header's field at `field` (p_offset 8,
+/// p_vaddr 16, p_filesz 32, p_memsz 40).
+std::size_t first_phdr(const std::vector<std::uint8_t>& bytes, std::size_t field) {
+  return get_u64(bytes, 0x20) + field;
+}
+
+/// File offset of section header `index`'s field at `field` (sh_offset 24).
+std::size_t shdr(const std::vector<std::uint8_t>& bytes, std::size_t index, std::size_t field) {
+  return get_u64(bytes, 0x28) + index * 64 + field;
+}
+
+void expect_elf_error(const std::vector<std::uint8_t>& bytes, const std::string& message) {
+  try {
+    (void)read_elf(bytes);
+    ADD_FAILURE() << "read_elf accepted the image; expected: " << message;
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kElf);
+    EXPECT_NE(std::string(error.what()).find(message), std::string::npos) << error.what();
+  }
+}
+
+TEST(ElfReader, SegmentOffsetNearTwoToThe64IsOutOfRange) {
+  std::vector<std::uint8_t> bytes = toymov_bytes();
+  put_u64(bytes, first_phdr(bytes, 8), kNearTop);
+  expect_elf_error(bytes, "segment out of range");
+}
+
+TEST(ElfReader, SectionNameTableOffsetNearTwoToThe64IsOutOfRange) {
+  std::vector<std::uint8_t> bytes = toymov_bytes();
+  const std::size_t shstrndx = bytes[0x3E] | (bytes[0x3F] << 8);
+  put_u64(bytes, shdr(bytes, shstrndx, 24), kNearTop);
+  expect_elf_error(bytes, "shstrtab out of range");
+}
+
+TEST(ElfReader, SymbolStringTableOffsetNearTwoToThe64IsOutOfRange) {
+  std::vector<std::uint8_t> bytes = toymov_bytes();
+  const std::size_t shnum = bytes[0x3C] | (bytes[0x3D] << 8);
+  bool mutated = false;
+  for (std::size_t i = 0; i < shnum && !mutated; ++i) {
+    if (bytes[shdr(bytes, i, 4)] != 2) continue;  // SHT_SYMTAB
+    const std::size_t link = bytes[shdr(bytes, i, 40)];
+    put_u64(bytes, shdr(bytes, link, 24), kNearTop);
+    mutated = true;
+  }
+  ASSERT_TRUE(mutated) << "toymov has no symbol table";
+  expect_elf_error(bytes, "strtab out of range");
+}
+
+TEST(ElfReader, SegmentMemorySizeBelowFileSizeIsRejected) {
+  std::vector<std::uint8_t> bytes = toymov_bytes();
+  const std::uint64_t filesz = get_u64(bytes, first_phdr(bytes, 32));
+  ASSERT_GT(filesz, 0u);
+  put_u64(bytes, first_phdr(bytes, 40), filesz - 1);
+  expect_elf_error(bytes, "p_memsz is below p_filesz");
+}
+
+TEST(ElfReader, SegmentWrappingTheAddressSpaceIsRejected) {
+  std::vector<std::uint8_t> bytes = toymov_bytes();
+  const std::uint64_t memsz = get_u64(bytes, first_phdr(bytes, 40));
+  put_u64(bytes, first_phdr(bytes, 16), std::numeric_limits<std::uint64_t>::max() - memsz + 2);
+  expect_elf_error(bytes, "wraps the address space");
 }
 
 TEST(ElfImage, QueriesWork) {

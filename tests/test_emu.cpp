@@ -5,6 +5,8 @@
 #include "bir/assemble.h"
 #include "bir/module.h"
 #include "emu/machine.h"
+#include "isa/condition.h"
+#include "machine_oracle.h"
 #include "sim/snapshot.h"
 #include "support/bits.h"
 #include "support/error.h"
@@ -257,6 +259,56 @@ TEST(Memory, RejectsOverlappingMaps) {
   memory.map("a", 0x1000, 0x100, elf::kRead);
   EXPECT_THROW(memory.map("b", 0x1080, 0x100, elf::kRead), support::Error);
   EXPECT_NO_THROW(memory.map("c", 0x1100, 0x100, elf::kRead));
+}
+
+/// The Error{kInvalidArgument} text `map` throws, or "no error".
+template <typename Map>
+std::string map_error(const Map& map) {
+  try {
+    map();
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kInvalidArgument);
+    return error.what();
+  }
+  return "no error";
+}
+
+TEST(Memory, RejectsRegionsThatWrapTheAddressSpace) {
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  Memory memory;
+  memory.map("low", 0x1000, 0x1000, elf::kRead);
+  // base + size wraps to 0x1800: the overlap test alone took it for a
+  // region below "low".
+  EXPECT_NE(map_error([&] { memory.map("wrap", kTop - 0x7ff, 0x2000, elf::kRead); })
+                .find("'wrap' wraps the address space"),
+            std::string::npos);
+  // A region ending exactly at 2^64 has no representable end either.
+  EXPECT_NE(map_error([&] { memory.map("edge", kTop - 0xfff, 0x1000, elf::kRead); })
+                .find("wraps the address space"),
+            std::string::npos);
+  EXPECT_EQ(map_error([&] { memory.map("below", kTop - 0x1000, 0x1000, elf::kRead); }),
+            "no error");
+}
+
+TEST(Memory, RejectsRegionsOverTheSizeCap) {
+  Memory memory;
+  EXPECT_NE(map_error([&] {
+              memory.map("huge", 0x1000, Memory::kMaxRegionBytes + 1, elf::kRead);
+            }).find("'huge' exceeds the region size cap"),
+            std::string::npos);
+}
+
+TEST(Memory, ImageWithAHugeSegmentFailsToLoadWithATypedError) {
+  // p_memsz 2^44 passes read_elf (memsz >= filesz, no wrap); mapping it
+  // asked the host for a 16 TiB vector.
+  std::vector<std::uint8_t> bytes = elf::write_elf(build("    nop\n"));
+  const std::size_t phoff = static_cast<std::size_t>(bytes[0x20] | (bytes[0x21] << 8));
+  for (int i = 0; i < 8; ++i) {
+    bytes[phoff + 40 + i] = static_cast<std::uint8_t>((std::uint64_t{1} << 44) >> (8 * i));
+  }
+  const elf::Image image = elf::read_elf(bytes);
+  EXPECT_NE(map_error([&] { Machine machine(image, ""); }).find("exceeds the region size cap"),
+            std::string::npos);
 }
 
 TEST(Memory, CrossBoundaryAccessFails) {
@@ -640,6 +692,230 @@ TEST(FaultInjection, FaultedRunsAreDeterministic) {
   const RunResult a = run_image(image, "", config);
   const RunResult b = run_image(image, "", config);
   EXPECT_TRUE(a.observably_equal(b));
+}
+
+// ---- lazy-flag consumer matrix -------------------------------------------------------
+// Cached blocks run specialized handlers that leave the flags pending (the
+// last flag-writing operation and its operands); the uncached machine runs
+// the generic entry, which computes them eagerly. Every flag writer below
+// runs at each width on operands that hit zero, sign change, signed
+// overflow, carry/borrow, AF nibble carry and both parities, and each one
+// is followed by every flag consumer: each jcc/setcc/cmovcc condition,
+// pushfq (x64), mvflags (rv32i), syscall's r11, a flag-flip fault of each
+// flag on the next step, and a fuel pause followed by capture. Cached and
+// uncached runs must agree on the full machine state (tests/machine_oracle.h).
+
+/// Register spellings and instruction shapes of one target's matrix.
+struct FlagTarget {
+  isa::Arch arch;
+  std::string a, b, result, result8, base;  ///< rbx/rcx/rdx/dl/rdi on x64
+  unsigned slot_bytes;                      ///< bytes per stored result
+  std::string prologue;                     ///< sets `base` (and the x64 slot pointer)
+  std::string exit;
+
+  /// The operand load before each writer: a in `a`, b in `b`, and on x64
+  /// b also in memory at [rsi] for the memory-source cmp.
+  [[nodiscard]] std::string load(std::uint64_t av, std::uint64_t bv) const {
+    const auto value = [&](std::uint64_t v) {
+      return support::hex_string(arch == isa::Arch::kX64 ? v : v & 0xFFFF'FFFF);
+    };
+    std::string text = "    mov " + a + ", " + value(av) + "\n    mov " + b + ", " + value(bv) + "\n";
+    if (arch == isa::Arch::kX64) text += "    mov [rsi], rcx\n";
+    return text;
+  }
+  [[nodiscard]] unsigned load_instructions() const { return arch == isa::Arch::kX64 ? 3 : 2; }
+};
+
+FlagTarget x64_flags() {
+  return {isa::Arch::kX64, "rbx", "rcx", "rdx", "dl", "rdi", 8,
+          "    mov rdi, offset out\n    mov rsi, offset slot\n",
+          "    mov rax, 60\n    mov rdi, 0\n    syscall\n"};
+}
+
+FlagTarget rv32i_flags() {
+  return {isa::Arch::kRv32i, "a3", "a1", "a2", "a2b", "s0", 4, "    mov s0, offset out\n",
+          "    mov a0, 60\n    mov a5, 0\n    syscall\n"};
+}
+
+struct FlagWriter {
+  std::string text;        ///< writes the flags from the loaded operands
+  unsigned instructions;  ///< dynamic instructions in `text`
+};
+
+/// The writers at every width the target encodes, for operands (av, bv).
+std::vector<FlagWriter> flag_writers(const FlagTarget& t, std::uint64_t bv) {
+  std::vector<FlagWriter> writers;
+  const auto one = [&](const std::string& line) { writers.push_back({"    " + line + "\n", 1}); };
+  const auto imm = std::to_string(static_cast<std::int64_t>(bv));
+  if (t.arch == isa::Arch::kX64) {
+    const std::vector<std::pair<std::string, std::string>> widths = {
+        {"bl", "cl"}, {"ebx", "ecx"}, {"rbx", "rcx"}};
+    for (const auto& [a, b] : widths) {
+      for (const char* op : {"add", "sub", "cmp", "and", "or", "xor", "test"}) {
+        one(std::string(op) + " " + a + ", " + b);
+      }
+      for (const char* op : {"neg", "inc", "dec"}) one(std::string(op) + " " + a);
+      for (const char* op : {"shl", "shr", "sar"}) {
+        one(std::string(op) + " " + a + ", 1");
+        one(std::string(op) + " " + a + ", cl");
+      }
+      if (a != "bl") one("imul " + a + ", " + b);  // no 8-bit two-operand imul
+    }
+    // The specialized immediate and memory-source shapes.
+    if (support::fits_int32(static_cast<std::int64_t>(bv))) {
+      for (const char* op : {"add", "sub", "cmp", "and", "or", "xor", "test"}) {
+        one(std::string(op) + " rbx, " + imm);
+      }
+    }
+    one("cmp rbx, [rsi]");
+    // CF crosses a pending record: inc/dec keep the CF the writer before
+    // them left (the specialized add is the immediate form).
+    std::vector<std::string> firsts = {"add rbx, rcx", "sub rbx, rcx", "cmp rbx, rcx",
+                                       "xor rbx, rcx", "imul rbx, rcx"};
+    if (support::fits_int32(static_cast<std::int64_t>(bv))) firsts.push_back("add rbx, " + imm);
+    for (const std::string& first : firsts) {
+      for (const char* second : {"inc", "dec"}) {
+        writers.push_back({"    " + first + "\n    " + second + " rbx\n", 2});
+      }
+    }
+    return writers;
+  }
+  for (const char* op : {"add", "sub", "and", "or", "xor"}) one(std::string(op) + " a3, a1");
+  for (const char* op : {"cmp", "test"}) {
+    one(std::string(op) + " a3, a1");
+    one(std::string(op) + " a3b, a1b");  // the custom-0 byte forms
+  }
+  const auto iv = static_cast<std::int32_t>(bv & 0xFFFF'FFFF);
+  if (iv >= -2048 && iv <= 2047) {
+    for (const char* op : {"add", "and", "or", "xor", "cmp"}) {
+      if (iv == -1 && std::string(op) == "xor") continue;  // rv32i spells it `not`
+      one(std::string(op) + " a3, " + std::to_string(iv));
+    }
+    one("cmp a3b, " + std::to_string(iv));
+  }
+  one("neg a3");
+  for (const char* op : {"shl", "shr", "sar"}) {
+    one(std::string(op) + " a3, 1");
+    one(std::string(op) + " a3, a1");
+  }
+  return writers;
+}
+
+/// Every consumer once, each after its own copy of the load and `writer`,
+/// storing what it read at the next result slot.
+std::string consumer_program(const FlagTarget& t, std::uint64_t av, std::uint64_t bv,
+                             const FlagWriter& writer) {
+  const bool x64 = t.arch == isa::Arch::kX64;
+  std::vector<std::string> consumers;
+  for (unsigned cc = 0; cc < 16; ++cc) {
+    const std::string suffix(isa::cond_suffix(static_cast<Cond>(cc)));
+    const std::string label = "taken_" + std::to_string(cc);
+    consumers.push_back("    mov " + t.result + ", 0\n    j" + suffix + " " + label + "\n    mov " +
+                        t.result + ", 1\n" + label + ":\n");
+    consumers.push_back("    mov " + t.result + ", 0\n    set" + suffix + " " + t.result8 + "\n");
+    if (x64) {
+      consumers.push_back("    mov rdx, 7\n    mov r8, 9\n    cmov" + suffix + " rdx, r8\n");
+      consumers.push_back("    mov rdx, -1\n    mov r8, 9\n    cmov" + suffix + " edx, r8d\n");
+    }
+  }
+  consumers.push_back(x64 ? "    pushfq\n    pop rdx\n" : "    mvflags a2\n");
+  consumers.push_back(x64 ? "    mov rax, 39\n    syscall\n    mov rdx, r11\n"
+                          : "    mov a0, 39\n    syscall\n    mov a2, t4\n");
+  std::string text = t.prologue;
+  for (std::size_t k = 0; k < consumers.size(); ++k) {
+    text += t.load(av, bv) + writer.text + consumers[k];
+    text += "    mov [" + t.base + " + " + std::to_string(k * t.slot_bytes) + "], " + t.result + "\n";
+  }
+  text += t.exit + ".section .data\nslot: .zero 8\nout: .zero " +
+          std::to_string(consumers.size() * t.slot_bytes) + "\n";
+  return text;
+}
+
+elf::Image build_for(isa::Arch arch, const std::string& text) {
+  bir::Module module = bir::module_from_assembly(".global _start\n_start:\n" + text, arch);
+  return bir::assemble(module);
+}
+
+/// Operand pairs: zero results, sign changes, signed overflow and
+/// carry/borrow at each width, AF nibble carries and both parities.
+const std::vector<std::pair<std::uint64_t, std::uint64_t>>& flag_operands() {
+  static const std::vector<std::pair<std::uint64_t, std::uint64_t>> kOperands = {
+      {0, 0},
+      {5, 5},
+      {3, 5},
+      {0x0F, 1},
+      {0x10, 1},
+      {0x7F, 1},
+      {0xFF, 1},
+      {0x7FFF'FFFF, 1},
+      {0xFFFF'FFFF, 1},
+      {0x7FFF'FFFF'FFFF'FFFF, 1},
+      {0xFFFF'FFFF'FFFF'FFFF, 1},
+      {0x8000'0000'0000'0000, 1},
+      {0x8000'0000'8000'0080, 0xFFFF'FFFF'FFFF'FFFF},
+      {0x4000'0000'0000'0000, 2},
+      {0x1'0000'0000, 0x1'0000'0000},
+      {0x1234, 3},
+  };
+  return kOperands;
+}
+
+void expect_flag_matrix(const FlagTarget& t) {
+  for (const auto& [av, bv] : flag_operands()) {
+    for (const FlagWriter& writer : flag_writers(t, bv)) {
+      SCOPED_TRACE("a=" + support::hex_string(av) + " b=" + support::hex_string(bv) + "\n" +
+                   writer.text);
+      oracle::expect_cached_equals_uncached(
+          build_for(t.arch, consumer_program(t, av, bv, writer)), "", std::nullopt, 0);
+
+      // One writer, then a flag flip of each flag on the next step, or a
+      // fuel pause right there followed by capture (the oracle compares
+      // the full state at every pause).
+      const std::string consume = t.arch == isa::Arch::kX64 ? "    pushfq\n    pop rdx\n"
+                                                            : "    mvflags a2\n";
+      const elf::Image image =
+          build_for(t.arch, t.prologue + t.load(av, bv) + writer.text + consume + "    mov [" +
+                                t.base + "], " + t.result + "\n" + t.exit +
+                                ".section .data\nslot: .zero 8\nout: .zero 8\n");
+      const std::uint64_t next = (t.arch == isa::Arch::kX64 ? 2 : 1) + t.load_instructions() +
+                                 writer.instructions;
+      oracle::MachinePair pair(image, "");
+      for (std::uint32_t flag = 0; flag < 6; ++flag) {
+        SCOPED_TRACE("flag flip " + std::to_string(flag));
+        oracle::expect_cached_equals_uncached(
+            pair, FaultSpec{FaultSpec::Kind::kFlagFlip, next, flag}, 0);
+      }
+      oracle::expect_cached_equals_uncached(pair, std::nullopt, next);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(LazyFlags, X64ConsumerMatrixCachedEqualsUncached) { expect_flag_matrix(x64_flags()); }
+
+TEST(LazyFlags, Rv32iConsumerMatrixCachedEqualsUncached) { expect_flag_matrix(rv32i_flags()); }
+
+TEST(LazyFlags, MatrixProgramsRunTheirConsumers) {
+  // Guards the matrix against vacuous programs: the x64 add writer on
+  // 0xFF + 1 reaches every consumer and exits 0, and its cached run took
+  // specialized handlers for most of its steps.
+  const FlagTarget t = x64_flags();
+  const elf::Image image = build_for(t.arch, consumer_program(t, 0xFF, 1, {"    add rbx, rcx\n", 1}));
+  Machine machine(image, "");
+  const RunResult result = machine.run(RunConfig{});
+  ASSERT_EQ(result.reason, StopReason::kExited) << result.crash_detail;
+  EXPECT_EQ(result.exit_code, 0);
+  const elf::Symbol* out = image.find_symbol("out");
+  ASSERT_NE(out, nullptr);
+  // jcc/setcc/cmov(64)/cmov(32) for condition e: ZF is clear after 0xFF + 1
+  // at 64 bits.
+  const std::uint64_t je = machine.memory().read(out->value + 4 * 4 * 8, 8);
+  const std::uint64_t sete = machine.memory().read(out->value + (4 * 4 + 1) * 8, 8);
+  EXPECT_EQ(je, 1u) << "je must fall through";
+  EXPECT_EQ(sete, 0u);
+  const std::uint64_t rflags = machine.memory().read(out->value + 64 * 8, 8);
+  EXPECT_EQ(rflags, Flags{}.to_rflags() | 1ULL << 4 | 1ULL << 2)
+      << "0xFF + 1 sets AF and PF only";
 }
 
 }  // namespace
