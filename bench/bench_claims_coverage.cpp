@@ -2,6 +2,12 @@
 //   (1) instruction-skip vulnerabilities fully resolved by both approaches;
 //   (2) single-bit-flip vulnerable points reduced by >= 50%;
 //   (3) naive full duplication costs >= 300% code size.
+//
+// A gate: it exits 1 when any claim fails on the case studies (a skip
+// vulnerability left by Hybrid or Faulter+Patcher on pincheck or
+// bootloader; F+P's bit-flip reduction on pincheck under 50%; duplication
+// under 300% or no dearer than branch hardening on either case study).
+// Run with --benchmark_filter=NONE to skip the microbenchmark.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -12,8 +18,14 @@ namespace {
 
 using namespace r2r;
 
-void print_skip_claim() {
+bool verdict(int claim, bool holds) {
+  std::printf("claim %d %s\n\n", claim, holds ? "holds" : "FAILS");
+  return holds;
+}
+
+bool skip_claim() {
   std::printf("claim 1: all instruction-skip vulnerabilities resolved\n");
+  bool holds = true;
   harden::TextTable table;
   table.add_row({"case study", "approach", "skip vulns before", "skip vulns after"});
   for (const guests::Guest* guest : {&guests::pincheck(), &guests::bootloader()}) {
@@ -27,22 +39,27 @@ void print_skip_claim() {
     fp_config.campaign = skip_only;
     const patch::PipelineResult fp =
         patch::faulter_patcher(input, guest->good_input, guest->bad_input, fp_config);
+    const std::size_t fp_left = fp.final_campaign.order1.vulnerable_addresses().size();
     table.add_row({guest->name, "Faulter+Patcher",
                    std::to_string(baseline.vulnerable_addresses().size()),
-                   std::to_string(fp.final_campaign.order1.vulnerable_addresses().size())});
+                   std::to_string(fp_left)});
 
     const harden::HybridResult hybrid = harden::hybrid_harden(input);
     const sim::CampaignResult hybrid_campaign = fault::run_campaign(
         hybrid.hardened, guest->good_input, guest->bad_input, skip_only).order1;
+    const std::size_t hybrid_left = hybrid_campaign.vulnerable_addresses().size();
     table.add_row({guest->name, "Hybrid",
                    std::to_string(baseline.vulnerable_addresses().size()),
-                   std::to_string(hybrid_campaign.vulnerable_addresses().size())});
+                   std::to_string(hybrid_left)});
+    holds = holds && fp_left == 0 && hybrid_left == 0;
   }
   std::printf("%s\n", table.render().c_str());
+  return verdict(1, holds);
 }
 
-void print_bitflip_claim() {
+bool bitflip_claim() {
   std::printf("claim 2: single-bit-flip vulnerable points reduced by >= 50%%\n");
+  bool holds = true;
   harden::TextTable table;
   table.add_row({"case study", "points before", "points after F+P", "reduction"});
   // The paper reports a 50% reduction; bit-flip campaigns are quadratic in
@@ -68,12 +85,15 @@ void print_bitflip_claim() {
                         static_cast<double>(base);
     table.add_row({guest->name, std::to_string(base), std::to_string(after),
                    bench::percent(reduction)});
+    holds = holds && base > 0 && reduction >= 50.0;
   }
   std::printf("%s\n", table.render().c_str());
+  return verdict(2, holds);
 }
 
-void print_duplication_claim() {
+bool duplication_claim() {
   std::printf("claim 3: full duplication implies >= 300%% code size overhead\n");
+  bool holds = true;
   harden::TextTable table;
   table.add_row({"case study", "duplication overhead", "branch hardening overhead"});
   for (const guests::Guest* guest : {&guests::pincheck(), &guests::bootloader()}) {
@@ -83,8 +103,10 @@ void print_duplication_claim() {
     const double duplication = harden::hybrid_harden(input, dup).overhead_percent();
     const double hardening = harden::hybrid_harden(input).overhead_percent();
     table.add_row({guest->name, bench::percent(duplication), bench::percent(hardening)});
+    holds = holds && duplication >= 300.0 && duplication > hardening;
   }
   std::printf("%s\n", table.render().c_str());
+  return verdict(3, holds);
 }
 
 void print_outcome_histogram() {
@@ -119,11 +141,11 @@ BENCHMARK(BM_SkipCampaignPincheck)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   r2r::bench::print_header("Section V-C claims: fault coverage and baselines",
                            "Kiaei et al., DAC'21, Section V-C");
-  print_skip_claim();
-  print_bitflip_claim();
-  print_duplication_claim();
+  const bool skip = skip_claim();
+  const bool bitflip = bitflip_claim();
+  const bool duplication = duplication_claim();
   print_outcome_histogram();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return skip && bitflip && duplication ? 0 : 1;
 }

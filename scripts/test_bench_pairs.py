@@ -120,7 +120,11 @@ class Schema(unittest.TestCase):
                                       "change_over_parent_median"})
         self.assertEqual(set(timed["parent"]), {"median", "q1", "q3", "runs"})
         self.assertEqual(timed["pairs_change_better"], 9)  # pair 5 lost
-        self.assertEqual(section["code_size_ratio"], {"parent": [1.5], "change": [1.5]})
+        ratio = section["code_size_ratio"]
+        self.assertEqual(set(ratio), set(timed))
+        self.assertEqual(ratio["parent"], {"median": 1.5, "q1": 1.5, "q3": 1.5, "runs": [1.5] * 10})
+        self.assertEqual(ratio["pairs_change_better"], 0)
+        self.assertEqual(ratio["change_over_parent_median"], 1.0)
         self.assertEqual(section["failed_checks"], {"parent": 0, "change": 0})
         self.assertEqual(section["attempted_checks"], {"parent": 40, "change": 40})
         json.dumps(section)  # serializable
@@ -158,6 +162,37 @@ class Schema(unittest.TestCase):
         self.assertIn("WORSE", rss[0])
         # Faster in every pair, but three pairs are too few to claim it.
         self.assertIn("claim rule does NOT hold", [l for l in lines if " pass_s" in l][0])
+
+    def test_ratio_metrics_are_paired_by_seed_and_judged_like_timed_ones(self):
+        # hybrid_corpus's code_size_ratio varies with the seed: pair i runs
+        # seed i on both sides, so the change wins each pair.
+        parent = [9.30, 9.23, 9.34, 9.27, 9.31, 9.25, 9.33, 9.28, 9.29, 9.26]
+        change = [5.33, 5.27, 5.30, 5.29, 5.31, 5.28, 5.32, 5.30, 5.29, 5.28]
+        results = {"parent": [json.loads(result_line(1.0, ratio=r)) for r in parent],
+                   "change": [json.loads(result_line(1.0, ratio=r)) for r in change]}
+        section = bench_pairs.end_to_end(SPEC, results)
+        entry = section["code_size_ratio"]
+        self.assertEqual(entry["pairs_change_better"], 10)
+        self.assertAlmostEqual(entry["parent"]["median"], 9.285)
+        self.assertAlmostEqual(entry["change"]["median"], 5.295)
+        self.assertTrue(bench_pairs.claim_holds(section, "code_size_ratio", "lower"))
+        lines = bench_pairs.verdict_lines(SPEC, {"end_to_end": {"w": section}})
+        ratio_line = [line for line in lines if "code_size_ratio" in line][0]
+        self.assertIn("10/10 pairs", ratio_line)
+        self.assertIn("claim rule holds", ratio_line)
+        self.assertNotIn("WORSE", ratio_line)
+
+    def test_a_ratio_worse_than_its_bound_is_flagged_and_an_equal_one_is_not(self):
+        same = {"parent": [json.loads(result_line(1.0, ratio=1.6607709678037677))] * 10,
+                "change": [json.loads(result_line(1.0, ratio=1.6607709678037677))] * 10}
+        grown = {"parent": [json.loads(result_line(1.0, ratio=1.5))] * 10,
+                 "change": [json.loads(result_line(1.0, ratio=1.6))] * 10}
+        for results, worse in ((same, False), (grown, True)):
+            section = bench_pairs.end_to_end(SPEC, results)
+            self.assertFalse(bench_pairs.claim_holds(section, "code_size_ratio", "lower"))
+            lines = bench_pairs.verdict_lines(SPEC, {"end_to_end": {"w": section}})
+            ratio_line = [line for line in lines if "code_size_ratio" in line][0]
+            self.assertEqual("WORSE" in ratio_line, worse, ratio_line)
 
     def test_main_writes_the_document_and_merges_extra_sections(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -96,7 +96,9 @@ class Module {
   /// first replacement instruction.
   void replace(std::size_t index, std::vector<isa::Instruction> instrs);
 
-  /// Appends a labelled instruction sequence at the end of .text.
+  /// Appends a labelled instruction sequence at the end of .text. Throws
+  /// Error{kInvalidArgument} when `instrs` is empty (no item to carry the
+  /// label).
   void append_block(const std::string& label, std::vector<isa::Instruction> instrs);
 
   /// Attaches a label to the item at `index`.

@@ -6,9 +6,11 @@
 //
 // Pass ordering note (the paper's Section IV-C.3 caveat about keeping
 // countermeasures intact through code generation): cleanup passes that
-// merge redundant loads (state promotion) run strictly *before* the
-// hardening pass — running them after would collapse the duplicated
-// checksum/comparison computations back into single instances.
+// merge redundant loads (state promotion) or fold constants and
+// identities (constant folding) run strictly *before* the hardening pass —
+// running them after would collapse the duplicated checksum/comparison
+// computations back into single instances and fold the checksum's
+// `xor C1, C2` edge constants.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,7 @@ enum class HybridCountermeasure : std::uint8_t {
 
 struct HybridConfig {
   HybridCountermeasure countermeasure = HybridCountermeasure::kBranchHardening;
-  bool cleanup = true;  ///< state promotion + folding + DCE before hardening
+  bool cleanup = true;  ///< promotion, store elimination, folding, DCE before hardening
   lower::LowerOptions lower_options;
 };
 

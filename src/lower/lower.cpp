@@ -117,7 +117,9 @@ class FunctionLowerer {
     }
     if (prologue.empty()) prologue.push_back(isa::nop());
     out_.append_block(fn_.name(), std::move(prologue));
-    for (auto& [label, instructions] : lowered) {
+    std::vector<std::string> pending;  // labels of blocks emptied by elision
+    for (std::size_t b = 0; b < lowered.size(); ++b) {
+      auto& [label, instructions] = lowered[b];
       // Patch epilogue placeholders now that the frame size is known.
       for (Instruction& instr : instructions) {
         if (instr.mnemonic == Mnemonic::kAdd && instr.arity() == 2 &&
@@ -136,7 +138,17 @@ class FunctionLowerer {
                  std::get<isa::ImmOperand>(instr.op(1)).value == 0;
         });
       }
+      if (b + 1 < lowered.size() && jumps_to(instructions, lowered[b + 1].first)) {
+        instructions.resize(instructions.size() - 2);
+      }
+      if (instructions.empty()) {
+        pending.push_back(std::move(label));
+        continue;
+      }
+      const std::size_t first = out_.text.size();
       out_.append_block(label, std::move(instructions));
+      for (std::string& moved : pending) out_.add_label(first, std::move(moved));
+      pending.clear();
     }
   }
 
@@ -146,6 +158,16 @@ class FunctionLowerer {
 
  private:
   static constexpr const char* kEpilogueTag = ".r2r_frame";
+
+  /// True if `code` ends in `jmp next; ud2`. Such a block falls through
+  /// instead: a skipped jmp already landed in `next`, so dropping the pair
+  /// changes no fault outcome, and no branch is ever inverted.
+  static bool jumps_to(const std::vector<Instruction>& code, const std::string& next) {
+    if (code.size() < 2 || code.back().mnemonic != Mnemonic::kUd2) return false;
+    const Instruction& jump = code[code.size() - 2];
+    return jump.mnemonic == Mnemonic::kJmp && isa::is_label(jump.op(0)) &&
+           std::get<isa::LabelOperand>(jump.op(0)).name == next;
+  }
 
   // ---- target legalization helpers -------------------------------------------
 
@@ -477,7 +499,8 @@ class FunctionLowerer {
   /// A ud2 after every block-terminating jump: a skip fault on the jump
   /// then traps instead of silently falling into the next block — which
   /// would take a control-flow edge that bypasses the checksum validation
-  /// blocks the hardening pass inserted.
+  /// blocks the hardening pass inserted. lower() drops the pair when the
+  /// jump's target is that next block (see jumps_to).
   void emit_fallthrough_guard() { code_.push_back(isa::make0(Mnemonic::kUd2)); }
 
   // ---- per-instruction lowering -------------------------------------------------
@@ -498,16 +521,11 @@ class FunctionLowerer {
       case Opcode::kICmp:
         lower_icmp(instr);
         return;
-      case Opcode::kZExt: {
+      case Opcode::kZExt:
         // Values are kept zero-extended canonically; zext is a register
         // alias unless the source value is still needed.
-        std::set<Reg> pinned;
-        const Reg src = value_to_reg(instr.operands[0], pinned);
-        const Reg dst = dest_for(instr, instr.operands[0], src, pinned);
-        if (dst != src) code_.push_back(isa::mov(dst, src, natural()));
-        define(&instr, dst);
+        lower_alias(instr, instr.operands[0]);
         return;
-      }
       case Opcode::kTrunc: {
         std::set<Reg> pinned;
         const Reg src = value_to_reg(instr.operands[0], pinned);
@@ -528,6 +546,11 @@ class FunctionLowerer {
           // The register already holds the 32-bit image; widening to the
           // machine word is the identity.
           if (dst != src) code_.push_back(isa::mov(dst, src, natural()));
+        } else if (src_type == Type::kI32) {
+          // The subset has no movsxd: move bit 31 to the top and back.
+          if (dst != src) code_.push_back(isa::mov(dst, src, natural()));
+          code_.push_back(isa::make2(Mnemonic::kShl, dst, isa::imm(32), natural()));
+          code_.push_back(isa::make2(Mnemonic::kSar, dst, isa::imm(32), natural()));
         } else {
           support::fail(ErrorKind::kLower, "unsupported sext source type");
         }
@@ -639,7 +662,35 @@ class FunctionLowerer {
     }
   }
 
+  /// Defines `instr` as a copy of `source`, reusing source's register when
+  /// this is its last use.
+  void lower_alias(const ir::Instr& instr, const Value* source) {
+    std::set<Reg> pinned;
+    const Reg src = value_to_reg(source, pinned);
+    const Reg dst = dest_for(instr, source, src, pinned);
+    if (dst != src) code_.push_back(isa::mov(dst, src, natural()));
+    define(&instr, dst);
+  }
+
+  /// The operand an `and` keeps whole on a 32-bit machine: the other one
+  /// is a constant with all low 32 bits set. nullptr otherwise.
+  [[nodiscard]] const Value* low_word_mask_source(const ir::Instr& instr) const {
+    if (instr.opcode() != Opcode::kAnd || natural() != Width::b32) return nullptr;
+    const auto is_mask = [](const Value* value) {
+      return value->kind() == Value::Kind::kConstant &&
+             (static_cast<const ir::Constant*>(value)->value() & 0xFFFF'FFFFULL) ==
+                 0xFFFF'FFFFULL;
+    };
+    if (is_mask(instr.operands[1])) return instr.operands[0];
+    if (is_mask(instr.operands[0])) return instr.operands[1];
+    return nullptr;
+  }
+
   void lower_binary(const ir::Instr& instr) {
+    if (const Value* source = low_word_mask_source(instr)) {
+      lower_alias(instr, source);
+      return;
+    }
     std::set<Reg> pinned;
     const Value* a = instr.operands[0];
     const Value* b = instr.operands[1];

@@ -9,7 +9,15 @@
 //  * module globals live in a dedicated ".r2rstate" data section at a
 //    fixed base, so state accesses lower to absolute addressing;
 //  * guest data sections are re-emitted verbatim at their original bases,
-//    preserving every concrete address the lifted code computes.
+//    preserving every concrete address the lifted code computes;
+//  * every block-ending jmp is followed by a ud2 guard, except that a block
+//    ending in `jmp L; ud2` where L is the next block falls through (a
+//    skipped jmp lands in L anyway; no branch is ever inverted). A block
+//    this empties passes its label on to the next block;
+//  * on a 32-bit target an `and` whose constant has all low 32 bits set is
+//    a register alias (the register holds the low word only);
+//  * sext i32 -> i64 is the identity on a 32-bit target and shl 32; sar 32
+//    on x64 (the subset has no movsxd).
 //
 // Lowered intrinsics:
 //   r2r.syscall(n, a0, a1, a2) -> mov rax/rdi/rsi/rdx + syscall

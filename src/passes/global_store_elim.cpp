@@ -4,28 +4,59 @@
 // a store; most are overwritten before anyone reads them (a cmp rewrites
 // all flags a previous add computed, the next basic block clobbers them
 // again, ...). State promotion removes block-local redundancy; this pass
-// removes stores that are dead *across* blocks via backward liveness:
+// removes stores that are dead across blocks and across calls, by backward
+// liveness over the tracked globals (state_globals.h):
 //
 //   live-out(B) = union of live-in(successors)
 //   live-in(B)  = upward-exposed-reads(B) ∪ (live-out(B) − killed(B))
 //
-// Conservatism: only globals that never escape participate (a global
-// escapes when used as anything other than a load/store address — e.g.
-// the guest-stack array whose address flows into g_rsp). Calls read all
-// globals (the callee inspects caller state); ret makes all globals live
-// (the caller will); unreachable makes nothing live.
-#include <map>
-#include <set>
+// Calls are interprocedural. Every function has two summaries, each a
+// least fixpoint over the module (so recursion needs no special case):
+//
+//   reads(F)       the tracked globals F, or any callee, may read before
+//                  writing them (F's live-in with nothing live at its rets);
+//   after_calls(F) the union of what is live after each call site of F,
+//                  which is the live-out of F's rets.
+//
+// A call's live-before is its live-after plus reads(callee): a callee kills
+// nothing, because it may not write on every path. A function with no call
+// site (the module entry) keeps every tracked global live at its rets, and
+// `unreachable` makes nothing live. The r2r.syscall and r2r.trap
+// intrinsics are not barriers: they see only their arguments, and tracked
+// globals never escape into one.
+#include <unordered_map>
 
 #include "passes/pass.h"
+#include "passes/state_globals.h"
 
 namespace r2r::passes {
 
 namespace {
 
-using ir::BasicBlock;
-using ir::Instr;
 using ir::Opcode;
+
+/// A tracked-global access or a call, in block order.
+struct Event {
+  enum class Kind : std::uint8_t { kRead, kWrite, kCall };
+  Kind kind = Kind::kRead;
+  StateSet bit = 0;        ///< kRead / kWrite: the global
+  std::size_t callee = 0;  ///< kCall: index of the callee's FunctionFacts
+  std::size_t instr = 0;   ///< kWrite: index of the store in its block
+};
+
+struct BlockFacts {
+  std::vector<Event> events;
+  std::vector<std::size_t> succs;
+  bool returns = false;  ///< ends in ret: live-out is the function's ret set
+};
+
+struct FunctionFacts {
+  ir::Function* fn = nullptr;
+  std::vector<BlockFacts> blocks;
+  bool called = false;       ///< has a call site somewhere in the module
+  StateSet reads = 0;        ///< summary: read before written by F or a callee
+  StateSet after_calls = 0;  ///< summary: live after any call site of F
+};
 
 class GlobalStoreElimPass final : public Pass {
  public:
@@ -34,146 +65,168 @@ class GlobalStoreElimPass final : public Pass {
   }
 
   bool run(ir::Module& module) override {
-    const std::set<const ir::Value*> tracked = non_escaping_globals(module);
-    if (tracked.empty()) return false;
+    const StateGlobals tracked(module);
+    if (tracked.all() == 0) return false;
+    all_ = tracked.all();
+    build_facts(module, tracked);
+
+    // Summary 1: reads, with nothing live at the rets.
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (FunctionFacts& f : functions_) {
+        const StateSet reads =
+            f.blocks.empty() ? all_ : solve(f, /*ret_live=*/0).front();
+        changed |= reads != f.reads;
+        f.reads = reads;
+      }
+    }
+    // Summary 2: what each function's call sites keep live after it.
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (FunctionFacts& f : functions_) {
+        const std::vector<StateSet> live_in = solve(f, ret_live(f));
+        for (std::size_t b = 0; b < f.blocks.size(); ++b) {
+          walk(f, b, live_in, [&](const Event& event, StateSet live_after) {
+            if (event.kind != Event::Kind::kCall) return;
+            StateSet& after = functions_[event.callee].after_calls;
+            changed |= (live_after & ~after) != 0;
+            after |= live_after;
+          });
+        }
+      }
+    }
+
     bool changed = false;
-    for (auto& fn : module.functions) {
-      if (fn->is_intrinsic()) continue;
-      changed |= run_function(*fn, tracked);
+    for (FunctionFacts& f : functions_) {
+      const std::vector<StateSet> live_in = solve(f, ret_live(f));
+      for (std::size_t b = 0; b < f.blocks.size(); ++b) {
+        std::vector<std::size_t> dead;  // descending, as walk() runs backwards
+        walk(f, b, live_in, [&](const Event& event, StateSet live_after) {
+          if (event.kind == Event::Kind::kWrite && (live_after & event.bit) == 0) {
+            dead.push_back(event.instr);
+          }
+        });
+        auto& instrs = f.fn->blocks[b]->instrs;
+        for (const std::size_t i : dead) {
+          instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        changed |= !dead.empty();
+      }
     }
     return changed;
   }
 
  private:
-  static std::set<const ir::Value*> non_escaping_globals(const ir::Module& module) {
-    std::set<const ir::Value*> tracked;
-    for (const auto& global : module.globals) tracked.insert(global.get());
-    for (const auto& fn : module.functions) {
-      for (const auto& block : fn->blocks) {
-        for (const auto& instr : block->instrs) {
-          for (std::size_t i = 0; i < instr->operands.size(); ++i) {
-            const ir::Value* op = instr->operands[i];
-            if (op->kind() != ir::Value::Kind::kGlobal) continue;
-            const bool is_address_use =
-                (instr->opcode() == Opcode::kLoad && i == 0) ||
-                (instr->opcode() == Opcode::kStore && i == 1);
-            if (!is_address_use) tracked.erase(op);  // address escaped
+  void build_facts(ir::Module& module, const StateGlobals& tracked) {
+    functions_.clear();
+    std::unordered_map<const ir::Function*, std::size_t> index;
+    for (auto& fn : module.functions) {
+      if (fn->is_intrinsic()) continue;
+      index[fn.get()] = functions_.size();
+      functions_.push_back(FunctionFacts{fn.get(), {}, false, 0, 0});
+    }
+    for (FunctionFacts& f : functions_) {
+      std::unordered_map<const ir::BasicBlock*, std::size_t> block_index;
+      for (std::size_t b = 0; b < f.fn->blocks.size(); ++b) {
+        block_index[f.fn->blocks[b].get()] = b;
+      }
+      f.blocks.resize(f.fn->blocks.size());
+      for (std::size_t b = 0; b < f.fn->blocks.size(); ++b) {
+        BlockFacts& facts = f.blocks[b];
+        const auto& instrs = f.fn->blocks[b]->instrs;
+        for (std::size_t i = 0; i < instrs.size(); ++i) {
+          const ir::Instr& instr = *instrs[i];
+          switch (instr.opcode()) {
+            case Opcode::kLoad:
+              if (const StateSet bit = tracked.bit(instr.operands[0])) {
+                facts.events.push_back({Event::Kind::kRead, bit, 0, i});
+              }
+              break;
+            case Opcode::kStore:
+              if (const StateSet bit = tracked.bit(instr.operands[1])) {
+                facts.events.push_back({Event::Kind::kWrite, bit, 0, i});
+              }
+              break;
+            case Opcode::kCall:
+              if (!instr.callee->is_intrinsic()) {
+                const std::size_t callee = index.at(instr.callee);
+                functions_[callee].called = true;
+                facts.events.push_back({Event::Kind::kCall, 0, callee, i});
+              }
+              break;
+            case Opcode::kRet:
+              facts.returns = true;
+              break;
+            default:
+              break;
+          }
+        }
+        if (const ir::Instr* term = f.fn->blocks[b]->terminator()) {
+          for (const ir::BasicBlock* target : term->targets) {
+            facts.succs.push_back(block_index.at(target));
           }
         }
       }
     }
-    return tracked;
+    // The loader calls the module entry with every global live after it.
+    for (FunctionFacts& f : functions_) {
+      if (f.fn->name() == module.entry_function) f.called = false;
+    }
   }
 
-  static bool run_function(ir::Function& fn, const std::set<const ir::Value*>& tracked) {
-    // Successor map.
-    std::map<const BasicBlock*, std::vector<const BasicBlock*>> succs;
-    for (const auto& block : fn.blocks) {
-      const Instr* term = block->terminator();
-      if (term != nullptr) {
-        for (const BasicBlock* target : term->targets) {
-          succs[block.get()].push_back(target);
-        }
-      }
-    }
-
-    // Per-block GEN (read before written) and KILL (written) sets, plus
-    // whether the terminator makes everything live (ret) or dead
-    // (unreachable).
-    struct BlockFacts {
-      std::set<const ir::Value*> upward_reads;
-      std::set<const ir::Value*> kills;
-      bool all_live_at_exit = false;
-    };
-    std::map<const BasicBlock*, BlockFacts> facts;
-    for (const auto& block : fn.blocks) {
-      BlockFacts f;
-      std::set<const ir::Value*> written;
-      for (const auto& instr : block->instrs) {
-        if (instr->opcode() == Opcode::kLoad && tracked.contains(instr->operands[0])) {
-          if (!written.contains(instr->operands[0])) {
-            f.upward_reads.insert(instr->operands[0]);
-          }
-        } else if (instr->opcode() == Opcode::kStore &&
-                   tracked.contains(instr->operands[1])) {
-          written.insert(instr->operands[1]);
-          f.kills.insert(instr->operands[1]);
-        } else if (instr->opcode() == Opcode::kCall) {
-          // The callee may read any global: everything unwritten so far is
-          // upward-exposed, and everything is considered re-written after
-          // (the callee's own stores), clearing liveness obligations.
-          for (const ir::Value* global : tracked) {
-            if (!written.contains(global)) f.upward_reads.insert(global);
-          }
-          // Do not add to kills: the call does not guarantee a write.
-        } else if (instr->opcode() == Opcode::kRet) {
-          f.all_live_at_exit = true;
-        }
-      }
-      facts[block.get()] = std::move(f);
-    }
-
-    // Backward dataflow to a fixed point.
-    std::map<const BasicBlock*, std::set<const ir::Value*>> live_in;
-    bool changed_sets = true;
-    while (changed_sets) {
-      changed_sets = false;
-      for (auto it = fn.blocks.rbegin(); it != fn.blocks.rend(); ++it) {
-        const BasicBlock* block = it->get();
-        const BlockFacts& f = facts.at(block);
-        std::set<const ir::Value*> live_out;
-        if (f.all_live_at_exit) {
-          live_out.insert(tracked.begin(), tracked.end());
-        }
-        for (const BasicBlock* succ : succs[block]) {
-          const auto& succ_in = live_in[succ];
-          live_out.insert(succ_in.begin(), succ_in.end());
-        }
-        std::set<const ir::Value*> in = f.upward_reads;
-        for (const ir::Value* global : live_out) {
-          if (!f.kills.contains(global)) in.insert(global);
-        }
-        // GEN already includes reads; a killed-and-live-out global is not
-        // live-in, but a read-before-kill one is (handled by upward_reads).
-        if (in != live_in[block]) {
-          live_in[block] = std::move(in);
-          changed_sets = true;
-        }
-      }
-    }
-
-    // Delete stores whose global is dead at the store point: walk each
-    // block backwards tracking per-global liveness.
-    bool changed = false;
-    for (auto& block : fn.blocks) {
-      const BlockFacts& f = facts.at(block.get());
-      std::set<const ir::Value*> live;
-      if (f.all_live_at_exit) {
-        live.insert(tracked.begin(), tracked.end());
-      }
-      for (const BasicBlock* succ : succs[block.get()]) {
-        const auto& succ_in = live_in[succ];
-        live.insert(succ_in.begin(), succ_in.end());
-      }
-      for (std::size_t i = block->instrs.size(); i-- > 0;) {
-        const Instr& instr = *block->instrs[i];
-        if (instr.opcode() == Opcode::kStore && tracked.contains(instr.operands[1])) {
-          if (!live.contains(instr.operands[1])) {
-            block->instrs.erase(block->instrs.begin() + static_cast<std::ptrdiff_t>(i));
-            changed = true;
-            continue;
-          }
-          live.erase(instr.operands[1]);
-        } else if (instr.opcode() == Opcode::kLoad &&
-                   tracked.contains(instr.operands[0])) {
-          live.insert(instr.operands[0]);
-        } else if (instr.opcode() == Opcode::kCall) {
-          live.insert(tracked.begin(), tracked.end());
-        }
-      }
-    }
-    return changed;
+  [[nodiscard]] StateSet ret_live(const FunctionFacts& f) const noexcept {
+    return f.called ? f.after_calls : all_;
   }
+
+  [[nodiscard]] static StateSet live_out(const FunctionFacts& f, std::size_t b,
+                                         const std::vector<StateSet>& live_in,
+                                         StateSet ret_live) {
+    const BlockFacts& facts = f.blocks[b];
+    StateSet live = facts.returns ? ret_live : 0;
+    for (const std::size_t succ : facts.succs) live |= live_in[succ];
+    return live;
+  }
+
+  /// Live-before of one event, given its live-after.
+  [[nodiscard]] StateSet transfer(const Event& event, StateSet live) const {
+    switch (event.kind) {
+      case Event::Kind::kRead: return live | event.bit;
+      case Event::Kind::kWrite: return live & ~event.bit;
+      case Event::Kind::kCall: return live | functions_[event.callee].reads;
+    }
+    return live;
+  }
+
+  /// Per-block live-in to a fixed point, with `ret_live` live at each ret.
+  [[nodiscard]] std::vector<StateSet> solve(const FunctionFacts& f, StateSet ret_live) const {
+    std::vector<StateSet> live_in(f.blocks.size(), 0);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t b = f.blocks.size(); b-- > 0;) {
+        StateSet live = live_out(f, b, live_in, ret_live);
+        const auto& events = f.blocks[b].events;
+        for (auto it = events.rbegin(); it != events.rend(); ++it) live = transfer(*it, live);
+        changed |= live != live_in[b];
+        live_in[b] = live;
+      }
+    }
+    return live_in;
+  }
+
+  /// Calls visit(event, live-after) for each event of block `b`, last first.
+  template <typename Visit>
+  void walk(const FunctionFacts& f, std::size_t b, const std::vector<StateSet>& live_in,
+            Visit&& visit) const {
+    StateSet live = live_out(f, b, live_in, ret_live(f));
+    const auto& events = f.blocks[b].events;
+    for (auto it = events.rbegin(); it != events.rend(); ++it) {
+      visit(*it, live);
+      live = transfer(*it, live);
+    }
+  }
+
+  std::vector<FunctionFacts> functions_;
+  StateSet all_ = 0;
 };
 
 }  // namespace

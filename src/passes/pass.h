@@ -49,19 +49,31 @@ class PassManager {
 /// results have no uses.
 std::unique_ptr<Pass> make_dce();
 
-/// Local constant folding of arithmetic/compare/conversion instructions.
+/// Local constant folding of arithmetic/compare/conversion instructions,
+/// plus exact identities for the lifter's idioms: x+0, x-0, x|0, x^0, a
+/// shift by 0 and an and with all-ones become x; icmp ne (zext i1 c), 0
+/// becomes c; icmp eq|ne (sub a, b), 0 becomes icmp eq|ne a, b; the sign
+/// bit test icmp ne (and (lshr x, bits-1), 1), 0 becomes icmp slt x, 0;
+/// and xor (icmp p a, b), true becomes a new icmp !p a, b, leaving the old
+/// compare to its other uses (or to DCE).
+/// Cleanup only: it runs before the countermeasure, never after it.
 std::unique_ptr<Pass> make_constant_fold();
 
 /// Block-local promotion of state globals: a load from a global observed
 /// after a store to the same global in the same block is replaced by the
-/// stored value, and overwritten stores are dropped. Assumes state globals
-/// are never aliased by computed guest addresses (standard lifter
-/// assumption, documented in DESIGN.md).
+/// stored value, and overwritten stores are dropped. A call to a lifted
+/// function is a barrier; the syscall and trap intrinsics are barriers only
+/// for globals whose address escapes. Assumes state globals are never
+/// aliased by computed guest addresses (standard lifter assumption,
+/// documented in DESIGN.md).
 std::unique_ptr<Pass> make_state_promotion();
 
-/// Cross-block dead-store elimination for non-escaping state globals
-/// (backward liveness; calls read everything, ret keeps everything live,
-/// unreachable kills everything).
+/// Dead-store elimination for non-escaping state globals, across blocks
+/// and calls: backward liveness over a dense bit set, with two least-fixpoint
+/// summaries per function (the globals it or a callee reads before writing;
+/// the globals live after any of its call sites, which are live at its
+/// rets). A function with no call site keeps everything live at ret,
+/// unreachable keeps nothing, and intrinsics are not barriers.
 std::unique_ptr<Pass> make_global_store_elim();
 
 /// The paper's conditional branch hardening (Section V-B):

@@ -4,13 +4,16 @@
 // module globals; most of that traffic is redundant inside a basic block.
 // This pass forwards stored values to later loads and removes overwritten
 // stores, block-locally and without alias analysis: it only reasons about
-// addresses that are literally a GlobalVariable operand, and treats calls
-// as full barriers. Computed guest addresses never alias the state region
-// (it lives in a reserved segment; see DESIGN.md).
+// addresses that are literally a GlobalVariable operand. A call to a
+// lifted function is a full barrier; an r2r.syscall or r2r.trap intrinsic
+// is a barrier only for globals whose address escapes (state_globals.h),
+// since it sees nothing but its arguments. Computed guest addresses never
+// alias the state region (it lives in a reserved segment; see DESIGN.md).
 #include <algorithm>
 #include <map>
 
 #include "passes/pass.h"
+#include "passes/state_globals.h"
 
 namespace r2r::passes {
 
@@ -30,16 +33,17 @@ class StatePromotionPass final : public Pass {
   }
 
   bool run(ir::Module& module) override {
+    const StateGlobals tracked(module);
     bool changed = false;
     for (auto& fn : module.functions) {
       if (fn->is_intrinsic()) continue;
-      for (auto& block : fn->blocks) changed |= promote_block(*block);
+      for (auto& block : fn->blocks) changed |= promote_block(*block, tracked);
     }
     return changed;
   }
 
  private:
-  static bool promote_block(ir::BasicBlock& block) {
+  static bool promote_block(ir::BasicBlock& block, const StateGlobals& tracked) {
     bool changed = false;
     // Last value stored into each global plus the store instruction itself
     // (so a later overwrite can delete it when unread in between).
@@ -90,8 +94,12 @@ class StatePromotionPass final : public Pass {
           break;
         }
         case Opcode::kCall:
-          // Callee may read and write any global.
-          state.clear();
+          if (instr.callee->is_intrinsic()) {
+            // Only an escaped global's memory can be reached.
+            std::erase_if(state, [&](const auto& entry) { return tracked.bit(entry.first) == 0; });
+          } else {
+            state.clear();  // the callee may read and write any global
+          }
           break;
         default:
           break;

@@ -56,6 +56,19 @@ TEST(ModuleEditing, FreshLabelsAreUnique) {
   EXPECT_NE(a, b);
 }
 
+TEST(ModuleEditing, AppendingAnEmptyBlockIsATypedErrorNotALostLabel) {
+  Module module = tiny_module();
+  try {
+    module.append_block("empty", {});
+    FAIL() << "append_block accepted a block with no instructions";
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kInvalidArgument);
+    EXPECT_NE(std::string(error.what()).find("'empty'"), std::string::npos) << error.what();
+  }
+  EXPECT_EQ(module.text.size(), 3u);
+  EXPECT_FALSE(module.has_symbol("empty"));
+}
+
 TEST(ModuleEditing, IndexLookups) {
   Module module = tiny_module();
   assemble(module);

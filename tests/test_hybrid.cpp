@@ -6,6 +6,7 @@
 #include "emu/machine.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
+#include "guests/synth.h"
 #include "harden/hybrid.h"
 #include "ir/interpreter.h"
 #include "ir/printer.h"
@@ -13,6 +14,7 @@
 #include "lift/lifter.h"
 #include "lower/lower.h"
 #include "passes/pass.h"
+#include "synth_corpus.h"
 
 namespace r2r {
 namespace {
@@ -54,6 +56,7 @@ TEST_P(LiftDifferential, CleanupPassesPreserveInterpretedBehaviour) {
 
   passes::PassManager cleanup;
   cleanup.add(passes::make_state_promotion());
+  cleanup.add(passes::make_global_store_elim());
   cleanup.add(passes::make_constant_fold());
   cleanup.add(passes::make_dce());
   cleanup.run_to_fixpoint(lifted.module);
@@ -116,11 +119,201 @@ TEST_P(LiftDifferential, DuplicationBaselinePreservesBehaviour) {
   }
 }
 
+std::string guest_param_name(const testing::TestParamInfo<const Guest*>& info) {
+  return info.param->name;
+}
+
+std::vector<Guest> generate_synth_corpus(isa::Arch arch) {
+  std::vector<Guest> generated;
+  for (const synth_corpus::CorpusSeed& entry : synth_corpus::kCorpus) {
+    generated.push_back(guests::synth::generate(entry.seed, arch));
+  }
+  return generated;
+}
+
+std::vector<const Guest*> pointers_to(const std::vector<Guest>& guests) {
+  std::vector<const Guest*> pointers;
+  for (const Guest& guest : guests) pointers.push_back(&guest);
+  return pointers;
+}
+
+/// The frozen synth corpus (tests/synth_corpus.h) generated for `arch`.
+const std::vector<const Guest*>& synth_corpus(isa::Arch arch) {
+  static const std::vector<Guest> x64 = generate_synth_corpus(isa::Arch::kX64);
+  static const std::vector<Guest> rv32i = generate_synth_corpus(isa::Arch::kRv32i);
+  static const std::vector<const Guest*> x64_pointers = pointers_to(x64);
+  static const std::vector<const Guest*> rv32i_pointers = pointers_to(rv32i);
+  return arch == isa::Arch::kX64 ? x64_pointers : rv32i_pointers;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllGuests, LiftDifferential,
-                         testing::ValuesIn(guests::all_guests()),
-                         [](const testing::TestParamInfo<const Guest*>& info) {
-                           return info.param->name;
-                         });
+                         testing::ValuesIn(guests::all_guests()), guest_param_name);
+INSTANTIATE_TEST_SUITE_P(Rv32iGuests, LiftDifferential,
+                         testing::ValuesIn(guests::all_guests(isa::Arch::kRv32i)),
+                         guest_param_name);
+INSTANTIATE_TEST_SUITE_P(SynthCorpusX64, LiftDifferential,
+                         testing::ValuesIn(synth_corpus(isa::Arch::kX64)), guest_param_name);
+INSTANTIATE_TEST_SUITE_P(SynthCorpusRv32i, LiftDifferential,
+                         testing::ValuesIn(synth_corpus(isa::Arch::kRv32i)),
+                         guest_param_name);
+
+std::string x64_write_and_exit(const std::string& symbol, int length, int code) {
+  return "    mov rax, 1\n"
+         "    mov rdi, 1\n"
+         "    mov rsi, offset " + symbol + "\n"
+         "    mov rdx, " + std::to_string(length) + "\n"
+         "    syscall\n"
+         "    mov rax, 60\n"
+         "    mov rdi, " + std::to_string(code) + "\n"
+         "    syscall\n";
+}
+
+std::string rv32i_write_and_exit(const std::string& symbol, int length, int code) {
+  return "    mov a0, 1\n"
+         "    mov a5, 1\n"
+         "    mov a4, offset " + symbol + "\n"
+         "    mov a2, " + std::to_string(length) + "\n"
+         "    syscall\n"
+         "    mov a0, 60\n"
+         "    mov a5, " + std::to_string(code) + "\n"
+         "    syscall\n";
+}
+
+const std::string kYesNoData =
+    "\n"
+    ".section .data\n"
+    "buf: .zero 8\n"
+    "msg_yes: .asciz \"YES\\n\"\n"
+    "msg_no: .asciz \"NO\\n\"\n";
+
+Guest yes_no_guest(std::string name, isa::Arch arch, std::string good, std::string bad,
+                   std::string body) {
+  Guest guest;
+  guest.name = std::move(name);
+  guest.arch = arch;
+  guest.good_input = std::move(good);
+  guest.bad_input = std::move(bad);
+  guest.good_output = "YES\n";
+  guest.bad_output = "NO\n";
+  guest.assembly = std::move(body) + kYesNoData;
+  return guest;
+}
+
+/// sar on a 32-bit register lifts through sext i32 -> i64, which x64
+/// lowering spells as shl 32; sar 32. Input bit 6 lands in ebx's sign
+/// bit, so a zero-extending lowering would take the other branch.
+Guest sar32_guest() {
+  return yes_no_guest(
+      "sar32", isa::Arch::kX64, "A", "!",
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mov rax, 0\n"
+      "    mov rdi, 0\n"
+      "    mov rsi, offset buf\n"
+      "    mov rdx, 1\n"
+      "    syscall\n"
+      "    mov rsi, offset buf\n"
+      "    movzx rbx, byte ptr [rsi]\n"
+      "    shl rbx, 25\n"
+      "    sar ebx, 1\n"
+      "    shr rbx, 30\n"
+      "    cmp rbx, 3\n"
+      "    jne no\n"
+      "yes:\n" + x64_write_and_exit("msg_yes", 4, 0) +
+      "no:\n" + x64_write_and_exit("msg_no", 3, 1));
+}
+
+/// `hop` holds only a jump to the next block, and a branch that is not
+/// adjacent to it (`je hop`) reaches it too: falling through from hop
+/// empties its block, and its label must move onto `yes`. "B" takes the
+/// far path through hop, "C" neither.
+Guest jump_only_block_guest(isa::Arch arch) {
+  const bool x64 = arch == isa::Arch::kX64;
+  const std::string read = x64 ? "    mov rax, 0\n"
+                                 "    mov rdi, 0\n"
+                                 "    mov rsi, offset buf\n"
+                                 "    mov rdx, 1\n"
+                                 "    syscall\n"
+                                 "    mov rsi, offset buf\n"
+                                 "    movzx rbx, byte ptr [rsi]\n"
+                               : "    mov a0, 0\n"
+                                 "    mov a5, 0\n"
+                                 "    mov a4, offset buf\n"
+                                 "    mov a2, 1\n"
+                                 "    syscall\n"
+                                 "    mov a4, offset buf\n"
+                                 "    movzx a3, byte ptr [a4]\n";
+  const std::string value = x64 ? "rbx" : "a3";
+  const auto write_and_exit = x64 ? x64_write_and_exit : rv32i_write_and_exit;
+  return yes_no_guest(std::string("jump_only_block_") + std::string(isa::to_string(arch)), arch,
+                      "B", "C",
+                      ".global _start\n"
+                      ".section .text\n"
+                      "_start:\n" + read +
+                      "    cmp " + value + ", 65\n"
+                      "    jne no\n"
+                      "hop:\n"
+                      "    jmp yes\n"
+                      "yes:\n" + write_and_exit("msg_yes", 4, 0) +
+                      "no:\n"
+                      "    cmp " + value + ", 66\n"
+                      "    je hop\n" + write_and_exit("msg_no", 3, 1));
+}
+
+/// `cmp` on constants leaves CF a known 1 and `dec` keeps it, so after
+/// cleanup `ja` is `not (or i1 zf, true)` (never taken) and `jbe` is
+/// `or i1 zf, true` (always taken), each the only use of its ZF compare.
+/// "A" zeroes the first dec, "B" the second: folding that `or` as if it
+/// were a negation sends the input to `wrong` (exit 2).
+Guest flags_after_dec_guest() {
+  return yes_no_guest(
+      "flags_after_dec", isa::Arch::kX64, "B", "A",
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mov rax, 0\n"
+      "    mov rdi, 0\n"
+      "    mov rsi, offset buf\n"
+      "    mov rdx, 1\n"
+      "    syscall\n"
+      "    mov rsi, offset buf\n"
+      "    movzx rbx, byte ptr [rsi]\n"
+      "    sub rbx, 64\n"
+      "    mov rax, 1\n"
+      "    cmp rax, 2\n"
+      "    dec rbx\n"
+      "    ja wrong\n"
+      "    mov rax, 1\n"
+      "    cmp rax, 2\n"
+      "    dec rbx\n"
+      "    jbe check\n"
+      "wrong:\n" + x64_write_and_exit("msg_no", 3, 2) +
+      "check:\n"
+      "    cmp rbx, 0\n"
+      "    jne no\n"
+      "yes:\n" + x64_write_and_exit("msg_yes", 4, 0) +
+      "no:\n" + x64_write_and_exit("msg_no", 3, 1));
+}
+
+/// Hand-written guests for shapes the builtins and the synth corpus miss.
+const std::vector<Guest>& crafted_guests() {
+  static const std::vector<Guest> guests = {
+      sar32_guest(), jump_only_block_guest(isa::Arch::kX64),
+      jump_only_block_guest(isa::Arch::kRv32i), flags_after_dec_guest()};
+  return guests;
+}
+
+INSTANTIATE_TEST_SUITE_P(CraftedGuests, LiftDifferential,
+                         testing::ValuesIn(pointers_to(crafted_guests())), guest_param_name);
+
+TEST(CraftedGuests, MachineTakesTheIntendedPathOnEachInput) {
+  for (const Guest& guest : crafted_guests()) {
+    const elf::Image image = guests::build_image(guest);
+    EXPECT_EQ(emu::run_image(image, guest.good_input).output, guest.good_output) << guest.name;
+    EXPECT_EQ(emu::run_image(image, guest.bad_input).output, guest.bad_output) << guest.name;
+  }
+}
 
 TEST(HybridHardening, BranchHardeningAddsSwitchValidation) {
   const Guest& guest = guests::pincheck();

@@ -320,6 +320,84 @@ TEST(Lowering, FusedCompareBranchProducesNativeJcc) {
   EXPECT_EQ(run_lowered(module).exit_code, 1);
 }
 
+unsigned count_mnemonic(const bir::Module& lowered, isa::Mnemonic mnemonic) {
+  unsigned count = 0;
+  for (const auto& item : lowered.text) {
+    if (item.is_instruction() && item.instr->mnemonic == mnemonic) ++count;
+  }
+  return count;
+}
+
+TEST(Lowering, JumpToTheNextBlockFallsThroughAndKeepsTheLabel) {
+  // entry: br hop; hop: br body (falls through, emptying hop); body:
+  // a loop back to hop, reached from afar, must still find hop's label.
+  ir::Module module;
+  GlobalVariable* counter = module.add_global("counter", 8);
+  Function* main = module.add_function("_start");
+  BasicBlock* entry = main->add_block("entry");
+  BasicBlock* hop = main->add_block("hop");
+  BasicBlock* body = main->add_block("body");
+  BasicBlock* done = main->add_block("done");
+  Builder builder(module);
+  builder.set_insert_point(entry);
+  builder.br(hop);
+  builder.set_insert_point(hop);
+  builder.br(body);
+  builder.set_insert_point(body);
+  Instr* next = builder.add(builder.load(Type::kI64, counter), builder.const_i64(1));
+  builder.store(next, counter);
+  builder.cond_br(builder.icmp(Pred::kUlt, next, builder.const_i64(5)), hop, done);
+  builder.set_insert_point(done);
+  emit_exit(builder, module, builder.load(Type::kI64, counter));
+  module.entry_function = "_start";
+
+  for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+    LowerOptions options;
+    options.arch = arch;
+    const bir::Module lowered = lower(module, {}, options);
+    // Only the loop's `jcc hop` remains: entry and hop fall through, and
+    // body's jmp to done is dropped after its jcc.
+    EXPECT_EQ(count_mnemonic(lowered, isa::Mnemonic::kJmp), 0u);
+    const auto hop_index = lowered.index_of_label("_start.hop");
+    ASSERT_TRUE(hop_index.has_value());
+    EXPECT_EQ(*hop_index, lowered.index_of_label("_start.body"));
+    EXPECT_EQ(emu::run_image(lower_to_image(module, {}, options), "").exit_code, 5);
+  }
+}
+
+TEST(Lowering, LowWordMaskIsARegisterAliasOnlyOn32BitTargets) {
+  ir::Module module;
+  GlobalVariable* value = module.add_global("value", 8, {7, 0, 0, 0, 1, 0, 0, 0});
+  Function* main = module.add_function("_start");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  Instr* low = builder.and_(builder.load(Type::kI64, value), builder.const_i64(0xFFFF'FFFFULL));
+  emit_exit(builder, module, low);
+  module.entry_function = "_start";
+
+  LowerOptions rv32i;
+  rv32i.arch = isa::Arch::kRv32i;
+  EXPECT_EQ(count_mnemonic(lower(module, {}, rv32i), isa::Mnemonic::kAnd), 0u);
+  EXPECT_EQ(emu::run_image(lower_to_image(module, {}, rv32i), "").exit_code, 7);
+  // On x64 the mask clears the high word.
+  EXPECT_EQ(count_mnemonic(lower(module, {}), isa::Mnemonic::kAnd), 1u);
+  EXPECT_EQ(run_lowered(module).exit_code, 7);
+}
+
+TEST(Lowering, SignExtensionOfNegative32BitValueOnX64) {
+  ir::Module module;
+  GlobalVariable* value = module.add_global("value", 8, {0xF0, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0});
+  Function* main = module.add_function("_start");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  Instr* word = builder.trunc(builder.load(Type::kI64, value), Type::kI32);
+  Instr* wide = builder.sext(word, Type::kI64);
+  Instr* negative = builder.icmp(Pred::kEq, wide, builder.const_i64(~std::uint64_t{15}));
+  emit_exit(builder, module, builder.zext(negative, Type::kI64));
+  module.entry_function = "_start";
+  EXPECT_EQ(run_lowered(module).exit_code, 1);
+}
+
 TEST(Lowering, GuestDataSectionsKeepTheirBase) {
   ir::Module module;
   Function* main = module.add_function("_start");

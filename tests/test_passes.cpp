@@ -3,7 +3,9 @@
 // property), instruction duplication.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "ir/builder.h"
@@ -26,6 +28,14 @@ using ir::Module;
 using ir::Opcode;
 using ir::Pred;
 using ir::Type;
+
+/// Interprets `module` (entry returns) and reads the 8-byte global `out`.
+std::uint64_t interpreted_out(const Module& module) {
+  emu::Memory memory;
+  const ir::InterpResult result = ir::interpret(module, memory, "");
+  EXPECT_EQ(result.stop, ir::InterpStop::kReturned) << result.crash_detail;
+  return memory.read(module.find_global("out")->address, 8);
+}
 
 TEST(Dce, RemovesUnusedComputation) {
   Module module;
@@ -94,6 +104,195 @@ TEST(ConstantFold, FoldsCompareAndSelect) {
   make_dce()->run(module);
   const Instr& store = *main->entry()->instrs[0];
   EXPECT_EQ(static_cast<const ir::Constant*>(store.operands[0])->value(), 7u);
+}
+
+/// main stores body(x, y) into @out, where x and y are loaded from globals
+/// initialised to `x` and `y`.
+struct IdentityModule {
+  Module module;
+  Instr* x = nullptr;
+  Instr* y = nullptr;
+  Instr* stored = nullptr;  ///< the store into @out
+};
+
+template <typename Body>
+IdentityModule identity_module(std::uint64_t x, std::uint64_t y, Body body) {
+  const auto bytes = [](std::uint64_t value) {
+    std::vector<std::uint8_t> out(8);
+    for (std::size_t i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    return out;
+  };
+  IdentityModule m;
+  GlobalVariable* gx = m.module.add_global("x", 8, bytes(x));
+  GlobalVariable* gy = m.module.add_global("y", 8, bytes(y));
+  GlobalVariable* out = m.module.add_global("out", 8);
+  Function* main = m.module.add_function("main");
+  Builder builder(m.module);
+  builder.set_insert_point(main->add_block("entry"));
+  m.x = builder.load(Type::kI64, gx);
+  m.y = builder.load(Type::kI64, gy);
+  m.stored = builder.store(body(builder, m.x, m.y), out);
+  builder.ret();
+  m.module.entry_function = "main";
+  return m;
+}
+
+constexpr std::uint64_t kIdentityValues[] = {0, 1, 7, 0x7FFF'FFFF'FFFF'FFFFULL,
+                                             0x8000'0000'0000'0000ULL, ~0ULL,
+                                             0xFFFF'FFFFULL, 0x1'2345'6789ULL};
+
+/// Folds `body` for every value pair and checks that `check` holds on the
+/// folded module and that folding preserves the interpreted result.
+template <typename Body, typename Check>
+void expect_identity(const char* what, Body body, Check check) {
+  for (const std::uint64_t x : kIdentityValues) {
+    const std::uint64_t ys[] = {x, x + 1, 0};
+    for (const std::uint64_t y : ys) {
+      IdentityModule reference = identity_module(x, y, body);
+      IdentityModule folded = identity_module(x, y, body);
+      make_constant_fold()->run(folded.module);
+      make_dce()->run(folded.module);
+      ir::verify(folded.module);
+      check(folded);
+      EXPECT_EQ(interpreted_out(folded.module), interpreted_out(reference.module))
+          << what << " x=" << x << " y=" << y;
+    }
+  }
+}
+
+TEST(ConstantFold, ArithmeticIdentitiesBecomeTheirOperand) {
+  using Make = Instr* (*)(Builder&, Instr*, Instr*);
+  const std::pair<const char*, Make> cases[] = {
+      {"x+0", [](Builder& b, Instr* x, Instr*) { return b.add(x, b.const_i64(0)); }},
+      {"0+x", [](Builder& b, Instr* x, Instr*) { return b.add(b.const_i64(0), x); }},
+      {"x-0", [](Builder& b, Instr* x, Instr*) { return b.sub(x, b.const_i64(0)); }},
+      {"x|0", [](Builder& b, Instr* x, Instr*) { return b.or_(x, b.const_i64(0)); }},
+      {"0|x", [](Builder& b, Instr* x, Instr*) { return b.or_(b.const_i64(0), x); }},
+      {"x^0", [](Builder& b, Instr* x, Instr*) { return b.xor_(x, b.const_i64(0)); }},
+      {"x<<0", [](Builder& b, Instr* x, Instr*) { return b.shl(x, b.const_i64(0)); }},
+      {"x>>0", [](Builder& b, Instr* x, Instr*) { return b.lshr(x, b.const_i64(0)); }},
+      {"x>>>0", [](Builder& b, Instr* x, Instr*) { return b.ashr(x, b.const_i64(0)); }},
+      {"x&~0", [](Builder& b, Instr* x, Instr*) { return b.and_(x, b.const_i64(~0ULL)); }},
+      {"~0&x", [](Builder& b, Instr* x, Instr*) { return b.and_(b.const_i64(~0ULL), x); }},
+  };
+  for (const auto& [what, make] : cases) {
+    expect_identity(what, make, [what](const IdentityModule& m) {
+      EXPECT_EQ(m.stored->operands[0], m.x) << what;
+    });
+  }
+}
+
+TEST(ConstantFold, NarrowAllOnesMaskIsAnIdentityButTheLowWordMaskIsNot) {
+  expect_identity(
+      "and i8 x, 0xff",
+      [](Builder& b, Instr* x, Instr*) {
+        Instr* byte = b.trunc(x, Type::kI8);
+        return b.zext(b.and_(byte, b.const_i8(0xFF)), Type::kI64);
+      },
+      [](const IdentityModule& m) {
+        const auto* ext = static_cast<const Instr*>(m.stored->operands[0]);
+        EXPECT_EQ(static_cast<const Instr*>(ext->operands[0])->opcode(), Opcode::kTrunc);
+      });
+  // and i64 x, 0xffffffff clears the high word: it must stay.
+  expect_identity(
+      "and i64 x, 0xffffffff",
+      [](Builder& b, Instr* x, Instr*) { return b.and_(x, b.const_i64(0xFFFF'FFFFULL)); },
+      [](const IdentityModule& m) {
+        const auto* mask = static_cast<const Instr*>(m.stored->operands[0]);
+        EXPECT_EQ(mask->opcode(), Opcode::kAnd);
+      });
+}
+
+/// The value stored into @out, seen through the zext the bodies end in.
+const Instr* compare_under_zext(const IdentityModule& m) {
+  const auto* ext = static_cast<const Instr*>(m.stored->operands[0]);
+  EXPECT_EQ(ext->opcode(), Opcode::kZExt);
+  return static_cast<const Instr*>(ext->operands[0]);
+}
+
+TEST(ConstantFold, ZextOfBoolComparedNotEqualToZeroIsTheBool) {
+  expect_identity(
+      "icmp ne (zext i1 c), 0",
+      [](Builder& b, Instr* x, Instr* y) {
+        Instr* c = b.icmp(Pred::kUlt, x, y);
+        Instr* byte = b.zext(c, Type::kI8);
+        return b.zext(b.icmp(Pred::kNe, byte, b.const_i8(0)), Type::kI64);
+      },
+      [](const IdentityModule& m) {
+        const Instr* c = compare_under_zext(m);
+        EXPECT_EQ(c->pred, Pred::kUlt);
+        EXPECT_EQ(c->operands[0], m.x);
+      });
+}
+
+TEST(ConstantFold, DifferenceComparedWithZeroComparesTheOperands) {
+  for (const Pred pred : {Pred::kEq, Pred::kNe}) {
+    expect_identity(
+        "icmp eq|ne (sub x, y), 0",
+        [pred](Builder& b, Instr* x, Instr* y) {
+          return b.zext(b.icmp(pred, b.sub(x, y), b.const_i64(0)), Type::kI64);
+        },
+        [pred](const IdentityModule& m) {
+          const Instr* c = compare_under_zext(m);
+          EXPECT_EQ(c->pred, pred);
+          EXPECT_EQ(c->operands[0], m.x);
+          EXPECT_EQ(c->operands[1], m.y);
+        });
+  }
+}
+
+TEST(ConstantFold, SignBitTestBecomesSignedCompare) {
+  expect_identity(
+      "icmp ne (and (lshr x, 63), 1), 0",
+      [](Builder& b, Instr* x, Instr*) {
+        Instr* bit = b.and_(b.lshr(x, b.const_i64(63)), b.const_i64(1));
+        return b.zext(b.icmp(Pred::kNe, bit, b.const_i64(0)), Type::kI64);
+      },
+      [](const IdentityModule& m) {
+        const Instr* c = compare_under_zext(m);
+        EXPECT_EQ(c->pred, Pred::kSlt);
+        EXPECT_EQ(c->operands[0], m.x);
+      });
+}
+
+TEST(ConstantFold, NegatedCompareIsInverted) {
+  expect_identity(
+      "xor (icmp ult x, y), true",
+      [](Builder& b, Instr* x, Instr* y) {
+        return b.zext(b.not_(b.icmp(Pred::kUlt, x, y)), Type::kI64);
+      },
+      [](const IdentityModule& m) {
+        const Instr* c = compare_under_zext(m);
+        EXPECT_EQ(c->opcode(), Opcode::kICmp);
+        EXPECT_EQ(c->pred, Pred::kUge);
+      });
+  // A second use of the compare keeps seeing the original predicate: the
+  // xor becomes a new compare instead of inverting the old one.
+  expect_identity(
+      "xor (icmp ult x, y), true with a second use",
+      [](Builder& b, Instr* x, Instr* y) {
+        Instr* c = b.icmp(Pred::kUlt, x, y);
+        return b.add(b.zext(b.not_(c), Type::kI64), b.shl(b.zext(c, Type::kI64), b.const_i64(1)));
+      },
+      [](const IdentityModule& m) {
+        std::multiset<Pred> compares;
+        for (const auto& instr : m.module.find_function("main")->entry()->instrs) {
+          EXPECT_NE(instr->opcode(), Opcode::kXor);
+          if (instr->opcode() == Opcode::kICmp) compares.insert(instr->pred);
+        }
+        EXPECT_EQ(compares, (std::multiset<Pred>{Pred::kUlt, Pred::kUge}));
+      });
+  // or with true is true, not a negation: the compare is left alone.
+  expect_identity(
+      "or (icmp ult x, y), true",
+      [](Builder& b, Instr* x, Instr* y) {
+        return b.zext(b.or_(b.icmp(Pred::kUlt, x, y), b.const_i1(true)), Type::kI64);
+      },
+      [](const IdentityModule& m) {
+        const Instr* c = compare_under_zext(m);
+        EXPECT_EQ(c->opcode(), Opcode::kOr);
+        EXPECT_EQ(static_cast<const Instr*>(c->operands[0])->pred, Pred::kUlt);
+      });
 }
 
 TEST(StatePromotion, ForwardsStoredValueToLoad) {
@@ -205,6 +404,300 @@ TEST(GlobalStoreElim, RetKeepsEverythingLive) {
   builder.store(builder.const_i64(1), reg);  // caller may observe: keep
   builder.ret();
   EXPECT_FALSE(make_global_store_elim()->run(module));
+}
+
+/// Stores to `global` in `block`, in order.
+std::vector<const Instr*> stores_to(const BasicBlock* block, const GlobalVariable* global) {
+  std::vector<const Instr*> stores;
+  for (const auto& instr : block->instrs) {
+    if (instr->opcode() == Opcode::kStore && instr->operands[1] == global) {
+      stores.push_back(instr.get());
+    }
+  }
+  return stores;
+}
+
+/// set_flag stores g_zf just before its ret; main calls it twice and
+/// overwrites the flag each time before reading it. With `reader`, a second
+/// caller reads the flag right after its call.
+Module flag_before_ret_module(bool with_reader) {
+  Module module;
+  GlobalVariable* zf = module.add_global("g_zf", 1);
+  Function* set_flag = module.add_function("set_flag");
+  Function* reader = with_reader ? module.add_function("reader") : nullptr;
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(set_flag->add_block("entry"));
+  builder.store(builder.const_i8(1), zf);
+  builder.ret();
+  if (reader != nullptr) {
+    builder.set_insert_point(reader->add_block("entry"));
+    builder.call(set_flag);
+    Instr* flag = builder.load(Type::kI8, zf);
+    builder.store(builder.zext(flag, Type::kI64), builder.const_i64(0x7000));
+    builder.ret();
+  }
+  builder.set_insert_point(main->add_block("entry"));
+  builder.call(set_flag);
+  builder.store(builder.const_i8(0), zf);
+  builder.call(set_flag);
+  builder.store(builder.const_i8(2), zf);
+  if (reader != nullptr) builder.call(reader);
+  builder.ret();
+  module.entry_function = "main";
+  return module;
+}
+
+TEST(GlobalStoreElim, FlagStoreBeforeRetDiesWhenEveryCallerOverwritesIt) {
+  Module module = flag_before_ret_module(/*with_reader=*/false);
+  EXPECT_TRUE(make_global_store_elim()->run(module));
+  ir::verify(module);
+  const GlobalVariable* zf = module.find_global("g_zf");
+  EXPECT_TRUE(stores_to(module.find_function("set_flag")->entry(), zf).empty());
+  // main has no call site: its last store stays live at its ret.
+  EXPECT_EQ(stores_to(module.find_function("main")->entry(), zf).size(), 1u);
+}
+
+TEST(GlobalStoreElim, FlagStoreBeforeRetSurvivesWhenOneCallerReadsIt) {
+  Module module = flag_before_ret_module(/*with_reader=*/true);
+  make_global_store_elim()->run(module);
+  ir::verify(module);
+  EXPECT_EQ(stores_to(module.find_function("set_flag")->entry(), module.find_global("g_zf"))
+                .size(),
+            1u);
+}
+
+/// main stores g_rax and then calls `callee`, which reads g_rax before
+/// writing it, or (writes_first) writes it before reading it.
+Module store_before_call_module(bool writes_first) {
+  Module module;
+  GlobalVariable* rax = module.add_global("g_rax", 8);
+  GlobalVariable* out = module.add_global("out", 8);
+  Function* callee = module.add_function("callee");
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(callee->add_block("entry"));
+  if (writes_first) builder.store(builder.const_i64(5), rax);
+  builder.store(builder.load(Type::kI64, rax), out);
+  if (!writes_first) builder.store(builder.const_i64(5), rax);
+  builder.ret();
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(1), rax);
+  builder.call(callee);
+  builder.store(builder.const_i64(2), rax);
+  builder.ret();
+  module.entry_function = "main";
+  return module;
+}
+
+TEST(GlobalStoreElim, StoreBeforeCallSurvivesWhenTheCalleeReadsItFirst) {
+  Module module = store_before_call_module(/*writes_first=*/false);
+  make_global_store_elim()->run(module);
+  ir::verify(module);
+  EXPECT_EQ(stores_to(module.find_function("main")->entry(), module.find_global("g_rax")).size(),
+            2u);
+  EXPECT_EQ(interpreted_out(module), 1u);
+
+  Module writes_first = store_before_call_module(/*writes_first=*/true);
+  EXPECT_TRUE(make_global_store_elim()->run(writes_first));
+  // The callee overwrites g_rax before anyone reads it: main's first store dies.
+  EXPECT_EQ(
+      stores_to(writes_first.find_function("main")->entry(), writes_first.find_global("g_rax"))
+          .size(),
+      1u);
+  EXPECT_EQ(interpreted_out(writes_first), 5u);
+}
+
+TEST(GlobalStoreElim, CalleesKillNothingTheyMayNotWrite) {
+  // callee writes g_rbx on one path only, so main's store must reach the
+  // read after the call.
+  Module module;
+  GlobalVariable* rbx = module.add_global("g_rbx", 8);
+  GlobalVariable* rcx = module.add_global("g_rcx", 8);
+  GlobalVariable* out = module.add_global("out", 8);
+  Function* callee = module.add_function("callee");
+  Function* main = module.add_function("main");
+  BasicBlock* entry = callee->add_block("entry");
+  BasicBlock* writes = callee->add_block("writes");
+  BasicBlock* done = callee->add_block("done");
+  Builder builder(module);
+  builder.set_insert_point(entry);
+  Instr* flag = builder.load(Type::kI64, rcx);
+  builder.cond_br(builder.icmp(Pred::kNe, flag, builder.const_i64(0)), writes, done);
+  builder.set_insert_point(writes);
+  builder.store(builder.const_i64(5), rbx);
+  builder.br(done);
+  builder.set_insert_point(done);
+  builder.ret();
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(1), rbx);
+  builder.store(builder.const_i64(0), rcx);
+  builder.call(callee);
+  builder.store(builder.load(Type::kI64, rbx), out);
+  builder.ret();
+  module.entry_function = "main";
+
+  make_global_store_elim()->run(module);
+  ir::verify(module);
+  EXPECT_EQ(stores_to(main->entry(), rbx).size(), 1u);
+  EXPECT_EQ(interpreted_out(module), 1u);
+}
+
+/// rec(n) = n == 0 ? 0 : rec(n - 1) + zf, where rec's exit block sets zf = 1
+/// just before its ret. Only the recursive call site reads zf after a
+/// call (main overwrites it), so that site alone keeps the store alive.
+Module self_recursive_module() {
+  Module module;
+  GlobalVariable* rcx = module.add_global("g_rcx", 8);
+  GlobalVariable* rax = module.add_global("g_rax", 8);
+  GlobalVariable* zf = module.add_global("g_zf", 1);
+  GlobalVariable* out = module.add_global("out", 8);
+  Function* rec = module.add_function("rec");
+  Function* main = module.add_function("main");
+  BasicBlock* entry = rec->add_block("entry");
+  BasicBlock* step = rec->add_block("step");
+  BasicBlock* base = rec->add_block("base");
+  BasicBlock* exit_block = rec->add_block("exit");
+  Builder builder(module);
+  builder.set_insert_point(entry);
+  Instr* n = builder.load(Type::kI64, rcx);
+  builder.cond_br(builder.icmp(Pred::kEq, n, builder.const_i64(0)), base, step);
+  builder.set_insert_point(step);
+  builder.store(builder.sub(n, builder.const_i64(1)), rcx);
+  builder.call(rec);
+  Instr* flag = builder.zext(builder.load(Type::kI8, zf), Type::kI64);
+  builder.store(builder.add(builder.load(Type::kI64, rax), flag), rax);
+  builder.br(exit_block);
+  builder.set_insert_point(base);
+  builder.store(builder.const_i64(0), rax);
+  builder.br(exit_block);
+  builder.set_insert_point(exit_block);
+  builder.store(builder.const_i8(1), zf);
+  builder.ret();
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(3), rcx);
+  builder.call(rec);
+  builder.store(builder.load(Type::kI64, rax), out);
+  builder.store(builder.const_i8(0), zf);
+  builder.ret();
+  module.entry_function = "main";
+  return module;
+}
+
+TEST(GlobalStoreElim, SelfRecursionStaysSound) {
+  Module module = self_recursive_module();
+  const std::uint64_t expected = interpreted_out(module);
+  EXPECT_EQ(expected, 3u);
+  make_global_store_elim()->run(module);
+  ir::verify(module);
+  const Function* rec = module.find_function("rec");
+  EXPECT_EQ(stores_to(rec->blocks[3].get(), module.find_global("g_zf")).size(), 1u);
+  EXPECT_EQ(interpreted_out(module), expected);
+}
+
+/// even(n) / odd(n) by mutual recursion on g_rdi, result in g_rax; main
+/// runs even(6) and even(7) and stores even(6) + 2 * even(7).
+Module mutually_recursive_module() {
+  Module module;
+  GlobalVariable* rdi = module.add_global("g_rdi", 8);
+  GlobalVariable* rax = module.add_global("g_rax", 8);
+  GlobalVariable* out = module.add_global("out", 8);
+  Function* even = module.add_function("even");
+  Function* odd = module.add_function("odd");
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  for (const auto& [fn, other, at_zero] : {std::tuple{even, odd, 1}, std::tuple{odd, even, 0}}) {
+    BasicBlock* entry = fn->add_block("entry");
+    BasicBlock* zero = fn->add_block("zero");
+    BasicBlock* step = fn->add_block("step");
+    builder.set_insert_point(entry);
+    Instr* n = builder.load(Type::kI64, rdi);
+    builder.cond_br(builder.icmp(Pred::kEq, n, builder.const_i64(0)), zero, step);
+    builder.set_insert_point(zero);
+    builder.store(builder.const_i64(static_cast<std::uint64_t>(at_zero)), rax);
+    builder.ret();
+    builder.set_insert_point(step);
+    builder.store(builder.sub(n, builder.const_i64(1)), rdi);
+    builder.call(other);
+    builder.ret();
+  }
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(6), rdi);
+  builder.call(even);
+  Instr* first = builder.load(Type::kI64, rax);
+  builder.store(builder.const_i64(7), rdi);
+  builder.call(even);
+  Instr* second = builder.load(Type::kI64, rax);
+  builder.store(builder.add(first, builder.mul(second, builder.const_i64(2))), out);
+  builder.ret();
+  module.entry_function = "main";
+  return module;
+}
+
+TEST(GlobalStoreElim, MutualRecursionStaysSound) {
+  Module module = mutually_recursive_module();
+  const std::uint64_t expected = interpreted_out(module);
+  EXPECT_EQ(expected, 1u);
+  make_global_store_elim()->run(module);
+  ir::verify(module);
+  const GlobalVariable* rax = module.find_global("g_rax");
+  const GlobalVariable* rdi = module.find_global("g_rdi");
+  for (const char* name : {"even", "odd"}) {
+    const Function* fn = module.find_function(name);
+    EXPECT_EQ(stores_to(fn->blocks[1].get(), rax).size(), 1u) << name;
+    EXPECT_EQ(stores_to(fn->blocks[2].get(), rdi).size(), 1u) << name;
+  }
+  EXPECT_EQ(interpreted_out(module), expected);
+}
+
+TEST(GlobalStoreElim, SyscallIntrinsicIsNotAStateBarrier) {
+  Module module;
+  GlobalVariable* rax = module.add_global("g_rax", 8);
+  GlobalVariable* rdi = module.add_global("g_rdi", 8);
+  Function* syscall_fn = module.get_intrinsic(ir::kSyscallIntrinsic, Type::kI64, 4);
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(1), rax);  // dead: overwritten, never read
+  builder.store(builder.const_i64(2), rdi);  // read after the syscall
+  builder.call(syscall_fn, {builder.const_i64(1), builder.const_i64(1),
+                            builder.const_i64(0x7000), builder.const_i64(0)});
+  builder.store(builder.const_i64(3), rax);
+  builder.store(builder.load(Type::kI64, rdi), builder.const_i64(0x7000));
+  builder.unreachable();
+  module.entry_function = "main";
+  EXPECT_TRUE(make_global_store_elim()->run(module));
+  ir::verify(module);
+  EXPECT_TRUE(stores_to(main->entry(), rax).empty());
+  ASSERT_EQ(stores_to(main->entry(), rdi).size(), 1u);
+  EXPECT_EQ(main->entry()->instrs[0]->operands[1], rdi);
+}
+
+TEST(StatePromotion, SyscallIntrinsicForwardsTrackedButNotEscapedGlobals) {
+  Module module;
+  GlobalVariable* rax = module.add_global("g_rax", 8);
+  GlobalVariable* buffer = module.add_global("g_stack", 64);
+  Function* syscall_fn = module.get_intrinsic(ir::kSyscallIntrinsic, Type::kI64, 4);
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(5), rax);
+  builder.store(builder.const_i64(6), buffer);
+  // read(0, g_stack, 8): the syscall may write the escaped buffer.
+  builder.call(syscall_fn, {builder.const_i64(0), builder.const_i64(0), buffer,
+                            builder.const_i64(8)});
+  Instr* reg = builder.load(Type::kI64, rax);
+  Instr* data = builder.load(Type::kI64, buffer);
+  builder.store(builder.add(reg, data), builder.const_i64(0x7000));
+  builder.ret();
+  EXPECT_TRUE(make_state_promotion()->run(module));
+  make_dce()->run(module);
+  ir::verify(module);
+  std::vector<const ir::Value*> loaded;
+  for (const auto& instr : main->entry()->instrs) {
+    if (instr->opcode() == Opcode::kLoad) loaded.push_back(instr->operands[0]);
+  }
+  EXPECT_EQ(loaded, std::vector<const ir::Value*>{buffer});
 }
 
 TEST(GlobalStoreElim, EscapedGlobalsAreUntouched) {
