@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "isa/printer.h"
 #include "isa/semantics.h"
 #include "support/error.h"
 
@@ -103,31 +102,6 @@ Cfg build_cfg(const Module& module) {
     }
   }
   return cfg;
-}
-
-std::string to_dot(const Module& module, const Cfg& cfg) {
-  std::string out = "digraph cfg {\n  node [shape=box, fontname=\"monospace\"];\n";
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    const BasicBlock& block = cfg.blocks[b];
-    std::string label;
-    for (const std::string& name : module.text[block.first_item].labels) {
-      label += name + ":\\l";
-    }
-    for (std::size_t i = block.first_item; i <= block.last_item; ++i) {
-      const CodeItem& item = module.text[i];
-      if (item.is_instruction()) {
-        label += isa::print(*item.instr) + "\\l";
-      } else {
-        label += "<" + std::to_string(item.raw.size()) + " raw bytes>\\l";
-      }
-    }
-    out += "  b" + std::to_string(b) + " [label=\"" + label + "\"];\n";
-    for (const std::size_t succ : block.successors) {
-      out += "  b" + std::to_string(b) + " -> b" + std::to_string(succ) + ";\n";
-    }
-  }
-  out += "}\n";
-  return out;
 }
 
 }  // namespace r2r::bir

@@ -38,7 +38,4 @@ class Cfg {
 /// following a terminator or conditional branch.
 Cfg build_cfg(const Module& module);
 
-/// Graphviz rendering (block per node, one instruction per line).
-std::string to_dot(const Module& module, const Cfg& cfg);
-
 }  // namespace r2r::bir

@@ -94,18 +94,6 @@ std::string ArgParser::value_or(std::string_view flag, std::string fallback) con
   return fallback;
 }
 
-std::uint64_t ArgParser::uint_or(std::string_view flag, std::uint64_t fallback) const {
-  const auto v = value(flag);
-  if (!v.has_value()) return fallback;
-  const auto parsed = support::parse_integer(*v);
-  if (!parsed.has_value() || *parsed < 0) {
-    fail(ErrorKind::kInvalidArgument, "flag '" + std::string(flag) + "' of 'r2r " +
-                                          command_ + "' needs a non-negative integer, got '" +
-                                          *v + "'");
-  }
-  return static_cast<std::uint64_t>(*parsed);
-}
-
 std::uint64_t ArgParser::count_or(std::string_view flag, std::uint64_t fallback,
                                   std::uint64_t max) const {
   const auto v = value(flag);

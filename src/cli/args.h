@@ -42,15 +42,12 @@ class ArgParser {
   [[nodiscard]] bool has(std::string_view flag) const;
   [[nodiscard]] std::optional<std::string> value(std::string_view flag) const;
   [[nodiscard]] std::string value_or(std::string_view flag, std::string fallback) const;
-  /// Parses the flag's value as an unsigned integer; throws
-  /// Error{kInvalidArgument} on malformed or negative input.
-  [[nodiscard]] std::uint64_t uint_or(std::string_view flag, std::uint64_t fallback) const;
-  /// uint_or with an inclusive upper bound, for count-like flags whose call
-  /// sites narrow to 32 bits (--threads, --seed, --order, ...). Without the
-  /// bound, a value in (2^32-1, 2^63-1] would pass uint_or and then wrap
-  /// silently through the unsigned conversion — `--threads 4294967297`
-  /// becoming 1. Throws Error{kInvalidArgument} naming the flag, the
-  /// offending token, and the accepted range.
+  /// Parses the flag's value as an unsigned integer no larger than `max`,
+  /// for count-like flags whose call sites narrow to 32 bits (--threads,
+  /// --seed, --order, ...). Without the bound, a value in (2^32-1, 2^63-1]
+  /// would wrap silently through the unsigned conversion — `--threads
+  /// 4294967297` becoming 1. Throws Error{kInvalidArgument} naming the
+  /// flag, the offending token, and the accepted range.
   [[nodiscard]] std::uint64_t count_or(std::string_view flag, std::uint64_t fallback,
                                        std::uint64_t max = 0xFFFFFFFFu) const;
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {

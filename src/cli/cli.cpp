@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <ostream>
+#include <utility>
 
 #include "isa/target.h"
 #include "obs/obs.h"
@@ -376,6 +377,42 @@ fault::CampaignConfig campaign_config_from(const ArgParser& parser) {
   config.threads = static_cast<unsigned>(parser.count_or("--threads", 1));
   config.pair_outcome_reuse = !parser.has("--no-reuse");
   return config;
+}
+
+// ---- jobs -------------------------------------------------------------------
+
+svc::JobSpec job_spec_from(const ArgParser& parser, svc::JobKind kind,
+                           guests::Guest guest) {
+  svc::JobSpec spec;
+  spec.kind = kind;
+  spec.guest = std::move(guest);
+  spec.campaign = campaign_config_from(parser);
+  spec.max_iterations = static_cast<unsigned>(parser.count_or("--max-iterations", 12));
+  spec.patterns = parser.has("--patterns");
+  (void)format_from(parser);  // validated here; the runner renders from the name
+  spec.format = parser.value_or("--format", "text");
+  return spec;
+}
+
+int print_job(const ArgParser& parser, const svc::JobResult& job, std::ostream& out,
+              std::ostream& err) {
+  emit_output(parser, out, job.report);
+  if (const auto path = parser.value("--elf")) {
+    if (!job.elf.empty()) {
+      write_elf_file(*path, job.elf, out);
+    } else if (job.exit_code == 0) {
+      err << "r2r " << parser.command() << ": this job kind returns no ELF; --elf ignored\n";
+    } else {
+      err << "r2r " << parser.command()
+          << ": hardened binary no longer matches the guest oracle; not writing\n";
+    }
+  }
+  return job.exit_code;
+}
+
+void write_elf_file(const std::string& path, std::string_view bytes, std::ostream& out) {
+  write_file(path, bytes);
+  out << "hardened ELF written to " << path << " (" << bytes.size() << " bytes)\n";
 }
 
 }  // namespace r2r::cli

@@ -28,6 +28,7 @@
 #include "cli/args.h"
 #include "cli/guest_spec.h"
 #include "fault/campaign.h"
+#include "svc/job.h"
 
 namespace r2r::cli {
 
@@ -75,6 +76,25 @@ void add_campaign_flags(ArgParser& parser);
 /// sim::fault_model_names()). Throws Error{kInvalidArgument} on an unknown
 /// model or an order outside 1..fault::kMaxCampaignOrder.
 fault::CampaignConfig campaign_config_from(const ArgParser& parser);
+
+// ---- jobs (src/svc/job.h runs them) -----------------------------------------
+
+/// The job the flags describe for `guest`: the campaign flags,
+/// --max-iterations, --patterns and --format, each at its default where the
+/// command registers no such flag. `r2r campaign|fixpoint|harden|submit`
+/// pass their resolved positional; `r2r batch` builds one spec before any
+/// guest runs (so a bad flag is a usage error) and gives each row its guest.
+svc::JobSpec job_spec_from(const ArgParser& parser, svc::JobKind kind,
+                           guests::Guest guest = {});
+
+/// The print step of `r2r campaign|fixpoint|submit`: the job's report (to
+/// --out when given), then its ELF to --elf when asked. Returns the job's
+/// exit code.
+int print_job(const ArgParser& parser, const svc::JobResult& job, std::ostream& out,
+              std::ostream& err);
+
+/// Writes hardened ELF bytes to `path` and confirms it on `out`.
+void write_elf_file(const std::string& path, std::string_view bytes, std::ostream& out);
 
 // ---- subcommand entry points (one per src/cli/cmd_*.cpp) --------------------
 

@@ -7,7 +7,9 @@
 // output — stdout, --out file, exit code — is byte-identical for every -j
 // value (the per-guest work is itself thread-invariant by the engine's
 // slot-per-fault guarantee). `-j` parallelises *across* guests; --threads
-// still controls the worker threads *inside* each campaign.
+// still controls the worker threads *inside* each campaign. Campaign,
+// fixpoint and harden rows run through svc::run_*_job, the runs behind
+// `r2r campaign|fixpoint|harden`.
 #include <algorithm>
 #include <atomic>
 #include <climits>
@@ -17,8 +19,6 @@
 
 #include "bir/recover.h"
 #include "cli/cli.h"
-#include "emu/machine.h"
-#include "harden/hybrid.h"
 #include "harden/report.h"
 #include "obs/obs.h"
 #include "patch/pipeline.h"
@@ -73,9 +73,7 @@ struct BatchRow {
 
 struct BatchPlan {
   std::string cmd;
-  fault::CampaignConfig campaign;
-  unsigned max_iterations = 12;
-  bool patterns = false;
+  svc::JobSpec job;  ///< every row's job but its guest
 };
 
 std::vector<std::string> header_for(const std::string& cmd, unsigned order) {
@@ -109,13 +107,12 @@ std::string spec_identity(const std::string& spec) {
 
 BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
   BatchRow row;
-  const guests::Guest guest = load_guest(spec);
-  row.name = guest.name;
-  const elf::Image image = guests::build_image(guest);
+  svc::JobSpec job = plan.job;
+  job.guest = load_guest(spec);
+  row.name = job.guest.name;
 
   if (plan.cmd == "campaign") {
-    const fault::TupleCampaignResult result =
-        fault::run_campaign(image, guest.good_input, guest.bad_input, plan.campaign);
+    const fault::TupleCampaignResult result = svc::run_campaign_job(job);
     row.ok = true;
     row.cells = {std::to_string(result.trace_length),
                  std::to_string(result.order1.total_faults),
@@ -128,15 +125,11 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     }
     row.json = "\"campaign\": " + result.to_json();
   } else if (plan.cmd == "fixpoint") {
-    patch::PipelineConfig config;
-    config.campaign = plan.campaign;
-    config.max_iterations = plan.max_iterations;
-    const patch::PipelineResult result =
-        patch::faulter_patcher(image, guest.good_input, guest.bad_input, config);
+    const patch::PipelineResult result = svc::run_fixpoint_job(job);
     row.ok = result.verdict();
     row.cells = {std::to_string(result.iterations.size()),
                  std::to_string(result.final_campaign.order1.vulnerabilities.size())};
-    if (plan.campaign.models.order >= 2) {
+    if (job.campaign.models.order >= 2) {
       // Residual top-level fault sets of the final campaign's sweep.
       row.cells.insert(row.cells.end(),
                        {std::to_string(result.final_campaign.vulnerabilities.size()),
@@ -145,36 +138,20 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     row.cells.push_back(support::format_fixed(result.overhead_percent(), 1) + "%");
     row.json = "\"fixpoint\": " + result.to_json();
   } else if (plan.cmd == "harden") {
-    elf::Image hardened;
-    if (plan.patterns) {
-      patch::PipelineConfig config;
-      config.campaign = plan.campaign;
-      config.max_iterations = plan.max_iterations;
-      hardened = patch::faulter_patcher(image, guest.good_input, guest.bad_input, config)
-                     .hardened;
-    } else {
-      hardened = harden::hybrid_harden(image).hardened;
-    }
-    const emu::RunResult good = emu::run_image(hardened, guest.good_input);
-    const emu::RunResult bad = emu::run_image(hardened, guest.bad_input);
-    row.ok = good.exit_code == guest.good_exit && good.output == guest.good_output &&
-             bad.exit_code == guest.bad_exit && bad.output == guest.bad_output;
-    const double overhead =
-        image.code_size() == 0
-            ? 0.0
-            : 100.0 *
-                  (static_cast<double>(hardened.code_size()) -
-                   static_cast<double>(image.code_size())) /
-                  static_cast<double>(image.code_size());
-    row.cells = {plan.patterns ? "patterns" : "hybrid", std::to_string(image.code_size()),
-                 std::to_string(hardened.code_size()),
-                 support::format_fixed(overhead, 1) + "%"};
-    row.json = "\"harden\": {\"approach\": " +
-               support::json_quote(plan.patterns ? "patterns" : "hybrid") +
-               ", \"original_code_size\": " + std::to_string(image.code_size()) +
-               ", \"hardened_code_size\": " + std::to_string(hardened.code_size()) +
+    // The same harden run as `r2r harden`: a row is ok exactly when it
+    // exits 0.
+    const svc::HardenRun run = svc::run_harden_job(job);
+    const std::string approach = job.patterns ? "patterns" : "hybrid";
+    row.ok = run.intact;
+    row.cells = {approach, std::to_string(run.original_code_size),
+                 std::to_string(run.hardened.code_size()),
+                 support::format_fixed(run.overhead_percent(), 1) + "%"};
+    row.json = "\"harden\": {\"approach\": " + support::json_quote(approach) +
+               ", \"original_code_size\": " + std::to_string(run.original_code_size) +
+               ", \"hardened_code_size\": " + std::to_string(run.hardened.code_size()) +
                ", \"behaviour_intact\": " + (row.ok ? "true" : "false") + "}";
   } else {  // lift
+    const elf::Image image = guests::build_image(job.guest);
     const bir::Module module = bir::recover(image);
     row.ok = true;
     row.cells = {std::to_string(module.instruction_count()),
@@ -197,9 +174,9 @@ int run_batch(const ArgParser& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const Format format = format_from(args);
-  plan.campaign = campaign_config_from(args);
-  plan.max_iterations = static_cast<unsigned>(args.count_or("--max-iterations", 12));
-  plan.patterns = args.has("--patterns");
+  // lift is no job kind; its rows only read the guest.
+  plan.job = job_spec_from(args, plan.cmd == "lift" ? svc::JobKind::kCampaign
+                                                    : svc::job_kind_from(plan.cmd));
 
   std::vector<std::string> raw_specs = args.positionals();
   if (const auto dir = args.value("--dir")) {
@@ -306,7 +283,7 @@ int run_batch(const ArgParser& args, std::ostream& out, std::ostream& err) {
             ",\n  \"errored\": " + std::to_string(errored) + "\n}\n";
   } else {
     harden::TextTable table;
-    table.add_row(header_for(plan.cmd, plan.campaign.models.order));
+    table.add_row(header_for(plan.cmd, plan.job.campaign.models.order));
     for (const BatchRow& row : rows) {
       std::vector<std::string> cells = {
           row.name, !row.error.empty() ? "ERROR" : row.ok ? "ok" : "FAILED"};

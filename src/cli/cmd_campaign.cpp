@@ -1,10 +1,9 @@
-// r2r campaign — one fault::run_campaign sweep against one guest: order-1
-// single faults or order-k fault tuples (k = 2 is the pair sweep), with
-// text/JSON/markdown reports.
+// r2r campaign — one campaign job against one guest: order-1 single faults
+// or order-k fault tuples (k = 2 is the pair sweep), with text/JSON/markdown
+// reports. svc::execute_job runs it, as it does for r2rd.
 #include <ostream>
 
 #include "cli/cli.h"
-#include "harden/report.h"
 
 namespace r2r::cli {
 
@@ -27,22 +26,10 @@ int run_campaign_cmd(const ArgParser& args, std::ostream& out, std::ostream& err
     err << "r2r campaign: expected exactly one guest spec (try 'r2r campaign --help')\n";
     return 2;
   }
-  const Format format = format_from(args);  // validated before the sweep
-  const guests::Guest guest = load_guest(args.positionals()[0], overrides_from(args));
-  const elf::Image image = guests::build_image(guest);
-  const fault::TupleCampaignResult result = fault::run_campaign(
-      image, guest.good_input, guest.bad_input, campaign_config_from(args));
-
-  std::string text;
-  switch (format) {
-    case Format::kText: text = harden::campaign_section(guest.name, result); break;
-    case Format::kJson: text = result.to_json(); break;
-    case Format::kMarkdown:
-      text = harden::campaign_markdown_section(guest.name, result);
-      break;
-  }
-  emit_output(args, out, text);
-  return 0;
+  const svc::JobSpec spec =
+      job_spec_from(args, svc::JobKind::kCampaign,
+                    load_guest(args.positionals()[0], overrides_from(args)));
+  return print_job(args, svc::execute_job(spec), out, err);
 }
 
 }  // namespace r2r::cli

@@ -1,13 +1,10 @@
 // r2r fixpoint — the full Faulter+Patcher loop (Fig. 2; order 2+ climbs the
 // reinforcement ladder that closes the paper's higher-order gap), with
-// per-iteration reporting and the Table-V overhead split.
+// per-iteration reporting and the Table-V overhead split. svc::execute_job
+// runs it, as it does for r2rd.
 #include <ostream>
 
 #include "cli/cli.h"
-#include "elf/image.h"
-#include "harden/report.h"
-#include "patch/pipeline.h"
-#include "support/strings.h"
 
 namespace r2r::cli {
 
@@ -33,34 +30,10 @@ int run_fixpoint(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "r2r fixpoint: expected exactly one guest spec (try 'r2r fixpoint --help')\n";
     return 2;
   }
-  const Format format = format_from(args);
-  const guests::Guest guest = load_guest(args.positionals()[0], overrides_from(args));
-  const elf::Image image = guests::build_image(guest);
-
-  patch::PipelineConfig config;
-  config.campaign = campaign_config_from(args);
-  config.max_iterations = static_cast<unsigned>(args.count_or("--max-iterations", 12));
-  const patch::PipelineResult result =
-      patch::faulter_patcher(image, guest.good_input, guest.bad_input, config);
-
-  std::string text;
-  switch (format) {
-    case Format::kText: text = harden::fixpoint_section(guest.name, result); break;
-    case Format::kJson: text = result.to_json(); break;
-    case Format::kMarkdown:
-      text = harden::fixpoint_markdown_section(guest.name, result);
-      break;
-  }
-  emit_output(args, out, text);
-
-  if (const auto elf_path = args.value("--elf")) {
-    const std::vector<std::uint8_t> bytes = elf::write_elf(result.hardened);
-    write_file(*elf_path,
-               std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-    out << "hardened ELF written to " << *elf_path << " (" << bytes.size() << " bytes)\n";
-  }
-
-  return result.verdict() ? 0 : 1;
+  const svc::JobSpec spec =
+      job_spec_from(args, svc::JobKind::kFixpoint,
+                    load_guest(args.positionals()[0], overrides_from(args)));
+  return print_job(args, svc::execute_job(spec), out, err);
 }
 
 }  // namespace r2r::cli

@@ -2,16 +2,13 @@
 // two approaches: the Faulter+Patcher patterns (--patterns, Fig. 2) or the
 // Hybrid lift -> countermeasure pass -> lower chain (--hybrid, Fig. 3).
 // Behaviour is re-verified in the emulator before the ELF is written.
+// svc::execute_job runs it, as it does for r2rd; --countermeasure and
+// --no-cleanup reach it as a harden::HybridConfig.
 #include <ostream>
 
 #include "cli/cli.h"
-#include "elf/image.h"
-#include "emu/machine.h"
 #include "harden/hybrid.h"
-#include "harden/report.h"
-#include "patch/pipeline.h"
 #include "support/error.h"
-#include "support/strings.h"
 
 namespace r2r::cli {
 
@@ -51,80 +48,28 @@ int run_harden(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "r2r harden: --hybrid and --patterns are mutually exclusive\n";
     return 2;
   }
-  const guests::Guest guest = load_guest(args.positionals()[0], overrides_from(args));
-  const elf::Image input = guests::build_image(guest);
-
-  elf::Image hardened;
-  if (args.has("--patterns")) {
-    patch::PipelineConfig config;
-    config.campaign = campaign_config_from(args);
-    config.max_iterations = static_cast<unsigned>(args.count_or("--max-iterations", 12));
-    const patch::PipelineResult result =
-        patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
-    out << harden::patterns_summary_line(result);
-    hardened = result.hardened;
-  } else {
-    harden::HybridConfig config;
-    const std::string countermeasure = args.value_or("--countermeasure", "branch-hardening");
-    if (countermeasure == "branch-hardening") {
-      config.countermeasure = harden::HybridCountermeasure::kBranchHardening;
-    } else if (countermeasure == "instruction-duplication") {
-      config.countermeasure = harden::HybridCountermeasure::kInstructionDuplication;
-    } else if (countermeasure == "none") {
-      config.countermeasure = harden::HybridCountermeasure::kNone;
-    } else {
-      fail(ErrorKind::kInvalidArgument, "unknown --countermeasure '" + countermeasure +
+  const svc::JobSpec spec =
+      job_spec_from(args, svc::JobKind::kHarden,
+                    load_guest(args.positionals()[0], overrides_from(args)));
+  harden::HybridConfig hybrid;
+  if (!spec.patterns) {
+    const std::string name = args.value_or("--countermeasure", "branch-hardening");
+    const auto countermeasure = harden::countermeasure_from(name);
+    if (!countermeasure.has_value()) {
+      fail(ErrorKind::kInvalidArgument, "unknown --countermeasure '" + name +
                                             "' (expected branch-hardening, "
                                             "instruction-duplication, or none)");
     }
-    config.cleanup = !args.has("--no-cleanup");
-    const harden::HybridResult result = harden::hybrid_harden(input, config);
-    out << "hybrid (" << countermeasure << "): IR " << result.ir_before.total << " -> "
-        << result.ir_after.total << " ops in " << result.ir_after.blocks << " block(s)\n";
-    hardened = result.hardened;
+    hybrid.countermeasure = *countermeasure;
+    hybrid.cleanup = !args.has("--no-cleanup");
   }
-  out << "code size: " << input.code_size() << " -> " << hardened.code_size()
-      << " bytes (overhead "
-      << support::format_fixed(
-             input.code_size() == 0
-                 ? 0.0
-                 : 100.0 *
-                       (static_cast<double>(hardened.code_size()) -
-                        static_cast<double>(input.code_size())) /
-                       static_cast<double>(input.code_size()),
-             1)
-      << "%)\n";
-
-  // Behaviour check: the hardened binary must still accept the authorized
-  // input and refuse the attacker input exactly as the guest's oracle says.
-  // (.s specs without inputs have no oracle to check against.)
-  if (guest.good_input.empty() && guest.bad_input.empty() && guest.good_output.empty() &&
-      guest.bad_output.empty()) {
-    const std::string path = args.value_or("--out", guest.name + "_hardened.elf");
-    const std::vector<std::uint8_t> bytes = elf::write_elf(hardened);
-    write_file(path,
-               std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-    out << "behaviour: unchecked (no inputs for this guest)\n";
-    out << "hardened ELF written to " << path << " (" << bytes.size() << " bytes)\n";
-    return 0;
-  }
-  const emu::RunResult good = emu::run_image(hardened, guest.good_input);
-  const emu::RunResult bad = emu::run_image(hardened, guest.bad_input);
-  const bool intact = good.exit_code == guest.good_exit && good.output == guest.good_output &&
-                      bad.exit_code == guest.bad_exit && bad.output == guest.bad_output;
-  out << "behaviour: good exit=" << good.exit_code << ", bad exit=" << bad.exit_code
-      << " (expected " << guest.good_exit << "/" << guest.bad_exit << ") — "
-      << (intact ? "intact" : "CHANGED") << "\n";
-  if (!intact) {
+  const svc::JobResult job = svc::execute_job(spec, hybrid);
+  out << job.report;
+  if (job.exit_code != 0) {
     err << "r2r harden: hardened binary no longer matches the guest oracle; not writing\n";
-    return 1;
+    return job.exit_code;
   }
-
-  const std::string path = args.value_or("--out", guest.name + "_hardened.elf");
-  const std::vector<std::uint8_t> bytes = elf::write_elf(hardened);
-  write_file(path,
-             std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-  out << "hardened ELF written to " << path << " (" << bytes.size() << " bytes)\n";
+  write_elf_file(args.value_or("--out", spec.guest.name + "_hardened.elf"), job.elf, out);
   return 0;
 }
 

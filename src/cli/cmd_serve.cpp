@@ -1,8 +1,9 @@
 // r2r serve / submit / status / shutdown — the CLI face of the r2rd
 // campaign service (src/svc/). `serve` runs the daemon in the foreground;
-// the other three are one-exchange clients. A submitted job's report is
-// rendered by the same harden:: section code the one-shot subcommands use,
-// so `r2r submit --cmd campaign` prints byte-for-byte what `r2r campaign`
+// the other three are one-exchange clients. A daemon worker runs a job
+// through svc::execute_job, the runner the one-shot subcommands call
+// in-process, and `r2r submit` prints it through their print step, so
+// `r2r submit --cmd campaign` prints byte-for-byte what `r2r campaign`
 // prints — cached or fresh (docs/r2rd.md pins that contract).
 #include <iterator>
 #include <ostream>
@@ -116,22 +117,16 @@ int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "r2r submit: expected exactly one guest spec (try 'r2r submit --help')\n";
     return 2;
   }
-  const Format format = format_from(args);
-  (void)format;  // validated; the daemon renders from the format name
+  (void)format_from(args);  // validated before the guest is resolved
   const std::string cmd = args.value_or("--cmd", "campaign");
   if (cmd != "campaign" && cmd != "fixpoint" && cmd != "harden") {
     err << "r2r submit: unknown --cmd '" << cmd
         << "' (expected campaign, fixpoint, or harden)\n";
     return 2;
   }
-
-  svc::JobSpec spec;
-  spec.kind = svc::job_kind_from(cmd);
-  spec.guest = load_guest(args.positionals()[0], overrides_from(args));
-  spec.campaign = campaign_config_from(args);
-  spec.max_iterations = static_cast<unsigned>(args.count_or("--max-iterations", 12));
-  spec.patterns = args.has("--patterns");
-  spec.format = args.value_or("--format", "text");
+  const svc::JobSpec spec =
+      job_spec_from(args, svc::job_kind_from(cmd),
+                    load_guest(args.positionals()[0], overrides_from(args)));
 
   try {
     svc::Client client = connect_from(args);
@@ -149,17 +144,7 @@ int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err) {
       err << "r2r submit: " << result.error << "\n";
       return svc::kInfraExitCode;
     }
-    emit_output(args, out, result.report);
-    if (const auto elf_path = args.value("--elf")) {
-      if (result.elf.empty()) {
-        err << "r2r submit: this job kind returns no ELF; --elf ignored\n";
-      } else {
-        write_file(*elf_path, result.elf);
-        out << "hardened ELF written to " << *elf_path << " (" << result.elf.size()
-            << " bytes)\n";
-      }
-    }
-    return result.exit_code;
+    return print_job(args, result, out, err);
   } catch (const support::Error& error) {
     err << "r2r submit: " << error.what() << "\n";
     return svc::kInfraExitCode;

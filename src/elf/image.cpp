@@ -30,13 +30,6 @@ const Symbol* Image::find_symbol(std::string_view name) const noexcept {
   return nullptr;
 }
 
-const Symbol* Image::symbol_at(std::uint64_t address) const noexcept {
-  for (const auto& symbol : symbols) {
-    if (symbol.is_code && symbol.value == address) return &symbol;
-  }
-  return nullptr;
-}
-
 std::uint64_t Image::code_size() const noexcept {
   std::uint64_t total = 0;
   for (const auto& segment : segments) {

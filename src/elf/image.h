@@ -58,8 +58,6 @@ struct Image {
   [[nodiscard]] Segment* find_segment(std::string_view name) noexcept;
   [[nodiscard]] const Segment* segment_containing(std::uint64_t address) const noexcept;
   [[nodiscard]] const Symbol* find_symbol(std::string_view name) const noexcept;
-  /// Name of the code symbol at exactly `address`, if any.
-  [[nodiscard]] const Symbol* symbol_at(std::uint64_t address) const noexcept;
   /// Total bytes of executable segments — the paper's "code size" metric.
   [[nodiscard]] std::uint64_t code_size() const noexcept;
 };
@@ -70,5 +68,14 @@ std::vector<std::uint8_t> write_elf(const Image& image);
 /// Parses an ELF produced by write_elf (or any static ELF64 using the same
 /// subset of features). Throws Error{kElf} on malformed input.
 Image read_elf(std::span<const std::uint8_t> bytes);
+
+/// Code-size overhead of `hardened` over `original` bytes in percent (the
+/// paper's Table V metric); 0 when `original` is 0.
+[[nodiscard]] inline double overhead_percent(std::uint64_t original,
+                                             std::uint64_t hardened) noexcept {
+  if (original == 0) return 0.0;
+  return 100.0 * (static_cast<double>(hardened) - static_cast<double>(original)) /
+         static_cast<double>(original);
+}
 
 }  // namespace r2r::elf

@@ -89,10 +89,6 @@ void Memory::map_image(const elf::Image& image) {
   }
 }
 
-bool Memory::is_mapped(std::uint64_t address, std::uint64_t size) const noexcept {
-  return region_for(address, size) != nullptr;
-}
-
 Memory::Region* Memory::region_for(std::uint64_t address, std::uint64_t size) noexcept {
   for (Region& region : regions_) {
     if (region.contains(address, size)) return &region;

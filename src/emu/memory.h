@@ -97,8 +97,6 @@ class Memory {
   /// Maps every segment of an ELF image.
   void map_image(const elf::Image& image);
 
-  [[nodiscard]] bool is_mapped(std::uint64_t address, std::uint64_t size) const noexcept;
-
   // --- guest accesses ---------------------------------------------------------
   // The try_ cores return kNone on success. On failure they change no
   // memory and leave `value`/`out` unwritten.
@@ -153,7 +151,6 @@ class Memory {
   // executable page it actually rewrites.
 
   void set_code_write_tracking(bool enabled) noexcept;
-  [[nodiscard]] bool code_write_tracking() const noexcept { return track_code_writes_; }
 
   /// Monotonic counter, bumped once per tracked write batch. Never resets.
   [[nodiscard]] std::uint64_t code_write_epoch() const noexcept { return code_write_epoch_; }

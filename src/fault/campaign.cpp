@@ -13,9 +13,6 @@ TupleCampaignResult run_campaign(const elf::Image& image, const std::string& goo
                      std::to_string(kMaxCampaignOrder) + " (fault k-tuples)");
   sim::EngineConfig engine_config;
   engine_config.threads = config.threads;
-  engine_config.detected_exit_code = config.detected_exit_code;
-  engine_config.fuel_multiplier = config.fuel_multiplier;
-  engine_config.fuel_slack = config.fuel_slack;
   engine_config.pair_outcome_reuse = config.pair_outcome_reuse;
   const sim::Engine engine(image, good_input, bad_input, engine_config);
 

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "elf/image.h"
-#include "patch/detected_exit.h"
 #include "sim/engine.h"
 
 namespace r2r::fault {
@@ -45,13 +44,6 @@ struct CampaignConfig {
   /// Covers the paper's models (skip, bit_flip), the r2r extension models,
   /// and the campaign order / pair_window / max_tuples of order-k sweeps.
   sim::FaultModels models;
-  /// Exit code the injected fault handler uses; defaults to the one
-  /// patch-layer constant so the faulter and the patcher cannot drift.
-  int detected_exit_code = patch::kDetectedExit;
-  /// Extra fuel multiplier over the golden bad-input run (faulted runs that
-  /// exceed golden_steps * multiplier + slack are classified kHang).
-  std::uint64_t fuel_multiplier = 8;
-  std::uint64_t fuel_slack = 4096;
   /// Worker threads for the sweep (0 = hardware concurrency). Results are
   /// bit-identical for every thread count.
   unsigned threads = 1;

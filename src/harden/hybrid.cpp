@@ -1,5 +1,7 @@
 #include "harden/hybrid.h"
 
+#include <utility>
+
 #include "ir/verifier.h"
 #include "isa/target.h"
 #include "obs/obs.h"
@@ -7,6 +9,30 @@
 #include "support/error.h"
 
 namespace r2r::harden {
+
+namespace {
+
+constexpr std::pair<HybridCountermeasure, std::string_view> kCountermeasureNames[] = {
+    {HybridCountermeasure::kNone, "none"},
+    {HybridCountermeasure::kBranchHardening, "branch-hardening"},
+    {HybridCountermeasure::kInstructionDuplication, "instruction-duplication"},
+};
+
+}  // namespace
+
+std::string_view to_string(HybridCountermeasure countermeasure) noexcept {
+  for (const auto& [value, name] : kCountermeasureNames) {
+    if (value == countermeasure) return name;
+  }
+  return "?";
+}
+
+std::optional<HybridCountermeasure> countermeasure_from(std::string_view name) noexcept {
+  for (const auto& [value, known] : kCountermeasureNames) {
+    if (known == name) return value;
+  }
+  return std::nullopt;
+}
 
 HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) {
   obs::Span run_span("harden.hybrid");
@@ -17,12 +43,12 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
 
   // The round trip stays on the input's ISA: lift derives it from e_machine,
   // so lowering must emit for the same target.
-  HybridConfig effective = config;
+  lower::LowerOptions lower_options;
   {
     const auto arch = isa::arch_from_elf_machine(input.machine);
     support::check(arch.has_value(), support::ErrorKind::kElf,
                    "input image has an e_machine no registered target handles");
-    effective.lower_options.arch = *arch;
+    lower_options.arch = *arch;
   }
 
   lift::LiftResult lifted = [&] {
@@ -31,7 +57,7 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
   }();
   ir::verify(lifted.module);
 
-  if (effective.cleanup) {
+  if (config.cleanup) {
     obs::Span span("harden.cleanup");
     passes::PassManager cleanup;
     cleanup.add(passes::make_state_promotion());
@@ -46,7 +72,7 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
 
   {
     obs::Span span("harden.countermeasure");
-    switch (effective.countermeasure) {
+    switch (config.countermeasure) {
       case HybridCountermeasure::kNone:
         break;
       case HybridCountermeasure::kBranchHardening: {
@@ -70,7 +96,7 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
   {
     obs::Span span("harden.lower");
     result.hardened =
-        lower::lower_to_image(lifted.module, lifted.guest_data, effective.lower_options);
+        lower::lower_to_image(lifted.module, lifted.guest_data, lower_options);
   }
   result.hardened_code_size = result.hardened.code_size();
   result.module = std::move(lifted.module);

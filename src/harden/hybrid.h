@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "elf/image.h"
 #include "ir/ir.h"
@@ -29,10 +31,17 @@ enum class HybridCountermeasure : std::uint8_t {
   kInstructionDuplication,  ///< the >=300% baseline of Section V-C
 };
 
+/// The countermeasure's `--countermeasure` name. One table both parses the
+/// flag (countermeasure_from) and names the pass on the report's
+/// `hybrid (NAME)` line.
+[[nodiscard]] std::string_view to_string(HybridCountermeasure countermeasure) noexcept;
+/// Inverse of to_string; nullopt for a name no countermeasure has.
+[[nodiscard]] std::optional<HybridCountermeasure> countermeasure_from(
+    std::string_view name) noexcept;
+
 struct HybridConfig {
   HybridCountermeasure countermeasure = HybridCountermeasure::kBranchHardening;
   bool cleanup = true;  ///< promotion, store elimination, folding, DCE before hardening
-  lower::LowerOptions lower_options;
 };
 
 struct HybridResult {
@@ -44,11 +53,7 @@ struct HybridResult {
   passes::OpcodeCounts ir_after;   ///< op counts after the countermeasure
 
   [[nodiscard]] double overhead_percent() const noexcept {
-    if (original_code_size == 0) return 0.0;
-    return 100.0 *
-           (static_cast<double>(hardened_code_size) -
-            static_cast<double>(original_code_size)) /
-           static_cast<double>(original_code_size);
+    return elf::overhead_percent(original_code_size, hardened_code_size);
   }
 };
 

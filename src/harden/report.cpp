@@ -130,12 +130,7 @@ std::string milestone_line(const patch::PipelineResult& result) {
   for (const patch::OrderMilestone& milestone : result.order_milestones) {
     if (!out.empty()) out += " -> ";
     const double overhead =
-        result.original_code_size == 0
-            ? 0.0
-            : 100.0 *
-                  (static_cast<double>(milestone.code_size) -
-                   static_cast<double>(result.original_code_size)) /
-                  static_cast<double>(result.original_code_size);
+        elf::overhead_percent(result.original_code_size, milestone.code_size);
     out += "order " + std::to_string(milestone.order) + " " +
            std::to_string(milestone.code_size) + " B (" +
            support::format_fixed(overhead, 1) + "%)";

@@ -158,7 +158,6 @@ class BasicBlock {
   explicit BasicBlock(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   std::vector<std::unique_ptr<Instr>> instrs;
 

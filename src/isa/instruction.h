@@ -115,15 +115,11 @@ struct Instruction {
 // These keep protection patterns and tests close to the paper's assembly.
 
 inline Operand imm(std::int64_t value) { return ImmOperand{value, {}}; }
-inline Operand imm_label(std::string label) { return ImmOperand{0, std::move(label)}; }
 inline Operand mem(Reg base, std::int64_t disp = 0) {
   return MemOperand{base, std::nullopt, 1, disp, false, {}};
 }
 inline Operand mem_index(Reg base, Reg index, std::uint8_t scale, std::int64_t disp = 0) {
   return MemOperand{base, index, scale, disp, false, {}};
-}
-inline Operand mem_rip(std::string label) {
-  return MemOperand{std::nullopt, std::nullopt, 1, 0, true, std::move(label)};
 }
 inline Operand mem_abs(std::int64_t address) {
   return MemOperand{std::nullopt, std::nullopt, 1, address, false, {}};

@@ -99,12 +99,6 @@ std::string print_operand_for(const Target& target, const Operand& op, Width wid
 
 }  // namespace
 
-std::string print_operand(const Operand& op, Width width, bool with_size_prefix,
-                          bool byte_memory) {
-  return print_operand_for(detail::x64_target(), op, width, with_size_prefix,
-                           byte_memory);
-}
-
 std::string Target::print(const Instruction& instr) const {
   std::string out{mnemonic_name(instr.mnemonic)};
   if (instr.cond != Cond::none) out += cond_suffix(instr.cond);

@@ -14,8 +14,4 @@ namespace r2r::isa {
 /// "mov rax, qword ptr [rbx+4]", "jne 0x401020", "setg cl".
 std::string print(const Instruction& instr);
 
-/// Renders one operand (used by diagnostics and DOT dumps).
-std::string print_operand(const Operand& op, Width width, bool with_size_prefix,
-                          bool byte_memory);
-
 }  // namespace r2r::isa

@@ -34,14 +34,6 @@ bool is_cond_branch(const Instruction& instr) noexcept {
   return instr.mnemonic == Mnemonic::kJcc;
 }
 
-bool is_call(const Instruction& instr) noexcept {
-  return instr.mnemonic == Mnemonic::kCall || instr.mnemonic == Mnemonic::kCallReg;
-}
-
-bool may_fallthrough(const Instruction& instr) noexcept {
-  return !is_terminator(instr);
-}
-
 bool writes_flags(const Instruction& instr) noexcept {
   switch (instr.mnemonic) {
     case Mnemonic::kAdd:
@@ -73,17 +65,6 @@ bool reads_flags(const Instruction& instr) noexcept {
     case Mnemonic::kCmovcc:
     case Mnemonic::kPushfq:
     case Mnemonic::kReadFlags:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_locally_protectable(const Instruction& instr) noexcept {
-  switch (instr.mnemonic) {
-    case Mnemonic::kMov:
-    case Mnemonic::kCmp:
-    case Mnemonic::kJcc:
       return true;
     default:
       return false;

@@ -18,20 +18,10 @@ bool is_control_flow(const Instruction& instr) noexcept;
 /// Conditional branch (kJcc).
 bool is_cond_branch(const Instruction& instr) noexcept;
 
-/// Direct call (kCall).
-bool is_call(const Instruction& instr) noexcept;
-
-/// True if execution can continue at the next sequential instruction.
-bool may_fallthrough(const Instruction& instr) noexcept;
-
 /// Instruction writes (some) arithmetic flags.
 bool writes_flags(const Instruction& instr) noexcept;
 
 /// Instruction observes arithmetic flags (jcc/setcc/cmovcc/pushfq).
 bool reads_flags(const Instruction& instr) noexcept;
-
-/// Can the paper's local redundancy patterns (Tables I-III) protect this
-/// instruction? (mov-family, cmp, conditional jumps)
-bool is_locally_protectable(const Instruction& instr) noexcept;
 
 }  // namespace r2r::isa

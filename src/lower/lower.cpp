@@ -6,6 +6,7 @@
 #include "bir/assemble.h"
 #include "isa/target.h"
 #include "obs/trace.h"
+#include "patch/detected_exit.h"
 #include "support/bits.h"
 #include "support/error.h"
 
@@ -63,6 +64,9 @@ constexpr Reg kPool[] = {Reg::rax, Reg::rcx, Reg::rdx, Reg::rsi,
                          Reg::rdi, Reg::r8,  Reg::r9,  Reg::r10};
 constexpr Reg kScratch = Reg::r11;
 
+/// Base of the ".r2rstate" section that holds the module globals.
+constexpr std::uint64_t kStateBase = 0x90'0000;
+
 /// Code generator for one IR function.
 ///
 /// Register model: block-local register cache over an on-demand spill
@@ -72,9 +76,8 @@ constexpr Reg kScratch = Reg::r11;
 /// traffic down to what is actually needed.
 class FunctionLowerer {
  public:
-  FunctionLowerer(const ir::Function& fn, bir::Module& out, const LowerOptions& options)
-      : fn_(fn), out_(out), options_(options),
-        caps_(isa::target(options.arch).lower_caps()) {}
+  FunctionLowerer(const ir::Function& fn, bir::Module& out, isa::Arch arch)
+      : fn_(fn), out_(out), caps_(isa::target(arch).lower_caps()) {}
 
   void lower() {
     analyze_uses();
@@ -765,7 +768,7 @@ class FunctionLowerer {
     const ir::Function& callee = *instr.callee;
     if (callee.is_intrinsic() && callee.name() == ir::kTrapIntrinsic) {
       code_.push_back(isa::mov(Reg::rax, isa::imm(60), natural()));
-      code_.push_back(isa::mov(Reg::rdi, isa::imm(options_.trap_exit_code), natural()));
+      code_.push_back(isa::mov(Reg::rdi, isa::imm(patch::kDetectedExit), natural()));
       code_.push_back(isa::syscall_());
       cache_reset();  // never returns; nothing to preserve
       return;
@@ -815,7 +818,6 @@ class FunctionLowerer {
 
   const ir::Function& fn_;
   bir::Module& out_;
-  const LowerOptions& options_;
   const isa::LowerCaps& caps_;
 
   std::map<const Value*, std::int64_t> slots_;
@@ -833,8 +835,7 @@ class FunctionLowerer {
 bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>& guest_data,
                   const LowerOptions& options) {
   bir::Module out;
-  out.arch = options.arch;
-  out.text_base = options.text_base;
+  out.arch = options.arch;  // .text at bir::Module's default base
   out.entry_symbol = module.entry_function;
   out.globals.push_back(module.entry_function);
 
@@ -842,7 +843,7 @@ bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>&
   bir::DataSection state;
   state.name = ".r2rstate";
   state.flags = elf::kRead | elf::kWrite;
-  state.base = options.state_base;
+  state.base = kStateBase;
   for (const auto& global : module.globals) {
     bir::DataBlock block;
     block.labels.push_back(global->name());
@@ -866,7 +867,7 @@ bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>&
   // --- functions -----------------------------------------------------------------
   for (const auto& fn : module.functions) {
     if (fn->is_intrinsic()) continue;
-    FunctionLowerer lowerer(*fn, out, options);
+    FunctionLowerer lowerer(*fn, out, options.arch);
     lowerer.lower();
   }
   return out;

@@ -27,15 +27,11 @@
 #include "bir/module.h"
 #include "elf/image.h"
 #include "ir/ir.h"
-#include "patch/detected_exit.h"
 
 namespace r2r::lower {
 
 struct LowerOptions {
   isa::Arch arch = isa::Arch::kX64;  ///< code-generation target
-  std::uint64_t text_base = 0x400000;
-  std::uint64_t state_base = 0x90'0000;  ///< ".r2rstate" section base
-  int trap_exit_code = patch::kDetectedExit;
 };
 
 /// Lowers `module` into a relocatable binary module; `guest_data` sections

@@ -90,13 +90,17 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
   // that order's milestone (the overhead-vs-k trajectory).
   unsigned rung = 1;
   fault::CampaignConfig campaign_config = config.campaign;
+  // The last iteration's image and sweep; when the loop stops (sets
+  // result.fixpoint) they describe the final module.
+  elf::Image image;
+  fault::TupleCampaignResult campaign;
   for (unsigned iteration = 0; iteration < config.max_iterations; ++iteration) {
     campaign_config.models.order = rung;
     obs::Span iter_span("fixpoint.iteration",
                         obs::args_u64({{"iteration", iteration}, {"order", rung}}));
     iterations_total.add(1);
-    elf::Image image = bir::assemble(result.module);
-    fault::TupleCampaignResult campaign = [&] {
+    image = bir::assemble(result.module);
+    campaign = [&] {
       obs::Span span("fixpoint.campaign");
       return fault::run_campaign(image, good_input, bad_input, campaign_config);
     }();
@@ -168,8 +172,6 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
         // residual risk (e.g. an unpatchable order-1 bit-flip residue,
         // whose republished sets are filtered above, so the loop does not
         // burn the cap re-sweeping a binary it cannot improve).
-        result.hardened = std::move(image);
-        result.final_campaign = std::move(campaign);
         result.fixpoint = true;
         break;
       }
@@ -185,8 +187,6 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
       record_milestone(result.order_milestones, rung, image.code_size());
     }
     if (rung >= requested_order) {
-      result.hardened = std::move(image);
-      result.final_campaign = std::move(campaign);
       result.fixpoint = true;
       result.orderk_fixpoint = requested_order >= 2;
       break;
@@ -194,14 +194,21 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     ++rung;  // rung done — climb (re-sweeping the same image)
   }
 
-  if (result.hardened.segments.empty()) {
-    // Iteration cap hit: report the state of the last patched module
-    // against the *requested* order, so an order-k caller always gets
-    // order-k data. A clean final campaign is a genuine fix-point even at
-    // the cap.
-    result.hardened = bir::assemble(result.module);
+  // One tail for every exit: the final campaign is a sweep of the final
+  // module at the *requested* order, so an order-k caller always gets
+  // order-k data. A stopped loop's last sweep already is one unless it
+  // stopped on a lower rung (nothing left to patch); a run that hit the
+  // cap re-sweeps its last patched module.
+  const bool stopped = result.fixpoint;
+  result.hardened = stopped ? std::move(image) : bir::assemble(result.module);
+  if (stopped && campaign.order == requested_order) {
+    result.final_campaign = std::move(campaign);
+  } else {
     result.final_campaign =
         fault::run_campaign(result.hardened, good_input, bad_input, config.campaign);
+  }
+  if (!stopped) {
+    // A clean final campaign is a genuine fix-point even at the cap.
     const bool clean = lowest_dirty_order(result.final_campaign) == 0;
     result.fixpoint = clean;
     result.orderk_fixpoint = clean && requested_order >= 2;
@@ -231,13 +238,7 @@ std::string PipelineResult::to_json() const {
   json += "  \"order_milestones\": [";
   for (std::size_t i = 0; i < order_milestones.size(); ++i) {
     const OrderMilestone& milestone = order_milestones[i];
-    const double overhead =
-        original_code_size == 0
-            ? 0.0
-            : 100.0 *
-                  (static_cast<double>(milestone.code_size) -
-                   static_cast<double>(original_code_size)) /
-                  static_cast<double>(original_code_size);
+    const double overhead = elf::overhead_percent(original_code_size, milestone.code_size);
     if (i != 0) json += ", ";
     json += "{\"order\": " + std::to_string(milestone.order) +
             ", \"code_size\": " + std::to_string(milestone.code_size) +

@@ -67,8 +67,8 @@ struct PipelineResult {
   bir::Module module;            ///< final (hardened) module
   elf::Image hardened;           ///< final image
   std::vector<IterationReport> iterations;
-  /// Campaign against the final image; order >= 2 exactly when order >= 2
-  /// was requested.
+  /// Campaign against the final image at the requested order, on every
+  /// exit (a ladder that stops on a lower rung re-sweeps at that order).
   fault::TupleCampaignResult final_campaign;
   /// No patchable vulnerability remains (when the iteration cap hit: the
   /// final sweep at the requested order is clean).
@@ -100,20 +100,13 @@ struct PipelineResult {
 
   /// Code-size overhead percentage — the paper's Table V metric.
   [[nodiscard]] double overhead_percent() const noexcept {
-    if (original_code_size == 0) return 0.0;
-    return 100.0 *
-           (static_cast<double>(hardened_code_size) -
-            static_cast<double>(original_code_size)) /
-           static_cast<double>(original_code_size);
+    return elf::overhead_percent(original_code_size, hardened_code_size);
   }
 
   /// Table-V-style overhead of rung 1 alone (order-2+ mode only).
   [[nodiscard]] double order1_overhead_percent() const noexcept {
-    if (original_code_size == 0 || order1_code_size == 0) return 0.0;
-    return 100.0 *
-           (static_cast<double>(order1_code_size) -
-            static_cast<double>(original_code_size)) /
-           static_cast<double>(original_code_size);
+    if (order1_code_size == 0) return 0.0;
+    return elf::overhead_percent(original_code_size, order1_code_size);
   }
 
   /// What closing the higher-order gap cost on top of order-1 hardening, in

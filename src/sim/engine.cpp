@@ -497,7 +497,7 @@ Engine::Engine(elf::Image image, std::string good_input, std::string bad_input,
   interval_ = config_.policy.interval_for(refs_.bad_trace.size());
   fuel_ = refs_.bad_reference.steps * config_.fuel_multiplier + config_.fuel_slack;
   bad_reference_outcome_ =
-      classify(refs_, refs_.bad_reference, config_.detected_exit_code);
+      classify(refs_, refs_.bad_reference, patch::kDetectedExit);
 
   // Record the checkpoint chain: the golden bad-input machine frozen at
   // every multiple of the interval. Pages are shared between neighbouring

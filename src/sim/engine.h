@@ -183,7 +183,6 @@ struct EngineConfig {
   /// are bit-identical for every value.
   unsigned threads = 1;
   SnapshotPolicy policy;
-  int detected_exit_code = patch::kDetectedExit;
   /// Faulted runs get fuel = golden_bad_steps * multiplier + slack; runs
   /// that exceed it classify as kHang.
   std::uint64_t fuel_multiplier = 8;
@@ -391,7 +390,7 @@ class Engine {
   [[nodiscard]] Outcome classify_stopped(const emu::Machine& machine,
                                          emu::StopReason reason) const noexcept {
     return sim::classify(refs_.good_reference, refs_.bad_reference, reason,
-                         machine.exit_code(), machine.output(), config_.detected_exit_code);
+                         machine.exit_code(), machine.output(), patch::kDetectedExit);
   }
 
   /// Simulates one planned fault on a worker-owned machine and records its

@@ -1,20 +1,17 @@
 // r2r::support — growable little-endian byte buffer plus read helpers.
-// Used by the instruction encoder, the ELF writer/reader, and the
-// reassembler for fix-ups.
+// Used by the ELF writer and reader.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "support/error.h"
 
 namespace r2r::support {
 
-/// Append-oriented byte buffer with little-endian primitives and
-/// random-access patching (used for branch displacement fix-ups).
+/// Append-oriented byte buffer with little-endian primitives.
 class ByteBuffer {
  public:
   ByteBuffer() = default;
@@ -39,31 +36,8 @@ class ByteBuffer {
     append_u32(static_cast<std::uint32_t>(v));
     append_u32(static_cast<std::uint32_t>(v >> 32));
   }
-  void append_i8(std::int8_t v) { append_u8(static_cast<std::uint8_t>(v)); }
-  void append_i32(std::int32_t v) { append_u32(static_cast<std::uint32_t>(v)); }
   void append_bytes(std::span<const std::uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
-  }
-  void append_string(const std::string& s) {
-    for (char c : s) append_u8(static_cast<std::uint8_t>(c));
-  }
-  /// Appends zero bytes until size() is a multiple of `alignment`.
-  void align_to(std::size_t alignment, std::uint8_t filler = 0) {
-    while (bytes_.size() % alignment != 0) append_u8(filler);
-  }
-
-  /// Overwrites 4 bytes at `offset` (little-endian); used for fix-ups.
-  void patch_u32(std::size_t offset, std::uint32_t v) {
-    require(offset + 4 <= bytes_.size(), "patch_u32 out of range");
-    for (int i = 0; i < 4; ++i)
-      bytes_[offset + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-  }
-  void patch_u64(std::size_t offset, std::uint64_t v) {
-    require(offset + 8 <= bytes_.size(), "patch_u64 out of range");
-    for (int i = 0; i < 8; ++i)
-      bytes_[offset + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
   }
 
  private:
@@ -98,20 +72,10 @@ class ByteReader {
     const auto lo = read_u32();
     return lo | (static_cast<std::uint64_t>(read_u32()) << 32);
   }
-  std::vector<std::uint8_t> read_bytes(std::size_t n) {
-    check(remaining() >= n, ErrorKind::kDecode, "byte reader underrun");
-    std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                                  data_.begin() + static_cast<std::ptrdiff_t>(offset_ + n));
-    offset_ += n;
-    return out;
-  }
 
  private:
   std::span<const std::uint8_t> data_;
   std::size_t offset_ = 0;
 };
-
-/// Renders bytes as a classic offset/hex/ASCII dump (16 bytes per row).
-std::string hexdump(std::span<const std::uint8_t> data, std::uint64_t base_address = 0);
 
 }  // namespace r2r::support

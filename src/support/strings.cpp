@@ -34,18 +34,6 @@ std::vector<std::string_view> split(std::string_view text, char separator) {
   return parts;
 }
 
-std::vector<std::string_view> split_whitespace(std::string_view text) {
-  std::vector<std::string_view> parts;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && is_space(text[i])) ++i;
-    const std::size_t start = i;
-    while (i < text.size() && !is_space(text[i])) ++i;
-    if (i > start) parts.push_back(text.substr(start, i - start));
-  }
-  return parts;
-}
-
 std::string to_lower(std::string_view text) {
   std::string out(text);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

@@ -16,9 +16,6 @@ std::string_view trim(std::string_view text) noexcept;
 /// Splits on `separator`, trimming each piece; empty pieces are kept.
 std::vector<std::string_view> split(std::string_view text, char separator);
 
-/// Splits into non-empty whitespace-separated tokens.
-std::vector<std::string_view> split_whitespace(std::string_view text);
-
 /// Lower-cases ASCII.
 std::string to_lower(std::string_view text);
 

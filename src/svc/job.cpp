@@ -102,9 +102,6 @@ void append_identity_fields(const JobSpec& spec, Message& message) {
   message.set_u64("pair_window", models.pair_window);
   message.set_u64("model_max_tuples", models.max_tuples);
   message.set_u64("model_sample_seed", models.sample_seed);
-  message.set("detected_exit", std::to_string(spec.campaign.detected_exit_code));
-  message.set_u64("fuel_multiplier", spec.campaign.fuel_multiplier);
-  message.set_u64("fuel_slack", spec.campaign.fuel_slack);
   message.set("pair_outcome_reuse", spec.campaign.pair_outcome_reuse ? "1" : "0");
   message.set_u64("max_iterations", spec.max_iterations);
   message.set("patterns", spec.patterns ? "1" : "0");
@@ -121,8 +118,12 @@ std::string JobSpec::cache_key() const {
   // order 2 runs through the order-k sweep, so order-2 report bytes (and
   // the campaign JSON at every order) changed shape. Schema 4: campaign
   // reports no longer carry a thread count, and a fix-point that hits the
-  // iteration cap on rung 1 answers at the requested order.
-  canonical.set("r2rd_cache_key_schema", "4");
+  // iteration cap on rung 1 answers at the requested order. Schema 5: the
+  // engine knobs no client could set (detected_exit, fuel_multiplier,
+  // fuel_slack) left the identity, a fix-point whose ladder stops below the
+  // requested order re-sweeps at that order, and a harden job whose
+  // behaviour check fails returns no ELF.
+  canonical.set("r2rd_cache_key_schema", "5");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }
@@ -165,11 +166,6 @@ JobSpec JobSpec::from_message(const Message& message) {
   models.pair_window = message.get_u64_or("pair_window", models.pair_window);
   models.max_tuples = message.get_u64_or("model_max_tuples", models.max_tuples);
   models.sample_seed = message.get_u64_or("model_sample_seed", models.sample_seed);
-  spec.campaign.detected_exit_code = static_cast<int>(
-      get_i64_or(message, "detected_exit", spec.campaign.detected_exit_code));
-  spec.campaign.fuel_multiplier =
-      message.get_u64_or("fuel_multiplier", spec.campaign.fuel_multiplier);
-  spec.campaign.fuel_slack = message.get_u64_or("fuel_slack", spec.campaign.fuel_slack);
   spec.campaign.pair_outcome_reuse = message.get_u64_or("pair_outcome_reuse", 1) != 0;
   spec.campaign.threads = static_cast<unsigned>(message.get_u64_or("threads", 1));
   spec.max_iterations = static_cast<unsigned>(message.get_u64_or("max_iterations", 12));
@@ -206,124 +202,114 @@ std::string elf_bytes(const elf::Image& image) {
   return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size());
 }
 
-JobResult run_campaign_job(const JobSpec& spec) {
-  const elf::Image image = guests::build_image(spec.guest);
-  // The same campaign call and renderers as `r2r campaign`, so a daemon
-  // report is byte-identical to the one-shot subcommand's.
-  const fault::TupleCampaignResult campaign = fault::run_campaign(
-      image, spec.guest.good_input, spec.guest.bad_input, spec.campaign);
-  JobResult result;
-  if (spec.format == "json") {
-    result.report = campaign.to_json();
-  } else if (spec.format == "markdown") {
-    result.report = harden::campaign_markdown_section(spec.guest.name, campaign);
-  } else {
-    result.report = harden::campaign_section(spec.guest.name, campaign);
-  }
-  return result;
-}
-
-JobResult run_fixpoint_job(const JobSpec& spec) {
-  const elf::Image image = guests::build_image(spec.guest);
+patch::PipelineResult run_pipeline(const JobSpec& spec, const elf::Image& image) {
   patch::PipelineConfig config;
   config.campaign = spec.campaign;
   config.max_iterations = spec.max_iterations;
-  const patch::PipelineResult result =
-      patch::faulter_patcher(image, spec.guest.good_input, spec.guest.bad_input, config);
-
-  JobResult job;
-  if (spec.format == "json") {
-    job.report = result.to_json();
-  } else if (spec.format == "markdown") {
-    job.report = harden::fixpoint_markdown_section(spec.guest.name, result);
-  } else {
-    job.report = harden::fixpoint_section(spec.guest.name, result);
-  }
-  job.elf = elf_bytes(result.hardened);
-  job.exit_code = result.verdict() ? 0 : 1;
-  return job;
+  return patch::faulter_patcher(image, spec.guest.good_input, spec.guest.bad_input, config);
 }
 
-JobResult run_harden_job(const JobSpec& spec) {
-  const elf::Image input = guests::build_image(spec.guest);
-  JobResult job;
-  elf::Image hardened;
-  std::string text;
-  if (spec.patterns) {
-    patch::PipelineConfig config;
-    config.campaign = spec.campaign;
-    config.max_iterations = spec.max_iterations;
-    const patch::PipelineResult result = patch::faulter_patcher(
-        input, spec.guest.good_input, spec.guest.bad_input, config);
-    text += harden::patterns_summary_line(result);
-    hardened = result.hardened;
-  } else {
-    // Daemon harden jobs run the default Hybrid configuration
-    // (branch-hardening with cleanup); the other countermeasures stay
-    // CLI-only until a job field needs them, and the cache key would have
-    // to grow with any such field.
-    const harden::HybridConfig config;
-    const harden::HybridResult result = harden::hybrid_harden(input, config);
-    text += "hybrid (branch-hardening): IR " + std::to_string(result.ir_before.total) +
-            " -> " + std::to_string(result.ir_after.total) + " ops in " +
-            std::to_string(result.ir_after.blocks) + " block(s)\n";
-    hardened = result.hardened;
-  }
-  const double overhead =
-      input.code_size() == 0
-          ? 0.0
-          : 100.0 *
-                (static_cast<double>(hardened.code_size()) -
-                 static_cast<double>(input.code_size())) /
-                static_cast<double>(input.code_size());
-  text += "code size: " + std::to_string(input.code_size()) + " -> " +
-          std::to_string(hardened.code_size()) + " bytes (overhead " +
-          support::format_fixed(overhead, 1) + "%)\n";
-
-  if (spec.guest.good_input.empty() && spec.guest.bad_input.empty() &&
-      spec.guest.good_output.empty() && spec.guest.bad_output.empty()) {
-    text += "behaviour: unchecked (no inputs for this guest)\n";
-    job.report = text;
-    job.elf = elf_bytes(hardened);
-    return job;
-  }
-  const emu::RunResult good = emu::run_image(hardened, spec.guest.good_input);
-  const emu::RunResult bad = emu::run_image(hardened, spec.guest.bad_input);
-  const bool intact = good.exit_code == spec.guest.good_exit &&
-                      good.output == spec.guest.good_output &&
-                      bad.exit_code == spec.guest.bad_exit &&
-                      bad.output == spec.guest.bad_output;
-  text += "behaviour: good exit=" + std::to_string(good.exit_code) +
-          ", bad exit=" + std::to_string(bad.exit_code) + " (expected " +
-          std::to_string(spec.guest.good_exit) + "/" +
-          std::to_string(spec.guest.bad_exit) + ") — " +
-          (intact ? "intact" : "CHANGED") + "\n";
-  job.report = text;
-  job.elf = elf_bytes(hardened);
-  job.exit_code = intact ? 0 : 1;
-  return job;
+/// The report in spec.format: the result's own JSON document, or its
+/// harden:: text or markdown section.
+template <typename Result>
+std::string render(const JobSpec& spec, const Result& result,
+                   std::string (*text)(const std::string&, const Result&),
+                   std::string (*markdown)(const std::string&, const Result&)) {
+  if (spec.format == "json") return result.to_json();
+  if (spec.format == "markdown") return markdown(spec.guest.name, result);
+  return text(spec.guest.name, result);
 }
 
 }  // namespace
 
+fault::TupleCampaignResult run_campaign_job(const JobSpec& spec) {
+  return fault::run_campaign(guests::build_image(spec.guest), spec.guest.good_input,
+                             spec.guest.bad_input, spec.campaign);
+}
+
+patch::PipelineResult run_fixpoint_job(const JobSpec& spec) {
+  return run_pipeline(spec, guests::build_image(spec.guest));
+}
+
+HardenRun run_harden_job(const JobSpec& spec, const harden::HybridConfig& hybrid) {
+  const elf::Image input = guests::build_image(spec.guest);
+  const guests::Guest& guest = spec.guest;
+  HardenRun run;
+  run.original_code_size = input.code_size();
+  if (spec.patterns) {
+    patch::PipelineResult result = run_pipeline(spec, input);
+    run.report = harden::patterns_summary_line(result);
+    run.hardened = std::move(result.hardened);
+  } else {
+    harden::HybridResult result = harden::hybrid_harden(input, hybrid);
+    run.report = "hybrid (" + std::string(harden::to_string(hybrid.countermeasure)) +
+                 "): IR " + std::to_string(result.ir_before.total) + " -> " +
+                 std::to_string(result.ir_after.total) + " ops in " +
+                 std::to_string(result.ir_after.blocks) + " block(s)\n";
+    run.hardened = std::move(result.hardened);
+  }
+  run.report += "code size: " + std::to_string(run.original_code_size) + " -> " +
+                std::to_string(run.hardened.code_size()) + " bytes (overhead " +
+                support::format_fixed(run.overhead_percent(), 1) + "%)\n";
+
+  // The hardened binary must still accept the authorized input and refuse
+  // the attacker input exactly as the guest's oracle says. A .s guest
+  // without inputs has no oracle to check against.
+  if (guest.good_input.empty() && guest.bad_input.empty() && guest.good_output.empty() &&
+      guest.bad_output.empty()) {
+    run.report += "behaviour: unchecked (no inputs for this guest)\n";
+    run.intact = true;
+    return run;
+  }
+  const emu::RunResult good = emu::run_image(run.hardened, guest.good_input);
+  const emu::RunResult bad = emu::run_image(run.hardened, guest.bad_input);
+  run.intact = good.exit_code == guest.good_exit && good.output == guest.good_output &&
+               bad.exit_code == guest.bad_exit && bad.output == guest.bad_output;
+  run.report += "behaviour: good exit=" + std::to_string(good.exit_code) +
+                ", bad exit=" + std::to_string(bad.exit_code) + " (expected " +
+                std::to_string(guest.good_exit) + "/" + std::to_string(guest.bad_exit) +
+                ") — " + (run.intact ? "intact" : "CHANGED") + "\n";
+  return run;
+}
+
+JobResult execute_job(const JobSpec& spec, const harden::HybridConfig& hybrid) {
+  switch (spec.kind) {
+    case JobKind::kCampaign: {
+      JobResult job;
+      job.report = render(spec, run_campaign_job(spec), harden::campaign_section,
+                          harden::campaign_markdown_section);
+      return job;
+    }
+    case JobKind::kFixpoint: {
+      const patch::PipelineResult result = run_fixpoint_job(spec);
+      JobResult job;
+      job.report = render(spec, result, harden::fixpoint_section,
+                          harden::fixpoint_markdown_section);
+      job.elf = elf_bytes(result.hardened);
+      job.exit_code = result.verdict() ? 0 : 1;
+      return job;
+    }
+    case JobKind::kHarden: {
+      const HardenRun run = run_harden_job(spec, hybrid);
+      JobResult job;
+      job.report = run.report;
+      if (run.intact) job.elf = elf_bytes(run.hardened);
+      job.exit_code = run.intact ? 0 : 1;
+      return job;
+    }
+    case JobKind::kSleep: {
+      std::this_thread::sleep_for(std::chrono::milliseconds(spec.sleep_ms));
+      JobResult job;
+      job.report = "slept " + std::to_string(spec.sleep_ms) + " ms\n";
+      return job;
+    }
+  }
+  fail(ErrorKind::kInvalidArgument, "unreachable job kind");
+}
+
 JobResult run_job(const JobSpec& spec) {
   try {
-    switch (spec.kind) {
-      case JobKind::kCampaign: return run_campaign_job(spec);
-      case JobKind::kFixpoint: return run_fixpoint_job(spec);
-      case JobKind::kHarden: return run_harden_job(spec);
-      case JobKind::kSleep: {
-        std::this_thread::sleep_for(std::chrono::milliseconds(spec.sleep_ms));
-        JobResult result;
-        result.report = "slept " + std::to_string(spec.sleep_ms) + " ms\n";
-        return result;
-      }
-    }
-    JobResult result;
-    result.infra = true;
-    result.exit_code = kInfraExitCode;
-    result.error = "unreachable job kind";
-    return result;
+    return execute_job(spec);
   } catch (const std::exception& error) {
     JobResult result;
     result.infra = true;

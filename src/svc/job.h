@@ -1,4 +1,5 @@
-// r2r::svc — job model of the r2rd campaign service.
+// r2r::svc — job model of the r2rd campaign service, and the one runner of
+// campaign, fixpoint and harden jobs.
 //
 // A JobSpec is a fully-resolved unit of work: the guest (assembly, inputs,
 // oracle — resolved once by the daemon, so the bytes that are hashed are
@@ -11,17 +12,23 @@
 // excluded, so a resubmission at a different parallelism or urgency still
 // hits the cache.
 //
-// run_job() executes a spec in the calling process — the worker side of
-// the daemon, shared with nothing else — through exactly the library entry
-// points and report renderers the one-shot CLI subcommands use, which is
-// what makes the cached-equals-fresh determinism contract testable.
+// execute_job() runs a spec in the calling process and renders its report.
+// It is the one implementation of campaign, fixpoint and harden: `r2r
+// campaign|fixpoint|harden` call it in-process, `r2r batch` rows read their
+// cells from the same runs before rendering (run_campaign_job,
+// run_fixpoint_job, run_harden_job), and the daemon's workers call it
+// through run_job(). One runner is what makes daemon fresh = daemon cached
+// = one-shot CLI hold by construction.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "elf/image.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
+#include "harden/hybrid.h"
+#include "patch/pipeline.h"
 
 namespace r2r::svc {
 class Message;
@@ -46,7 +53,7 @@ enum class JobKind { kCampaign, kFixpoint, kHarden, kSleep };
 struct JobSpec {
   JobKind kind = JobKind::kCampaign;
   guests::Guest guest;              ///< fully resolved; arch names the target
-  fault::CampaignConfig campaign;   ///< models + engine knobs
+  fault::CampaignConfig campaign;   ///< models, threads and pair reuse
   unsigned max_iterations = 12;     ///< fixpoint / harden-with-patterns cap
   bool patterns = false;            ///< harden: Faulter+Patcher instead of Hybrid
   std::string format = "text";      ///< text | json | markdown
@@ -68,15 +75,51 @@ struct JobResult {
   int exit_code = 0;      ///< the subcommand exit-code contract (0/1)
   bool infra = false;     ///< true: the pipeline failed, not the guest
   std::string report;     ///< rendered report bytes (cached verbatim)
-  std::string elf;        ///< harden/fixpoint: the hardened ELF image bytes
+  /// The hardened ELF image bytes: every fixpoint, and a harden job whose
+  /// behaviour check passed (a binary that fails it is never handed out).
+  std::string elf;
   std::string error;      ///< diagnostic when infra (or a usage error)
 
   [[nodiscard]] Message to_message() const;
   [[nodiscard]] static JobResult from_message(const Message& message);
 };
 
-/// Executes `spec` in-process and renders its report — the worker's whole
-/// job. Never throws: pipeline failures come back as infra results.
+/// What a campaign and a fixpoint job compute before execute_job renders
+/// them; `r2r batch` builds its campaign and fixpoint rows from these.
+[[nodiscard]] fault::TupleCampaignResult run_campaign_job(const JobSpec& spec);
+[[nodiscard]] patch::PipelineResult run_fixpoint_job(const JobSpec& spec);
+
+/// One harden job before it becomes a JobResult: the hardened image and
+/// the report's approach, code-size and behaviour lines.
+struct HardenRun {
+  elf::Image hardened;
+  std::uint64_t original_code_size = 0;
+  std::string report;
+  /// The hardened binary still matches the guest's oracle on both inputs,
+  /// or the guest has no inputs to check ("behaviour: unchecked").
+  bool intact = false;
+
+  [[nodiscard]] double overhead_percent() const noexcept {
+    return elf::overhead_percent(original_code_size, hardened.code_size());
+  }
+};
+
+/// Hardens spec.guest: the Faulter+Patcher patterns when spec.patterns,
+/// otherwise the Hybrid chain under `hybrid`. `r2r batch --cmd harden`
+/// builds its rows from this, so a row is ok exactly when `r2r harden`
+/// exits 0.
+[[nodiscard]] HardenRun run_harden_job(const JobSpec& spec,
+                                       const harden::HybridConfig& hybrid = {});
+
+/// Runs `spec` in-process and renders its report; throws on a pipeline
+/// failure. `hybrid` is the countermeasure and cleanup choice of a Hybrid
+/// harden job: `r2r harden --countermeasure/--no-cleanup` set it, every
+/// other caller (r2rd included) runs the default.
+[[nodiscard]] JobResult execute_job(const JobSpec& spec,
+                                    const harden::HybridConfig& hybrid = {});
+
+/// execute_job() for a daemon worker. Never throws: a pipeline failure
+/// comes back as an infra result.
 [[nodiscard]] JobResult run_job(const JobSpec& spec);
 
 }  // namespace r2r::svc

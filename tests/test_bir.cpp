@@ -323,14 +323,5 @@ TEST(Cfg, RetHasNoSuccessors) {
   EXPECT_TRUE(cfg.blocks[*f_block].successors.empty());
 }
 
-TEST(Cfg, DotOutputMentionsAllBlocks) {
-  Module module = tiny_module();
-  const Cfg cfg = build_cfg(module);
-  const std::string dot = to_dot(module, cfg);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("b0"), std::string::npos);
-  EXPECT_NE(dot.find("mov rax, 60"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace r2r::bir

@@ -334,6 +334,26 @@ TEST(Cli, BatchDeduplicatesRepeatedGuestSpecs) {
             std::string::npos);
 }
 
+// A .s guest without inputs has no oracle, so `r2r harden` accepts it
+// ("behaviour: unchecked"). A batch harden row reads the same harden run:
+// it is ok exactly when `r2r harden` exits 0.
+TEST(Cli, BatchHardenRowOfAGuestWithoutInputsMatchesHarden) {
+  const std::string dir = temp_path("batch_no_inputs");
+  fs::create_directories(dir);
+  const std::string guest = (fs::path(dir) / "quiet.s").string();
+  cli::write_file(guest,
+                  ".global _start\n_start:\n    mov rax, 60\n    mov rdi, 0\n    syscall\n");
+
+  const CliResult harden = run_cli({"harden", guest, "--out", temp_path("quiet.elf")});
+  EXPECT_EQ(harden.exit_code, 0) << harden.err;
+  EXPECT_NE(harden.out.find("behaviour: unchecked"), std::string::npos) << harden.out;
+
+  const CliResult batch = run_cli({"batch", "--cmd", "harden", "--dir", dir});
+  EXPECT_EQ(batch.exit_code, 0) << batch.out;
+  EXPECT_NE(batch.out.find("| quiet | ok"), std::string::npos) << batch.out;
+  EXPECT_NE(batch.out.find("1 guest(s), 1 ok, 0 failed, 0 errored"), std::string::npos);
+}
+
 // ---- docs drift -------------------------------------------------------------
 
 // docs/r2r.md must embed the *current* --help text of the top level and of

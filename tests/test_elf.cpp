@@ -193,8 +193,6 @@ TEST(ElfImage, QueriesWork) {
   EXPECT_EQ(image.segment_containing(0x400001)->name, ".text");
   EXPECT_EQ(image.segment_containing(0x600010)->name, ".data");  // bss tail
   EXPECT_EQ(image.segment_containing(0x700000), nullptr);
-  EXPECT_EQ(image.symbol_at(0x400010)->name, "_start");
-  EXPECT_EQ(image.symbol_at(0x400011), nullptr);
 }
 
 TEST(ElfRoundTrip, EmptySymbolTable) {

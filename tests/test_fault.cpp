@@ -5,8 +5,6 @@
 
 #include "fault/campaign.h"
 #include "guests/guests.h"
-#include "lower/lower.h"
-#include "patch/patterns.h"
 #include "support/error.h"
 
 namespace r2r::fault {
@@ -163,16 +161,6 @@ TEST(Campaign, OrderTwoKnobSweepsFaultPairs) {
   EXPECT_TRUE(order1.vulnerabilities.empty());
 }
 
-TEST(Campaign, DetectedExitCodeIsTheOnePatchLayerConstant) {
-  // Every layer that speaks the "countermeasure fired" protocol must agree
-  // on the exit code, or hardened runs misclassify as kCrash/kOther: the
-  // fault handler the patcher injects, the lowered r2r.trap() intrinsic,
-  // and the classifier defaults of both the campaign and the raw engine.
-  EXPECT_EQ(CampaignConfig{}.detected_exit_code, patch::kDetectedExit);
-  EXPECT_EQ(sim::EngineConfig{}.detected_exit_code, patch::kDetectedExit);
-  EXPECT_EQ(lower::LowerOptions{}.trap_exit_code, patch::kDetectedExit);
-}
-
 TEST(Campaign, ModelsReachTheEngineVerbatim) {
   // CampaignConfig embeds sim::FaultModels instead of hand-copying knobs, so
   // a campaign with distinctive models must classify identically to driving
@@ -193,9 +181,6 @@ TEST(Campaign, ModelsReachTheEngineVerbatim) {
 
   sim::EngineConfig engine_config;
   engine_config.threads = config.threads;
-  engine_config.detected_exit_code = config.detected_exit_code;
-  engine_config.fuel_multiplier = config.fuel_multiplier;
-  engine_config.fuel_slack = config.fuel_slack;
   const sim::Engine engine(image, guest.good_input, guest.bad_input, engine_config);
   const sim::CampaignResult direct = engine.run(config.models);
 

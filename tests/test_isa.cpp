@@ -435,9 +435,6 @@ TEST(Semantics, TerminatorsAndBranches) {
   EXPECT_FALSE(is_terminator(jcc(Cond::e, "x")));
   EXPECT_FALSE(is_terminator(call("x")));
   EXPECT_TRUE(is_cond_branch(jcc(Cond::e, "x")));
-  EXPECT_TRUE(is_call(call("x")));
-  EXPECT_TRUE(may_fallthrough(jcc(Cond::e, "x")));
-  EXPECT_FALSE(may_fallthrough(jmp("x")));
 }
 
 TEST(Semantics, FlagBehaviour) {
@@ -449,13 +446,6 @@ TEST(Semantics, FlagBehaviour) {
   EXPECT_TRUE(reads_flags(setcc(Cond::e, Reg::rax)));
   EXPECT_TRUE(reads_flags(pushfq()));
   EXPECT_FALSE(reads_flags(mov(Reg::rax, imm(1))));
-}
-
-TEST(Semantics, LocallyProtectableSet) {
-  EXPECT_TRUE(is_locally_protectable(mov(Reg::rax, imm(1))));
-  EXPECT_TRUE(is_locally_protectable(cmp(Reg::rax, imm(1))));
-  EXPECT_TRUE(is_locally_protectable(jcc(Cond::e, "x")));
-  EXPECT_FALSE(is_locally_protectable(add(Reg::rax, imm(1))));
 }
 
 }  // namespace

@@ -314,19 +314,6 @@ TEST(StatePromotion, ForwardsStoredValueToLoad) {
   }
 }
 
-TEST(StatePromotion, RemovesOverwrittenStore) {
-  Module module;
-  GlobalVariable* reg = module.add_global("g_rax", 8);
-  Function* main = module.add_function("main");
-  Builder builder(module);
-  builder.set_insert_point(main->add_block("entry"));
-  builder.store(builder.const_i64(1), reg);  // dead: overwritten unread
-  builder.store(builder.const_i64(2), reg);
-  builder.ret();
-  EXPECT_TRUE(make_state_promotion()->run(module));
-  EXPECT_EQ(main->entry()->instrs.size(), 2u);
-}
-
 TEST(StatePromotion, CallsAreBarriers) {
   Module module;
   GlobalVariable* reg = module.add_global("g_rax", 8);
@@ -346,6 +333,19 @@ TEST(StatePromotion, CallsAreBarriers) {
     if (instr->opcode() == Opcode::kStore) ++stores;
   }
   EXPECT_EQ(stores, 2u);
+}
+
+TEST(GlobalStoreElim, RemovesOverwrittenStore) {
+  Module module;
+  GlobalVariable* reg = module.add_global("g_rax", 8);
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  builder.store(builder.const_i64(1), reg);  // dead: overwritten unread
+  builder.store(builder.const_i64(2), reg);
+  builder.ret();
+  EXPECT_TRUE(make_global_store_elim()->run(module));
+  EXPECT_EQ(main->entry()->instrs.size(), 2u);
 }
 
 TEST(GlobalStoreElim, RemovesCrossBlockDeadFlagStore) {

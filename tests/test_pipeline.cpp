@@ -5,6 +5,8 @@
 #include "emu/machine.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
+#include "guests/synth.h"
+#include "isa/target.h"
 #include "patch/pipeline.h"
 
 namespace r2r {
@@ -238,6 +240,33 @@ TEST(PipelineCap, CapOnRungOneStillReportsTheRequestedOrder) {
   EXPECT_GT(result.final_campaign.vulnerabilities.size(), 0u);
   EXPECT_FALSE(result.fixpoint);
   EXPECT_FALSE(result.verdict());
+}
+
+TEST(PipelineResidualRisk, StopOnALowerRungStillReportsTheRequestedOrder) {
+  // synth:101 keeps fault pairs no pattern can reinforce, so its order-3
+  // ladder stops on rung 2 with nothing left to patch. The final campaign
+  // is still the order-3 sweep of the hardened image, on both targets.
+  for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+    SCOPED_TRACE(std::string(isa::target(arch).name()));
+    const Guest guest = guests::synth::generate(101, arch);
+    const elf::Image input = guests::build_image(guest);
+    patch::PipelineConfig config;
+    config.campaign = skip_only();
+    config.campaign.models.order = 3;
+    config.campaign.models.pair_window = 8;
+    config.max_iterations = 32;
+    const patch::PipelineResult result =
+        patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
+
+    ASSERT_FALSE(result.iterations.empty());
+    EXPECT_EQ(result.iterations.back().order, 2u);
+    EXPECT_TRUE(result.fixpoint);
+    EXPECT_FALSE(result.verdict());
+    EXPECT_EQ(result.final_campaign.order, 3u);
+    const fault::TupleCampaignResult sweep = fault::run_campaign(
+        result.hardened, guest.good_input, guest.bad_input, config.campaign);
+    EXPECT_EQ(result.final_campaign.to_json(), sweep.to_json());
+  }
 }
 
 TEST(PipelineBitFlip, BitFlipVulnerabilitiesAreReducedInPincheck) {

@@ -54,21 +54,6 @@ TEST(ByteBuffer, LittleEndianAppend) {
   EXPECT_EQ(buf.bytes()[3], 0x11);
 }
 
-TEST(ByteBuffer, PatchU32) {
-  ByteBuffer buf;
-  buf.append_u64(0);
-  buf.patch_u32(2, 0xAABBCCDD);
-  EXPECT_EQ(buf.bytes()[2], 0xDD);
-  EXPECT_EQ(buf.bytes()[5], 0xAA);
-}
-
-TEST(ByteBuffer, AlignTo) {
-  ByteBuffer buf;
-  buf.append_u8(1);
-  buf.align_to(8);
-  EXPECT_EQ(buf.size(), 8u);
-}
-
 TEST(ByteReader, ReadsBackWhatBufferWrote) {
   ByteBuffer buf;
   buf.append_u8(7);
@@ -90,14 +75,6 @@ TEST(ByteReader, UnderrunThrows) {
   EXPECT_THROW(reader.read_u8(), Error);
 }
 
-TEST(Hexdump, FormatsRows) {
-  const std::vector<std::uint8_t> data{'H', 'i', 0, 0xFF};
-  const std::string dump = hexdump(data, 0x400000);
-  EXPECT_NE(dump.find("0000000000400000"), std::string::npos);
-  EXPECT_NE(dump.find("48 69 00 ff"), std::string::npos);
-  EXPECT_NE(dump.find("|Hi..|"), std::string::npos);
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  a b  "), "a b");
   EXPECT_EQ(trim(""), "");
@@ -108,12 +85,6 @@ TEST(Strings, SplitKeepsEmptyPieces) {
   const auto parts = split("a, b,, c", ',');
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[2], "");
-}
-
-TEST(Strings, SplitWhitespace) {
-  const auto parts = split_whitespace("  mov   rax, 5 ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "mov");
 }
 
 TEST(Strings, ParseInteger) {

@@ -20,6 +20,7 @@
 
 #include "cli/cli.h"
 #include "guests/guests.h"
+#include "isa/target.h"
 #include "obs/metrics.h"
 #include "support/error.h"
 #include "svc/cache.h"
@@ -221,7 +222,6 @@ TEST(SvcCacheKey, ChangesWithEveryBehaviourRelevantField) {
   // behaviour-relevant identity, not execution detail.
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.models.max_tuples = 500; }), base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.models.sample_seed += 1; }), base);
-  EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.fuel_multiplier = 9; }), base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.max_iterations = 3; }), base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.patterns = true; }), base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.format = "json"; }), base);
@@ -353,6 +353,28 @@ TEST(SvcJob, HardenPatternsResidualLineEqualsTheCli) {
   EXPECT_EQ(job.exit_code, cli.exit_code);
 }
 
+TEST(SvcJob, HybridHardenReportAndElfEqualTheCli) {
+  // A daemon harden job runs the default Hybrid configuration; `r2r harden`
+  // without flags runs the same one through the same runner, on both
+  // targets. The CLI adds only its "hardened ELF written" line.
+  for (const guests::Guest* guest : {&guests::pincheck(), &guests::toymov_rv32i()}) {
+    svc::JobSpec spec;
+    spec.kind = svc::JobKind::kHarden;
+    spec.guest = *guest;
+    const svc::JobResult job = svc::run_job(spec);
+    ASSERT_FALSE(job.infra) << job.error;
+
+    const std::string elf = (fs::path(testing::TempDir()) / "svc_hybrid.elf").string();
+    const std::string target(isa::target(guest->arch).name());
+    const CliRun cli = run_cli({"--target", target, "harden", guest->name, "--out", elf});
+    EXPECT_EQ(job.exit_code, cli.exit_code) << guest->name;
+    EXPECT_EQ(cli.out, job.report + "hardened ELF written to " + elf + " (" +
+                           std::to_string(job.elf.size()) + " bytes)\n")
+        << guest->name;
+    EXPECT_EQ(cli::read_file(elf), job.elf) << guest->name;
+  }
+}
+
 // ---- daemon lifecycle -------------------------------------------------------
 
 std::string socket_path(const std::string& name) {
@@ -409,6 +431,42 @@ TEST(SvcServer, CachedAnswerIsByteIdenticalToFreshAcrossFormats) {
   EXPECT_EQ(status.get_or("cache_misses", ""), "3");
   EXPECT_EQ(status.get_or("jobs_completed", ""), "3");
   EXPECT_EQ(status.get_or("cache_entries", ""), "3");
+
+  server.request_shutdown();
+  server.wait();
+}
+
+TEST(SvcServer, HardenJobThatChangesBehaviourReturnsNoElf) {
+  // A hardened binary that fails the behaviour check is never handed out:
+  // the job answers 1 with a report ending in CHANGED and no ELF, and
+  // `r2r submit --elf` then writes no file, as `r2r harden` refuses to.
+  svc::ServerConfig config;
+  config.socket_path = socket_path("svc_changed.sock");
+  config.workers = 1;
+  svc::Server server(config);
+  server.start();
+
+  svc::JobSpec spec;
+  spec.kind = svc::JobKind::kHarden;
+  spec.guest = guests::pincheck();
+  spec.guest.good_output = "tampered";
+  const svc::Message response = rpc(config.socket_path, submit_request(spec));
+  ASSERT_EQ(response.get_or("ok", ""), "1") << response.get_or("error", "");
+  const svc::JobResult job = svc::JobResult::from_message(response);
+  EXPECT_FALSE(job.infra);
+  EXPECT_EQ(job.exit_code, 1);
+  EXPECT_TRUE(job.report.ends_with("CHANGED\n")) << job.report;
+  EXPECT_TRUE(job.elf.empty());
+
+  const std::string elf = (fs::path(testing::TempDir()) / "svc_changed.elf").string();
+  fs::remove(elf);
+  cli::ArgParser submit = cli::make_submit_parser();
+  submit.parse({"pincheck", "--cmd", "harden", "--elf", elf});
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(cli::print_job(submit, job, out, err), 1);
+  EXPECT_EQ(out.str(), job.report);
+  EXPECT_FALSE(fs::exists(elf));
 
   server.request_shutdown();
   server.wait();
