@@ -131,7 +131,7 @@ elf::Image assemble(Module& module) {
       // branch sizes are rel32 and independent of the distance.
       const isa::Instruction sized =
           resolve(*item.instr, symbols, cursor, true, item, target);
-      cursor += target.encoded_length(sized, item.address);
+      cursor += target.encode(sized, item.address).size();
     } else {
       cursor += item.raw.size();
     }

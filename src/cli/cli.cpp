@@ -394,6 +394,12 @@ svc::JobSpec job_spec_from(const ArgParser& parser, svc::JobKind kind,
   return spec;
 }
 
+bool conflicting_approaches(const ArgParser& parser, std::ostream& err) {
+  if (!parser.has("--hybrid") || !parser.has("--patterns")) return false;
+  err << "r2r " << parser.command() << ": --hybrid and --patterns are mutually exclusive\n";
+  return true;
+}
+
 int print_job(const ArgParser& parser, const svc::JobResult& job, std::ostream& out,
               std::ostream& err) {
   emit_output(parser, out, job.report);

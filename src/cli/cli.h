@@ -87,6 +87,10 @@ fault::CampaignConfig campaign_config_from(const ArgParser& parser);
 svc::JobSpec job_spec_from(const ArgParser& parser, svc::JobKind kind,
                            guests::Guest guest = {});
 
+/// The usage check of `r2r harden` and `r2r batch`: reports --hybrid with
+/// --patterns on `err` and returns true, so the caller exits 2.
+bool conflicting_approaches(const ArgParser& parser, std::ostream& err);
+
 /// The print step of `r2r campaign|fixpoint|submit`: the job's report (to
 /// --out when given), then its ELF to --elf when asked. Returns the job's
 /// exit code.

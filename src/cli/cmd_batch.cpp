@@ -139,7 +139,8 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     row.json = "\"fixpoint\": " + result.to_json();
   } else if (plan.cmd == "harden") {
     // The same harden run as `r2r harden`: a row is ok exactly when it
-    // exits 0.
+    // exits 0, and an unchecked guest's behaviour is neither intact nor
+    // changed (null).
     const svc::HardenRun run = svc::run_harden_job(job);
     const std::string approach = job.patterns ? "patterns" : "hybrid";
     row.ok = run.intact;
@@ -149,7 +150,8 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     row.json = "\"harden\": {\"approach\": " + support::json_quote(approach) +
                ", \"original_code_size\": " + std::to_string(run.original_code_size) +
                ", \"hardened_code_size\": " + std::to_string(run.hardened.code_size()) +
-               ", \"behaviour_intact\": " + (row.ok ? "true" : "false") + "}";
+               ", \"behaviour_intact\": " +
+               (!run.checked ? "null" : run.intact ? "true" : "false") + "}";
   } else {  // lift
     const elf::Image image = guests::build_image(job.guest);
     const bir::Module module = bir::recover(image);
@@ -173,6 +175,7 @@ int run_batch(const ArgParser& args, std::ostream& out, std::ostream& err) {
         << "' (expected campaign, fixpoint, harden, or lift)\n";
     return 2;
   }
+  if (conflicting_approaches(args, err)) return 2;
   const Format format = format_from(args);
   // lift is no job kind; its rows only read the guest.
   plan.job = job_spec_from(args, plan.cmd == "lift" ? svc::JobKind::kCampaign
@@ -300,16 +303,14 @@ int run_batch(const ArgParser& args, std::ostream& out, std::ostream& err) {
       }
       table.add_row(std::move(cells));
     }
-    const std::string summary_line =
-        "batch " + plan.cmd + ": " + std::to_string(rows.size()) + " guest(s), " +
-        std::to_string(rows.size() - failed - errored) + " ok, " +
-        std::to_string(failed) + " failed, " + std::to_string(errored) + " errored\n";
-    if (format == Format::kMarkdown) {
-      text = "## r2r batch " + plan.cmd + "\n\n" + table.render_markdown() + "\n" +
-             summary_line;
-    } else {
-      text = table.render() + summary_line;
-    }
+    harden::Section summary;
+    summary.table(std::move(table));
+    summary.note("batch " + plan.cmd + ": " + std::to_string(rows.size()) +
+                 " guest(s), " + std::to_string(rows.size() - failed - errored) +
+                 " ok, " + std::to_string(failed) + " failed, " +
+                 std::to_string(errored) + " errored");
+    text = summary.render(format == Format::kMarkdown ? harden::Style::kMarkdown
+                                                      : harden::Style::kText);
   }
   emit_output(args, out, text);
   // Infra errors dominate: a run that never finished its measurements must

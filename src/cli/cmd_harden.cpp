@@ -44,10 +44,7 @@ int run_harden(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "r2r harden: expected exactly one guest spec (try 'r2r harden --help')\n";
     return 2;
   }
-  if (args.has("--hybrid") && args.has("--patterns")) {
-    err << "r2r harden: --hybrid and --patterns are mutually exclusive\n";
-    return 2;
-  }
+  if (conflicting_approaches(args, err)) return 2;
   const svc::JobSpec spec =
       job_spec_from(args, svc::JobKind::kHarden,
                     load_guest(args.positionals()[0], overrides_from(args)));

@@ -182,9 +182,7 @@ NoiseHelper make_noise_helper(support::Rng& rng, const SynthConfig& config,
     body += inc_reg(d, d.cnt);
     body += "n" + std::to_string(index) + "_loop:\n";
     body += "    add " + std::string(d.acc) + ", " + std::to_string(draw_imm(rng, d)) + "\n";
-    if (config.mov_store_opportunities) {
-      body += "    mov " + slot + ", " + d.acc + "\n";
-    }
+    body += "    mov " + slot + ", " + d.acc + "\n";  // Table I mov opportunity
     body += dec_reg(d, d.cnt);
     body += "    cmp " + std::string(d.cnt) + ", 0\n";
     body += "    jne n" + std::to_string(index) + "_loop\n";

@@ -65,8 +65,6 @@ struct SynthConfig {
   /// draw emits one immediate-mov or one two-instruction load pair, so the
   /// instruction distance can reach 2*max.
   unsigned max_cmp_jcc_gap = 4;
-  /// Emit memory-store `mov`s in noise loops (Table I mov opportunities).
-  bool mov_store_opportunities = true;
 
   // ---- decision-point palette ----------------------------------------------
   bool allow_byte_compare = true;

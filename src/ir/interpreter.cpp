@@ -13,6 +13,10 @@ using support::ErrorKind;
 using support::sign_extend;
 using support::truncate;
 
+constexpr unsigned kMaxCallDepth = 64;
+/// Where the interpreter maps the module's globals.
+constexpr std::uint64_t kGlobalsBase = 0xA0'0000;
+
 struct ExitRequested {
   std::int64_t code;
 };
@@ -55,11 +59,11 @@ class Engine {
   void map_globals() {
     std::uint64_t total = 0;
     for (const auto& global : module_.globals) {
-      global->address = config_.globals_base + total;
+      global->address = kGlobalsBase + total;
       total += (global->size() + 15) & ~std::uint64_t{15};
     }
     if (total > 0) {
-      memory_.map("[ir-globals]", config_.globals_base, total,
+      memory_.map("[ir-globals]", kGlobalsBase, total,
                   elf::kRead | elf::kWrite);
       for (const auto& global : module_.globals) {
         if (!global->init().empty()) memory_.write_block(global->address, global->init());
@@ -119,7 +123,7 @@ class Engine {
   }
 
   void execute_function(const Function& fn, unsigned depth) {
-    support::check(depth < config_.max_call_depth, ErrorKind::kIr,
+    support::check(depth < kMaxCallDepth, ErrorKind::kIr,
                    "interpreter: call depth exceeded");
     support::check(!fn.is_intrinsic() && fn.entry() != nullptr, ErrorKind::kIr,
                    "interpreter: cannot execute intrinsic or empty function");

@@ -32,9 +32,6 @@ struct InterpResult {
 
 struct InterpConfig {
   std::uint64_t fuel = 8'000'000;
-  unsigned max_call_depth = 64;
-  /// Where the interpreter maps the module's globals.
-  std::uint64_t globals_base = 0xA0'0000;
 };
 
 /// Runs `module` from its entry function. `memory` must already contain the

@@ -124,9 +124,6 @@ class Instr final : public Value {
   Pred pred = Pred::kEq;                     ///< icmp
   Function* callee = nullptr;                ///< call
 
-  /// Printer/debug id, assigned lazily by the printer.
-  mutable int print_id = -1;
-
   [[nodiscard]] bool is_terminator() const noexcept {
     switch (opcode_) {
       case Opcode::kBr:

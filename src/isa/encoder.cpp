@@ -608,8 +608,4 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
   return out.finish();
 }
 
-std::size_t encoded_length(const Instruction& instr, std::uint64_t address) {
-  return encode(instr, address).size();
-}
-
 }  // namespace r2r::isa

@@ -18,8 +18,4 @@ namespace r2r::isa {
 /// instructions outside the subset (e.g. 16-bit width, unresolved labels).
 std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address);
 
-/// Length the encoding would have; identical to encode().size() but
-/// conveys intent in layout code.
-std::size_t encoded_length(const Instruction& instr, std::uint64_t address);
-
 }  // namespace r2r::isa

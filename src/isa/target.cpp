@@ -19,11 +19,6 @@ Decoded Target::decode(std::span<const std::uint8_t> bytes, std::uint64_t addres
   return out;
 }
 
-std::size_t Target::encoded_length(const Instruction& instr,
-                                   std::uint64_t address) const {
-  return encode(instr, address).size();
-}
-
 namespace {
 
 std::array<const Target*, 2> registry() noexcept {

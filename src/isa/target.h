@@ -4,7 +4,7 @@
 // The shared pipeline IR is the abstract isa::Instruction (mnemonic + cond +
 // width + operands). A Target supplies the per-ISA pieces around it:
 //
-//   * machine-code codec     try_decode() / encode() / encoded_length()
+//   * machine-code codec     try_decode() / encode()
 //     (decode() is the base class's throwing wrapper over try_decode())
 //   * register file syntax   reg_name() / parse_reg()
 //   * assembler dialect      print() / parse_instruction() / parse_assembly()
@@ -42,19 +42,18 @@ enum class Arch : std::uint8_t {
 /// Name used by the `--target` CLI flag ("x64", "rv32i").
 std::string_view to_string(Arch arch) noexcept;
 
-/// What the lowering stage is allowed to emit on this target. lower::
-/// legalizes every IR operation against these before encoding is attempted,
-/// so the tables here are the single source of truth for operand shapes.
+/// The operand shapes the lowering stage chooses between on this target:
+/// where a shape is missing (no cmov, no store-immediate, a narrow
+/// immediate range, ...), lower:: emits a fallback sequence instead (and
+/// refuses a multiply without has_mul). Shapes lowering never emits (ALU
+/// memory operands, push/pop, scaled indexing) have no cap.
 struct LowerCaps {
   Width natural_width = Width::b64;  ///< register width of the machine
   bool has_cmov = true;              ///< conditional move exists
-  bool alu_mem_operands = true;      ///< ALU/cmp ops may take a memory operand
   bool store_immediate = true;       ///< mov [mem], imm is encodable
   bool absolute_addressing = true;   ///< bare [absolute] memory operands
   bool sub_immediate = true;         ///< sub reg, imm is encodable
   bool has_mul = true;               ///< two-operand multiply exists
-  bool has_push_pop = true;          ///< push/pop (and pushfq/popfq) exist
-  bool mem_index_scale = true;       ///< [base + index*scale] addressing
   std::int64_t min_alu_imm = INT32_MIN;  ///< ALU/cmp immediate range
   std::int64_t max_alu_imm = INT32_MAX;
 };
@@ -109,10 +108,6 @@ class Target {
   /// Error{kEncode} for instructions outside the target's subset.
   [[nodiscard]] virtual std::vector<std::uint8_t> encode(const Instruction& instr,
                                                          std::uint64_t address) const = 0;
-
-  /// encode().size() without materializing the bytes.
-  [[nodiscard]] virtual std::size_t encoded_length(const Instruction& instr,
-                                                   std::uint64_t address) const;
 
   // ---- register-file syntax ------------------------------------------------
   [[nodiscard]] virtual std::string_view reg_name(Reg reg, Width width) const noexcept = 0;

@@ -439,9 +439,6 @@ class Rv32iTarget final : public Target {
   [[nodiscard]] std::vector<std::uint8_t> encode(const Instruction& instr,
                                                  std::uint64_t address) const override;
 
-  [[nodiscard]] std::size_t encoded_length(const Instruction& instr,
-                                           std::uint64_t address) const override;
-
   [[nodiscard]] std::string_view reg_name(Reg reg, Width width) const noexcept override {
     if (width == Width::b8) return kNames8[reg_number(reg)];
     return kNames32[reg_number(reg)];
@@ -471,13 +468,10 @@ class Rv32iTarget final : public Target {
       LowerCaps caps;
       caps.natural_width = Width::b32;
       caps.has_cmov = false;
-      caps.alu_mem_operands = false;
       caps.store_immediate = false;
       caps.absolute_addressing = false;
       caps.sub_immediate = false;
       caps.has_mul = false;
-      caps.has_push_pop = false;
-      caps.mem_index_scale = false;
       caps.min_alu_imm = -2048;
       caps.max_alu_imm = 2047;
       return caps;
@@ -644,16 +638,6 @@ std::vector<std::uint8_t> Rv32iTarget::encode(const Instruction& instr,
       reject("rv32i has no conditional move");
   }
   return out;
-}
-
-std::size_t Rv32iTarget::encoded_length(const Instruction& instr, std::uint64_t) const {
-  // Everything is one 4-byte word except the fused lui+addi mov, which the
-  // encoder selects for wide or symbolic immediates.
-  if (instr.mnemonic != Mnemonic::kMov || instr.arity() != 2) return 4;
-  if (!is_reg(instr.op(0)) || !is_imm(instr.op(1))) return 4;
-  const auto& imm = std::get<ImmOperand>(instr.op(1));
-  if (imm.label.empty() && fits_simm12(imm.value)) return 4;
-  return 8;
 }
 
 DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,

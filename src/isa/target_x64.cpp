@@ -31,11 +31,6 @@ class X64Target final : public Target {
     return isa::encode(instr, address);
   }
 
-  [[nodiscard]] std::size_t encoded_length(const Instruction& instr,
-                                           std::uint64_t address) const override {
-    return isa::encoded_length(instr, address);
-  }
-
   [[nodiscard]] std::string_view reg_name(Reg reg, Width width) const noexcept override {
     return isa::reg_name(reg, width);
   }

@@ -61,7 +61,8 @@ std::unique_ptr<Pass> make_constant_fold();
 
 /// Block-local promotion of state globals: a load from a global observed
 /// after a store to the same global in the same block is replaced by the
-/// stored value, and overwritten stores are dropped. A call to a lifted
+/// stored value; the stores themselves stay for global_store_elim, which
+/// runs right after it and deletes the dead ones. A call to a lifted
 /// function is a barrier; the syscall and trap intrinsics are barriers only
 /// for globals whose address escapes. Assumes state globals are never
 /// aliased by computed guest addresses (standard lifter assumption,

@@ -183,12 +183,10 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     }
 
     if (requested_order >= 2) {
-      if (rung == 1) result.order1_code_size = image.code_size();
       record_milestone(result.order_milestones, rung, image.code_size());
     }
     if (rung >= requested_order) {
       result.fixpoint = true;
-      result.orderk_fixpoint = requested_order >= 2;
       break;
     }
     ++rung;  // rung done — climb (re-sweeping the same image)
@@ -211,7 +209,6 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     // A clean final campaign is a genuine fix-point even at the cap.
     const bool clean = lowest_dirty_order(result.final_campaign) == 0;
     result.fixpoint = clean;
-    result.orderk_fixpoint = clean && requested_order >= 2;
     if (clean && requested_order >= 2) {
       record_milestone(result.order_milestones, requested_order,
                        result.hardened.code_size());
@@ -221,13 +218,24 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
   return result;
 }
 
+bool PipelineResult::orderk_fixpoint() const noexcept {
+  return final_campaign.order >= 2 && lowest_dirty_order(final_campaign) == 0;
+}
+
+std::uint64_t PipelineResult::order1_code_size() const noexcept {
+  for (const OrderMilestone& milestone : order_milestones) {
+    if (milestone.order == 1) return milestone.code_size;
+  }
+  return 0;
+}
+
 std::string PipelineResult::to_json() const {
   std::string json = "{\n";
   json += "  \"fixpoint\": " + std::string(fixpoint ? "true" : "false") + ",\n";
-  json += "  \"orderk_fixpoint\": " + std::string(orderk_fixpoint ? "true" : "false") +
+  json += "  \"orderk_fixpoint\": " + std::string(orderk_fixpoint() ? "true" : "false") +
           ",\n";
   json += "  \"original_code_size\": " + std::to_string(original_code_size) + ",\n";
-  json += "  \"order1_code_size\": " + std::to_string(order1_code_size) + ",\n";
+  json += "  \"order1_code_size\": " + std::to_string(order1_code_size()) + ",\n";
   json += "  \"hardened_code_size\": " + std::to_string(hardened_code_size) + ",\n";
   json += "  \"overhead_percent\": " + support::format_fixed(overhead_percent(), 1) +
           ",\n";

@@ -73,21 +73,23 @@ struct PipelineResult {
   /// No patchable vulnerability remains (when the iteration cap hit: the
   /// final sweep at the requested order is clean).
   bool fixpoint = false;
+  std::uint64_t original_code_size = 0;
+  std::uint64_t hardened_code_size = 0;
+  /// Overhead-vs-k trajectory, ascending by order: code size at each order's
+  /// latest clean sweep (order 1 is where rung 1 ended; the requested order
+  /// appears only if the ladder proved it clean). Empty when order 1 was
+  /// requested.
+  std::vector<OrderMilestone> order_milestones;
+
   /// Order-2+ mode: the final campaign at the *requested* order found zero
   /// successful fault sets at every level (singles and every tuple level
   /// 2..k). Always false when order 1 was requested.
-  bool orderk_fixpoint = false;
-  std::uint64_t original_code_size = 0;
-  std::uint64_t hardened_code_size = 0;
+  [[nodiscard]] bool orderk_fixpoint() const noexcept;
+
   /// Order-2+ mode: bytes of .text where rung 1 ended (the order-1
-  /// fix-point) — the baseline of the higher-order overhead delta. Zero when
+  /// milestone) — the baseline of the higher-order overhead delta. Zero when
   /// order 1 was requested or the iteration cap hit on rung 1.
-  std::uint64_t order1_code_size = 0;
-  /// Overhead-vs-k trajectory, ascending by order: code size at each order's
-  /// latest clean sweep (order 1 mirrors order1_code_size; the requested
-  /// order appears only if the ladder proved it clean). Empty when order 1
-  /// was requested.
-  std::vector<OrderMilestone> order_milestones;
+  [[nodiscard]] std::uint64_t order1_code_size() const noexcept;
 
   /// The fix-point verdict `r2r fixpoint`, `r2r batch` and the r2rd
   /// fixpoint job exit with. Order 1: the paper's fix-point (no *patchable*
@@ -95,7 +97,7 @@ struct PipelineResult {
   /// failure). Order 2+: zero residual fault sets at every level up to the
   /// requested order.
   [[nodiscard]] bool verdict() const noexcept {
-    return final_campaign.order >= 2 ? orderk_fixpoint : fixpoint;
+    return final_campaign.order >= 2 ? orderk_fixpoint() : fixpoint;
   }
 
   /// Code-size overhead percentage — the paper's Table V metric.
@@ -105,14 +107,14 @@ struct PipelineResult {
 
   /// Table-V-style overhead of rung 1 alone (order-2+ mode only).
   [[nodiscard]] double order1_overhead_percent() const noexcept {
-    if (order1_code_size == 0) return 0.0;
-    return elf::overhead_percent(original_code_size, order1_code_size);
+    if (order1_code_size() == 0) return 0.0;
+    return elf::overhead_percent(original_code_size, order1_code_size());
   }
 
   /// What closing the higher-order gap cost on top of order-1 hardening, in
   /// percentage points of the original code size (order-2+ mode only).
   [[nodiscard]] double order2_overhead_delta_percent() const noexcept {
-    if (order1_code_size == 0) return 0.0;
+    if (order1_code_size() == 0) return 0.0;
     return overhead_percent() - order1_overhead_percent();
   }
 

@@ -122,8 +122,11 @@ std::string JobSpec::cache_key() const {
   // engine knobs no client could set (detected_exit, fuel_multiplier,
   // fuel_slack) left the identity, a fix-point whose ladder stops below the
   // requested order re-sweeps at that order, and a harden job whose
-  // behaviour check fails returns no ELF.
-  canonical.set("r2rd_cache_key_schema", "5");
+  // behaviour check fails returns no ELF. Schema 6: text and markdown
+  // reports render one section each, so markdown reports changed shape and
+  // a fix-point report names the requested order (a ladder that stops on a
+  // lower rung, or hits the cap on rung 1, used to name the rung it swept).
+  canonical.set("r2rd_cache_key_schema", "6");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }
@@ -210,14 +213,15 @@ patch::PipelineResult run_pipeline(const JobSpec& spec, const elf::Image& image)
 }
 
 /// The report in spec.format: the result's own JSON document, or its
-/// harden:: text or markdown section.
+/// harden:: section in text or markdown style.
 template <typename Result>
 std::string render(const JobSpec& spec, const Result& result,
-                   std::string (*text)(const std::string&, const Result&),
-                   std::string (*markdown)(const std::string&, const Result&)) {
+                   std::string (*section)(const std::string&, const Result&,
+                                          harden::Style)) {
   if (spec.format == "json") return result.to_json();
-  if (spec.format == "markdown") return markdown(spec.guest.name, result);
-  return text(spec.guest.name, result);
+  return section(spec.guest.name, result,
+                 spec.format == "markdown" ? harden::Style::kMarkdown
+                                           : harden::Style::kText);
 }
 
 }  // namespace
@@ -261,6 +265,7 @@ HardenRun run_harden_job(const JobSpec& spec, const harden::HybridConfig& hybrid
     run.intact = true;
     return run;
   }
+  run.checked = true;
   const emu::RunResult good = emu::run_image(run.hardened, guest.good_input);
   const emu::RunResult bad = emu::run_image(run.hardened, guest.bad_input);
   run.intact = good.exit_code == guest.good_exit && good.output == guest.good_output &&
@@ -276,15 +281,13 @@ JobResult execute_job(const JobSpec& spec, const harden::HybridConfig& hybrid) {
   switch (spec.kind) {
     case JobKind::kCampaign: {
       JobResult job;
-      job.report = render(spec, run_campaign_job(spec), harden::campaign_section,
-                          harden::campaign_markdown_section);
+      job.report = render(spec, run_campaign_job(spec), harden::campaign_section);
       return job;
     }
     case JobKind::kFixpoint: {
       const patch::PipelineResult result = run_fixpoint_job(spec);
       JobResult job;
-      job.report = render(spec, result, harden::fixpoint_section,
-                          harden::fixpoint_markdown_section);
+      job.report = render(spec, result, harden::fixpoint_section);
       job.elf = elf_bytes(result.hardened);
       job.exit_code = result.verdict() ? 0 : 1;
       return job;

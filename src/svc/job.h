@@ -95,8 +95,11 @@ struct HardenRun {
   elf::Image hardened;
   std::uint64_t original_code_size = 0;
   std::string report;
+  /// The guest has inputs, so the hardened binary was run against its
+  /// oracle; false means "behaviour: unchecked".
+  bool checked = false;
   /// The hardened binary still matches the guest's oracle on both inputs,
-  /// or the guest has no inputs to check ("behaviour: unchecked").
+  /// or the guest has no inputs to check.
   bool intact = false;
 
   [[nodiscard]] double overhead_percent() const noexcept {

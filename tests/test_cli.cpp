@@ -165,7 +165,7 @@ TEST(Cli, CampaignOrder2EmitsTupleReports) {
   const CliResult markdown = run_cli(
       {"campaign", "toymov", "--model", "skip", "--order", "2", "--format", "markdown"});
   EXPECT_EQ(markdown.exit_code, 0);
-  EXPECT_NE(markdown.out.find("### 2-tuple fault campaign: toymov"), std::string::npos);
+  EXPECT_NE(markdown.out.find("### residual 2-tuple campaign: toymov"), std::string::npos);
 }
 
 TEST(Cli, CampaignOutWritesTheReportFile) {
@@ -186,6 +186,57 @@ TEST(Cli, FixpointOrder2ReachesTheToymovFixpoint) {
   EXPECT_NE(result.out.find("order-2 clean: yes"), std::string::npos);
   // The CHANGES.md Table-V overhead split for toymov.
   EXPECT_NE(result.out.find("order-1 68.4% -> order-2 71.6%"), std::string::npos);
+}
+
+// A ladder that stops on a lower rung (nothing left to patch) reports at
+// the requested order, the order its final campaign and exit code are
+// judged at.
+TEST(Cli, FixpointReportNamesTheRequestedOrderWhenTheLadderStopsLower) {
+  const std::vector<std::string> args = {"fixpoint", "synth:101",    "--model", "skip",
+                                         "--order",  "3",            "--pair-window", "8"};
+  const CliResult text = run_cli(args);
+  EXPECT_EQ(text.exit_code, 1);
+  EXPECT_NE(text.out.find("order-3 fix-point trajectory: synth_101\n"), std::string::npos)
+      << text.out;
+  EXPECT_NE(text.out.find("  fix-point: yes, order-3 clean: NO\n"), std::string::npos);
+  EXPECT_NE(text.out.find("  overhead vs k:  order 1 "), std::string::npos);
+  EXPECT_EQ(text.out.find("order-2"), std::string::npos);
+
+  std::vector<std::string> markdown_args = args;
+  markdown_args.insert(markdown_args.end(), {"--format", "markdown"});
+  const CliResult markdown = run_cli(markdown_args);
+  EXPECT_EQ(markdown.exit_code, 1);
+  EXPECT_NE(markdown.out.find("### order-3 fix-point trajectory: synth_101\n"),
+            std::string::npos)
+      << markdown.out;
+  EXPECT_NE(markdown.out.find("\n- fix-point: yes, order-3 clean: NO\n"), std::string::npos);
+  EXPECT_NE(markdown.out.find("\n- overhead vs k:  order 1 "), std::string::npos);
+  EXPECT_EQ(markdown.out.find("order-2"), std::string::npos);
+}
+
+// A run capped on rung 1 is judged by its order-3 sweep, so its report is
+// the ladder view at order 3, with the overhead unsplit.
+TEST(Cli, FixpointCappedOnRungOneReportsTheRequestedOrder) {
+  const std::vector<std::string> args = {"fixpoint", "toymov", "--model",          "skip",
+                                         "--order",  "3",      "--max-iterations", "1"};
+  const CliResult text = run_cli(args);
+  EXPECT_EQ(text.exit_code, 1);
+  EXPECT_NE(text.out.find("order-3 fix-point trajectory: toymov\n"), std::string::npos)
+      << text.out;
+  EXPECT_NE(text.out.find("  fix-point: NO (cap hit), order-3 clean: NO\n"),
+            std::string::npos);
+  EXPECT_NE(text.out.find("  overhead (Table-V style): 68.4%\n"), std::string::npos);
+
+  std::vector<std::string> markdown_args = args;
+  markdown_args.insert(markdown_args.end(), {"--format", "markdown"});
+  const CliResult markdown = run_cli(markdown_args);
+  EXPECT_EQ(markdown.exit_code, 1);
+  EXPECT_NE(markdown.out.find("### order-3 fix-point trajectory: toymov\n"),
+            std::string::npos)
+      << markdown.out;
+  EXPECT_NE(markdown.out.find("\n- fix-point: NO (cap hit), order-3 clean: NO\n"),
+            std::string::npos);
+  EXPECT_NE(markdown.out.find("\n- overhead (Table-V style): 68.4%\n"), std::string::npos);
 }
 
 TEST(Cli, FixpointJsonAndElfOutputs) {
@@ -352,6 +403,40 @@ TEST(Cli, BatchHardenRowOfAGuestWithoutInputsMatchesHarden) {
   EXPECT_EQ(batch.exit_code, 0) << batch.out;
   EXPECT_NE(batch.out.find("| quiet | ok"), std::string::npos) << batch.out;
   EXPECT_NE(batch.out.find("1 guest(s), 1 ok, 0 failed, 0 errored"), std::string::npos);
+}
+
+// The JSON row of an unchecked guest says neither intact nor changed.
+TEST(Cli, BatchHardenRowOfAnUncheckedGuestIsNeitherIntactNorChanged) {
+  const std::string dir = temp_path("batch_unchecked");
+  fs::create_directories(dir);
+  cli::write_file((fs::path(dir) / "quiet.s").string(),
+                  ".global _start\n_start:\n    mov rax, 60\n    mov rdi, 0\n    syscall\n");
+
+  const CliResult unchecked =
+      run_cli({"batch", "--cmd", "harden", "--dir", dir, "--format", "json"});
+  EXPECT_EQ(unchecked.exit_code, 0) << unchecked.out;
+  EXPECT_NE(unchecked.out.find("\"ok\": true"), std::string::npos) << unchecked.out;
+  EXPECT_NE(unchecked.out.find("\"behaviour_intact\": null"), std::string::npos)
+      << unchecked.out;
+
+  const CliResult checked =
+      run_cli({"batch", "--cmd", "harden", "toymov", "--format", "json"});
+  EXPECT_EQ(checked.exit_code, 0) << checked.out;
+  EXPECT_NE(checked.out.find("\"behaviour_intact\": true"), std::string::npos)
+      << checked.out;
+}
+
+// Batch refuses the approach conflict `r2r harden` refuses, before any
+// guest runs.
+TEST(Cli, BatchRejectsConflictingApproaches) {
+  const CliResult batch =
+      run_cli({"batch", "--cmd", "harden", "--hybrid", "--patterns", "toymov"});
+  EXPECT_EQ(batch.exit_code, 2);
+  EXPECT_EQ(batch.out, "");
+  EXPECT_EQ(batch.err, "r2r batch: --hybrid and --patterns are mutually exclusive\n");
+
+  const CliResult harden = run_cli({"harden", "toymov", "--hybrid", "--patterns"});
+  EXPECT_EQ(harden.err, "r2r harden: --hybrid and --patterns are mutually exclusive\n");
 }
 
 // ---- docs drift -------------------------------------------------------------

@@ -97,7 +97,7 @@ TEST_P(PipelineDifferential, OrderTwoHardeningNeverAddsPairVulnerabilities) {
   config.campaign = order2;
   const patch::PipelineResult patched =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
-  EXPECT_TRUE(patched.orderk_fixpoint) << guest.name;
+  EXPECT_TRUE(patched.orderk_fixpoint()) << guest.name;
 
   const std::vector<std::uint8_t> bytes = elf::write_elf(patched.hardened);
   const elf::Image reloaded = elf::read_elf(bytes);

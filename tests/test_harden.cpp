@@ -1,5 +1,5 @@
-// harden layer: table rendering and end-to-end driver invariants across
-// countermeasure configurations.
+// harden layer: table and section rendering, and end-to-end Hybrid
+// invariants across countermeasure configurations.
 #include <gtest/gtest.h>
 
 #include "guests/guests.h"
@@ -26,6 +26,38 @@ TEST(TextTable, ToleratesRaggedRows) {
   table.add_row({"1"});
   const std::string out = table.render();
   EXPECT_NE(out.find("| 1 |"), std::string::npos);
+}
+
+TEST(TextTable, MarkdownPadsRaggedRowsWithEmptyCells) {
+  TextTable table;
+  table.add_row({"a", "b", "c"});
+  table.add_row({"1"});
+  EXPECT_EQ(table.render(Style::kMarkdown),
+            "| a | b | c |\n"
+            "| --- | --- | --- |\n"
+            "| 1 |  |  |\n");
+}
+
+// The batch summary's shape: an untitled section whose table is followed
+// by a note.
+TEST(Section, UntitledSectionRendersTableThenNoteInBothStyles) {
+  Section section;
+  TextTable table;
+  table.add_row({"guest", "status"});
+  table.add_row({"toymov", "ok"});
+  section.table(std::move(table));
+  section.note("1 guest(s)");
+  EXPECT_EQ(section.render(Style::kText),
+            "| guest  | status |\n"
+            "|--------|--------|\n"
+            "| toymov | ok     |\n"
+            "1 guest(s)\n");
+  EXPECT_EQ(section.render(Style::kMarkdown),
+            "| guest | status |\n"
+            "| --- | --- |\n"
+            "| toymov | ok |\n"
+            "\n"
+            "- 1 guest(s)\n");
 }
 
 TEST(HybridDriver, CountermeasureConfigsProduceOrderedSizes) {

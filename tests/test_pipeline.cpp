@@ -116,7 +116,7 @@ TEST_P(Order2Pipeline, ReachesOrderTwoFixpointWithZeroResidualPairs) {
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
 
   EXPECT_TRUE(result.fixpoint) << guest.name;
-  EXPECT_TRUE(result.orderk_fixpoint) << guest.name;
+  EXPECT_TRUE(result.orderk_fixpoint()) << guest.name;
   EXPECT_EQ(result.final_campaign.order, 2u) << guest.name;
   EXPECT_EQ(result.final_campaign.order1.vulnerabilities.size(), 0u) << guest.name;
   EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u)
@@ -143,8 +143,8 @@ TEST_P(Order2Pipeline, ReachesOrderTwoFixpointWithZeroResidualPairs) {
   EXPECT_EQ(result.iterations.back().successful_tuples, 0u);
 
   // Overhead bookkeeping: original <= order-1 fixpoint <= order-2 fixpoint.
-  EXPECT_GT(result.order1_code_size, result.original_code_size);
-  EXPECT_GT(result.hardened_code_size, result.order1_code_size);
+  EXPECT_GT(result.order1_code_size(), result.original_code_size);
+  EXPECT_GT(result.hardened_code_size, result.order1_code_size());
   EXPECT_GT(result.order2_overhead_delta_percent(), 0.0);
 
   // Behaviour preserved through the deeper redundancy patterns.

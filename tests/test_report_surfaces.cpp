@@ -1,6 +1,6 @@
-// Golden-file style tests for the report/JSON surfaces: the exact text of
-// harden::fixpoint_section and campaign_section on fixed order-2 inputs,
-// the one campaign JSON schema, and its field inventory on a real
+// Golden-file style tests for the report/JSON surfaces: the exact text and
+// markdown of harden::fixpoint_section and campaign_section on fixed
+// inputs, the one campaign JSON schema, and its field inventory on a real
 // synthetic-guest sweep at orders 1 and 2. A report refactor that drops a field or
 // reshuffles a column fails here, not in a downstream consumer.
 #include <gtest/gtest.h>
@@ -45,10 +45,39 @@ patch::PipelineResult fixed_pipeline_result() {
   it3.code_size = 180;
   result.iterations = {it0, it1, it2, it3};
   result.fixpoint = true;
-  result.orderk_fixpoint = true;
+  // The last sweep is the final campaign: order 2 and clean at every level.
+  result.final_campaign.order = 2;
+  result.final_campaign.total_tuples = 520;
+  sim::TupleLevelSummary level;
+  level.order = 2;
+  level.enumerated = 520;
+  level.classified = 520;
+  result.final_campaign.levels = {level};
   result.original_code_size = 100;
-  result.order1_code_size = 148;
   result.hardened_code_size = 180;
+  // Rung 1 ended at 148 bytes, rung 2 at 180.
+  result.order_milestones = {{1, 148}, {2, 180}};
+  return result;
+}
+
+/// An order-3 run capped on rung 1: one patching iteration, and a final
+/// order-3 sweep that still finds a triple.
+patch::PipelineResult capped_order3_result() {
+  patch::PipelineResult result;
+  patch::IterationReport it0;
+  it0.order = 1;
+  it0.successful_faults = 1;
+  it0.vulnerable_points = 1;
+  it0.patches_applied = 1;
+  it0.code_size = 155;
+  result.iterations = {it0};
+  result.final_campaign.order = 3;
+  sim::TupleLevelSummary level;
+  level.order = 3;
+  level.successful = 1;
+  result.final_campaign.levels = {level};
+  result.original_code_size = 155;
+  result.hardened_code_size = 261;
   return result;
 }
 
@@ -106,6 +135,56 @@ TEST(ReportGolden, Order2FixpointSection) {
   EXPECT_EQ(harden::fixpoint_section("demo", fixed_pipeline_result()), expected);
 }
 
+TEST(ReportGolden, Order2FixpointSectionMarkdown) {
+  const std::string expected =
+      "### order-2 fix-point trajectory: demo\n"
+      "\n"
+      "| iteration | order | faults | sets | sites | patched | code bytes |\n"
+      "| --- | --- | --- | --- | --- | --- | --- |\n"
+      "| 0 | 1 | 4 | - | - | 3 | 100 |\n"
+      "| 1 | 1 | 0 | - | - | 0 | 148 |\n"
+      "| 2 | 2 | 0 | 2/500 | 3 | 3 | 148 |\n"
+      "| 3 | 2 | 0 | 0/520 | 0 | 0 | 180 |\n"
+      "\n"
+      "- fix-point: yes, order-2 clean: yes\n"
+      "- overhead (Table-V style): order-1 48.0% -> order-2 80.0% "
+      "(+32.0 points for closing the order-2 gap)\n";
+  EXPECT_EQ(harden::fixpoint_section("demo", fixed_pipeline_result(),
+                                     harden::Style::kMarkdown),
+            expected);
+}
+
+// A run capped on rung 1 still reports at the requested order, without the
+// order-1 -> order-k split (rung 1 never finished).
+TEST(ReportGolden, CappedOrder3FixpointNamesTheRequestedOrder) {
+  const std::string expected =
+      "order-3 fix-point trajectory: demo\n"
+      "| iteration | order | faults | sets | sites | patched | code bytes |\n"
+      "|-----------|-------|--------|------|-------|---------|------------|\n"
+      "| 0         | 1     | 1      | -    | -     | 1       | 155        |\n"
+      "  fix-point: NO (cap hit), order-3 clean: NO\n"
+      "  overhead (Table-V style): 68.4%\n";
+  EXPECT_EQ(harden::fixpoint_section("demo", capped_order3_result()), expected);
+  EXPECT_FALSE(capped_order3_result().verdict());
+}
+
+TEST(ReportGolden, Order1FixpointSectionMarkdownShowsThePaperTable) {
+  patch::PipelineResult result = capped_order3_result();
+  result.final_campaign = {};
+  result.final_campaign.order = 1;
+  result.fixpoint = true;
+  const std::string expected =
+      "### fix-point trajectory: demo\n"
+      "\n"
+      "| iteration | faults | points | patched | unpatchable | code bytes |\n"
+      "| --- | --- | --- | --- | --- | --- |\n"
+      "| 0 | 1 | 1 | 1 | 0 | 155 |\n"
+      "\n"
+      "- fix-point: yes\n"
+      "- code size: 155 -> 261 bytes (overhead 68.4%)\n";
+  EXPECT_EQ(harden::fixpoint_section("demo", result, harden::Style::kMarkdown), expected);
+}
+
 TEST(ReportGolden, Order2CampaignSection) {
   const std::string expected =
       "residual 2-tuple campaign: demo\n"
@@ -127,6 +206,31 @@ TEST(ReportGolden, Order2CampaignSection) {
   EXPECT_EQ(harden::campaign_section("demo", fixed_pair_result()), expected);
 }
 
+TEST(ReportGolden, Order2CampaignSectionMarkdown) {
+  const std::string expected =
+      "### residual 2-tuple campaign: demo\n"
+      "\n"
+      "- order-1 faults: 161 (0 successful)\n"
+      "- order-2 tuples: 1252 within window 8 (2 successful, 2 invisible to "
+      "order 1)\n"
+      "- levels:         order 2: 1252 classified (2 successful)\n"
+      "- pruning:        1100 tuples reused from lower-order profiles (87.9%), 152 "
+      "simulated\n"
+      "- patch sites:    0x401010, 0x401020\n"
+      "\n"
+      "| tuple outcome | count |\n"
+      "| --- | --- |\n"
+      "| no-effect | 1000 |\n"
+      "| successful-fault | 2 |\n"
+      "| detected | 250 |\n"
+      "\n"
+      "| fault addresses | successful tuples |\n"
+      "| --- | --- |\n"
+      "| 0x401010 -> 0x401018 | 2 |\n";
+  EXPECT_EQ(harden::campaign_section("demo", fixed_pair_result(), harden::Style::kMarkdown),
+            expected);
+}
+
 TEST(ReportGolden, CleanCampaignRendersNoVulnerabilityTable) {
   sim::TupleCampaignResult clean = fixed_pair_result();
   clean.vulnerabilities.clear();
@@ -135,6 +239,12 @@ TEST(ReportGolden, CleanCampaignRendersNoVulnerabilityTable) {
   EXPECT_NE(section.find("no residual 2-tuple vulnerabilities."), std::string::npos);
   EXPECT_EQ(section.find("patch sites"), std::string::npos);
   EXPECT_EQ(section.find("| fault addresses"), std::string::npos);
+  // In markdown the closing note is its own list, after the outcome table.
+  const std::string markdown =
+      harden::campaign_section("demo", clean, harden::Style::kMarkdown);
+  EXPECT_NE(markdown.find("| detected | 250 |\n\n- no residual 2-tuple vulnerabilities.\n"),
+            std::string::npos)
+      << markdown;
 }
 
 TEST(ReportGolden, Order2CampaignJson) {

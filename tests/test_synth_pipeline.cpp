@@ -332,7 +332,7 @@ TEST_P(SynthOrder2, Order2FixpointAndThreadInvariantBinary) {
   const patch::PipelineResult one =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, serial);
   EXPECT_TRUE(one.fixpoint) << "order-1 fix-point not reached";
-  EXPECT_TRUE(one.orderk_fixpoint) << "order-2 fix-point not reached";
+  EXPECT_TRUE(one.orderk_fixpoint()) << "order-2 fix-point not reached";
   EXPECT_EQ(one.final_campaign.order1.vulnerabilities.size(), 0u);
   EXPECT_EQ(one.final_campaign.vulnerabilities.size(), 0u);
   expect_contract(one.hardened, guest, "order-2 hardened image");
@@ -371,10 +371,10 @@ TEST_P(SynthOrder3, Order3FixpointNeverAddsTupleVulnsThroughElfRoundTrip) {
   const patch::PipelineResult result =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
   // Some guests carry triples none of the local patterns can break (the
-  // residual-risk fix-point); `orderk_fixpoint` asserts cleanliness only
+  // residual-risk fix-point); `orderk_fixpoint()` asserts cleanliness only
   // when the pipeline claims it.
   EXPECT_TRUE(result.fixpoint) << "no fix-point reached (iteration cap hit)";
-  if (result.orderk_fixpoint) {
+  if (result.orderk_fixpoint()) {
     EXPECT_EQ(result.final_campaign.order1.vulnerabilities.size(), 0u);
     EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u);
   }
