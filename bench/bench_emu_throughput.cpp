@@ -11,7 +11,10 @@
 //     engine's own restore+run usage pattern, swept over every registered
 //     isa::Target;
 //   * order-2 pairs/sec through Engine::run_tuples(2), cached engine >= 2x
-//     the uncached engine, with byte-identical pair classification.
+//     the uncached engine, with byte-identical pair classification;
+//   * the cached sweep fast-forwards some counted-loop iterations
+//     (emu.fast_forward_steps > 0): the guest's hangs spin in such loops,
+//     so a sweep that skips none means every loop block declined.
 //
 // Writes bench_emu_throughput.json (schema in docs/formats.md) with the
 // obs metrics snapshot spliced in, so the emu.block_cache.* counters ride
@@ -25,6 +28,7 @@
 
 #include "bench_util.h"
 #include "guests/synth.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace {
@@ -74,6 +78,7 @@ Throughput measure_emu(const elf::Image& image, const guests::Guest& guest,
 struct PairRate {
   double seconds = 0;
   sim::TupleCampaignResult result;
+  std::uint64_t fast_forward_steps = 0;  ///< emu.fast_forward_steps over the sweep
 
   [[nodiscard]] double per_second() const {
     return seconds > 0 ? static_cast<double>(result.total_tuples) / seconds : 0.0;
@@ -91,10 +96,13 @@ PairRate measure_pairs(const elf::Image& image, const guests::Guest& guest,
   models.order = 2;
   models.pair_window = 4;  // half the default window keeps the uncached leg CI-sized
 
+  obs::Counter& fast_forward = obs::Metrics::instance().counter("emu.fast_forward_steps");
+  const std::uint64_t fast_forward_before = fast_forward.value();
   PairRate rate;
   bench::Phase phase(span);
   rate.result = engine.run_tuples(models);
   rate.seconds = phase.stop();
+  rate.fast_forward_steps = fast_forward.value() - fast_forward_before;
   return rate;
 }
 
@@ -215,6 +223,12 @@ int main(int argc, char** argv) {
                 pair_speedup);
     return 1;
   }
+  std::printf("cached sweep fast-forwarded %llu steps\n",
+              static_cast<unsigned long long>(cached.fast_forward_steps));
+  if (cached.fast_forward_steps == 0) {
+    std::printf("FAILED: the cached sweep fast-forwarded no loop iteration\n");
+    return 1;
+  }
 
   const char* json_path = "bench_emu_throughput.json";
   {
@@ -245,6 +259,7 @@ int main(int argc, char** argv) {
          << "  \"uncached_pairs_per_second\": " << uncached.per_second() << ",\n"
          << "  \"cached_pairs_per_second\": " << cached.per_second() << ",\n"
          << "  \"pair_speedup\": " << pair_speedup << ",\n"
+         << "  \"fast_forward_steps\": " << cached.fast_forward_steps << ",\n"
          << "  \"classification_identical\": " << (identical ? "true" : "false")
          << "\n"
          << "}\n";

@@ -84,6 +84,10 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
 
   if (block.count == 0) return nullptr;
   block.end = address;
+  if (const auto loop = Machine::summarize_loop(ops(block), block.count, rip)) {
+    loops_.push_back(*loop);
+    block.loop = static_cast<std::uint32_t>(loops_.size());
+  }
   return &blocks_.emplace(rip, block).first->second;
 }
 
@@ -106,6 +110,7 @@ void BlockCache::invalidate_range(std::uint64_t begin, std::uint64_t end) {
 void BlockCache::clear() {
   blocks_.clear();
   arena_.clear();
+  loops_.clear();
 }
 
 void BlockCache::flush_metrics() {

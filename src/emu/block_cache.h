@@ -29,6 +29,10 @@
 //  - an address whose first instruction cannot be fetched or decoded yields
 //    no block; the machine's slow path then reproduces the exact crash with
 //    identical step accounting.
+//
+// The build also decides, once per block, whether the block is a counted
+// self-loop whose whole iterations the machine may skip in closed form
+// (LoopSummary; Machine::summarize_loop has the shape rules).
 #pragma once
 
 #include <array>
@@ -71,6 +75,16 @@ struct MicroOp {
   std::array<MicroOperand, 2> ops{};
 };
 
+/// A counted self-loop block: what one whole iteration does to the
+/// registers, and its exit test `cmp counter, bound; jne start`. Each
+/// iteration adds delta[r] to register r (mod 2^64); the counter's delta
+/// is 1 or 2^64 - 1, and nothing the exit test reads changes after it.
+struct LoopSummary {
+  std::array<std::uint64_t, isa::kRegCount> delta{};
+  std::uint64_t bound = 0;
+  std::uint8_t counter = 0;
+};
+
 /// A decoded basic block: `count` consecutive arena entries covering guest
 /// bytes [start, end). Only the final instruction may be control flow.
 struct DecodedBlock {
@@ -78,6 +92,7 @@ struct DecodedBlock {
   std::uint64_t end = 0;
   std::uint32_t first = 0;  ///< arena index of the first micro-op
   std::uint32_t count = 0;
+  std::uint32_t loop = 0;   ///< 1 + index of the block's LoopSummary; 0: none
 };
 
 class BlockCache {
@@ -107,6 +122,11 @@ class BlockCache {
     return arena_.data() + block.first;
   }
 
+  /// The summary of a block whose `loop` is non-zero.
+  [[nodiscard]] const LoopSummary& loop(const DecodedBlock& block) const noexcept {
+    return loops_[block.loop - 1];
+  }
+
   void clear();
 
   // --- tallies (flushed to obs counters by Machine teardown) ----------------
@@ -125,6 +145,7 @@ class BlockCache {
   const isa::Target* target_;
   std::unordered_map<std::uint64_t, DecodedBlock> blocks_;
   std::vector<MicroOp> arena_;
+  std::vector<LoopSummary> loops_;  ///< cleared with the arena
   std::uint64_t synced_epoch_ = 0;
 
   std::uint64_t hits_ = 0;

@@ -783,6 +783,45 @@ MicroOp Machine::compile(const isa::Instruction& instr, std::uint8_t length,
   return op;
 }
 
+std::optional<LoopSummary> Machine::summarize_loop(const MicroOp* ops, std::size_t count,
+                                                   std::uint64_t start) {
+  if (count < 2) return std::nullopt;
+  const MicroOp& back_edge = ops[count - 1];
+  if (back_edge.handler != Handlers::kJcc || back_edge.cond != Cond::ne ||
+      back_edge.ops[0].value != start) {
+    return std::nullopt;
+  }
+  LoopSummary loop;
+  std::uint32_t written = 0;  // register bit set
+  std::uint32_t bases = 0;
+  const MicroOp* exit_test = nullptr;  // the last flag writer, if a cmp
+  for (std::size_t i = 0; i + 1 < count; ++i) {
+    const MicroOp& op = ops[i];
+    const MicroOperand& dst = op.ops[0];
+    switch (op.handler) {
+      case Handlers::kAddRI: loop.delta[dst.reg] += op.ops[1].value; break;
+      case Handlers::kInc: loop.delta[dst.reg] += 1; break;
+      case Handlers::kDec: loop.delta[dst.reg] -= 1; break;
+      case Handlers::kCmpRI: exit_test = &op; continue;
+      case Handlers::kMovMR:
+        // [base+disp] only: rip-relative and absolute stores have no base.
+        if (!dst.has_base || dst.scale != 0) return std::nullopt;
+        bases |= 1U << dst.reg;
+        continue;
+      default: return std::nullopt;
+    }
+    if (dst.reg == isa::reg_number(Reg::rsp)) return std::nullopt;
+    written |= 1U << dst.reg;
+    exit_test = nullptr;  // add, inc and dec write flags too
+  }
+  if (exit_test == nullptr || (written & bases) != 0) return std::nullopt;
+  loop.counter = exit_test->ops[0].reg;
+  loop.bound = exit_test->ops[1].value;
+  const std::uint64_t step = loop.delta[loop.counter];
+  if (step != 1 && step != ~std::uint64_t{0}) return std::nullopt;
+  return loop;
+}
+
 // ---- dispatch ------------------------------------------------------------------
 
 bool Machine::run_cached(std::uint64_t fuel, const FaultSpec* fault,
@@ -814,7 +853,31 @@ bool Machine::run_cached(std::uint64_t fuel, const FaultSpec* fault,
     // iteration re-syncs before touching the cache again.
     if (ended() || memory_.code_write_epoch() != epoch) break;
   }
+  // Only the back edge returns rip to the start of a loop block, and the
+  // loop above stops before it after a store into code or a run end: here
+  // a whole untraced iteration just ran, every store landed, none in code.
+  if (block->loop != 0 && trace == nullptr && cpu_.rip == block->start) {
+    fast_forward(cache_->loop(*block), count, limit);
+  }
   return true;
+}
+
+void Machine::fast_forward(const LoopSummary& loop, std::uint64_t length,
+                           std::uint64_t limit) noexcept {
+  // The jne just taken saw counter != bound, and the n-th iteration from
+  // here compares counter + n·step, so n = (bound - counter)·step is the
+  // exiting iteration (step = ±1 is its own inverse mod 2^64).
+  const std::uint64_t step = loop.delta[loop.counter];
+  const std::uint64_t to_exit = (loop.bound - cpu_.gpr[loop.counter]) * step;
+  const std::uint64_t iterations = std::min(to_exit, (limit - steps_) / length);
+  if (iterations < 2) return;
+  // Leave one whole iteration to run for real: it rewrites every store
+  // address and, through the exit test, every flag the skipped ones wrote,
+  // and it is the exiting one when the exit comes first.
+  const std::uint64_t skipped = iterations - 1;
+  for (std::size_t r = 0; r < loop.delta.size(); ++r) cpu_.gpr[r] += skipped * loop.delta[r];
+  steps_ += skipped * length;
+  tally_.fast_forward_steps += skipped * length;
 }
 
 StopReason Machine::loop(std::uint64_t fuel, const FaultSpec* fault,
@@ -860,6 +923,7 @@ Machine::StepTally& Machine::StepTally::operator=(StepTally&& other) noexcept {
     flush();
     instructions = std::exchange(other.instructions, 0);
     generic_steps = std::exchange(other.generic_steps, 0);
+    fast_forward_steps = std::exchange(other.fast_forward_steps, 0);
   }
   return *this;
 }
@@ -869,10 +933,14 @@ void Machine::StepTally::flush() noexcept {
       obs::Metrics::instance().counter("emu.instructions");
   static obs::Counter& generic_counter =
       obs::Metrics::instance().counter("emu.generic_steps");
+  static obs::Counter& fast_forward_counter =
+      obs::Metrics::instance().counter("emu.fast_forward_steps");
   if (instructions != 0) instructions_counter.add(instructions);
   if (generic_steps != 0) generic_counter.add(generic_steps);
+  if (fast_forward_steps != 0) fast_forward_counter.add(fast_forward_steps);
   instructions = 0;
   generic_steps = 0;
+  fast_forward_steps = 0;
 }
 
 RunResult run_image(const elf::Image& image, std::string stdin_data,

@@ -22,6 +22,13 @@
 // the generic entry, so set_block_cache_enabled(false) is the oracle for
 // each specialized handler and for lazy flags.
 //
+// Loop fast-forward. When a whole cached iteration of a counted self-loop
+// (emu::LoopSummary) comes back to its start on a run that records no
+// trace, the machine skips, in closed form, every whole iteration but one
+// before the loop's exit or the run's fuel or fault step, so the state at
+// every stop is exact (docs/architecture.md). The uncached machine never
+// skips, which keeps it the oracle for this too.
+//
 // How a run ends. Every run end is recorded as machine status, not
 // thrown: a guest exit(2), the run's first failed memory access (load,
 // store or fetch), a failed decode (isa::Target::try_decode), a trap
@@ -53,6 +60,7 @@
 namespace r2r::emu {
 
 class BlockCache;
+struct LoopSummary;
 struct MicroOp;
 struct MicroOperand;
 
@@ -160,6 +168,17 @@ class Machine {
   [[nodiscard]] static MicroOp compile(const isa::Instruction& instr, std::uint8_t length,
                                        const isa::Target* specialize_for = nullptr);
 
+  /// The summary of a compiled block of `count` ops starting at `start`
+  /// when it is a counted self-loop the cached machine may fast-forward:
+  /// its last op is a direct `jne start`; every other op is a specialized
+  /// 64-bit `add reg, imm`, `inc reg`, `dec reg`, `mov qword ptr
+  /// [base+disp], reg` on a base the block never writes, or `cmp reg, imm`;
+  /// no op writes rsp; and the last flag writer is a `cmp` on a register
+  /// whose net change per iteration is +1 or -1. Anything else: nullopt.
+  [[nodiscard]] static std::optional<LoopSummary> summarize_loop(const MicroOp* ops,
+                                                                 std::size_t count,
+                                                                 std::uint64_t start);
+
   /// The decoded-block cache is on by default; turning it off reverts to
   /// per-step fetch+decode (the bench baseline and the differential-test
   /// reference). Both modes are step-for-step observably identical.
@@ -196,21 +215,23 @@ class Machine {
  private:
   friend struct Handlers;
 
-  /// Attempted instructions and generic-entry steps not yet added to the
-  /// `emu.instructions` and `emu.generic_steps` counters, which the
-  /// machine's teardown flushes. A move hands the tallies over, so every
-  /// step is counted once.
+  /// Attempted instructions, generic-entry steps and fast-forwarded steps
+  /// not yet added to the `emu.instructions`, `emu.generic_steps` and
+  /// `emu.fast_forward_steps` counters, which the machine's teardown
+  /// flushes. A move hands the tallies over, so every step is counted once.
   class StepTally {
    public:
     StepTally() = default;
     StepTally(StepTally&& other) noexcept
         : instructions(std::exchange(other.instructions, 0)),
-          generic_steps(std::exchange(other.generic_steps, 0)) {}
+          generic_steps(std::exchange(other.generic_steps, 0)),
+          fast_forward_steps(std::exchange(other.fast_forward_steps, 0)) {}
     StepTally& operator=(StepTally&& other) noexcept;
     ~StepTally() { flush(); }
 
     std::uint64_t instructions = 0;
     std::uint64_t generic_steps = 0;
+    std::uint64_t fast_forward_steps = 0;
 
    private:
     void flush() noexcept;
@@ -243,6 +264,10 @@ class Machine {
   /// the caller then takes the per-step slow path.
   bool run_cached(std::uint64_t fuel, const FaultSpec* fault,
                   std::vector<TraceEntry>* trace);
+  /// Called when a whole cached iteration of `loop` (`length` ops) has just
+  /// ended back at its start: skips, in closed form, every whole iteration
+  /// but one before the loop's exit or before step `limit`.
+  void fast_forward(const LoopSummary& loop, std::uint64_t length, std::uint64_t limit) noexcept;
   /// The generic entry: materializes pending flags, then executes `op`
   /// with eager flags. rip already points past the instruction.
   void execute(const MicroOp& op);

@@ -219,6 +219,7 @@ std::string campaign_section(const std::string& binary_name,
       if (!sites.empty()) sites += ", ";
       sites += support::hex_string(site);
     }
+    if (sites.empty()) sites = "none (every successful tuple contains an order-1 vulnerability)";
     section.fact("patch sites:    " + sites);
   }
   section.table(outcome_table("tuple outcome", campaign.outcome_counts));
@@ -252,11 +253,14 @@ std::string fixpoint_section(const std::string& binary_name,
   section.fact("fix-point: " + fixpoint + ", " + order_k +
                " clean: " + (result.orderk_fixpoint() ? "yes" : "NO"));
   if (result.order1_code_size() != 0) {
+    const std::string points =
+        "+" + support::format_fixed(result.order2_overhead_delta_percent(), 1) + " points";
     section.fact("overhead (Table-V style): order-1 " +
                  support::format_fixed(result.order1_overhead_percent(), 1) + "% -> " +
-                 order_k + " " + overhead + " (+" +
-                 support::format_fixed(result.order2_overhead_delta_percent(), 1) +
-                 " points for closing the " + order_k + " gap)");
+                 order_k + " " + overhead + " (" +
+                 (result.orderk_fixpoint()
+                      ? points + " for closing the " + order_k + " gap)"
+                      : points + " spent, the " + order_k + " gap stays open)"));
   } else {
     section.fact("overhead (Table-V style): " + overhead);
   }

@@ -105,15 +105,16 @@ bool references_reserved(const Instruction& instr, const Traits& tr) {
          regs.contains(tr.t.value_scratch_b);
 }
 
-/// The register (if any) that the mov destination clobbers inside its own
-/// source-address computation, e.g. `mov rdi, [rdi]` or `mov rax, [rbx+rax]`.
-std::optional<Reg> aliased_address_reg(const Instruction& mov_instr) {
-  if (mov_instr.arity() != 2 || !isa::is_reg(mov_instr.op(0)) ||
-      !isa::is_mem(mov_instr.op(1))) {
+/// The register (if any) that a register destination clobbers inside its
+/// own source-address computation, e.g. `mov rdi, [rdi]`, `mov rax,
+/// [rbx+rax]` or `and rax, [rax]`. Re-executing such an instruction reads
+/// a different address, so it is not idempotent.
+std::optional<Reg> aliased_address_reg(const Instruction& instr) {
+  if (instr.arity() != 2 || !isa::is_reg(instr.op(0)) || !isa::is_mem(instr.op(1))) {
     return std::nullopt;
   }
-  const Reg dst = std::get<Reg>(mov_instr.op(0));
-  const auto& mem = std::get<isa::MemOperand>(mov_instr.op(1));
+  const Reg dst = std::get<Reg>(instr.op(0));
+  const auto& mem = std::get<isa::MemOperand>(instr.op(1));
   if ((mem.base && *mem.base == dst) || (mem.index && *mem.index == dst)) return dst;
   return std::nullopt;
 }
@@ -669,7 +670,7 @@ PatternKind classify_pattern(const bir::Module& module, std::size_t index) {
       return PatternKind::kRetDup;
     case Mnemonic::kAnd:
     case Mnemonic::kOr:
-      return PatternKind::kAluDup;
+      return aliased_address_reg(*item.instr) ? PatternKind::kNone : PatternKind::kAluDup;
     default:
       return PatternKind::kNone;
   }
@@ -739,6 +740,15 @@ PatternKind reinforce_instruction(bir::Module& module, std::size_t index,
       module.insert_after(index, std::vector<Instruction>(copies, original));
       mark_synthesized(module, index + 1, copies);
       return PatternKind::kGuardMovDup;
+    }
+    case Mnemonic::kAnd:
+    case Mnemonic::kOr: {
+      // A kAluDup pair: skipping both copies needs another copy. The
+      // copies are idempotent unless the destination feeds the address.
+      if (aliased_address_reg(original)) return PatternKind::kNone;
+      module.insert_after(index, std::vector<Instruction>(copies, original));
+      mark_synthesized(module, index + 1, copies);
+      return PatternKind::kAluDup;
     }
     case Mnemonic::kCmp: {
       // Span-separated re-verification: re-execute the compare behind more

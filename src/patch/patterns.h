@@ -52,7 +52,10 @@ std::string ensure_fault_handler(bir::Module& module);
 ///   kRetDup    — duplicate the ret; skipping one executes the other.
 ///   kAluDup    — duplicate an idempotent ALU op (and/or): applying it
 ///                twice computes the same value and flags as once, so a
-///                skip of either copy leaves the other standing.
+///                skip of either copy leaves the other standing. An and/or
+///                whose destination is its memory source's base or index
+///                is not idempotent and gets no pattern. Reinforcement
+///                adds order-1 more copies of a synthesized one.
 /// kRetTriple, kHandlerCallDup, kGuardMovDup and kCmpFar are the order-2
 /// *reinforcement* patterns (reinforce_instruction): deeper redundancy
 /// applied where an order-2 campaign proves a fault *pair* still defeats

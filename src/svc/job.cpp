@@ -126,7 +126,9 @@ std::string JobSpec::cache_key() const {
   // reports render one section each, so markdown reports changed shape and
   // a fix-point report names the requested order (a ladder that stops on a
   // lower rung, or hits the cap on rung 1, used to name the rung it swept).
-  canonical.set("r2rd_cache_key_schema", "6");
+  // Schema 7: an open order-k fix-point labels its overhead as spent, and
+  // an order-k campaign without tuple patch sites says so in words.
+  canonical.set("r2rd_cache_key_schema", "7");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }

@@ -9,10 +9,16 @@
 // stdin position, output, steps and memory): at pauses every few steps and
 // at the end of every run that exits or runs out of fuel. The state after
 // a crash is unspecified (emu/machine.h) and is not compared.
+//
+// The cached machine skips whole iterations of counted self-loops only on
+// runs that record no trace, so each comparison runs both traced and
+// untraced, and the paused replays include one stride long enough for a
+// skip to fit between two pauses.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "elf/image.h"
+#include "emu/block_cache.h"
 #include "emu/machine.h"
 #include "sim/snapshot.h"
 
@@ -86,47 +93,65 @@ struct MachinePair {
   sim::MachineSnapshot uncached_entry;
 };
 
-/// Runs `pair` from entry cached and uncached and asserts the runs are
-/// identical: every RunResult field including the full trace, and the
-/// full machine state at the end unless the run crashed. Then replays
-/// both with a pause every `pause_stride` steps (0: no paused replay),
+/// A pause stride longer than three loop bodies of the longest cached
+/// block, so loop fast-forward can fire between two pauses.
+inline constexpr std::uint64_t kLongPauseStride =
+    3 * emu::BlockCache::kMaxBlockInstructions + 1;
+
+/// Runs `pair` from entry to `fuel`, cached and uncached, and asserts the
+/// runs are identical: every RunResult field, and the full machine state
+/// at the end unless the run crashed. It does so twice, once recording
+/// the full trace and once without, the only mode that fast-forwards.
+/// Then it replays both untraced with a pause every `pause_stride` steps
+/// and again every kLongPauseStride steps (0: no paused replay),
 /// comparing the results and the full state at every pause.
 inline void expect_cached_equals_uncached(MachinePair& pair,
                                           std::optional<emu::FaultSpec> fault = std::nullopt,
-                                          std::uint64_t pause_stride = 7) {
+                                          std::uint64_t pause_stride = 7,
+                                          std::uint64_t fuel = emu::RunConfig{}.fuel) {
   emu::RunConfig config;
-  config.record_trace = true;
   config.fault = fault;
-  pair.reset();
-  ASSERT_TRUE(pair.cached.block_cache_enabled());
-  const emu::RunResult a = pair.cached.run(config);
-  const emu::RunResult b = pair.uncached.run(config);
-  expect_same_result(a, b);
-  if (a.reason != emu::StopReason::kCrashed && b.reason != emu::StopReason::kCrashed) {
-    expect_same_machine_state(pair.uncached, pair.cached);
+  config.fuel = fuel;
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "traced run" : "untraced run");
+    config.record_trace = traced;
+    pair.reset();
+    ASSERT_TRUE(pair.cached.block_cache_enabled());
+    const emu::RunResult a = pair.cached.run(config);
+    const emu::RunResult b = pair.uncached.run(config);
+    expect_same_result(a, b);
+    if (a.reason != emu::StopReason::kCrashed && b.reason != emu::StopReason::kCrashed) {
+      expect_same_machine_state(pair.uncached, pair.cached);
+    }
   }
   if (pause_stride == 0) return;
 
-  pair.reset();
   config.record_trace = false;
-  for (config.fuel = pause_stride;; config.fuel += pause_stride) {
-    const emu::RunResult pa = pair.cached.run(config);
-    const emu::RunResult pb = pair.uncached.run(config);
-    SCOPED_TRACE("paused replay, fuel " + std::to_string(config.fuel));
-    expect_same_result(pa, pb);
-    if (pa.reason != pb.reason || pa.reason == emu::StopReason::kCrashed) return;
-    expect_same_machine_state(pair.uncached, pair.cached);
-    if (pa.reason == emu::StopReason::kExited || testing::Test::HasFailure()) return;
-    if (config.fuel >= emu::RunConfig{}.fuel) return;
+  std::vector<std::uint64_t> strides = {pause_stride};
+  if (pause_stride != kLongPauseStride) strides.push_back(kLongPauseStride);
+  for (const std::uint64_t stride : strides) {
+    pair.reset();
+    for (config.fuel = std::min(stride, fuel);; config.fuel = std::min(config.fuel + stride, fuel)) {
+      const emu::RunResult pa = pair.cached.run(config);
+      const emu::RunResult pb = pair.uncached.run(config);
+      SCOPED_TRACE("paused replay, stride " + std::to_string(stride) + ", fuel " +
+                   std::to_string(config.fuel));
+      expect_same_result(pa, pb);
+      if (pa.reason != pb.reason || pa.reason == emu::StopReason::kCrashed) break;
+      expect_same_machine_state(pair.uncached, pair.cached);
+      if (testing::Test::HasFailure()) return;
+      if (pa.reason == emu::StopReason::kExited || config.fuel >= fuel) break;
+    }
   }
 }
 
 /// The same on fresh machines for `image` and `input`.
 inline void expect_cached_equals_uncached(const elf::Image& image, const std::string& input,
                                           std::optional<emu::FaultSpec> fault = std::nullopt,
-                                          std::uint64_t pause_stride = 7) {
+                                          std::uint64_t pause_stride = 7,
+                                          std::uint64_t fuel = emu::RunConfig{}.fuel) {
   MachinePair pair(image, input);
-  expect_cached_equals_uncached(pair, fault, pause_stride);
+  expect_cached_equals_uncached(pair, fault, pause_stride, fuel);
 }
 
 }  // namespace r2r::oracle

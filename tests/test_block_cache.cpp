@@ -36,8 +36,8 @@ using emu::RunConfig;
 using emu::RunResult;
 using emu::StopReason;
 
-elf::Image build(const std::string& text) {
-  bir::Module module = bir::module_from_assembly(".global _start\n_start:\n" + text);
+elf::Image build(const std::string& text, isa::Arch arch = isa::Arch::kX64) {
+  bir::Module module = bir::module_from_assembly(".global _start\n_start:\n" + text, arch);
   return bir::assemble(module);
 }
 
@@ -104,6 +104,50 @@ TEST_P(BlockCacheDifferential, FrozenSynthCorpusFaultlessAndEveryFaultKind) {
   for (const synth_corpus::CorpusSeed& corpus_seed : synth_corpus::kCorpus) {
     SCOPED_TRACE("seed " + std::to_string(corpus_seed.seed));
     expect_guest_identical(guests::synth::generate(corpus_seed.seed, GetParam()));
+  }
+}
+
+TEST_P(BlockCacheDifferential, FrozenSynthCorpusLoopCounterFaults) {
+  // Flips of the loop counter (rcx, a1 on rv32i) and skips at up to six
+  // steps inside loops (addresses the golden trace revisits), at the
+  // engine's fuel: a high flip turns a counted loop into a hang, which is
+  // where the cached machine fast-forwards. Full final state compared.
+  obs::Counter& fast_forward = obs::Metrics::instance().counter("emu.fast_forward_steps");
+  const std::uint64_t fast_forward_before = fast_forward.value();
+  for (const synth_corpus::CorpusSeed& corpus_seed : synth_corpus::kCorpus) {
+    SCOPED_TRACE("seed " + std::to_string(corpus_seed.seed));
+    const guests::Guest guest = guests::synth::generate(corpus_seed.seed, GetParam());
+    const elf::Image image = guests::build_image(guest);
+    const std::vector<emu::TraceEntry> trace = golden_trace(image, guest.bad_input);
+    const std::uint64_t fuel =
+        trace.size() * sim::EngineConfig{}.fuel_multiplier + sim::EngineConfig{}.fuel_slack;
+    std::vector<std::uint64_t> loop_steps;
+    for (std::uint64_t i = 0; i < trace.size(); ++i) {
+      const auto repeats = std::count_if(trace.begin(), trace.end(), [&](const auto& entry) {
+        return entry.address == trace[i].address;
+      });
+      if (repeats > 1) loop_steps.push_back(i);
+    }
+    const std::size_t stride = std::max<std::size_t>(1, loop_steps.size() / 6);
+    oracle::MachinePair pair(image, guest.bad_input);
+    for (std::size_t k = 0; k < loop_steps.size(); k += stride) {
+      const std::uint64_t step = loop_steps[k];
+      for (const FaultSpec& fault : {FaultSpec{FaultSpec::Kind::kRegisterBitFlip, step, 64 + 20},
+                                     FaultSpec{FaultSpec::Kind::kRegisterBitFlip, step, 64 + 2},
+                                     FaultSpec{FaultSpec::Kind::kSkip, step, 0}}) {
+        SCOPED_TRACE(std::string(sim::kind_name(fault.kind)) + " at step " +
+                     std::to_string(step) + ", bit " + std::to_string(fault.bit_offset));
+        oracle::expect_cached_equals_uncached(pair, fault, oracle::kLongPauseStride, fuel);
+      }
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+  // x64 counter loops fast-forward; every rv32i block takes the generic
+  // entry, so none of its loops qualifies.
+  if (GetParam() == isa::Arch::kX64) {
+    EXPECT_GT(fast_forward.value(), fast_forward_before);
+  } else {
+    EXPECT_EQ(fast_forward.value(), fast_forward_before);
   }
 }
 
@@ -305,6 +349,239 @@ TEST(BlockCacheBoundary, InstructionEndingAtLastMappedByteExecutes) {
   EXPECT_EQ(result.exit_code, 5);
 }
 
+// ---- loop fast-forward --------------------------------------------------------
+// The cached machine skips whole iterations of counted self-loops in closed
+// form (docs/architecture.md); the uncached machine never does. Every shape
+// runs through the full-state oracle: traced and untraced, at the fuel
+// limit and one step before it, at two pause strides, and with every fault
+// kind planned inside the range a skip would cover.
+
+/// A counted loop: `setup`, then `body` closed by `jne loop`, then exit
+/// with the accumulator as the status. `buf` is 4 KiB of .data.
+std::string loop_program(const std::string& setup, const std::string& body,
+                         isa::Arch arch = isa::Arch::kX64) {
+  const bool x64 = arch == isa::Arch::kX64;
+  return std::string(x64 ? "    mov rbx, offset buf\n" : "    mov s0, offset buf\n") + setup +
+         "loop:\n" + body + "    jne loop\n" +
+         (x64 ? "    mov rdi, rax\n    mov rax, 60\n" : "    mov a5, a0\n    mov a0, 60\n") +
+         "    syscall\n.section .data\nbuf: .zero 4096\n";
+}
+
+struct LoopShape {
+  const char* name;
+  elf::Image image;
+  unsigned body;  ///< instructions per iteration, the back edge included
+};
+
+/// Fuel for shapes and faults that hang: the engine's fuel for synth:15.
+constexpr std::uint64_t kHangFuel = 5704;
+
+std::vector<LoopShape> accepted_loops() {
+  std::vector<LoopShape> shapes;
+  shapes.push_back({"synth noise loop",
+                    build(loop_program("    mov rax, 7\n    mov rcx, 300\n",
+                                       "    add rax, 0x1234567\n    mov [rbx+8], rax\n"
+                                       "    dec rcx\n    cmp rcx, 0\n")),
+                    5});
+  shapes.push_back({"inc to a bound, several registers, overlapping stores",
+                    build(loop_program("    mov rcx, -40\n    mov rdx, 5\n    mov rsi, 9\n",
+                                       "    inc rcx\n    add rdx, -3\n    mov [rbx], rdx\n"
+                                       "    add rsi, 0x7fffffff\n    mov [rbx+16], rcx\n"
+                                       "    mov [rbx+20], rsi\n    cmp rcx, 260\n")),
+                    8});
+  shapes.push_back({"add-immediate counter, a store after the exit test",
+                    build(loop_program("    mov rcx, 400\n",
+                                       "    add rax, 5\n    add rcx, -1\n    cmp rcx, 3\n"
+                                       "    mov [rbx+24], rcx\n")),
+                    5});
+  shapes.push_back({"net +1 over three ops, a register written back to itself",
+                    build(loop_program("    mov rcx, 0\n    mov rdx, 1\n",
+                                       "    inc rcx\n    inc rcx\n    dec rcx\n    inc rdx\n"
+                                       "    dec rdx\n    mov [rbx+32], rdx\n    cmp rcx, 350\n")),
+                    8});
+  shapes.push_back({"store through the unwritten stack pointer",
+                    build(loop_program("    mov rcx, 200\n",
+                                       "    add rax, 11\n    mov [rsp-16], rax\n    dec rcx\n"
+                                       "    cmp rcx, 0\n")),
+                    5});
+  shapes.push_back({"counter wraps: hangs until the fuel runs out",
+                    build(loop_program("    mov rcx, 0\n",
+                                       "    dec rcx\n    mov [rbx], rcx\n    cmp rcx, 0\n")),
+                    4});
+  return shapes;
+}
+
+std::vector<LoopShape> declining_loops() {
+  std::vector<LoopShape> shapes;
+  // The store hits the loop's own (writable) code page, so every iteration
+  // changes the code-write epoch.
+  elf::Image own_page = build(
+      "    mov rbx, offset slot\n    mov rcx, 300\nloop:\n    add rax, 3\n"
+      "    mov [rbx], rax\n    dec rcx\n    cmp rcx, 0\n    jne loop\n    mov rdi, rax\n"
+      "    mov rax, 60\n    syscall\nslot: .quad 0\n");
+  for (elf::Segment& segment : own_page.segments) {
+    if (segment.name == ".text") segment.flags |= elf::kWrite;
+  }
+  shapes.push_back({"store into its own code page", std::move(own_page), 5});
+  shapes.push_back({"store through a base the loop writes",
+                    build(loop_program("    mov rcx, 300\n",
+                                       "    add rbx, 8\n    mov [rbx], rax\n    dec rcx\n"
+                                       "    cmp rcx, 0\n")),
+                    5});
+  shapes.push_back({"a load",
+                    build(loop_program("    mov rcx, 300\n",
+                                       "    mov rax, [rbx]\n    add rax, 3\n    mov [rbx], rax\n"
+                                       "    dec rcx\n    cmp rcx, 0\n")),
+                    6});
+  shapes.push_back({"rip-relative store",
+                    build(loop_program("    mov rcx, 300\n",
+                                       "    add rdx, 3\n    mov [rip+buf], rdx\n    dec rcx\n"
+                                       "    cmp rcx, 0\n")),
+                    5});
+  shapes.push_back({"indexed store",
+                    build(loop_program("    mov rcx, 300\n    mov rdx, 2\n",
+                                       "    add rax, 3\n    mov [rbx+rdx*8], rax\n    dec rcx\n"
+                                       "    cmp rcx, 0\n")),
+                    5});
+  shapes.push_back({"counter delta of 2",
+                    build(loop_program("    mov rcx, 600\n",
+                                       "    add rax, 1\n    add rcx, -2\n    cmp rcx, 0\n")),
+                    4});
+  shapes.push_back({"exit test is not the last flag writer",
+                    build(loop_program("    mov rcx, 300\n",
+                                       "    add rax, 1\n    cmp rcx, 0\n    dec rcx\n")),
+                    4});
+  shapes.push_back({"writes rsp",
+                    build(loop_program("    mov rcx, 300\n",
+                                       "    add rsp, 8\n    add rsp, -8\n    dec rcx\n"
+                                       "    cmp rcx, 0\n")),
+                    5});
+  shapes.push_back({"rv32i",
+                    build(loop_program("    mov a1, 300\n",
+                                       "    add a0, 3\n    mov [s0 + 8], a0\n    add a1, -1\n"
+                                       "    cmp a1, 0\n",
+                                       isa::Arch::kRv32i),
+                          isa::Arch::kRv32i),
+                    5});
+  return shapes;
+}
+
+/// The emu counter `name`'s growth over one run of a fresh cached machine
+/// (the machine flushes its tallies at teardown).
+std::uint64_t counted(const char* name, const elf::Image& image, const RunConfig& config) {
+  obs::Counter& counter = obs::Metrics::instance().counter(name);
+  const std::uint64_t before = counter.value();
+  {
+    Machine machine(image, "");
+    machine.run(config);
+  }
+  return counter.value() - before;
+}
+
+/// Steps the uncached reference takes to `fuel`.
+std::uint64_t reference_steps(const elf::Image& image, std::uint64_t fuel) {
+  Machine machine(image, "");
+  machine.set_block_cache_enabled(false);
+  RunConfig config;
+  config.fuel = fuel;
+  return machine.run(config).steps;
+}
+
+TEST(LoopFastForward, AcceptedShapesSkipAndMatchUncached) {
+  for (const LoopShape& shape : accepted_loops()) {
+    SCOPED_TRACE(shape.name);
+    const std::uint64_t total = reference_steps(shape.image, kHangFuel);
+    RunConfig config;
+    config.fuel = kHangFuel;
+    EXPECT_GT(counted("emu.fast_forward_steps", shape.image, config), 10 * shape.body)
+        << "the loop was not fast-forwarded";
+    config.record_trace = true;
+    EXPECT_EQ(counted("emu.fast_forward_steps", shape.image, config), 0u)
+        << "a traced run fast-forwarded";
+    oracle::MachinePair pair(shape.image, "");
+    for (const std::uint64_t fuel : {total, total - 1}) {
+      SCOPED_TRACE("fuel " + std::to_string(fuel));
+      oracle::expect_cached_equals_uncached(pair, std::nullopt, 7, fuel);
+    }
+    for (std::uint64_t fuel = total / 2; fuel < total / 2 + shape.body; ++fuel) {
+      SCOPED_TRACE("fuel " + std::to_string(fuel));
+      oracle::expect_cached_equals_uncached(pair, std::nullopt, 0, fuel);
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(LoopFastForward, SkipsAllButTheFirstTwoAndTheExitingIteration) {
+  // Iteration 1 runs inside the entry block (the loop is reached by fall-
+  // through), iteration 2 in the loop's own block, and the exiting one for
+  // real: the other 297 of 300 are skipped, and the skipped steps still
+  // count as instructions but never as generic-entry steps.
+  const LoopShape shape = accepted_loops().front();
+  RunConfig untraced;
+  RunConfig traced;
+  traced.record_trace = true;
+  EXPECT_EQ(counted("emu.fast_forward_steps", shape.image, untraced), 297u * shape.body);
+  const std::uint64_t steps = reference_steps(shape.image, untraced.fuel);
+  for (const RunConfig& config : {untraced, traced}) {
+    EXPECT_EQ(counted("emu.instructions", shape.image, config), steps);
+    EXPECT_EQ(counted("emu.generic_steps", shape.image, config), 2u);  // mov rdi, rax; syscall
+  }
+  EXPECT_EQ(counted("emu.block_cache.hits", shape.image, untraced), 1u)
+      << "skipped iterations look up no block";
+}
+
+TEST(LoopFastForward, FaultsInsideTheSkippedRangeMatchUncached) {
+  for (const LoopShape& shape : accepted_loops()) {
+    SCOPED_TRACE(shape.name);
+    // One whole iteration, a third of the way in: each op faulted once.
+    const std::uint64_t first = reference_steps(shape.image, kHangFuel) / 3;
+    oracle::MachinePair pair(shape.image, "");
+    for (std::uint64_t step = first; step < first + shape.body; ++step) {
+      std::vector<FaultSpec> faults = {
+          {FaultSpec::Kind::kSkip, step, 0},
+          {FaultSpec::Kind::kBitFlip, step, 3},
+          {FaultSpec::Kind::kBitFlip, step, 9},
+          {FaultSpec::Kind::kRegisterBitFlip, step, 1 * 64 + 40},  // rcx, the counter
+          {FaultSpec::Kind::kRegisterBitFlip, step, 1 * 64 + 0},
+          {FaultSpec::Kind::kRegisterBitFlip, step, 0 * 64 + 63},  // rax
+          {FaultSpec::Kind::kRegisterBitFlip, step, 3 * 64 + 12},  // rbx, the store base
+      };
+      for (std::uint32_t flag = 0; flag < 6; ++flag) {
+        faults.push_back({FaultSpec::Kind::kFlagFlip, step, flag});
+      }
+      for (const FaultSpec& fault : faults) {
+        SCOPED_TRACE(std::string(sim::kind_name(fault.kind)) + " at step " +
+                     std::to_string(step) + ", bit " + std::to_string(fault.bit_offset));
+        oracle::expect_cached_equals_uncached(pair, fault, 0, kHangFuel);
+        oracle::expect_cached_equals_uncached(pair, fault, 0, kHangFuel - 1);
+      }
+      // And one fault per step with the paused replays.
+      oracle::expect_cached_equals_uncached(pair, faults[3], 41, kHangFuel);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(LoopFastForward, DecliningShapesNeverSkipAndMatchUncached) {
+  for (const LoopShape& shape : declining_loops()) {
+    SCOPED_TRACE(shape.name);
+    RunConfig config;
+    config.fuel = kHangFuel;
+    const RunResult reference = [&] {
+      Machine machine(shape.image, "");
+      machine.set_block_cache_enabled(false);
+      return machine.run(config);
+    }();
+    ASSERT_EQ(reference.reason, StopReason::kExited) << reference.crash_detail;
+    EXPECT_EQ(counted("emu.fast_forward_steps", shape.image, config), 0u);
+    oracle::expect_cached_equals_uncached(shape.image, "", std::nullopt, 7, kHangFuel);
+    // A counter flip mid-loop makes each one run to the fuel limit.
+    const FaultSpec flip{FaultSpec::Kind::kRegisterBitFlip, reference.steps / 2, 1 * 64 + 20};
+    oracle::expect_cached_equals_uncached(shape.image, "", flip, 0, kHangFuel);
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
 // ---- cache accounting -------------------------------------------------------
 
 TEST(BlockCache, LoopingGuestHitsTheCache) {
@@ -468,6 +745,42 @@ TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedEngine) {
   models.order = 2;
   models.pair_window = 4;
   EXPECT_EQ(cached.run_tuples(models).to_json(), uncached.run_tuples(models).to_json());
+}
+
+TEST(BlockCacheEngine, LoopHeavyPairSweepFastForwardsAndMatchesUncached) {
+  // synth:15's counted loops are where order-2 hangs spend their steps:
+  // the cached sweep fast-forwards them, and still classifies every pair
+  // as the uncached engine does, pruned or exhaustive.
+  const guests::Guest guest = guests::synth::generate(15);
+  const elf::Image image = guests::build_image(guest);
+  sim::EngineConfig cached_config;
+  cached_config.threads = 1;
+  sim::EngineConfig uncached_config = cached_config;
+  uncached_config.block_cache = false;
+  sim::EngineConfig exhaustive_config = cached_config;
+  exhaustive_config.pair_outcome_reuse = false;
+
+  sim::FaultModels models;
+  models.bit_flip = false;  // skips keep the uncached leg tier-1-sized
+  models.register_flip = true;
+  models.register_flip_regs = {1};  // rcx, the loop counter
+  models.register_flip_bit_stride = 32;  // bits 0 and 32: a high flip hangs the loop
+  models.order = 2;
+  models.pair_window = 2;
+
+  obs::Counter& fast_forward = obs::Metrics::instance().counter("emu.fast_forward_steps");
+  const std::uint64_t before = fast_forward.value();
+  const sim::TupleCampaignResult cached =
+      sim::Engine(image, guest.good_input, guest.bad_input, cached_config).run_tuples(models);
+  EXPECT_GT(fast_forward.value(), before) << "the cached sweep skipped no loop iteration";
+  EXPECT_GT(cached.count(sim::Outcome::kHang), 0u);
+  const sim::TupleCampaignResult uncached =
+      sim::Engine(image, guest.good_input, guest.bad_input, uncached_config).run_tuples(models);
+  EXPECT_EQ(cached.to_json(), uncached.to_json());
+  const sim::TupleCampaignResult exhaustive =
+      sim::Engine(image, guest.good_input, guest.bad_input, exhaustive_config).run_tuples(models);
+  EXPECT_EQ(cached.vulnerabilities, exhaustive.vulnerabilities);
+  EXPECT_EQ(cached.outcome_counts, exhaustive.outcome_counts);
 }
 
 TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustive) {

@@ -187,6 +187,10 @@ TEST(CliObs, MetricsCounterTotalsAreThreadCountInvariant) {
   EXPECT_NE(json_1.find("\"sim.faults_planned\""), std::string::npos) << json_1;
   EXPECT_NE(json_1.find("\"sim.tuples_planned\""), std::string::npos) << json_1;
   EXPECT_NE(json_1.find("\"emu.generic_steps\""), std::string::npos) << json_1;
+  // synth:7's counted loops are fast-forwarded, so the comparison above
+  // covers a non-zero emu.fast_forward_steps.
+  EXPECT_NE(json_1.find("\"emu.fast_forward_steps\": "), std::string::npos) << json_1;
+  EXPECT_EQ(json_1.find("\"emu.fast_forward_steps\": 0,"), std::string::npos) << json_1;
 }
 
 // ---- artifact shape ---------------------------------------------------------

@@ -305,6 +305,72 @@ TEST(Reinforce, CmpFarPlacesTheDuplicateBeyondThePairWindow) {
   EXPECT_EQ(bad.output, guest.bad_output);
 }
 
+/// The index of the first instruction with `mnemonic`, or SIZE_MAX.
+std::size_t find_first(const bir::Module& module, isa::Mnemonic mnemonic) {
+  for (std::size_t i = 0; i < module.text.size(); ++i) {
+    if (module.text[i].is_instruction() && module.text[i].instr->mnemonic == mnemonic) return i;
+  }
+  return SIZE_MAX;
+}
+
+TEST(Patterns, AndWhoseDestinationFeedsItsAddressIsNotDuplicated) {
+  // `and rax, [rax]` leaves rax = &tbl & 0x600000 = 0x600000, so the guest
+  // exits with 6. A second copy would read [0x600000], which is `lo`, and
+  // exit with 0: the and is not idempotent, so no kAluDup.
+  bir::Module module = bir::module_from_assembly(
+      ".global _start\n"
+      "_start:\n"
+      "    mov rax, offset tbl\n"
+      "    and rax, qword ptr [rax]\n"
+      "    shr rax, 20\n"
+      "    mov rdi, rax\n"
+      "    mov rax, 60\n"
+      "    syscall\n"
+      ".section .data\n"
+      "lo: .quad 0\n"
+      "tbl: .quad 0x600000\n");
+  const std::size_t and_index = find_first(module, isa::Mnemonic::kAnd);
+  ASSERT_NE(and_index, SIZE_MAX);
+  ASSERT_EQ(emu::run_image(bir::assemble(module), "").exit_code, 6);
+  EXPECT_EQ(patch::classify_pattern(module, and_index), PatternKind::kNone);
+  EXPECT_EQ(patch::protect_instruction(module, and_index), PatternKind::kNone);
+  // The same guard holds for a synthesized copy under reinforcement.
+  module.text[and_index].synthesized = true;
+  EXPECT_EQ(patch::reinforce_instruction(module, and_index, 8, 3), PatternKind::kNone);
+  const emu::RunResult run = emu::run_image(bir::assemble(module), "");
+  ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
+  EXPECT_EQ(run.exit_code, 6);
+}
+
+TEST(Reinforce, AluDupGainsOrderMinusOneCopies) {
+  // Both copies of a kAluDup pair skipped: reinforcement at order k adds
+  // k - 1 more, and the guest still computes the same value.
+  for (const unsigned order : {2u, 3u}) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    bir::Module module = bir::module_from_assembly(
+        ".global _start\n"
+        "_start:\n"
+        "    mov rax, 0x3c\n"
+        "    mov rbx, 0x1f\n"
+        "    or rax, rbx\n"
+        "    mov rdi, rax\n"
+        "    mov rax, 60\n"
+        "    syscall\n");
+    const std::size_t or_index = find_first(module, isa::Mnemonic::kOr);
+    ASSERT_NE(or_index, SIZE_MAX);
+    ASSERT_EQ(patch::protect_instruction(module, or_index), PatternKind::kAluDup);
+    EXPECT_EQ(patch::reinforce_instruction(module, or_index, 8, order), PatternKind::kAluDup);
+    for (std::size_t i = or_index; i < or_index + 1 + order; ++i) {
+      EXPECT_EQ(module.text[i].instr->mnemonic, isa::Mnemonic::kOr);
+      EXPECT_TRUE(module.text[i].synthesized);
+    }
+    EXPECT_EQ(module.text[or_index + 1 + order].instr->mnemonic, isa::Mnemonic::kMov);
+    const emu::RunResult run = emu::run_image(bir::assemble(module), "");
+    ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
+    EXPECT_EQ(run.exit_code, 0x3f);
+  }
+}
+
 TEST(Reinforce, ShapesWithNoLocalReinforcementReturnNone) {
   // popfq (and the pattern's own plumbing) cannot be locally duplicated —
   // the pair's other site carries the fix.

@@ -168,6 +168,43 @@ TEST(ReportGolden, CappedOrder3FixpointNamesTheRequestedOrder) {
   EXPECT_FALSE(capped_order3_result().verdict());
 }
 
+// A ladder that ends with the order-k sweep still dirty (the residual-risk
+// fix-point) spent its extra bytes without closing the gap.
+patch::PipelineResult open_order2_result() {
+  patch::PipelineResult result = fixed_pipeline_result();
+  result.final_campaign.levels.front().successful = 1;
+  return result;
+}
+
+TEST(ReportGolden, OpenOrder2FixpointSaysTheGapStaysOpen) {
+  const std::string expected =
+      "order-2 fix-point trajectory: demo\n"
+      "| iteration | order | faults | sets  | sites | patched | code bytes |\n"
+      "|-----------|-------|--------|-------|-------|---------|------------|\n"
+      "| 0         | 1     | 4      | -     | -     | 3       | 100        |\n"
+      "| 1         | 1     | 0      | -     | -     | 0       | 148        |\n"
+      "| 2         | 2     | 0      | 2/500 | 3     | 3       | 148        |\n"
+      "| 3         | 2     | 0      | 0/520 | 0     | 0       | 180        |\n"
+      "  fix-point: yes, order-2 clean: NO\n"
+      "  overhead (Table-V style): order-1 48.0% -> order-2 80.0% "
+      "(+32.0 points spent, the order-2 gap stays open)\n";
+  EXPECT_EQ(harden::fixpoint_section("demo", open_order2_result()), expected);
+  // The JSON keeps the same figures under the same names.
+  const std::string json = open_order2_result().to_json();
+  EXPECT_NE(json.find("\"orderk_fixpoint\": false"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"order2_overhead_delta_percent\": 32.0"), std::string::npos) << json;
+}
+
+TEST(ReportGolden, OpenOrder2FixpointSaysTheGapStaysOpenMarkdown) {
+  const std::string markdown =
+      harden::fixpoint_section("demo", open_order2_result(), harden::Style::kMarkdown);
+  EXPECT_NE(markdown.find("\n\n- fix-point: yes, order-2 clean: NO\n"
+                          "- overhead (Table-V style): order-1 48.0% -> order-2 80.0% "
+                          "(+32.0 points spent, the order-2 gap stays open)\n"),
+            std::string::npos)
+      << markdown;
+}
+
 TEST(ReportGolden, Order1FixpointSectionMarkdownShowsThePaperTable) {
   patch::PipelineResult result = capped_order3_result();
   result.final_campaign = {};
@@ -229,6 +266,68 @@ TEST(ReportGolden, Order2CampaignSectionMarkdown) {
       "| 0x401010 -> 0x401018 | 2 |\n";
   EXPECT_EQ(harden::campaign_section("demo", fixed_pair_result(), harden::Style::kMarkdown),
             expected);
+}
+
+/// Both tuples of fixed_pair_result() contain the skip at step 10, here an
+/// order-1 vulnerability too, so no tuple names a patch site of its own.
+sim::TupleCampaignResult pairs_without_patch_sites() {
+  sim::TupleCampaignResult pairs = fixed_pair_result();
+  pairs.order1.outcome_counts[sim::Outcome::kNoEffect] = 149;
+  pairs.order1.outcome_counts[sim::Outcome::kSuccess] = 1;
+  pairs.order1.vulnerabilities.push_back(
+      sim::Vulnerability{pairs.vulnerabilities.front().faults.front(), 0x401010});
+  return pairs;
+}
+
+TEST(ReportGolden, Order2CampaignWithoutPatchSitesSaysWhy) {
+  const std::string expected =
+      "residual 2-tuple campaign: demo\n"
+      "  order-1 faults: 161 (1 successful)\n"
+      "  order-2 tuples: 1252 within window 8 (2 successful, 0 invisible to "
+      "order 1)\n"
+      "  levels:         order 2: 1252 classified (2 successful)\n"
+      "  pruning:        1100 tuples reused from lower-order profiles (87.9%), 152 "
+      "simulated\n"
+      "  patch sites:    none (every successful tuple contains an order-1 "
+      "vulnerability)\n"
+      "| tuple outcome    | count |\n"
+      "|------------------|-------|\n"
+      "| no-effect        | 1000  |\n"
+      "| successful-fault | 2     |\n"
+      "| detected         | 250   |\n"
+      "| fault addresses      | successful tuples |\n"
+      "|----------------------|-------------------|\n"
+      "| 0x401010 -> 0x401018 | 2                 |\n";
+  EXPECT_EQ(harden::campaign_section("demo", pairs_without_patch_sites()), expected);
+}
+
+TEST(ReportGolden, Order2CampaignWithoutPatchSitesSaysWhyMarkdown) {
+  const std::string expected =
+      "### residual 2-tuple campaign: demo\n"
+      "\n"
+      "- order-1 faults: 161 (1 successful)\n"
+      "- order-2 tuples: 1252 within window 8 (2 successful, 0 invisible to "
+      "order 1)\n"
+      "- levels:         order 2: 1252 classified (2 successful)\n"
+      "- pruning:        1100 tuples reused from lower-order profiles (87.9%), 152 "
+      "simulated\n"
+      "- patch sites:    none (every successful tuple contains an order-1 "
+      "vulnerability)\n"
+      "\n"
+      "| tuple outcome | count |\n"
+      "| --- | --- |\n"
+      "| no-effect | 1000 |\n"
+      "| successful-fault | 2 |\n"
+      "| detected | 250 |\n"
+      "\n"
+      "| fault addresses | successful tuples |\n"
+      "| --- | --- |\n"
+      "| 0x401010 -> 0x401018 | 2 |\n";
+  EXPECT_EQ(harden::campaign_section("demo", pairs_without_patch_sites(),
+                                     harden::Style::kMarkdown),
+            expected);
+  EXPECT_NE(pairs_without_patch_sites().to_json().find("\"patch_sites\": []"),
+            std::string::npos);
 }
 
 TEST(ReportGolden, CleanCampaignRendersNoVulnerabilityTable) {

@@ -42,6 +42,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "elf/image.h"
@@ -344,6 +345,27 @@ TEST_P(SynthOrder2, Order2FixpointAndThreadInvariantBinary) {
   EXPECT_EQ(one.final_campaign.outcome_counts, eight.final_campaign.outcome_counts);
   EXPECT_EQ(one.final_campaign.order1.outcome_counts,
             eight.final_campaign.order1.outcome_counts);
+}
+
+TEST(SynthAluDup, PairsThroughBothAndOrCopiesCloseAtOrder2) {
+  // Every residual pair of these seeds once skipped both copies of a
+  // kAluDup `or`; reinforcing the pair's copy closes them.
+  const std::vector<std::pair<std::uint64_t, isa::Arch>> seeds = {
+      {176, isa::Arch::kX64},   {201, isa::Arch::kX64},   {101, isa::Arch::kRv32i},
+      {201, isa::Arch::kRv32i}, {226, isa::Arch::kRv32i}};
+  for (const auto& [seed, arch] : seeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " on " + std::string(isa::to_string(arch)));
+    const Guest guest = guests::synth::generate(seed, arch);
+    patch::PipelineConfig config;
+    config.campaign = skip_campaign();
+    config.campaign.models.order = 2;
+    config.campaign.models.pair_window = 8;
+    const patch::PipelineResult result = patch::faulter_patcher(
+        guests::build_image(guest), guest.good_input, guest.bad_input, config);
+    EXPECT_TRUE(result.orderk_fixpoint()) << "order-2 fix-point not reached";
+    EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u);
+    expect_contract(result.hardened, guest, "order-2 hardened image");
+  }
 }
 
 using SynthOrder3 = SynthSeedTest;
