@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "ir/builder.h"
 #include "ir/interpreter.h"
@@ -162,8 +163,19 @@ TEST(Constants, AreInternedPerTypeAndValue) {
   EXPECT_EQ(module.get_constant(Type::kI8, 0x105), module.get_constant(Type::kI8, 5));
 }
 
+/// The full what() of the verifier's rejection of `module`, or "accepted".
+std::string rejection(const Module& module) {
+  try {
+    verify(module);
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kIr);
+    return error.what();
+  }
+  return "accepted";
+}
+
 TEST(Verifier, AcceptsWellFormedModule) {
-  EXPECT_NO_THROW(verify(binary_module(Opcode::kAdd, 1, 2)));
+  EXPECT_EQ(rejection(binary_module(Opcode::kAdd, 1, 2)), "accepted");
 }
 
 TEST(Verifier, RejectsMissingTerminator) {
@@ -172,7 +184,7 @@ TEST(Verifier, RejectsMissingTerminator) {
   Builder builder(module);
   builder.set_insert_point(main->add_block("entry"));
   builder.add(builder.const_i64(1), builder.const_i64(2));
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module), "ir: function @main: block %entry: missing terminator");
 }
 
 TEST(Verifier, RejectsTerminatorInMiddle) {
@@ -182,7 +194,8 @@ TEST(Verifier, RejectsTerminatorInMiddle) {
   builder.set_insert_point(main->add_block("entry"));
   builder.ret();
   builder.add(builder.const_i64(1), builder.const_i64(2));
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: terminator in the middle");
 }
 
 TEST(Verifier, RejectsUseBeforeDefinitionInBlock) {
@@ -196,7 +209,20 @@ TEST(Verifier, RejectsUseBeforeDefinitionInBlock) {
   builder.ret();
   // `first` (position 0) now uses `second` (defined at position 1).
   first->operands[0] = second;
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: use before definition within block");
+}
+
+TEST(Verifier, RejectsAnInstructionThatUsesItself) {
+  Module module;
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  Instr* value = builder.add(builder.const_i64(1), builder.const_i64(2));
+  builder.ret();
+  value->operands[1] = value;
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: use before definition within block");
 }
 
 TEST(Verifier, RejectsCrossFunctionOperands) {
@@ -210,7 +236,22 @@ TEST(Verifier, RejectsCrossFunctionOperands) {
   builder.set_insert_point(g->add_block("entry"));
   builder.store(value, module.add_global("out", 8));
   builder.ret();
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module),
+            "ir: function @g: block %entry: operand defined in another function");
+}
+
+TEST(Verifier, RejectsBranchTargetInAnotherFunction) {
+  Module module;
+  Function* f = module.add_function("f");
+  Builder builder(module);
+  BasicBlock* foreign = f->add_block("entry");
+  builder.set_insert_point(foreign);
+  builder.ret();
+  Function* g = module.add_function("g");
+  builder.set_insert_point(g->add_block("entry"));
+  builder.br(foreign);
+  EXPECT_EQ(rejection(module),
+            "ir: function @g: block %entry: branch target outside function");
 }
 
 TEST(Verifier, RejectsCallArityMismatch) {
@@ -221,7 +262,20 @@ TEST(Verifier, RejectsCallArityMismatch) {
   builder.set_insert_point(main->add_block("entry"));
   builder.call(callee, {builder.const_i64(60)});  // needs 4 args
   builder.ret();
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: call argument count mismatch");
+}
+
+TEST(Verifier, RejectsCalleeNotInModule) {
+  Module module;
+  Function stray("stray", Type::kVoid, 0, /*is_intrinsic=*/false);
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  builder.call(&stray);
+  builder.ret();
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: callee not in module");
 }
 
 TEST(Verifier, RejectsBadSwitchShape) {
@@ -235,7 +289,45 @@ TEST(Verifier, RejectsBadSwitchShape) {
   builder.set_insert_point(entry);
   Instr* sw = builder.switch_(builder.const_i64(0), other, {{1, other}});
   sw->case_values.push_back(2);  // case without matching target
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: switch case/target mismatch");
+}
+
+TEST(Verifier, RejectsIntrinsicWithABody) {
+  Module module;
+  Function* trap = module.get_intrinsic(kTrapIntrinsic, Type::kVoid, 0);
+  Builder builder(module);
+  builder.set_insert_point(trap->add_block("entry"));
+  builder.ret();
+  EXPECT_EQ(rejection(module), "ir: function @r2r.trap: intrinsic with a body");
+}
+
+TEST(Verifier, RejectsEmptyBlock) {
+  Module module;
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  BasicBlock* entry = main->add_block("entry");
+  BasicBlock* empty = main->add_block("empty");
+  builder.set_insert_point(entry);
+  builder.br(empty);
+  EXPECT_EQ(rejection(module), "ir: function @main: block %empty: empty block");
+}
+
+TEST(Verifier, ReportsTheFirstOfTwoFaultsInABlock) {
+  // Position 1 is a terminator in the middle; position 2 uses the value
+  // that position 3 defines. The terminator is the first fault.
+  Module module;
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  builder.add(builder.const_i64(1), builder.const_i64(2));
+  builder.ret();
+  Instr* early = builder.add(builder.const_i64(3), builder.const_i64(4));
+  Instr* late = builder.add(builder.const_i64(5), builder.const_i64(6));
+  builder.ret();
+  early->operands[0] = late;
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: terminator in the middle");
 }
 
 TEST(Verifier, RejectsDuplicateFunctionNames) {
@@ -246,7 +338,7 @@ TEST(Verifier, RejectsDuplicateFunctionNames) {
     builder.set_insert_point(f->add_block("entry"));
     builder.ret();
   }
-  EXPECT_THROW(verify(module), support::Error);
+  EXPECT_EQ(rejection(module), "ir: duplicate function @dup");
 }
 
 TEST(Printer, RendersReadableIr) {

@@ -3,18 +3,26 @@
 // property), instruction duplication.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "guests/guests.h"
+#include "guests/synth.h"
 #include "ir/builder.h"
 #include "ir/interpreter.h"
+#include "ir/printer.h"
 #include "ir/verifier.h"
+#include "lift/lifter.h"
 #include "obs/metrics.h"
 #include "passes/pass.h"
 #include "passes/stats.h"
 #include "support/rng.h"
+#include "synth_corpus.h"
 
 namespace r2r::passes {
 namespace {
@@ -70,6 +78,112 @@ TEST(Dce, RemovesChainsTransitively) {
   builder.ret();
   EXPECT_TRUE(make_dce()->run(module));
   EXPECT_EQ(main->entry()->instrs.size(), 1u);
+}
+
+TEST(Dce, RemovesADeadChainThatCrossesBlocks) {
+  // c (in `exit`) is dead, which kills b, which kills a (both in `entry`).
+  Module module;
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  BasicBlock* entry = main->add_block("entry");
+  BasicBlock* exit = main->add_block("exit");
+  builder.set_insert_point(entry);
+  Instr* a = builder.add(builder.const_i64(1), builder.const_i64(2));
+  Instr* b = builder.mul(a, builder.const_i64(3));
+  builder.br(exit);
+  builder.set_insert_point(exit);
+  builder.sub(b, a);
+  builder.ret();
+  const auto dce = make_dce();
+  EXPECT_TRUE(dce->run(module));
+  EXPECT_EQ(entry->instrs.size(), 1u);
+  EXPECT_EQ(exit->instrs.size(), 1u);
+  EXPECT_FALSE(dce->run(module));
+}
+
+/// The fix-point DCE that make_dce() replaced, kept as its reference:
+/// count every operand use, erase each side-effect-free instruction with
+/// none, and repeat until a round erases nothing.
+bool reference_dce(Module& module) {
+  bool changed = false;
+  for (auto& fn : module.functions) {
+    for (bool erased = true; erased;) {
+      erased = false;
+      std::map<const ir::Value*, unsigned> uses;
+      for (const auto& block : fn->blocks) {
+        for (const auto& instr : block->instrs) {
+          for (const ir::Value* op : instr->operands) ++uses[op];
+        }
+      }
+      for (auto& block : fn->blocks) {
+        auto& instrs = block->instrs;
+        for (std::size_t i = instrs.size(); i-- > 0;) {
+          if (instrs[i]->has_side_effects() || uses[instrs[i].get()] > 0) continue;
+          instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(i));
+          erased = changed = true;
+        }
+      }
+    }
+  }
+  return changed;
+}
+
+/// make_dce() and reference_dce() leave the same printed module, and a
+/// second make_dce() run finds nothing. `build` makes a fresh copy; returns
+/// whether the reference erased anything.
+bool expect_dce_matches_reference(const std::function<Module()>& build) {
+  Module reference = build();
+  const bool erased = reference_dce(reference);
+  Module module = build();
+  const auto dce = make_dce();
+  EXPECT_EQ(dce->run(module), erased);
+  EXPECT_EQ(ir::print(module), ir::print(reference));
+  EXPECT_FALSE(dce->run(module));
+  return erased;
+}
+
+Module run_passes(Module module, std::vector<std::unique_ptr<Pass>> passes) {
+  PassManager pm;
+  for (auto& pass : passes) pm.add(std::move(pass));
+  pm.run(module);
+  return module;
+}
+
+TEST(Dce, MatchesTheFixPointReferenceOnLiftedGuests) {
+  // Each guest is compared lifted, after the cleanup passes that run before
+  // DCE in the Hybrid pipeline (they leave the dead loads and flag
+  // computations DCE exists for), and both again after call guard plus
+  // branch hardening.
+  unsigned modules_with_dead_code = 0;
+  for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+    std::vector<guests::Guest> corpus;
+    for (const guests::Guest* guest : guests::all_guests(arch)) corpus.push_back(*guest);
+    for (const synth_corpus::CorpusSeed& entry : synth_corpus::kCorpus) {
+      corpus.push_back(guests::synth::generate(entry.seed, arch));
+    }
+    for (const guests::Guest& guest : corpus) {
+      SCOPED_TRACE(guest.name + " on " + std::string(isa::to_string(arch)));
+      const elf::Image image = guests::build_image(guest);
+      const std::function<Module()> lifted = [&image] { return lift::lift(image).module; };
+      const std::function<Module()> folded = [&lifted] {
+        std::vector<std::unique_ptr<Pass>> passes;
+        passes.push_back(make_state_promotion());
+        passes.push_back(make_global_store_elim());
+        passes.push_back(make_constant_fold());
+        return run_passes(lifted(), std::move(passes));
+      };
+      for (const auto* build : {&lifted, &folded}) {
+        modules_with_dead_code += expect_dce_matches_reference(*build);
+        modules_with_dead_code += expect_dce_matches_reference([build] {
+          std::vector<std::unique_ptr<Pass>> passes;
+          passes.push_back(make_call_guard());
+          passes.push_back(make_branch_hardening());
+          return run_passes((*build)(), std::move(passes));
+        });
+      }
+    }
+  }
+  EXPECT_GT(modules_with_dead_code, 0u);
 }
 
 TEST(ConstantFold, FoldsArithmeticIntoStores) {
