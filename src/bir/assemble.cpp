@@ -104,8 +104,7 @@ elf::Image assemble(Module& module) {
   SymbolMap symbols;
   const auto define = [&symbols](const std::string& name, std::uint64_t address) {
     const auto [it, inserted] = symbols.emplace(name, address);
-    check(inserted || it->second == address, ErrorKind::kRewrite,
-          "duplicate symbol: " + name);
+    check(inserted || it->second == address, ErrorKind::kRewrite, "duplicate symbol: ", name);
   };
 
   // --- data layout (bases are fixed, so this is final) ----------------------
@@ -145,8 +144,9 @@ elf::Image assemble(Module& module) {
       const isa::Instruction final_instr =
           resolve(*item.instr, symbols, 0, false, item, target);
       const std::vector<std::uint8_t> bytes = target.encode(final_instr, item.address);
-      check(module.text_base + text_bytes.size() == item.address, ErrorKind::kRewrite,
-            "layout drift at " + target.print(*item.instr));
+      if (module.text_base + text_bytes.size() != item.address) {
+        support::fail(ErrorKind::kRewrite, "layout drift at " + target.print(*item.instr));
+      }
       text_bytes.insert(text_bytes.end(), bytes.begin(), bytes.end());
     } else {
       text_bytes.insert(text_bytes.end(), item.raw.begin(), item.raw.end());
@@ -177,11 +177,13 @@ elf::Image assemble(Module& module) {
                     static_cast<std::ptrdiff_t>(block.address - section.base));
       for (const auto& [offset, symbol] : block.symbol_refs) {
         const auto it = symbols.find(symbol);
-        check(it != symbols.end(), ErrorKind::kRewrite,
-              "undefined symbol in data: '" + symbol + "'" +
-                  (block.source_line != 0
-                       ? " (line " + std::to_string(block.source_line) + ")"
-                       : ""));
+        if (it == symbols.end()) {
+          support::fail(ErrorKind::kRewrite,
+                        "undefined symbol in data: '" + symbol + "'" +
+                            (block.source_line != 0
+                                 ? " (line " + std::to_string(block.source_line) + ")"
+                                 : ""));
+        }
         const std::size_t at = block.address - section.base + offset;
         for (int i = 0; i < 8; ++i) {
           segment.data[at + static_cast<std::size_t>(i)] =
@@ -215,8 +217,8 @@ elf::Image assemble(Module& module) {
   }
 
   const auto entry = symbols.find(module.entry_symbol);
-  check(entry != symbols.end(), ErrorKind::kRewrite,
-        "entry symbol not defined: " + module.entry_symbol);
+  check(entry != symbols.end(), ErrorKind::kRewrite, "entry symbol not defined: ",
+        module.entry_symbol);
   image.entry = entry->second;
   return image;
 }

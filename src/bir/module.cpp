@@ -69,8 +69,8 @@ void Module::replace(std::size_t index, std::vector<isa::Instruction> instrs) {
 }
 
 void Module::append_block(const std::string& label, std::vector<isa::Instruction> instrs) {
-  check(!instrs.empty(), ErrorKind::kInvalidArgument,
-        "append_block: block '" + label + "' has no instructions to carry its label");
+  check(!instrs.empty(), ErrorKind::kInvalidArgument, "append_block: block '", label,
+        "' has no instructions to carry its label");
   const std::size_t index = text.size();
   insert_before(index, std::move(instrs), /*take_labels=*/false);
   text[index].labels.push_back(label);

@@ -62,8 +62,10 @@ void explore(RecoveryState& state, std::uint64_t start) {
           instr.mnemonic == isa::Mnemonic::kCall) {
         const auto target = static_cast<std::uint64_t>(
             std::get<isa::ImmOperand>(instr.op(0)).value);
-        check(state.in_text(target), ErrorKind::kRecovery,
-              "branch target outside .text at " + support::hex_string(address));
+        if (!state.in_text(target)) {
+          support::fail(ErrorKind::kRecovery,
+                        "branch target outside .text at " + support::hex_string(address));
+        }
         state.code_label_addresses.insert(target);
         worklist.push_back(target);
       }
@@ -85,8 +87,10 @@ void symbolize(RecoveryState& state, isa::Instruction& instr) {
     if (auto* mem = std::get_if<isa::MemOperand>(&op)) {
       if (mem->rip_relative) {
         const auto target = static_cast<std::uint64_t>(mem->disp);
-        check(state.data_segment_of(target) != nullptr, ErrorKind::kRecovery,
-              "rip-relative reference to non-data address " + support::hex_string(target));
+        if (state.data_segment_of(target) == nullptr) {
+          support::fail(ErrorKind::kRecovery, "rip-relative reference to non-data address " +
+                                                  support::hex_string(target));
+        }
         state.data_label_addresses.insert(target);
         mem->label = "";  // filled by caller once label names exist
         continue;

@@ -55,7 +55,11 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
     obs::Span span("harden.lift");
     return lift::lift(input);
   }();
-  ir::verify(lifted.module);
+  const auto verify = [&lifted] {  // after lift, cleanup and the countermeasure
+    obs::Span span("harden.verify");
+    ir::verify(lifted.module);
+  };
+  verify();
 
   if (config.cleanup) {
     obs::Span span("harden.cleanup");
@@ -65,7 +69,8 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
     cleanup.add(passes::make_constant_fold());
     cleanup.add(passes::make_dce());
     cleanup.run_to_fixpoint(lifted.module);
-    ir::verify(lifted.module);
+    span.end();
+    verify();
   }
 
   result.ir_before = passes::count_ops(lifted.module);
@@ -90,7 +95,7 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
       }
     }
   }
-  ir::verify(lifted.module);
+  verify();
   result.ir_after = passes::count_ops(lifted.module);
 
   {

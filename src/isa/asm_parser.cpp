@@ -92,24 +92,24 @@ MemOperand parse_mem_body(const Target& target, std::string_view body) {
       const auto reg = target.parse_reg(to_lower(trim(token.substr(0, star))));
       const auto scale = parse_integer(trim(token.substr(star + 1)));
       check(reg.has_value() && reg->second == address_width, ErrorKind::kParse,
-            "bad index register in memory operand: " + quoted(token));
+            "bad index register in memory operand: '", token, "'");
       check(scale.has_value() &&
                 (*scale == 1 || *scale == 2 || *scale == 4 || *scale == 8),
-            ErrorKind::kParse, "bad scale in memory operand: " + quoted(token));
-      check(!neg, ErrorKind::kParse, "index cannot be negated: " + quoted(token));
+            ErrorKind::kParse, "bad scale in memory operand: '", token, "'");
+      check(!neg, ErrorKind::kParse, "index cannot be negated: '", token, "'");
       mem.index = reg->first;
       mem.scale = static_cast<std::uint8_t>(*scale);
       continue;
     }
     if (const auto reg = target.parse_reg(lower); reg.has_value()) {
       check(reg->second == address_width, ErrorKind::kParse,
-            "memory operands use full-width registers: " + quoted(token));
-      check(!neg, ErrorKind::kParse, "register cannot be negated: " + quoted(token));
+            "memory operands use full-width registers: '", token, "'");
+      check(!neg, ErrorKind::kParse, "register cannot be negated: '", token, "'");
       if (!mem.base) {
         mem.base = reg->first;
       } else {
         check(!mem.index, ErrorKind::kParse,
-              "too many registers in memory operand: " + quoted(token));
+              "too many registers in memory operand: '", token, "'");
         mem.index = reg->first;
         mem.scale = 1;
       }
@@ -120,9 +120,9 @@ MemOperand parse_mem_body(const Target& target, std::string_view body) {
       continue;
     }
     check(is_identifier(token) && !neg, ErrorKind::kParse,
-          "bad term in memory operand: " + quoted(token));
+          "bad term in memory operand: '", token, "'");
     check(mem.label.empty(), ErrorKind::kParse,
-          "multiple symbols in memory operand: " + quoted(token));
+          "multiple symbols in memory operand: '", token, "'");
     mem.label = std::string(token);
   }
   return mem;
@@ -153,17 +153,17 @@ ParsedOperand parse_operand(const Target& target, std::string_view text) {
 
   if (!text.empty() && text.front() == '[') {
     check(text.back() == ']', ErrorKind::kParse,
-          "unterminated memory operand: " + quoted(text));
+          "unterminated memory operand: '", text, "'");
     out.op = parse_mem_body(target, text.substr(1, text.size() - 2));
     return out;
   }
   check(!out.size_prefix.has_value(), ErrorKind::kParse,
-        "size prefix requires a memory operand: " + quoted(text));
+        "size prefix requires a memory operand: '", text, "'");
 
   if (lower.starts_with("offset ")) {
     const std::string_view sym = trim(text.substr(7));
     check(is_identifier(sym), ErrorKind::kParse,
-          "bad symbol after offset: " + quoted(sym));
+          "bad symbol after offset: '", sym, "'");
     out.op = ImmOperand{0, std::string(sym)};
     return out;
   }
@@ -177,7 +177,7 @@ ParsedOperand parse_operand(const Target& target, std::string_view text) {
     return out;
   }
   check(is_identifier(text), ErrorKind::kParse,
-        "unrecognized operand: " + quoted(text));
+        "unrecognized operand: '", text, "'");
   out.op = LabelOperand{std::string(text)};
   return out;
 }
@@ -273,7 +273,7 @@ Instruction Target::parse_instruction(std::string_view line) const {
   while (split_at < line.size() && is_ident_char(line[split_at])) ++split_at;
   const std::string mnemonic_text = to_lower(line.substr(0, split_at));
   const auto spec = parse_mnemonic(mnemonic_text);
-  check(spec.has_value(), ErrorKind::kParse, "unknown mnemonic: " + quoted(mnemonic_text));
+  check(spec.has_value(), ErrorKind::kParse, "unknown mnemonic: '", mnemonic_text, "'");
 
   Instruction instr;
   instr.mnemonic = spec->mnemonic;

@@ -135,7 +135,7 @@ class FunctionLifter {
     if (!mem.label.empty()) {
       const auto it = state_.symbol_addresses.find(mem.label);
       check(it != state_.symbol_addresses.end(), ErrorKind::kLift,
-            "unresolved symbol in memory operand: " + mem.label);
+            "unresolved symbol in memory operand: ", mem.label);
       disp += static_cast<std::int64_t>(it->second);
     }
     if (mem.rip_relative) return c64(static_cast<std::uint64_t>(disp));
@@ -181,7 +181,7 @@ class FunctionLifter {
     if (!imm.label.empty()) {
       const auto it = state_.symbol_addresses.find(imm.label);
       check(it != state_.symbol_addresses.end(), ErrorKind::kLift,
-            "unresolved symbol immediate: " + imm.label);
+            "unresolved symbol immediate: ", imm.label);
       value = static_cast<std::int64_t>(it->second);
     }
     const std::uint64_t raw = static_cast<std::uint64_t>(value);
@@ -302,12 +302,12 @@ class FunctionLifter {
 
   BasicBlock* block_for_label(const std::string& label) {
     const auto item = bmod_.index_of_label(label);
-    check(item.has_value(), ErrorKind::kLift, "branch to unknown label " + label);
+    check(item.has_value(), ErrorKind::kLift, "branch to unknown label ", label);
     const auto block = cfg_.block_of_item(*item);
-    check(block.has_value(), ErrorKind::kLift, "label outside any block: " + label);
+    check(block.has_value(), ErrorKind::kLift, "label outside any block: ", label);
     const auto it = ir_blocks_.find(*block);
-    check(it != ir_blocks_.end(), ErrorKind::kLift,
-          "branch target " + label + " belongs to another function");
+    check(it != ir_blocks_.end(), ErrorKind::kLift, "branch target ", label,
+          " belongs to another function");
     return it->second;
   }
 
@@ -564,8 +564,8 @@ class FunctionLifter {
         check(isa::is_label(instr.op(0)), ErrorKind::kLift, "indirect call");
         const std::string& callee_label = std::get<isa::LabelOperand>(instr.op(0)).name;
         ir::Function* callee = state_.module.find_function(callee_label);
-        check(callee != nullptr, ErrorKind::kLift,
-              "call target not lifted as a function: " + callee_label);
+        check(callee != nullptr, ErrorKind::kLift, "call target not lifted as a function: ",
+              callee_label);
         builder_.call(callee);
         return false;
       }
@@ -697,7 +697,7 @@ LiftResult lift(const elf::Image& image) {
   std::map<std::size_t, std::string> heads;  // cfg block id -> name
   const auto head_block_of_label = [&](const std::string& label) {
     const auto item = bmod.index_of_label(label);
-    check(item.has_value(), ErrorKind::kLift, "unknown function label: " + label);
+    check(item.has_value(), ErrorKind::kLift, "unknown function label: ", label);
     const auto block = cfg.block_of_item(*item);
     check(block.has_value(), ErrorKind::kLift, "function label outside blocks");
     return *block;

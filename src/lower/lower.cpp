@@ -1,7 +1,9 @@
 #include "lower/lower.h"
 
-#include <map>
-#include <set>
+#include <array>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 
 #include "bir/assemble.h"
 #include "isa/target.h"
@@ -89,7 +91,12 @@ class FunctionLowerer {
       const ir::BasicBlock& block = *block_ptr;
       code_.clear();
       cache_reset();
-      remaining_uses_ = block_use_counts_.at(&block);
+      // Every use is consumed by the end of its block: the counts start at 0.
+      for (const auto& instr : block.instrs) {
+        for (const Value* op : instr->operands) {
+          if (op->kind() == Value::Kind::kInstr) ++values_.at(op).remaining;
+        }
+      }
       for (std::size_t i = 0; i < block.instrs.size(); ++i) {
         const std::size_t fused = try_fuse_compare_branch(block, i);
         if (fused > 0) {
@@ -214,34 +221,37 @@ class FunctionLowerer {
 
   // ---- use analysis -----------------------------------------------------------
 
+  /// What the lowering tracks per instruction of the function.
+  struct ValueState {
+    const ir::BasicBlock* block = nullptr;  ///< defining block
+    bool cross_block = false;               ///< used outside `block`
+    unsigned remaining = 0;                 ///< uses left in the block being lowered
+    std::int64_t slot = -1;                 ///< frame offset, -1 before one is needed
+  };
+
   void analyze_uses() {
-    std::map<const Value*, const ir::BasicBlock*> def_block;
     for (const auto& block : fn_.blocks) {
-      for (const auto& instr : block->instrs) def_block[instr.get()] = block.get();
-    }
-    for (const auto& block : fn_.blocks) {
-      auto& counts = block_use_counts_[block.get()];
       for (const auto& instr : block->instrs) {
         for (const Value* op : instr->operands) {
           if (op->kind() != Value::Kind::kInstr) continue;
-          ++counts[op];
-          if (def_block.at(op) != block.get()) cross_block_.insert(op);
+          // An operand not yet defined is defined in a later block.
+          ValueState& state = values_[op];
+          if (state.block != block.get()) state.cross_block = true;
         }
+        values_[instr.get()].block = block.get();
       }
     }
   }
 
   void consume_operands(const ir::Instr& instr) {
     for (const Value* op : instr.operands) {
-      if (op->kind() != Value::Kind::kInstr) continue;
-      auto it = remaining_uses_.find(op);
-      if (it != remaining_uses_.end() && it->second > 0) --it->second;
+      if (op->kind() == Value::Kind::kInstr) --values_.at(op).remaining;
     }
   }
 
   [[nodiscard]] unsigned remaining(const Value* value) const {
-    const auto it = remaining_uses_.find(value);
-    return it == remaining_uses_.end() ? 0 : it->second;
+    const auto it = values_.find(value);
+    return it == values_.end() ? 0 : it->second.remaining;
   }
 
   [[nodiscard]] unsigned occurrences(const ir::Instr& instr, const Value* value) const {
@@ -255,11 +265,11 @@ class FunctionLowerer {
   // ---- frame slots ---------------------------------------------------------------
 
   std::int64_t slot_of(const Value* value) {
-    const auto it = slots_.find(value);
-    if (it != slots_.end()) return it->second;
-    const auto slot = static_cast<std::int64_t>(next_slot_);
-    next_slot_ += 8;
-    slots_[value] = slot;
+    std::int64_t& slot = values_.at(value).slot;
+    if (slot < 0) {
+      slot = static_cast<std::int64_t>(next_slot_);
+      next_slot_ += 8;
+    }
     return slot;
   }
 
@@ -269,63 +279,57 @@ class FunctionLowerer {
 
   // ---- register cache --------------------------------------------------------------
 
+  /// The value a register holds; a null value marks a free register.
   struct CacheEntry {
     const Value* value = nullptr;
     bool dirty = false;
   };
 
-  void cache_reset() {
-    cache_.clear();
-    where_.clear();
-  }
+  /// Registers one instruction's lowering must keep, a bit per register number.
+  using Pinned = std::uint16_t;
 
-  void unbind(Reg reg) {
-    const auto it = cache_.find(reg);
-    if (it != cache_.end()) {
-      where_.erase(it->second.value);
-      cache_.erase(it);
+  static Pinned bit(Reg reg) noexcept { return Pinned(1u << isa::reg_number(reg)); }
+
+  CacheEntry& entry(Reg reg) { return cache_[isa::reg_number(reg)]; }
+
+  void cache_reset() { cache_.fill({}); }
+
+  /// The register holding `value`, if any.
+  [[nodiscard]] std::optional<Reg> where(const Value* value) const {
+    for (unsigned n = 0; n < cache_.size(); ++n) {
+      if (cache_[n].value == value) return isa::reg_from_number(n);
     }
+    return std::nullopt;
   }
 
   void bind(Reg reg, const Value* value, bool dirty) {
-    unbind(reg);
-    if (const auto it = where_.find(value); it != where_.end()) {
-      cache_.erase(it->second);
-      where_.erase(it);
-    }
-    cache_[reg] = CacheEntry{value, dirty};
-    where_[value] = reg;
+    if (const auto old = where(value)) entry(*old) = {};
+    entry(reg) = CacheEntry{value, dirty};
   }
 
   /// Spills `reg` if its value may still be needed and is not backed by a
   /// current slot.
   void evict(Reg reg) {
-    const auto it = cache_.find(reg);
-    if (it == cache_.end()) return;
-    const CacheEntry entry = it->second;
-    const bool needed = entry.dirty && (remaining(entry.value) > 0);
-    if (needed) {
-      code_.push_back(isa::mov(slot_operand(entry.value), reg, natural()));
+    const CacheEntry held = std::exchange(entry(reg), {});
+    if (held.dirty && remaining(held.value) > 0) {
+      code_.push_back(isa::mov(slot_operand(held.value), reg, natural()));
     }
-    where_.erase(entry.value);
-    cache_.erase(reg);
   }
 
-  Reg alloc_reg(const std::set<Reg>& pinned) {
+  Reg alloc_reg(Pinned pinned) {
     for (const Reg reg : kPool) {
-      if (!pinned.contains(reg) && !cache_.contains(reg)) return reg;
+      if ((pinned & bit(reg)) == 0 && entry(reg).value == nullptr) return reg;
     }
     // Prefer evicting a clean or dead value.
     for (const Reg reg : kPool) {
-      if (pinned.contains(reg)) continue;
-      const CacheEntry& entry = cache_.at(reg);
-      if (!entry.dirty || remaining(entry.value) == 0) {
+      if ((pinned & bit(reg)) != 0) continue;
+      if (!entry(reg).dirty || remaining(entry(reg).value) == 0) {
         evict(reg);
         return reg;
       }
     }
     for (const Reg reg : kPool) {
-      if (!pinned.contains(reg)) {
+      if ((pinned & bit(reg)) == 0) {
         evict(reg);
         return reg;
       }
@@ -334,13 +338,15 @@ class FunctionLowerer {
   }
 
   /// Flushes every dirty, still-needed value (before calls) and clears the
-  /// cache. "Still needed" means uses remain in this block or anywhere
-  /// else (cross-block values are always stored at definition, so they are
-  /// never dirty here).
+  /// cache, in register number order. "Still needed" means uses remain in
+  /// this block or anywhere else (cross-block values are always stored at
+  /// definition, so they are never dirty here).
   void flush_and_clear() {
-    for (auto& [reg, entry] : cache_) {
-      if (entry.dirty && remaining(entry.value) > 0) {
-        code_.push_back(isa::mov(slot_operand(entry.value), reg, natural()));
+    for (unsigned n = 0; n < cache_.size(); ++n) {
+      const CacheEntry& held = cache_[n];
+      if (held.dirty && remaining(held.value) > 0) {
+        code_.push_back(
+            isa::mov(slot_operand(held.value), isa::reg_from_number(n), natural()));
       }
     }
     cache_reset();
@@ -350,19 +356,18 @@ class FunctionLowerer {
   /// cleared (i.e. it has an up-to-date slot).
   void ensure_slot_current(const Value* value) {
     if (value->kind() != Value::Kind::kInstr) return;
-    const auto it = where_.find(value);
-    if (it == where_.end()) return;  // already only in its slot
-    CacheEntry& entry = cache_.at(it->second);
-    if (entry.dirty) {
-      code_.push_back(isa::mov(slot_operand(value), it->second, natural()));
-      entry.dirty = false;
+    const auto reg = where(value);
+    if (!reg) return;  // already only in its slot
+    if (entry(*reg).dirty) {
+      code_.push_back(isa::mov(slot_operand(value), *reg, natural()));
+      entry(*reg).dirty = false;
     }
   }
 
-  Reg value_to_reg(const Value* value, std::set<Reg>& pinned) {
-    if (const auto it = where_.find(value); it != where_.end()) {
-      pinned.insert(it->second);
-      return it->second;
+  Reg value_to_reg(const Value* value, Pinned& pinned) {
+    if (const auto held = where(value)) {
+      pinned |= bit(*held);
+      return *held;
     }
     const Reg reg = alloc_reg(pinned);
     switch (value->kind()) {
@@ -379,17 +384,17 @@ class FunctionLowerer {
         break;
       }
       case Value::Kind::kInstr:
-        check(slots_.contains(value), ErrorKind::kLower,
+        check(values_.at(value).slot >= 0, ErrorKind::kLower,
               "use of a value that was never defined or spilled");
         code_.push_back(isa::mov(reg, slot_operand(value), natural()));
         break;
     }
     bind(reg, value, /*dirty=*/false);
-    pinned.insert(reg);
+    pinned |= bit(reg);
     return reg;
   }
 
-  isa::Operand value_operand(const Value* value, std::set<Reg>& pinned) {
+  isa::Operand value_operand(const Value* value, Pinned& pinned) {
     if (value->kind() == Value::Kind::kConstant) {
       const auto raw =
           static_cast<std::int64_t>(static_cast<const ir::Constant*>(value)->value());
@@ -402,7 +407,7 @@ class FunctionLowerer {
   /// are stored through immediately; block-local ones stay register-only
   /// until an eviction forces a spill.
   void define(const ir::Instr* instr, Reg reg) {
-    const bool crosses = cross_block_.contains(instr);
+    const bool crosses = values_.at(instr).cross_block;
     if (crosses) {
       code_.push_back(isa::mov(slot_operand(instr), reg, natural()));
     }
@@ -411,19 +416,18 @@ class FunctionLowerer {
 
   /// Picks the destination register for a computation consuming `a`:
   /// reuses a's register when this is its final use (saves the copy).
-  Reg dest_for(const ir::Instr& instr, const Value* a, Reg a_reg,
-               std::set<Reg>& pinned) {
+  Reg dest_for(const ir::Instr& instr, const Value* a, Reg a_reg, Pinned& pinned) {
     if (a->kind() == Value::Kind::kInstr && remaining(a) == occurrences(instr, a) &&
         occurrences(instr, a) == 1) {
       // a dies here; steal its register. Its slot (if any) stays valid.
-      unbind(a_reg);
-      pinned.insert(a_reg);
+      entry(a_reg) = {};
+      pinned |= bit(a_reg);
       return a_reg;
     }
     return alloc_reg(pinned);
   }
 
-  isa::Operand address_operand(const Value* value, std::set<Reg>& pinned) {
+  isa::Operand address_operand(const Value* value, Pinned& pinned) {
     if (caps_.absolute_addressing) {
       if (value->kind() == Value::Kind::kGlobal) {
         const auto* global = static_cast<const ir::GlobalVariable*>(value);
@@ -451,7 +455,7 @@ class FunctionLowerer {
     if (icmp->opcode() != Opcode::kICmp) return 0;
 
     const auto single_use_here = [this](const ir::Instr* value) {
-      return !cross_block_.contains(value) && remaining(value) == 1;
+      return !values_.at(value).cross_block && remaining(value) == 1;
     };
 
     // Direct: icmp; condbr.
@@ -485,7 +489,7 @@ class FunctionLowerer {
   }
 
   void emit_fused(const ir::Instr& icmp, bool inverted, const ir::Instr& branch) {
-    std::set<Reg> pinned;
+    Pinned pinned = 0;
     const Value* a = icmp.operands[0];
     const Value* b = icmp.operands[1];
     const Width width = width_for(a->type());
@@ -530,7 +534,7 @@ class FunctionLowerer {
         lower_alias(instr, instr.operands[0]);
         return;
       case Opcode::kTrunc: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const Reg src = value_to_reg(instr.operands[0], pinned);
         const Reg dst = dest_for(instr, instr.operands[0], src, pinned);
         if (dst != src) code_.push_back(isa::mov(dst, src, natural()));
@@ -539,7 +543,7 @@ class FunctionLowerer {
         return;
       }
       case Opcode::kSExt: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const Type src_type = instr.operands[0]->type();
         const Reg src = value_to_reg(instr.operands[0], pinned);
         const Reg dst = dest_for(instr, instr.operands[0], src, pinned);
@@ -561,7 +565,7 @@ class FunctionLowerer {
         return;
       }
       case Opcode::kSelect: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const Reg cond = value_to_reg(instr.operands[0], pinned);
         const Reg if_true = value_to_reg(instr.operands[1], pinned);
         if (caps_.has_cmov) {
@@ -589,7 +593,7 @@ class FunctionLowerer {
         return;
       }
       case Opcode::kLoad: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const isa::Operand address = address_operand(instr.operands[0], pinned);
         const Reg dst = alloc_reg(pinned);
         if (instr.type() == Type::kI8) {
@@ -601,7 +605,7 @@ class FunctionLowerer {
         return;
       }
       case Opcode::kStore: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const Value* value = instr.operands[0];
         const isa::Operand address = address_operand(instr.operands[1], pinned);
         const Width width = width_for(value->type());
@@ -623,7 +627,7 @@ class FunctionLowerer {
         emit_fallthrough_guard();
         return;
       case Opcode::kCondBr: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const Reg cond = value_to_reg(instr.operands[0], pinned);
         code_.push_back(isa::test(cond, cond, natural()));
         code_.push_back(isa::jcc(Cond::ne, target_label(instr.targets[0])));
@@ -632,7 +636,7 @@ class FunctionLowerer {
         return;
       }
       case Opcode::kSwitch: {
-        std::set<Reg> pinned;
+        Pinned pinned = 0;
         const Reg value = value_to_reg(instr.operands[0], pinned);
         for (std::size_t c = 0; c < instr.case_values.size(); ++c) {
           const auto case_value =
@@ -668,7 +672,7 @@ class FunctionLowerer {
   /// Defines `instr` as a copy of `source`, reusing source's register when
   /// this is its last use.
   void lower_alias(const ir::Instr& instr, const Value* source) {
-    std::set<Reg> pinned;
+    Pinned pinned = 0;
     const Reg src = value_to_reg(source, pinned);
     const Reg dst = dest_for(instr, source, src, pinned);
     if (dst != src) code_.push_back(isa::mov(dst, src, natural()));
@@ -694,7 +698,7 @@ class FunctionLowerer {
       lower_alias(instr, source);
       return;
     }
-    std::set<Reg> pinned;
+    Pinned pinned = 0;
     const Value* a = instr.operands[0];
     const Value* b = instr.operands[1];
     const bool is_shift = instr.opcode() == Opcode::kShl ||
@@ -751,7 +755,7 @@ class FunctionLowerer {
   }
 
   void lower_icmp(const ir::Instr& instr) {
-    std::set<Reg> pinned;
+    Pinned pinned = 0;
     const Value* a = instr.operands[0];
     const Value* b = instr.operands[1];
     const Width width = width_for(a->type());
@@ -796,7 +800,7 @@ class FunctionLowerer {
                 natural()));
             break;
           case Value::Kind::kInstr:
-            check(slots_.contains(arg), ErrorKind::kLower,
+            check(values_.at(arg).slot >= 0, ErrorKind::kLower,
                   "syscall argument lost before the call");
             code_.push_back(isa::mov(abi[i], slot_operand(arg), natural()));
             break;
@@ -806,8 +810,7 @@ class FunctionLowerer {
       define(&instr, Reg::rax);
       return;
     }
-    check(!callee.is_intrinsic(), ErrorKind::kLower,
-          "unknown intrinsic: " + callee.name());
+    check(!callee.is_intrinsic(), ErrorKind::kLower, "unknown intrinsic: ", callee.name());
     flush_and_clear();
     code_.push_back(isa::call(callee.name()));
   }
@@ -820,14 +823,10 @@ class FunctionLowerer {
   bir::Module& out_;
   const isa::LowerCaps& caps_;
 
-  std::map<const Value*, std::int64_t> slots_;
+  std::unordered_map<const Value*, ValueState> values_;  ///< never iterated
   std::uint64_t next_slot_ = 0;
   std::vector<Instruction> code_;
-  std::map<Reg, CacheEntry> cache_;
-  std::map<const Value*, Reg> where_;
-  std::set<const Value*> cross_block_;
-  std::map<const ir::BasicBlock*, std::map<const Value*, unsigned>> block_use_counts_;
-  std::map<const Value*, unsigned> remaining_uses_;
+  std::array<CacheEntry, isa::kRegCount> cache_{};  ///< by register number
 };
 
 }  // namespace

@@ -1,4 +1,5 @@
-#include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "passes/pass.h"
 
@@ -13,32 +14,50 @@ class DcePass final : public Pass {
   bool run(ir::Module& module) override {
     bool changed = false;
     for (auto& fn : module.functions) {
-      if (fn->is_intrinsic()) continue;
-      while (run_once(*fn)) changed = true;
+      if (!fn->is_intrinsic()) changed |= run_on(*fn);
     }
     return changed;
   }
 
  private:
-  static bool run_once(ir::Function& fn) {
-    std::map<const ir::Value*, unsigned> uses;
+  /// One worklist pass over use counts. The IR has no phi, so no dead cycle
+  /// survives it: it removes what repeating a count-and-erase pass would.
+  static bool run_on(ir::Function& fn) {
+    std::unordered_map<const ir::Value*, unsigned> uses;
+    for (const auto& block : fn.blocks) {
+      for (const auto& instr : block->instrs) uses.emplace(instr.get(), 0);
+    }
     for (const auto& block : fn.blocks) {
       for (const auto& instr : block->instrs) {
-        for (const ir::Value* op : instr->operands) ++uses[op];
+        for (const ir::Value* op : instr->operands) {
+          if (const auto it = uses.find(op); it != uses.end()) ++it->second;
+        }
       }
     }
-    bool changed = false;
+    const auto dead = [&uses](const ir::Instr& instr) {
+      return !instr.has_side_effects() && uses.at(&instr) == 0;
+    };
+    std::vector<const ir::Instr*> worklist;
+    for (const auto& block : fn.blocks) {
+      for (const auto& instr : block->instrs) {
+        if (dead(*instr)) worklist.push_back(instr.get());
+      }
+    }
+    if (worklist.empty()) return false;
+    while (!worklist.empty()) {
+      const ir::Instr* instr = worklist.back();
+      worklist.pop_back();
+      for (const ir::Value* op : instr->operands) {
+        const auto it = uses.find(op);
+        if (it == uses.end() || --it->second > 0) continue;
+        const auto* def = static_cast<const ir::Instr*>(op);
+        if (!def->has_side_effects()) worklist.push_back(def);
+      }
+    }
     for (auto& block : fn.blocks) {
-      auto& instrs = block->instrs;
-      for (std::size_t i = instrs.size(); i-- > 0;) {
-        const ir::Instr& instr = *instrs[i];
-        if (instr.has_side_effects()) continue;
-        if (uses[&instr] > 0) continue;
-        instrs.erase(instrs.begin() + static_cast<std::ptrdiff_t>(i));
-        changed = true;
-      }
+      std::erase_if(block->instrs, [&dead](const auto& instr) { return dead(*instr); });
     }
-    return changed;
+    return true;
   }
 };
 

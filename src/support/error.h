@@ -36,8 +36,8 @@ std::string_view to_string(ErrorKind kind) noexcept;
 /// The exception type thrown by every r2r component.
 class Error : public std::runtime_error {
  public:
-  Error(ErrorKind kind, const std::string& message)
-      : std::runtime_error(std::string(to_string(kind)) + ": " + message),
+  Error(ErrorKind kind, std::string_view message)
+      : std::runtime_error(std::string(to_string(kind)) + ": " + std::string(message)),
         kind_(kind) {}
 
   [[nodiscard]] ErrorKind kind() const noexcept { return kind_; }
@@ -46,18 +46,20 @@ class Error : public std::runtime_error {
   ErrorKind kind_;
 };
 
-/// Throws Error{kind, message} if `condition` is false.
-inline void check(bool condition, ErrorKind kind, const std::string& message) {
-  if (!condition) throw Error(kind, message);
+[[noreturn]] inline void fail(ErrorKind kind, std::string_view message) {
+  throw Error(kind, message);
+}
+
+/// Throws Error{kind, message + more...} if `condition` is false. The text
+/// is joined only on failure, so a passing check allocates nothing.
+template <typename... More>
+void check(bool condition, ErrorKind kind, std::string_view message, const More&... more) {
+  if (!condition) [[unlikely]] fail(kind, (std::string(message) += ... += std::string_view(more)));
 }
 
 /// Throws Error{kInternal} if `condition` is false; use for invariants.
-inline void require(bool condition, const std::string& message) {
+inline void require(bool condition, std::string_view message) {
   check(condition, ErrorKind::kInternal, message);
-}
-
-[[noreturn]] inline void fail(ErrorKind kind, const std::string& message) {
-  throw Error(kind, message);
 }
 
 }  // namespace r2r::support

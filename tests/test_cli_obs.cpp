@@ -336,7 +336,7 @@ TEST(CliObs, EveryEmittedNameIsDocumented) {
   // The runs above reach every layer a CLI subcommand instruments.
   for (const char* name : {"sim.run_tuples", "sim.tuples_planned", "sim.tuple_sampler",
                            "fixpoint.run", "batch.guests", "harden.hybrid",
-                           "emu.instructions", "emu.generic_steps"}) {
+                           "harden.verify", "emu.instructions", "emu.generic_steps"}) {
     EXPECT_TRUE(emitted.contains(name)) << "expected " << name << " to be emitted";
   }
   for (const std::string& name : emitted) {
