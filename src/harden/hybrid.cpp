@@ -55,7 +55,7 @@ HybridResult hybrid_harden(const elf::Image& input, const HybridConfig& config) 
     obs::Span span("harden.lift");
     return lift::lift(input);
   }();
-  const auto verify = [&lifted] {  // after lift, cleanup and the countermeasure
+  const auto verify = [&lifted] {
     obs::Span span("harden.verify");
     ir::verify(lifted.module);
   };
