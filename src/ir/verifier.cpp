@@ -1,7 +1,6 @@
 #include "ir/verifier.h"
 
 #include <set>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 

@@ -54,7 +54,8 @@ class Error : public std::runtime_error {
 /// is joined only on failure, so a passing check allocates nothing.
 template <typename... More>
 void check(bool condition, ErrorKind kind, std::string_view message, const More&... more) {
-  if (!condition) [[unlikely]] fail(kind, (std::string(message) += ... += std::string_view(more)));
+  if (condition) [[likely]] return;
+  fail(kind, (std::string(message) += ... += std::string_view(more)));
 }
 
 /// Throws Error{kInternal} if `condition` is false; use for invariants.
