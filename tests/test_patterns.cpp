@@ -2,13 +2,21 @@
 // fault-killing power at the patched site.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "bir/assemble.h"
 #include "bir/recover.h"
 #include "emu/machine.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
+#include "guests/synth.h"
 #include "patch/patcher.h"
 #include "patch/patterns.h"
+#include "patch/pipeline.h"
+#include "support/sha256.h"
+#include "synth_corpus.h"
 
 namespace r2r {
 namespace {
@@ -464,6 +472,284 @@ TEST(Patterns, FlagsLivenessDetectsConsumingJcc) {
   const emu::RunResult run = emu::run_image(image, "");
   ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
   EXPECT_EQ(run.exit_code, 0);
+}
+
+// ---- PatternGolden: the patcher's code bytes, pinned ------------------------
+//
+// Behaviour checks cannot see a change of scratch register, save order or
+// compare form inside a pattern; these rows pin the .text bytes the
+// patcher writes, as its size and SHA-256. Label names reach only the
+// symbol table, so they are free to change. A change that alters pattern
+// bytes on purpose updates the rows in its own diff, with the reason.
+
+struct TextGolden {
+  std::uint64_t size = 0;
+  std::string_view sha256;  ///< of the .text segment's bytes
+};
+
+void expect_text(const elf::Image& image, const TextGolden& want) {
+  const elf::Segment* text = image.find_segment(".text");
+  ASSERT_NE(text, nullptr);
+  const std::string digest = support::sha256_hex(std::string_view(
+      reinterpret_cast<const char*>(text->data.data()), text->data.size()));
+  EXPECT_EQ(text->data.size(), want.size);
+  EXPECT_EQ(digest, want.sha256) << "row {" << text->data.size() << ", \"" << digest << "\"}";
+}
+
+/// Guests for the Table I shapes no case study or corpus seed reaches:
+/// self-aliasing loads, wide immediates and memory sources under live
+/// flags. Each exits 7.
+Guest crafted_live_flags(isa::Arch arch) {
+  Guest guest;
+  guest.arch = arch;
+  guest.good_exit = guest.bad_exit = 7;
+  if (arch == isa::Arch::kX64) {
+    guest.name = "live_flags_x64";
+    guest.assembly =
+        ".global _start\n"
+        "_start:\n"
+        "    mov rdi, offset cell\n"
+        "    cmp rdi, 0\n"
+        "    mov rdi, qword ptr [rdi]\n"     // self-aliasing load
+        "    mov rcx, 0x1122334455667788\n"  // no cmp r64, imm64
+        "    jne done\n"
+        "    mov rdi, 1\n"
+        "done:\n"
+        "    mov rax, 60\n"
+        "    syscall\n"
+        ".section .data\n"
+        "cell: .quad 7\n";
+  } else {
+    guest.name = "live_flags_rv32i";
+    guest.assembly =
+        ".global _start\n"
+        "_start:\n"
+        "    mov a5, offset cell\n"
+        "    mov a3, offset cell\n"
+        "    cmp a5, 0\n"
+        "    mov a5, [a5]\n"    // self-aliasing load
+        "    mov a2, [a3+8]\n"  // memory source
+        "    mov a1, a2\n"      // register source
+        "    jne done\n"
+        "    mov a5, 1\n"
+        "done:\n"
+        "    mov a0, 60\n"
+        "    syscall\n"
+        ".section .data\n"
+        "cell: .quad 7, 3\n";
+  }
+  return guest;
+}
+
+/// A builtin case study, or "live_flags" for crafted_live_flags().
+Guest golden_guest(std::string_view name, isa::Arch arch) {
+  if (name == "live_flags") return crafted_live_flags(arch);
+  const Guest* guest = guests::find_guest(name, arch);
+  if (guest == nullptr) throw std::invalid_argument("no guest " + std::string(name));
+  return *guest;
+}
+
+/// protect_instruction on every original instruction, then the guest's
+/// own behaviour check.
+void expect_protect_everything(const Guest& guest, const TextGolden& want) {
+  bir::Module module = guests::build_module(guest);
+  protect_everything(module);
+  const elf::Image image = bir::assemble(module);
+  expect_text(image, want);
+  const emu::RunResult good = emu::run_image(image, guest.good_input);
+  ASSERT_EQ(good.reason, emu::StopReason::kExited) << good.crash_detail;
+  EXPECT_EQ(good.exit_code, guest.good_exit);
+}
+
+struct GuestGolden {
+  std::string_view guest;
+  isa::Arch arch;
+  TextGolden text;
+};
+
+struct SeedGolden {
+  std::uint64_t seed;
+  TextGolden x64;
+  TextGolden rv32i;
+};
+
+constexpr GuestGolden kProtectGolden[] = {
+    {"pincheck", isa::Arch::kX64,
+     {2490, "42be77df162c6b2f25105b26defc1eb9c0f1a89d4b80f1b364d61f212e572710"}},
+    {"bootloader", isa::Arch::kX64,
+     {2287, "6d458cae59a731e056e53d1c16fa73dcabfb90d20012bfb2d80bda055ca3d33e"}},
+    {"toymov", isa::Arch::kX64,
+     {583, "8ed77d276754ecc71d61a56b72f196c261fae991a7ccaa16987f812dc57974d3"}},
+    {"pincheck", isa::Arch::kRv32i,
+     {2040, "e014cd9a467f6d1a133fab0f6bf164f0a926fd9d774c60a80744fcfcb7b7176f"}},
+    {"toymov", isa::Arch::kRv32i,
+     {476, "4841191e046d687a9dc3749fcec25b642e3be83d8f81e8ba4229f41a01b60839"}},
+    {"live_flags", isa::Arch::kX64,
+     {320, "23f7005d7ebf3262afe9a665a299f99d79ee629495d4c7d04d7ae67bbfa9c202"}},
+    {"live_flags", isa::Arch::kRv32i,
+     {292, "9f937bb8f7b5544a128b5df55c65207f5e885767c08f8ab7f8b9919fa9de2ade"}},
+};
+
+/// One row per synth_corpus::kCorpus seed, in its order.
+constexpr SeedGolden kCorpusProtectGolden[] = {
+    {10,
+     {1909, "ed036e68ce422296ac8e07a8b3b91ab8124636dad4aead6fe22e587964359bbd"},
+     {1556, "a092d95e05401ed34a6627eefff2ffb6faa75e82539948f01102d7e5de868d60"}},
+    {20,
+     {1830, "3a957674d2398aee3d18e02c218467b1a45c6756bfefec0cf4612811eeb79aa7"},
+     {1500, "748df8760a334d90d93da328b7ff372db615884c364a5b6a42fde0ca5c3aa857"}},
+    {2,
+     {3107, "bc6016bcbb3bff7d21e058e7a300fb710c69e99e46242c4deb72b1ad426479ca"},
+     {2472, "c27d2e1874e03c510667f4d0fc7384ba6663b47750d13b0a615df683abf3a903"}},
+    {8,
+     {2650, "327f418a360fd8ea9dd4c5b88ff83c077688733f3f721a31a739c5c936be4459"},
+     {2160, "57204e727ff1b054c6237583081b06fef357bfc1cf9d982ee6a380404f64dbeb"}},
+    {9,
+     {3939, "5c63cc73a6aa03fecbaac489616cb6eac72bac4ae18ba9bbaf5c283fe1eace21"},
+     {3036, "5fd30dc1934ccd941bd3ed03bd619cb01bde6685619b0fd2bd10f961cfbdf6ff"}},
+    {15,
+     {2883, "5c0d0f8db8fdb2f57c3796f3c8f8f5677d49d2e20803231a7ea408a387ebc976"},
+     {2468, "33c70f46324a6e30211016c7d71460533a63117f958873e88b42229da0d41bc3"}},
+    {23,
+     {1520, "3eaa33f20c07956289f386a322b077f5ecd378e387d1c5b766b4abd3b5cd5d2a"},
+     {1228, "69bb3496fbdf3da0e4b6c2a038f5d6ae9c02362f07118a0cc002c6aaa982cc1f"}},
+    {36,
+     {2306, "def7951c5963126b5ba011e3d249f3b460b654fe245cd316ce19d819f3f84bf4"},
+     {1840, "c36ca83cbe5742e9d36adba84f51739d3a960dc4fb8ea28871278e00911f70d8"}},
+    {77,
+     {2505, "d222ab350ba40b067e65f6f9089369a51eacb0ac965453c9bcc0dcb93b4e9bc9"},
+     {2032, "d614b25988cf4fe679740e4df8663c58f2c5be38976521faefbd05f122e1b738"}},
+};
+
+TEST(PatternGolden, ProtectEveryInstruction) {
+  for (const GuestGolden& golden : kProtectGolden) {
+    SCOPED_TRACE(std::string(golden.guest) + " on " + std::string(isa::to_string(golden.arch)));
+    expect_protect_everything(golden_guest(golden.guest, golden.arch), golden.text);
+  }
+}
+
+TEST(PatternGolden, ProtectEveryInstructionOfTheFrozenCorpus) {
+  ASSERT_EQ(std::size(kCorpusProtectGolden), std::size(synth_corpus::kCorpus));
+  for (std::size_t i = 0; i < std::size(kCorpusProtectGolden); ++i) {
+    const SeedGolden& golden = kCorpusProtectGolden[i];
+    ASSERT_EQ(golden.seed, synth_corpus::kCorpus[i].seed);
+    for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+      SCOPED_TRACE("synth:" + std::to_string(golden.seed) + " on " +
+                   std::string(isa::to_string(arch)));
+      expect_protect_everything(guests::synth::generate(golden.seed, arch),
+                                arch == isa::Arch::kX64 ? golden.x64 : golden.rv32i);
+    }
+  }
+}
+
+/// faulter_patcher at `order`, skip only or skip + bit flip.
+void expect_fixpoint(const Guest& guest, unsigned order, bool bit_flip, const TextGolden& want) {
+  patch::PipelineConfig config;
+  config.campaign.models.order = order;
+  config.campaign.models.bit_flip = bit_flip;
+  const patch::PipelineResult result = patch::faulter_patcher(
+      guests::build_image(guest), guest.good_input, guest.bad_input, config);
+  expect_text(result.hardened, want);
+}
+
+struct FixpointGolden {
+  std::string_view guest;
+  isa::Arch arch;
+  unsigned order;
+  bool bit_flip;
+  TextGolden text;
+};
+
+constexpr FixpointGolden kFixpointGolden[] = {
+    {"pincheck", isa::Arch::kX64, 1, false,
+     {829, "2d9f992557686a4163970c249c4075e11e37dbb2410c3dad4cdaae1859b15414"}},
+    {"pincheck", isa::Arch::kX64, 2, false,
+     {954, "ea06207eb7e89955a42526010265dc0b57821eb77b39975615ee6c9cac5d6498"}},
+    {"pincheck", isa::Arch::kX64, 3, false,
+     {1095, "eaa08933615e5c5bd1ef73e65136d5bbf26757dfecc185856a9031d7525e7275"}},
+    {"toymov", isa::Arch::kX64, 1, false,
+     {261, "a5a50c066d244c56918dfd52600f0270dd92ffa27abe0e6a9afdc23643a9e00f"}},
+    {"toymov", isa::Arch::kX64, 2, false,
+     {266, "fe313dc99a03023cbbd9ada09f08985c67fc298e5edb7e7f52de489a7a3b4a59"}},
+    {"toymov", isa::Arch::kX64, 3, false,
+     {286, "96735983fca69aac9ae9e077494dd7a258110a07d624b96aa2d17d1d37553ade"}},
+    {"bootloader", isa::Arch::kX64, 1, false,
+     {668, "27acda88efe7ea6238dfb75ca91c76bc4a7eb7fcbff0b42d87bfda8eeb0f2ebc"}},
+    {"bootloader", isa::Arch::kX64, 2, false,
+     {685, "7dcfaa45d655e7f2b4f3cf26960df1aae69da9f244853e88f1e3b96a8e9b5544"}},
+    {"pincheck", isa::Arch::kX64, 1, true,
+     {970, "e04a2ee8009ebd72e33a7d008223af8f9fdc6c38592e69a7590d4cafb10ac3c3"}},
+    {"bootloader", isa::Arch::kX64, 1, true,
+     {668, "27acda88efe7ea6238dfb75ca91c76bc4a7eb7fcbff0b42d87bfda8eeb0f2ebc"}},
+    {"toymov", isa::Arch::kX64, 1, true,
+     {261, "a5a50c066d244c56918dfd52600f0270dd92ffa27abe0e6a9afdc23643a9e00f"}},
+    {"pincheck", isa::Arch::kRv32i, 1, false,
+     {664, "35493f38c14a6e5345c495e6fb816e85307c9c3f9ab8cf5af02faf8279485aa8"}},
+    {"pincheck", isa::Arch::kRv32i, 2, false,
+     {832, "f4a3310101391cbae2ef6eff160e44e92fef255f0999795cd9b46a545f93d779"}},
+    {"pincheck", isa::Arch::kRv32i, 3, false,
+     {880, "a614425f02deca58c0a2b9fba88f75a666fad52602dcfd8ec92cbab0333573b4"}},
+    {"toymov", isa::Arch::kRv32i, 1, false,
+     {192, "cdd5b8eba52fc11d90ef1f82ece18529e0bdbb60f77494b60ec57bfbb54ecdd4"}},
+    {"toymov", isa::Arch::kRv32i, 2, false,
+     {196, "4973c73d6878f68bf65dfea596fda8b8bea8da7f2d4ca0ac0adbffdbc4dde736"}},
+    {"toymov", isa::Arch::kRv32i, 3, false,
+     {212, "5f86a44b12651f664a7a29afccc07baa0f5d6054177a50db53a4458d2c135188"}},
+};
+
+/// Order 2, skip only; one row per synth_corpus::kCorpus seed, in its order.
+constexpr SeedGolden kCorpusFixpointGolden[] = {
+    {10,
+     {757, "4d3f892bc6fef472a810fa5b2ffc0cc420ae7431ac22792c021c2aa846051c4f"},
+     {660, "942af3b5560a68f5f9409d3853b21d5a94b6b97195e64084d92341ecd3c105fb"}},
+    {20,
+     {856, "287374331f2761b22c9c1ee61dff48796eeab89d2cdb3fb9a10da7f88d5077db"},
+     {740, "4376d476950abebfab0c33704b0af1cc4578463285430b1e5cc5d7c6d69d5544"}},
+    {2,
+     {800, "aa1a4c839df74d99ec5eb70d798ed6d9472b141fcad04d04bf38d1df12e2e426"},
+     {628, "e58359aaf24db633195e7fab1b7da47fe4349254a928059608f5ec49aedd627a"}},
+    {8,
+     {948, "90c55171aa3492c2b4a5bac0f248f0b529dd794f0adbdf1d07a1545fb1437ef2"},
+     {812, "df92c5e1b807bdc0acfff05a85fbcbd59196b95a7e3e5a3d53dc591bc6d3996f"}},
+    {9,
+     {972, "9f2a1b6ff08754cc317a468526e4d2d84f0ff1a3b4b1ae6f7f2e030b53513752"},
+     {748, "c0d2e1f21041c13856f748ee319382b08551f3e667afd34cd0e32895cddf85a6"}},
+    {15,
+     {1002, "0d91a1f0824f2830a9899a698fd777fd04729eef5ee83413ef4a3d990801d5f2"},
+     {872, "d0fd3e6922599515468ce9070e4bb6dc58276a06da70bf2eb1dd238eafc853c2"}},
+    {23,
+     {688, "89023bd02b3c56f8cf9a4eb5753af72e33f2640db936ee7c56437fad2a2cf8e3"},
+     {608, "647c282db953176c725672452baf54be852836dc5e2784adb0a885820b57f2b3"}},
+    {36,
+     {494, "475f353f0094fc49abac569d8c89f29fa39c65b4ea8523cf7e18344f011151f5"},
+     {400, "48fb48bbffa2fa4c45fe567d0e296b26cdd81130ef198da7e1ca693fb70307a8"}},
+    {77,
+     {880, "aed22aba17ab2a41e8e8a17f1e05151ba1b5e0627019570515b3613c24029e0d"},
+     {764, "2132fbc440c8531a23400e70f0aa6b931fcb892f242187d06025be05e5d8114f"}},
+};
+
+TEST(PatternGolden, FaulterPatcherFixpoints) {
+  for (const FixpointGolden& golden : kFixpointGolden) {
+    SCOPED_TRACE(std::string(golden.guest) + " on " + std::string(isa::to_string(golden.arch)) +
+                 " at order " + std::to_string(golden.order) +
+                 (golden.bit_flip ? " under skip+bit_flip" : " under skip"));
+    expect_fixpoint(golden_guest(golden.guest, golden.arch), golden.order, golden.bit_flip,
+                    golden.text);
+  }
+}
+
+TEST(PatternGolden, FrozenCorpusFixpointsAtOrderTwo) {
+  ASSERT_EQ(std::size(kCorpusFixpointGolden), std::size(synth_corpus::kCorpus));
+  for (std::size_t i = 0; i < std::size(kCorpusFixpointGolden); ++i) {
+    const SeedGolden& golden = kCorpusFixpointGolden[i];
+    ASSERT_EQ(golden.seed, synth_corpus::kCorpus[i].seed);
+    for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+      SCOPED_TRACE("synth:" + std::to_string(golden.seed) + " on " +
+                   std::string(isa::to_string(arch)));
+      expect_fixpoint(guests::synth::generate(golden.seed, arch), 2, false,
+                      arch == isa::Arch::kX64 ? golden.x64 : golden.rv32i);
+    }
+  }
 }
 
 }  // namespace
