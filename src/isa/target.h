@@ -67,7 +67,6 @@ struct PatternTraits {
     kStack,     ///< lea rsp-128 + pushfq / popfq (x86-64, Table I verbatim)
     kRegister,  ///< mvflags/wrflags into a reserved scratch register
   };
-  Width natural_width = Width::b64;
   FlagSave flag_save = FlagSave::kStack;
   Reg flag_scratch = Reg::r13;   ///< kRegister only: holds the flags image
   Reg value_scratch_a = Reg::r14;  ///< reserved compare/copy scratch

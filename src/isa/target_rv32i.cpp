@@ -482,7 +482,6 @@ class Rv32iTarget final : public Target {
   [[nodiscard]] const PatternTraits& pattern_traits() const noexcept override {
     static const PatternTraits kTraits = [] {
       PatternTraits traits;
-      traits.natural_width = Width::b32;
       traits.flag_save = PatternTraits::FlagSave::kRegister;
       traits.flag_scratch = Reg::r13;
       traits.value_scratch_a = Reg::r14;

@@ -1,6 +1,10 @@
 #include "patch/patterns.h"
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "isa/semantics.h"
 #include "isa/target.h"
@@ -16,25 +20,6 @@ using isa::Mnemonic;
 using isa::Reg;
 using isa::Width;
 
-/// Per-module pattern instantiation context: how this target preserves
-/// flags across a verification compare and which registers the patterns
-/// may clobber (PatternTraits), plus the operand shapes compares accept
-/// (LowerCaps immediate range).
-struct Traits {
-  const isa::PatternTraits& t;
-  const isa::LowerCaps& caps;
-  bool stack;  ///< kStack flag-save model (x86-64 Tables I-III verbatim)
-  Width w;     ///< natural operation width
-};
-
-Traits traits_for(const bir::Module& module) {
-  const isa::Target& target = isa::target(module.arch);
-  const auto& t = target.pattern_traits();
-  return Traits{t, target.lower_caps(),
-                t.flag_save == isa::PatternTraits::FlagSave::kStack,
-                t.natural_width};
-}
-
 /// Registers an operand references (including memory base/index).
 void collect_regs(const isa::Operand& op, std::set<Reg>& regs) {
   if (isa::is_reg(op)) {
@@ -48,22 +33,13 @@ void collect_regs(const isa::Operand& op, std::set<Reg>& regs) {
   }
 }
 
-bool references_rsp(const Instruction& instr) {
+std::set<Reg> regs_of(const Instruction& instr) {
   std::set<Reg> regs;
   for (const auto& op : instr.operands) collect_regs(op, regs);
-  return regs.contains(Reg::rsp);
+  return regs;
 }
 
-/// A scratch register not referenced by `instr` (used by the cmp pattern).
-Reg pick_scratch(const Instruction& instr) {
-  std::set<Reg> used;
-  for (const auto& op : instr.operands) collect_regs(op, used);
-  for (const Reg candidate : {Reg::rbx, Reg::rax, Reg::rcx, Reg::rdx, Reg::rsi,
-                              Reg::rdi, Reg::r8, Reg::r9, Reg::r10, Reg::r11}) {
-    if (!used.contains(candidate)) return candidate;
-  }
-  support::fail(support::ErrorKind::kRewrite, "no scratch register available");
-}
+bool references_rsp(const Instruction& instr) { return regs_of(instr).contains(Reg::rsp); }
 
 /// Marks the items inserted in [first, last) as countermeasure code.
 void mark_synthesized(bir::Module& module, std::size_t first, std::size_t count) {
@@ -82,29 +58,6 @@ std::string continuation_label(bir::Module& module, std::size_t index) {
   return module.label_for_index(index + 1);
 }
 
-/// True if the mov's source immediate cannot appear in a cmp. On x86-64 no
-/// imm64 compare form exists (a symbol immediate resolves below 2^31 in our
-/// layout and is fine); register-save targets compare only against their
-/// small ALU immediate range and never against symbols.
-bool needs_scratch_compare(const Instruction& mov_instr, const Traits& tr) {
-  if (mov_instr.arity() != 2 || !isa::is_imm(mov_instr.op(1))) return false;
-  const auto& imm = std::get<isa::ImmOperand>(mov_instr.op(1));
-  if (!imm.label.empty()) return !tr.stack;
-  return !(imm.value >= tr.caps.min_alu_imm && imm.value <= tr.caps.max_alu_imm);
-}
-
-/// On register-save targets the patterns clobber the reserved scratch
-/// registers without saving them; an instruction that already mentions one
-/// of them cannot be protected (our lowerer never emits them, so this only
-/// triggers on hand-written or adversarial recovered code).
-bool references_reserved(const Instruction& instr, const Traits& tr) {
-  if (tr.stack) return false;
-  std::set<Reg> regs;
-  for (const auto& op : instr.operands) collect_regs(op, regs);
-  return regs.contains(tr.t.flag_scratch) || regs.contains(tr.t.value_scratch_a) ||
-         regs.contains(tr.t.value_scratch_b);
-}
-
 /// The register (if any) that a register destination clobbers inside its
 /// own source-address computation, e.g. `mov rdi, [rdi]`, `mov rax,
 /// [rbx+rax]` or `and rax, [rax]`. Re-executing such an instruction reads
@@ -119,187 +72,217 @@ std::optional<Reg> aliased_address_reg(const Instruction& instr) {
   return std::nullopt;
 }
 
-/// Table I variant for self-aliasing loads: the address register is copied
-/// to a scratch register *before* the load so the verification re-read uses
-/// the original address. Replaces the mov in place.
-PatternKind apply_mov_aliased(bir::Module& module, std::size_t index, Reg aliased,
-                              bool save_flags, const Traits& tr) {
-  const Instruction original = *module.text[index].instr;
-  if (references_rsp(original)) return PatternKind::kNone;  // rsp shifts below
-  const auto& src = std::get<isa::MemOperand>(original.op(1));
-  if (!tr.stack) {
-    // Register-save variant: the address survives in value scratch B and the
-    // verification re-read lands in value scratch A — no stack traffic.
-    const Reg addr = tr.t.value_scratch_b;
-    const Reg reread_dst = tr.t.value_scratch_a;
-    isa::MemOperand reread = src;
-    if (reread.base && *reread.base == aliased) reread.base = addr;
-    if (reread.index && *reread.index == aliased) reread.index = addr;
+/// Stack-model scratch registers, in the order Tables I and II take them.
+constexpr Reg kScratchOrder[] = {Reg::rbx, Reg::rax, Reg::rcx, Reg::rdx, Reg::rsi,
+                                 Reg::rdi, Reg::r8,  Reg::r9,  Reg::r10, Reg::r11};
+/// Table III's set<cond> register on the stack model (the paper's rcx).
+constexpr Reg kSetccScratch[] = {Reg::rcx};
 
-    const std::string handler = ensure_fault_handler(module);
-    std::string resume = continuation_label(module, index);
-    if (save_flags) resume = module.fresh_label("movok");
+/// The state a pattern clobbers, kept and given back in one place. A body
+/// emits its instructions through a frame, and only the frame reads how
+/// the target keeps that state (PatternTraits):
+///  - stack model (x86-64): flags are kept with pushfq and scratch
+///    registers with push; the first push of a region opens the red zone
+///    where the region opened, and close() pops last in first out and
+///    closes it again.
+///  - register model (rv32i): flags are kept in the reserved flag scratch
+///    through mvflags/wrflags, and the reserved value scratches are handed
+///    out unsaved, so an instruction that names one is refused.
+/// On both, cmp() rewrites the operands the target's cmp cannot take.
+class Frame {
+ public:
+  Frame(const bir::Module& module, const Instruction& original)
+      : target_(isa::target(module.arch)),
+        traits_(target_.pattern_traits()),
+        stack_(traits_.flag_save == isa::PatternTraits::FlagSave::kStack),
+        used_(regs_of(original)) {}
 
-    std::vector<Instruction> seq;
-    if (save_flags) seq.push_back(isa::read_flags(tr.t.flag_scratch, tr.w));
-    seq.push_back(isa::mov(addr, aliased, tr.w));
-    seq.push_back(original);
-    seq.push_back(isa::mov(reread_dst, reread, original.width));
-    seq.push_back(isa::cmp(original.op(0), reread_dst, original.width));
-    seq.push_back(isa::jcc(Cond::e, resume));
-    seq.push_back(isa::call(handler));
-    const std::size_t resume_index = seq.size();
-    if (save_flags) seq.push_back(isa::write_flags(tr.t.flag_scratch, tr.w));
-
-    const std::size_t count = seq.size();
-    module.replace(index, std::move(seq));
-    if (save_flags) module.add_label(index + resume_index, resume);
-    mark_synthesized(module, index, count);
-    return PatternKind::kMov;
+  /// False when the original names a register the frame clobbers unsaved.
+  [[nodiscard]] bool usable() const {
+    return stack_ || !(used_.contains(traits_.flag_scratch) ||
+                       used_.contains(traits_.value_scratch_a) ||
+                       used_.contains(traits_.value_scratch_b));
   }
-  // One scratch handles one aliased register; a mov can only alias dst once
-  // anyway (dst == base and dst == index still substitutes both uses).
-  std::set<Reg> used{std::get<Reg>(original.op(0))};
-  if (src.base) used.insert(*src.base);
-  if (src.index) used.insert(*src.index);
-  Reg scratch = Reg::rbx;
-  for (const Reg candidate : {Reg::rbx, Reg::rax, Reg::rcx, Reg::rdx, Reg::rsi,
-                              Reg::rdi, Reg::r8, Reg::r9, Reg::r10, Reg::r11}) {
-    if (!used.contains(candidate)) {
-      scratch = candidate;
-      break;
+  /// True once the open region has pushed: rsp has moved.
+  [[nodiscard]] bool pushed() const { return stack_ && !restores_.empty(); }
+  /// True when close() gives anything back.
+  [[nodiscard]] bool keeps_state() const { return !restores_.empty(); }
+
+  void emit(Instruction instr) { seq_.push_back(std::move(instr)); }
+  /// Labels the next instruction emitted.
+  void label(std::string name) { labels_.emplace_back(seq_.size(), std::move(name)); }
+
+  /// Starts a region whose kept state close() gives back. Until the
+  /// red-zone fix, Table I opened the red zone only when it kept flags.
+  void open(bool red_zone = true) {
+    region_ = seq_.size();
+    opens_red_zone_ = red_zone;
+  }
+
+  /// Keeps the flags until close().
+  void save_flags() {
+    if (stack_) {
+      push(isa::pushfq(), isa::popfq());
+    } else {
+      emit(isa::read_flags(traits_.flag_scratch, natural_width()));
+      restores_.push_back(isa::write_flags(traits_.flag_scratch, natural_width()));
     }
   }
 
-  isa::MemOperand reread = src;
-  if (reread.base && *reread.base == aliased) reread.base = scratch;
-  if (reread.index && *reread.index == aliased) reread.index = scratch;
-
-  const std::string handler = ensure_fault_handler(module);
-  const std::string resume = module.fresh_label("movok");
-
-  std::vector<Instruction> seq;
-  if (save_flags) {
-    seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
-    seq.push_back(isa::pushfq());  // mov writes no flags; popfq restores these
-  }
-  seq.push_back(isa::push(scratch));
-  seq.push_back(isa::mov(scratch, aliased));
-  seq.push_back(original);
-  seq.push_back(isa::cmp(original.op(0), reread, original.width));
-  seq.push_back(isa::jcc(Cond::e, resume));
-  seq.push_back(isa::call(handler));
-  const std::size_t resume_index = seq.size();
-  seq.push_back(isa::pop(scratch));
-  if (save_flags) {
-    seq.push_back(isa::popfq());
-    seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, 128)));
+  /// A register the pattern may clobber: on the stack model the first of
+  /// `candidates` that neither the original nor the region uses, pushed
+  /// until close(); on the register model value scratch A.
+  Reg scratch(std::span<const Reg> candidates = kScratchOrder) {
+    if (!stack_) return traits_.value_scratch_a;
+    for (const Reg reg : candidates) {
+      if (used_.contains(reg) || std::ranges::find(restores_, isa::pop(reg)) != restores_.end()) {
+        continue;
+      }
+      push(isa::push(reg), isa::pop(reg));
+      return reg;
+    }
+    support::fail(support::ErrorKind::kRewrite, "no scratch register available");
   }
 
-  const std::size_t count = seq.size();
-  module.replace(index, std::move(seq));
-  module.add_label(index + resume_index, resume);
-  mark_synthesized(module, index, count);
-  return PatternKind::kMov;
-}
-
-/// Table I on a register-save target: the flags image lives in the reserved
-/// flag scratch, re-materialized values in the reserved value scratch, and
-/// the sequence never touches the stack. Compares are register-register or
-/// small-immediate, so memory operands are re-read into the scratch first.
-PatternKind apply_mov_regsave(bir::Module& module, std::size_t index, const Traits& tr,
-                              bool save_flags, bool scratch_form) {
-  const Instruction original = *module.text[index].instr;
-  const Reg scratch = tr.t.value_scratch_a;
-  const std::string handler = ensure_fault_handler(module);
-  const std::string happyflow = continuation_label(module, index);
-
-  std::vector<Instruction> seq;
-  if (save_flags) seq.push_back(isa::read_flags(tr.t.flag_scratch, tr.w));
-  if (scratch_form) {
-    seq.push_back(isa::mov(scratch, original.op(1), original.width));
-    seq.push_back(isa::cmp(original.op(0), scratch, original.width));
-  } else if (isa::is_mem(original.op(0))) {
-    // mov [mem], src: re-read the stored value, compare against the source.
-    seq.push_back(isa::mov(scratch, original.op(0), original.width));
-    seq.push_back(isa::cmp(scratch, original.op(1), original.width));
-  } else if (isa::is_mem(original.op(1))) {
-    // mov dst, [mem]: re-read the load, compare register-register.
-    seq.push_back(isa::mov(scratch, original.op(1), original.width));
-    seq.push_back(isa::cmp(original.op(0), scratch, original.width));
-  } else {
-    seq.push_back(isa::cmp(original.op(0), original.op(1), original.width));
+  /// A copy of `reg` that outlives the original instruction: a pushed
+  /// scratch on the stack model, value scratch B on the register model
+  /// (cmp() rewrites through A).
+  Reg keep(Reg reg) {
+    const Reg copy = stack_ ? scratch() : traits_.value_scratch_b;
+    emit(isa::mov(copy, reg, natural_width()));
+    return copy;
   }
-  std::string resume = happyflow;
-  if (save_flags) resume = module.fresh_label("movok");
-  seq.push_back(isa::jcc(Cond::e, resume));
-  seq.push_back(isa::call(handler));
-  const std::size_t resume_index = seq.size();
-  if (save_flags) seq.push_back(isa::write_flags(tr.t.flag_scratch, tr.w));
 
-  const std::size_t count = seq.size();
-  module.insert_after(index, std::move(seq));
-  if (resume != happyflow) module.add_label(index + 1 + resume_index, resume);
-  mark_synthesized(module, index + 1, count);
-  return PatternKind::kMov;
-}
+  /// cmp lhs, rhs at `width`. An operand the target's cmp cannot take is
+  /// loaded into a scratch first: an immediate at the register's width, a
+  /// memory operand at the compared width.
+  void cmp(const isa::Operand& lhs, const isa::Operand& rhs, Width width) {
+    const auto unfit = [this](const isa::Operand& op) {
+      if (isa::is_imm(op)) {
+        // x86-64 has no imm64 compare (a symbol resolves below 2^31 there);
+        // the register model compares small immediates and no symbols.
+        const auto& imm = std::get<isa::ImmOperand>(op);
+        if (!imm.label.empty()) return !stack_;
+        const isa::LowerCaps& caps = target_.lower_caps();
+        return imm.value < caps.min_alu_imm || imm.value > caps.max_alu_imm;
+      }
+      return !stack_ && isa::is_mem(op);
+    };
+    const auto load = [&](const isa::Operand& op) {
+      const Reg reg = scratch();
+      emit(isa::mov(reg, op, isa::is_mem(op) ? width : natural_width()));
+      return reg;
+    };
+    if (unfit(rhs)) {
+      const Reg reg = load(rhs);
+      emit(isa::cmp(lhs, reg, width));
+    } else if (unfit(lhs)) {
+      emit(isa::cmp(load(lhs), rhs, width));
+    } else {
+      emit(isa::cmp(lhs, rhs, width));
+    }
+  }
 
+  /// Table II's check: reads the flags into `work` and compares them with
+  /// the flags save_flags() kept.
+  void cmp_flags_with_saved(Reg work) {
+    if (stack_) {
+      emit(isa::pushfq());
+      emit(isa::pop(work));
+      emit(isa::cmp(work, isa::mem(Reg::rsp, 0)));  // the kept flags are on top
+    } else {
+      emit(isa::read_flags(work, natural_width()));
+      emit(isa::cmp(traits_.flag_scratch, work, natural_width()));
+    }
+  }
+
+  /// Gives back what the region kept, last in first out.
+  void close() {
+    for (auto it = restores_.rbegin(); it != restores_.rend(); ++it) emit(*it);
+    if (red_zone_) emit(isa::lea(Reg::rsp, isa::mem(Reg::rsp, 128)));
+    restores_.clear();
+    red_zone_ = false;
+  }
+
+  /// Writes the sequence into the module in place of item `index`, or
+  /// after it, marks it synthesized and places its labels.
+  PatternKind commit(bir::Module& module, std::size_t index, bool in_place, PatternKind kind) {
+    const std::size_t first = in_place ? index : index + 1;
+    const std::size_t count = seq_.size();
+    if (in_place) {
+      module.replace(index, std::move(seq_));
+    } else {
+      module.insert_after(index, std::move(seq_));
+    }
+    for (auto& [at, name] : labels_) module.add_label(first + at, std::move(name));
+    mark_synthesized(module, first, count);
+    return kind;
+  }
+
+ private:
+  [[nodiscard]] Width natural_width() const { return target_.natural_width(); }
+
+  void push(Instruction instr, Instruction restore) {
+    if (!red_zone_ && opens_red_zone_) {
+      seq_.insert(seq_.begin() + static_cast<std::ptrdiff_t>(region_),
+                  isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
+      for (auto& [at, name] : labels_) at += at > region_ ? 1 : 0;
+      red_zone_ = true;
+    }
+    emit(std::move(instr));
+    restores_.push_back(std::move(restore));
+  }
+
+  const isa::Target& target_;
+  const isa::PatternTraits& traits_;
+  bool stack_;
+  std::set<Reg> used_;                  ///< registers the original references
+  std::vector<Instruction> seq_;
+  std::vector<std::pair<std::size_t, std::string>> labels_;  ///< (position, name)
+  std::vector<Instruction> restores_;   ///< what close() emits, in reverse
+  std::size_t region_ = 0;              ///< where the open region starts
+  bool opens_red_zone_ = true;
+  bool red_zone_ = false;               ///< the open region moved rsp by -128
+};
+
+/// Table I: re-read the moved value and compare it with the destination
+/// (reg<-mem compares reg vs mem, mem<-reg mem vs reg, an immediate source
+/// compares against the immediate again), je happyflow, else call the
+/// fault handler. A load whose destination feeds its own address (`mov
+/// rdi, [rdi]`) is replaced instead: the address is copied before the
+/// load, so the re-read uses the original address.
 PatternKind apply_mov(bir::Module& module, std::size_t index) {
-  const Traits tr = traits_for(module);
   const Instruction original = *module.text[index].instr;
-  if (references_reserved(original, tr)) return PatternKind::kNone;
+  Frame frame(module, original);
+  if (!frame.usable()) return PatternKind::kNone;
+  const std::optional<Reg> aliased = aliased_address_reg(original);
   const bool save_flags = flags_live_after(module, index);
-  if (const auto aliased = aliased_address_reg(original)) {
-    return apply_mov_aliased(module, index, *aliased, save_flags, tr);
+
+  frame.open(/*red_zone=*/save_flags);
+  if (save_flags) frame.save_flags();  // mov writes no flags; the compare does
+  isa::Operand source = original.op(1);
+  if (aliased) {
+    const Reg copy = frame.keep(*aliased);
+    frame.emit(original);
+    auto& reread = std::get<isa::MemOperand>(source);
+    if (reread.base == aliased) reread.base = copy;
+    if (reread.index == aliased) reread.index = copy;
   }
-  const bool scratch_form = needs_scratch_compare(original, tr);
-  if (!tr.stack) return apply_mov_regsave(module, index, tr, save_flags, scratch_form);
-  // Variants that adjust rsp would shift an rsp-relative operand of the
-  // re-executed access; such sites stay unprotected (reported upstream).
-  if ((save_flags || scratch_form) && references_rsp(original)) return PatternKind::kNone;
+  frame.cmp(original.op(0), source, original.width);
+  // A push moves rsp under an rsp-relative re-read, and the aliased form
+  // copies its address before the load; such sites stay unprotected
+  // (reported upstream).
+  if (references_rsp(original) && (aliased || frame.pushed())) return PatternKind::kNone;
 
   const std::string handler = ensure_fault_handler(module);
-  const std::string happyflow = continuation_label(module, index);
-
-  std::vector<Instruction> seq;
-  if (save_flags) {
-    // Red-zone safe RFLAGS save around the verification compare.
-    seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
-    seq.push_back(isa::pushfq());
-  }
-  std::optional<Reg> scratch;
-  if (scratch_form) {
-    // cmp r64, imm64 does not exist: re-materialize the immediate into a
-    // scratch register and compare register-register.
-    scratch = pick_scratch(original);
-    seq.push_back(isa::push(*scratch));
-    seq.push_back(isa::mov(*scratch, original.op(1)));
-    seq.push_back(isa::cmp(original.op(0), *scratch, original.width));
-  } else {
-    // A verification compare re-reads the source: reg<-mem compares reg vs
-    // mem (Table I verbatim); mem<-reg compares mem vs reg; imm sources
-    // compare against the immediate again.
-    seq.push_back(isa::cmp(original.op(0), original.op(1), original.width));
-  }
-  std::string resume = happyflow;
-  if (save_flags || scratch_form) resume = module.fresh_label("movok");
-  seq.push_back(isa::jcc(Cond::e, resume));
-  seq.push_back(isa::call(handler));
-  const std::size_t resume_index = seq.size();
-  if (scratch_form) seq.push_back(isa::pop(*scratch));
-  if (save_flags) {
-    seq.push_back(isa::popfq());
-    seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, 128)));
-  }
-
-  const std::size_t count = seq.size();
-  module.insert_after(index, std::move(seq));
-  if (resume != happyflow) {
-    // Attach the resume label to the first clean-up instruction.
-    module.add_label(index + 1 + resume_index, resume);
-  }
-  mark_synthesized(module, index + 1, count);
-  return PatternKind::kMov;
+  const bool restores = frame.keeps_state();
+  const std::string resume =
+      restores ? module.fresh_label("movok") : continuation_label(module, index);
+  frame.emit(isa::jcc(Cond::e, resume));
+  frame.emit(isa::call(handler));
+  if (restores) frame.label(resume);
+  frame.close();
+  return frame.commit(module, index, /*in_place=*/aliased.has_value(), PatternKind::kMov);
 }
 
 PatternKind apply_movzx(bir::Module& module, std::size_t index) {
@@ -308,202 +291,81 @@ PatternKind apply_movzx(bir::Module& module, std::size_t index) {
   // bits are architecturally zero after movzx.) Unlike the mov pattern this
   // one has no flags-preserving variant, so live flags disqualify it.
   if (flags_live_after(module, index)) return PatternKind::kNone;
-  const Traits tr = traits_for(module);
   const Instruction original = *module.text[index].instr;
-  if (references_reserved(original, tr)) return PatternKind::kNone;
+  Frame frame(module, original);
+  if (!frame.usable()) return PatternKind::kNone;
   const std::string handler = ensure_fault_handler(module);
   const std::string happyflow = continuation_label(module, index);
-
-  std::vector<Instruction> seq;
-  if (!tr.stack && isa::is_mem(original.op(1))) {
-    // Register-save targets compare register-register: re-read the byte
-    // into the reserved value scratch first.
-    seq.push_back(isa::mov(tr.t.value_scratch_a, original.op(1), Width::b8));
-    seq.push_back(isa::cmp(original.op(0), tr.t.value_scratch_a, Width::b8));
-  } else {
-    seq.push_back(isa::cmp(original.op(0), original.op(1), Width::b8));
-  }
-  seq.push_back(isa::jcc(Cond::e, happyflow));
-  seq.push_back(isa::call(handler));
-  const std::size_t count = seq.size();
-  module.insert_after(index, std::move(seq));
-  mark_synthesized(module, index + 1, count);
-  return PatternKind::kMovzx;
+  frame.cmp(original.op(0), original.op(1), Width::b8);
+  frame.emit(isa::jcc(Cond::e, happyflow));
+  frame.emit(isa::call(handler));
+  return frame.commit(module, index, /*in_place=*/false, PatternKind::kMovzx);
 }
 
-/// Table II on a register-save target: both executions' flag images land in
-/// the reserved scratches and are compared register-register, so the
-/// sequence needs no stack adjustment at all.
-PatternKind apply_cmp_regsave(bir::Module& module, std::size_t index, const Traits& tr) {
-  const Instruction original = *module.text[index].instr;
-  const std::string handler = ensure_fault_handler(module);
-  const std::string restore = module.fresh_label("restore");
-
-  std::vector<Instruction> seq;
-  seq.push_back(original);
-  seq.push_back(isa::read_flags(tr.t.flag_scratch, tr.w));
-  seq.push_back(original);
-  seq.push_back(isa::read_flags(tr.t.value_scratch_a, tr.w));
-  seq.push_back(isa::cmp(tr.t.flag_scratch, tr.t.value_scratch_a, tr.w));
-  seq.push_back(isa::jcc(Cond::e, restore));
-  seq.push_back(isa::call(handler));
-  const std::size_t restore_index = seq.size();
-  seq.push_back(isa::write_flags(tr.t.flag_scratch, tr.w));  // label restore
-  // Third, authoritative execution — same redundancy argument as the stack
-  // variant: skipping the wrflags falls back to this compare, skipping this
-  // compare falls back to the restored first-execution flags.
-  seq.push_back(original);
-
-  const std::size_t count = seq.size();
-  module.replace(index, std::move(seq));
-  module.add_label(index + restore_index, restore);
-  mark_synthesized(module, index, count);
-  return PatternKind::kCmp;
-}
-
+/// Table II (scratch register generalized from the paper's rbx): run the
+/// compare twice, keeping the first flags, compare both flag images and
+/// restore the first.
 PatternKind apply_cmp(bir::Module& module, std::size_t index) {
   const Instruction original = *module.text[index].instr;
-  if (references_rsp(original)) return PatternKind::kNone;  // rsp moves below
-  const Traits tr = traits_for(module);
-  if (references_reserved(original, tr)) return PatternKind::kNone;
-  if (!tr.stack) return apply_cmp_regsave(module, index, tr);
-  const Reg scratch = pick_scratch(original);
+  Frame frame(module, original);
+  if (!frame.usable()) return PatternKind::kNone;
   const std::string handler = ensure_fault_handler(module);
   const std::string restore = module.fresh_label("restore");
 
-  // Table II, verbatim (scratch register generalized from the paper's rbx).
-  std::vector<Instruction> seq;
-  seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
-  seq.push_back(original);
-  seq.push_back(isa::push(scratch));
-  seq.push_back(isa::pushfq());
-  seq.push_back(original);
-  seq.push_back(isa::pushfq());
-  seq.push_back(isa::pop(scratch));
-  seq.push_back(isa::cmp(scratch, isa::mem(Reg::rsp, 0)));
-  seq.push_back(isa::jcc(Cond::e, restore));
-  seq.push_back(isa::call(handler));
-  const std::size_t restore_index = seq.size();
-  seq.push_back(isa::popfq());
-  seq.push_back(isa::pop(scratch));
-  seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, 128)));
+  frame.open();
+  frame.emit(original);
+  const Reg work = frame.scratch();
+  frame.save_flags();
+  frame.emit(original);
+  frame.cmp_flags_with_saved(work);
+  frame.emit(isa::jcc(Cond::e, restore));
+  frame.emit(isa::call(handler));
+  frame.label(restore);
+  frame.close();
   // Third, authoritative execution of the comparison. Without it, skipping
-  // the popfq would leave the flags of the internal consistency compare
-  // (always "equal") for the consumer branch — itself a skip vulnerability.
-  // With it, skipping any single pattern instruction still ends with
-  // correct flags: skipping this cmp falls back to the popfq-restored
-  // flags, skipping the popfq is overwritten here.
-  seq.push_back(original);
-
-  const std::size_t count = seq.size();
-  module.replace(index, std::move(seq));
-  module.add_label(index + restore_index, restore);
-  mark_synthesized(module, index, count);
-  return PatternKind::kCmp;
+  // the flag restore would leave the flags of the internal consistency
+  // compare (always "equal") for the consumer branch — itself a skip
+  // vulnerability. With it, skipping any single pattern instruction still
+  // ends with correct flags: skipping this cmp falls back to the restored
+  // flags, skipping the restore is overwritten here.
+  frame.emit(original);
+  return frame.commit(module, index, /*in_place=*/true, PatternKind::kCmp);
 }
 
-/// Table III on a register-save target: the branch flags are held in the
-/// reserved flag scratch across the verification compare, and setcc lands
-/// in the reserved value scratch instead of a pushed register.
-PatternKind apply_jcc_regsave(bir::Module& module, std::size_t index, const Traits& tr) {
-  const Instruction original = *module.text[index].instr;
-  const Cond cond = original.cond;
-  const std::string target = std::get<isa::LabelOperand>(original.op(0)).name;
-  const std::string handler = ensure_fault_handler(module);
-  const std::string fallthrough = continuation_label(module, index);
-  const std::string new_target = module.fresh_label("newjumptarget");
-  const std::string nf_jmp = module.fresh_label("newfallthroughjmp");
-  const std::string nj_jmp = module.fresh_label("newjumptargetjmp");
-  const Reg flag = tr.t.flag_scratch;
-  const Reg setreg = tr.t.value_scratch_a;
-
-  std::vector<Instruction> seq;
-  seq.push_back(isa::jcc(cond, new_target));
-  // --- fall-through edge verification (expected set<cond> result: 0) ---
-  seq.push_back(isa::read_flags(flag, tr.w));
-  seq.push_back(isa::setcc(cond, setreg));
-  seq.push_back(isa::cmp(setreg, isa::imm(0), Width::b8));
-  seq.push_back(isa::jcc(Cond::e, nf_jmp));
-  seq.push_back(isa::call(handler));
-  const std::size_t nf_index = seq.size();
-  seq.push_back(isa::write_flags(flag, tr.w));  // label nf_jmp
-  seq.push_back(isa::jcc(isa::invert(cond), fallthrough));
-  seq.push_back(isa::call(handler));
-  // --- taken edge verification (expected set<cond> result: 1) ---
-  const std::size_t nj_head = seq.size();
-  seq.push_back(isa::read_flags(flag, tr.w));  // label new_target
-  seq.push_back(isa::setcc(cond, setreg));
-  seq.push_back(isa::cmp(setreg, isa::imm(1), Width::b8));
-  seq.push_back(isa::jcc(Cond::e, nj_jmp));
-  seq.push_back(isa::call(handler));
-  const std::size_t nj_index = seq.size();
-  seq.push_back(isa::write_flags(flag, tr.w));  // label nj_jmp
-  seq.push_back(isa::jcc(cond, target));
-  seq.push_back(isa::call(handler));
-
-  const std::size_t count = seq.size();
-  module.replace(index, std::move(seq));
-  module.add_label(index + nf_index, nf_jmp);
-  module.add_label(index + nj_head, new_target);
-  module.add_label(index + nj_index, nj_jmp);
-  mark_synthesized(module, index, count);
-  return PatternKind::kJcc;
-}
-
+/// Table III (with the inverted-condition reading on the fall-through
+/// re-branch; see the header comment): each edge checks set<cond> against
+/// its expected value with the flags kept, then re-branches.
 PatternKind apply_jcc(bir::Module& module, std::size_t index) {
   const Instruction original = *module.text[index].instr;
-  if (!isa::is_label(original.op(0))) return PatternKind::kNone;
-  const Traits tr = traits_for(module);
-  if (!tr.stack) return apply_jcc_regsave(module, index, tr);
   const Cond cond = original.cond;
   const std::string target = std::get<isa::LabelOperand>(original.op(0)).name;
+  Frame frame(module, original);
   const std::string handler = ensure_fault_handler(module);
   const std::string fallthrough = continuation_label(module, index);
   const std::string new_target = module.fresh_label("newjumptarget");
   const std::string nf_jmp = module.fresh_label("newfallthroughjmp");
   const std::string nj_jmp = module.fresh_label("newjumptargetjmp");
 
-  // Table III (with the inverted-condition reading on the fall-through
-  // re-branch; see the header comment).
-  std::vector<Instruction> seq;
-  seq.push_back(isa::jcc(cond, new_target));
-  // --- fall-through edge verification (expected set<cond> result: 0) ---
-  seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
-  seq.push_back(isa::push(Reg::rcx));
-  seq.push_back(isa::pushfq());
-  seq.push_back(isa::setcc(cond, Reg::rcx));
-  seq.push_back(isa::cmp(Reg::rcx, isa::imm(0), Width::b8));
-  seq.push_back(isa::jcc(Cond::e, nf_jmp));
-  seq.push_back(isa::call(handler));
-  const std::size_t nf_index = seq.size();
-  seq.push_back(isa::popfq());  // label nf_jmp
-  seq.push_back(isa::pop(Reg::rcx));
-  seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, 128)));
-  seq.push_back(isa::jcc(isa::invert(cond), fallthrough));
-  seq.push_back(isa::call(handler));
-  // --- taken edge verification (expected set<cond> result: 1) ---
-  const std::size_t nj_head = seq.size();
-  seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));  // label new_target
-  seq.push_back(isa::push(Reg::rcx));
-  seq.push_back(isa::pushfq());
-  seq.push_back(isa::setcc(cond, Reg::rcx));
-  seq.push_back(isa::cmp(Reg::rcx, isa::imm(1), Width::b8));
-  seq.push_back(isa::jcc(Cond::e, nj_jmp));
-  seq.push_back(isa::call(handler));
-  const std::size_t nj_index = seq.size();
-  seq.push_back(isa::popfq());  // label nj_jmp
-  seq.push_back(isa::pop(Reg::rcx));
-  seq.push_back(isa::lea(Reg::rsp, isa::mem(Reg::rsp, 128)));
-  seq.push_back(isa::jcc(cond, target));
-  seq.push_back(isa::call(handler));
-
-  const std::size_t count = seq.size();
-  module.replace(index, std::move(seq));
-  module.add_label(index + nf_index, nf_jmp);
-  module.add_label(index + nj_head, new_target);
-  module.add_label(index + nj_index, nj_jmp);
-  mark_synthesized(module, index, count);
-  return PatternKind::kJcc;
+  const auto verify_edge = [&](std::int64_t expected, const std::string& verified) {
+    frame.open();
+    const Reg bit = frame.scratch(kSetccScratch);
+    frame.save_flags();
+    frame.emit(isa::setcc(cond, bit));
+    frame.emit(isa::cmp(bit, isa::imm(expected), Width::b8));
+    frame.emit(isa::jcc(Cond::e, verified));
+    frame.emit(isa::call(handler));
+    frame.label(verified);
+    frame.close();
+  };
+  frame.emit(isa::jcc(cond, new_target));
+  verify_edge(0, nf_jmp);  // fall-through edge
+  frame.emit(isa::jcc(isa::invert(cond), fallthrough));
+  frame.emit(isa::call(handler));
+  frame.label(new_target);
+  verify_edge(1, nj_jmp);  // taken edge
+  frame.emit(isa::jcc(cond, target));
+  frame.emit(isa::call(handler));
+  return frame.commit(module, index, /*in_place=*/true, PatternKind::kJcc);
 }
 
 /// Does the callee write rax before any instruction could read it?
@@ -567,33 +429,25 @@ bool callee_clobbers_rax_first(const bir::Module& module, const std::string& lab
 }
 
 PatternKind apply_call_guard(bir::Module& module, std::size_t index) {
-  const Instruction original = *module.text[index].instr;
-  if (!isa::is_label(original.op(0))) return PatternKind::kNone;
-  const std::string& callee = std::get<isa::LabelOperand>(original.op(0)).name;
+  const std::string callee = std::get<isa::LabelOperand>(module.text[index].instr->op(0)).name;
   if (!callee_clobbers_rax_first(module, callee)) return PatternKind::kNone;
   // Poison the return register: if the call is skipped, downstream
   // comparisons against the expected return value fail closed.
-  module.insert_before(index, {isa::mov(Reg::rax, isa::imm(0), traits_for(module).w)},
-                       /*take_labels=*/true);
-  module.text[index].synthesized = true;      // the poison mov
-  module.text[index + 1].synthesized = true;  // the guarded call
+  module.insert_before(
+      index, {isa::mov(Reg::rax, isa::imm(0), isa::target(module.arch).natural_width())},
+      /*take_labels=*/true);
+  mark_synthesized(module, index, 2);  // the poison mov and the guarded call
   return PatternKind::kCallGuard;
 }
 
-PatternKind apply_ret_dup(bir::Module& module, std::size_t index) {
-  module.insert_after(index, {isa::ret()});
-  module.text[index].synthesized = true;
-  module.text[index + 1].synthesized = true;
-  return PatternKind::kRetDup;
-}
-
-PatternKind apply_alu_dup(bir::Module& module, std::size_t index) {
-  // and/or are idempotent: the duplicate recomputes the same value and
-  // flags, so skipping either copy leaves the other standing.
-  module.insert_after(index, {*module.text[index].instr});
-  module.text[index].synthesized = true;
-  module.text[index + 1].synthesized = true;
-  return PatternKind::kAluDup;
+/// Duplicates the instruction at `index` in place: `copies` more copies
+/// after it, the original and every copy synthesized. Every duplication
+/// pattern is this step; the copies must be idempotent.
+PatternKind duplicate(bir::Module& module, std::size_t index, std::size_t copies,
+                      PatternKind kind) {
+  module.insert_after(index, std::vector<Instruction>(copies, *module.text[index].instr));
+  mark_synthesized(module, index, copies + 1);
+  return kind;
 }
 
 }  // namespace
@@ -601,7 +455,7 @@ PatternKind apply_alu_dup(bir::Module& module, std::size_t index) {
 std::string ensure_fault_handler(bir::Module& module) {
   const std::string handler(kFaultHandlerSymbol);
   if (module.has_symbol(handler)) return handler;
-  const Width w = traits_for(module).w;
+  const Width w = isa::target(module.arch).natural_width();
   std::vector<Instruction> body;
   body.push_back(isa::mov(Reg::rax, isa::imm(60), w));  // exit(kDetectedExit)
   body.push_back(isa::mov(Reg::rdi, isa::imm(kDetectedExit), w));
@@ -683,8 +537,10 @@ PatternKind protect_instruction(bir::Module& module, std::size_t index) {
     case PatternKind::kCmp: return apply_cmp(module, index);
     case PatternKind::kJcc: return apply_jcc(module, index);
     case PatternKind::kCallGuard: return apply_call_guard(module, index);
-    case PatternKind::kRetDup: return apply_ret_dup(module, index);
-    case PatternKind::kAluDup: return apply_alu_dup(module, index);
+    case PatternKind::kRetDup: return duplicate(module, index, 1, PatternKind::kRetDup);
+    // and/or are idempotent: the duplicate recomputes the same value and
+    // flags, so skipping either copy leaves the other standing.
+    case PatternKind::kAluDup: return duplicate(module, index, 1, PatternKind::kAluDup);
     default: return PatternKind::kNone;
   }
 }
@@ -706,13 +562,10 @@ PatternKind reinforce_instruction(bir::Module& module, std::size_t index,
   const std::size_t copies = std::max<unsigned>(order, 2) - 1;
   const Instruction original = *module.text[index].instr;
   switch (original.mnemonic) {
-    case Mnemonic::kRet: {
+    case Mnemonic::kRet:
       // Skipping two adjacent rets falls through into the next function; a
       // pair cannot skip three, and k more copies outlast any k-tuple.
-      module.insert_after(index, std::vector<Instruction>(copies, isa::ret()));
-      mark_synthesized(module, index + 1, copies);
-      return PatternKind::kRetTriple;
-    }
+      return duplicate(module, index, copies, PatternKind::kRetTriple);
     case Mnemonic::kCall: {
       // The pattern tails end in `re-branch; call handler`: one skip takes
       // the wrong edge, further skips swallow the detection calls. With the
@@ -721,11 +574,7 @@ PatternKind reinforce_instruction(bir::Module& module, std::size_t index,
           std::get<isa::LabelOperand>(original.op(0)).name != kFaultHandlerSymbol) {
         return PatternKind::kNone;
       }
-      module.insert_after(
-          index, std::vector<Instruction>(copies,
-                                          isa::call(std::string(kFaultHandlerSymbol))));
-      mark_synthesized(module, index + 1, copies);
-      return PatternKind::kHandlerCallDup;
+      return duplicate(module, index, copies, PatternKind::kHandlerCallDup);
     }
     case Mnemonic::kMov: {
       // Idempotent synthesized movs (the call-guard poison, scratch
@@ -737,18 +586,14 @@ PatternKind reinforce_instruction(bir::Module& module, std::size_t index,
           isa::is_label(original.op(1)) || aliased_address_reg(original)) {
         return PatternKind::kNone;
       }
-      module.insert_after(index, std::vector<Instruction>(copies, original));
-      mark_synthesized(module, index + 1, copies);
-      return PatternKind::kGuardMovDup;
+      return duplicate(module, index, copies, PatternKind::kGuardMovDup);
     }
     case Mnemonic::kAnd:
     case Mnemonic::kOr: {
       // A kAluDup pair: skipping both copies needs another copy. The
       // copies are idempotent unless the destination feeds the address.
       if (aliased_address_reg(original)) return PatternKind::kNone;
-      module.insert_after(index, std::vector<Instruction>(copies, original));
-      mark_synthesized(module, index + 1, copies);
-      return PatternKind::kAluDup;
+      return duplicate(module, index, copies, PatternKind::kAluDup);
     }
     case Mnemonic::kCmp: {
       // Span-separated re-verification: re-execute the compare behind more
