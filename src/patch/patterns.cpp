@@ -112,12 +112,8 @@ class Frame {
   /// Labels the next instruction emitted.
   void label(std::string name) { labels_.emplace_back(seq_.size(), std::move(name)); }
 
-  /// Starts a region whose kept state close() gives back. Until the
-  /// red-zone fix, Table I opened the red zone only when it kept flags.
-  void open(bool red_zone = true) {
-    region_ = seq_.size();
-    opens_red_zone_ = red_zone;
-  }
+  /// Starts a region whose kept state close() gives back.
+  void open() { region_ = seq_.size(); }
 
   /// Keeps the flags until close().
   void save_flags() {
@@ -223,7 +219,7 @@ class Frame {
   [[nodiscard]] Width natural_width() const { return target_.natural_width(); }
 
   void push(Instruction instr, Instruction restore) {
-    if (!red_zone_ && opens_red_zone_) {
+    if (!red_zone_) {
       seq_.insert(seq_.begin() + static_cast<std::ptrdiff_t>(region_),
                   isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
       for (auto& [at, name] : labels_) at += at > region_ ? 1 : 0;
@@ -241,7 +237,6 @@ class Frame {
   std::vector<std::pair<std::size_t, std::string>> labels_;  ///< (position, name)
   std::vector<Instruction> restores_;   ///< what close() emits, in reverse
   std::size_t region_ = 0;              ///< where the open region starts
-  bool opens_red_zone_ = true;
   bool red_zone_ = false;               ///< the open region moved rsp by -128
 };
 
@@ -258,7 +253,7 @@ PatternKind apply_mov(bir::Module& module, std::size_t index) {
   const std::optional<Reg> aliased = aliased_address_reg(original);
   const bool save_flags = flags_live_after(module, index);
 
-  frame.open(/*red_zone=*/save_flags);
+  frame.open();
   if (save_flags) frame.save_flags();  // mov writes no flags; the compare does
   isa::Operand source = original.op(1);
   if (aliased) {

@@ -474,6 +474,43 @@ TEST(Patterns, FlagsLivenessDetectsConsumingJcc) {
   EXPECT_EQ(run.exit_code, 0);
 }
 
+TEST(Patterns, StackFramePushesBelowTheRedZone) {
+  // The guest keeps 5 at [rsp-8], below rsp, where the SysV red zone lets
+  // a leaf function keep data. A Table I form that pushes a scratch with
+  // dead flags must still step over the red zone first, or the push
+  // overwrites the 5 with rbx's 9.
+  const std::string source =
+      ".global _start\n"
+      "_start:\n"
+      "    mov rbx, 9\n"
+      "    mov rax, 5\n"
+      "    mov qword ptr [rsp-8], rax\n"
+      "    mov rdi, offset cell\n"
+      "    mov rdi, qword ptr [rdi]\n"     // self-aliasing load
+      "    mov rcx, 0x1122334455667788\n"  // no cmp r64, imm64
+      "    mov rdi, qword ptr [rsp-8]\n"
+      "    mov rax, 60\n"
+      "    syscall\n"
+      ".section .data\n"
+      "cell: .quad 0\n";
+  bir::Module unpatched = bir::module_from_assembly(source);
+  ASSERT_EQ(emu::run_image(bir::assemble(unpatched), "").exit_code, 5);
+  for (const std::size_t line : {7u, 8u}) {  // the two shapes' source lines
+    SCOPED_TRACE("line " + std::to_string(line));
+    bir::Module module = bir::module_from_assembly(source);
+    std::size_t index = SIZE_MAX;
+    for (std::size_t i = 0; i < module.text.size(); ++i) {
+      if (module.text[i].source_line == line) index = i;
+    }
+    ASSERT_NE(index, SIZE_MAX);
+    ASSERT_FALSE(patch::flags_live_after(module, index));
+    ASSERT_EQ(patch::protect_instruction(module, index), PatternKind::kMov);
+    const emu::RunResult run = emu::run_image(bir::assemble(module), "");
+    ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
+    EXPECT_EQ(run.exit_code, 5);
+  }
+}
+
 // ---- PatternGolden: the patcher's code bytes, pinned ------------------------
 //
 // Behaviour checks cannot see a change of scratch register, save order or
@@ -577,7 +614,7 @@ constexpr GuestGolden kProtectGolden[] = {
     {"pincheck", isa::Arch::kX64,
      {2490, "42be77df162c6b2f25105b26defc1eb9c0f1a89d4b80f1b364d61f212e572710"}},
     {"bootloader", isa::Arch::kX64,
-     {2287, "6d458cae59a731e056e53d1c16fa73dcabfb90d20012bfb2d80bda055ca3d33e"}},
+     {2326, "80d4d5bbca858c49e9dd5a531d36c15117b42176db8b849997914b8ceb0c38b1"}},
     {"toymov", isa::Arch::kX64,
      {583, "8ed77d276754ecc71d61a56b72f196c261fae991a7ccaa16987f812dc57974d3"}},
     {"pincheck", isa::Arch::kRv32i,
@@ -593,31 +630,31 @@ constexpr GuestGolden kProtectGolden[] = {
 /// One row per synth_corpus::kCorpus seed, in its order.
 constexpr SeedGolden kCorpusProtectGolden[] = {
     {10,
-     {1909, "ed036e68ce422296ac8e07a8b3b91ab8124636dad4aead6fe22e587964359bbd"},
+     {1948, "597ca7f365573304d917e9fdf0ce3a2ffe91f10d5d486943d77a8bc575783651"},
      {1556, "a092d95e05401ed34a6627eefff2ffb6faa75e82539948f01102d7e5de868d60"}},
     {20,
      {1830, "3a957674d2398aee3d18e02c218467b1a45c6756bfefec0cf4612811eeb79aa7"},
      {1500, "748df8760a334d90d93da328b7ff372db615884c364a5b6a42fde0ca5c3aa857"}},
     {2,
-     {3107, "bc6016bcbb3bff7d21e058e7a300fb710c69e99e46242c4deb72b1ad426479ca"},
+     {3146, "6828c7287e598f71e4a37bf4b16598971f5bbf5d75e90896c3b9ccbadc32652d"},
      {2472, "c27d2e1874e03c510667f4d0fc7384ba6663b47750d13b0a615df683abf3a903"}},
     {8,
-     {2650, "327f418a360fd8ea9dd4c5b88ff83c077688733f3f721a31a739c5c936be4459"},
+     {2689, "484065b84e279131fbe7aa9dd5e84d4c36e9d48a6a77e64eb8bdf0b58320b358"},
      {2160, "57204e727ff1b054c6237583081b06fef357bfc1cf9d982ee6a380404f64dbeb"}},
     {9,
-     {3939, "5c63cc73a6aa03fecbaac489616cb6eac72bac4ae18ba9bbaf5c283fe1eace21"},
+     {3978, "5d0f26e6b988ee15b56eb28fe17227cdfb35eef2456c0e133c1d9c976523479f"},
      {3036, "5fd30dc1934ccd941bd3ed03bd619cb01bde6685619b0fd2bd10f961cfbdf6ff"}},
     {15,
-     {2883, "5c0d0f8db8fdb2f57c3796f3c8f8f5677d49d2e20803231a7ea408a387ebc976"},
+     {2922, "4d6f57ed7df8d61323e54f40a28fe1dbdedc000ea19bb6145ee6fb87e6d9ae4e"},
      {2468, "33c70f46324a6e30211016c7d71460533a63117f958873e88b42229da0d41bc3"}},
     {23,
      {1520, "3eaa33f20c07956289f386a322b077f5ecd378e387d1c5b766b4abd3b5cd5d2a"},
      {1228, "69bb3496fbdf3da0e4b6c2a038f5d6ae9c02362f07118a0cc002c6aaa982cc1f"}},
     {36,
-     {2306, "def7951c5963126b5ba011e3d249f3b460b654fe245cd316ce19d819f3f84bf4"},
+     {2345, "1148a5ce94619e5aec85eb0f35a5487862fc31c21a5f974b1e7a6c4bed9e97f0"},
      {1840, "c36ca83cbe5742e9d36adba84f51739d3a960dc4fb8ea28871278e00911f70d8"}},
     {77,
-     {2505, "d222ab350ba40b067e65f6f9089369a51eacb0ac965453c9bcc0dcb93b4e9bc9"},
+     {2544, "9f4202c3c3b7ef220ffbd31e42ee2a7a06e3d9e30a79dc9810a7d3c056ed215c"},
      {2032, "d614b25988cf4fe679740e4df8663c58f2c5be38976521faefbd05f122e1b738"}},
 };
 
