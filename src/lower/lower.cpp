@@ -1,5 +1,6 @@
 #include "lower/lower.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <unordered_map>
@@ -843,6 +844,7 @@ bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>&
   state.name = ".r2rstate";
   state.flags = elf::kRead | elf::kWrite;
   state.base = kStateBase;
+  std::uint64_t cursor = state.base;
   for (const auto& global : module.globals) {
     bir::DataBlock block;
     block.labels.push_back(global->name());
@@ -850,17 +852,21 @@ bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>&
     block.bytes.resize(global->size(), 0);
     // Pad so the next global lands on a 16-byte boundary.
     block.bytes.resize((block.bytes.size() + 15) & ~std::size_t{15});
+    global->address = cursor;  // where assemble() lays the block out
+    cursor += block.bytes.size();
     state.blocks.push_back(std::move(block));
   }
-  // Assign addresses exactly as assemble() will lay the blocks out.
-  {
-    std::uint64_t cursor = state.base;
-    for (std::size_t i = 0; i < module.globals.size(); ++i) {
-      module.globals[i]->address = cursor;
-      cursor += state.blocks[i].bytes.size();
-    }
+  if (!state.blocks.empty()) {
+    // The zero tail of the last global (g_stack's 64 KiB) is bss: mem_size
+    // maps it, and the ELF carries no bytes for it. assemble() lays blocks
+    // end to end, so only the last one can shrink without moving a label.
+    state.mem_size = cursor - state.base;
+    std::vector<std::uint8_t>& tail = state.blocks.back().bytes;
+    tail.erase(std::find_if(tail.rbegin(), tail.rend(), [](std::uint8_t b) { return b != 0; })
+                   .base(),
+               tail.end());
+    out.data_sections.push_back(std::move(state));
   }
-  if (!state.blocks.empty()) out.data_sections.push_back(std::move(state));
   for (const auto& section : guest_data) out.data_sections.push_back(section);
 
   // --- functions -----------------------------------------------------------------

@@ -128,7 +128,10 @@ std::string JobSpec::cache_key() const {
   // lower rung, or hits the cap on rung 1, used to name the rung it swept).
   // Schema 7: an open order-k fix-point labels its overhead as spent, and
   // an order-k campaign without tuple patch sites says so in words.
-  canonical.set("r2rd_cache_key_schema", "7");
+  // Schema 8: harden ELFs changed bytes: the Hybrid state section's zero
+  // tail is bss, and a Table I pattern that pushes with dead flags opens
+  // the x64 red zone first.
+  canonical.set("r2rd_cache_key_schema", "8");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }

@@ -169,29 +169,29 @@ struct CaseStudyGolden {
 constexpr CaseStudyGolden kCaseStudyGolden[] = {
     {"pincheck",
      isa::Arch::kX64,
-     {{857, "34c1f07bab747883078cef650b2c8dd9ab47f241ed6d6d224e5c7f585d12484f"},
-      {2892, "5e618d2d492a8408fc5aa5e0f93873da34850868ca25fa44c2f378c4a3b0f0ea"},
-      {3158, "d58ca7edfae82c84328d17f02e1fe65a9b07cc983b67565363214e980be3713f"}}},
+     {{857, "22344e984be316dbbc2117eb8f86cd4b3aad52c2ce6749d34856aa8af7ef5889"},
+      {2892, "341ff12678d81977dcdb288fc71eb3e6883647a3230a79028575451f04704ee6"},
+      {3158, "1998b0730896f69027ba0e974e305aac02b5e75b8944dd882c7f3989b9c2cda5"}}},
     {"bootloader",
      isa::Arch::kX64,
-     {{929, "7455b95c0f69032849c0e47895ff1106fe186be8cb36f43e9107ce59b5668df8"},
-      {2709, "3115e6478535a44e7de35c3b9bdafe53a184d11afbc3d2e737e59836f00e6a8f"},
-      {3419, "13b7c2ff3674b5833488e31ff67ac9091d6fc9b8c847f17d02ab1577e88cf563"}}},
+     {{929, "d8c41de0a2dd51d3e49078b9aed4a16646fcce20d07ab8719cadb20a889e92cf"},
+      {2709, "b8ed1ada08f52e891448c0fea2517b0a9d7a59bfb41071f4a52bd9233a600632"},
+      {3419, "7663be6842bd9dfcfa826ba134e4058ba2a48ac45ab658dc7314e468d3c74162"}}},
     {"toymov",
      isa::Arch::kX64,
-     {{174, "e6da04b67d8baacb10117ba5c4b524922fe6d0ba0451f3a324530c7e45793bf6"},
-      {424, "690f6ec3002b7b431f20e824191e286b12d5bf79f66590325f8723e8867a282a"},
-      {345, "50ccfcaefaa305de687d13c58e280c90dff85fb047c81277af0aa7c79a0e894c"}}},
+     {{174, "a53e07fa5dbaba3406ce2fed341580a134f0cda7f77c812cba0a38b4d64929bc"},
+      {424, "e185de10917599b742be326c16669f845573287bbc2acc5cef9db2f98095d261"},
+      {345, "e43272ee05ab9fe1701740794a01871c071776d71b8d9f177dd2623a7ac6ec6c"}}},
     {"pincheck",
      isa::Arch::kRv32i,
-     {{928, "69d7551e8d4444a59349fe6cbfcbcc111f19021b83e2d93cea5d6bef191fb178"},
-      {3276, "10647519684ae7f06ac32d60da85208af28deadda55d5559fdcc445d48c7877a"},
-      {6108, "4850740666bea9392c91fc32b0ad166505bb85534df5886e691f5a0ccf83d006"}}},
+     {{928, "3322453591dd3b236b3946e6a6e138086593f077936c212d460ffce4072f0ce2"},
+      {3276, "cda350f350c0dc858fcf639fb618eebd323a3ed0cffd7fe9b194189b9914e20b"},
+      {6108, "aa28a157e9a6311bcbf48d36e96dd4e4f67de4f57bc808605a90d9d361ef4204"}}},
     {"toymov",
      isa::Arch::kRv32i,
-     {{156, "c3b9dee2d258d6a76dcf682f70fc7508fe7e21174630cb0c486fb4a86377205e"},
-      {436, "0fd8688d33c72725c7bd8fa9ce318aa07aea6e991367eca457a1a012c6d8fd77"},
-      {540, "1856d24129c338a3a6ee47728feb46f1b59046d0fdddfd5fd8be38a9e4763ea0"}}},
+     {{156, "97faddf479f7b2a39b0a4f869a85934d8385bf5733c489361a928a8b9c6a5492"},
+      {436, "100cb9a8945d7e66594436a8ed7ae81b7ffdf55312142f7695cf379d7be164b7"},
+      {540, "c5a287d738b72cff6cb13b2f1f8e64ae0abf395098a04c340a0e243cbfc3f9d2"}}},
 };
 
 TEST(HybridGolden, CaseStudiesUnderEveryCountermeasure) {
@@ -211,7 +211,7 @@ TEST(HybridGolden, CaseStudiesUnderEveryCountermeasure) {
 TEST(HybridGolden, PincheckWithoutCleanup) {
   const elf::Image input = guests::build_image(guests::pincheck());
   expect_golden(input, golden_config(HybridCountermeasure::kBranchHardening, false),
-                {6505, "42485eb8a43bc3e027fecbb2bf177f6b412120cdfc4666e04d50a29a60c32af2"});
+                {6505, "1a585cb82aad6852265ece32e63eaa51a54a0b4175f3ce22ce51776f215fc4a9"});
 }
 
 struct SynthGolden {
@@ -223,32 +223,32 @@ struct SynthGolden {
 /// One row per synth_corpus::kCorpus seed, in its order.
 constexpr SynthGolden kSynthGolden[] = {
     {10,
-     {1938, "bce92fa75b8930893aae9af72c32483f4c12d948486a0c51087702150372b8ba"},
-     {2176, "27a6bee7fcf6ed526abe6ae95093ec927a451180d026f273535c903bf3d0da2e"}},
+     {1938, "8b7b71fc1a5a135d59019b41942aba4d146bc61f350f4285b134583be0f92ad9"},
+     {2176, "43857ca89ec9d8e47161ffb7bee2db6d8c26c32d8795a0bfec52eb1603dac80a"}},
     {20,
-     {1904, "42e460ba3bd1003a950125ad442997f0133f77fd82b4720cd89fb0a46a7bd1c4"},
-     {2188, "ed919d06f6dd2afb91badabb6fb6d4b6cb815b8e242e31c4c464394b46c2ca68"}},
+     {1904, "0f4aac66cbe6155b43d43cb362d3787c397afc169095649eea2e002202ed63c6"},
+     {2188, "378651e1128d3a8149e9aa7c440b4fc6d87169da2f202fc6e5f209c42c5b1fc5"}},
     {2,
-     {3339, "505758df9ee56d7b06e700e0059979264e5dd267de39e0101302bd8a57ad6399"},
-     {3868, "c56f13d37377f02dcc32fd6218db1cd942543efff88f61d85efcf89235267621"}},
+     {3339, "f253686ce61465973a808c4443fe4a2bfa784f26e636d29bd4eb9cfbb21f603b"},
+     {3868, "581e9692065909d89f146d98973004fa1d526acd8fcc9ca2f6392bd96719753b"}},
     {8,
-     {2832, "7e9e16d94b5b781c2c4f3a7e9f92911497e86825b8b71d2b7385bfd9944b7a81"},
-     {3196, "c4afeb334b3384a2cdb00b15f69f588d579748af3122111d2bddc92d77f63150"}},
+     {2832, "c958a25e08e0e0cf9a69143c986b202add19933010e6763f9d6e1cccfb550ae5"},
+     {3196, "7d7fb1b3fc308609e31af35a411485dc304fa03ff651fbc79fddf09d2a3e3c15"}},
     {9,
-     {4848, "b85e31735d7264d4b5673780a0289c545da44fb70785f6f33c95c093ce95c25a"},
-     {5556, "da58565995972906930920be550a125236d05ec797e1b11205bfbed8246bb8a2"}},
+     {4848, "5829188e58a4221165e27d32599ea9712c898a88c491fdfd0e50b00e148ebfa6"},
+     {5556, "c93fc0c08e592913a963245d3c90cb614717a72ab809f5740d6e5777ffe63345"}},
     {15,
-     {3492, "78ca1fbfd79267f46c87da541f0ca3ee695461ea10a1c0214304b6ef6d611f97"},
-     {3928, "0a959c58bb167834142eb055002fca19f03052c438d2de9dc320e84aeac1a5d3"}},
+     {3492, "ffc825dd031c18340c9c3bae50550a8d3de984fc74a8c2bf8c21890cab095d26"},
+     {3928, "9bc2835675af9f99f2d35b7afe677d2f0bf4665bc9c3289d908d29b8603b943b"}},
     {23,
-     {1538, "a91cfe29f8829b55fd4825e4f2c3473cf12811ffc314b58b92a729873e87b775"},
-     {1692, "430747aeea00c06b2b11560500041891853d33dfd7037c4d42bbf6b56318b5c3"}},
+     {1538, "29bd784d7adb1f058b368d8627a10da2e2cbc77bfa546837018f4c320ead1f89"},
+     {1692, "ea3ccc342c518715a9cf9da5b5220e81c1b423d0b725f995f1a146802a7b9234"}},
     {36,
-     {2482, "045c1c85683ccb88964162009a2d928a1720b903079c4c30f4d5bb30dcf38901"},
-     {2852, "2998cdb24cda676ed4a3825c79044de00dc18e93ea41f2e2505dffa1edf683f9"}},
+     {2482, "283536b96c5aff7cba154ef9bfd5b05a306512103389906742131c43d4c38c5a"},
+     {2852, "857dfd04936e8ba023439567a44b74f829554129af2fb77d8db037d2ce3c18b7"}},
     {77,
-     {2519, "dd6c5165ac6c2fa7b67f31d65457e807fe07ee9de2f2f2c0ee6d4eb851c72d22"},
-     {2888, "ff92a1e9f424c577e62aa0227ece82f53d0072972311e270e3ded36b822cbb87"}},
+     {2519, "50c36cee4d3d3ce019a6d4a6a0c41346c9b903d88fc4b497f9e7270dfd756daf"},
+     {2888, "86b3ef7c329e1220f101608a2c1974161ccb753e64df1da9e8876e703dc04d20"}},
 };
 
 TEST(HybridGolden, FrozenSynthCorpusUnderBranchHardening) {
