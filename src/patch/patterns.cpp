@@ -20,22 +20,16 @@ using isa::Mnemonic;
 using isa::Reg;
 using isa::Width;
 
-/// Registers an operand references (including memory base/index).
-void collect_regs(const isa::Operand& op, std::set<Reg>& regs) {
-  if (isa::is_reg(op)) {
-    regs.insert(std::get<Reg>(op));
-    return;
-  }
-  if (isa::is_mem(op)) {
+/// Registers the operands reference (including memory base/index).
+std::set<Reg> regs_of(const Instruction& instr) {
+  std::set<Reg> regs;
+  for (const auto& op : instr.operands) {
+    if (isa::is_reg(op)) regs.insert(std::get<Reg>(op));
+    if (!isa::is_mem(op)) continue;
     const auto& mem = std::get<isa::MemOperand>(op);
     if (mem.base) regs.insert(*mem.base);
     if (mem.index) regs.insert(*mem.index);
   }
-}
-
-std::set<Reg> regs_of(const Instruction& instr) {
-  std::set<Reg> regs;
-  for (const auto& op : instr.operands) collect_regs(op, regs);
   return regs;
 }
 
@@ -112,7 +106,9 @@ class Frame {
   /// Labels the next instruction emitted.
   void label(std::string name) { labels_.emplace_back(seq_.size(), std::move(name)); }
 
-  /// Starts a region whose kept state close() gives back.
+  /// Starts a region whose kept state close() gives back. Its first push
+  /// inserts the red-zone step here, so the body labels nothing between
+  /// open() and that push.
   void open() { region_ = seq_.size(); }
 
   /// Keeps the flags until close().
@@ -126,14 +122,12 @@ class Frame {
   }
 
   /// A register the pattern may clobber: on the stack model the first of
-  /// `candidates` that neither the original nor the region uses, pushed
-  /// until close(); on the register model value scratch A.
+  /// `candidates` the original does not reference, pushed until close();
+  /// on the register model value scratch A. A region takes one.
   Reg scratch(std::span<const Reg> candidates = kScratchOrder) {
     if (!stack_) return traits_.value_scratch_a;
     for (const Reg reg : candidates) {
-      if (used_.contains(reg) || std::ranges::find(restores_, isa::pop(reg)) != restores_.end()) {
-        continue;
-      }
+      if (used_.contains(reg)) continue;
       push(isa::push(reg), isa::pop(reg));
       return reg;
     }
@@ -222,7 +216,6 @@ class Frame {
     if (!red_zone_) {
       seq_.insert(seq_.begin() + static_cast<std::ptrdiff_t>(region_),
                   isa::lea(Reg::rsp, isa::mem(Reg::rsp, -128)));
-      for (auto& [at, name] : labels_) at += at > region_ ? 1 : 0;
       red_zone_ = true;
     }
     emit(std::move(instr));
