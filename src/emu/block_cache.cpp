@@ -39,13 +39,8 @@ void BlockCache::sync(Memory& memory) {
   const std::uint64_t epoch = memory.code_write_epoch();
   if (epoch == synced_epoch_) return;
   synced_epoch_ = epoch;
-  const Memory::CodeWrites writes = memory.take_code_writes();
-  if (writes.overflow) {
-    ++invalidations_;
-    clear();
-    return;
-  }
-  for (const auto& [begin, end] : writes.ranges) invalidate_range(begin, end);
+  invalidations_ += blocks_.size();
+  clear();
 }
 
 const DecodedBlock* BlockCache::lookup(std::uint64_t rip, Memory& memory) {
@@ -83,28 +78,11 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
   }
 
   if (block.count == 0) return nullptr;
-  block.end = address;
   if (const auto loop = Machine::summarize_loop(ops(block), block.count, rip)) {
     loops_.push_back(*loop);
     block.loop = static_cast<std::uint32_t>(loops_.size());
   }
   return &blocks_.emplace(rip, block).first->second;
-}
-
-void BlockCache::invalidate_range(std::uint64_t begin, std::uint64_t end) {
-  // Erase every block overlapping [begin, end). Arena entries are left
-  // behind as tombstones (memory-safe; reclaimed by the clear-on-full
-  // valve) — invalidation is rare enough that compaction would cost more
-  // than it saves.
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    const DecodedBlock& block = it->second;
-    if (block.start < end && begin < block.end) {
-      ++invalidations_;
-      it = blocks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void BlockCache::clear() {

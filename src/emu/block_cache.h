@@ -19,9 +19,10 @@
 // every specialized handler and for lazy flags.
 //
 // Correctness rules (see docs/architecture.md):
-//  - any store overlapping an executable region invalidates every cached
-//    block whose byte range the store touches (Memory's code-write epoch +
-//    range log, drained by sync());
+//  - any code write empties the whole cache: a store into an executable
+//    region, or a restore() that rewrites an executable page, bumps
+//    Memory's code-write epoch, and sync() drops every block when the
+//    epoch moved;
 //  - a faulted step never executes from the cache — Machine routes it
 //    through the per-step slow path, so mutated encodings are re-decoded
 //    against the live fetch window and the cache only ever holds
@@ -85,11 +86,10 @@ struct LoopSummary {
   std::uint8_t counter = 0;
 };
 
-/// A decoded basic block: `count` consecutive arena entries covering guest
-/// bytes [start, end). Only the final instruction may be control flow.
+/// A decoded basic block: `count` consecutive arena entries, the first at
+/// guest address `start`. Only the final instruction may be control flow.
 struct DecodedBlock {
   std::uint64_t start = 0;
-  std::uint64_t end = 0;
   std::uint32_t first = 0;  ///< arena index of the first micro-op
   std::uint32_t count = 0;
   std::uint32_t loop = 0;   ///< 1 + index of the block's LoopSummary; 0: none
@@ -107,8 +107,9 @@ class BlockCache {
   /// this is a safety valve, not a working-set tuner).
   static constexpr std::size_t kMaxCachedInstructions = std::size_t{1} << 16;
 
-  /// Drains pending code-write invalidations from `memory`. Cheap when no
-  /// code write happened since the last call (one integer compare).
+  /// Empties the cache when `memory`'s code-write epoch moved since the
+  /// last call, adding the blocks it dropped to invalidations(). Cheap
+  /// otherwise (one integer compare).
   void sync(Memory& memory);
 
   /// Returns the block starting exactly at `rip`, building it on miss.
@@ -140,7 +141,6 @@ class BlockCache {
 
  private:
   const DecodedBlock* build(std::uint64_t rip, Memory& memory);
-  void invalidate_range(std::uint64_t begin, std::uint64_t end);
 
   const isa::Target* target_;
   std::unordered_map<std::uint64_t, DecodedBlock> blocks_;

@@ -77,7 +77,6 @@ Machine::Machine(const elf::Image& image, std::string stdin_data)
   cpu_.rip = image.entry;
   cpu_.gpr[isa::reg_number(Reg::rsp)] = stack_base - 16;
   cache_ = std::make_unique<BlockCache>(*target_);
-  memory_.set_code_write_tracking(true);
 }
 
 Machine::~Machine() {
@@ -85,17 +84,14 @@ Machine::~Machine() {
 }
 
 Machine::Machine(Machine&&) noexcept = default;
-Machine& Machine::operator=(Machine&&) noexcept = default;
 
 void Machine::set_block_cache_enabled(bool enabled) {
   if (enabled == (cache_ != nullptr)) return;
   if (enabled) {
     cache_ = std::make_unique<BlockCache>(*target_);
-    memory_.set_code_write_tracking(true);
   } else {
     cache_->flush_metrics();
     cache_.reset();
-    memory_.set_code_write_tracking(false);
   }
 }
 
@@ -849,8 +845,8 @@ bool Machine::run_cached(std::uint64_t fuel, const FaultSpec* fault,
     ++steps_;
     cpu_.rip += op.length;
     kHandlers[op.handler](*this, op);
-    // A store into code invalidates blocks — return so the next
-    // iteration re-syncs before touching the cache again.
+    // A store into code empties the cache (this block too): return so
+    // the next iteration re-syncs before touching the cache again.
     if (ended() || memory_.code_write_epoch() != epoch) break;
   }
   // Only the back edge returns rip to the start of a loop block, and the
@@ -916,16 +912,6 @@ RunResult Machine::run(const RunConfig& config) {
   result.steps = steps_;
   result.output = output_;
   return result;
-}
-
-Machine::StepTally& Machine::StepTally::operator=(StepTally&& other) noexcept {
-  if (this != &other) {
-    flush();
-    instructions = std::exchange(other.instructions, 0);
-    generic_steps = std::exchange(other.generic_steps, 0);
-    fast_forward_steps = std::exchange(other.fast_forward_steps, 0);
-  }
-  return *this;
 }
 
 void Machine::StepTally::flush() noexcept {

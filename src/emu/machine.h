@@ -139,10 +139,9 @@ class Machine {
   Machine(const elf::Image& image, std::string stdin_data);
   ~Machine();
 
-  // Move-only (the block cache is a unique_ptr; out-of-line definitions
-  // keep BlockCache an incomplete type here).
+  // Movable, not assignable (the block cache is a unique_ptr; the
+  // out-of-line definition keeps BlockCache an incomplete type here).
   Machine(Machine&&) noexcept;
-  Machine& operator=(Machine&&) noexcept;
 
   /// Runs until exit/crash or until the step counter reaches config.fuel.
   /// Calling run() again on a fuel-exhausted machine resumes execution.
@@ -226,7 +225,6 @@ class Machine {
         : instructions(std::exchange(other.instructions, 0)),
           generic_steps(std::exchange(other.generic_steps, 0)),
           fast_forward_steps(std::exchange(other.fast_forward_steps, 0)) {}
-    StepTally& operator=(StepTally&& other) noexcept;
     ~StepTally() { flush(); }
 
     std::uint64_t instructions = 0;

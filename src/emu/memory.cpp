@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <utility>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -137,9 +138,7 @@ AccessFault Memory::try_write(std::uint64_t address, std::uint64_t value, unsign
   for (unsigned i = 0; i < bytes; ++i) {
     region->bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
-  if (track_code_writes_ && (region->perms & elf::kExecute) != 0) {
-    note_code_write(address, address + bytes);
-  }
+  if ((region->perms & elf::kExecute) != 0) ++code_write_epoch_;
   return AccessFault::kNone;
 }
 
@@ -189,9 +188,7 @@ void Memory::write_block(std::uint64_t address, std::span<const std::uint8_t> da
   if (!data.empty()) mark_dirty(*region, address - region->base, data.size());
   std::copy(data.begin(), data.end(),
             region->bytes.begin() + static_cast<std::ptrdiff_t>(address - region->base));
-  if (track_code_writes_ && !data.empty() && (region->perms & elf::kExecute) != 0) {
-    note_code_write(address, address + data.size());
-  }
+  if (!data.empty() && (region->perms & elf::kExecute) != 0) ++code_write_epoch_;
 }
 
 Memory::Snapshot Memory::capture() {
@@ -235,10 +232,7 @@ void Memory::rewrite_page(Region& region, std::size_t page,
             region.bytes.begin() + static_cast<std::ptrdiff_t>(page * kPageSize));
   region.synced[page] = content;
   region.dirty[page] = false;
-  if (track_code_writes_ && (region.perms & elf::kExecute) != 0) {
-    const std::uint64_t begin = region.base + page * kPageSize;
-    note_code_write(begin, begin + content->size());
-  }
+  if ((region.perms & elf::kExecute) != 0) ++code_write_epoch_;
 }
 
 void Memory::restore(const Snapshot& snapshot) {
@@ -271,32 +265,6 @@ void Memory::restore(const Snapshot& snapshot) {
   }
   dirty_pages_.clear();
   synced_id_ = snapshot.id_;
-}
-
-void Memory::set_code_write_tracking(bool enabled) noexcept {
-  track_code_writes_ = enabled;
-  if (!enabled) {
-    code_writes_.ranges.clear();
-    code_writes_.overflow = false;
-  }
-}
-
-void Memory::note_code_write(std::uint64_t begin, std::uint64_t end) {
-  ++code_write_epoch_;
-  if (code_writes_.overflow) return;
-  if (code_writes_.ranges.size() >= kMaxCodeWriteRanges) {
-    code_writes_.ranges.clear();
-    code_writes_.overflow = true;
-    return;
-  }
-  code_writes_.ranges.emplace_back(begin, end);
-}
-
-Memory::CodeWrites Memory::take_code_writes() {
-  CodeWrites taken = std::move(code_writes_);
-  code_writes_.ranges.clear();
-  code_writes_.overflow = false;
-  return taken;
 }
 
 bool Memory::equals(const Snapshot& snapshot) const noexcept {

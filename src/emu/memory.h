@@ -17,13 +17,16 @@
 // mostly by page identity. Writes keep a per-page dirty bit plus a list of
 // the pages dirtied since the last sync point, so restoring the snapshot
 // the memory is synced to costs O(pages dirtied), not O(pages mapped).
+//
+// Code writes are one counter, the code-write epoch: a store into an
+// executable region and a restore() that rewrites an executable page each
+// bump it. emu::BlockCache polls it and empties itself when it moved.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "elf/image.h"
@@ -143,27 +146,10 @@ class Memory {
   /// only dirty or divergent pages are memcmp'd.
   [[nodiscard]] bool equals(const Snapshot& snapshot) const noexcept;
 
-  // --- code-write tracking (pull model, consumed by emu::BlockCache) --------
-  // When enabled, every store that lands in an executable region bumps an
-  // epoch counter and logs the written [begin, end) range. The cache polls
-  // the epoch on its hot path (one integer compare) and drains the range
-  // log only when it moved. restore() counts as a write for every
-  // executable page it actually rewrites.
-
-  void set_code_write_tracking(bool enabled) noexcept;
-
-  /// Monotonic counter, bumped once per tracked write batch. Never resets.
+  /// The code-write epoch: bumped by every store that lands in an
+  /// executable region (a guest store or a host-side write_block) and by
+  /// every restore() that rewrites an executable page. Never resets.
   [[nodiscard]] std::uint64_t code_write_epoch() const noexcept { return code_write_epoch_; }
-
-  struct CodeWrites {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;  ///< [begin, end)
-    /// Set when the log spilled past its bound: the consumer must treat
-    /// every code byte as potentially rewritten.
-    bool overflow = false;
-  };
-
-  /// Returns and clears the accumulated write log.
-  CodeWrites take_code_writes();
 
  private:
   struct Region {
@@ -198,11 +184,6 @@ class Memory {
   /// Copies `page` of `region` back from `content` and syncs it there.
   void rewrite_page(Region& region, std::size_t page,
                     const std::shared_ptr<const Page>& content);
-  void note_code_write(std::uint64_t begin, std::uint64_t end);
-
-  /// Range-log bound: past this the log degrades to a full-flush flag.
-  /// Self-modifying guests are rare; a tiny log keeps the common case cheap.
-  static constexpr std::size_t kMaxCodeWriteRanges = 64;
 
   std::vector<Region> regions_;
   /// Every page whose dirty bit is set, each listed once.
@@ -210,9 +191,7 @@ class Memory {
   /// Identity of the snapshot every clean page is synced to; 0 when there
   /// is none (no sync yet, or a map() since).
   std::uint64_t synced_id_ = 0;
-  bool track_code_writes_ = false;
   std::uint64_t code_write_epoch_ = 0;
-  CodeWrites code_writes_;
 };
 
 }  // namespace r2r::emu
