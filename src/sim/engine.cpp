@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <exception>
@@ -388,25 +389,33 @@ std::string_view to_string(Outcome outcome) noexcept {
   return "?";
 }
 
+namespace {
+constexpr std::array<FaultModelSwitch, 4> kFaultModelSwitches = {{
+    {"skip", &FaultModels::skip},
+    {"bit_flip", &FaultModels::bit_flip},
+    {"register_flip", &FaultModels::register_flip},
+    {"flag_flip", &FaultModels::flag_flip},
+}};
+}  // namespace
+
+std::span<const FaultModelSwitch> fault_model_switches() { return kFaultModelSwitches; }
+
 const std::vector<std::string_view>& fault_model_names() {
-  static const std::vector<std::string_view> names = {"skip", "bit_flip",
-                                                      "register_flip", "flag_flip"};
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> out;
+    for (const FaultModelSwitch& model : kFaultModelSwitches) out.push_back(model.name);
+    return out;
+  }();
   return names;
 }
 
 bool set_fault_model(FaultModels& models, std::string_view name, bool enabled) {
-  if (name == "skip") {
-    models.skip = enabled;
-  } else if (name == "bit_flip") {
-    models.bit_flip = enabled;
-  } else if (name == "register_flip") {
-    models.register_flip = enabled;
-  } else if (name == "flag_flip") {
-    models.flag_flip = enabled;
-  } else {
-    return false;
+  for (const FaultModelSwitch& model : kFaultModelSwitches) {
+    if (model.name != name) continue;
+    models.*model.enabled = enabled;
+    return true;
   }
-  return true;
+  return false;
 }
 
 std::vector<PlannedFault> enumerate_faults(const FaultModels& models,
@@ -495,7 +504,7 @@ Engine::Engine(elf::Image image, std::string good_input, std::string bad_input,
       config_(config),
       refs_(traced_references(image_, good_input, bad_input_, config.block_cache)) {
   interval_ = config_.policy.interval_for(refs_.bad_trace.size());
-  fuel_ = refs_.bad_reference.steps * config_.fuel_multiplier + config_.fuel_slack;
+  fuel_ = refs_.bad_reference.steps * EngineConfig::fuel_multiplier + EngineConfig::fuel_slack;
   bad_reference_outcome_ =
       classify(refs_, refs_.bad_reference, patch::kDetectedExit);
 

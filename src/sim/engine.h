@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -99,10 +100,20 @@ struct FaultModels {
   std::uint64_t sample_seed = 0x5eed;
 };
 
-/// The CLI-facing names of the model knobs above, in enumeration order
-/// ("skip", "bit_flip", "register_flip", "flag_flip"). A model added to
-/// FaultModels belongs in this list so every name-driven surface (the r2r
-/// `--model` flag, batch configs) picks it up without a second edit.
+/// One model switch of FaultModels under its CLI-facing name.
+struct FaultModelSwitch {
+  std::string_view name;
+  bool FaultModels::*enabled;
+};
+
+/// The model switches above, in enumeration order ("skip", "bit_flip",
+/// "register_flip", "flag_flip"): the one list of fault models. A model
+/// added to FaultModels belongs in it so every name-driven surface (the
+/// r2r `--model` flag, batch configs, the r2rd wire's `model_<name>`
+/// fields) picks it up without a second edit.
+std::span<const FaultModelSwitch> fault_model_switches();
+
+/// The names of fault_model_switches(), in the same order.
 const std::vector<std::string_view>& fault_model_names();
 
 /// Sets the named model knob on `models`; returns false (and leaves
@@ -132,8 +143,8 @@ std::uint64_t count_fault_tuples(const FaultModels& models,
 /// trace while the replay prefix per injection stays bounded by the same
 /// square root — the classic snapshot-sweep balance point.
 struct SnapshotPolicy {
-  std::uint64_t min_interval = 16;
-  std::uint64_t max_interval = 8192;
+  static constexpr std::uint64_t min_interval = 16;
+  static constexpr std::uint64_t max_interval = 8192;
   /// When set, overrides the sqrt heuristic.
   std::optional<std::uint64_t> fixed_interval;
 
@@ -185,8 +196,8 @@ struct EngineConfig {
   SnapshotPolicy policy;
   /// Faulted runs get fuel = golden_bad_steps * multiplier + slack; runs
   /// that exceed it classify as kHang.
-  std::uint64_t fuel_multiplier = 8;
-  std::uint64_t fuel_slack = 4096;
+  static constexpr std::uint64_t fuel_multiplier = 8;
+  static constexpr std::uint64_t fuel_slack = 4096;
   /// Classify a faulted run as soon as it provably reconverges with the
   /// golden run at a checkpoint boundary (sound: the machine is
   /// deterministic). Disable to force every run to completion.
