@@ -51,13 +51,18 @@ std::string regs_to_string(const std::vector<unsigned>& regs) {
   return out;
 }
 
+/// The inverse of regs_to_string; an empty string is an empty list.
+/// Throws Error{kParse} on a piece that is not a register number below
+/// isa::kRegCount.
 std::vector<unsigned> regs_from_string(std::string_view text) {
   std::vector<unsigned> regs;
   if (support::trim(text).empty()) return regs;
   for (const std::string_view piece : support::split(text, ',')) {
     const auto parsed = support::parse_integer(piece);
-    if (!parsed.has_value() || *parsed < 0) {
-      fail(ErrorKind::kParse, "malformed register list '" + std::string(text) + "'");
+    if (!parsed.has_value() || *parsed < 0 || *parsed >= isa::kRegCount) {
+      fail(ErrorKind::kParse, "malformed register list '" + std::string(text) +
+                                  "' (register numbers are 0 to " +
+                                  std::to_string(isa::kRegCount - 1) + ")");
     }
     regs.push_back(static_cast<unsigned>(*parsed));
   }
@@ -92,10 +97,9 @@ void append_identity_fields(const JobSpec& spec, Message& message) {
   message.set("good_exit", std::to_string(spec.guest.good_exit));
   message.set("bad_exit", std::to_string(spec.guest.bad_exit));
   const sim::FaultModels& models = spec.campaign.models;
-  message.set("model_skip", models.skip ? "1" : "0");
-  message.set("model_bit_flip", models.bit_flip ? "1" : "0");
-  message.set("model_register_flip", models.register_flip ? "1" : "0");
-  message.set("model_flag_flip", models.flag_flip ? "1" : "0");
+  for (const sim::FaultModelSwitch& model : sim::fault_model_switches()) {
+    message.set("model_" + std::string(model.name), models.*model.enabled ? "1" : "0");
+  }
   message.set("register_flip_regs", regs_to_string(models.register_flip_regs));
   message.set_u64("register_flip_bit_stride", models.register_flip_bit_stride);
   message.set_u64("order", models.order);
@@ -161,13 +165,15 @@ JobSpec JobSpec::from_message(const Message& message) {
   spec.guest.bad_output = message.get_or("bad_output", "");
   spec.guest.good_exit = static_cast<int>(get_i64_or(message, "good_exit", 0));
   spec.guest.bad_exit = static_cast<int>(get_i64_or(message, "bad_exit", 1));
+  // An absent field keeps its sim::FaultModels default.
   sim::FaultModels& models = spec.campaign.models;
-  models.skip = message.get_u64_or("model_skip", 1) != 0;
-  models.bit_flip = message.get_u64_or("model_bit_flip", 1) != 0;
-  models.register_flip = message.get_u64_or("model_register_flip", 0) != 0;
-  models.flag_flip = message.get_u64_or("model_flag_flip", 0) != 0;
-  models.register_flip_regs =
-      regs_from_string(message.get_or("register_flip_regs", ""));
+  for (const sim::FaultModelSwitch& model : sim::fault_model_switches()) {
+    bool& enabled = models.*model.enabled;
+    enabled = message.get_u64_or("model_" + std::string(model.name), enabled ? 1 : 0) != 0;
+  }
+  if (const auto regs = message.get("register_flip_regs")) {
+    models.register_flip_regs = regs_from_string(*regs);
+  }
   models.register_flip_bit_stride = static_cast<unsigned>(
       message.get_u64_or("register_flip_bit_stride", models.register_flip_bit_stride));
   models.order = static_cast<unsigned>(message.get_u64_or("order", 1));

@@ -266,6 +266,87 @@ TEST(SvcJob, SpecSurvivesWireRoundTrip) {
   EXPECT_EQ(back.cache_key(), spec.cache_key());
 }
 
+/// `spec`'s wire message without the field `key`.
+svc::Message without_field(const svc::JobSpec& spec, std::string_view key) {
+  const svc::Message full = spec.to_message();
+  svc::Message message;
+  for (const auto& [name, value] : full.fields()) {
+    if (name != key) message.set(name, value);
+  }
+  return message;
+}
+
+/// The ErrorKind from_message throws for `message`, or nullopt.
+std::optional<support::ErrorKind> decode_error(const svc::Message& message) {
+  try {
+    (void)svc::JobSpec::from_message(message);
+  } catch (const support::Error& error) {
+    return error.kind();
+  }
+  return std::nullopt;
+}
+
+TEST(SvcJob, AbsentModelFieldsKeepTheirDefaults) {
+  const sim::FaultModels defaults;
+  const sim::FaultModels absent = svc::JobSpec::from_message(svc::Message{}).campaign.models;
+  EXPECT_EQ(absent.skip, defaults.skip);
+  EXPECT_EQ(absent.bit_flip, defaults.bit_flip);
+  EXPECT_EQ(absent.register_flip, defaults.register_flip);
+  EXPECT_EQ(absent.flag_flip, defaults.flag_flip);
+  EXPECT_EQ(absent.register_flip_regs, defaults.register_flip_regs);
+
+  // A client that omits only the register list sweeps the default
+  // registers, not none.
+  svc::JobSpec spec = campaign_spec();
+  spec.campaign.models.register_flip = true;
+  const svc::JobSpec back =
+      svc::JobSpec::from_message(without_field(spec, "register_flip_regs"));
+  EXPECT_TRUE(back.campaign.models.register_flip);
+  EXPECT_EQ(back.campaign.models.register_flip_regs,
+            (std::vector<unsigned>{0, 1, 2, 3, 6, 7}));
+}
+
+TEST(SvcJob, RegisterListOutsideTheRegisterFileIsAParseError) {
+  svc::Message message = campaign_spec().to_message();
+  message.set("register_flip_regs", "16");  // last field wins
+  EXPECT_EQ(decode_error(message), support::ErrorKind::kParse);
+  message.set("register_flip_regs", "1,x");
+  EXPECT_EQ(decode_error(message), support::ErrorKind::kParse);
+  message.set("register_flip_regs", "0,15");
+  EXPECT_EQ(decode_error(message), std::nullopt);
+}
+
+TEST(SvcJob, RegisterListAndModelFieldsRoundTripUnchanged) {
+  const std::vector<std::vector<unsigned>> lists = {
+      {}, {15, 4}, sim::FaultModels{}.register_flip_regs};
+  for (const std::vector<unsigned>& regs : lists) {
+    svc::JobSpec spec = campaign_spec();
+    spec.campaign.models.register_flip_regs = regs;
+    spec.campaign.models.bit_flip = false;
+    spec.campaign.models.flag_flip = true;
+    const svc::Message message = spec.to_message();
+    const svc::JobSpec back = svc::JobSpec::from_message(message);
+    EXPECT_EQ(back.campaign.models.register_flip_regs, regs);
+    EXPECT_TRUE(back.campaign.models.skip);
+    EXPECT_FALSE(back.campaign.models.bit_flip);
+    EXPECT_FALSE(back.campaign.models.register_flip);
+    EXPECT_TRUE(back.campaign.models.flag_flip);
+    EXPECT_EQ(back.cache_key(), spec.cache_key());
+
+    // The model fields keep their names and their order on the wire.
+    std::vector<std::string> model_fields;
+    for (const auto& [name, value] : message.fields()) {
+      if (name.starts_with("model_") && name != "model_max_tuples" &&
+          name != "model_sample_seed") {
+        model_fields.push_back(name + "=" + value);
+      }
+    }
+    EXPECT_EQ(model_fields, (std::vector<std::string>{"model_skip=1", "model_bit_flip=0",
+                                                      "model_register_flip=0",
+                                                      "model_flag_flip=1"}));
+  }
+}
+
 // ---- daemon == CLI ----------------------------------------------------------
 
 struct CliRun {
