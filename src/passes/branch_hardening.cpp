@@ -46,10 +46,6 @@ std::uint64_t block_uid(std::size_t index) {
 
 class BranchHardeningPass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "branch-hardening";
-  }
-
   bool run(ir::Module& module) override {
     bool changed = false;
     // harden_function can add intrinsics to module.functions; iterate by

@@ -43,8 +43,6 @@ bool clobbers_before_read(const Function& fn, const GlobalVariable* reg_global) 
 
 class CallGuardPass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "call-guard"; }
-
   bool run(ir::Module& module) override {
     GlobalVariable* rax = module.find_global("g_rax");
     if (rax == nullptr) return false;  // not a lifted module

@@ -147,10 +147,6 @@ Pred inverse(Pred pred) {
 
 class ConstantFoldPass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "constant-fold";
-  }
-
   bool run(ir::Module& module) override {
     bool changed = false;
     for (auto& fn : module.functions) {

@@ -9,8 +9,6 @@ namespace {
 
 class DcePass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "dce"; }
-
   bool run(ir::Module& module) override {
     bool changed = false;
     for (auto& fn : module.functions) {

@@ -60,10 +60,6 @@ struct FunctionFacts {
 
 class GlobalStoreElimPass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "global-store-elim";
-  }
-
   bool run(ir::Module& module) override {
     const StateGlobals tracked(module);
     if (tracked.all() == 0) return false;

@@ -49,10 +49,6 @@ bool is_duplicable(const Instr& instr) {
 
 class InstructionDuplicationPass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "instruction-duplication";
-  }
-
   bool run(ir::Module& module) override {
     bool changed = false;
     // duplicate_function adds the trap intrinsic to module.functions;

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ir/ir.h"
@@ -13,7 +12,6 @@ namespace r2r::passes {
 class Pass {
  public:
   virtual ~Pass() = default;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   /// Returns true if the module was changed.
   virtual bool run(ir::Module& module) = 0;
 };
@@ -66,7 +64,7 @@ std::unique_ptr<Pass> make_constant_fold();
 /// function is a barrier; the syscall and trap intrinsics are barriers only
 /// for globals whose address escapes. Assumes state globals are never
 /// aliased by computed guest addresses (standard lifter assumption,
-/// documented in DESIGN.md).
+/// documented in docs/architecture.md, "Lifting assumptions").
 std::unique_ptr<Pass> make_state_promotion();
 
 /// Dead-store elimination for non-escaping state globals, across blocks

@@ -9,7 +9,7 @@
 // intrinsic is a barrier only for globals whose address escapes
 // (state_globals.h), since it sees nothing but its arguments. Computed
 // guest addresses never alias the state region (it lives in a reserved
-// segment; see DESIGN.md).
+// segment; see docs/architecture.md, "Lifting assumptions").
 #include <map>
 
 #include "passes/pass.h"
@@ -28,10 +28,6 @@ bool is_global(const ir::Value* value) {
 
 class StatePromotionPass final : public Pass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "state-promotion";
-  }
-
   bool run(ir::Module& module) override {
     const StateGlobals tracked(module);
     bool changed = false;
