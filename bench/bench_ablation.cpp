@@ -1,8 +1,8 @@
-// Ablation studies for design choices DESIGN.md calls out:
+// Ablation studies for design choices docs/architecture.md describes:
 //   (a) cleanup passes (state promotion / global store elim / DCE) vs none
 //       — how much lift-and-lower overhead the optimizer recovers;
-//   (b) Table II cmp pattern with vs without the third authoritative
-//       re-execution — its effect on residual skip vulnerabilities;
+//   (b) the Faulter+Patcher iteration cap (1, 2, 4, 12) on pincheck under
+//       the skip model — residual successful faults and overhead per cap;
 //   (c) one vs two checksum copies in branch hardening is structural
 //       (Fig. 5 duplication), measured here as code-size delta per branch.
 #include <benchmark/benchmark.h>
@@ -74,7 +74,6 @@ void print_hardening_cost_per_branch() {
 
   harden::TextTable table;
   table.add_row({"branches", "plain bytes", "hardened bytes", "delta/branch"});
-  std::size_t previous_delta = 0;
   for (const unsigned branches : {1u, 2u, 4u, 8u}) {
     ir::Module plain = build_chain(branches);
     const std::size_t plain_size = lower::lower_to_image(plain, {}).code_size();
@@ -84,9 +83,7 @@ void print_hardening_cost_per_branch() {
     const std::size_t delta = (hardened_size - plain_size) / branches;
     table.add_row({std::to_string(branches), std::to_string(plain_size),
                    std::to_string(hardened_size), std::to_string(delta)});
-    previous_delta = delta;
   }
-  (void)previous_delta;
   std::printf("%s\n", table.render().c_str());
 }
 
@@ -126,7 +123,7 @@ BENCHMARK(BM_CleanupPasses)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  r2r::bench::print_header("Ablations: design choices called out in DESIGN.md",
+  r2r::bench::print_header("Ablations: design choices described in docs/architecture.md",
                            "r2r-specific (supplements the paper's evaluation)");
   print_cleanup_ablation();
   print_iteration_cap_ablation();

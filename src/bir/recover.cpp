@@ -107,8 +107,9 @@ void symbolize(RecoveryState& state, isa::Instruction& instr) {
         imm != nullptr && instr.mnemonic == isa::Mnemonic::kMov &&
         instr.width == state.target->natural_width()) {
       // Full-width mov immediate pointing into a data segment: treat as a
-      // reference (the UROBOROS-style heuristic; see DESIGN.md). On x64 this
-      // is the movabs form; on rv32i the fused lui+addi mov.
+      // reference (the UROBOROS-style heuristic; see docs/architecture.md,
+      // "Lifting assumptions"). On x64 this is the movabs form; on rv32i
+      // the fused lui+addi mov.
       const auto value = static_cast<std::uint64_t>(imm->value);
       if (state.data_segment_of(value) != nullptr) {
         state.data_label_addresses.insert(value);
