@@ -315,6 +315,240 @@ TEST(CraftedGuests, MachineTakesTheIntendedPathOnEachInput) {
   }
 }
 
+// ---- lifter shapes -----------------------------------------------------------
+
+/// Reads two input bytes: a sign-extended into r9, b zero-extended into
+/// r8 (through an indexed memory operand).
+const std::string kReadTwoBytes =
+    ".global _start\n"
+    ".section .text\n"
+    "_start:\n"
+    "    mov rax, 0\n"
+    "    mov rdi, 0\n"
+    "    mov rsi, offset buf\n"
+    "    mov rdx, 2\n"
+    "    syscall\n"
+    "    mov rsi, offset buf\n"
+    "    mov rcx, 1\n"
+    "    movsx r9, byte ptr [rsi]\n"
+    "    movzx r8, byte ptr [rsi + rcx*1]\n";
+
+/// Prints the two low bytes of a 9-bit code whose bit i is set when the
+/// i-th conditional branch falls through. The branches test ae, s, ns, o,
+/// no, ge, le, g and l in that order, on the flags of cmp, test and add.
+Guest condition_shapes_guest() {
+  Guest guest;
+  guest.name = "condition_shapes";
+  guest.arch = isa::Arch::kX64;
+  guest.good_input = std::string("\x05\x03", 2);
+  guest.bad_input = std::string("\xfb\x90", 2);
+  guest.assembly = kReadTwoBytes +
+                   "    xor r12, r12\n"
+                   "    cmp r8, 100\n"
+                   "    jae c1\n"
+                   "    or r12, 1\n"
+                   "c1:\n"
+                   "    test r9, r9\n"
+                   "    js c2\n"
+                   "    or r12, 2\n"
+                   "c2:\n"
+                   "    test r9, r9\n"
+                   "    jns c3\n"
+                   "    or r12, 4\n"
+                   "c3:\n"
+                   "    mov r13, 0x7fffffffffffff80\n"
+                   "    add r13, r8\n"
+                   "    jo c4\n"
+                   "    or r12, 8\n"
+                   "c4:\n"
+                   "    mov r13, 0x7ffffffffffffffe\n"
+                   "    add r13, r9\n"
+                   "    jno c5\n"
+                   "    or r12, 16\n"
+                   "c5:\n"
+                   "    cmp r9, -5\n"
+                   "    jge c6\n"
+                   "    or r12, 32\n"
+                   "c6:\n"
+                   "    cmp r9, 3\n"
+                   "    jle c7\n"
+                   "    or r12, 64\n"
+                   "c7:\n"
+                   "    cmp r9, r8\n"
+                   "    jg c8\n"
+                   "    or r12, 128\n"
+                   "c8:\n"
+                   "    cmp r8, 16\n"
+                   "    jl c9\n"
+                   "    or r12, 256\n"
+                   "c9:\n"
+                   "    mov [rsi], r12\n"
+                   "    mov rax, 1\n"
+                   "    mov rdi, 1\n"
+                   "    mov rdx, 2\n"
+                   "    syscall\n"
+                   "    mov rax, 60\n"
+                   "    mov rdi, 0\n"
+                   "    syscall\n"
+                   "\n"
+                   ".section .data\n"
+                   "buf: .zero 8\n";
+  return guest;
+}
+
+/// Moves a and b through push/pop, folds them with lea over an index,
+/// not and neg, picks with setcc and cmovcc (64- and 32-bit), writes
+/// 8-bit registers, and prints the eight resulting bytes.
+Guest data_shapes_guest() {
+  Guest guest;
+  guest.name = "data_shapes";
+  guest.arch = isa::Arch::kX64;
+  guest.good_input = std::string("\x05\x03", 2);
+  guest.bad_input = std::string("\xfb\x90", 2);
+  guest.assembly = kReadTwoBytes +
+                   "    push r9\n"
+                   "    push r8\n"
+                   "    pop rbx\n"
+                   "    pop rdx\n"
+                   "    lea r10, [rdx + rbx*4 + 7]\n"
+                   "    not r10\n"
+                   "    neg r10\n"
+                   "    mov r11, 0x1234\n"
+                   "    cmp rdx, rbx\n"
+                   "    setl r11b\n"
+                   "    setg cl\n"
+                   "    cmovle r10, rbx\n"
+                   "    mov r13, -1\n"
+                   "    cmp rbx, 40\n"
+                   "    cmovb r13d, edx\n"
+                   "    mov r14, 0x55\n"
+                   "    mov al, bl\n"
+                   "    add al, 0x7f\n"
+                   "    sets r14b\n"
+                   "    mov rdi, offset out\n"
+                   "    mov [rdi], r10b\n"
+                   "    mov [rdi + 1], r11b\n"
+                   "    mov [rdi + 2], cl\n"
+                   "    mov [rdi + 3], r13b\n"
+                   "    mov [rdi + 4], al\n"
+                   "    shr r13, 32\n"
+                   "    mov [rdi + 5], r13b\n"
+                   "    mov rcx, 6\n"
+                   "    mov [rdi + rcx*1], r14b\n"
+                   "    shr r11, 8\n"
+                   "    mov [rdi + 7], r11b\n"
+                   "    mov rax, 1\n"
+                   "    mov rsi, rdi\n"
+                   "    mov rdi, 1\n"
+                   "    mov rdx, 8\n"
+                   "    syscall\n"
+                   "    mov rax, 60\n"
+                   "    mov rdi, 0\n"
+                   "    syscall\n"
+                   "\n"
+                   ".section .data\n"
+                   "buf: .zero 8\n"
+                   "out: .zero 8\n";
+  return guest;
+}
+
+/// Two-byte inputs (a, b) that send every branch of condition_shapes both
+/// ways: a negative, small, positive and at the signed limits; b below
+/// 16, between 16 and 100, at and above 128.
+const std::vector<std::string>& shape_inputs() {
+  static const std::vector<std::string> inputs = {
+      std::string("\x00\x00", 2), std::string("\x05\x03", 2), std::string("\xfb\x90", 2),
+      std::string("\x7f\xff", 2), std::string("\x80\x01", 2), std::string("\x02\x64", 2),
+      std::string("\xfa\x10", 2), std::string("\x03\x0f", 2), std::string("\x04\x80", 2),
+      "zz"};
+  return inputs;
+}
+
+class LiftShapes : public testing::TestWithParam<Guest> {};
+
+TEST_P(LiftShapes, LiftAndEveryCountermeasureKeepBehaviourOnEveryInput) {
+  const Guest& guest = GetParam();
+  const elf::Image image = guests::build_image(guest);
+  lift::LiftResult lifted = lift::lift(image);
+  ir::verify(lifted.module);
+  std::vector<std::pair<harden::HybridCountermeasure, elf::Image>> hardened;
+  for (const auto countermeasure :
+       {harden::HybridCountermeasure::kNone, harden::HybridCountermeasure::kBranchHardening,
+        harden::HybridCountermeasure::kInstructionDuplication}) {
+    harden::HybridConfig config;
+    config.countermeasure = countermeasure;
+    hardened.emplace_back(countermeasure, harden::hybrid_harden(image, config).hardened);
+  }
+
+  for (const std::string& input : shape_inputs()) {
+    SCOPED_TRACE("input " + std::to_string(static_cast<unsigned char>(input[0])) + "," +
+                 std::to_string(static_cast<unsigned char>(input[1])));
+    const emu::RunResult original = emu::run_image(image, input);
+    ASSERT_EQ(original.reason, emu::StopReason::kExited) << original.crash_detail;
+
+    emu::Memory memory = data_memory_for(image);
+    const ir::InterpResult ir_run = ir::interpret(lifted.module, memory, input);
+    ASSERT_EQ(ir_run.stop, ir::InterpStop::kExited) << ir_run.crash_detail;
+    EXPECT_EQ(ir_run.exit_code, original.exit_code);
+    EXPECT_EQ(ir_run.output, original.output);
+
+    for (const auto& [countermeasure, binary] : hardened) {
+      SCOPED_TRACE(std::string(harden::to_string(countermeasure)));
+      const emu::RunResult run = emu::run_image(binary, input);
+      ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
+      EXPECT_EQ(run.exit_code, original.exit_code);
+      EXPECT_EQ(run.output, original.output);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(X64, LiftShapes,
+                         testing::Values(condition_shapes_guest(), data_shapes_guest()),
+                         [](const testing::TestParamInfo<Guest>& info) {
+                           return info.param.name;
+                         });
+
+TEST(LiftShapes, InputsSendEveryConditionalBranchBothWays) {
+  const elf::Image image = guests::build_image(condition_shapes_guest());
+  unsigned fell_through = 0;
+  unsigned taken = 0;
+  for (const std::string& input : shape_inputs()) {
+    const emu::RunResult run = emu::run_image(image, input);
+    ASSERT_EQ(run.output.size(), 2u);
+    const unsigned code = static_cast<unsigned char>(run.output[0]) |
+                          static_cast<unsigned>(static_cast<unsigned char>(run.output[1])) << 8;
+    fell_through |= code;
+    taken |= ~code;
+  }
+  EXPECT_EQ(fell_through & 0x1FF, 0x1FFu);
+  EXPECT_EQ(taken & 0x1FF, 0x1FFu);
+}
+
+TEST(LiftShapes, ShiftByClIsATypedLiftError) {
+  Guest guest;
+  guest.name = "shift_by_cl";
+  guest.arch = isa::Arch::kX64;
+  guest.assembly =
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mov rdi, 3\n"
+      "    mov rcx, 2\n"
+      "    shl rdi, cl\n"
+      "    mov rax, 60\n"
+      "    syscall\n";
+  const elf::Image image = guests::build_image(guest);
+  EXPECT_EQ(emu::run_image(image, "").exit_code, 12);
+  try {
+    (void)lift::lift(image);
+    FAIL() << "a shift by cl lifted";
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kLift);
+    EXPECT_NE(std::string(error.what()).find("shift count must be immediate"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(HybridHardening, BranchHardeningAddsSwitchValidation) {
   const Guest& guest = guests::pincheck();
   const harden::HybridResult result = harden::hybrid_harden(guests::build_image(guest));
