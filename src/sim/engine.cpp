@@ -40,8 +40,8 @@ using support::ErrorKind;
 /// the system. From the heap, these buffers left holes that the result of
 /// one sweep split, so a repeated sweep's peak RSS moved by up to 8 MiB
 /// with the size of an unrelated allocation. Buffers under kMinMapped stay
-/// on the heap: a fix-point sweeps thousands of small levels, and a
-/// mapping each cost it 7 % of its time.
+/// on the heap: a fix-point sweeps thousands of small levels, where a
+/// mapping each costs more time than it saves memory.
 template <typename T>
 struct PageAllocator {
   static constexpr std::size_t kMinMapped = std::size_t{1} << 20;
