@@ -1,8 +1,8 @@
 #include "bir/assemble.h"
 
+#include <algorithm>
 #include <map>
 
-#include "isa/encoder.h"
 #include "isa/printer.h"
 #include "isa/target.h"
 #include "obs/trace.h"
@@ -32,27 +32,36 @@ std::string item_context(const CodeItem& item, const isa::Target& target) {
   return context;
 }
 
-/// Resolves data-symbol references in an instruction's operands.
+/// Resolves `instr`'s symbolic operands into `out`, which is overwritten
+/// (a reused scratch instruction keeps its operand list's capacity).
 /// Text-label branch targets become ImmOperand{address-or-placeholder}.
-/// `item` is the referencing item; errors cite its source line (the
-/// context string is only built on the failure path).
-isa::Instruction resolve(const isa::Instruction& instr, const SymbolMap& symbols,
-                         std::uint64_t placeholder_for_unknown, bool allow_unknown,
-                         const CodeItem& item, const isa::Target& target) {
+/// Returns false when an operand names a symbol not yet defined; with
+/// `allow_unknown` that operand holds `placeholder_for_unknown`, otherwise
+/// it is an error. `item` is the referencing item; errors cite its source
+/// line (the context string is only built on the failure path).
+bool resolve(const isa::Instruction& instr, const SymbolMap& symbols,
+             std::uint64_t placeholder_for_unknown, bool allow_unknown,
+             const CodeItem& item, const isa::Target& target, isa::Instruction& out) {
   // Error messages (and the item context) are only built on the failure
   // path — resolve() runs for every instruction of every assemble() pass.
   const auto fail_item = [&item, &target](const std::string& message) {
     support::fail(ErrorKind::kRewrite, message + item_context(item, target));
   };
-  isa::Instruction out = instr;
+  // A mov keeps a symbol immediate's label: it forces the fixed-size
+  // movabs form. No other encoding reads an immediate's label.
+  const bool keep_labels = instr.mnemonic == isa::Mnemonic::kMov;
+  bool complete = true;
+  out = instr;
   for (isa::Operand& op : out.operands) {
     if (auto* label = std::get_if<isa::LabelOperand>(&op)) {
       const auto it = symbols.find(label->name);
       if (it != symbols.end()) {
-        op = isa::ImmOperand{static_cast<std::int64_t>(it->second), label->name};
+        std::string name = keep_labels ? std::move(label->name) : std::string();
+        op = isa::ImmOperand{static_cast<std::int64_t>(it->second), std::move(name)};
       } else {
         if (!allow_unknown) fail_item("undefined label: '" + label->name + "'");
         op = isa::ImmOperand{static_cast<std::int64_t>(placeholder_for_unknown), {}};
+        complete = false;
       }
       continue;
     }
@@ -75,25 +84,24 @@ isa::Instruction resolve(const isa::Instruction& instr, const SymbolMap& symbols
       if (it != symbols.end()) {
         imm->value = static_cast<std::int64_t>(it->second);
         // Known symbols resolve to the same value in the sizing and final
-        // passes (data bases are fixed), so any instruction may use them;
-        // keep the label only for mov, where it forces the fixed-size
-        // movabs form.
-        if (instr.mnemonic != isa::Mnemonic::kMov) imm->label.clear();
+        // passes (data bases are fixed), so any instruction may use them.
+        if (!keep_labels) imm->label.clear();
       } else {
         if (!allow_unknown) {
           fail_item("undefined symbol in immediate: '" + imm->label + "'");
         }
         // An unknown (not-yet-laid-out text) symbol would make the encoding
         // size depend on its final value; only movabs is size-stable.
-        if (instr.mnemonic != isa::Mnemonic::kMov) {
+        if (!keep_labels) {
           fail_item(
               "forward symbol immediates are only supported in mov (movabs) "
               "context");
         }
+        complete = false;
       }
     }
   }
-  return out;
+  return complete;
 }
 
 }  // namespace
@@ -120,37 +128,47 @@ elf::Image assemble(Module& module) {
     }
   }
 
-  // --- text sizing pass ------------------------------------------------------
+  // --- text layout: one encode per instruction ---------------------------------
+  // Data bases are fixed and every earlier label already holds its final
+  // address, so an instruction whose symbols are all defined when it is
+  // reached gets its final bytes here. One that names a text label defined
+  // later (a forward branch or call, a mov of a later label) is encoded
+  // with a placeholder target: every such encoding has a fixed size
+  // (rel32 branches, movabs / fused-mov symbol immediates), and the
+  // forward pass below writes the real bytes over the placeholder.
+  struct Forward {
+    std::size_t index;  ///< into module.text
+    std::size_t size;   ///< placeholder bytes
+  };
+  std::vector<Forward> forwards;
+  std::vector<std::uint8_t> text_bytes;
+  isa::Instruction scratch;
   std::uint64_t cursor = module.text_base;
-  for (CodeItem& item : module.text) {
+  for (std::size_t index = 0; index < module.text.size(); ++index) {
+    CodeItem& item = module.text[index];
     item.address = cursor;
     for (const std::string& label : item.labels) define(label, cursor);
     if (item.is_instruction()) {
-      // Unknown (text) labels use the current address as a placeholder;
-      // branch sizes are rel32 and independent of the distance.
-      const isa::Instruction sized =
-          resolve(*item.instr, symbols, cursor, true, item, target);
-      cursor += target.encode(sized, item.address).size();
-    } else {
-      cursor += item.raw.size();
-    }
-  }
-
-  // --- final encode ------------------------------------------------------------
-  std::vector<std::uint8_t> text_bytes;
-  text_bytes.reserve(static_cast<std::size_t>(cursor - module.text_base));
-  for (const CodeItem& item : module.text) {
-    if (item.is_instruction()) {
-      const isa::Instruction final_instr =
-          resolve(*item.instr, symbols, 0, false, item, target);
-      const std::vector<std::uint8_t> bytes = target.encode(final_instr, item.address);
-      if (module.text_base + text_bytes.size() != item.address) {
-        support::fail(ErrorKind::kRewrite, "layout drift at " + target.print(*item.instr));
-      }
+      const bool complete = resolve(*item.instr, symbols, cursor, true, item, target, scratch);
+      const isa::Encoding bytes = target.encode(scratch, item.address);
+      if (!complete) forwards.push_back(Forward{index, bytes.size()});
       text_bytes.insert(text_bytes.end(), bytes.begin(), bytes.end());
     } else {
       text_bytes.insert(text_bytes.end(), item.raw.begin(), item.raw.end());
     }
+    cursor = module.text_base + text_bytes.size();
+  }
+
+  // --- forward references: every label is defined now ------------------------
+  for (const Forward& forward : forwards) {
+    const CodeItem& item = module.text[forward.index];
+    resolve(*item.instr, symbols, 0, false, item, target, scratch);
+    const isa::Encoding bytes = target.encode(scratch, item.address);
+    if (bytes.size() != forward.size) {
+      support::fail(ErrorKind::kRewrite, "layout drift at " + target.print(*item.instr));
+    }
+    std::copy(bytes.begin(), bytes.end(),
+              text_bytes.begin() + static_cast<std::ptrdiff_t>(item.address - module.text_base));
   }
 
   // --- image assembly ------------------------------------------------------------

@@ -14,7 +14,9 @@ namespace r2r::bir {
 /// Layout is single-pass-stable by construction: every label-dependent
 /// encoding has a fixed size (branches are always rel32, symbol immediates
 /// are always movabs imm64, data-symbol displacements resolve before text
-/// sizing because data bases are fixed).
+/// sizing because data bases are fixed). So each instruction is encoded
+/// once, in layout order, and only those naming a text label defined later
+/// are encoded again, over their placeholder bytes, once every label is.
 elf::Image assemble(Module& module);
 
 }  // namespace r2r::bir

@@ -54,9 +54,9 @@ void explore(RecoveryState& state, std::uint64_t start) {
                       "undecodable instruction at " + support::hex_string(address) +
                           ": " + error.what());
       }
-      const isa::Instruction& instr = decoded.instr;
       const std::uint64_t next = address + decoded.length;
-      state.decoded.emplace(address, decoded);
+      const isa::Instruction& instr =
+          state.decoded.emplace(address, std::move(decoded)).first->second.instr;
 
       if (instr.mnemonic == isa::Mnemonic::kJmp || instr.mnemonic == isa::Mnemonic::kJcc ||
           instr.mnemonic == isa::Mnemonic::kCall) {

@@ -62,6 +62,7 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
 
   std::uint64_t address = rip;
   std::array<std::uint8_t, isa::kMaxInstructionLength> window{};
+  isa::Decoded decoded;  // refilled in place for each instruction
   while (block.count < kMaxBlockInstructions) {
     // Unfetchable or undecodable: end the block here. The slow path hits
     // the identical fault or error when execution actually reaches this
@@ -69,7 +70,6 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
     std::size_t fetched = 0;
     if (memory.try_fetch(address, window, fetched) != AccessFault::kNone) break;
     const std::span<const std::uint8_t> bytes(window.data(), fetched);
-    isa::Decoded decoded;
     if (!target_->try_decode(bytes, address, decoded).ok()) break;
     arena_.push_back(Machine::compile(decoded.instr, decoded.length, target_));
     ++block.count;

@@ -507,18 +507,17 @@ void Machine::step(bool faulted_this_step, const FaultSpec* fault, TraceEntry* e
         static_cast<std::uint8_t>(window[byte_index] ^ (1U << (fault->bit_offset % 8)));
   }
 
-  isa::Decoded decoded;
   const isa::DecodeStatus status = target_->try_decode(
-      std::span<const std::uint8_t>(window.data(), fetched), cpu_.rip, decoded);
+      std::span<const std::uint8_t>(window.data(), fetched), cpu_.rip, decoded_);
   if (!status.ok()) {
     record_decode_failure(status);
     return;
   }
-  if (entry != nullptr) entry->length = decoded.length;
+  if (entry != nullptr) entry->length = decoded_.length;
 
-  cpu_.rip += decoded.length;
+  cpu_.rip += decoded_.length;
   if (faulted_this_step && fault->kind == FaultSpec::Kind::kSkip) return;
-  execute(compile(decoded.instr, decoded.length));
+  execute(compile(decoded_.instr, decoded_.length));
 }
 
 // ---- lazy flags --------------------------------------------------------------

@@ -305,6 +305,8 @@ class Machine {
   std::string output_;
   std::uint64_t steps_ = 0;
   std::unique_ptr<BlockCache> cache_;  ///< null when the cache is disabled
+  /// step()'s decode target, reused so that a warm step allocates nothing.
+  isa::Decoded decoded_;
   StepTally tally_;
   PendingFlags pending_;
 

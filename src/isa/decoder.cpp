@@ -143,14 +143,14 @@ Width width_from_rex(const RexBits& rex) noexcept {
   return rex.w ? Width::b64 : Width::b32;
 }
 
-Instruction alu_mr(Mnemonic m, Cursor& cur, const RexBits& rex, Width w) {
+void alu_mr(Instruction& instr, Mnemonic m, Cursor& cur, const RexBits& rex, Width w) {
   const ModRm modrm = read_modrm(cur, rex);
-  return make2(m, modrm.rm, reg_from_number(modrm.reg_field), w);
+  refill(instr, m, w, modrm.rm, reg_from_number(modrm.reg_field));
 }
 
-Instruction alu_rm(Mnemonic m, Cursor& cur, const RexBits& rex, Width w) {
+void alu_rm(Instruction& instr, Mnemonic m, Cursor& cur, const RexBits& rex, Width w) {
   const ModRm modrm = read_modrm(cur, rex);
-  return make2(m, reg_from_number(modrm.reg_field), modrm.rm, w);
+  refill(instr, m, w, reg_from_number(modrm.reg_field), modrm.rm);
 }
 
 Mnemonic group1_mnemonic(unsigned ext, Cursor& cur) noexcept {
@@ -225,60 +225,60 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
     opcode = cur.u8();
   }
 
-  Instruction instr;
+  // Every successful path below overwrites all of `instr` through
+  // refill(), which reuses the operand list of the caller's Decoded.
+  Instruction& instr = out.instr;
   const Width w = width_from_rex(rex);
 
-  const auto rel_branch = [&cur](Mnemonic m, Cond cond, std::int64_t rel) {
-    Instruction branch = make1(m, ImmOperand{0, {}});
-    branch.cond = cond;
+  const auto rel_branch = [&cur, &instr](Mnemonic m, Cond cond, std::int64_t rel) {
     // Target = end of instruction + rel; consumed() is final here because
     // rel is the last field of every branch encoding.
     const std::uint64_t target =
         cur.address() + cur.consumed() + static_cast<std::uint64_t>(rel);
-    branch.operands[0] = ImmOperand{static_cast<std::int64_t>(target), {}};
-    return branch;
+    refill(instr, m, Width::b64, ImmOperand{static_cast<std::int64_t>(target), {}});
+    instr.cond = cond;
   };
 
   switch (opcode) {
     // --- ALU MR/RM forms ----------------------------------------------------
-    case 0x00: instr = alu_mr(Mnemonic::kAdd, cur, rex, Width::b8); break;
-    case 0x01: instr = alu_mr(Mnemonic::kAdd, cur, rex, w); break;
-    case 0x02: instr = alu_rm(Mnemonic::kAdd, cur, rex, Width::b8); break;
-    case 0x03: instr = alu_rm(Mnemonic::kAdd, cur, rex, w); break;
-    case 0x08: instr = alu_mr(Mnemonic::kOr, cur, rex, Width::b8); break;
-    case 0x09: instr = alu_mr(Mnemonic::kOr, cur, rex, w); break;
-    case 0x0A: instr = alu_rm(Mnemonic::kOr, cur, rex, Width::b8); break;
-    case 0x0B: instr = alu_rm(Mnemonic::kOr, cur, rex, w); break;
-    case 0x20: instr = alu_mr(Mnemonic::kAnd, cur, rex, Width::b8); break;
-    case 0x21: instr = alu_mr(Mnemonic::kAnd, cur, rex, w); break;
-    case 0x22: instr = alu_rm(Mnemonic::kAnd, cur, rex, Width::b8); break;
-    case 0x23: instr = alu_rm(Mnemonic::kAnd, cur, rex, w); break;
-    case 0x28: instr = alu_mr(Mnemonic::kSub, cur, rex, Width::b8); break;
-    case 0x29: instr = alu_mr(Mnemonic::kSub, cur, rex, w); break;
-    case 0x2A: instr = alu_rm(Mnemonic::kSub, cur, rex, Width::b8); break;
-    case 0x2B: instr = alu_rm(Mnemonic::kSub, cur, rex, w); break;
-    case 0x30: instr = alu_mr(Mnemonic::kXor, cur, rex, Width::b8); break;
-    case 0x31: instr = alu_mr(Mnemonic::kXor, cur, rex, w); break;
-    case 0x32: instr = alu_rm(Mnemonic::kXor, cur, rex, Width::b8); break;
-    case 0x33: instr = alu_rm(Mnemonic::kXor, cur, rex, w); break;
-    case 0x38: instr = alu_mr(Mnemonic::kCmp, cur, rex, Width::b8); break;
-    case 0x39: instr = alu_mr(Mnemonic::kCmp, cur, rex, w); break;
-    case 0x3A: instr = alu_rm(Mnemonic::kCmp, cur, rex, Width::b8); break;
-    case 0x3B: instr = alu_rm(Mnemonic::kCmp, cur, rex, w); break;
+    case 0x00: alu_mr(instr, Mnemonic::kAdd, cur, rex, Width::b8); break;
+    case 0x01: alu_mr(instr, Mnemonic::kAdd, cur, rex, w); break;
+    case 0x02: alu_rm(instr, Mnemonic::kAdd, cur, rex, Width::b8); break;
+    case 0x03: alu_rm(instr, Mnemonic::kAdd, cur, rex, w); break;
+    case 0x08: alu_mr(instr, Mnemonic::kOr, cur, rex, Width::b8); break;
+    case 0x09: alu_mr(instr, Mnemonic::kOr, cur, rex, w); break;
+    case 0x0A: alu_rm(instr, Mnemonic::kOr, cur, rex, Width::b8); break;
+    case 0x0B: alu_rm(instr, Mnemonic::kOr, cur, rex, w); break;
+    case 0x20: alu_mr(instr, Mnemonic::kAnd, cur, rex, Width::b8); break;
+    case 0x21: alu_mr(instr, Mnemonic::kAnd, cur, rex, w); break;
+    case 0x22: alu_rm(instr, Mnemonic::kAnd, cur, rex, Width::b8); break;
+    case 0x23: alu_rm(instr, Mnemonic::kAnd, cur, rex, w); break;
+    case 0x28: alu_mr(instr, Mnemonic::kSub, cur, rex, Width::b8); break;
+    case 0x29: alu_mr(instr, Mnemonic::kSub, cur, rex, w); break;
+    case 0x2A: alu_rm(instr, Mnemonic::kSub, cur, rex, Width::b8); break;
+    case 0x2B: alu_rm(instr, Mnemonic::kSub, cur, rex, w); break;
+    case 0x30: alu_mr(instr, Mnemonic::kXor, cur, rex, Width::b8); break;
+    case 0x31: alu_mr(instr, Mnemonic::kXor, cur, rex, w); break;
+    case 0x32: alu_rm(instr, Mnemonic::kXor, cur, rex, Width::b8); break;
+    case 0x33: alu_rm(instr, Mnemonic::kXor, cur, rex, w); break;
+    case 0x38: alu_mr(instr, Mnemonic::kCmp, cur, rex, Width::b8); break;
+    case 0x39: alu_mr(instr, Mnemonic::kCmp, cur, rex, w); break;
+    case 0x3A: alu_rm(instr, Mnemonic::kCmp, cur, rex, Width::b8); break;
+    case 0x3B: alu_rm(instr, Mnemonic::kCmp, cur, rex, w); break;
 
     // --- push/pop -----------------------------------------------------------
     case 0x50: case 0x51: case 0x52: case 0x53:
     case 0x54: case 0x55: case 0x56: case 0x57:
-      instr = make1(Mnemonic::kPush,
-                    reg_from_number((opcode - 0x50U) | (rex.b ? 8U : 0U)));
+      refill(instr, Mnemonic::kPush, Width::b64,
+             reg_from_number((opcode - 0x50U) | (rex.b ? 8U : 0U)));
       break;
     case 0x58: case 0x59: case 0x5A: case 0x5B:
     case 0x5C: case 0x5D: case 0x5E: case 0x5F:
-      instr = make1(Mnemonic::kPop,
-                    reg_from_number((opcode - 0x58U) | (rex.b ? 8U : 0U)));
+      refill(instr, Mnemonic::kPop, Width::b64,
+             reg_from_number((opcode - 0x58U) | (rex.b ? 8U : 0U)));
       break;
-    case 0x68: instr = make1(Mnemonic::kPush, ImmOperand{cur.i32(), {}}); break;
-    case 0x6A: instr = make1(Mnemonic::kPush, ImmOperand{cur.i8(), {}}); break;
+    case 0x68: refill(instr, Mnemonic::kPush, Width::b64, ImmOperand{cur.i32(), {}}); break;
+    case 0x6A: refill(instr, Mnemonic::kPush, Width::b64, ImmOperand{cur.i8(), {}}); break;
 
     // --- short conditional branches ------------------------------------------
     case 0x70: case 0x71: case 0x72: case 0x73:
@@ -286,7 +286,7 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
     case 0x78: case 0x79: case 0x7A: case 0x7B:
     case 0x7C: case 0x7D: case 0x7E: case 0x7F: {
       const std::int64_t rel = cur.i8();
-      instr = rel_branch(Mnemonic::kJcc, static_cast<Cond>(opcode - 0x70), rel);
+      rel_branch(Mnemonic::kJcc, static_cast<Cond>(opcode - 0x70), rel);
       break;
     }
 
@@ -294,59 +294,57 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
     case 0x80: {
       const ModRm modrm = read_modrm(cur, rex);
       const Mnemonic m = group1_mnemonic(modrm.reg_field & 7, cur);
-      instr = make2(m, modrm.rm, ImmOperand{cur.i8(), {}}, Width::b8);
+      refill(instr, m, Width::b8, modrm.rm, ImmOperand{cur.i8(), {}});
       break;
     }
     case 0x81: {
       const ModRm modrm = read_modrm(cur, rex);
       const Mnemonic m = group1_mnemonic(modrm.reg_field & 7, cur);
-      instr = make2(m, modrm.rm, ImmOperand{cur.i32(), {}}, w);
+      refill(instr, m, w, modrm.rm, ImmOperand{cur.i32(), {}});
       break;
     }
     case 0x83: {
       const ModRm modrm = read_modrm(cur, rex);
       const Mnemonic m = group1_mnemonic(modrm.reg_field & 7, cur);
-      instr = make2(m, modrm.rm, ImmOperand{cur.i8(), {}}, w);
+      refill(instr, m, w, modrm.rm, ImmOperand{cur.i8(), {}});
       break;
     }
 
-    case 0x84: instr = alu_mr(Mnemonic::kTest, cur, rex, Width::b8); break;
-    case 0x85: instr = alu_mr(Mnemonic::kTest, cur, rex, w); break;
+    case 0x84: alu_mr(instr, Mnemonic::kTest, cur, rex, Width::b8); break;
+    case 0x85: alu_mr(instr, Mnemonic::kTest, cur, rex, w); break;
 
-    case 0x88: instr = alu_mr(Mnemonic::kMov, cur, rex, Width::b8); break;
-    case 0x89: instr = alu_mr(Mnemonic::kMov, cur, rex, w); break;
-    case 0x8A: instr = alu_rm(Mnemonic::kMov, cur, rex, Width::b8); break;
-    case 0x8B: instr = alu_rm(Mnemonic::kMov, cur, rex, w); break;
+    case 0x88: alu_mr(instr, Mnemonic::kMov, cur, rex, Width::b8); break;
+    case 0x89: alu_mr(instr, Mnemonic::kMov, cur, rex, w); break;
+    case 0x8A: alu_rm(instr, Mnemonic::kMov, cur, rex, Width::b8); break;
+    case 0x8B: alu_rm(instr, Mnemonic::kMov, cur, rex, w); break;
 
     case 0x8D: {
       const ModRm modrm = read_modrm(cur, rex);
       if (!is_mem(modrm.rm)) cur.fail("lea requires memory operand");
-      instr = make2(Mnemonic::kLea, reg_from_number(modrm.reg_field), modrm.rm, w);
+      refill(instr, Mnemonic::kLea, w, reg_from_number(modrm.reg_field), modrm.rm);
       break;
     }
 
     case 0x90:
-      instr = make0(Mnemonic::kNop);
+      refill(instr, Mnemonic::kNop, Width::b64);
       break;
-    case 0x9C: instr = make0(Mnemonic::kPushfq); break;
-    case 0x9D: instr = make0(Mnemonic::kPopfq); break;
+    case 0x9C: refill(instr, Mnemonic::kPushfq, Width::b64); break;
+    case 0x9D: refill(instr, Mnemonic::kPopfq, Width::b64); break;
 
     // --- mov reg, imm --------------------------------------------------------
     case 0xB0: case 0xB1: case 0xB2: case 0xB3:
     case 0xB4: case 0xB5: case 0xB6: case 0xB7:
-      instr = make2(Mnemonic::kMov,
-                    reg_from_number((opcode - 0xB0U) | (rex.b ? 8U : 0U)),
-                    ImmOperand{cur.i8(), {}}, Width::b8);
+      refill(instr, Mnemonic::kMov, Width::b8,
+             reg_from_number((opcode - 0xB0U) | (rex.b ? 8U : 0U)), ImmOperand{cur.i8(), {}});
       break;
     case 0xB8: case 0xB9: case 0xBA: case 0xBB:
     case 0xBC: case 0xBD: case 0xBE: case 0xBF: {
       const Reg reg = reg_from_number((opcode - 0xB8U) | (rex.b ? 8U : 0U));
       if (rex.w) {
-        instr = make2(Mnemonic::kMov, reg,
-                      ImmOperand{static_cast<std::int64_t>(cur.u64()), {}}, Width::b64);
+        refill(instr, Mnemonic::kMov, Width::b64, reg,
+               ImmOperand{static_cast<std::int64_t>(cur.u64()), {}});
       } else {
-        instr = make2(Mnemonic::kMov, reg,
-                      ImmOperand{cur.i32(), {}}, Width::b32);
+        refill(instr, Mnemonic::kMov, Width::b32, reg, ImmOperand{cur.i32(), {}});
       }
       break;
     }
@@ -356,45 +354,44 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
       const ModRm modrm = read_modrm(cur, rex);
       const Mnemonic m = group2_mnemonic(modrm.reg_field & 7, cur);
       const auto count = static_cast<std::int64_t>(cur.u8());
-      instr = make2(m, modrm.rm, ImmOperand{count, {}}, Width::b8);
+      refill(instr, m, Width::b8, modrm.rm, ImmOperand{count, {}});
       break;
     }
     case 0xC1: {
       const ModRm modrm = read_modrm(cur, rex);
       const Mnemonic m = group2_mnemonic(modrm.reg_field & 7, cur);
       const auto count = static_cast<std::int64_t>(cur.u8());
-      instr = make2(m, modrm.rm, ImmOperand{count, {}}, w);
+      refill(instr, m, w, modrm.rm, ImmOperand{count, {}});
       break;
     }
     case 0xD0: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, ImmOperand{1, {}},
-                    Width::b8);
+      refill(instr, group2_mnemonic(modrm.reg_field & 7, cur), Width::b8, modrm.rm,
+             ImmOperand{1, {}});
       break;
     }
     case 0xD1: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, ImmOperand{1, {}}, w);
+      refill(instr, group2_mnemonic(modrm.reg_field & 7, cur), w, modrm.rm, ImmOperand{1, {}});
       break;
     }
     case 0xD2: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, Reg::rcx, Width::b8);
+      refill(instr, group2_mnemonic(modrm.reg_field & 7, cur), Width::b8, modrm.rm, Reg::rcx);
       break;
     }
     case 0xD3: {
       const ModRm modrm = read_modrm(cur, rex);
-      instr = make2(group2_mnemonic(modrm.reg_field & 7, cur), modrm.rm, Reg::rcx, w);
+      refill(instr, group2_mnemonic(modrm.reg_field & 7, cur), w, modrm.rm, Reg::rcx);
       break;
     }
 
-    case 0xC3: instr = make0(Mnemonic::kRet); break;
+    case 0xC3: refill(instr, Mnemonic::kRet, Width::b64); break;
 
     case 0xC6: {
       const ModRm modrm = read_modrm(cur, rex);
       if ((modrm.reg_field & 7) != 0) cur.fail("bad C6 extension");
-      instr = make2(Mnemonic::kMov, modrm.rm,
-                    ImmOperand{cur.i8(), {}}, Width::b8);
+      refill(instr, Mnemonic::kMov, Width::b8, modrm.rm, ImmOperand{cur.i8(), {}});
       break;
     }
     case 0xC7: {
@@ -403,39 +400,38 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
       // Canonical immediate form: sign-extended at the operand width, the
       // same convention as the group-1 ALU immediates. (The mov reg,imm and
       // imm8 encoder paths also accept the zero-extended alias byte-for-byte.)
-      instr = make2(Mnemonic::kMov, modrm.rm, ImmOperand{cur.i32(), {}}, w);
+      refill(instr, Mnemonic::kMov, w, modrm.rm, ImmOperand{cur.i32(), {}});
       break;
     }
 
-    case 0xCC: instr = make0(Mnemonic::kInt3); break;
+    case 0xCC: refill(instr, Mnemonic::kInt3, Width::b64); break;
 
     case 0xE8: {
       const std::int64_t rel = cur.i32();
-      instr = rel_branch(Mnemonic::kCall, Cond::none, rel);
+      rel_branch(Mnemonic::kCall, Cond::none, rel);
       break;
     }
     case 0xE9: {
       const std::int64_t rel = cur.i32();
-      instr = rel_branch(Mnemonic::kJmp, Cond::none, rel);
+      rel_branch(Mnemonic::kJmp, Cond::none, rel);
       break;
     }
     case 0xEB: {
       const std::int64_t rel = cur.i8();
-      instr = rel_branch(Mnemonic::kJmp, Cond::none, rel);
+      rel_branch(Mnemonic::kJmp, Cond::none, rel);
       break;
     }
 
-    case 0xF4: instr = make0(Mnemonic::kHlt); break;
+    case 0xF4: refill(instr, Mnemonic::kHlt, Width::b64); break;
 
     case 0xF6: {
       const ModRm modrm = read_modrm(cur, rex);
       switch (modrm.reg_field & 7) {
         case 0:
-          instr = make2(Mnemonic::kTest, modrm.rm,
-                        ImmOperand{cur.i8(), {}}, Width::b8);
+          refill(instr, Mnemonic::kTest, Width::b8, modrm.rm, ImmOperand{cur.i8(), {}});
           break;
-        case 2: instr = make1(Mnemonic::kNot, modrm.rm, Width::b8); break;
-        case 3: instr = make1(Mnemonic::kNeg, modrm.rm, Width::b8); break;
+        case 2: refill(instr, Mnemonic::kNot, Width::b8, modrm.rm); break;
+        case 3: refill(instr, Mnemonic::kNeg, Width::b8, modrm.rm); break;
         default: cur.fail("unsupported F6 extension"); break;
       }
       break;
@@ -444,10 +440,10 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
       const ModRm modrm = read_modrm(cur, rex);
       switch (modrm.reg_field & 7) {
         case 0:
-          instr = make2(Mnemonic::kTest, modrm.rm, ImmOperand{cur.i32(), {}}, w);
+          refill(instr, Mnemonic::kTest, w, modrm.rm, ImmOperand{cur.i32(), {}});
           break;
-        case 2: instr = make1(Mnemonic::kNot, modrm.rm, w); break;
-        case 3: instr = make1(Mnemonic::kNeg, modrm.rm, w); break;
+        case 2: refill(instr, Mnemonic::kNot, w, modrm.rm); break;
+        case 3: refill(instr, Mnemonic::kNeg, w, modrm.rm); break;
         default: cur.fail("unsupported F7 extension"); break;
       }
       break;
@@ -456,8 +452,8 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
     case 0xFE: {
       const ModRm modrm = read_modrm(cur, rex);
       switch (modrm.reg_field & 7) {
-        case 0: instr = make1(Mnemonic::kInc, modrm.rm, Width::b8); break;
-        case 1: instr = make1(Mnemonic::kDec, modrm.rm, Width::b8); break;
+        case 0: refill(instr, Mnemonic::kInc, Width::b8, modrm.rm); break;
+        case 1: refill(instr, Mnemonic::kDec, Width::b8, modrm.rm); break;
         default: cur.fail("unsupported FE extension"); break;
       }
       break;
@@ -465,11 +461,11 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
     case 0xFF: {
       const ModRm modrm = read_modrm(cur, rex);
       switch (modrm.reg_field & 7) {
-        case 0: instr = make1(Mnemonic::kInc, modrm.rm, w); break;
-        case 1: instr = make1(Mnemonic::kDec, modrm.rm, w); break;
-        case 2: instr = make1(Mnemonic::kCallReg, modrm.rm); break;
-        case 4: instr = make1(Mnemonic::kJmpReg, modrm.rm); break;
-        case 6: instr = make1(Mnemonic::kPush, modrm.rm); break;
+        case 0: refill(instr, Mnemonic::kInc, w, modrm.rm); break;
+        case 1: refill(instr, Mnemonic::kDec, w, modrm.rm); break;
+        case 2: refill(instr, Mnemonic::kCallReg, Width::b64, modrm.rm); break;
+        case 4: refill(instr, Mnemonic::kJmpReg, Width::b64, modrm.rm); break;
+        case 6: refill(instr, Mnemonic::kPush, Width::b64, modrm.rm); break;
         default: cur.fail("unsupported FF extension"); break;
       }
       break;
@@ -479,39 +475,39 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
     case 0x0F: {
       const std::uint8_t opcode2 = cur.u8();
       if (opcode2 == 0x05) {
-        instr = make0(Mnemonic::kSyscall);
+        refill(instr, Mnemonic::kSyscall, Width::b64);
         break;
       }
       if (opcode2 == 0x0B) {
-        instr = make0(Mnemonic::kUd2);
+        refill(instr, Mnemonic::kUd2, Width::b64);
         break;
       }
       if (opcode2 >= 0x40 && opcode2 <= 0x4F) {  // cmovcc
         const ModRm modrm = read_modrm(cur, rex);
-        instr = make2(Mnemonic::kCmovcc, reg_from_number(modrm.reg_field), modrm.rm, w);
+        refill(instr, Mnemonic::kCmovcc, w, reg_from_number(modrm.reg_field), modrm.rm);
         instr.cond = static_cast<Cond>(opcode2 - 0x40);
         break;
       }
       if (opcode2 >= 0x80 && opcode2 <= 0x8F) {  // jcc rel32
         const std::int64_t rel = cur.i32();
-        instr = rel_branch(Mnemonic::kJcc, static_cast<Cond>(opcode2 - 0x80), rel);
+        rel_branch(Mnemonic::kJcc, static_cast<Cond>(opcode2 - 0x80), rel);
         break;
       }
       if (opcode2 >= 0x90 && opcode2 <= 0x9F) {  // setcc
         const ModRm modrm = read_modrm(cur, rex);
-        instr = make1(Mnemonic::kSetcc, modrm.rm, Width::b8);
+        refill(instr, Mnemonic::kSetcc, Width::b8, modrm.rm);
         instr.cond = static_cast<Cond>(opcode2 - 0x90);
         break;
       }
       if (opcode2 == 0xAF) {
         const ModRm modrm = read_modrm(cur, rex);
-        instr = make2(Mnemonic::kImul, reg_from_number(modrm.reg_field), modrm.rm, w);
+        refill(instr, Mnemonic::kImul, w, reg_from_number(modrm.reg_field), modrm.rm);
         break;
       }
       if (opcode2 == 0xB6 || opcode2 == 0xBE) {
         const ModRm modrm = read_modrm(cur, rex);
         const Mnemonic m = opcode2 == 0xB6 ? Mnemonic::kMovzx : Mnemonic::kMovsx;
-        instr = make2(m, reg_from_number(modrm.reg_field), modrm.rm, w);
+        refill(instr, m, w, reg_from_number(modrm.reg_field), modrm.rm);
         break;
       }
       cur.fail("unsupported 0F opcode");
@@ -525,7 +521,6 @@ DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t addre
 
   if (cur.failure() != nullptr) return {DecodeStatus::Form::kReason, cur.failure()};
   cur.finalize(instr);
-  out.instr = std::move(instr);
   out.length = static_cast<std::uint8_t>(cur.consumed());
   return {};
 }

@@ -55,7 +55,9 @@ struct DecodeStatus {
 /// Decodes one instruction located at virtual address `address` into `out`.
 /// PC-relative branch targets and RIP-relative displacements are converted
 /// to absolute addresses. Invalid encodings are reported as the returned
-/// status, never thrown; `out` is written only on success.
+/// status, never thrown; on failure `out` is unspecified. `out` is filled
+/// in place (its operand list cleared and refilled), so a warm Decoded
+/// decodes without allocating.
 DecodeStatus try_decode(std::span<const std::uint8_t> bytes, std::uint64_t address,
                         Decoded& out);
 

@@ -1,6 +1,7 @@
 #include "isa/encoder.h"
 
 #include <cstdlib>
+#include <span>
 
 #include "support/bits.h"
 #include "support/error.h"
@@ -25,6 +26,7 @@ constexpr bool fits_imm8(std::int64_t value) noexcept {
 /// fields (rel32 of branches, disp32 of RIP-relative operands) are relative
 /// to the *end* of the instruction, which is only known once every byte has
 /// been appended; fix-ups record where the field lives and patch it last.
+/// Bytes and fix-ups live in fixed arrays, so emitting allocates nothing.
 class Emitter {
  public:
   explicit Emitter(std::uint64_t address) : address_(address) {}
@@ -40,23 +42,25 @@ class Emitter {
 
   /// Reserves a rel32 field that will hold `target - end_of_instruction`.
   void rel32_to(std::uint64_t target) {
-    fixups_.push_back(Fixup{bytes_.size(), target});
+    check(fixup_count_ < fixups_.size(), ErrorKind::kEncode,
+          "more than two pc-relative fields");
+    fixups_[fixup_count_++] = Fixup{bytes_.size(), target};
     u32(0);
   }
 
-  std::vector<std::uint8_t> finish() {
-    for (const Fixup& fixup : fixups_) {
+  Encoding finish() {
+    for (const Fixup& fixup : std::span(fixups_).first(fixup_count_)) {
       const std::uint64_t next = address_ + bytes_.size();
       const std::int64_t rel =
           static_cast<std::int64_t>(fixup.target) - static_cast<std::int64_t>(next);
       check(fits_int32(rel), ErrorKind::kEncode, "pc-relative target out of rel32 range");
       const auto value = static_cast<std::uint32_t>(static_cast<std::int32_t>(rel));
       for (int i = 0; i < 4; ++i)
-        bytes_[fixup.offset + static_cast<std::size_t>(i)] =
+        bytes_.data()[fixup.offset + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(value >> (8 * i));
     }
     check(bytes_.size() <= 15, ErrorKind::kEncode, "instruction exceeds 15 bytes");
-    return std::move(bytes_);
+    return bytes_;
   }
 
  private:
@@ -65,8 +69,9 @@ class Emitter {
     std::uint64_t target;
   };
   std::uint64_t address_;
-  std::vector<std::uint8_t> bytes_;
-  std::vector<Fixup> fixups_;
+  Encoding bytes_;
+  std::array<Fixup, 2> fixups_{};
+  std::size_t fixup_count_ = 0;
 };
 
 struct Rex {
@@ -108,7 +113,7 @@ unsigned scale_log2(std::uint8_t scale) {
 /// Everything needed to emit opcode + ModRM for one instruction form.
 struct RmEncoding {
   Rex rex;
-  std::vector<std::uint8_t> modrm_tail;  ///< modrm, optional sib, optional disp
+  Encoding modrm_tail;  ///< modrm, optional sib, optional disp
   bool rip_fixup = false;
   std::uint64_t rip_target = 0;
 };
@@ -255,7 +260,7 @@ void check_width_supported(Width width) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address) {
+Encoding encode(const Instruction& instr, std::uint64_t address) {
   Emitter out(address);
   const Width w = instr.width;
   check_width_supported(w);
@@ -270,14 +275,14 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       if (byte_op) {
         check(fits_imm8(value), ErrorKind::kEncode,
               "8-bit immediate out of range");
-        emit_form(out, w, std::move(enc), {0x80}, Reg::rax, false);
+        emit_form(out, w, enc, {0x80}, Reg::rax, false);
         out.u8(static_cast<std::uint8_t>(value));
       } else if (fits_int8(value)) {
-        emit_form(out, w, std::move(enc), {0x83}, Reg::rax, false);
+        emit_form(out, w, enc, {0x83}, Reg::rax, false);
         out.i8(static_cast<std::int8_t>(value));
       } else {
         check(fits_int32(value), ErrorKind::kEncode, "ALU immediate out of int32 range");
-        emit_form(out, w, std::move(enc), {0x81}, Reg::rax, false);
+        emit_form(out, w, enc, {0x81}, Reg::rax, false);
         out.u32(static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
       }
       return;
@@ -285,7 +290,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
     if (is_reg(src)) {
       const Reg src_reg = std::get<Reg>(src);
       RmEncoding enc = rm_operand(reg_number(src_reg), dst, w);
-      emit_form(out, w, std::move(enc),
+      emit_form(out, w, enc,
                 {static_cast<std::uint8_t>(byte_op ? opc.mr - 1 : opc.mr)}, src_reg, true);
       return;
     }
@@ -293,7 +298,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
     check(is_reg(dst) && is_mem(src), ErrorKind::kEncode, "unsupported ALU operand form");
     const Reg dst_reg = std::get<Reg>(dst);
     RmEncoding enc = rm_operand(reg_number(dst_reg), src, w);
-    emit_form(out, w, std::move(enc),
+    emit_form(out, w, enc,
               {static_cast<std::uint8_t>(byte_op ? opc.rm - 1 : opc.rm)}, dst_reg, true);
   };
 
@@ -326,7 +331,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
             out.u64(static_cast<std::uint64_t>(value));
           } else if (w == Width::b64) {
             RmEncoding enc = rm_reg(0, dst_reg, w);
-            emit_form(out, w, std::move(enc), {0xC7}, Reg::rax, false);
+            emit_form(out, w, enc, {0xC7}, Reg::rax, false);
             out.u32(static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
           } else {  // b32: mov r32, imm32 zero-extends
             check(value >= 0 ? value <= 0xFFFFFFFFLL : fits_int32(value),
@@ -343,11 +348,11 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
           if (byte_op) {
             check(fits_imm8(value), ErrorKind::kEncode,
                   "8-bit immediate out of range");
-            emit_form(out, w, std::move(enc), {0xC6}, Reg::rax, false);
+            emit_form(out, w, enc, {0xC6}, Reg::rax, false);
             out.u8(static_cast<std::uint8_t>(value));
           } else {
             check(fits_int32(value), ErrorKind::kEncode, "mov m, imm out of int32 range");
-            emit_form(out, w, std::move(enc), {0xC7}, Reg::rax, false);
+            emit_form(out, w, enc, {0xC7}, Reg::rax, false);
             out.u32(static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
           }
         }
@@ -356,7 +361,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       if (is_reg(src)) {
         const Reg src_reg = std::get<Reg>(src);
         RmEncoding enc = rm_operand(reg_number(src_reg), dst, w);
-        emit_form(out, w, std::move(enc),
+        emit_form(out, w, enc,
                   {static_cast<std::uint8_t>(byte_op ? 0x88 : 0x89)}, src_reg, true);
         break;
       }
@@ -364,7 +369,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       {
         const Reg dst_reg = std::get<Reg>(dst);
         RmEncoding enc = rm_operand(reg_number(dst_reg), src, w);
-        emit_form(out, w, std::move(enc),
+        emit_form(out, w, enc,
                   {static_cast<std::uint8_t>(byte_op ? 0x8A : 0x8B)}, dst_reg, true);
       }
       break;
@@ -379,7 +384,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       const Reg dst_reg = std::get<Reg>(instr.op(0));
       const std::uint8_t opcode2 = instr.mnemonic == Mnemonic::kMovzx ? 0xB6 : 0xBE;
       RmEncoding enc = rm_operand(reg_number(dst_reg), instr.op(1), Width::b8);
-      emit_form(out, w, std::move(enc), {0x0F, opcode2}, dst_reg, true);
+      emit_form(out, w, enc, {0x0F, opcode2}, dst_reg, true);
       break;
     }
 
@@ -388,7 +393,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
             ErrorKind::kEncode, "lea needs reg, mem");
       const Reg dst_reg = std::get<Reg>(instr.op(0));
       RmEncoding enc = rm_operand(reg_number(dst_reg), instr.op(1), w);
-      emit_form(out, w, std::move(enc), {0x8D}, dst_reg, true);
+      emit_form(out, w, enc, {0x8D}, dst_reg, true);
       break;
     }
 
@@ -412,18 +417,18 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
         if (byte_op) {
           check(fits_imm8(value), ErrorKind::kEncode,
                 "8-bit immediate out of range");
-          emit_form(out, w, std::move(enc), {0xF6}, Reg::rax, false);
+          emit_form(out, w, enc, {0xF6}, Reg::rax, false);
           out.u8(static_cast<std::uint8_t>(value));
         } else {
           check(fits_int32(value), ErrorKind::kEncode, "test immediate out of range");
-          emit_form(out, w, std::move(enc), {0xF7}, Reg::rax, false);
+          emit_form(out, w, enc, {0xF7}, Reg::rax, false);
           out.u32(static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
         }
       } else {
         check(is_reg(src), ErrorKind::kEncode, "test source must be reg or imm");
         const Reg src_reg = std::get<Reg>(src);
         RmEncoding enc = rm_operand(reg_number(src_reg), dst, w);
-        emit_form(out, w, std::move(enc),
+        emit_form(out, w, enc,
                   {static_cast<std::uint8_t>(byte_op ? 0x84 : 0x85)}, src_reg, true);
       }
       break;
@@ -434,7 +439,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       check(instr.arity() == 1, ErrorKind::kEncode, "unary op needs one operand");
       const unsigned ext = instr.mnemonic == Mnemonic::kNot ? 2 : 3;
       RmEncoding enc = rm_operand(ext, instr.op(0), w);
-      emit_form(out, w, std::move(enc),
+      emit_form(out, w, enc,
                 {static_cast<std::uint8_t>(byte_op ? 0xF6 : 0xF7)}, Reg::rax, false);
       break;
     }
@@ -444,7 +449,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       check(instr.arity() == 1, ErrorKind::kEncode, "inc/dec needs one operand");
       const unsigned ext = instr.mnemonic == Mnemonic::kInc ? 0 : 1;
       RmEncoding enc = rm_operand(ext, instr.op(0), w);
-      emit_form(out, w, std::move(enc),
+      emit_form(out, w, enc,
                 {static_cast<std::uint8_t>(byte_op ? 0xFE : 0xFF)}, Reg::rax, false);
       break;
     }
@@ -455,7 +460,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       check(!byte_op, ErrorKind::kEncode, "8-bit imul is outside the subset");
       const Reg dst_reg = std::get<Reg>(instr.op(0));
       RmEncoding enc = rm_operand(reg_number(dst_reg), instr.op(1), w);
-      emit_form(out, w, std::move(enc), {0x0F, 0xAF}, dst_reg, true);
+      emit_form(out, w, enc, {0x0F, 0xAF}, dst_reg, true);
       break;
     }
 
@@ -472,13 +477,13 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       const Operand& count = instr.op(1);
       RmEncoding enc = rm_operand(ext, instr.op(0), w);
       if (is_imm(count)) {
-        emit_form(out, w, std::move(enc),
+        emit_form(out, w, enc,
                   {static_cast<std::uint8_t>(byte_op ? 0xC0 : 0xC1)}, Reg::rax, false);
         out.u8(static_cast<std::uint8_t>(imm_value(count)));
       } else {
         check(is_reg(count) && std::get<Reg>(count) == Reg::rcx, ErrorKind::kEncode,
               "shift count must be an immediate or cl");
-        emit_form(out, w, std::move(enc),
+        emit_form(out, w, enc,
                   {static_cast<std::uint8_t>(byte_op ? 0xD2 : 0xD3)}, Reg::rax, false);
       }
       break;
@@ -580,7 +585,7 @@ std::vector<std::uint8_t> encode(const Instruction& instr, std::uint64_t address
       check(!byte_op, ErrorKind::kEncode, "8-bit cmov does not exist");
       const Reg dst_reg = std::get<Reg>(instr.op(0));
       RmEncoding enc = rm_operand(reg_number(dst_reg), instr.op(1), w);
-      emit_form(out, w, std::move(enc),
+      emit_form(out, w, enc,
                 {0x0F, static_cast<std::uint8_t>(0x40 + static_cast<std::uint8_t>(instr.cond))},
                 dst_reg, true);
       break;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -123,6 +124,20 @@ inline Operand mem_index(Reg base, Reg index, std::uint8_t scale, std::int64_t d
 }
 inline Operand mem_abs(std::int64_t address) {
   return MemOperand{std::nullopt, std::nullopt, 1, address, false, {}};
+}
+
+/// Overwrites `instr` with mnemonic `m`, no condition, width `w` and the
+/// operands `ops`. The operand list is cleared and refilled, so once it
+/// has room for them this allocates nothing: the decoders fill a caller's
+/// Decoded this way.
+template <typename... Ops>
+void refill(Instruction& instr, Mnemonic m, Width w, Ops&&... ops) {
+  instr.mnemonic = m;
+  instr.cond = Cond::none;
+  instr.width = w;
+  instr.operands.clear();
+  instr.operands.reserve(sizeof...(Ops));
+  (instr.operands.emplace_back(std::forward<Ops>(ops)), ...);
 }
 
 Instruction make0(Mnemonic m);

@@ -30,6 +30,7 @@
 
 #include "isa/asm_parser.h"
 #include "isa/decoder.h"
+#include "isa/encoder.h"
 #include "isa/instruction.h"
 
 namespace r2r::isa {
@@ -93,8 +94,9 @@ class Target {
   /// The target's one decoder: decodes one instruction at virtual address
   /// `address` into `out`, with PC-relative fields made absolute. Junk is
   /// reported as the returned status, which formats nothing and is never
-  /// thrown; `out` is written only on success. The emulator's hot path
-  /// calls this.
+  /// thrown; on failure `out` is unspecified. `out` is filled in place:
+  /// its operand list is cleared and refilled, so decoding into a reused
+  /// Decoded allocates nothing. The emulator's hot path calls this.
   [[nodiscard]] virtual DecodeStatus try_decode(std::span<const std::uint8_t> bytes,
                                                 std::uint64_t address,
                                                 Decoded& out) const = 0;
@@ -103,10 +105,11 @@ class Target {
   [[nodiscard]] Decoded decode(std::span<const std::uint8_t> bytes,
                                std::uint64_t address) const;
 
-  /// Encodes one fully resolved instruction placed at `address`. Throws
-  /// Error{kEncode} for instructions outside the target's subset.
-  [[nodiscard]] virtual std::vector<std::uint8_t> encode(const Instruction& instr,
-                                                         std::uint64_t address) const = 0;
+  /// Encodes one fully resolved instruction placed at `address`, without
+  /// allocating. Throws Error{kEncode} for instructions outside the
+  /// target's subset.
+  [[nodiscard]] virtual Encoding encode(const Instruction& instr,
+                                        std::uint64_t address) const = 0;
 
   // ---- register-file syntax ------------------------------------------------
   [[nodiscard]] virtual std::string_view reg_name(Reg reg, Width width) const noexcept = 0;

@@ -25,6 +25,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "isa/target.h"
 #include "support/error.h"
@@ -192,9 +193,21 @@ class WordDecoder {
     return Reg::rax;
   }
 
-  /// Decoded as `instr` (`length` bytes), unless an earlier check failed.
-  DecodeStatus one(Instruction instr, std::uint8_t length = 4) {
-    if (status_.ok()) out_ = Decoded{std::move(instr), length};
+  /// Decoded as `m` at width `w` with operands `ops` (one word), unless an
+  /// earlier check failed. `out` is filled in place (isa::refill).
+  template <typename... Ops>
+  DecodeStatus one(Mnemonic m, Width w, Ops&&... ops) {
+    return one_with(Cond::none, 4, m, w, std::forward<Ops>(ops)...);
+  }
+
+  /// one() with a condition code and a length other than one word.
+  template <typename... Ops>
+  DecodeStatus one_with(Cond cond, std::uint8_t length, Mnemonic m, Width w, Ops&&... ops) {
+    if (status_.ok()) {
+      refill(out_.instr, m, w, std::forward<Ops>(ops)...);
+      out_.instr.cond = cond;
+      out_.length = length;
+    }
     return status_;
   }
 
@@ -212,7 +225,7 @@ class WordDecoder {
 
 // ---- encode ----------------------------------------------------------------
 
-void push_word(std::vector<std::uint8_t>& out, std::uint32_t word) {
+void push_word(Encoding& out, std::uint32_t word) {
   out.push_back(static_cast<std::uint8_t>(word));
   out.push_back(static_cast<std::uint8_t>(word >> 8));
   out.push_back(static_cast<std::uint8_t>(word >> 16));
@@ -255,14 +268,14 @@ std::int32_t alu_imm(const ImmOperand& imm) {
 
 /// lui+addi pair materializing `value` (any u32) into rd. Always 8 bytes so
 /// symbol-address movs keep a placement-independent size (the movabs analog).
-void encode_fused_mov(std::vector<std::uint8_t>& out, unsigned rd, std::uint32_t value) {
+void encode_fused_mov(Encoding& out, unsigned rd, std::uint32_t value) {
   const std::uint32_t hi20 = (value + 0x800) >> 12;
   const auto lo12 = static_cast<std::int32_t>(value - (hi20 << 12));
   push_word(out, (hi20 << 12) | (rd << 7) | kOpLui);
   push_word(out, i_type(kOpImm, 0, rd, rd, lo12));
 }
 
-void encode_mov(std::vector<std::uint8_t>& out, const Instruction& instr) {
+void encode_mov(Encoding& out, const Instruction& instr) {
   check_width(instr);
   const Operand& dst = instr.op(0);
   const Operand& src = instr.op(1);
@@ -318,7 +331,7 @@ void encode_mov(std::vector<std::uint8_t>& out, const Instruction& instr) {
   reject("rv32i cannot encode this mov form (no store-immediate)");
 }
 
-void encode_alu(std::vector<std::uint8_t>& out, const Instruction& instr) {
+void encode_alu(Encoding& out, const Instruction& instr) {
   check_width32(instr);
   const Reg dst = as_reg(instr.op(0), "ALU destination");
   const unsigned rd = hw(dst);
@@ -352,7 +365,7 @@ void encode_alu(std::vector<std::uint8_t>& out, const Instruction& instr) {
   reject("rv32i ALU operations cannot take memory operands");
 }
 
-void encode_shift(std::vector<std::uint8_t>& out, const Instruction& instr) {
+void encode_shift(Encoding& out, const Instruction& instr) {
   check_width32(instr);
   const unsigned rd = hw(as_reg(instr.op(0), "shift destination"));
   std::uint32_t f3 = 0, f7 = 0;
@@ -377,7 +390,7 @@ void encode_shift(std::vector<std::uint8_t>& out, const Instruction& instr) {
   reject("rv32i shift count must be an immediate or register");
 }
 
-void encode_cmp_test(std::vector<std::uint8_t>& out, const Instruction& instr) {
+void encode_cmp_test(Encoding& out, const Instruction& instr) {
   check_width(instr);
   // The width bit rides in rd bit 0 (rd is otherwise unused: compares only
   // write flags).
@@ -436,8 +449,8 @@ class Rv32iTarget final : public Target {
                                         std::uint64_t address,
                                         Decoded& out) const override;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode(const Instruction& instr,
-                                                 std::uint64_t address) const override;
+  [[nodiscard]] Encoding encode(const Instruction& instr,
+                                std::uint64_t address) const override;
 
   [[nodiscard]] std::string_view reg_name(Reg reg, Width width) const noexcept override {
     if (width == Width::b8) return kNames8[reg_number(reg)];
@@ -492,9 +505,8 @@ class Rv32iTarget final : public Target {
   }
 };
 
-std::vector<std::uint8_t> Rv32iTarget::encode(const Instruction& instr,
-                                              std::uint64_t address) const {
-  std::vector<std::uint8_t> out;
+Encoding Rv32iTarget::encode(const Instruction& instr, std::uint64_t address) const {
+  Encoding out;
   switch (instr.mnemonic) {
     case Mnemonic::kMov:
       encode_mov(out, instr);
@@ -648,11 +660,11 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
                     (static_cast<std::uint32_t>(bytes[3]) << 24);
   WordDecoder d(word, out);
 
-  if (word == kWordUd) return d.one(make0(Mnemonic::kUd2));
-  if (word == kWordNop) return d.one(nop());
-  if (word == kWordEcall) return d.one(syscall_());
-  if (word == kWordEbreak) return d.one(make0(Mnemonic::kInt3));
-  if (word == kWordWfi) return d.one(hlt());
+  if (word == kWordUd) return d.one(Mnemonic::kUd2, Width::b64);
+  if (word == kWordNop) return d.one(Mnemonic::kNop, Width::b64);
+  if (word == kWordEcall) return d.one(Mnemonic::kSyscall, Width::b64);
+  if (word == kWordEbreak) return d.one(Mnemonic::kInt3, Width::b64);
+  if (word == kWordWfi) return d.one(Mnemonic::kHlt, Width::b64);
 
   const Fields f = fields_of(word);
   switch (f.opcode) {
@@ -666,23 +678,23 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
         if (f.rs1 != f.rd) return d.bad("shift-immediate source must equal destination");
         const Mnemonic m = f.f3 == 1 ? Mnemonic::kShl
                                      : (shamt_f7 == 0x20 ? Mnemonic::kSar : Mnemonic::kShr);
-        return d.one(make2(m, rd, imm(static_cast<std::int64_t>(f.rs2)), Width::b32));
+        return d.one(m, Width::b32, rd, imm(static_cast<std::int64_t>(f.rs2)));
       }
       if (f.f3 == 0) {  // addi: nop / li / add / mv / lea
         if (f.rd == 0) return d.bad("addi to x0 is not canonical");
         const Reg rd = d.reg(f.rd);
-        if (f.rs1 == 0) return d.one(mov(rd, imm(imm12), Width::b32));
+        if (f.rs1 == 0) return d.one(Mnemonic::kMov, Width::b32, rd, imm(imm12));
         const Reg rs1 = d.reg(f.rs1);
-        if (f.rs1 == f.rd) return d.one(add(rd, imm(imm12), Width::b32));
-        if (imm12 == 0) return d.one(mov(rd, rs1, Width::b32));
-        return d.one(lea(rd, mem(rs1, imm12), Width::b32));
+        if (f.rs1 == f.rd) return d.one(Mnemonic::kAdd, Width::b32, rd, imm(imm12));
+        if (imm12 == 0) return d.one(Mnemonic::kMov, Width::b32, rd, rs1);
+        return d.one(Mnemonic::kLea, Width::b32, rd, mem(rs1, imm12));
       }
       if (f.f3 == 4 || f.f3 == 6 || f.f3 == 7) {  // xori / ori / andi
         if (f.rd == 0 || f.rs1 != f.rd) return d.bad("ALU-immediate source must equal destination");
         const Reg rd = d.reg(f.rd);
-        if (f.f3 == 4 && imm12 == -1) return d.one(make1(Mnemonic::kNot, rd, Width::b32));
+        if (f.f3 == 4 && imm12 == -1) return d.one(Mnemonic::kNot, Width::b32, rd);
         const Mnemonic m = f.f3 == 4 ? Mnemonic::kXor : (f.f3 == 6 ? Mnemonic::kOr : Mnemonic::kAnd);
-        return d.one(make2(m, rd, imm(imm12), Width::b32));
+        return d.one(m, Width::b32, rd, imm(imm12));
       }
       return d.bad("unsupported OP-IMM funct3");
     }
@@ -692,7 +704,7 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
       const Reg rd = d.reg(f.rd);
       if (f.f3 == 0 && f.f7 == 0x20 && f.rs1 == 0) {  // neg
         if (f.rs2 != f.rd) return d.bad("neg operand fields disagree");
-        return d.one(make1(Mnemonic::kNeg, rd, Width::b32));
+        return d.one(Mnemonic::kNeg, Width::b32, rd);
       }
       if (f.rs1 != f.rd) return d.bad("two-operand ALU source must equal destination");
       const Reg rs2 = d.reg(f.rs2);
@@ -706,7 +718,7 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
         case 7: m = Mnemonic::kAnd; break;
         default: return d.bad("unsupported OP funct3");
       }
-      return d.one(make2(m, rd, rs2, Width::b32));
+      return d.one(m, Width::b32, rd, rs2);
     }
     case kOpLui: {
       // Only the canonical fused mov uses lui; require the addi half.
@@ -721,16 +733,17 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
       const Reg rd = d.reg(f.rd);
       const std::uint32_t value =
           (word & 0xFFFF'F000) + static_cast<std::uint32_t>(i_imm(word2));
-      return d.one(mov(rd, imm(static_cast<std::int64_t>(value)), Width::b32), 8);
+      return d.one_with(Cond::none, 8, Mnemonic::kMov, Width::b32, rd,
+                        imm(static_cast<std::int64_t>(value)));
     }
     case kOpLoad: {
       const Reg rd = d.reg(f.rd);
       const Reg base = d.reg(f.rs1);
       const Operand src = mem(base, i_imm(word));
       switch (f.f3) {
-        case 0: return d.one(make2(Mnemonic::kMovsx, rd, src, Width::b32));  // lb
-        case 2: return d.one(mov(rd, src, Width::b32));                      // lw
-        case 4: return d.one(movzx(rd, src, Width::b32));                    // lbu
+        case 0: return d.one(Mnemonic::kMovsx, Width::b32, rd, src);  // lb
+        case 2: return d.one(Mnemonic::kMov, Width::b32, rd, src);    // lw
+        case 4: return d.one(Mnemonic::kMovzx, Width::b32, rd, src);  // lbu
         default: return d.bad("unsupported load width");
       }
     }
@@ -738,8 +751,8 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
       const Reg base = d.reg(f.rs1);
       const Reg value = d.reg(f.rs2);
       const Operand dst = mem(base, s_imm(word));
-      if (f.f3 == 0) return d.one(mov(dst, value, Width::b8));   // sb
-      if (f.f3 == 2) return d.one(mov(dst, value, Width::b32));  // sw
+      if (f.f3 == 0) return d.one(Mnemonic::kMov, Width::b8, dst, value);   // sb
+      if (f.f3 == 2) return d.one(Mnemonic::kMov, Width::b32, dst, value);  // sw
       return d.bad("unsupported store width");
     }
     case kOpJal:
@@ -750,27 +763,24 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
       if (!parity_ok(word)) return d.bad("checked-jal parity check failed");
       if ((f.rd & 0xE) != 0) return d.bad("bad checked-jal link field");
       const std::int64_t target = static_cast<std::int64_t>(address) + j_imm(word);
-      return d.one(make1((f.rd & 1) != 0 ? Mnemonic::kCall : Mnemonic::kJmp, imm(target),
-                       Width::b32));
+      return d.one((f.rd & 1) != 0 ? Mnemonic::kCall : Mnemonic::kJmp, Width::b32,
+                   imm(target));
     }
     case kOpJalr: {
       if (f.f3 != 0 || i_imm(word) != 0) return d.bad("non-canonical jalr");
-      if (f.rd == 0 && f.rs1 == 1) return d.one(ret());
+      if (f.rd == 0 && f.rs1 == 1) return d.one(Mnemonic::kRet, Width::b64);
       if (f.rd == 0)
-        return d.one(make1(Mnemonic::kJmpReg, d.reg(f.rs1), Width::b32));
+        return d.one(Mnemonic::kJmpReg, Width::b32, d.reg(f.rs1));
       if (f.rd == 1)
-        return d.one(make1(Mnemonic::kCallReg, d.reg(f.rs1), Width::b32));
+        return d.one(Mnemonic::kCallReg, Width::b32, d.reg(f.rs1));
       return d.bad("jalr may only link through ra");
     }
     case kOpCustom1: {  // jcc
       // rd bit 4 carries encoding parity (see the encoder): a word with odd
       // popcount is a corrupted fetch, never a retargeted branch.
       if (!parity_ok(word)) return d.bad("jcc parity check failed");
-      Instruction instr = make1(Mnemonic::kJcc,
-                                imm(static_cast<std::int64_t>(address) + j_imm(word)),
-                                Width::b32);
-      instr.cond = static_cast<Cond>(f.rd & 0xF);
-      return d.one(std::move(instr));
+      return d.one_with(static_cast<Cond>(f.rd & 0xF), 4, Mnemonic::kJcc, Width::b32,
+                        imm(static_cast<std::int64_t>(address) + j_imm(word)));
     }
     case kOpCustom0: {
       const Width width = (f.rd & 1) != 0 ? Width::b8 : Width::b32;
@@ -782,44 +792,45 @@ DecodeStatus Rv32iTarget::try_decode(std::span<const std::uint8_t> bytes,
           if ((f.rd & 0xE) != 0 || f.f7 != 0) return d.bad("bad cmp fields");
           const Reg a = d.reg(f.rs1);
           const Reg b = d.reg(f.rs2);
-          return d.one(cmp(a, b, width));
+          return d.one(Mnemonic::kCmp, width, a, b);
         }
         case 1:  // cmp reg, imm
           if ((f.rd & 0xE) != 0) return d.bad("bad cmp-immediate fields");
-          return d.one(cmp(d.reg(f.rs1), imm(i_imm(word)), width));
+          return d.one(Mnemonic::kCmp, width, d.reg(f.rs1), imm(i_imm(word)));
         case 2: {  // test reg, reg
           if ((f.rd & 0xE) != 0 || f.f7 != 0) return d.bad("bad test fields");
           const Reg a = d.reg(f.rs1);
           const Reg b = d.reg(f.rs2);
-          return d.one(test(a, b, width));
+          return d.one(Mnemonic::kTest, width, a, b);
         }
         case 3: {  // byte load with x86 merge semantics
           const Reg rd = d.reg(f.rd);
           const Reg base = d.reg(f.rs1);
-          return d.one(mov(rd, mem(base, i_imm(word)), Width::b8));
+          return d.one(Mnemonic::kMov, Width::b8, rd, mem(base, i_imm(word)));
         }
         case 4: {  // reg-reg byte mov / movzx / movsx (parity in f7 bit 6)
           if (f.rs1 != 0) return d.bad("bad register-move fields");
           const Reg rd = d.reg(f.rd);
           const Reg rs2 = d.reg(f.rs2);
           const std::uint32_t form = f.f7 & 0x3F;
-          if (form == 0) return d.one(mov(rd, rs2, Width::b8));
-          if (form == 1) return d.one(movzx(rd, rs2, Width::b32));
-          if (form == 2) return d.one(make2(Mnemonic::kMovsx, rd, rs2, Width::b32));
+          if (form == 0) return d.one(Mnemonic::kMov, Width::b8, rd, rs2);
+          if (form == 1) return d.one(Mnemonic::kMovzx, Width::b32, rd, rs2);
+          if (form == 2) return d.one(Mnemonic::kMovsx, Width::b32, rd, rs2);
           return d.bad("bad register-move funct7");
         }
         case 5: {  // setcc (parity in imm bit 11)
           const std::uint32_t cc = (word >> 20) & 0x7FF;
           if (f.rs1 != 0 || cc > 0xF) return d.bad("bad setcc fields");
-          return d.one(setcc(static_cast<Cond>(cc), d.reg(f.rd)));
+          return d.one_with(static_cast<Cond>(cc), 4, Mnemonic::kSetcc, Width::b8,
+                            d.reg(f.rd));
         }
         case 6: {  // mvflags (parity in f7 bit 6)
           if (f.rs1 != 0 || f.rs2 != 0 || (f.f7 & 0x3F) != 0) return d.bad("bad mvflags fields");
-          return d.one(read_flags(d.reg(f.rd), Width::b32));
+          return d.one(Mnemonic::kReadFlags, Width::b32, d.reg(f.rd));
         }
         case 7: {  // wrflags (parity in f7 bit 6)
           if (f.rd != 0 || f.rs2 != 0 || (f.f7 & 0x3F) != 0) return d.bad("bad wrflags fields");
-          return d.one(write_flags(d.reg(f.rs1), Width::b32));
+          return d.one(Mnemonic::kWriteFlags, Width::b32, d.reg(f.rs1));
         }
         default: return d.bad("unsupported custom-0 funct3");
       }

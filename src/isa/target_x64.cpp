@@ -26,8 +26,8 @@ class X64Target final : public Target {
     return isa::try_decode(bytes, address, out);
   }
 
-  [[nodiscard]] std::vector<std::uint8_t> encode(const Instruction& instr,
-                                                 std::uint64_t address) const override {
+  [[nodiscard]] Encoding encode(const Instruction& instr,
+                                std::uint64_t address) const override {
     return isa::encode(instr, address);
   }
 

@@ -2,6 +2,10 @@
 // reassembly identity, CFG construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "bir/assemble.h"
 #include "bir/cfg.h"
 #include "bir/module.h"
@@ -111,6 +115,68 @@ TEST(Assemble, ResolvesDataSymbols) {
   EXPECT_EQ(msg->value, 0x600000u);
 }
 
+TEST(Assemble, EachInstructionIsItsEncodingAtItsFinalAddress) {
+  // Forward jmp, jcc and call; a backward branch and a branch to its own
+  // label; a mov of a later text label (the fixed-size symbol form) and
+  // a mov of a data label. Each instruction's bytes are what encode()
+  // makes of it with every label resolved, placed at its address.
+  for (const isa::Target* target : isa::all_targets()) {
+    SCOPED_TRACE(std::string(target->name()));
+    const isa::Width w = target->natural_width();
+    Module module;
+    module.arch = target->arch();
+    const auto add = [&module](std::vector<std::string> labels, isa::Instruction instr) {
+      CodeItem item;
+      item.labels = std::move(labels);
+      item.instr = std::move(instr);
+      module.text.push_back(std::move(item));
+    };
+    const auto mov_label = [w](Reg reg, std::string label) {
+      return isa::mov(reg, isa::ImmOperand{0, std::move(label)}, w);
+    };
+    add({"_start"}, isa::jmp("fwd"));
+    add({"back"}, isa::cmp(Reg::rax, isa::imm(1), w));
+    add({}, isa::jcc(Cond::ne, "fwd"));
+    add({}, isa::call("func"));
+    add({"fwd"}, mov_label(Reg::rbx, "later"));
+    add({}, mov_label(Reg::rsi, "msg"));
+    add({}, isa::jmp("back"));
+    add({"self"}, isa::jmp("self"));
+    add({"func", "later"}, isa::ret());
+    DataSection data;
+    data.base = 0x600000;
+    data.blocks.push_back(DataBlock{{"msg"}, {'x', 0}, {}, 0, 0, 0});
+    module.data_sections.push_back(data);
+
+    const elf::Image image = assemble(module);
+    const elf::Segment& text = *image.find_segment(".text");
+    const auto address_of = [&image](const std::string& name) {
+      const elf::Symbol* symbol = image.find_symbol(name);
+      EXPECT_NE(symbol, nullptr) << name;
+      return symbol == nullptr ? 0 : static_cast<std::int64_t>(symbol->value);
+    };
+    std::size_t offset = 0;
+    for (const CodeItem& item : module.text) {
+      isa::Instruction resolved = *item.instr;
+      for (isa::Operand& op : resolved.operands) {
+        if (const auto* label = std::get_if<isa::LabelOperand>(&op)) {
+          op = isa::ImmOperand{address_of(label->name), {}};
+        } else if (auto* imm = std::get_if<isa::ImmOperand>(&op); imm && !imm->label.empty()) {
+          imm->value = address_of(imm->label);  // the label keeps the mov's symbol form
+        }
+      }
+      const isa::Encoding expected = target->encode(resolved, item.address);
+      EXPECT_EQ(item.address, text.vaddr + offset);
+      ASSERT_LE(offset + expected.size(), text.data.size());
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                             text.data.begin() + static_cast<std::ptrdiff_t>(offset)))
+          << target->print(*item.instr);
+      offset += expected.size();
+    }
+    EXPECT_EQ(offset, text.data.size());
+  }
+}
+
 TEST(Assemble, UndefinedLabelFails) {
   Module module = module_from_assembly(
       ".global _start\n_start:\n    jmp nowhere\n");
@@ -178,6 +244,18 @@ TEST(Diagnostics, UndefinedLabelAtLayoutNamesReferencingLine) {
   const std::string message = error_message([&] { assemble(module); });
   EXPECT_NE(message.find("'nowhere'"), std::string::npos) << message;
   EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+}
+
+TEST(Diagnostics, UndefinedLabelAmongForwardReferencesKeepsItsMessage) {
+  Module module = module_from_assembly(
+      ".global _start\n"
+      "_start:\n"
+      "    jmp done\n"
+      "    jmp nowhere\n"
+      "done:\n"
+      "    ret\n");
+  EXPECT_EQ(error_message([&] { assemble(module); }),
+            "rewrite: undefined label: 'nowhere' (line 4: jmp nowhere)");
 }
 
 TEST(Diagnostics, UndefinedDataSymbolNamesReferencingLine) {

@@ -17,7 +17,7 @@ namespace {
 constexpr std::uint64_t kAddr = 0x401000;
 
 Decoded roundtrip(const Instruction& instr) {
-  const std::vector<std::uint8_t> bytes = encode(instr, kAddr);
+  const Encoding bytes = encode(instr, kAddr);
   const Decoded decoded = decode(bytes, kAddr);
   EXPECT_EQ(decoded.length, bytes.size());
   return decoded;
@@ -177,7 +177,7 @@ TEST(EncoderDecoder, AllSetccRoundTrip) {
 TEST(EncoderDecoder, ByteRegistersNeedRexForSilDil) {
   // sil/dil/bpl/spl are only addressable with a REX prefix.
   const Instruction instr = mov(Reg::rsi, imm(5), Width::b8);
-  const std::vector<std::uint8_t> bytes = encode(instr, kAddr);
+  const Encoding bytes = encode(instr, kAddr);
   EXPECT_EQ(bytes[0], 0x40);  // bare REX
   EXPECT_EQ(roundtrip(instr).instr, instr);
 }

@@ -7,7 +7,10 @@
 // exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,6 +18,21 @@
 #include "isa/target.h"
 #include "support/error.h"
 #include "support/rng.h"
+
+// This binary replaces the global operator new/delete with a counting
+// pair, so the IsaAllocations tests can pin that a path allocates nothing.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace r2r::isa {
 namespace {
@@ -278,16 +296,35 @@ class Rv32iGen {
   support::Rng rng_;
 };
 
+/// `corpus_size` candidate instructions for `target`, drawn from `seed`.
+std::vector<Instruction> candidates(const Target& target, std::uint64_t seed,
+                                    std::size_t corpus_size) {
+  std::vector<Instruction> out;
+  const auto draw = [&out, corpus_size](auto gen) {
+    for (std::size_t i = 0; i < corpus_size; ++i) out.push_back(gen.next());
+  };
+  switch (target.arch()) {
+    case Arch::kX64: draw(X64Gen(seed)); break;
+    case Arch::kRv32i: draw(Rv32iGen(seed)); break;
+  }
+  if (out.empty()) ADD_FAILURE() << "unhandled arch " << to_string(target.arch());
+  return out;
+}
+
 /// The round-trip property, target-generically: for every candidate the
 /// target's encoder accepts, decode(encode(i)) == i consuming exactly the
-/// emitted bytes, and encode(decode(bytes)) == bytes.
-template <typename Gen>
-std::size_t check_roundtrip(const Target& target, Gen gen, std::size_t corpus_size) {
+/// emitted bytes, and encode(decode(bytes)) == bytes. A Decoded reused
+/// across the corpus, which still holds the previous instruction, decodes
+/// the same as a fresh one.
+std::size_t sweep_target(const Target& target, std::uint64_t seed,
+                         std::size_t corpus_size) {
   std::size_t encoded_count = 0;
-  for (std::size_t i = 0; i < corpus_size; ++i) {
-    const Instruction instr = gen.next();
+  const std::vector<Instruction> corpus = candidates(target, seed, corpus_size);
+  Decoded reused;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Instruction& instr = corpus[i];
 
-    std::vector<std::uint8_t> bytes;
+    Encoding bytes;
     try {
       bytes = target.encode(instr, kAddr);
     } catch (const support::Error&) {
@@ -304,22 +341,16 @@ std::size_t check_roundtrip(const Target& target, Gen gen, std::size_t corpus_si
         << "#" << i << " decoder disagreed: " << target.print(instr) << " -> "
         << target.print(decoded.instr);
 
+    EXPECT_TRUE(target.try_decode(bytes, kAddr, reused).ok());
+    EXPECT_EQ(reused.instr, decoded.instr) << "#" << i << " " << target.print(instr);
+    EXPECT_EQ(reused.length, decoded.length) << "#" << i << " " << target.print(instr);
+
     // encode(decode(bytes)) == bytes: re-encoding is byte-stable.
     EXPECT_EQ(target.encode(decoded.instr, kAddr), bytes)
         << "#" << i << " " << target.print(instr);
     if (::testing::Test::HasFailure()) break;
   }
   return encoded_count;
-}
-
-std::size_t sweep_target(const Target& target, std::uint64_t seed,
-                         std::size_t corpus_size) {
-  switch (target.arch()) {
-    case Arch::kX64: return check_roundtrip(target, X64Gen(seed), corpus_size);
-    case Arch::kRv32i: return check_roundtrip(target, Rv32iGen(seed), corpus_size);
-  }
-  ADD_FAILURE() << "unhandled arch " << to_string(target.arch());
-  return 0;
 }
 
 TEST(IsaProperty, DecodeEncodeRoundTripOverRandomCorpus) {
@@ -340,6 +371,74 @@ TEST(IsaProperty, RoundTripIsSeedStableAcrossStreams) {
   for (const Target* target : all_targets()) {
     SCOPED_TRACE(std::string("target ") + std::string(target->name()));
     sweep_target(*target, support::Rng::for_stream(0xDECDE5EEDULL, 1).next(), 2'000);
+  }
+}
+
+// ---- allocation counting ------------------------------------------------------
+
+std::size_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+/// The corpus instructions `target` encodes, and their encodings.
+struct Encoded {
+  std::vector<Instruction> instrs;
+  std::vector<Encoding> bytes;
+};
+
+Encoded encodable_corpus(const Target& target) {
+  Encoded out;
+  for (Instruction& instr : candidates(target, 0xDECDE5EEDULL, kCorpusSize)) {
+    try {
+      out.bytes.push_back(target.encode(instr, kAddr));
+    } catch (const support::Error&) {
+      continue;
+    }
+    out.instrs.push_back(std::move(instr));
+  }
+  return out;
+}
+
+TEST(IsaAllocations, EncodeAllocatesNothing) {
+  for (const Target* target : all_targets()) {
+    SCOPED_TRACE(std::string("target ") + std::string(target->name()));
+    const Encoded corpus = encodable_corpus(*target);
+    std::vector<Encoding> again(corpus.instrs.size());
+    const std::size_t before = allocations();
+    for (std::size_t i = 0; i < corpus.instrs.size(); ++i) {
+      again[i] = target->encode(corpus.instrs[i], kAddr);
+    }
+    EXPECT_EQ(allocations() - before, 0u);
+    EXPECT_EQ(again, corpus.bytes);
+  }
+}
+
+TEST(IsaAllocations, WarmTryDecodeAllocatesNothing) {
+  // Every encoding of the corpus and every single-bit flip of it (mostly
+  // junk on rv32i, whose custom words carry parity), decoded into one
+  // Decoded whose operand list already has room for two operands.
+  for (const Target* target : all_targets()) {
+    SCOPED_TRACE(std::string("target ") + std::string(target->name()));
+    const Encoded corpus = encodable_corpus(*target);
+    Decoded decoded;
+    ASSERT_TRUE(target->try_decode(target->encode(add(Reg::rax, Reg::rcx,
+                                                      target->natural_width()),
+                                                  kAddr),
+                                   kAddr, decoded)
+                    .ok());
+    std::size_t ok = 0;
+    std::size_t failed = 0;
+    const std::size_t before = allocations();
+    for (const Encoding& bytes : corpus.bytes) {
+      ok += target->try_decode(bytes, kAddr, decoded).ok() ? 1 : 0;
+      Encoding flipped = bytes;
+      for (std::size_t bit = 0; bit < flipped.size() * 8; ++bit) {
+        flipped.data()[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+        failed += target->try_decode(flipped, kAddr, decoded).ok() ? 0 : 1;
+        flipped.data()[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+      }
+    }
+    EXPECT_EQ(allocations() - before, 0u);
+    EXPECT_EQ(ok, corpus.bytes.size());
+    EXPECT_GT(failed, corpus.bytes.size());
   }
 }
 
