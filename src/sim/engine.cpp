@@ -458,6 +458,18 @@ bool set_fault_model(FaultModels& models, std::string_view name, bool enabled) {
 
 std::vector<PlannedFault> enumerate_faults(const FaultModels& models,
                                            const std::vector<emu::TraceEntry>& trace) {
+  if (models.register_flip) {
+    // Machine::step folds a register number modulo the file size, so an
+    // entry past it would sweep another register's faults a second time.
+    constexpr std::size_t kRegisters = std::tuple_size_v<decltype(emu::Cpu::gpr)>;
+    for (const unsigned reg : models.register_flip_regs) {
+      if (reg >= kRegisters) {
+        support::fail(ErrorKind::kInvalidArgument,
+                      "register flip of register " + std::to_string(reg) +
+                          ": register numbers are 0 to " + std::to_string(kRegisters - 1));
+      }
+    }
+  }
   std::vector<PlannedFault> plan;
   for (std::uint64_t index = 0; index < trace.size(); ++index) {
     const emu::TraceEntry& entry = trace[index];

@@ -76,6 +76,7 @@ struct FaultModels {
   bool bit_flip = true;
   bool register_flip = false;
   bool flag_flip = false;
+  /// Register numbers, each below the size of emu::Cpu::gpr.
   std::vector<unsigned> register_flip_regs = {0, 1, 2, 3, 6, 7};
   unsigned register_flip_bit_stride = 8;
 
@@ -128,7 +129,9 @@ struct PlannedFault {
 
 /// Expands the (trace-index × fault-model) product into a flat plan.
 /// The order is the canonical campaign order: ascending trace index, and
-/// per index skip → bit flips → register flips → flag flips.
+/// per index skip → bit flips → register flips → flag flips. Throws
+/// Error{kInvalidArgument} when register flips are on and
+/// `register_flip_regs` names a register outside emu::Cpu::gpr.
 std::vector<PlannedFault> enumerate_faults(const FaultModels& models,
                                            const std::vector<emu::TraceEntry>& trace);
 

@@ -102,6 +102,38 @@ TEST(ExtensionCampaign, RegisterModelRespectsStrideAndRegisterSet) {
   EXPECT_EQ(result.total_faults, result.trace_length * 2 * (64 / 16));
 }
 
+TEST(ExtensionCampaign, RegisterModelRejectsRegistersOutsideTheFile) {
+  // Machine::step folds a register number modulo the file size: {16}
+  // would sweep register 0's faults again, and {0, 16} each of them twice.
+  const guests::Guest& guest = guests::toymov();
+  const elf::Image image = guests::build_image(guest);
+  fault::CampaignConfig config;
+  config.models.skip = false;
+  config.models.bit_flip = false;
+  config.models.register_flip = true;
+  config.models.register_flip_regs = {0};
+  const sim::CampaignResult rax =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config).order1;
+  EXPECT_EQ(rax.total_faults, 136u);
+  EXPECT_EQ(rax.total_faults, rax.trace_length * (64 / 8));
+  for (const fault::Vulnerability& v : rax.vulnerabilities) {
+    EXPECT_EQ(v.spec.bit_offset / 64, 0u);
+  }
+
+  for (const std::vector<unsigned>& regs : {std::vector<unsigned>{16},
+                                            std::vector<unsigned>{0, 16}}) {
+    config.models.register_flip_regs = regs;
+    try {
+      (void)fault::run_campaign(image, guest.good_input, guest.bad_input, config);
+      ADD_FAILURE() << "register 16 was swept";
+    } catch (const support::Error& error) {
+      EXPECT_EQ(error.kind(), support::ErrorKind::kInvalidArgument);
+      EXPECT_NE(std::string(error.what()).find("register 16"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(ExtensionCampaign, HybridChecksumCatchesFlagFlipsLocalPatternsMiss) {
   // A flag flip corrupts the very state both executions of the Table III
   // pattern consult, so the local pattern cannot catch it; the hybrid's
