@@ -10,7 +10,8 @@ Pair i (seeds 1..N) runs `python3 perfbench/run.py --workload W --seed i
 each side builds and measures its own tree; S is BENCHMARK.json's
 run_seconds, and odd pairs run the parent first, even pairs the change. This script only reads perfbench's result
 line (the last line of its output); it never edits or builds anything
-under perfbench/ itself.
+under perfbench/ itself. Before the first run it refuses a checkout whose
+.bench_build was configured for another source tree.
 
 The output follows BENCH_decode_status.json: per workload and end-to-end
 metric (timed and ratio metrics alike) the sorted runs of each side with
@@ -87,6 +88,25 @@ def run_perfbench(root, workload, seed, seconds, trace):
     if done.returncode != 0:
         raise RuntimeError("%s in %s exited %d" % (" ".join(command), root, done.returncode))
     return parse_result(done.stdout)
+
+
+def stale_build_tree(root):
+    """Why `root` must not be measured, or None. perfbench/run.py configures
+    .bench_build only when its CMakeCache.txt is missing, so a checkout
+    copied together with another tree's .bench_build (a tar of a working
+    tree, unlike git archive) would rebuild and time that other tree."""
+    cache = Path(root) / ".bench_build" / "CMakeCache.txt"
+    if not cache.exists():
+        return None
+    expected = (Path(root) / "perfbench").resolve()
+    for line in cache.read_text(errors="replace").splitlines():
+        if line.startswith("CMAKE_HOME_DIRECTORY:"):
+            configured = Path(line.split("=", 1)[1].strip())
+            if configured.resolve() == expected:
+                return None
+            return "%s was configured for %s, not %s; remove it (or copy the checkout " \
+                   "with git archive) and run again" % (cache, configured, expected)
+    return "%s names no CMAKE_HOME_DIRECTORY; remove it and run again" % cache
 
 
 def end_to_end(spec, results):
@@ -196,6 +216,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    for side in SIDES:
+        problem = stale_build_tree(roots[side])
+        if problem:
+            print("bench_pairs.py: %s checkout: %s" % (side, problem), file=sys.stderr)
+            return 2
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]

@@ -220,5 +220,57 @@ class Schema(unittest.TestCase):
         self.assertEqual(seconds_seen, {25})  # BENCHMARK.json's run_seconds
 
 
+class StaleBuildTree(unittest.TestCase):
+    def checkout(self, tmp, name, configured_for=None):
+        root = Path(tmp) / name
+        (root / "perfbench").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        if configured_for is not None:
+            (root / ".bench_build").mkdir()
+            (root / ".bench_build" / "CMakeCache.txt").write_text(
+                "CMAKE_BUILD_TYPE:STRING=Release\n"
+                "CMAKE_HOME_DIRECTORY:INTERNAL=%s\n" % configured_for)
+        return root
+
+    def test_a_cache_of_another_tree_is_refused_naming_both_paths(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            other = self.checkout(tmp, "other")
+            root = self.checkout(tmp, "copy", configured_for=other / "perfbench")
+            problem = bench_pairs.stale_build_tree(root)
+            self.assertIsNotNone(problem)
+            self.assertIn(str((other / "perfbench").resolve()), problem)
+            self.assertIn(str((root / "perfbench").resolve()), problem)
+
+    def test_no_cache_or_a_cache_of_its_own_tree_passes(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            fresh = self.checkout(tmp, "fresh")
+            built = self.checkout(tmp, "built", configured_for=Path(tmp) / "built" / "perfbench")
+            self.assertIsNone(bench_pairs.stale_build_tree(fresh))
+            self.assertIsNone(bench_pairs.stale_build_tree(built))
+
+    def test_main_refuses_before_the_first_run(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            parent = self.checkout(tmp, "p")
+            change = self.checkout(tmp, "c", configured_for=parent / "perfbench")
+            runs = []
+
+            def runner(*args):
+                runs.append(args)
+                return json.loads(result_line(1.0))
+
+            stderr = io.StringIO()
+            with mock.patch.object(bench_pairs, "run_perfbench", runner), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                status = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                           "--out", str(Path(tmp) / "BENCH_t.json")])
+            written = (Path(tmp) / "BENCH_t.json").exists()
+        self.assertEqual(status, 2)
+        self.assertEqual(runs, [])
+        self.assertFalse(written)
+        self.assertIn("change checkout", stderr.getvalue())
+        self.assertIn(str((parent / "perfbench").resolve()), stderr.getvalue())
+
+
 if __name__ == "__main__":
     unittest.main()
