@@ -102,11 +102,10 @@ def stale_build_tree(root):
     for line in cache.read_text(errors="replace").splitlines():
         if line.startswith("CMAKE_HOME_DIRECTORY:"):
             configured = Path(line.split("=", 1)[1].strip())
-            if configured.resolve() == expected:
-                return None
-            return "%s was configured for %s, not %s; remove it (or copy the checkout " \
-                   "with git archive) and run again" % (cache, configured, expected)
-    return "%s names no CMAKE_HOME_DIRECTORY; remove it and run again" % cache
+            if configured.resolve() != expected:
+                return "%s was configured for %s, not %s; remove it (or copy the " \
+                       "checkout with git archive) and run again" % (cache, configured, expected)
+    return None
 
 
 def end_to_end(spec, results):

@@ -170,6 +170,7 @@ elf::Image assemble(Module& module) {
     std::copy(bytes.begin(), bytes.end(),
               text_bytes.begin() + static_cast<std::ptrdiff_t>(item.address - module.text_base));
   }
+  text_bytes.shrink_to_fit();  // the image holds .text for as long as it lives
 
   // --- image assembly ------------------------------------------------------------
   elf::Image image;
