@@ -39,19 +39,17 @@ bool Module::has_symbol(std::string_view name) const {
 void Module::insert_before(std::size_t index, std::vector<isa::Instruction> instrs,
                            bool take_labels) {
   check(index <= text.size(), ErrorKind::kInvalidArgument, "insert_before out of range");
-  std::vector<CodeItem> items;
-  items.reserve(instrs.size());
-  for (auto& instr : instrs) {
-    CodeItem item;
-    item.instr = std::move(instr);
-    items.push_back(std::move(item));
+  if (instrs.empty()) return;
+  // Empty items go straight into place and then take their instructions:
+  // no temporary item list.
+  const auto first = text.insert(text.begin() + static_cast<std::ptrdiff_t>(index),
+                                 instrs.size(), CodeItem{});
+  for (std::size_t k = 0; k < instrs.size(); ++k) first[k].instr = std::move(instrs[k]);
+  const std::size_t anchor = index + instrs.size();
+  if (take_labels && anchor < text.size()) {
+    text[index].labels = std::move(text[anchor].labels);
+    text[anchor].labels.clear();
   }
-  if (take_labels && index < text.size() && !items.empty()) {
-    items.front().labels = std::move(text[index].labels);
-    text[index].labels.clear();
-  }
-  text.insert(text.begin() + static_cast<std::ptrdiff_t>(index),
-              std::make_move_iterator(items.begin()), std::make_move_iterator(items.end()));
 }
 
 void Module::insert_after(std::size_t index, std::vector<isa::Instruction> instrs) {

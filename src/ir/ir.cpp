@@ -79,6 +79,22 @@ Constant* Module::get_constant(Type type, std::uint64_t value) {
   return constants_.back().get();
 }
 
+std::size_t Function::renumber() const noexcept {
+  std::uint32_t next = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b]->number_ = static_cast<std::uint32_t>(b);
+    for (const auto& instr : blocks[b]->instrs) instr->number_ = next++;
+  }
+  return next;
+}
+
+std::size_t Module::renumber() const noexcept {
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    functions[i]->number_ = static_cast<std::uint32_t>(i);
+  }
+  return functions.size();
+}
+
 Function* Module::get_intrinsic(std::string_view name, Type return_type,
                                 unsigned params) {
   if (Function* existing = find_function(name)) return existing;

@@ -9,6 +9,10 @@
 //
 // Ownership: Module owns Functions and GlobalVariables; Function owns
 // BasicBlocks; BasicBlock owns Instrs. Operands are non-owning Value*.
+//
+// A pass keeps per-instruction facts in an InstrTable and per-block facts
+// in a vector indexed by BasicBlock::number(), never in a map keyed by
+// pointer (docs/architecture.md, "The Hybrid pipeline").
 #pragma once
 
 #include <cstdint>
@@ -58,6 +62,10 @@ std::string_view to_string(Pred pred) noexcept;
 class BasicBlock;
 class Function;
 class Module;
+
+/// The number of an instruction, block or function that no renumber() has
+/// reached since it was created: out of range of every side table.
+inline constexpr std::uint32_t kUnnumbered = ~std::uint32_t{0};
 
 /// Base of everything that can be an operand.
 class Value {
@@ -146,8 +154,15 @@ class Instr final : public Value {
     }
   }
 
+  /// Position among its function's instructions in layout order, as of
+  /// the function's last renumber(); kUnnumbered before the first.
+  [[nodiscard]] std::uint32_t number() const noexcept { return number_; }
+
  private:
+  friend class Function;
+
   Opcode opcode_;
+  mutable std::uint32_t number_ = kUnnumbered;  ///< cache, see Function::renumber()
 };
 
 class BasicBlock {
@@ -164,8 +179,15 @@ class BasicBlock {
     return last->is_terminator() ? last : nullptr;
   }
 
+  /// Position in its function's `blocks`, as of the function's last
+  /// renumber(); kUnnumbered before the first.
+  [[nodiscard]] std::uint32_t number() const noexcept { return number_; }
+
  private:
+  friend class Function;
+
   std::string name_;
+  mutable std::uint32_t number_ = kUnnumbered;  ///< cache, see Function::renumber()
 };
 
 class Function {
@@ -192,11 +214,35 @@ class Function {
     return blocks.back().get();
   }
 
+  /// Numbers the blocks 0..m-1 and the instructions 0..n-1 in layout order
+  /// and returns n; allocates nothing. The numbers are a cache, like LLVM's
+  /// Instruction::Order: valid until the function is next edited, so every
+  /// pass or analysis that reads them renumbers first, at O(n). The slots
+  /// are mutable so that ir::verify can number a const Module; that is
+  /// safe because no two threads share a module (batch and r2rd each
+  /// harden one module per guest).
+  std::size_t renumber() const noexcept;
+
+  /// True when `block` is the block this function numbered block->number():
+  /// false for null, for another function's block and for a block added
+  /// since the last renumber().
+  [[nodiscard]] bool owns(const BasicBlock* block) const noexcept {
+    return block != nullptr && block->number() < blocks.size() &&
+           blocks[block->number()].get() == block;
+  }
+
+  /// Position in the module's `functions`, as of the module's last
+  /// renumber(); kUnnumbered before the first.
+  [[nodiscard]] std::uint32_t number() const noexcept { return number_; }
+
  private:
+  friend class Module;
+
   std::string name_;
   Type return_type_;
   unsigned param_count_;
   bool intrinsic_;
+  mutable std::uint32_t number_ = kUnnumbered;  ///< cache, see Module::renumber()
 };
 
 class Module {
@@ -239,8 +285,53 @@ class Module {
   /// Declares (or returns) an intrinsic function by name.
   Function* get_intrinsic(std::string_view name, Type return_type, unsigned params);
 
+  /// Numbers the functions 0..k-1 in order and returns k; the same cache
+  /// contract as Function::renumber().
+  std::size_t renumber() const noexcept;
+
+  /// True when `fn` is the function this module numbered fn->number().
+  [[nodiscard]] bool owns(const Function* fn) const noexcept {
+    return fn != nullptr && fn->number() < functions.size() &&
+           functions[fn->number()].get() == fn;
+  }
+
  private:
   std::vector<std::unique_ptr<Constant>> constants_;
+};
+
+/// Facts a pass keeps per instruction of one function: a vector indexed by
+/// Instr::number(). Each entry records the instruction it was filled from,
+/// and find() compares it, so a number can never alias: a key that is not
+/// one of the function's instructions as of reset() (null, a constant or a
+/// global, another function's instruction, or one created since) has no
+/// entry, whatever its number.
+template <typename T>
+class InstrTable {
+ public:
+  /// Renumbers `fn` and gives each of its instructions a value-initialized
+  /// entry. The capacity stays, so a table kept across functions and
+  /// passes allocates only when a function outgrows it.
+  void reset(const Function& fn) {
+    entries_.assign(fn.renumber(), Entry{});
+    for (const auto& block : fn.blocks) {
+      for (const auto& instr : block->instrs) entries_[instr->number()].owner = instr.get();
+    }
+  }
+
+  /// The entry of `value`, or nullptr when `value` has none.
+  [[nodiscard]] T* find(const Value* value) noexcept {
+    if (value == nullptr || value->kind() != Value::Kind::kInstr) return nullptr;
+    const std::uint32_t number = static_cast<const Instr*>(value)->number();
+    if (number >= entries_.size() || entries_[number].owner != value) return nullptr;
+    return &entries_[number].value;
+  }
+
+ private:
+  struct Entry {
+    const Instr* owner = nullptr;
+    T value{};
+  };
+  std::vector<Entry> entries_;
 };
 
 /// Intrinsic names understood by the interpreter and the lowering:

@@ -13,16 +13,15 @@ namespace {
 using support::check;
 using support::ErrorKind;
 
-/// Where an instruction sits in its function. Blocks map to themselves, so
-/// one lookup answers "is this ours?" for operands and branch targets.
-struct Position {
-  const BasicBlock* block = nullptr;
-  std::size_t index = 0;
-};
-
 using FunctionsByName = std::unordered_map<std::string_view, const Function*>;
 
-void verify_function(const FunctionsByName& by_name, const Function& fn) {
+/// The block that defines each instruction of the function being verified.
+/// Its owner check answers "is this operand ours?"; Function::owns answers
+/// it for branch targets.
+using DefiningBlocks = InstrTable<const BasicBlock*>;
+
+void verify_function(const FunctionsByName& by_name, const Function& fn,
+                     DefiningBlocks& defined_in) {
   if (fn.is_intrinsic()) {
     check(fn.blocks.empty(), ErrorKind::kIr, "function @", fn.name(),
           ": intrinsic with a body");
@@ -30,12 +29,9 @@ void verify_function(const FunctionsByName& by_name, const Function& fn) {
   }
   check(!fn.blocks.empty(), ErrorKind::kIr, "function @", fn.name(), ": no blocks");
 
-  std::unordered_map<const void*, Position> positions;
+  defined_in.reset(fn);
   for (const auto& block : fn.blocks) {
-    positions.emplace(block.get(), Position{block.get(), 0});
-    for (std::size_t i = 0; i < block->instrs.size(); ++i) {
-      positions.emplace(block->instrs[i].get(), Position{block.get(), i});
-    }
+    for (const auto& instr : block->instrs) *defined_in.find(instr.get()) = block.get();
   }
 
   for (const auto& block : fn.blocks) {
@@ -53,11 +49,11 @@ void verify_function(const FunctionsByName& by_name, const Function& fn) {
       for (const Value* op : instr.operands) {
         check(op != nullptr, "null operand");
         if (op->kind() == Value::Kind::kInstr) {
-          check(positions.contains(op), "operand defined in another function");
+          check(defined_in.find(op) != nullptr, "operand defined in another function");
         }
       }
       for (const BasicBlock* target : instr.targets) {
-        check(positions.contains(target), "branch target outside function");
+        check(fn.owns(target), "branch target outside function");
       }
 
       switch (instr.opcode()) {
@@ -145,12 +141,13 @@ void verify_function(const FunctionsByName& by_name, const Function& fn) {
       }
     }
 
-    // Straight-line def-before-use inside the block.
-    for (std::size_t i = 0; i < block->instrs.size(); ++i) {
-      for (const Value* op : block->instrs[i]->operands) {
+    // Straight-line def-before-use inside the block: numbers follow the
+    // layout, so a definition earlier in the block has a smaller number.
+    for (const auto& instr : block->instrs) {
+      for (const Value* op : instr->operands) {
         if (op->kind() != Value::Kind::kInstr) continue;
-        const Position& def = positions.at(op);
-        check(def.block != block.get() || def.index < i,
+        check(*defined_in.find(op) != block.get() ||
+                  static_cast<const Instr*>(op)->number() < instr->number(),
               "use before definition within block");
       }
     }
@@ -164,10 +161,11 @@ void verify(const Module& module) {
   // a callee is in the module only if it is the function its name finds.
   FunctionsByName by_name;
   for (const auto& fn : module.functions) by_name.emplace(fn->name(), fn.get());
+  DefiningBlocks defined_in;
   for (const auto& fn : module.functions) {
     check(by_name.at(fn->name()) == fn.get(), ErrorKind::kIr, "duplicate function @",
           fn->name());
-    verify_function(by_name, *fn);
+    verify_function(by_name, *fn, defined_in);
   }
   std::set<std::string_view> global_names;
   for (const auto& global : module.globals) {

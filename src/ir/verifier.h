@@ -12,6 +12,9 @@ namespace r2r::ir {
 /// signature; instruction operands are defined within the same function
 /// before use (straight-line dominance per block, definition-anywhere for
 /// cross-block uses — full dominance is out of scope and documented).
+/// Renumbers every function: the numbers are a mutable cache (see
+/// Function::renumber), so this writes them through the const Module,
+/// which no other thread may use meanwhile.
 void verify(const Module& module);
 
 }  // namespace r2r::ir

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "bir/assemble.h"
@@ -70,6 +69,18 @@ constexpr Reg kScratch = Reg::r11;
 /// Base of the ".r2rstate" section that holds the module globals.
 constexpr std::uint64_t kStateBase = 0x90'0000;
 
+/// What the lowering tracks per instruction of the function.
+struct ValueState {
+  const ir::BasicBlock* block = nullptr;  ///< defining block
+  bool cross_block = false;               ///< used outside `block`
+  unsigned remaining = 0;                 ///< uses left in the block being lowered
+  std::int64_t slot = -1;                 ///< frame offset, -1 before one is needed
+};
+
+/// Indexed by instruction number. A value with no entry (another
+/// function's instruction) has no slot: using it is an Error{kLower}.
+using ValueStates = ir::InstrTable<ValueState>;
+
 /// Code generator for one IR function.
 ///
 /// Register model: block-local register cache over an on-demand spill
@@ -79,8 +90,11 @@ constexpr std::uint64_t kStateBase = 0x90'0000;
 /// traffic down to what is actually needed.
 class FunctionLowerer {
  public:
-  FunctionLowerer(const ir::Function& fn, bir::Module& out, isa::Arch arch)
-      : fn_(fn), out_(out), caps_(isa::target(arch).lower_caps()) {}
+  /// `values` is scratch space, reset for `fn`, so that one table serves
+  /// every function of a module.
+  FunctionLowerer(const ir::Function& fn, bir::Module& out, isa::Arch arch,
+                  ValueStates& values)
+      : fn_(fn), out_(out), caps_(isa::target(arch).lower_caps()), values_(values) {}
 
   void lower() {
     analyze_uses();
@@ -95,7 +109,7 @@ class FunctionLowerer {
       // Every use is consumed by the end of its block: the counts start at 0.
       for (const auto& instr : block.instrs) {
         for (const Value* op : instr->operands) {
-          if (op->kind() == Value::Kind::kInstr) ++values_.at(op).remaining;
+          if (ValueState* state = values_.find(op)) ++state->remaining;
         }
       }
       for (std::size_t i = 0; i < block.instrs.size(); ++i) {
@@ -222,37 +236,36 @@ class FunctionLowerer {
 
   // ---- use analysis -----------------------------------------------------------
 
-  /// What the lowering tracks per instruction of the function.
-  struct ValueState {
-    const ir::BasicBlock* block = nullptr;  ///< defining block
-    bool cross_block = false;               ///< used outside `block`
-    unsigned remaining = 0;                 ///< uses left in the block being lowered
-    std::int64_t slot = -1;                 ///< frame offset, -1 before one is needed
-  };
-
   void analyze_uses() {
+    values_.reset(fn_);
     for (const auto& block : fn_.blocks) {
       for (const auto& instr : block->instrs) {
         for (const Value* op : instr->operands) {
-          if (op->kind() != Value::Kind::kInstr) continue;
           // An operand not yet defined is defined in a later block.
-          ValueState& state = values_[op];
-          if (state.block != block.get()) state.cross_block = true;
+          ValueState* state = values_.find(op);
+          if (state != nullptr && state->block != block.get()) state->cross_block = true;
         }
-        values_[instr.get()].block = block.get();
+        values_.find(instr.get())->block = block.get();
       }
     }
   }
 
   void consume_operands(const ir::Instr& instr) {
     for (const Value* op : instr.operands) {
-      if (op->kind() == Value::Kind::kInstr) --values_.at(op).remaining;
+      if (ValueState* state = values_.find(op)) --state->remaining;
     }
   }
 
   [[nodiscard]] unsigned remaining(const Value* value) const {
-    const auto it = values_.find(value);
-    return it == values_.end() ? 0 : it->second.remaining;
+    const ValueState* state = values_.find(value);
+    return state == nullptr ? 0 : state->remaining;
+  }
+
+  /// The frame slot of `value`, -1 when it has none (yet, or ever: a value
+  /// of another function).
+  [[nodiscard]] std::int64_t current_slot(const Value* value) const {
+    const ValueState* state = values_.find(value);
+    return state == nullptr ? -1 : state->slot;
   }
 
   [[nodiscard]] unsigned occurrences(const ir::Instr& instr, const Value* value) const {
@@ -266,7 +279,10 @@ class FunctionLowerer {
   // ---- frame slots ---------------------------------------------------------------
 
   std::int64_t slot_of(const Value* value) {
-    std::int64_t& slot = values_.at(value).slot;
+    ValueState* state = values_.find(value);
+    check(state != nullptr, ErrorKind::kLower,
+          "use of a value that was never defined or spilled");
+    std::int64_t& slot = state->slot;
     if (slot < 0) {
       slot = static_cast<std::int64_t>(next_slot_);
       next_slot_ += 8;
@@ -385,7 +401,7 @@ class FunctionLowerer {
         break;
       }
       case Value::Kind::kInstr:
-        check(values_.at(value).slot >= 0, ErrorKind::kLower,
+        check(current_slot(value) >= 0, ErrorKind::kLower,
               "use of a value that was never defined or spilled");
         code_.push_back(isa::mov(reg, slot_operand(value), natural()));
         break;
@@ -408,7 +424,7 @@ class FunctionLowerer {
   /// are stored through immediately; block-local ones stay register-only
   /// until an eviction forces a spill.
   void define(const ir::Instr* instr, Reg reg) {
-    const bool crosses = values_.at(instr).cross_block;
+    const bool crosses = values_.find(instr)->cross_block;
     if (crosses) {
       code_.push_back(isa::mov(slot_operand(instr), reg, natural()));
     }
@@ -456,7 +472,7 @@ class FunctionLowerer {
     if (icmp->opcode() != Opcode::kICmp) return 0;
 
     const auto single_use_here = [this](const ir::Instr* value) {
-      return !values_.at(value).cross_block && remaining(value) == 1;
+      return !values_.find(value)->cross_block && remaining(value) == 1;
     };
 
     // Direct: icmp; condbr.
@@ -801,7 +817,7 @@ class FunctionLowerer {
                 natural()));
             break;
           case Value::Kind::kInstr:
-            check(values_.at(arg).slot >= 0, ErrorKind::kLower,
+            check(current_slot(arg) >= 0, ErrorKind::kLower,
                   "syscall argument lost before the call");
             code_.push_back(isa::mov(abi[i], slot_operand(arg), natural()));
             break;
@@ -824,7 +840,7 @@ class FunctionLowerer {
   bir::Module& out_;
   const isa::LowerCaps& caps_;
 
-  std::unordered_map<const Value*, ValueState> values_;  ///< never iterated
+  ValueStates& values_;
   std::uint64_t next_slot_ = 0;
   std::vector<Instruction> code_;
   std::array<CacheEntry, isa::kRegCount> cache_{};  ///< by register number
@@ -870,9 +886,10 @@ bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>&
   for (const auto& section : guest_data) out.data_sections.push_back(section);
 
   // --- functions -----------------------------------------------------------------
+  ValueStates values;
   for (const auto& fn : module.functions) {
     if (fn->is_intrinsic()) continue;
-    FunctionLowerer lowerer(*fn, out, options.arch);
+    FunctionLowerer lowerer(*fn, out, options.arch, values);
     lowerer.lower();
   }
   return out;

@@ -22,10 +22,10 @@
 // An attacker must corrupt both comparison evaluations identically to slip
 // through, exactly as the paper argues.
 #include <map>
-#include <set>
 
 #include "ir/builder.h"
 #include "passes/pass.h"
+#include "support/error.h"
 
 namespace r2r::passes {
 
@@ -157,11 +157,14 @@ class BranchHardeningPass final : public Pass {
   }
 
   static bool harden_function(ir::Module& module, ir::Function& fn) {
-    // UIDs are assigned before any new blocks are appended.
-    std::map<const BasicBlock*, std::uint64_t> uids;
-    for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
-      uids[fn.blocks[i].get()] = block_uid(i);
-    }
+    // A block's UID follows its number, taken before any new blocks are
+    // appended; appending keeps the numbers of the blocks before them.
+    fn.renumber();
+    const auto uid = [&fn](const BasicBlock* block) {
+      support::check(fn.owns(block), support::ErrorKind::kIr,
+                     "branch target outside function");
+      return block_uid(block->number());
+    };
 
     // Snapshot: hardening appends blocks, so collect targets first.
     std::vector<BasicBlock*> with_condbr;
@@ -187,9 +190,9 @@ class BranchHardeningPass final : public Pass {
       BasicBlock* t_dest = term.targets[0];
       BasicBlock* f_dest = term.targets[1];
 
-      const std::uint64_t uid_src = uids.at(block);
-      const std::uint64_t uid_t = uids.at(t_dest);
-      const std::uint64_t uid_f = uids.at(f_dest);
+      const std::uint64_t uid_src = uid(block);
+      const std::uint64_t uid_t = uid(t_dest);
+      const std::uint64_t uid_f = uid(f_dest);
       const std::uint64_t const_t = uid_t ^ uid_src;
       const std::uint64_t const_f = uid_f ^ uid_src;
 

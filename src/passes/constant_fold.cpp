@@ -13,8 +13,6 @@
 // The inverted compare is a new instruction placed before the xor, so
 // other uses of the old compare are untouched; DCE removes it when the
 // xor was its only use.
-#include <unordered_map>
-
 #include "passes/pass.h"
 #include "support/bits.h"
 
@@ -157,11 +155,16 @@ class ConstantFoldPass final : public Pass {
   }
 
  private:
-  static bool run_function(ir::Module& module, ir::Function& fn) {
-    std::unordered_map<const Value*, Value*> replaced;
-    const auto resolve = [&replaced](Value* value) {
-      for (auto it = replaced.find(value); it != replaced.end(); it = replaced.find(value)) {
-        value = it->second;
+  bool run_function(ir::Module& module, ir::Function& fn) {
+    // What each instruction was replaced with (null: kept). The inverted
+    // compares this pass creates have no entry, nor do values of other
+    // functions: both resolve to themselves.
+    replaced_.reset(fn);
+    bool any_replaced = false;
+    const auto resolve = [this](Value* value) {
+      for (Value** with = replaced_.find(value); with != nullptr && *with != nullptr;
+           with = replaced_.find(value)) {
+        value = *with;
       }
       return value;
     };
@@ -183,14 +186,15 @@ class ConstantFoldPass final : public Pass {
           with = simplify(module, instr, changed);
         }
         if (with != nullptr) {
-          replaced[&instr] = with;
+          *replaced_.find(&instr) = with;
+          any_replaced = true;
           changed = true;
         }
       }
     }
     // Second sweep: uses that appear before their definition was replaced
     // (cross-block uses in earlier blocks).
-    if (!replaced.empty()) {
+    if (any_replaced) {
       for (auto& block : fn.blocks) {
         for (auto& instr : block->instrs) {
           for (Value*& op : instr->operands) op = resolve(op);
@@ -274,6 +278,8 @@ class ConstantFoldPass final : public Pass {
     if (!is_constant(shift->operands[1], ir::type_bits(x->type()) - 1)) return nullptr;
     return rewrite(Pred::kSlt, x, module.get_constant(x->type(), 0));
   }
+
+  ir::InstrTable<Value*> replaced_;  ///< kept across functions and rounds
 };
 
 }  // namespace

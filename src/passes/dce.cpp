@@ -1,4 +1,3 @@
-#include <unordered_map>
 #include <vector>
 
 #include "passes/pass.h"
@@ -20,36 +19,35 @@ class DcePass final : public Pass {
  private:
   /// One worklist pass over use counts. The IR has no phi, so no dead cycle
   /// survives it: it removes what repeating a count-and-erase pass would.
-  static bool run_on(ir::Function& fn) {
-    std::unordered_map<const ir::Value*, unsigned> uses;
-    for (const auto& block : fn.blocks) {
-      for (const auto& instr : block->instrs) uses.emplace(instr.get(), 0);
-    }
+  /// A value with no entry (a constant, a global or another function's
+  /// instruction) is skipped.
+  bool run_on(ir::Function& fn) {
+    uses_.reset(fn);
     for (const auto& block : fn.blocks) {
       for (const auto& instr : block->instrs) {
         for (const ir::Value* op : instr->operands) {
-          if (const auto it = uses.find(op); it != uses.end()) ++it->second;
+          if (unsigned* count = uses_.find(op)) ++*count;
         }
       }
     }
-    const auto dead = [&uses](const ir::Instr& instr) {
-      return !instr.has_side_effects() && uses.at(&instr) == 0;
+    const auto dead = [this](const ir::Instr& instr) {
+      return !instr.has_side_effects() && *uses_.find(&instr) == 0;
     };
-    std::vector<const ir::Instr*> worklist;
+    worklist_.clear();
     for (const auto& block : fn.blocks) {
       for (const auto& instr : block->instrs) {
-        if (dead(*instr)) worklist.push_back(instr.get());
+        if (dead(*instr)) worklist_.push_back(instr.get());
       }
     }
-    if (worklist.empty()) return false;
-    while (!worklist.empty()) {
-      const ir::Instr* instr = worklist.back();
-      worklist.pop_back();
+    if (worklist_.empty()) return false;
+    while (!worklist_.empty()) {
+      const ir::Instr* instr = worklist_.back();
+      worklist_.pop_back();
       for (const ir::Value* op : instr->operands) {
-        const auto it = uses.find(op);
-        if (it == uses.end() || --it->second > 0) continue;
+        unsigned* count = uses_.find(op);
+        if (count == nullptr || --*count > 0) continue;
         const auto* def = static_cast<const ir::Instr*>(op);
-        if (!def->has_side_effects()) worklist.push_back(def);
+        if (!def->has_side_effects()) worklist_.push_back(def);
       }
     }
     for (auto& block : fn.blocks) {
@@ -57,6 +55,10 @@ class DcePass final : public Pass {
     }
     return true;
   }
+
+  // Kept across functions and rounds so that steady state allocates nothing.
+  ir::InstrTable<unsigned> uses_;
+  std::vector<const ir::Instr*> worklist_;
 };
 
 }  // namespace

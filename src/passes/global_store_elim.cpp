@@ -24,10 +24,9 @@
 // `unreachable` makes nothing live. The r2r.syscall and r2r.trap
 // intrinsics are not barriers: they see only their arguments, and tracked
 // globals never escape into one.
-#include <unordered_map>
-
 #include "passes/pass.h"
 #include "passes/state_globals.h"
+#include "support/error.h"
 
 namespace r2r::passes {
 
@@ -44,12 +43,15 @@ struct Event {
   std::size_t instr = 0;   ///< kWrite: index of the store in its block
 };
 
+/// Per block, indexed by BasicBlock::number().
 struct BlockFacts {
   std::vector<Event> events;
   std::vector<std::size_t> succs;
   bool returns = false;  ///< ends in ret: live-out is the function's ret set
 };
 
+/// Per function, indexed by Function::number(); an intrinsic has no blocks
+/// and no call site (calls to intrinsics are not events).
 struct FunctionFacts {
   ir::Function* fn = nullptr;
   std::vector<BlockFacts> blocks;
@@ -113,20 +115,26 @@ class GlobalStoreElimPass final : public Pass {
   }
 
  private:
+  /// Refreshes the facts in place: the vectors keep their capacity from
+  /// one round to the next.
   void build_facts(ir::Module& module, const StateGlobals& tracked) {
-    functions_.clear();
-    std::unordered_map<const ir::Function*, std::size_t> index;
+    functions_.resize(module.renumber());
     for (auto& fn : module.functions) {
-      if (fn->is_intrinsic()) continue;
-      index[fn.get()] = functions_.size();
-      functions_.push_back(FunctionFacts{fn.get(), {}, false, 0, 0});
+      FunctionFacts& f = functions_[fn->number()];
+      f.fn = fn.get();
+      f.called = false;
+      f.reads = 0;
+      f.after_calls = 0;
+      f.blocks.resize(fn->is_intrinsic() ? 0 : fn->blocks.size());
+      for (BlockFacts& facts : f.blocks) {
+        facts.events.clear();
+        facts.succs.clear();
+        facts.returns = false;
+      }
     }
     for (FunctionFacts& f : functions_) {
-      std::unordered_map<const ir::BasicBlock*, std::size_t> block_index;
-      for (std::size_t b = 0; b < f.fn->blocks.size(); ++b) {
-        block_index[f.fn->blocks[b].get()] = b;
-      }
-      f.blocks.resize(f.fn->blocks.size());
+      if (f.fn->is_intrinsic()) continue;
+      f.fn->renumber();
       for (std::size_t b = 0; b < f.fn->blocks.size(); ++b) {
         BlockFacts& facts = f.blocks[b];
         const auto& instrs = f.fn->blocks[b]->instrs;
@@ -145,7 +153,9 @@ class GlobalStoreElimPass final : public Pass {
               break;
             case Opcode::kCall:
               if (!instr.callee->is_intrinsic()) {
-                const std::size_t callee = index.at(instr.callee);
+                support::check(module.owns(instr.callee), support::ErrorKind::kIr,
+                               "callee not in module");
+                const std::size_t callee = instr.callee->number();
                 functions_[callee].called = true;
                 facts.events.push_back({Event::Kind::kCall, 0, callee, i});
               }
@@ -159,7 +169,9 @@ class GlobalStoreElimPass final : public Pass {
         }
         if (const ir::Instr* term = f.fn->blocks[b]->terminator()) {
           for (const ir::BasicBlock* target : term->targets) {
-            facts.succs.push_back(block_index.at(target));
+            support::check(f.fn->owns(target), support::ErrorKind::kIr,
+                           "branch target outside function");
+            facts.succs.push_back(target->number());
           }
         }
       }

@@ -8,8 +8,6 @@
 //
 // Control flow: the comparison result feeds a conditional branch to a trap
 // block; the block is split at each checked instruction.
-#include <map>
-
 #include "ir/builder.h"
 #include "passes/pass.h"
 
@@ -74,16 +72,15 @@ class InstructionDuplicationPass final : public Pass {
 
     unsigned serial = 0;
     for (BasicBlock* block : blocks) {
-      // Repeatedly find the first unprocessed duplicable instruction,
-      // split after it, and insert the check in between.
-      std::map<const Instr*, bool> processed;
+      // Repeatedly find the first duplicable instruction, split after it,
+      // and insert the check in between. The continuation block holds only
+      // instructions not scanned yet, so each is checked once.
       bool again = true;
       while (again) {
         again = false;
         for (std::size_t i = 0; i < block->instrs.size(); ++i) {
           Instr* instr = block->instrs[i].get();
-          if (!is_duplicable(*instr) || processed[instr]) continue;
-          processed[instr] = true;
+          if (!is_duplicable(*instr)) continue;
 
           // Move the tail [i+1, end) into a continuation block.
           const std::string tag = std::to_string(serial++);

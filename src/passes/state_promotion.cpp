@@ -26,6 +26,12 @@ bool is_global(const ir::Value* value) {
   return value->kind() == ir::Value::Kind::kGlobal;
 }
 
+/// The value a load was promoted to, and the block it was promoted in.
+struct Promotion {
+  const ir::BasicBlock* block = nullptr;
+  ir::Value* value = nullptr;
+};
+
 class StatePromotionPass final : public Pass {
  public:
   bool run(ir::Module& module) override {
@@ -33,25 +39,24 @@ class StatePromotionPass final : public Pass {
     bool changed = false;
     for (auto& fn : module.functions) {
       if (fn->is_intrinsic()) continue;
+      promoted_.reset(*fn);
       for (auto& block : fn->blocks) changed |= promote_block(*block, tracked);
     }
     return changed;
   }
 
  private:
-  static bool promote_block(ir::BasicBlock& block, const StateGlobals& tracked) {
+  bool promote_block(ir::BasicBlock& block, const StateGlobals& tracked) {
     bool changed = false;
     std::map<const ir::Value*, ir::Value*> stored;  // last value stored per global
-    std::map<const Instr*, ir::Value*> load_replacements;
 
     for (auto& instr_ptr : block.instrs) {
       Instr& instr = *instr_ptr;
-      // Substitute previously promoted loads in the operands.
+      // Substitute loads promoted earlier in this block in the operands.
       for (ir::Value*& op : instr.operands) {
-        if (op->kind() != ir::Value::Kind::kInstr) continue;
-        const auto it = load_replacements.find(static_cast<const Instr*>(op));
-        if (it != load_replacements.end()) {
-          op = it->second;
+        const Promotion* promotion = promoted_.find(op);
+        if (promotion != nullptr && promotion->block == &block) {
+          op = promotion->value;
           changed = true;
         }
       }
@@ -64,7 +69,7 @@ class StatePromotionPass final : public Pass {
           // Type must match (i8 flag slots vs i64 registers are used
           // consistently by the lifter, but stay defensive).
           if (it != stored.end() && it->second->type() == instr.type()) {
-            load_replacements[&instr] = it->second;
+            *promoted_.find(&instr) = Promotion{&block, it->second};
           }
           break;
         }
@@ -91,6 +96,8 @@ class StatePromotionPass final : public Pass {
     // right after this pass in every cleanup round.
     return changed;
   }
+
+  ir::InstrTable<Promotion> promoted_;  ///< kept across functions and rounds
 };
 
 }  // namespace

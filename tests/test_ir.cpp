@@ -240,6 +240,25 @@ TEST(Verifier, RejectsCrossFunctionOperands) {
             "ir: function @g: block %entry: operand defined in another function");
 }
 
+TEST(Verifier, RejectsCrossFunctionOperandsPastTheUsersInstructionCount) {
+  // The foreign value is the fifth instruction of @f; @g has two.
+  Module module;
+  Function* f = module.add_function("f");
+  Builder builder(module);
+  builder.set_insert_point(f->add_block("entry"));
+  Instr* value = nullptr;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    value = builder.add(builder.const_i64(i), builder.const_i64(1));
+  }
+  builder.ret();
+  Function* g = module.add_function("g");
+  builder.set_insert_point(g->add_block("entry"));
+  builder.store(value, module.add_global("out", 8));
+  builder.ret();
+  EXPECT_EQ(rejection(module),
+            "ir: function @g: block %entry: operand defined in another function");
+}
+
 TEST(Verifier, RejectsBranchTargetInAnotherFunction) {
   Module module;
   Function* f = module.add_function("f");
@@ -252,6 +271,34 @@ TEST(Verifier, RejectsBranchTargetInAnotherFunction) {
   builder.br(foreign);
   EXPECT_EQ(rejection(module),
             "ir: function @g: block %entry: branch target outside function");
+}
+
+TEST(Verifier, RejectsBranchTargetInAnotherFunctionPastTheUsersBlockCount) {
+  // The foreign target is the third block of @f; @g has one.
+  Module module;
+  Function* f = module.add_function("f");
+  Builder builder(module);
+  BasicBlock* foreign = nullptr;
+  for (const char* name : {"a", "b", "c"}) {
+    foreign = f->add_block(name);
+    builder.set_insert_point(foreign);
+    builder.ret();
+  }
+  Function* g = module.add_function("g");
+  builder.set_insert_point(g->add_block("entry"));
+  builder.br(foreign);
+  EXPECT_EQ(rejection(module),
+            "ir: function @g: block %entry: branch target outside function");
+}
+
+TEST(Verifier, RejectsNullBranchTarget) {
+  Module module;
+  Function* main = module.add_function("main");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  builder.br(nullptr);
+  EXPECT_EQ(rejection(module),
+            "ir: function @main: block %entry: branch target outside function");
 }
 
 TEST(Verifier, RejectsCallArityMismatch) {
@@ -339,6 +386,129 @@ TEST(Verifier, RejectsDuplicateFunctionNames) {
     builder.ret();
   }
   EXPECT_EQ(rejection(module), "ir: duplicate function @dup");
+}
+
+/// Renumbers `fn` and checks the numbering contract: the blocks are
+/// 0..m-1 and the instructions 0..n-1 in layout order, and n is returned.
+void expect_layout_numbers(const Function& fn) {
+  const std::size_t count = fn.renumber();
+  std::uint32_t next = 0;
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    EXPECT_EQ(fn.blocks[b]->number(), b);
+    EXPECT_TRUE(fn.owns(fn.blocks[b].get()));
+    for (const auto& instr : fn.blocks[b]->instrs) EXPECT_EQ(instr->number(), next++);
+  }
+  EXPECT_EQ(count, next);
+}
+
+TEST(Numbering, FollowsTheLayoutAfterEraseInsertAndSplit) {
+  Module module;
+  GlobalVariable* out = module.add_global("out", 8);
+  Function* main = module.add_function("main");
+  BasicBlock* entry = main->add_block("entry");
+  BasicBlock* exit = main->add_block("exit");
+  Builder builder(module);
+  builder.set_insert_point(entry);
+  Instr* sum = builder.add(builder.const_i64(1), builder.const_i64(2));
+  Instr* unused = builder.add(sum, builder.const_i64(3));
+  Instr* product = builder.mul(sum, builder.const_i64(4));
+  builder.store(product, out);
+  builder.br(exit);
+  builder.set_insert_point(exit);
+  builder.store(sum, out);
+  builder.ret();
+  EXPECT_EQ(sum->number(), kUnnumbered);
+  EXPECT_EQ(entry->number(), kUnnumbered);
+  EXPECT_FALSE(main->owns(entry));
+  EXPECT_EQ(main->renumber(), 7u);
+  expect_layout_numbers(*main);
+
+  // Erase an instruction, as DCE does.
+  std::erase_if(entry->instrs, [unused](const auto& instr) { return instr.get() == unused; });
+  expect_layout_numbers(*main);
+  EXPECT_EQ(product->number(), 1u);
+
+  // Insert in the middle of a block, as constant folding places an
+  // inverted compare before the xor it replaces.
+  auto inserted = std::make_unique<Instr>(Opcode::kICmp, Type::kI1);
+  inserted->operands = {sum, builder.const_i64(0)};
+  const Instr* compare = inserted.get();
+  entry->instrs.insert(entry->instrs.begin() + 1, std::move(inserted));
+  EXPECT_EQ(compare->number(), kUnnumbered);
+  expect_layout_numbers(*main);
+  EXPECT_EQ(compare->number(), 1u);
+  EXPECT_EQ(product->number(), 2u);
+
+  // Split a block after a checked instruction, as instruction duplication
+  // does: the tail moves to a block appended at the end of the layout.
+  BasicBlock* cont = main->add_block("entry.dup0");
+  EXPECT_FALSE(main->owns(cont));
+  for (std::size_t k = 3; k < entry->instrs.size(); ++k) {
+    cont->instrs.push_back(std::move(entry->instrs[k]));
+  }
+  entry->instrs.resize(3);
+  builder.set_insert_point(entry);
+  builder.br(cont);
+  EXPECT_EQ(main->renumber(), 8u);
+  expect_layout_numbers(*main);
+  EXPECT_EQ(cont->number(), 2u);
+  EXPECT_EQ(exit->instrs.front()->number(), 4u);
+  EXPECT_EQ(cont->instrs.front()->number(), 6u);
+  EXPECT_EQ(rejection(module), "accepted");
+}
+
+TEST(Numbering, ModuleNumbersItsFunctionsInOrder) {
+  Module module;
+  Function* f = module.add_function("f");
+  Function* g = module.add_function("g");
+  Module other;
+  EXPECT_FALSE(module.owns(g));
+  EXPECT_EQ(module.renumber(), 2u);
+  EXPECT_EQ(f->number(), 0u);
+  EXPECT_EQ(g->number(), 1u);
+  EXPECT_TRUE(module.owns(g));
+  EXPECT_FALSE(module.owns(nullptr));
+  EXPECT_FALSE(other.owns(f));
+}
+
+TEST(Numbering, InstrTableHasEntriesOnlyForTheFunctionsOwnInstructions) {
+  Module module;
+  Builder builder(module);
+  Function* f = module.add_function("f");
+  builder.set_insert_point(f->add_block("entry"));
+  Instr* own = builder.add(builder.const_i64(1), builder.const_i64(2));
+  builder.ret();
+  Function* g = module.add_function("g");
+  builder.set_insert_point(g->add_block("entry"));
+  Instr* colliding = builder.add(builder.const_i64(3), builder.const_i64(4));
+  builder.add(colliding, builder.const_i64(5));
+  Instr* beyond = builder.add(colliding, builder.const_i64(6));
+  builder.ret();
+  g->renumber();
+
+  InstrTable<int> table;
+  table.reset(*f);
+  ASSERT_NE(table.find(own), nullptr);
+  EXPECT_EQ(*table.find(own), 0);
+  *table.find(own) = 7;
+  EXPECT_EQ(*table.find(f->entry()->instrs.back().get()), 0);
+
+  EXPECT_EQ(colliding->number(), own->number());
+  EXPECT_EQ(table.find(colliding), nullptr);  // same number, another function
+  EXPECT_GE(beyond->number(), f->entry()->instrs.size());
+  EXPECT_EQ(table.find(beyond), nullptr);  // past the table
+  EXPECT_EQ(table.find(nullptr), nullptr);
+  EXPECT_EQ(table.find(builder.const_i64(1)), nullptr);
+  EXPECT_EQ(table.find(module.add_global("out", 8)), nullptr);
+
+  builder.set_insert_point(f->entry());
+  const Instr* late = builder.add(own, builder.const_i64(8));
+  EXPECT_EQ(table.find(late), nullptr);  // created since reset()
+
+  table.reset(*g);  // values start over for the next function
+  EXPECT_EQ(table.find(own), nullptr);
+  ASSERT_NE(table.find(colliding), nullptr);
+  EXPECT_EQ(*table.find(colliding), 0);
 }
 
 TEST(Printer, RendersReadableIr) {

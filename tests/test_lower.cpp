@@ -9,6 +9,7 @@
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
 #include "lower/lower.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace r2r::lower {
@@ -418,6 +419,64 @@ TEST(Lowering, GuestDataSectionsKeepTheirBase) {
 
   const elf::Image image = lower_to_image(module, {guest});
   EXPECT_EQ(emu::run_image(image, "").exit_code, 77);
+}
+
+/// The what() of the Error{kLower} that lowering `module` throws, or
+/// "lowered".
+std::string lowering_error(const ir::Module& module) {
+  try {
+    (void)lower(module, {});
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kLower);
+    return error.what();
+  }
+  return "lowered";
+}
+
+TEST(Lowering, RejectsAValueOfAnotherFunctionPastTheUsersInstructions) {
+  // _start stores the sixth value of @helper; _start has two instructions.
+  ir::Module module;
+  GlobalVariable* out = module.add_global("out", 8);
+  Builder builder(module);
+  Function* helper = module.add_function("helper");
+  builder.set_insert_point(helper->add_block("entry"));
+  Instr* foreign = nullptr;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    foreign = builder.add(builder.const_i64(i), builder.const_i64(1));
+  }
+  builder.ret();
+  Function* start = module.add_function("_start");
+  builder.set_insert_point(start->add_block("entry"));
+  builder.store(foreign, out);
+  builder.ret();
+  EXPECT_EQ(lowering_error(module),
+            "lower: use of a value that was never defined or spilled");
+}
+
+TEST(Lowering, RejectsAValueOfAnotherFunctionInThePlaceOfAnOwnDefinedValue) {
+  // @helper is lowered first. Its value is the first instruction of its
+  // function, as _start's `own` is of _start, and `own` is defined and
+  // has a frame slot (it crosses a block) when the foreign value is used.
+  ir::Module module;
+  GlobalVariable* in = module.add_global("in", 8);
+  GlobalVariable* out = module.add_global("out", 8);
+  Builder builder(module);
+  Function* helper = module.add_function("helper");
+  builder.set_insert_point(helper->add_block("entry"));
+  Instr* foreign = builder.add(builder.const_i64(1), builder.const_i64(2));
+  builder.ret();
+  Function* start = module.add_function("_start");
+  BasicBlock* entry = start->add_block("entry");
+  BasicBlock* next = start->add_block("next");
+  builder.set_insert_point(entry);
+  Instr* own = builder.load(Type::kI64, in);
+  builder.br(next);
+  builder.set_insert_point(next);
+  builder.store(own, out);
+  builder.store(foreign, out);
+  builder.ret();
+  EXPECT_EQ(lowering_error(module),
+            "lower: use of a value that was never defined or spilled");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "guests/guests.h"
 #include "guests/synth.h"
+#include "harden/hybrid.h"
 #include "ir/builder.h"
 #include "ir/interpreter.h"
 #include "ir/printer.h"
@@ -184,6 +185,49 @@ TEST(Dce, MatchesTheFixPointReferenceOnLiftedGuests) {
     }
   }
   EXPECT_GT(modules_with_dead_code, 0u);
+}
+
+/// The cleanup passes in hybrid_harden's order.
+std::vector<std::unique_ptr<Pass>> cleanup_passes() {
+  std::vector<std::unique_ptr<Pass>> passes;
+  passes.push_back(make_state_promotion());
+  passes.push_back(make_global_store_elim());
+  passes.push_back(make_constant_fold());
+  passes.push_back(make_dce());
+  return passes;
+}
+
+TEST(Cleanup, ConvergesWithinThreeRoundsAndHybridHardenStopsAtTheFixPoint) {
+  // A pass that reports a change that did not happen adds rounds without
+  // changing a byte. On every guest here, round 1 changes all four passes,
+  // round 2 store elimination and DCE, and round 3 nothing.
+  for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+    std::vector<guests::Guest> corpus;
+    for (const guests::Guest* guest : guests::all_guests(arch)) corpus.push_back(*guest);
+    for (const synth_corpus::CorpusSeed& entry : synth_corpus::kCorpus) {
+      corpus.push_back(guests::synth::generate(entry.seed, arch));
+    }
+    for (const guests::Guest& guest : corpus) {
+      SCOPED_TRACE(guest.name + " on " + std::string(isa::to_string(arch)));
+      const elf::Image image = guests::build_image(guest);
+      Module module = lift::lift(image).module;
+      const std::vector<std::unique_ptr<Pass>> passes = cleanup_passes();
+      std::vector<std::vector<bool>> rounds;
+      while (rounds.size() < 8) {
+        std::vector<bool>& changed = rounds.emplace_back();
+        for (const auto& pass : passes) changed.push_back(pass->run(module));
+        if (std::find(changed.begin(), changed.end(), true) == changed.end()) break;
+      }
+      EXPECT_EQ(rounds, (std::vector<std::vector<bool>>{{true, true, true, true},
+                                                        {false, true, false, true},
+                                                        {false, false, false, false}}));
+
+      harden::HybridConfig config;
+      config.countermeasure = harden::HybridCountermeasure::kNone;
+      harden::HybridResult hardened = harden::hybrid_harden(image, config);
+      for (const auto& pass : cleanup_passes()) EXPECT_FALSE(pass->run(hardened.module));
+    }
+  }
 }
 
 TEST(ConstantFold, FoldsArithmeticIntoStores) {
