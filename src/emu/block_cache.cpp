@@ -47,14 +47,17 @@ const DecodedBlock* BlockCache::lookup(std::uint64_t rip, Memory& memory) {
   const auto it = blocks_.find(rip);
   if (it != blocks_.end()) {
     ++hits_;
-    return &it->second;
+    return it->second.count != 0 ? &it->second : nullptr;
   }
   ++misses_;
   return build(rip, memory);
 }
 
 const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
-  if (arena_.size() >= kMaxCachedInstructions) clear();
+  // Addresses with no block take map entries but no arena, so both count.
+  if (arena_.size() >= kMaxCachedInstructions || blocks_.size() >= kMaxCachedInstructions) {
+    clear();
+  }
 
   DecodedBlock block;
   block.start = rip;
@@ -77,7 +80,11 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
     if (is_terminator(decoded.instr.mnemonic)) break;
   }
 
-  if (block.count == 0) return nullptr;
+  if (block.count == 0) {
+    // Remembered, so later lookups here skip the decode that failed.
+    blocks_.emplace(rip, block);
+    return nullptr;
+  }
   if (const auto loop = Machine::summarize_loop(ops(block), block.count, rip)) {
     loops_.push_back(*loop);
     block.loop = static_cast<std::uint32_t>(loops_.size());

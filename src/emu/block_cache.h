@@ -28,8 +28,9 @@
 //    against the live fetch window and the cache only ever holds
 //    architectural bytes;
 //  - an address whose first instruction cannot be fetched or decoded yields
-//    no block; the machine's slow path then reproduces the exact crash with
-//    identical step accounting.
+//    no block, and the cache remembers that until it empties (bit flips
+//    send runs to such addresses on every sweep); the machine's slow path
+//    then reproduces the exact crash with identical step accounting.
 //
 // The build also decides, once per block, whether the block is a counted
 // self-loop whose whole iterations the machine may skip in closed form
@@ -88,6 +89,7 @@ struct LoopSummary {
 
 /// A decoded basic block: `count` consecutive arena entries, the first at
 /// guest address `start`. Only the final instruction may be control flow.
+/// A cached block with `count` 0 records that no block starts at `start`.
 struct DecodedBlock {
   std::uint64_t start = 0;
   std::uint32_t first = 0;  ///< arena index of the first micro-op
@@ -103,8 +105,8 @@ class BlockCache {
   /// which keeps the fault-window slow-path handoff (stop mid-block at the
   /// faulted step) from ever skipping a cached tail.
   static constexpr std::size_t kMaxBlockInstructions = 64;
-  /// Arena bound; reaching it clears the whole cache (guests are small —
-  /// this is a safety valve, not a working-set tuner).
+  /// Arena and block-count bound; reaching either clears the whole cache
+  /// (guests are small — this is a safety valve, not a working-set tuner).
   static constexpr std::size_t kMaxCachedInstructions = std::size_t{1} << 16;
 
   /// Empties the cache when `memory`'s code-write epoch moved since the
@@ -114,8 +116,9 @@ class BlockCache {
 
   /// Returns the block starting exactly at `rip`, building it on miss.
   /// nullptr when no instruction at `rip` is fetchable/decodable — the
-  /// caller must fall back to single-step execution. The pointer stays
-  /// valid until the next sync()/clear().
+  /// caller must fall back to single-step execution. Either answer is
+  /// cached: a hit decodes nothing. The pointer stays valid until the next
+  /// sync()/clear().
   const DecodedBlock* lookup(std::uint64_t rip, Memory& memory);
 
   /// The block's `count` micro-ops, in execution order.

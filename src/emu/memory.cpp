@@ -286,4 +286,29 @@ bool Memory::equals(const Snapshot& snapshot) const noexcept {
   return true;
 }
 
+bool Memory::equals(const Memory& other) const noexcept {
+  if (synced_id_ != 0 && synced_id_ == other.synced_id_) {
+    // Same layout, and every page clean in both holds the snapshot's content.
+    const auto same_page = [&](const DirtyPage& dirty) {
+      const std::vector<std::uint8_t>& mine = regions_[dirty.region].bytes;
+      const std::vector<std::uint8_t>& theirs = other.regions_[dirty.region].bytes;
+      const std::size_t offset = std::size_t{dirty.page} * kPageSize;
+      const std::size_t length = std::min<std::size_t>(kPageSize, mine.size() - offset);
+      return std::equal(mine.begin() + static_cast<std::ptrdiff_t>(offset),
+                        mine.begin() + static_cast<std::ptrdiff_t>(offset + length),
+                        theirs.begin() + static_cast<std::ptrdiff_t>(offset));
+    };
+    return std::all_of(dirty_pages_.begin(), dirty_pages_.end(), same_page) &&
+           std::all_of(other.dirty_pages_.begin(), other.dirty_pages_.end(), same_page);
+  }
+  if (regions_.size() != other.regions_.size()) return false;
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    if (regions_[i].base != other.regions_[i].base ||
+        regions_[i].bytes != other.regions_[i].bytes) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace r2r::emu

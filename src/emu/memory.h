@@ -146,6 +146,12 @@ class Memory {
   /// only dirty or divergent pages are memcmp'd.
   [[nodiscard]] bool equals(const Snapshot& snapshot) const noexcept;
 
+  /// True when guest-visible memory is byte-identical to `other`'s. When
+  /// both are synced to the same snapshot (two machines restored from one
+  /// checkpoint), only the pages dirty in either are compared; otherwise
+  /// every region is.
+  [[nodiscard]] bool equals(const Memory& other) const noexcept;
+
   /// The code-write epoch: bumped by every store that lands in an
   /// executable region (a guest store or a host-side write_block) and by
   /// every restore() that rewrites an executable page. Never resets.

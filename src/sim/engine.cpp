@@ -125,21 +125,31 @@ void run_sharded_state(unsigned configured_threads, std::size_t count, std::size
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// The classic one-machine-per-worker shard (order-1 profile, per-tuple
-/// simulation). `block_cache` selects the worker machines' dispatch mode.
+/// A sweep worker's machine; `block_cache` selects its dispatch mode.
+emu::Machine worker_machine(const elf::Image& image, const std::string& stdin_data,
+                            bool block_cache) {
+  emu::Machine machine(image, stdin_data);
+  machine.set_block_cache_enabled(block_cache);
+  return machine;
+}
+
+/// The classic one-machine-per-worker shard (per-tuple simulation).
 template <typename PerItem>
 void run_sharded(const elf::Image& image, const std::string& stdin_data, bool block_cache,
                  unsigned configured_threads, std::size_t count, const char* span_label,
                  obs::Progress* progress, const PerItem& per_item) {
   run_sharded_state(
       configured_threads, count, /*chunk=*/64, span_label, progress,
-      [&]() {
-        emu::Machine machine(image, stdin_data);
-        machine.set_block_cache_enabled(block_cache);
-        return machine;
-      },
-      per_item);
+      [&]() { return worker_machine(image, stdin_data, block_cache); }, per_item);
 }
+
+/// An order-1 profile worker's state: the faulted machine, plus the golden
+/// machine the pair-window check runs in lockstep with it (only when the
+/// check runs).
+struct ProfileMachines {
+  emu::Machine faulted;
+  std::optional<emu::Machine> golden;
+};
 
 /// [begin, end) range of each trace index's fault group within the order-1
 /// plan (the plan is grouped by ascending trace index).
@@ -593,21 +603,22 @@ Engine::Engine(elf::Image image, std::string good_input, std::string bad_input,
       .set(static_cast<std::int64_t>(chain_bytes_));
 }
 
+Engine::FaultProfile Engine::stopped_profile(const emu::Machine& machine,
+                                             StopReason reason) const noexcept {
+  FaultProfile profile;
+  profile.outcome = classify_stopped(machine, reason);
+  // A terminated run pins the step past which a further fault can no
+  // longer fire; a fuel-exhausted (hang) run never terminates.
+  if (reason != StopReason::kFuelExhausted) profile.end_step = machine.steps();
+  return profile;
+}
+
 Engine::FaultProfile Engine::finish_with_pruning(emu::Machine& machine,
                                                  const emu::FaultSpec& fault,
                                                  std::uint64_t boundary,
                                                  std::atomic<std::uint64_t>& pruned) const {
-  FaultProfile profile;
-  const auto finish = [&](StopReason reason) {
-    profile.outcome = classify_stopped(machine, reason);
-    // A terminated run pins the step past which a further fault can no
-    // longer fire; a fuel-exhausted (hang) run never terminates.
-    if (reason != StopReason::kFuelExhausted) profile.end_step = machine.steps();
-    return profile;
-  };
-
   const std::optional<emu::FaultSpec> armed = fault;
-  if (!config_.convergence_pruning) return finish(machine.advance(fuel_, armed));
+  if (!config_.convergence_pruning) return stopped_profile(machine, machine.advance(fuel_, armed));
 
   // Run to each checkpoint boundary past the injection; if the faulted
   // machine is back in the golden state there, its future is the golden
@@ -616,15 +627,16 @@ Engine::FaultProfile Engine::finish_with_pruning(emu::Machine& machine,
     const std::uint64_t fuel = std::min(boundary, fuel_);
     const StopReason reason = machine.advance(fuel, armed);
     if (reason != StopReason::kFuelExhausted || fuel >= fuel_) {
-      return finish(reason);
+      return stopped_profile(machine, reason);
     }
     const std::size_t checkpoint = boundary / interval_;
     if (checkpoint >= chain_.size()) {
       // Past the last golden checkpoint; no reference state to compare.
-      return finish(machine.advance(fuel_, armed));
+      return stopped_profile(machine, machine.advance(fuel_, armed));
     }
     if (same_state(chain_[checkpoint], machine)) {
       pruned.fetch_add(1, std::memory_order_relaxed);
+      FaultProfile profile;
       profile.outcome = bad_reference_outcome_;
       profile.reconverge_step = boundary;
       profile.end_step = refs_.bad_reference.steps;
@@ -634,24 +646,58 @@ Engine::FaultProfile Engine::finish_with_pruning(emu::Machine& machine,
   }
 }
 
-Engine::FaultProfile Engine::profile_one(emu::Machine& machine, const PlannedFault& fault,
+Engine::FaultProfile Engine::profile_one(emu::Machine& machine, emu::Machine* golden,
+                                         const PlannedFault& fault, std::uint64_t window,
                                          std::atomic<std::uint64_t>& pruned) const {
   const std::uint64_t index = fault.spec.trace_index;
   const std::size_t nearest =
       std::min<std::size_t>(index / interval_, chain_.size() - 1);
+  const std::uint64_t boundary = (index / interval_ + 1) * interval_;
   timed_restore(chain_[nearest], machine);
-  return finish_with_pruning(machine, fault.spec, (index / interval_ + 1) * interval_,
-                             pruned);
+
+  // The pair-window check: steps s in (index, index + window] before the
+  // boundary (which finish_with_pruning compares) and inside the golden
+  // trace, so the golden machine never ends in it.
+  const std::uint64_t last =
+      std::min({index + window, boundary - 1, refs_.bad_trace.size() - 1});
+  std::uint64_t reconverge = kNeverStep;
+  if (golden != nullptr && last > index) {
+    timed_restore(chain_[nearest], *golden);
+    for (std::uint64_t s = index + 1; s <= last; ++s) {
+      const StopReason reason = machine.advance(s, fault.spec);
+      if (reason != StopReason::kFuelExhausted) return stopped_profile(machine, reason);
+      golden->advance(s, std::nullopt);
+      if (same_state(machine, *golden)) {
+        reconverge = s;
+        break;
+      }
+    }
+  }
+  // Past the window the run goes on as in the order-1 sweep, so its outcome,
+  // end step and pruning stay Engine::run's.
+  FaultProfile profile = finish_with_pruning(machine, fault.spec, boundary, pruned);
+  if (reconverge != kNeverStep) profile.reconverge_step = reconverge;
+  return profile;
 }
 
-void Engine::profile_all(const std::vector<PlannedFault>& plan,
+void Engine::profile_all(const std::vector<PlannedFault>& plan, std::uint64_t window,
                          std::vector<FaultProfile>& profiles,
                          std::atomic<std::uint64_t>& pruned, obs::Progress& progress) const {
   profiles.assign(plan.size(), FaultProfile{});
-  run_sharded(image_, bad_input_, config_.block_cache, config_.threads, plan.size(),
-              "sim.worker", &progress, [&](emu::Machine& machine, std::size_t i) {
-                profiles[i] = profile_one(machine, plan[i], pruned);
-              });
+  run_sharded_state(
+      config_.threads, plan.size(), /*chunk=*/64, "sim.worker", &progress,
+      [&]() {
+        ProfileMachines state{worker_machine(image_, bad_input_, config_.block_cache),
+                              std::nullopt};
+        if (window != 0) {
+          state.golden.emplace(worker_machine(image_, bad_input_, config_.block_cache));
+        }
+        return state;
+      },
+      [&](ProfileMachines& state, std::size_t i) {
+        emu::Machine* golden = state.golden ? &*state.golden : nullptr;
+        profiles[i] = profile_one(state.faulted, golden, plan[i], window, pruned);
+      });
 }
 
 CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
@@ -686,7 +732,7 @@ CampaignResult Engine::run(const FaultModels& models) const {
   // not leave a previous sweep's rate standing in-process.
   obs::Metrics::instance().gauge("sim.faults_per_second").set(0);
   const std::uint64_t sweep_begin = obs::now_ns();
-  profile_all(plan, profiles, pruned_total, progress);
+  profile_all(plan, /*window=*/0, profiles, pruned_total, progress);
   const std::uint64_t sweep_ns = obs::now_ns() - sweep_begin;
 
   std::vector<Outcome> outcomes(plan.size(), Outcome::kNoEffect);
@@ -752,14 +798,19 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   obs::Metrics::instance().gauge("sim.tuples_per_second").set(0);
   const std::uint64_t tuples_begin = obs::now_ns();
 
+  const bool reuse = config_.pair_outcome_reuse && config_.convergence_pruning;
+  enum : std::uint8_t { kSimulate = 0, kFromSuffix = 1, kFromPrefix = 2 };
+
   // ---- phase A: profile every single fault (the order-1 sweep plus the
-  // reconvergence/termination metadata every level prunes with).
+  // reconvergence/termination metadata every level prunes with). Where the
+  // reuse rules run, reconvergence is looked for at every step of the pair
+  // window too, not only at checkpoint boundaries.
   std::vector<FaultProfile> profiles;
   std::atomic<std::uint64_t> pruned_total{0};
   {
     obs::Span span("sim.tuples_profile", obs::args_u64({{"faults", plan.size()}}));
     obs::Progress progress("order-" + std::to_string(order) + " profile", plan.size());
-    profile_all(plan, profiles, pruned_total, progress);
+    profile_all(plan, reuse ? models.pair_window : 0, profiles, pruned_total, progress);
   }
   std::vector<Outcome> order1_outcomes(profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -767,9 +818,6 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   }
   result.order1 = aggregate_order1(plan, order1_outcomes, pruned_total.load());
   record_order1_metrics(result.order1);
-
-  const bool reuse = config_.pair_outcome_reuse && config_.convergence_pruning;
-  enum : std::uint8_t { kSimulate = 0, kFromSuffix = 1, kFromPrefix = 2 };
 
   // ---- levels m = 2..k, bottom-up. Each level is classified against the
   // previous one: a first fault that reconverged with golden before the

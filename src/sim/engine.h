@@ -16,7 +16,10 @@
 //      checkpoint boundary is classified immediately with the golden
 //      outcome (convergence pruning): a deterministic machine in an
 //      identical state has an identical future. This prunes the long
-//      common suffix of masked faults.
+//      common suffix of masked faults. Order-k sweeps also compare each
+//      step of the pair window against a golden machine run in lockstep,
+//      so a fault set whose first fault is masked before the next one
+//      strikes reuses the outcome of its tail.
 //   5. Outcomes land in a slot-per-fault result vector, so aggregation
 //      order — and therefore every counter and the vulnerability list —
 //      is identical regardless of thread count.
@@ -209,9 +212,11 @@ struct EngineConfig {
   /// whenever the order-1 profile of its first fault proves the answer —
   /// the first fault's run reconverged with golden before the second
   /// strikes (set ≡ its tail alone), or terminated before the second
-  /// strikes (set ≡ first fault alone). Exact, hence bit-identical to
-  /// exhaustive enumeration; requires convergence_pruning. Disable to force
-  /// every set through the simulator.
+  /// strikes (set ≡ first fault alone). Reconvergence is checked at every
+  /// step of the pair window before the next checkpoint, against a golden
+  /// machine run in lockstep, and at every checkpoint boundary after it.
+  /// Exact, hence bit-identical to exhaustive enumeration; requires
+  /// convergence_pruning. Disable to force every set through the simulator.
   bool pair_outcome_reuse = true;
   /// Order-k (>= 2) sweeps materialise one level's tuple plan at a time
   /// (4·level bytes per tuple). A level that would exceed this cap throws
@@ -391,8 +396,10 @@ class Engine {
   /// the run ended / not observed".
   struct FaultProfile {
     Outcome outcome = Outcome::kNoEffect;
-    /// First checkpoint boundary where the faulted state matched golden;
-    /// from here on the run provably replays the golden future.
+    /// First step where the full faulted state matched golden: a step of
+    /// the pair window before the next checkpoint boundary (order-k sweeps
+    /// with outcome reuse only), else a boundary. From here on the run
+    /// provably replays the golden future.
     std::uint64_t reconverge_step = kNeverStep;
     /// Step count at which the run terminated (exit/crash). A second fault
     /// at t2 >= end_step never fires.
@@ -407,11 +414,20 @@ class Engine {
                          machine.exit_code(), machine.output(), patch::kDetectedExit);
   }
 
+  /// The profile of a run that stopped with `reason` without reconverging.
+  [[nodiscard]] FaultProfile stopped_profile(const emu::Machine& machine,
+                                             emu::StopReason reason) const noexcept;
+
   /// Simulates one planned fault on a worker-owned machine and records its
   /// profile. With convergence pruning enabled the boundary scan both
   /// classifies early and yields the reconvergence step the order-k sweep
-  /// prunes with; `pruned` counts runs classified that way.
-  FaultProfile profile_one(emu::Machine& machine, const PlannedFault& fault,
+  /// prunes with; `pruned` counts runs classified that way. With `golden`
+  /// non-null, each step of the first `window` after the fault and before
+  /// the next boundary is also compared against `golden`, restored from the
+  /// same checkpoint and advanced in lockstep with no fault armed; a match
+  /// sets reconverge_step and changes nothing else of the profile.
+  FaultProfile profile_one(emu::Machine& machine, emu::Machine* golden,
+                           const PlannedFault& fault, std::uint64_t window,
                            std::atomic<std::uint64_t>& pruned) const;
 
   /// Runs `machine` to completion with `fault` armed, scanning checkpoint
@@ -444,8 +460,9 @@ class Engine {
 
   /// Profiles every fault of `plan` into `profiles` — the shared heart of
   /// run() and run_tuples() phase A: profile_one per fault across the
-  /// worker threads, slot i written only by fault i.
-  void profile_all(const std::vector<PlannedFault>& plan,
+  /// worker threads, slot i written only by fault i. A non-zero `window`
+  /// gives each worker a golden machine for the pair-window check.
+  void profile_all(const std::vector<PlannedFault>& plan, std::uint64_t window,
                    std::vector<FaultProfile>& profiles,
                    std::atomic<std::uint64_t>& pruned, obs::Progress& progress) const;
 

@@ -28,4 +28,14 @@ bool same_state(const MachineSnapshot& snapshot, const emu::Machine& machine) no
          machine.output() == snapshot.output && machine.memory().equals(snapshot.memory);
 }
 
+bool same_state(const emu::Machine& machine, const emu::Machine& reference) noexcept {
+  const emu::Cpu& cpu = machine.cpu();
+  const emu::Cpu& golden = reference.cpu();
+  return machine.steps() == reference.steps() && cpu.rip == golden.rip &&
+         cpu.flags == golden.flags && cpu.gpr == golden.gpr &&
+         machine.stdin_pos() == reference.stdin_pos() &&
+         machine.output() == reference.output() &&
+         machine.memory().equals(reference.memory());
+}
+
 }  // namespace r2r::sim

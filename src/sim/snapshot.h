@@ -38,4 +38,9 @@ void restore(const MachineSnapshot& snapshot, emu::Machine& machine);
 /// future exactly. Used for convergence pruning of masked faults.
 [[nodiscard]] bool same_state(const MachineSnapshot& snapshot, const emu::Machine& machine) noexcept;
 
+/// The same compare between two live machines: `machine` and `reference`
+/// are at the same step in the same guest-visible state. Cheapest when
+/// both were restored from one snapshot (emu::Memory::equals).
+[[nodiscard]] bool same_state(const emu::Machine& machine, const emu::Machine& reference) noexcept;
+
 }  // namespace r2r::sim

@@ -625,6 +625,24 @@ TEST(BlockCache, ArenaClearMidRunMatchesUncached) {
   oracle::expect_cached_equals_uncached(image, "", std::nullopt, 0);
 }
 
+TEST(BlockCache, UndecodableAddressIsDecodedOnceAcrossRestores) {
+  // nop, then a byte the decoder rejects: the entry block ends after the
+  // nop, and no block starts at the next address. The oracle restores the
+  // pair and runs it twice (traced, then untraced) into that address.
+  const elf::Image image = raw_image({0x90, 0x06});
+  const RunResult result = Machine(image, "").run(RunConfig{});
+  EXPECT_EQ(result.reason, StopReason::kCrashed);
+  EXPECT_NE(result.crash_detail.find("unsupported opcode"), std::string::npos)
+      << result.crash_detail;
+  oracle::MachinePair pair(image, "");
+  oracle::expect_cached_equals_uncached(pair, std::nullopt, /*pause_stride=*/0);
+  // One decode each, in the first run: the nop's block, and the address
+  // with none. Every later lookup is a hit, the cached "no block" too.
+  const emu::BlockCache& cache = *pair.cached.block_cache();
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
 TEST(BlockCache, DisablingTheCacheFlushesCountersToMetrics) {
   const std::uint64_t before =
       obs::Metrics::instance().counter("emu.block_cache.hits").value();

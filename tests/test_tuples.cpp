@@ -1,12 +1,15 @@
 // sim:: order-k tuple sweeps — enumeration counts, bit-identical
 // classification against brute-force two- and three-leg replay oracles,
 // exactness of the recursive outcome-reuse pruning at every thread count
-// (orders 2 and 3), and seeded reproducibility of the budgeted (sampled)
-// top level.
+// (orders 2 and 3), the pair-window reconvergence check against a
+// step-by-step replay oracle, and seeded reproducibility of the budgeted
+// (sampled) top level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "guests/guests.h"
 #include "guests/synth.h"
 #include "sim/engine.h"
+#include "sim/snapshot.h"
 #include "support/error.h"
 #include "synth_corpus.h"
 
@@ -335,6 +339,109 @@ TEST(Engine, Order3PruningIsExactOnTheFrozenSynthCorpus) {
     }
   }
   EXPECT_GT(reused, 0u);
+}
+
+TEST(Engine, PairWindowReuseIsExactOnAWholeSynthBitFlipLevel) {
+  // Where the pair-window check fires most: skip and bit flips at window 4
+  // on a synth guest, the whole level (268,142 pairs; the window check
+  // reuses about 21 k of them, the boundary compare alone under 1 k).
+  const Guest guest = guests::synth::generate(36);
+  const elf::Image image = guests::build_image(guest);
+  const FaultModels models = tuple_models(2, 4);
+  EXPECT_GT(expect_pruning_exactness(image, guest, models), 0u);
+
+  // Phase A under the window check is still the order-1 sweep.
+  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
+  FaultModels single = models;
+  single.order = 1;
+  const CampaignResult order1 = engine.run(single);
+  const TupleCampaignResult pairs = engine.run_tuples(models);
+  EXPECT_EQ(pairs.order1.vulnerabilities, order1.vulnerabilities);
+  EXPECT_EQ(pairs.order1.to_json(), order1.to_json());
+}
+
+TEST(Engine, PairWindowReusesEveryPairPastAMaskedWrite) {
+  // `mov rbx, 5` is overwritten by the next instruction, so skipping it
+  // leaves rbx wrong for one step: from the step after the overwrite on,
+  // the run is in the golden state. `mov rcx, 3` is overwritten two steps
+  // later too, but a store in between keeps its skip visible in memory.
+  // The trace is shorter than one checkpoint interval, so no boundary
+  // compare runs and every reused_suffix pair comes from the window check.
+  Guest guest;
+  guest.name = "masked-write";
+  guest.good_input = "A";
+  guest.bad_input = "B";
+  guest.assembly =
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mov rax, 0\n"
+      "    mov rdi, 0\n"
+      "    mov rsi, offset buf\n"
+      "    mov rdx, 1\n"
+      "    syscall\n"
+      "    mov rbx, 5\n"  // step 5: the masked write
+      "    mov rbx, 7\n"
+      "    mov rcx, 3\n"  // step 7: overwritten, but stored first
+      "    mov qword ptr [rsi + 8], rcx\n"
+      "    mov rcx, 9\n"
+      "    movzx rdi, byte ptr [rsi]\n"
+      "    mov rdx, qword ptr [rsi + 8]\n"
+      "    add rdi, rdx\n"
+      "    mov rax, 60\n"
+      "    syscall\n"
+      ".section .data\n"
+      "buf: .zero 16\n";
+  constexpr std::uint64_t kMaskedWrite = 5;
+  constexpr std::uint64_t kStoredWrite = 7;
+  const elf::Image image = guests::build_image(guest);
+  const FaultModels models = tuple_models(2, 4);
+  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
+  ASSERT_EQ(engine.snapshot_count(), 1u);
+  const std::vector<emu::TraceEntry>& trace = engine.references().bad_trace;
+  ASSERT_EQ(trace.size(), 15u);
+  const std::vector<PlannedFault> plan = enumerate_faults(models, trace);
+
+  // Oracle: the golden state at every step, and each first fault replayed
+  // from entry step by step through its window.
+  emu::Machine machine(image, guest.bad_input);
+  const MachineSnapshot entry = capture(machine);
+  std::vector<MachineSnapshot> golden;
+  for (std::uint64_t s = 0; s < trace.size(); ++s) {
+    emu::RunConfig config;
+    config.fuel = s;
+    machine.run(config);
+    golden.push_back(capture(machine));
+  }
+  std::uint64_t expected_suffix = 0;
+  for (const PlannedFault& first : plan) {
+    const std::uint64_t t1 = first.spec.trace_index;
+    const std::uint64_t last = std::min<std::uint64_t>(t1 + models.pair_window, trace.size() - 1);
+    std::optional<std::uint64_t> masked;
+    restore(entry, machine);
+    for (std::uint64_t s = t1 + 1; s <= last && !masked; ++s) {
+      emu::RunConfig leg;
+      leg.fault = first.spec;
+      leg.fuel = s;
+      if (machine.run(leg).reason != emu::StopReason::kFuelExhausted) break;
+      if (same_state(golden[s], machine)) masked = s;
+    }
+    if (first.spec.kind == emu::FaultSpec::Kind::kSkip) {
+      if (t1 == kMaskedWrite) EXPECT_EQ(masked, std::optional(kMaskedWrite + 2));
+      if (t1 == kStoredWrite) EXPECT_EQ(masked, std::nullopt);
+    }
+    if (!masked) continue;
+    for (const PlannedFault& second : plan) {
+      const std::uint64_t t2 = second.spec.trace_index;
+      if (t2 >= *masked && t2 <= last) ++expected_suffix;
+    }
+  }
+
+  const TupleCampaignResult result = engine.run_tuples(models);
+  ASSERT_EQ(result.levels.size(), 1u);
+  EXPECT_EQ(result.levels[0].reused_suffix, expected_suffix);
+  EXPECT_GT(expected_suffix, 0u);
+  expect_pruning_exactness(image, guest, models);
 }
 
 // ---- seeded sampling (the satellite-2 property) -----------------------------
