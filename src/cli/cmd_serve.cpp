@@ -6,6 +6,7 @@
 // `r2r submit --cmd campaign` prints byte-for-byte what `r2r campaign`
 // prints — cached or fresh (docs/r2rd.md pins that contract).
 #include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "cli/cli.h"
@@ -127,12 +128,14 @@ int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err) {
   const svc::JobSpec spec =
       job_spec_from(args, svc::job_kind_from(cmd),
                     load_guest(args.positionals()[0], overrides_from(args)));
+  const std::uint64_t priority =
+      args.count_or("--priority", 0, std::numeric_limits<int>::max());
 
   try {
     svc::Client client = connect_from(args);
     svc::Message request = spec.to_message();
     request.set("op", "submit");
-    request.set_u64("priority", args.count_or("--priority", 0));
+    request.set_u64("priority", priority);
     const svc::Message response = client.request(request);
     if (response.get_or("ok", "0") != "1") {
       err << "r2r submit: " << response.get_or("error", "daemon refused the job")

@@ -17,8 +17,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include <unordered_map>
-
 #include "obs/obs.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -35,13 +33,13 @@ using support::check;
 using support::ErrorKind;
 
 /// Allocates each large per-level sweep buffer (the tuple plan, its
-/// outcomes, tags, simulated indices and hit addresses: up to tens of
-/// megabytes) as a page mapping of its own, which deallocation returns to
-/// the system. From the heap, these buffers left holes that the result of
-/// one sweep split, so a repeated sweep's peak RSS moved by up to 8 MiB
-/// with the size of an unrelated allocation. Buffers under kMinMapped stay
-/// on the heap: a fix-point sweeps thousands of small levels, where a
-/// mapping each costs more time than it saves memory.
+/// outcomes and simulate marks: up to tens of megabytes) as a page mapping
+/// of its own, which deallocation returns to the system. From the heap,
+/// these buffers left holes that the result of one sweep split, so a
+/// repeated sweep's peak RSS moved by up to 8 MiB with the size of an
+/// unrelated allocation. Buffers under kMinMapped stay on the heap: a
+/// fix-point sweeps thousands of small levels, where a mapping each costs
+/// more time than it saves memory.
 template <typename T>
 struct PageAllocator {
   static constexpr std::size_t kMinMapped = std::size_t{1} << 20;
@@ -662,10 +660,18 @@ Engine::FaultProfile Engine::profile_one(emu::Machine& machine, emu::Machine* go
       std::min({index + window, boundary - 1, refs_.bad_trace.size() - 1});
   std::uint64_t reconverge = kNeverStep;
   if (golden != nullptr && last > index) {
-    timed_restore(chain_[nearest], *golden);
+    bool golden_restored = false;
     for (std::uint64_t s = index + 1; s <= last; ++s) {
       const StopReason reason = machine.advance(s, fault.spec);
       if (reason != StopReason::kFuelExhausted) return stopped_profile(machine, reason);
+      // A full-state match needs equal rips, so the golden machine is
+      // restored at the first step where they agree and advanced only to
+      // such steps.
+      if (machine.cpu().rip != refs_.bad_trace[s].address) continue;
+      if (!golden_restored) {
+        timed_restore(chain_[nearest], *golden);
+        golden_restored = true;
+      }
       golden->advance(s, std::nullopt);
       if (same_state(machine, *golden)) {
         reconverge = s;
@@ -701,7 +707,7 @@ void Engine::profile_all(const std::vector<PlannedFault>& plan, std::uint64_t wi
 }
 
 CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
-                                        const std::vector<Outcome>& outcomes,
+                                        const std::vector<FaultProfile>& profiles,
                                         std::uint64_t pruned) const {
   CampaignResult result;
   result.trace_length = refs_.bad_trace.size();
@@ -710,8 +716,8 @@ CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
   result.snapshot_count = chain_.size();
   result.pruned_faults = pruned;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    ++result.outcome_counts[outcomes[i]];
-    if (outcomes[i] == Outcome::kSuccess) {
+    ++result.outcome_counts[profiles[i].outcome];
+    if (profiles[i].outcome == Outcome::kSuccess) {
       result.vulnerabilities.push_back(Vulnerability{plan[i].spec, plan[i].address});
     }
   }
@@ -735,9 +741,7 @@ CampaignResult Engine::run(const FaultModels& models) const {
   profile_all(plan, /*window=*/0, profiles, pruned_total, progress);
   const std::uint64_t sweep_ns = obs::now_ns() - sweep_begin;
 
-  std::vector<Outcome> outcomes(plan.size(), Outcome::kNoEffect);
-  for (std::size_t i = 0; i < plan.size(); ++i) outcomes[i] = profiles[i].outcome;
-  CampaignResult result = aggregate_order1(plan, outcomes, pruned_total.load());
+  CampaignResult result = aggregate_order1(plan, profiles, pruned_total.load());
   record_order1_metrics(result);
   if (sweep_ns > 0) {
     obs::Metrics::instance().gauge("sim.faults_per_second")
@@ -753,11 +757,14 @@ Outcome Engine::simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple
   const std::uint64_t t1 = plan[tuple[0]].spec.trace_index;
   const std::size_t nearest = std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
   timed_restore(chain_[nearest], machine);
+  if (hits != nullptr) {
+    for (std::size_t i = 0; i < arity; ++i) hits[i] = plan[tuple[i]].address;
+  }
 
   // Legs 1..arity-1: run with fault i armed, pausing just before fault
   // i+1's injection point. A leg that terminates classifies the whole tuple
-  // (the remaining faults never fire; their hit slots keep the caller's
-  // golden pre-fill, matching what the reuse rules report for the tuple).
+  // (the remaining faults never fire; their hit slots keep the golden
+  // addresses, as for a tuple reused from its first fault).
   for (std::size_t leg = 1; leg < arity; ++leg) {
     const std::uint64_t fuel = std::min(plan[tuple[leg]].spec.trace_index, fuel_);
     const StopReason reason = machine.advance(fuel, plan[tuple[leg - 1]].spec);
@@ -766,7 +773,7 @@ Outcome Engine::simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple
     }
     // Paused exactly before dynamic step t(leg): rip is the instruction the
     // next fault actually strikes.
-    hits[leg - 1] = machine.cpu().rip;
+    if (hits != nullptr) hits[leg] = machine.cpu().rip;
   }
 
   // Final leg: the last fault armed, with the same convergence pruning as
@@ -799,7 +806,6 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   const std::uint64_t tuples_begin = obs::now_ns();
 
   const bool reuse = config_.pair_outcome_reuse && config_.convergence_pruning;
-  enum : std::uint8_t { kSimulate = 0, kFromSuffix = 1, kFromPrefix = 2 };
 
   // ---- phase A: profile every single fault (the order-1 sweep plus the
   // reconvergence/termination metadata every level prunes with). Where the
@@ -812,11 +818,7 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
     obs::Progress progress("order-" + std::to_string(order) + " profile", plan.size());
     profile_all(plan, reuse ? models.pair_window : 0, profiles, pruned_total, progress);
   }
-  std::vector<Outcome> order1_outcomes(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    order1_outcomes[i] = profiles[i].outcome;
-  }
-  result.order1 = aggregate_order1(plan, order1_outcomes, pruned_total.load());
+  result.order1 = aggregate_order1(plan, profiles, pruned_total.load());
   record_order1_metrics(result.order1);
 
   // ---- levels m = 2..k, bottom-up. Each level is classified against the
@@ -825,8 +827,10 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   // (outcome looked up by the tail's rank in level m-1), and one that
   // terminated reduces it to the first fault alone. Both rules are exact,
   // so the pruning compounds across levels without losing bit-identity.
-  PageVector<Outcome> prev_outcomes;                                // level m-1, by rank
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> prev_hits;
+  // Level 1 is the base: a single fault's rank is its plan index.
+  PageVector<Outcome> prev_outcomes(profiles.size());  // level m-1, by rank
+  std::transform(profiles.begin(), profiles.end(), prev_outcomes.begin(),
+                 [](const FaultProfile& profile) { return profile.outcome; });
   for (unsigned m = 2; m <= order; ++m) {
     TupleLevelSummary level;
     level.order = m;
@@ -858,9 +862,11 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
     }
     const std::size_t count = flat.size() / m;
 
-    // Classification by recursive outcome reuse.
+    // Classification by recursive outcome reuse; `simulate` marks the tuples
+    // it could not prove. Exhaustive levels are enumerated in rank order, so
+    // slot n *is* rank n.
     PageVector<Outcome> outcomes(count, Outcome::kNoEffect);
-    PageVector<std::uint8_t> tags(count, kSimulate);
+    PageVector<std::uint8_t> simulate(count, 1);
     {
       obs::Span span("sim.tuples_reuse",
                      obs::args_u64({{"order", m}, {"tuples", count}}));
@@ -870,109 +876,77 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
           const FaultProfile& first = profiles[tuple[0]];
           const std::uint64_t t2 = plan[tuple[1]].spec.trace_index;
           if (t2 >= first.reconverge_step) {
-            outcomes[n] =
-                m == 2 ? profiles[tuple[1]].outcome
-                       : prev_outcomes[tuple_rank(space, plan, ranges, tuple + 1, m - 1)];
-            tags[n] = kFromSuffix;
+            outcomes[n] = prev_outcomes[tuple_rank(space, plan, ranges, tuple + 1, m - 1)];
+            simulate[n] = 0;
             ++level.reused_suffix;
           } else if (t2 >= first.end_step) {
             outcomes[n] = first.outcome;
-            tags[n] = kFromPrefix;
+            simulate[n] = 0;
             ++level.reused_prefix;
           }
         }
       }
     }
+    level.simulated = count - level.reused_suffix - level.reused_prefix;
 
     // Simulate only what reuse could not prove.
-    PageVector<std::size_t> sim_indices;
-    sim_indices.reserve(
-        static_cast<std::size_t>(std::count(tags.begin(), tags.end(), kSimulate)));
-    for (std::size_t n = 0; n < count; ++n) {
-      if (tags[n] == kSimulate) sim_indices.push_back(n);
-    }
-    // Hit slots pre-filled with golden addresses: legs the simulator never
-    // reaches (early termination) keep them, mirroring the reuse rules.
-    PageVector<std::uint64_t> sim_hits(sim_indices.size() * (m - 1), 0);
-    for (std::size_t s = 0; s < sim_indices.size(); ++s) {
-      const std::uint32_t* tuple = &flat[sim_indices[s] * m];
-      for (std::size_t l = 1; l < m; ++l) {
-        sim_hits[s * (m - 1) + (l - 1)] = plan[tuple[l]].address;
-      }
-    }
     std::atomic<std::uint64_t> converged_total{0};
-    if (!sim_indices.empty()) {
+    if (level.simulated != 0) {
       obs::Span span("sim.tuples_simulate",
-                     obs::args_u64({{"order", m}, {"tuples", sim_indices.size()}}));
+                     obs::args_u64({{"order", m}, {"tuples", level.simulated}}));
       obs::Progress progress("order-" + std::to_string(order) + " tuple sweep (level " +
                                  std::to_string(m) + ")",
-                             sim_indices.size());
-      run_sharded(image_, bad_input_, config_.block_cache, config_.threads,
-                  sim_indices.size(), "sim.tuple_worker", &progress,
-                  [&](emu::Machine& machine, std::size_t s) {
-                    const std::size_t n = sim_indices[s];
+                             count);
+      run_sharded(image_, bad_input_, config_.block_cache, config_.threads, count,
+                  "sim.tuple_worker", &progress, [&](emu::Machine& machine, std::size_t n) {
+                    if (simulate[n] == 0) return;
                     outcomes[n] = simulate_tuple(machine, &flat[n * m], m, plan,
-                                                 &sim_hits[s * (m - 1)], converged_total);
+                                                 /*hits=*/nullptr, converged_total);
                   });
     }
-    level.simulated = sim_indices.size();
     level.converged = converged_total.load();
 
-    // Aggregation: top level feeds the result, lower levels feed the next
-    // level's outcome/hit lookups. Exhaustive levels are enumerated in rank
-    // order, so slot n *is* rank n.
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cur_hits;
-    std::size_t sim_cursor = 0;
+    // Aggregation: the top level feeds the result, a lower level the next
+    // level's outcome lookup.
+    std::vector<std::size_t> successes;
     for (std::size_t n = 0; n < count; ++n) {
-      const std::uint32_t* tuple = &flat[n * m];
-      const bool simulated =
-          sim_cursor < sim_indices.size() && sim_indices[sim_cursor] == n;
-      const std::size_t sim_slot = sim_cursor;
-      if (simulated) ++sim_cursor;
       if (top) ++result.outcome_counts[outcomes[n]];
-      if (outcomes[n] != Outcome::kSuccess) continue;
-      ++level.successful;
-
-      // Addresses faults 2..m actually struck (fault 1 always hits golden).
-      std::vector<std::uint64_t> hits(m - 1);
-      if (simulated) {
-        for (std::size_t l = 0; l + 1 < m; ++l) {
-          hits[l] = sim_hits[sim_slot * (m - 1) + l];
-        }
-      } else {
-        for (std::size_t l = 1; l < m; ++l) hits[l - 1] = plan[tuple[l]].address;
-        if (tags[n] == kFromSuffix && m > 2) {
-          // The tail replays on golden: its own tail's recorded hits apply.
-          const std::uint64_t tail_rank =
-              tuple_rank(space, plan, ranges, tuple + 1, m - 1);
-          const std::vector<std::uint64_t>& tail_hits = prev_hits.at(tail_rank);
-          for (std::size_t l = 0; l < tail_hits.size(); ++l) hits[l + 1] = tail_hits[l];
-        }
-      }
-
-      if (top) {
-        TupleVulnerability v;
-        v.faults.reserve(m);
-        v.addresses.reserve(m);
-        v.hit_addresses.reserve(m);
-        v.faults.push_back(plan[tuple[0]].spec);
-        v.addresses.push_back(plan[tuple[0]].address);
-        v.hit_addresses.push_back(plan[tuple[0]].address);
-        for (std::size_t l = 1; l < m; ++l) {
-          v.faults.push_back(plan[tuple[l]].spec);
-          v.addresses.push_back(plan[tuple[l]].address);
-          v.hit_addresses.push_back(hits[l - 1]);
-        }
-        result.vulnerabilities.push_back(std::move(v));
-      } else {
-        cur_hits.emplace(n, std::move(hits));
-      }
+      if (outcomes[n] == Outcome::kSuccess) successes.push_back(n);
     }
+    level.successful = successes.size();
+    result.levels.push_back(level);
     if (!top) {
       prev_outcomes = std::move(outcomes);
-      prev_hits = std::move(cur_hits);
+      continue;
     }
-    result.levels.push_back(level);
+
+    // Hit addresses: one replay of each successful tuple through the
+    // simulator. A tuple reused from its tail is in the golden state when
+    // its second fault strikes, and one reused from its first fault ends
+    // before its second fault fires, so the replay records the addresses of
+    // the very run the reuse rules stand for.
+    for (const std::size_t n : successes) {
+      TupleVulnerability& v = result.vulnerabilities.emplace_back();
+      v.faults.reserve(m);
+      v.addresses.reserve(m);
+      for (std::size_t l = 0; l < m; ++l) {
+        v.faults.push_back(plan[flat[n * m + l]].spec);
+        v.addresses.push_back(plan[flat[n * m + l]].address);
+      }
+      v.hit_addresses.resize(m);
+    }
+    if (!successes.empty()) {
+      obs::Span span("sim.tuples_replay",
+                     obs::args_u64({{"order", m}, {"tuples", successes.size()}}));
+      std::atomic<std::uint64_t> replay_converged{0};
+      run_sharded(image_, bad_input_, config_.block_cache, config_.threads,
+                  successes.size(), "sim.tuple_worker", nullptr,
+                  [&](emu::Machine& machine, std::size_t j) {
+                    simulate_tuple(machine, &flat[successes[j] * m], m, plan,
+                                   result.vulnerabilities[j].hit_addresses.data(),
+                                   replay_converged);
+                  });
+    }
   }
 
   const TupleLevelSummary& summit = result.levels.back();

@@ -271,8 +271,10 @@ struct CampaignResult {
 /// run leaves the golden trace, so the instruction at a later fault's step
 /// is a different one — the address a patcher must strengthen. A fault
 /// whose run reconverged with (or terminated before) the next injection
-/// leaves the next hit address golden. Deterministic: identical across
-/// thread counts and across pruned/exhaustive sweeps.
+/// leaves the next hit address golden. run_tuples records them by one
+/// replay of each successful tuple through the simulator, however the
+/// sweep classified it. Deterministic: identical across thread counts and
+/// across pruned/exhaustive sweeps.
 struct TupleVulnerability {
   std::vector<emu::FaultSpec> faults;
   std::vector<std::uint64_t> addresses;
@@ -373,9 +375,10 @@ class Engine {
   /// to its (m-1)-tail; one that terminated reduces it to the first fault
   /// alone), through the multi-leg simulator otherwise. Intermediate levels
   /// are exhaustive; the top level honours FaultModels::max_tuples via
-  /// seeded sampling. Bit-identical across thread counts and across
-  /// pair_outcome_reuse / convergence_pruning on/off (restricted to the
-  /// same classified set).
+  /// seeded sampling. Each successful top-level tuple is then replayed once
+  /// to record its hit addresses. Bit-identical across thread counts and
+  /// across pair_outcome_reuse / convergence_pruning on/off (restricted to
+  /// the same classified set).
   TupleCampaignResult run_tuples(const FaultModels& models) const;
 
   [[nodiscard]] const References& references() const noexcept { return refs_; }
@@ -423,9 +426,10 @@ class Engine {
   /// classifies early and yields the reconvergence step the order-k sweep
   /// prunes with; `pruned` counts runs classified that way. With `golden`
   /// non-null, each step of the first `window` after the fault and before
-  /// the next boundary is also compared against `golden`, restored from the
-  /// same checkpoint and advanced in lockstep with no fault armed; a match
-  /// sets reconverge_step and changes nothing else of the profile.
+  /// the next boundary where the faulted rip is the golden trace's address
+  /// is also compared against `golden`, restored from the same checkpoint
+  /// and advanced with no fault armed; a match sets reconverge_step and
+  /// changes nothing else of the profile.
   FaultProfile profile_one(emu::Machine& machine, emu::Machine* golden,
                            const PlannedFault& fault, std::uint64_t window,
                            std::atomic<std::uint64_t>& pruned) const;
@@ -442,11 +446,12 @@ class Engine {
   /// per fault — fault i armed, paused just before fault i+1's injection
   /// point — with the final leg finished under convergence pruning. A leg
   /// that terminates early classifies immediately (the remaining faults
-  /// never fire). `hits[i]` receives the address fault i+2 actually strikes
-  /// (the machine's rip at each pause); the caller pre-fills it with the
-  /// golden addresses, which stay in place for legs never reached — keeping
-  /// the record identical to what the reuse rules report for the same
-  /// tuple. `tuple` holds `arity` order-1 plan indices.
+  /// never fire). `tuple` holds `arity` order-1 plan indices. When `hits`
+  /// is non-null, hits[i] receives the address fault i+1 actually strikes:
+  /// the golden address for the first fault and for legs the run never
+  /// reaches, else the machine's rip at the pause before it. Classification
+  /// passes null; run_tuples asks for hits only when it replays a
+  /// successful tuple.
   Outcome simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple,
                          std::size_t arity, const std::vector<PlannedFault>& plan,
                          std::uint64_t* hits,
@@ -455,7 +460,7 @@ class Engine {
   /// The one order-1 aggregation shared by run() and run_tuples() phase A —
   /// what keeps the two sweeps bit-identical by construction.
   CampaignResult aggregate_order1(const std::vector<PlannedFault>& plan,
-                                  const std::vector<Outcome>& outcomes,
+                                  const std::vector<FaultProfile>& profiles,
                                   std::uint64_t pruned) const;
 
   /// Profiles every fault of `plan` into `profiles` — the shared heart of

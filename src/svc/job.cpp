@@ -1,7 +1,9 @@
 #include "svc/job.h"
 
 #include <chrono>
+#include <limits>
 #include <thread>
+#include <utility>
 
 #include "elf/image.h"
 #include "emu/machine.h"
@@ -69,17 +71,21 @@ std::vector<unsigned> regs_from_string(std::string_view text) {
   return regs;
 }
 
-std::int64_t get_i64_or(const Message& message, std::string_view key,
-                        std::int64_t fallback) {
+/// Parses an exit-code field; throws Error{kParse} when it is present but
+/// not an integer an `int` holds.
+int get_int_or(const Message& message, std::string_view key, int fallback) {
   const auto value = message.get(key);
   if (!value.has_value()) return fallback;
   const auto parsed = support::parse_integer(*value);
-  if (!parsed.has_value()) {
+  if (!parsed.has_value() || !std::in_range<int>(*parsed)) {
     fail(ErrorKind::kParse, "r2rd message field '" + std::string(key) +
-                                "' is not an integer: '" + std::string(*value) + "'");
+                                "' is not an int: '" + std::string(*value) + "'");
   }
-  return *parsed;
+  return static_cast<int>(*parsed);
 }
+
+/// The largest value of the `unsigned` fields (order, threads, ...).
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
 
 /// The fields both the wire form and the cache key serialize, in one fixed
 /// order. The cache key additionally pins a schema version and *omits* the
@@ -163,8 +169,8 @@ JobSpec JobSpec::from_message(const Message& message) {
   spec.guest.bad_input = message.get_or("bad_input", "");
   spec.guest.good_output = message.get_or("good_output", "");
   spec.guest.bad_output = message.get_or("bad_output", "");
-  spec.guest.good_exit = static_cast<int>(get_i64_or(message, "good_exit", 0));
-  spec.guest.bad_exit = static_cast<int>(get_i64_or(message, "bad_exit", 1));
+  spec.guest.good_exit = get_int_or(message, "good_exit", 0);
+  spec.guest.bad_exit = get_int_or(message, "bad_exit", 1);
   // An absent field keeps its sim::FaultModels default.
   sim::FaultModels& models = spec.campaign.models;
   for (const sim::FaultModelSwitch& model : sim::fault_model_switches()) {
@@ -174,15 +180,16 @@ JobSpec JobSpec::from_message(const Message& message) {
   if (const auto regs = message.get("register_flip_regs")) {
     models.register_flip_regs = regs_from_string(*regs);
   }
-  models.register_flip_bit_stride = static_cast<unsigned>(
-      message.get_u64_or("register_flip_bit_stride", models.register_flip_bit_stride));
-  models.order = static_cast<unsigned>(message.get_u64_or("order", 1));
+  models.register_flip_bit_stride = static_cast<unsigned>(message.get_u64_or(
+      "register_flip_bit_stride", models.register_flip_bit_stride, kMaxUnsigned));
+  models.order = static_cast<unsigned>(message.get_u64_or("order", 1, kMaxUnsigned));
   models.pair_window = message.get_u64_or("pair_window", models.pair_window);
   models.max_tuples = message.get_u64_or("model_max_tuples", models.max_tuples);
   models.sample_seed = message.get_u64_or("model_sample_seed", models.sample_seed);
   spec.campaign.pair_outcome_reuse = message.get_u64_or("pair_outcome_reuse", 1) != 0;
-  spec.campaign.threads = static_cast<unsigned>(message.get_u64_or("threads", 1));
-  spec.max_iterations = static_cast<unsigned>(message.get_u64_or("max_iterations", 12));
+  spec.campaign.threads = static_cast<unsigned>(message.get_u64_or("threads", 1, kMaxUnsigned));
+  spec.max_iterations =
+      static_cast<unsigned>(message.get_u64_or("max_iterations", 12, kMaxUnsigned));
   spec.patterns = message.get_u64_or("patterns", 0) != 0;
   spec.format = message.get_or("format", "text");
   spec.sleep_ms = message.get_u64_or("sleep_ms", 0);
@@ -201,7 +208,7 @@ Message JobResult::to_message() const {
 
 JobResult JobResult::from_message(const Message& message) {
   JobResult result;
-  result.exit_code = static_cast<int>(get_i64_or(message, "exit", 0));
+  result.exit_code = get_int_or(message, "exit", 0);
   result.infra = message.get_u64_or("infra", 0) != 0;
   result.report = message.get_or("report", "");
   result.elf = message.get_or("elf", "");

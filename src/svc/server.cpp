@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -205,7 +206,8 @@ Message Server::handle_submit(const Message& request) {
     return response;
   }
   JobSpec spec = JobSpec::from_message(request);
-  const int priority = static_cast<int>(request.get_u64_or("priority", 0));
+  const auto priority = static_cast<int>(
+      request.get_u64_or("priority", 0, std::numeric_limits<int>::max()));
   auto pending = std::make_shared<PendingJob>();
   pending->spec = std::move(spec);
   if (pending->spec.cacheable()) {

@@ -28,14 +28,15 @@ std::string Message::get_or(std::string_view key, std::string fallback) const {
   return fallback;
 }
 
-std::uint64_t Message::get_u64_or(std::string_view key, std::uint64_t fallback) const {
+std::uint64_t Message::get_u64_or(std::string_view key, std::uint64_t fallback,
+                                  std::uint64_t max) const {
   const auto value = get(key);
   if (!value.has_value()) return fallback;
   const auto parsed = support::parse_integer(*value);
-  if (!parsed.has_value() || *parsed < 0) {
+  if (!parsed.has_value() || *parsed < 0 || static_cast<std::uint64_t>(*parsed) > max) {
     fail(ErrorKind::kParse, "r2rd message field '" + std::string(key) +
-                                "' is not a non-negative integer: '" +
-                                std::string(*value) + "'");
+                                "' needs an integer in [0, " + std::to_string(max) +
+                                "], got '" + std::string(*value) + "'");
   }
   return static_cast<std::uint64_t>(*parsed);
 }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,9 +44,11 @@ class Message {
   [[nodiscard]] std::optional<std::string_view> get(std::string_view key) const noexcept;
   [[nodiscard]] std::string get_or(std::string_view key, std::string fallback) const;
   /// Parses the field as an unsigned integer; throws Error{kParse} when the
-  /// field is present but not a non-negative integer.
-  [[nodiscard]] std::uint64_t get_u64_or(std::string_view key,
-                                         std::uint64_t fallback) const;
+  /// field is present but not an integer in [0, max]. A reader that narrows
+  /// the value passes its type's maximum, so nothing wraps.
+  [[nodiscard]] std::uint64_t get_u64_or(
+      std::string_view key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& fields()
       const noexcept {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -65,6 +66,22 @@ TEST(SvcWire, GetU64RejectsNonNumeric) {
   EXPECT_EQ(message.get_u64_or("n", 0), 12u);
   EXPECT_EQ(message.get_u64_or("absent", 7), 7u);
   EXPECT_THROW((void)message.get_u64_or("bad", 0), support::Error);
+}
+
+TEST(SvcWire, GetU64RejectsValuesPastItsBound) {
+  svc::Message message;
+  message.set("n", "4294967295");
+  message.set("big", "9223372036854775807");
+  EXPECT_EQ(message.get_u64_or("n", 0, 4294967295u), 4294967295u);
+  EXPECT_EQ(message.get_u64_or("big", 0), 9223372036854775807u);
+  try {
+    (void)message.get_u64_or("n", 0, 4294967294u);
+    FAIL() << "a value past the bound parsed";
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kParse);
+    EXPECT_NE(std::string(error.what()).find("[0, 4294967294]"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(SvcWire, DecodeRejectsMalformedPayloads) {
@@ -345,6 +362,61 @@ TEST(SvcJob, RegisterListAndModelFieldsRoundTripUnchanged) {
                                                       "model_register_flip=0",
                                                       "model_flag_flip=1"}));
   }
+}
+
+TEST(SvcJob, NarrowedFieldsRoundTripAtTheirBoundAndRejectOnePast) {
+  // Each field the reader narrows to `unsigned` or `int` keeps its value at
+  // the type's bounds and is a parse error one past them: without the
+  // bound, order=4294967298 would run, and be cached, as order 2.
+  constexpr std::int64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  struct Field {
+    const char* key;
+    std::int64_t low;
+    std::int64_t high;
+    std::int64_t (*read)(const svc::JobSpec&);
+  };
+  const std::vector<Field> fields = {
+      {"order", 0, kUnsignedMax,
+       [](const svc::JobSpec& s) -> std::int64_t { return s.campaign.models.order; }},
+      {"threads", 0, kUnsignedMax,
+       [](const svc::JobSpec& s) -> std::int64_t { return s.campaign.threads; }},
+      {"max_iterations", 0, kUnsignedMax,
+       [](const svc::JobSpec& s) -> std::int64_t { return s.max_iterations; }},
+      {"register_flip_bit_stride", 0, kUnsignedMax,
+       [](const svc::JobSpec& s) -> std::int64_t {
+         return s.campaign.models.register_flip_bit_stride;
+       }},
+      {"good_exit", kIntMin, kIntMax,
+       [](const svc::JobSpec& s) -> std::int64_t { return s.guest.good_exit; }},
+      {"bad_exit", kIntMin, kIntMax,
+       [](const svc::JobSpec& s) -> std::int64_t { return s.guest.bad_exit; }},
+  };
+  for (const Field& field : fields) {
+    SCOPED_TRACE(field.key);
+    svc::Message message = campaign_spec().to_message();
+    for (const std::int64_t bound : {field.low, field.high}) {
+      message.set(field.key, std::to_string(bound));  // last field wins
+      const svc::JobSpec spec = svc::JobSpec::from_message(message);
+      EXPECT_EQ(field.read(spec), bound);
+      EXPECT_EQ(field.read(svc::JobSpec::from_message(spec.to_message())), bound);
+    }
+    message.set(field.key, std::to_string(field.high + 1));
+    EXPECT_EQ(decode_error(message), support::ErrorKind::kParse);
+    message.set(field.key, std::to_string(field.low - 1));
+    EXPECT_EQ(decode_error(message), support::ErrorKind::kParse);
+  }
+  svc::Message wrapped = campaign_spec().to_message();
+  wrapped.set("order", "4294967298");
+  EXPECT_EQ(decode_error(wrapped), support::ErrorKind::kParse);
+
+  // A worker's answer carries the job's exit code as an int too.
+  svc::Message answer;
+  answer.set("exit", std::to_string(kIntMax));
+  EXPECT_EQ(svc::JobResult::from_message(answer).exit_code, kIntMax);
+  answer.set("exit", std::to_string(kIntMax + 1));
+  EXPECT_THROW((void)svc::JobResult::from_message(answer), support::Error);
 }
 
 // ---- daemon == CLI ----------------------------------------------------------
@@ -675,6 +747,45 @@ TEST(SvcServer, DrainingDaemonRefusesNewJobs) {
   EXPECT_EQ(refused.get_or("draining", ""), "1");
   EXPECT_EQ(refused.get_or("exit", ""), "3");
   server.wait();
+}
+
+TEST(SvcServer, SubmitAtAPriorityPastIntIsRefused) {
+  obs::Metrics::instance().reset();
+  svc::ServerConfig config;
+  config.socket_path = socket_path("svc_priority.sock");
+  config.workers = 1;
+  svc::Server server(config);
+  server.start();
+  // The highest priority an int holds runs; one past it is refused rather
+  // than queued as -2^31, behind every priority-0 job.
+  svc::Message top = submit_request(sleep_spec(0));
+  top.set_u64("priority", std::numeric_limits<int>::max());  // last field wins
+  const svc::Message accepted = rpc(config.socket_path, top);
+  EXPECT_EQ(accepted.get_or("ok", ""), "1") << accepted.get_or("error", "");
+  svc::Message past = submit_request(sleep_spec(0));
+  past.set_u64("priority", std::uint64_t{1} << 31);
+  const svc::Message refused = rpc(config.socket_path, past);
+  EXPECT_EQ(refused.get_or("ok", ""), "0");
+  EXPECT_EQ(refused.get_or("exit", ""), "3");
+  EXPECT_NE(refused.get_or("error", "").find("'priority'"), std::string::npos)
+      << refused.get_or("error", "");
+  svc::Message status_request;
+  status_request.set("op", "status");
+  EXPECT_EQ(rpc(config.socket_path, status_request).get_or("jobs_submitted", ""), "1");
+  server.request_shutdown();
+  server.wait();
+
+  // `r2r submit` refuses the same priority as a usage error before it
+  // connects; at the bound it gets as far as the (absent) daemon.
+  const std::string absent = socket_path("svc_priority_absent.sock");
+  const std::vector<std::string> submit = {"submit", "toymov", "--socket", absent,
+                                           "--connect-timeout", "0", "--priority"};
+  std::vector<std::string> over = submit;
+  over.push_back("2147483648");
+  EXPECT_EQ(run_cli(over).exit_code, 2);
+  std::vector<std::string> at_bound = submit;
+  at_bound.push_back("2147483647");
+  EXPECT_EQ(run_cli(at_bound).exit_code, svc::kInfraExitCode);
 }
 
 TEST(SvcServer, UnknownOpIsAUsageError) {

@@ -196,8 +196,25 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
   ASSERT_EQ(plan.size(), refs.bad_trace.size());
 
   const std::uint64_t fuel = refs.bad_reference.steps * 8 + 4096;
+  // The golden state before every step, to tell the triples whose first
+  // fault is masked by the time the second strikes.
+  std::vector<MachineSnapshot> golden;
+  {
+    emu::Machine machine(image, guest.bad_input);
+    for (std::uint64_t s = 0; s < plan.size(); ++s) {
+      emu::RunConfig config;
+      config.fuel = s;
+      machine.run(config);
+      golden.push_back(capture(machine));
+    }
+  }
   std::map<Outcome, std::uint64_t> expected_counts;
   std::vector<TupleVulnerability> expected_vulnerabilities;
+  // Successful triples whose first fault is masked before the second
+  // strikes (the sweep may reuse their tail's outcome) and whose third
+  // fault strikes off its golden address: their hit addresses must come
+  // from the tail's run, not from the golden trace.
+  std::uint64_t masked_first_off_golden_third = 0;
   const std::uint64_t window = models.pair_window;
   for (std::size_t t1 = 0; t1 < plan.size(); ++t1) {
     for (std::size_t t2 = t1 + 1; t2 < plan.size() && t2 - t1 <= window; ++t2) {
@@ -211,7 +228,9 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
         // the golden address when the run already terminated.
         std::uint64_t hit2 = plan[t2].address;
         std::uint64_t hit3 = plan[t3].address;
+        bool first_masked = false;
         if (run.reason == emu::StopReason::kFuelExhausted) {
+          first_masked = same_state(golden[t2], machine);
           hit2 = machine.cpu().rip;
           emu::RunConfig leg2;
           leg2.fault = plan[t2].spec;
@@ -232,10 +251,12 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
               {plan[t1].spec, plan[t2].spec, plan[t3].spec},
               {plan[t1].address, plan[t2].address, plan[t3].address},
               {plan[t1].address, hit2, hit3}});
+          if (first_masked && hit3 != plan[t3].address) ++masked_first_off_golden_third;
         }
       }
     }
   }
+  EXPECT_GT(masked_first_off_golden_third, 0u);
 
   const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
   const TupleCampaignResult result = engine.run_tuples(models);
@@ -243,6 +264,7 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
   EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
   EXPECT_EQ(result.total_tuples, count_fault_tuples(models, refs.bad_trace));
   EXPECT_GT(result.count(Outcome::kSuccess), 0u);
+  EXPECT_GT(result.levels.back().reused_suffix, 0u);
 }
 
 // ---- exactness of the recursive pruning (the satellite-1 property) ----------
