@@ -34,13 +34,17 @@ void add_client_flags(ArgParser& parser) {
                    "2000"});
 }
 
-/// Connects with the shared client flags; infra failures (no daemon) are
-/// reported by the caller as exit 3, not as a thrown runtime error.
-svc::Client connect_from(const ArgParser& args) {
-  const std::string socket = args.value_or("--socket", kDefaultSocket);
-  const unsigned timeout =
-      static_cast<unsigned>(args.count_or("--connect-timeout", 2000));
-  return svc::Client::connect(socket, timeout);
+/// The --connect-timeout flag. Each client parses it before its `try`, so a
+/// malformed value is a usage error (exit 2) like any other bad flag, not
+/// an unreachable daemon (exit 3).
+unsigned connect_timeout_from(const ArgParser& args) {
+  return static_cast<unsigned>(args.count_or("--connect-timeout", 2000));
+}
+
+/// Connects to the --socket daemon; infra failures (no daemon) are reported
+/// by the caller as exit 3, not as a thrown runtime error.
+svc::Client connect_from(const ArgParser& args, unsigned timeout_ms) {
+  return svc::Client::connect(args.value_or("--socket", kDefaultSocket), timeout_ms);
 }
 
 }  // namespace
@@ -130,9 +134,10 @@ int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err) {
                     load_guest(args.positionals()[0], overrides_from(args)));
   const std::uint64_t priority =
       args.count_or("--priority", 0, std::numeric_limits<int>::max());
+  const unsigned timeout_ms = connect_timeout_from(args);
 
   try {
-    svc::Client client = connect_from(args);
+    svc::Client client = connect_from(args, timeout_ms);
     svc::Message request = spec.to_message();
     request.set("op", "submit");
     request.set_u64("priority", priority);
@@ -167,8 +172,9 @@ ArgParser make_status_parser() {
 
 int run_status(const ArgParser& args, std::ostream& out, std::ostream& err) {
   const Format format = format_from(args);
+  const unsigned timeout_ms = connect_timeout_from(args);
   try {
-    svc::Client client = connect_from(args);
+    svc::Client client = connect_from(args, timeout_ms);
     svc::Message request;
     request.set("op", "status");
     const svc::Message response = client.request(request);
@@ -212,8 +218,9 @@ ArgParser make_shutdown_parser() {
 }
 
 int run_shutdown(const ArgParser& args, std::ostream& out, std::ostream& err) {
+  const unsigned timeout_ms = connect_timeout_from(args);
   try {
-    svc::Client client = connect_from(args);
+    svc::Client client = connect_from(args, timeout_ms);
     svc::Message request;
     request.set("op", "shutdown");
     const svc::Message response = client.request(request);

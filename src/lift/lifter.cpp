@@ -33,6 +33,43 @@ using support::ErrorKind;
   support::fail(ErrorKind::kLift, "cannot lift '" + isa::print(instr) + "': " + why);
 }
 
+/// True when `instr` writes rax (a syscall writes its result there).
+bool writes_rax(const Instruction& instr) {
+  if (instr.mnemonic == Mnemonic::kSyscall) return true;
+  if (instr.arity() == 0) return false;
+  if (!isa::is_reg(instr.op(0))) return false;
+  if (std::get<Reg>(instr.op(0)) != Reg::rax) return false;
+  switch (instr.mnemonic) {
+    case Mnemonic::kCmp:
+    case Mnemonic::kTest:
+    case Mnemonic::kPush:
+      return false;
+    default:
+      return true;
+  }
+}
+
+/// The exit(2) rule, shared by function discovery and block lifting: a
+/// syscall ends the program when the last write of rax before it in its
+/// block is `mov rax, 60` with an unlabelled immediate. Given the constant
+/// rax holds before `instr` (none when unknown), returns the one it holds
+/// after: set by such a mov, cleared by any other write of rax, a syscall's
+/// result included.
+std::optional<std::uint64_t> rax_constant_after(const Instruction& instr,
+                                                std::optional<std::uint64_t> rax) {
+  if (instr.mnemonic == Mnemonic::kMov && instr.arity() == 2 && isa::is_reg(instr.op(0)) &&
+      std::get<Reg>(instr.op(0)) == Reg::rax && isa::is_imm(instr.op(1)) &&
+      std::get<isa::ImmOperand>(instr.op(1)).label.empty()) {
+    return static_cast<std::uint64_t>(std::get<isa::ImmOperand>(instr.op(1)).value);
+  }
+  return writes_rax(instr) ? std::nullopt : rax;
+}
+
+/// True for a syscall that rax_constant_after's rule proves to be exit(2).
+bool is_exit_syscall(const Instruction& instr, std::optional<std::uint64_t> rax_before) {
+  return instr.mnemonic == Mnemonic::kSyscall && rax_before == 60;
+}
+
 /// Shared lifting state for one module.
 struct LiftState {
   ir::Module module;
@@ -315,30 +352,18 @@ class FunctionLifter {
     const bir::BasicBlock& block = cfg_.blocks[block_id];
     check(!block.is_raw, ErrorKind::kLift, "cannot lift raw bytes");
 
-    // Tracks whether the most recent write to rax in this block was the
-    // constant 60 — used to spot the exit syscall (see lifter.h notes).
-    std::optional<std::uint64_t> last_rax_constant;
+    // The constant rax holds in this block, if known: it spots the exit
+    // syscall (rax_constant_after).
+    std::optional<std::uint64_t> rax;
     bool terminated = false;
 
     for (std::size_t i = block.first_item; i <= block.last_item && !terminated; ++i) {
       const bir::CodeItem& item = bmod_.text[i];
       if (!item.is_instruction()) continue;
       const Instruction& instr = *item.instr;
-
-      // Snapshot the tracked value before updating it, so the syscall case
-      // sees the rax constant established by *preceding* instructions.
-      const std::optional<std::uint64_t> rax_before = last_rax_constant;
-      if (instr.mnemonic == Mnemonic::kMov && instr.arity() == 2 &&
-          isa::is_reg(instr.op(0)) && std::get<Reg>(instr.op(0)) == Reg::rax &&
-          isa::is_imm(instr.op(1)) &&
-          std::get<isa::ImmOperand>(instr.op(1)).label.empty()) {
-        last_rax_constant =
-            static_cast<std::uint64_t>(std::get<isa::ImmOperand>(instr.op(1)).value);
-      } else if (writes_rax(instr)) {
-        last_rax_constant.reset();
-      }
-
-      terminated = lift_instruction(instr, rax_before);
+      const bool exits = is_exit_syscall(instr, rax);
+      rax = rax_constant_after(instr, rax);
+      terminated = lift_instruction(instr, exits);
     }
 
     if (!terminated) {
@@ -356,24 +381,9 @@ class FunctionLifter {
     }
   }
 
-  static bool writes_rax(const Instruction& instr) {
-    if (instr.mnemonic == Mnemonic::kSyscall) return true;
-    if (instr.arity() == 0) return false;
-    if (!isa::is_reg(instr.op(0))) return false;
-    if (std::get<Reg>(instr.op(0)) != Reg::rax) return false;
-    switch (instr.mnemonic) {
-      case Mnemonic::kCmp:
-      case Mnemonic::kTest:
-      case Mnemonic::kPush:
-        return false;
-      default:
-        return true;
-    }
-  }
-
-  /// Returns true if the instruction terminated the IR block.
-  bool lift_instruction(const Instruction& instr,
-                        std::optional<std::uint64_t> last_rax_constant) {
+  /// Returns true if the instruction terminated the IR block. `exits` says
+  /// that `instr` is a syscall proven to be exit(2).
+  bool lift_instruction(const Instruction& instr, bool exits) {
     const Width w = instr.width;
     switch (instr.mnemonic) {
       case Mnemonic::kMov:
@@ -594,7 +604,7 @@ class FunctionLifter {
         Value* a2 = read_reg(Reg::rdx, Width::b64);
         Value* result = builder_.call(state_.syscall_fn, {number, a0, a1, a2});
         write_reg(Reg::rax, Width::b64, result);
-        if (last_rax_constant == 60) {
+        if (exits) {
           // exit(2): nothing after this is reachable.
           builder_.unreachable();
           return true;
@@ -645,24 +655,15 @@ class FunctionLifter {
   std::map<std::size_t, BasicBlock*> ir_blocks_;
 };
 
-/// True if the block ends the program (a syscall statically known to be
-/// exit(2): `mov rax, 60` in the same block before the syscall, with no
-/// rax redefinition in between).
+/// True if the block ends the program: it holds a syscall that
+/// is_exit_syscall proves to be exit(2).
 bool is_exit_block(const bir::Module& bmod, const bir::BasicBlock& block) {
-  std::optional<std::uint64_t> last_rax_constant;
+  std::optional<std::uint64_t> rax;
   for (std::size_t i = block.first_item; i <= block.last_item; ++i) {
     const bir::CodeItem& item = bmod.text[i];
     if (!item.is_instruction()) continue;
-    const Instruction& instr = *item.instr;
-    if (instr.mnemonic == Mnemonic::kMov && instr.arity() == 2 &&
-        isa::is_reg(instr.op(0)) && std::get<Reg>(instr.op(0)) == Reg::rax &&
-        isa::is_imm(instr.op(1))) {
-      last_rax_constant =
-          static_cast<std::uint64_t>(std::get<isa::ImmOperand>(instr.op(1)).value);
-    } else if (instr.mnemonic == Mnemonic::kSyscall) {
-      if (last_rax_constant == 60) return true;
-      last_rax_constant.reset();
-    }
+    if (is_exit_syscall(*item.instr, rax)) return true;
+    rax = rax_constant_after(*item.instr, rax);
   }
   return false;
 }

@@ -1,16 +1,12 @@
 #include "sim/engine.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <exception>
 #include <limits>
-#include <memory>
 #include <mutex>
-#include <new>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -32,43 +28,9 @@ using emu::StopReason;
 using support::check;
 using support::ErrorKind;
 
-/// Allocates each large per-level sweep buffer (the tuple plan, its
-/// outcomes and simulate marks: up to tens of megabytes) as a page mapping
-/// of its own, which deallocation returns to the system. From the heap,
-/// these buffers left holes that the result of one sweep split, so a
-/// repeated sweep's peak RSS moved by up to 8 MiB with the size of an
-/// unrelated allocation. Buffers under kMinMapped stay on the heap: a
-/// fix-point sweeps thousands of small levels, where a mapping each costs
-/// more time than it saves memory.
-template <typename T>
-struct PageAllocator {
-  static constexpr std::size_t kMinMapped = std::size_t{1} << 20;
-  using value_type = T;
-  PageAllocator() = default;
-  template <typename U>
-  PageAllocator(const PageAllocator<U>& /*other*/) noexcept {}
-  T* allocate(std::size_t n) {
-    if (n * sizeof(T) < kMinMapped) return std::allocator<T>().allocate(n);
-    void* pages = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (pages == MAP_FAILED) throw std::bad_alloc();
-    return static_cast<T*>(pages);
-  }
-  void deallocate(T* buffer, std::size_t n) noexcept {
-    if (n * sizeof(T) < kMinMapped) {
-      std::allocator<T>().deallocate(buffer, n);
-    } else {
-      ::munmap(buffer, n * sizeof(T));
-    }
-  }
-  friend bool operator==(const PageAllocator&, const PageAllocator&) noexcept { return true; }
-};
-template <typename T>
-using PageVector = std::vector<T, PageAllocator<T>>;
-
 /// Chunked dynamic scheduling shared by every sweep: workers pull
 /// fixed-size index ranges from a shared cursor; each owns private state
-/// built by make_state() (a Machine, or nothing for the sampler). Slot i of
+/// built by make_state() (machines, or nothing for the sampler). Slot i of
 /// the caller's result vector is written only by per_item(state, i), so
 /// aggregation order — and every derived counter — is identical for every
 /// thread count. The first worker exception is rethrown after the join.
@@ -131,22 +93,20 @@ emu::Machine worker_machine(const elf::Image& image, const std::string& stdin_da
   return machine;
 }
 
-/// The classic one-machine-per-worker shard (per-tuple simulation).
-template <typename PerItem>
-void run_sharded(const elf::Image& image, const std::string& stdin_data, bool block_cache,
-                 unsigned configured_threads, std::size_t count, const char* span_label,
-                 obs::Progress* progress, const PerItem& per_item) {
-  run_sharded_state(
-      configured_threads, count, /*chunk=*/64, span_label, progress,
-      [&]() { return worker_machine(image, stdin_data, block_cache); }, per_item);
-}
-
 /// An order-1 profile worker's state: the faulted machine, plus the golden
 /// machine the pair-window check runs in lockstep with it (only when the
 /// check runs).
 struct ProfileMachines {
   emu::Machine faulted;
   std::optional<emu::Machine> golden;
+};
+
+/// An order-k classification worker's state: its machine, built when it
+/// first simulates a tuple (a level that reuse classifies whole builds
+/// none), and the plan indices of the tuple in hand.
+struct TupleWorker {
+  std::optional<emu::Machine> machine;
+  std::vector<std::uint32_t> tuple;
 };
 
 /// [begin, end) range of each trace index's fault group within the order-1
@@ -175,11 +135,12 @@ std::vector<std::pair<std::size_t, std::size_t>> index_ranges(
 ///   subtree[1][t] = 1
 ///   subtree[s][t] = Σ_{u in (t, t+window]} faults(u) · subtree[s-1][u]
 ///
-/// which gives exact O(window)-per-step ranking and unranking of tuples
-/// within the canonical order — the basis of both the recursive outcome
-/// lookup (suffix tuple → its rank in the previous level) and the budgeted
-/// sampling (rank → tuple). Counts saturate at kTupleCountCap; a saturated
-/// space is refused before anything depends on exact arithmetic.
+/// which gives exact O(window)-per-step unranking (rank → tuple) within the
+/// canonical order, the only direction the sweep needs: each level reaches
+/// its tuples by rank, whether exhaustive or sampled, and unranking a tuple
+/// also yields the rank of its tail in the previous level, which the
+/// recursive outcome lookup reads. Counts saturate at kTupleCountCap; a
+/// saturated space is refused before anything depends on exact arithmetic.
 constexpr std::uint64_t kTupleCountCap = 1ULL << 63;
 
 struct TupleSpace {
@@ -243,34 +204,17 @@ TupleSpace make_tuple_space(const std::vector<PlannedFault>& plan,
   return space;
 }
 
-/// Rank of `tuple` (arity order-1 plan indices) within the canonical
-/// level-`arity` enumeration. Exact for non-saturated spaces.
-std::uint64_t tuple_rank(const TupleSpace& space, const std::vector<PlannedFault>& plan,
-                         const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-                         const std::uint32_t* tuple, std::size_t arity) {
-  std::uint64_t rank = space.group_prefix[arity][tuple[0]];
-  std::uint64_t cur = plan[tuple[0]].spec.trace_index;
-  for (std::size_t j = 1; j < arity; ++j) {
-    const auto s = static_cast<unsigned>(arity - j);
-    const std::uint32_t g = tuple[j];
-    const std::uint64_t t = plan[g].spec.trace_index;
-    for (std::uint64_t u = cur + 1; u < t; ++u) {
-      rank += (ranges[u].second - ranges[u].first) * space.subtree[s][u];
-    }
-    rank += (g - ranges[t].first) * space.subtree[s][t];
-    cur = t;
-  }
-  return rank;
-}
-
-/// Inverse of tuple_rank restricted to one first-fault group: materialises
-/// the tuple with first fault `first` and rank `rank` within its subtree.
-void tuple_unrank(const TupleSpace& space, const std::vector<PlannedFault>& plan,
-                  const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-                  std::uint32_t first, std::uint64_t rank, std::size_t arity,
-                  std::uint32_t* out) {
+/// Unranks the level-`arity` tuple with first fault `first` and rank `rank`
+/// within that fault's subtree into out[0..arity), and returns the rank of
+/// its tail out[1..arity) within level arity-1: the tail's group start plus
+/// the rank left after the first step. Exact for non-saturated spaces.
+std::uint64_t tuple_unrank(const TupleSpace& space, const std::vector<PlannedFault>& plan,
+                           const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
+                           std::uint32_t first, std::uint64_t rank, std::size_t arity,
+                           std::uint32_t* out) {
   out[0] = first;
   std::uint64_t cur = plan[first].spec.trace_index;
+  std::uint64_t tail_rank = 0;
   for (std::size_t j = 1; j < arity; ++j) {
     const auto s = static_cast<unsigned>(arity - j);
     for (std::uint64_t t = cur + 1;; ++t) {
@@ -284,60 +228,42 @@ void tuple_unrank(const TupleSpace& space, const std::vector<PlannedFault>& plan
       }
       rank -= block;
     }
+    if (j == 1) tail_rank = space.group_prefix[s][out[1]] + rank;
   }
+  return tail_rank;
 }
 
-/// Materialises the full level-`arity` enumeration (canonical order) into
-/// `flat`, arity plan indices per tuple.
-void emit_level(const TupleSpace& space, const std::vector<PlannedFault>& plan,
-                const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-                std::size_t arity, PageVector<std::uint32_t>& flat) {
-  const std::uint64_t trace_length = ranges.size();
-  std::vector<std::uint32_t> stack(arity);
-  const auto rec = [&](const auto& self, std::size_t depth, std::uint64_t cur) -> void {
-    if (depth == arity) {
-      flat.insert(flat.end(), stack.begin(), stack.end());
-      return;
-    }
-    const auto s = static_cast<unsigned>(arity - depth);
-    const std::uint64_t last = std::min(cur + space.window, trace_length - 1);
-    for (std::uint64_t t = cur + 1; t <= last; ++t) {
-      if (space.subtree[s][t] == 0) continue;  // no completions from here
-      for (std::size_t j = ranges[t].first; j < ranges[t].second; ++j) {
-        stack[depth] = static_cast<std::uint32_t>(j);
-        self(self, depth + 1, t);
-      }
-    }
-  };
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (space.subtree[arity][plan[i].spec.trace_index] == 0) continue;
-    stack[0] = static_cast<std::uint32_t>(i);
-    rec(rec, 1, plan[i].spec.trace_index);
-  }
-}
+/// A sampled level's slots: first fault g owns slots [starts[g],
+/// starts[g+1]), and slot n holds the drawn rank ranks[n] within g's
+/// subtree. (An exhaustive level needs neither: its starts are the group
+/// prefix sums, so slot n is rank n.)
+struct LevelSlots {
+  std::vector<std::uint64_t> starts;
+  std::vector<std::uint64_t> ranks;
+};
 
 /// Draws exactly `budget` distinct level-`arity` tuples, rank-uniform over
-/// the whole space, into canonical-order `flat`. Deterministic in
-/// (seed, plan) only: the budget is split across first-fault groups by the
-/// cumulative-floor rule (group g gets floor(B·cum[g+1]/N) −
-/// floor(B·cum[g]/N) tuples, which sums to exactly B and lands each group's
-/// output at offset floor(B·cum[g]/N)), and within a group the ranks are
-/// drawn by Floyd's distinct-sampling with an Rng::for_stream substream
-/// keyed on the group's shard — never on worker threads — so the sampled
-/// set is identical at every thread count.
-PageVector<std::uint32_t> sample_level(
-    const TupleSpace& space, const std::vector<PlannedFault>& plan,
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges, std::size_t arity,
-    std::uint64_t budget, std::uint64_t seed, unsigned threads) {
+/// the whole space. Deterministic in (seed, plan) only: the budget is split
+/// across first-fault groups by the cumulative-floor rule (group g gets
+/// floor(B·cum[g+1]/N) − floor(B·cum[g]/N) tuples, which sums to exactly B
+/// and starts group g at slot floor(B·cum[g]/N)), and within a group the
+/// ranks are drawn by Floyd's distinct-sampling with an Rng::for_stream
+/// substream keyed on the group's shard — never on worker threads — so the
+/// sampled set is identical at every thread count. Ranks are sorted within
+/// each group, which keeps the slots in canonical order.
+LevelSlots sample_level(const TupleSpace& space, const std::vector<PlannedFault>& plan,
+                        std::size_t arity, std::uint64_t budget, std::uint64_t seed,
+                        unsigned threads) {
   using u128 = unsigned __int128;
   const std::vector<std::uint64_t>& cum = space.group_prefix[arity];
   const std::uint64_t total = cum.back();
-  // Output offset of group g under the cumulative-floor split.
-  const auto offset_of = [&](std::size_t g) {
-    return static_cast<std::uint64_t>(static_cast<u128>(budget) * cum[g] / total);
-  };
+  LevelSlots slots;
+  slots.starts.resize(cum.size());
+  for (std::size_t g = 0; g < cum.size(); ++g) {
+    slots.starts[g] = static_cast<std::uint64_t>(static_cast<u128>(budget) * cum[g] / total);
+  }
+  slots.ranks.resize(budget);
 
-  PageVector<std::uint32_t> flat(budget * arity);
   const std::size_t shards =
       std::max<std::size_t>(1, std::min<std::size_t>(256, plan.size()));
   run_sharded_state(
@@ -346,35 +272,29 @@ PageVector<std::uint32_t> sample_level(
         support::Rng rng = support::Rng::for_stream(seed, static_cast<unsigned>(shard));
         const std::size_t lo = shard * plan.size() / shards;
         const std::size_t hi = (shard + 1) * plan.size() / shards;
-        std::vector<std::uint64_t> picks;
         std::unordered_set<std::uint64_t> seen;
         for (std::size_t g = lo; g < hi; ++g) {
-          const std::uint64_t quota = offset_of(g + 1) - offset_of(g);
+          const std::uint64_t quota = slots.starts[g + 1] - slots.starts[g];
           if (quota == 0) continue;
           const std::uint64_t group_size = space.subtree[arity][plan[g].spec.trace_index];
-          picks.clear();
-          seen.clear();
+          const auto picks = slots.ranks.begin() + static_cast<std::ptrdiff_t>(slots.starts[g]);
           if (quota >= group_size) {
-            for (std::uint64_t r = 0; r < group_size; ++r) picks.push_back(r);
-          } else {
-            // Floyd: for r in [size-quota, size), pick uniform v in [0, r];
-            // on collision take r itself (guaranteed fresh).
-            for (std::uint64_t r = group_size - quota; r < group_size; ++r) {
-              const std::uint64_t v = rng.next_below(r + 1);
-              picks.push_back(seen.insert(v).second ? v : r);
-              if (picks.back() == r && v != r) seen.insert(r);
-            }
-            std::sort(picks.begin(), picks.end());
+            for (std::uint64_t r = 0; r < group_size; ++r) picks[r] = r;
+            continue;
           }
-          std::uint64_t slot = offset_of(g);
-          for (const std::uint64_t rank : picks) {
-            tuple_unrank(space, plan, ranges, static_cast<std::uint32_t>(g), rank, arity,
-                         &flat[slot * arity]);
-            ++slot;
+          // Floyd: for r in [size-quota, size), pick uniform v in [0, r];
+          // on collision take r itself (guaranteed fresh).
+          seen.clear();
+          std::uint64_t k = 0;
+          for (std::uint64_t r = group_size - quota; r < group_size; ++r, ++k) {
+            const std::uint64_t v = rng.next_below(r + 1);
+            picks[k] = seen.insert(v).second ? v : r;
+            if (picks[k] == r && v != r) seen.insert(r);
           }
+          std::sort(picks, picks + static_cast<std::ptrdiff_t>(quota));
         }
       });
-  return flat;
+  return slots;
 }
 
 /// make_references wrapped in a span so golden-run recording shows up in
@@ -828,7 +748,7 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   // terminated reduces it to the first fault alone. Both rules are exact,
   // so the pruning compounds across levels without losing bit-identity.
   // Level 1 is the base: a single fault's rank is its plan index.
-  PageVector<Outcome> prev_outcomes(profiles.size());  // level m-1, by rank
+  std::vector<Outcome> prev_outcomes(profiles.size());  // level m-1, by rank
   std::transform(profiles.begin(), profiles.end(), prev_outcomes.begin(),
                  [](const FaultProfile& profile) { return profile.outcome; });
   for (unsigned m = 2; m <= order; ++m) {
@@ -837,7 +757,8 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
     level.enumerated = space.level_count(m);
     const bool top = m == order;
 
-    PageVector<std::uint32_t> flat;
+    LevelSlots sample;
+    std::span<const std::uint64_t> starts = space.group_prefix[m];
     if (top && models.max_tuples != 0 && level.enumerated > models.max_tuples) {
       check(!space.saturated && level.enumerated < kTupleCountCap, ErrorKind::kExecution,
             "order-k sweep: tuple space exceeds 2^63; narrow the fault models "
@@ -846,8 +767,9 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
       level.classified = models.max_tuples;
       obs::Span span("sim.tuples_sample",
                      obs::args_u64({{"order", m}, {"budget", models.max_tuples}}));
-      flat = sample_level(space, plan, ranges, m, models.max_tuples, models.sample_seed,
-                          config_.threads);
+      sample = sample_level(space, plan, m, models.max_tuples, models.sample_seed,
+                            config_.threads);
+      starts = sample.starts;
     } else {
       check(level.enumerated <= config_.max_planned_tuples, ErrorKind::kExecution,
             "order-k sweep: level " + std::to_string(m) + " materialises " +
@@ -857,63 +779,77 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
                 (top ? "set FaultModels::max_tuples to sample the top level"
                      : "narrow the fault models or pair_window"));
       level.classified = level.enumerated;
-      flat.reserve(static_cast<std::size_t>(level.enumerated) * m);
-      emit_level(space, plan, ranges, m, flat);
     }
-    const std::size_t count = flat.size() / m;
+    const auto count = static_cast<std::size_t>(level.classified);
+    // Unranks the tuple of slot n, in first fault i's group, into `tuple`
+    // and returns its tail's rank in level m-1.
+    const auto unrank_slot = [&](std::size_t i, std::uint64_t n, std::uint32_t* tuple) {
+      const std::uint64_t rank = level.sampled ? sample.ranks[n] : n - starts[i];
+      return tuple_unrank(space, plan, ranges, static_cast<std::uint32_t>(i), rank, m, tuple);
+    };
 
-    // Classification by recursive outcome reuse; `simulate` marks the tuples
-    // it could not prove. Exhaustive levels are enumerated in rank order, so
-    // slot n *is* rank n.
-    PageVector<Outcome> outcomes(count, Outcome::kNoEffect);
-    PageVector<std::uint8_t> simulate(count, 1);
+    // One pass over the first faults classifies the level, each tuple by
+    // recursive outcome reuse where its first fault's profile proves the
+    // answer and through the simulator otherwise.
+    std::vector<Outcome> outcomes(count);
+    std::atomic<std::uint64_t> reused_suffix{0};
+    std::atomic<std::uint64_t> reused_prefix{0};
+    std::atomic<std::uint64_t> converged{0};
     {
-      obs::Span span("sim.tuples_reuse",
-                     obs::args_u64({{"order", m}, {"tuples", count}}));
-      if (reuse) {
-        for (std::size_t n = 0; n < count; ++n) {
-          const std::uint32_t* tuple = &flat[n * m];
-          const FaultProfile& first = profiles[tuple[0]];
-          const std::uint64_t t2 = plan[tuple[1]].spec.trace_index;
-          if (t2 >= first.reconverge_step) {
-            outcomes[n] = prev_outcomes[tuple_rank(space, plan, ranges, tuple + 1, m - 1)];
-            simulate[n] = 0;
-            ++level.reused_suffix;
-          } else if (t2 >= first.end_step) {
-            outcomes[n] = first.outcome;
-            simulate[n] = 0;
-            ++level.reused_prefix;
-          }
-        }
-      }
-    }
-    level.simulated = count - level.reused_suffix - level.reused_prefix;
-
-    // Simulate only what reuse could not prove.
-    std::atomic<std::uint64_t> converged_total{0};
-    if (level.simulated != 0) {
-      obs::Span span("sim.tuples_simulate",
-                     obs::args_u64({{"order", m}, {"tuples", level.simulated}}));
+      obs::Span span("sim.tuples_classify", obs::args_u64({{"order", m}, {"tuples", count}}));
       obs::Progress progress("order-" + std::to_string(order) + " tuple sweep (level " +
                                  std::to_string(m) + ")",
                              count);
-      run_sharded(image_, bad_input_, config_.block_cache, config_.threads, count,
-                  "sim.tuple_worker", &progress, [&](emu::Machine& machine, std::size_t n) {
-                    if (simulate[n] == 0) return;
-                    outcomes[n] = simulate_tuple(machine, &flat[n * m], m, plan,
-                                                 /*hits=*/nullptr, converged_total);
-                  });
+      run_sharded_state(
+          config_.threads, plan.size(), /*chunk=*/1, "sim.tuple_worker", nullptr,
+          [&]() { return TupleWorker{std::nullopt, std::vector<std::uint32_t>(m)}; },
+          [&](TupleWorker& worker, std::size_t i) {
+            const FaultProfile& first = profiles[i];
+            std::uint32_t* tuple = worker.tuple.data();
+            std::uint64_t suffix = 0;
+            std::uint64_t prefix = 0;
+            for (std::uint64_t n = starts[i]; n < starts[i + 1]; ++n) {
+              const std::uint64_t tail = unrank_slot(i, n, tuple);
+              const std::uint64_t t2 = plan[tuple[1]].spec.trace_index;
+              if (reuse && t2 >= first.reconverge_step) {
+                outcomes[n] = prev_outcomes[tail];
+                ++suffix;
+              } else if (reuse && t2 >= first.end_step) {
+                outcomes[n] = first.outcome;
+                ++prefix;
+              } else {
+                if (!worker.machine) {
+                  worker.machine.emplace(
+                      worker_machine(image_, bad_input_, config_.block_cache));
+                }
+                outcomes[n] = simulate_tuple(*worker.machine, tuple, m, plan,
+                                             /*hits=*/nullptr, converged);
+              }
+            }
+            reused_suffix.fetch_add(suffix, std::memory_order_relaxed);
+            reused_prefix.fetch_add(prefix, std::memory_order_relaxed);
+            progress.tick(starts[i + 1] - starts[i]);
+          });
     }
-    level.converged = converged_total.load();
+    level.reused_suffix = reused_suffix.load();
+    level.reused_prefix = reused_prefix.load();
+    level.simulated = count - level.reused_suffix - level.reused_prefix;
+    level.converged = converged.load();
 
-    // Aggregation: the top level feeds the result, a lower level the next
-    // level's outcome lookup.
-    std::vector<std::size_t> successes;
-    for (std::size_t n = 0; n < count; ++n) {
-      if (top) ++result.outcome_counts[outcomes[n]];
-      if (outcomes[n] == Outcome::kSuccess) successes.push_back(n);
+    // Aggregation, group by group in slot order: the top level feeds the
+    // result and unranks each successful tuple once into `successes` (m
+    // plan indices each); a lower level feeds the next level's lookup.
+    std::vector<std::uint32_t> successes;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      for (std::uint64_t n = starts[i]; n < starts[i + 1]; ++n) {
+        if (top) ++result.outcome_counts[outcomes[n]];
+        if (outcomes[n] != Outcome::kSuccess) continue;
+        ++level.successful;
+        if (!top) continue;
+        successes.resize(successes.size() + m);
+        unrank_slot(i, n, &successes[successes.size() - m]);
+      }
     }
-    level.successful = successes.size();
     result.levels.push_back(level);
     if (!top) {
       prev_outcomes = std::move(outcomes);
@@ -925,27 +861,27 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
     // its second fault strikes, and one reused from its first fault ends
     // before its second fault fires, so the replay records the addresses of
     // the very run the reuse rules stand for.
-    for (const std::size_t n : successes) {
+    const std::size_t found = successes.size() / m;
+    for (std::size_t j = 0; j < found; ++j) {
       TupleVulnerability& v = result.vulnerabilities.emplace_back();
       v.faults.reserve(m);
       v.addresses.reserve(m);
       for (std::size_t l = 0; l < m; ++l) {
-        v.faults.push_back(plan[flat[n * m + l]].spec);
-        v.addresses.push_back(plan[flat[n * m + l]].address);
+        v.faults.push_back(plan[successes[j * m + l]].spec);
+        v.addresses.push_back(plan[successes[j * m + l]].address);
       }
       v.hit_addresses.resize(m);
     }
-    if (!successes.empty()) {
-      obs::Span span("sim.tuples_replay",
-                     obs::args_u64({{"order", m}, {"tuples", successes.size()}}));
+    if (found != 0) {
+      obs::Span span("sim.tuples_replay", obs::args_u64({{"order", m}, {"tuples", found}}));
       std::atomic<std::uint64_t> replay_converged{0};
-      run_sharded(image_, bad_input_, config_.block_cache, config_.threads,
-                  successes.size(), "sim.tuple_worker", nullptr,
-                  [&](emu::Machine& machine, std::size_t j) {
-                    simulate_tuple(machine, &flat[successes[j] * m], m, plan,
-                                   result.vulnerabilities[j].hit_addresses.data(),
-                                   replay_converged);
-                  });
+      run_sharded_state(
+          config_.threads, found, /*chunk=*/64, "sim.tuple_worker", nullptr,
+          [&]() { return worker_machine(image_, bad_input_, config_.block_cache); },
+          [&](emu::Machine& machine, std::size_t j) {
+            simulate_tuple(machine, &successes[j * m], m, plan,
+                           result.vulnerabilities[j].hit_addresses.data(), replay_converged);
+          });
     }
   }
 

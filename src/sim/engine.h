@@ -96,10 +96,10 @@ struct FaultModels {
   /// the top level. 0 sweeps the whole space. A non-zero budget smaller
   /// than the space switches the top level to seeded sampling: a
   /// rank-uniform subset of exactly `max_tuples` tuples, drawn with
-  /// support::Rng::for_stream(sample_seed, shard) keyed on the tuple plan
-  /// (never on threads), so the sampled set is identical at every thread
-  /// count. Intermediate levels (the recursive pruning base) are always
-  /// exhaustive.
+  /// support::Rng::for_stream(sample_seed, shard) keyed on shards of the
+  /// order-1 fault plan (never on threads), so the sampled set is identical
+  /// at every thread count. Intermediate levels (the recursive pruning
+  /// base) are always exhaustive.
   std::uint64_t max_tuples = 0;
   std::uint64_t sample_seed = 0x5eed;
 };
@@ -218,10 +218,10 @@ struct EngineConfig {
   /// Exact, hence bit-identical to exhaustive enumeration; requires
   /// convergence_pruning. Disable to force every set through the simulator.
   bool pair_outcome_reuse = true;
-  /// Order-k (>= 2) sweeps materialise one level's tuple plan at a time
-  /// (4·level bytes per tuple). A level that would exceed this cap throws
-  /// Error{kExecution} — except the top level, which falls back to seeded
-  /// sampling when FaultModels::max_tuples allows it.
+  /// Order-k (>= 2) sweeps classify one level at a time and hold one
+  /// Outcome byte per tuple of it. A level that would exceed this cap
+  /// throws Error{kExecution} — except the top level, which falls back to
+  /// seeded sampling when FaultModels::max_tuples allows it.
   std::uint64_t max_planned_tuples = 1ULL << 24;
   /// Execute every engine machine (references, checkpoint recorder, sweep
   /// workers) through the emu decoded-block cache. Off reverts to per-step

@@ -86,6 +86,19 @@ TEST(Cli, MalformedCampaignFlagsAreUsageErrors) {
   EXPECT_EQ(run_cli({"campaign", "nosuchguest"}).exit_code, 2);
 }
 
+// A malformed or out-of-range client flag is a usage error (2), never
+// reported as an unreachable daemon (3): no daemon listens on the socket.
+TEST(Cli, MalformedConnectTimeoutIsAUsageError) {
+  for (const char* command : {"status", "shutdown"}) {
+    for (const char* timeout : {"x", "4294967296"}) {
+      const CliResult result = run_cli({command, "--socket", "no_daemon_here.sock",
+                                        "--connect-timeout", timeout});
+      EXPECT_EQ(result.exit_code, 2) << command << " " << timeout << ": " << result.err;
+      EXPECT_NE(result.err.find("--connect-timeout"), std::string::npos) << command;
+    }
+  }
+}
+
 // Count-like flags must reject values beyond their range instead of
 // silently wrapping through the unsigned narrowing (4294967297 == 1).
 TEST(Cli, CountFlagsRejectOverflowInsteadOfWrapping) {

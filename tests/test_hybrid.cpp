@@ -296,11 +296,48 @@ Guest flags_after_dec_guest() {
       "no:\n" + x64_write_and_exit("msg_no", 3, 1));
 }
 
+/// The YES path writes rax again after `mov rax, 60`, so its syscall is not
+/// provably exit(2) and `after_exit`, reached only by falling through it,
+/// belongs to `_start`: function discovery and block lifting must agree on
+/// that, or lifting fails with a fall-through into another function.
+Guest exit_after_rax_write_guest() {
+  return yes_no_guest(
+      "exit_after_rax_write", isa::Arch::kX64, "A", "!",
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mov rax, 0\n"
+      "    mov rdi, 0\n"
+      "    mov rsi, offset buf\n"
+      "    mov rdx, 1\n"
+      "    syscall\n"
+      "    mov rsi, offset buf\n"
+      "    movzx rbx, byte ptr [rsi]\n"
+      "    cmp rbx, 65\n"
+      "    jne no\n"
+      "yes:\n"
+      "    mov rax, 1\n"
+      "    mov rdi, 1\n"
+      "    mov rsi, offset msg_yes\n"
+      "    mov rdx, 4\n"
+      "    syscall\n"
+      "    mov rax, 60\n"
+      "    add rax, 0\n"
+      "    mov rdi, 0\n"
+      "    syscall\n"
+      "after_exit:\n"
+      "    mov rax, 60\n"
+      "    mov rdi, 3\n"
+      "    syscall\n"
+      "no:\n" + x64_write_and_exit("msg_no", 3, 1));
+}
+
 /// Hand-written guests for shapes the builtins and the synth corpus miss.
 const std::vector<Guest>& crafted_guests() {
   static const std::vector<Guest> guests = {
       sar32_guest(), jump_only_block_guest(isa::Arch::kX64),
-      jump_only_block_guest(isa::Arch::kRv32i), flags_after_dec_guest()};
+      jump_only_block_guest(isa::Arch::kRv32i), flags_after_dec_guest(),
+      exit_after_rax_write_guest()};
   return guests;
 }
 

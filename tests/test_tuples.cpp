@@ -499,6 +499,16 @@ TEST(Engine, SampledSweepIsSeedDeterministicAcrossThreadsAndPruning) {
   EXPECT_FALSE(serial.levels.front().sampled) << "intermediate level sampled";
   EXPECT_EQ(serial.levels.back().classified, models.max_tuples);
 
+  // Which tuples the seed draws is pinned too, not only that it repeats: a
+  // change to how the sampler hands its draws over must keep the set.
+  EXPECT_EQ(serial.enumerated_tuples, 65'477'616u);
+  EXPECT_EQ(serial.count(Outcome::kNoEffect), 44u);
+  EXPECT_EQ(serial.count(Outcome::kSuccess), 3u);
+  EXPECT_EQ(serial.count(Outcome::kCrash), 1'801u);
+  EXPECT_EQ(serial.count(Outcome::kOtherBehavior), 152u);
+  EXPECT_EQ(serial.patch_sites(),
+            (std::vector<std::uint64_t>{0x40002b, 0x400033, 0x40005a}));
+
   // Same seed, 8 threads: byte-identical.
   const TupleCampaignResult parallel =
       Engine(image, guest.good_input, guest.bad_input, eight).run_tuples(models);
