@@ -3,6 +3,7 @@
 #include <set>
 
 #include "isa/semantics.h"
+#include "isa/target.h"
 #include "support/error.h"
 
 namespace r2r::bir {
@@ -26,6 +27,10 @@ Cfg build_cfg(const Module& module) {
   if (module.text.empty()) return cfg;
 
   // --- find leaders -----------------------------------------------------------
+  // Calls are straight-line code here: they end no block and have no
+  // successor edge.
+  const isa::Target& target = isa::target(module.arch);
+  const auto flow_of = [&](const CodeItem& item) { return isa::effects(*item.instr, target).flow; };
   std::set<std::size_t> leaders{0};
   for (std::size_t i = 0; i < module.text.size(); ++i) {
     const CodeItem& item = module.text[i];
@@ -36,8 +41,10 @@ Cfg build_cfg(const Module& module) {
       if (i + 1 < module.text.size()) leaders.insert(i + 1);
       continue;
     }
-    if (isa::is_terminator(*item.instr) || isa::is_cond_branch(*item.instr)) {
-      if (i + 1 < module.text.size()) leaders.insert(i + 1);
+    const isa::Flow flow = flow_of(item);
+    if (flow != isa::Flow::kNext && flow != isa::Flow::kCall &&
+        flow != isa::Flow::kIndirectCall && i + 1 < module.text.size()) {
+      leaders.insert(i + 1);
     }
   }
 
@@ -65,40 +72,15 @@ Cfg build_cfg(const Module& module) {
     const CodeItem& last = module.text[block.last_item];
     if (!last.is_instruction()) continue;
     const isa::Instruction& instr = *last.instr;
-
-    const auto add_label_successor = [&](const std::string& label) {
-      const auto target = module.index_of_label(label);
-      if (target) block.successors.push_back(block_of(*target));
-    };
-
-    switch (instr.mnemonic) {
-      case isa::Mnemonic::kJmp:
-        if (isa::is_label(instr.op(0))) {
-          add_label_successor(std::get<isa::LabelOperand>(instr.op(0)).name);
-        }
-        break;
-      case isa::Mnemonic::kJcc:
-        if (isa::is_label(instr.op(0))) {
-          add_label_successor(std::get<isa::LabelOperand>(instr.op(0)).name);
-        }
-        if (block.last_item + 1 < module.text.size()) {
-          block.successors.push_back(block_of(block.last_item + 1));
-        }
-        break;
-      case isa::Mnemonic::kJmpReg:
-        block.ends_in_indirect = true;
-        break;
-      case isa::Mnemonic::kRet:
-      case isa::Mnemonic::kHlt:
-      case isa::Mnemonic::kUd2:
-      case isa::Mnemonic::kInt3:
-        break;
-      default:
-        // Calls and straight-line code fall through.
-        if (block.last_item + 1 < module.text.size()) {
-          block.successors.push_back(block_of(block.last_item + 1));
-        }
-        break;
+    const isa::Flow flow = flow_of(last);
+    if ((flow == isa::Flow::kJump || flow == isa::Flow::kBranch) && isa::is_label(instr.op(0))) {
+      const auto destination =
+          module.index_of_label(std::get<isa::LabelOperand>(instr.op(0)).name);
+      if (destination) block.successors.push_back(block_of(*destination));
+    }
+    if (flow == isa::Flow::kIndirectJump) block.ends_in_indirect = true;
+    if (isa::falls_through(flow) && block.last_item + 1 < module.text.size()) {
+      block.successors.push_back(block_of(block.last_item + 1));
     }
   }
   return cfg;

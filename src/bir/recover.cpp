@@ -58,8 +58,8 @@ void explore(RecoveryState& state, std::uint64_t start) {
       const isa::Instruction& instr =
           state.decoded.emplace(address, std::move(decoded)).first->second.instr;
 
-      if (instr.mnemonic == isa::Mnemonic::kJmp || instr.mnemonic == isa::Mnemonic::kJcc ||
-          instr.mnemonic == isa::Mnemonic::kCall) {
+      const isa::Flow flow = isa::effects(instr, *state.target).flow;
+      if (flow == isa::Flow::kJump || flow == isa::Flow::kBranch || flow == isa::Flow::kCall) {
         const auto target = static_cast<std::uint64_t>(
             std::get<isa::ImmOperand>(instr.op(0)).value);
         if (!state.in_text(target)) {
@@ -69,7 +69,7 @@ void explore(RecoveryState& state, std::uint64_t start) {
         state.code_label_addresses.insert(target);
         worklist.push_back(target);
       }
-      if (isa::is_terminator(instr)) break;
+      if (!isa::falls_through(flow)) break;
       address = next;
     }
   }

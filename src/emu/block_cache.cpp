@@ -6,34 +6,10 @@
 #include "emu/machine.h"
 #include "emu/memory.h"
 #include "isa/decoder.h"
+#include "isa/semantics.h"
 #include "obs/metrics.h"
 
 namespace r2r::emu {
-
-namespace {
-
-bool is_terminator(isa::Mnemonic mnemonic) noexcept {
-  switch (mnemonic) {
-    case isa::Mnemonic::kJmp:
-    case isa::Mnemonic::kJcc:
-    case isa::Mnemonic::kCall:
-    case isa::Mnemonic::kJmpReg:
-    case isa::Mnemonic::kCallReg:
-    case isa::Mnemonic::kRet:
-    // Unconditional traps end the block too; caching past them would only
-    // ever hold dead entries.
-    case isa::Mnemonic::kHlt:
-    case isa::Mnemonic::kInt3:
-    case isa::Mnemonic::kUd2:
-      return true;
-    default:
-      // kSyscall stays mid-block: it does not redirect rip (exit() ends the
-      // run through the machine's run-end status, after the instruction).
-      return false;
-  }
-}
-
-}  // namespace
 
 void BlockCache::sync(Memory& memory) {
   const std::uint64_t epoch = memory.code_write_epoch();
@@ -77,7 +53,9 @@ const DecodedBlock* BlockCache::build(std::uint64_t rip, Memory& memory) {
     arena_.push_back(Machine::compile(decoded.instr, decoded.length, target_));
     ++block.count;
     address += decoded.length;
-    if (is_terminator(decoded.instr.mnemonic)) break;
+    // Any transfer or trap ends the block. A syscall stays mid-block: exit(2)
+    // ends the run through the machine's run-end status, after it.
+    if (isa::effects(decoded.instr, *target_).flow != isa::Flow::kNext) break;
   }
 
   if (block.count == 0) {

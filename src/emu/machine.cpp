@@ -4,7 +4,6 @@
 
 #include "emu/block_cache.h"
 #include "isa/decoder.h"
-#include "isa/semantics.h"
 #include "obs/metrics.h"
 #include "support/bits.h"
 #include "support/error.h"

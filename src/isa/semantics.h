@@ -1,27 +1,61 @@
-// r2r::isa — static classification of instructions.
+// r2r::isa — what one instruction does to machine state.
 //
-// Used by structural recovery (block boundaries), the patcher (pattern
-// selection), and the lifter (flag materialization).
+// effects() is the one per-mnemonic table of register, flag and control
+// effects. It states facts, exactly as emu::Machine executes each
+// instruction, implicit operands included. Policy (a callee may write rax,
+// flags are dead across a call) stays with the caller that assumes it.
 #pragma once
+
+#include <cstdint>
 
 #include "isa/instruction.h"
 
 namespace r2r::isa {
 
-/// Ends a basic block with no fall-through: jmp, indirect jmp, ret, hlt,
-/// ud2, int3.
-bool is_terminator(const Instruction& instr) noexcept;
+class Target;
 
-/// Any control transfer: branches, calls, ret.
-bool is_control_flow(const Instruction& instr) noexcept;
+/// Registers as a bit set: bit reg_number(r) stands for r.
+using RegSet = std::uint16_t;
+static_assert(kRegCount <= 16, "RegSet holds one bit per register");
 
-/// Conditional branch (kJcc).
-bool is_cond_branch(const Instruction& instr) noexcept;
+constexpr RegSet reg_bit(Reg reg) noexcept { return static_cast<RegSet>(1U << reg_number(reg)); }
 
-/// Instruction writes (some) arithmetic flags.
-bool writes_flags(const Instruction& instr) noexcept;
+/// How control leaves an instruction.
+enum class Flow : std::uint8_t {
+  kNext,          ///< to the next one (syscall too: exit(2) ends the run, not the flow)
+  kJump,          ///< jmp to its operand
+  kBranch,        ///< jcc: to its operand or the next instruction
+  kCall,          ///< call to its operand
+  kIndirectJump,  ///< jmp through a register or memory
+  kIndirectCall,  ///< call through a register or memory
+  kReturn,        ///< ret
+  kTrap,          ///< hlt, ud2, int3: the run ends
+};
 
-/// Instruction observes arithmetic flags (jcc/setcc/cmovcc/pushfq).
-bool reads_flags(const Instruction& instr) noexcept;
+/// True when control may go on at the next instruction.
+constexpr bool falls_through(Flow flow) noexcept {
+  return flow == Flow::kNext || flow == Flow::kBranch || flow == Flow::kCall ||
+         flow == Flow::kIndirectCall;
+}
+
+struct Effects {
+  RegSet reads = 0;   ///< registers whose value may reach what the instruction writes
+  RegSet writes = 0;  ///< registers it may change
+  /// The arithmetic flags as one unit: read when one may reach the result
+  /// (inc keeps CF, so it reads them), written when one may change.
+  bool reads_flags = false;
+  bool writes_flags = false;
+  Flow flow = Flow::kNext;
+
+  [[nodiscard]] bool reads_reg(Reg reg) const noexcept { return (reads & reg_bit(reg)) != 0; }
+  [[nodiscard]] bool writes_reg(Reg reg) const noexcept { return (writes & reg_bit(reg)) != 0; }
+};
+
+/// The effects of `instr` on `target`. Memory operands read their base
+/// and index (rip-relative ones read none); an 8- or 16-bit write also
+/// reads the register it merges into; `xor r, r` reads nothing. push, pop,
+/// pushfq and popfq use rsp; call and ret use rsp or the link register;
+/// syscall reads rax, rdi, rsi, rdx and the flags, and writes rax, rcx, r11.
+Effects effects(const Instruction& instr, const Target& target) noexcept;
 
 }  // namespace r2r::isa

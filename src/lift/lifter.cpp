@@ -6,8 +6,8 @@
 #include "bir/cfg.h"
 #include "bir/recover.h"
 #include "ir/builder.h"
-#include "isa/printer.h"
 #include "isa/semantics.h"
+#include "isa/target.h"
 #include "obs/trace.h"
 #include "support/error.h"
 
@@ -29,24 +29,9 @@ using isa::Width;
 using support::check;
 using support::ErrorKind;
 
-[[noreturn]] void unsupported(const Instruction& instr, const std::string& why) {
-  support::fail(ErrorKind::kLift, "cannot lift '" + isa::print(instr) + "': " + why);
-}
-
-/// True when `instr` writes rax (a syscall writes its result there).
-bool writes_rax(const Instruction& instr) {
-  if (instr.mnemonic == Mnemonic::kSyscall) return true;
-  if (instr.arity() == 0) return false;
-  if (!isa::is_reg(instr.op(0))) return false;
-  if (std::get<Reg>(instr.op(0)) != Reg::rax) return false;
-  switch (instr.mnemonic) {
-    case Mnemonic::kCmp:
-    case Mnemonic::kTest:
-    case Mnemonic::kPush:
-      return false;
-    default:
-      return true;
-  }
+[[noreturn]] void unsupported(const isa::Target& target, const Instruction& instr,
+                              const std::string& why) {
+  support::fail(ErrorKind::kLift, "cannot lift '" + target.print(instr) + "': " + why);
 }
 
 /// The exit(2) rule, shared by function discovery and block lifting: a
@@ -54,15 +39,18 @@ bool writes_rax(const Instruction& instr) {
 /// block is `mov rax, 60` with an unlabelled immediate. Given the constant
 /// rax holds before `instr` (none when unknown), returns the one it holds
 /// after: set by such a mov, cleared by any other write of rax, a syscall's
-/// result included.
-std::optional<std::uint64_t> rax_constant_after(const Instruction& instr,
+/// result included, and by any call, since the callee may write rax.
+std::optional<std::uint64_t> rax_constant_after(const isa::Target& target,
+                                                const Instruction& instr,
                                                 std::optional<std::uint64_t> rax) {
+  const isa::Effects fx = isa::effects(instr, target);
   if (instr.mnemonic == Mnemonic::kMov && instr.arity() == 2 && isa::is_reg(instr.op(0)) &&
-      std::get<Reg>(instr.op(0)) == Reg::rax && isa::is_imm(instr.op(1)) &&
-      std::get<isa::ImmOperand>(instr.op(1)).label.empty()) {
+      std::get<Reg>(instr.op(0)) == Reg::rax && !fx.reads_reg(Reg::rax) &&
+      isa::is_imm(instr.op(1)) && std::get<isa::ImmOperand>(instr.op(1)).label.empty()) {
     return static_cast<std::uint64_t>(std::get<isa::ImmOperand>(instr.op(1)).value);
   }
-  return writes_rax(instr) ? std::nullopt : rax;
+  if (fx.flow == isa::Flow::kCall || fx.flow == isa::Flow::kIndirectCall) return std::nullopt;
+  return fx.writes_reg(Reg::rax) ? std::nullopt : rax;
 }
 
 /// True for a syscall that rax_constant_after's rule proves to be exit(2).
@@ -88,8 +76,8 @@ class FunctionLifter {
  public:
   FunctionLifter(LiftState& state, const bir::Module& bmod, const Cfg& cfg,
                  ir::Function& fn, const std::map<std::size_t, std::string>& callees)
-      : state_(state), bmod_(bmod), cfg_(cfg), fn_(fn), callees_(callees),
-        builder_(state.module) {}
+      : state_(state), bmod_(bmod), target_(isa::target(bmod.arch)), cfg_(cfg), fn_(fn),
+        callees_(callees), builder_(state.module) {}
 
   /// `blocks` are the cfg block ids belonging to this function, in layout
   /// order; `entry_block` is the cfg id of the function head.
@@ -362,7 +350,7 @@ class FunctionLifter {
       if (!item.is_instruction()) continue;
       const Instruction& instr = *item.instr;
       const bool exits = is_exit_syscall(instr, rax);
-      rax = rax_constant_after(instr, rax);
+      rax = rax_constant_after(target_, instr, rax);
       terminated = lift_instruction(instr, exits);
     }
 
@@ -622,7 +610,7 @@ class FunctionLifter {
         return true;
 
       default:
-        unsupported(instr, "outside the liftable subset");
+        unsupported(target_, instr, "outside the liftable subset");
     }
   }
 
@@ -648,6 +636,7 @@ class FunctionLifter {
 
   LiftState& state_;
   const bir::Module& bmod_;
+  const isa::Target& target_;
   const Cfg& cfg_;
   ir::Function& fn_;
   const std::map<std::size_t, std::string>& callees_;
@@ -658,12 +647,13 @@ class FunctionLifter {
 /// True if the block ends the program: it holds a syscall that
 /// is_exit_syscall proves to be exit(2).
 bool is_exit_block(const bir::Module& bmod, const bir::BasicBlock& block) {
+  const isa::Target& target = isa::target(bmod.arch);
   std::optional<std::uint64_t> rax;
   for (std::size_t i = block.first_item; i <= block.last_item; ++i) {
     const bir::CodeItem& item = bmod.text[i];
     if (!item.is_instruction()) continue;
     if (is_exit_syscall(*item.instr, rax)) return true;
-    rax = rax_constant_after(*item.instr, rax);
+    rax = rax_constant_after(target, *item.instr, rax);
   }
   return false;
 }

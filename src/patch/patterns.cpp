@@ -20,21 +20,6 @@ using isa::Mnemonic;
 using isa::Reg;
 using isa::Width;
 
-/// Registers the operands reference (including memory base/index).
-std::set<Reg> regs_of(const Instruction& instr) {
-  std::set<Reg> regs;
-  for (const auto& op : instr.operands) {
-    if (isa::is_reg(op)) regs.insert(std::get<Reg>(op));
-    if (!isa::is_mem(op)) continue;
-    const auto& mem = std::get<isa::MemOperand>(op);
-    if (mem.base) regs.insert(*mem.base);
-    if (mem.index) regs.insert(*mem.index);
-  }
-  return regs;
-}
-
-bool references_rsp(const Instruction& instr) { return regs_of(instr).contains(Reg::rsp); }
-
 /// Marks the items inserted in [first, last) as countermeasure code.
 void mark_synthesized(bir::Module& module, std::size_t first, std::size_t count) {
   for (std::size_t i = first; i < first + count && i < module.text.size(); ++i) {
@@ -88,14 +73,17 @@ class Frame {
   Frame(const bir::Module& module, const Instruction& original)
       : target_(isa::target(module.arch)),
         traits_(target_.pattern_traits()),
-        stack_(traits_.flag_save == isa::PatternTraits::FlagSave::kStack),
-        used_(regs_of(original)) {}
+        stack_(traits_.flag_save == isa::PatternTraits::FlagSave::kStack) {
+    const isa::Effects fx = isa::effects(original, target_);
+    used_ = fx.reads | fx.writes;
+  }
 
-  /// False when the original names a register the frame clobbers unsaved.
+  /// True when the original reads or writes `reg`.
+  [[nodiscard]] bool uses(Reg reg) const { return (used_ & isa::reg_bit(reg)) != 0; }
+  /// False when the original uses a register the frame clobbers unsaved.
   [[nodiscard]] bool usable() const {
-    return stack_ || !(used_.contains(traits_.flag_scratch) ||
-                       used_.contains(traits_.value_scratch_a) ||
-                       used_.contains(traits_.value_scratch_b));
+    return stack_ || !(uses(traits_.flag_scratch) || uses(traits_.value_scratch_a) ||
+                       uses(traits_.value_scratch_b));
   }
   /// True once the open region has pushed: rsp has moved.
   [[nodiscard]] bool pushed() const { return stack_ && !restores_.empty(); }
@@ -122,12 +110,12 @@ class Frame {
   }
 
   /// A register the pattern may clobber: on the stack model the first of
-  /// `candidates` the original does not reference, pushed until close();
+  /// `candidates` the original does not use, pushed until close();
   /// on the register model value scratch A. A region takes one.
   Reg scratch(std::span<const Reg> candidates = kScratchOrder) {
     if (!stack_) return traits_.value_scratch_a;
     for (const Reg reg : candidates) {
-      if (used_.contains(reg)) continue;
+      if (uses(reg)) continue;
       push(isa::push(reg), isa::pop(reg));
       return reg;
     }
@@ -225,7 +213,7 @@ class Frame {
   const isa::Target& target_;
   const isa::PatternTraits& traits_;
   bool stack_;
-  std::set<Reg> used_;                  ///< registers the original references
+  isa::RegSet used_ = 0;                ///< registers the original reads or writes
   std::vector<Instruction> seq_;
   std::vector<std::pair<std::size_t, std::string>> labels_;  ///< (position, name)
   std::vector<Instruction> restores_;   ///< what close() emits, in reverse
@@ -260,7 +248,7 @@ PatternKind apply_mov(bir::Module& module, std::size_t index) {
   // A push moves rsp under an rsp-relative re-read, and the aliased form
   // copies its address before the load; such sites stay unprotected
   // (reported upstream).
-  if (references_rsp(original) && (aliased || frame.pushed())) return PatternKind::kNone;
+  if (frame.uses(Reg::rsp) && (aliased || frame.pushed())) return PatternKind::kNone;
 
   const std::string handler = ensure_fault_handler(module);
   const bool restores = frame.keeps_state();
@@ -357,61 +345,20 @@ PatternKind apply_jcc(bir::Module& module, std::size_t index) {
 }
 
 /// Does the callee write rax before any instruction could read it?
-/// Conservative linear scan of the callee's entry straight-line code; any
-/// branch, call, or ambiguous instruction before a clear write means "no".
+/// Conservative linear scan of the callee's entry straight-line code. The
+/// scan stops at control flow and at raw bytes, answering "no": what the
+/// code beyond them does is not followed.
 bool callee_clobbers_rax_first(const bir::Module& module, const std::string& label) {
   const auto start = module.index_of_label(label);
   if (!start) return false;
+  const isa::Target& target = isa::target(module.arch);
   for (std::size_t i = *start; i < module.text.size(); ++i) {
     const bir::CodeItem& item = module.text[i];
     if (!item.is_instruction()) return false;
-    const Instruction& instr = *item.instr;
-
-    const auto operand_reads_rax = [](const isa::Operand& op) {
-      if (isa::is_reg(op)) return std::get<Reg>(op) == Reg::rax;
-      if (isa::is_mem(op)) {
-        const auto& mem = std::get<isa::MemOperand>(op);
-        return (mem.base && *mem.base == Reg::rax) || (mem.index && *mem.index == Reg::rax);
-      }
-      return false;
-    };
-
-    switch (instr.mnemonic) {
-      case Mnemonic::kMov:
-      case Mnemonic::kMovzx:
-      case Mnemonic::kMovsx:
-      case Mnemonic::kLea:
-        // Pure write to the destination; safe if rax is the destination
-        // register and the source does not mention rax.
-        if (instr.arity() == 2 && isa::is_reg(instr.op(0)) &&
-            std::get<Reg>(instr.op(0)) == Reg::rax) {
-          return !operand_reads_rax(instr.op(1));
-        }
-        if (operand_reads_rax(instr.op(0)) ||
-            (instr.arity() == 2 && operand_reads_rax(instr.op(1)))) {
-          return false;
-        }
-        continue;
-      case Mnemonic::kXor:
-        // xor rax, rax is an idiomatic write.
-        if (instr.arity() == 2 && isa::is_reg(instr.op(0)) &&
-            isa::is_reg(instr.op(1)) && std::get<Reg>(instr.op(0)) == Reg::rax &&
-            std::get<Reg>(instr.op(1)) == Reg::rax) {
-          return true;
-        }
-        [[fallthrough]];
-      default: {
-        // Any other instruction mentioning rax (or transferring control)
-        // ends the analysis pessimistically.
-        if (isa::is_control_flow(instr) || instr.mnemonic == Mnemonic::kSyscall) {
-          return false;
-        }
-        for (const isa::Operand& op : instr.operands) {
-          if (operand_reads_rax(op)) return false;
-        }
-        continue;
-      }
-    }
+    const isa::Effects fx = isa::effects(*item.instr, target);
+    if (fx.reads_reg(Reg::rax)) return false;
+    if (fx.writes_reg(Reg::rax)) return true;
+    if (fx.flow != isa::Flow::kNext) return false;
   }
   return false;
 }
@@ -455,6 +402,7 @@ std::string ensure_fault_handler(bir::Module& module) {
 }
 
 bool flags_live_after(const bir::Module& module, std::size_t index) {
+  const isa::Target& target = isa::target(module.arch);
   std::set<std::size_t> visited;
   std::size_t i = index + 1;
   while (true) {
@@ -463,33 +411,31 @@ bool flags_live_after(const bir::Module& module, std::size_t index) {
     const bir::CodeItem& item = module.text[i];
     if (!item.is_instruction()) return true;  // raw bytes: assume the worst
     const Instruction& instr = *item.instr;
-    if (isa::reads_flags(instr)) return true;
-    if (isa::writes_flags(instr)) return false;
-    switch (instr.mnemonic) {
-      case Mnemonic::kJmp: {
+    const isa::Effects fx = isa::effects(instr, target);
+    // Policy: flags are dead across calls (SysV) and syscalls (the kernel
+    // clobbers rflags), and any flag write kills them all, although inc
+    // and dec keep CF: the flags are one unit here, not six.
+    if (fx.flow == isa::Flow::kCall || fx.flow == isa::Flow::kIndirectCall ||
+        instr.mnemonic == Mnemonic::kSyscall || fx.writes_flags) {
+      return false;
+    }
+    if (fx.reads_flags) return true;
+    switch (fx.flow) {
+      case isa::Flow::kJump: {
         if (!isa::is_label(instr.op(0))) return true;
-        const auto target =
+        const auto destination =
             module.index_of_label(std::get<isa::LabelOperand>(instr.op(0)).name);
-        if (!target) return true;
-        i = *target;
+        if (!destination) return true;
+        i = *destination;
         continue;
       }
-      case Mnemonic::kJmpReg:
-        return true;  // unknown destination
-      case Mnemonic::kRet:
-        return true;  // caller may observe flags — stay conservative
-      case Mnemonic::kCall:
-      case Mnemonic::kCallReg:
-        return false;  // SysV: flags are dead across calls
-      case Mnemonic::kHlt:
-      case Mnemonic::kUd2:
-      case Mnemonic::kInt3:
+      case isa::Flow::kTrap:
         return false;
-      case Mnemonic::kSyscall:
-        return false;  // kernel clobbers rflags (r11 convention)
-      default:
+      case isa::Flow::kNext:
         ++i;
         continue;
+      default:
+        return true;  // an unknown destination, or a caller that may observe them
     }
   }
 }
@@ -501,8 +447,10 @@ PatternKind classify_pattern(const bir::Module& module, std::size_t index) {
   switch (item.instr->mnemonic) {
     case Mnemonic::kMov: return PatternKind::kMov;
     case Mnemonic::kMovzx: return PatternKind::kMovzx;
-    case Mnemonic::kCmp:
-      return references_rsp(*item.instr) ? PatternKind::kNone : PatternKind::kCmp;
+    case Mnemonic::kCmp:  // Table II pushes, which moves an rsp-relative operand
+      return isa::effects(*item.instr, isa::target(module.arch)).reads_reg(Reg::rsp)
+                 ? PatternKind::kNone
+                 : PatternKind::kCmp;
     case Mnemonic::kJcc:
       return isa::is_label(item.instr->op(0)) ? PatternKind::kJcc : PatternKind::kNone;
     case Mnemonic::kCall:

@@ -1,17 +1,28 @@
 // Emulator: flag semantics against a host-computed oracle (property
-// sweeps), memory permissions, syscalls, fault-injection mechanics.
+// sweeps), memory permissions, syscalls, fault-injection mechanics, and
+// the isa effects table checked against the machine step by step.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <span>
+#include <utility>
 
 #include "bir/assemble.h"
 #include "bir/module.h"
 #include "emu/machine.h"
+#include "guests/guests.h"
+#include "guests/synth.h"
+#include "harden/hybrid.h"
 #include "isa/condition.h"
+#include "isa/semantics.h"
 #include "machine_oracle.h"
+#include "patch/patterns.h"
 #include "sim/snapshot.h"
 #include "support/bits.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/strings.h"
+#include "synth_corpus.h"
 
 namespace r2r::emu {
 namespace {
@@ -916,6 +927,126 @@ TEST(LazyFlags, MatrixProgramsRunTheirConsumers) {
   const std::uint64_t rflags = machine.memory().read(out->value + 64 * 8, 8);
   EXPECT_EQ(rflags, Flags{}.to_rflags() | 1ULL << 4 | 1ULL << 2)
       << "0xFF + 1 sets AF and PF only";
+}
+
+// ---- the isa effects table against the machine -------------------------------------
+
+/// Checks isa::effects against every step of the run of `image` on `input`,
+/// replayed one step at a time on uncached machines:
+///  (a) every register the step changed is in `writes`, and changed flags
+///      imply `writes_flags`;
+///  (b) poisoning any register outside `reads` before the step leaves the
+///      written registers, the flags, rip, memory and output as they were;
+///  (c) when `reads_flags` is false, flipping every flag before the step
+///      does the same, the flags compared only when the step writes them.
+/// A step that ends the run (exit(2)) writes no register, so there the
+/// run end, exit code, output and memory are compared. Returns the steps.
+std::uint64_t expect_effects_cover_run(const elf::Image& image, const std::string& input) {
+  Machine golden(image, input);
+  Machine probe(image, input);
+  golden.set_block_cache_enabled(false);
+  probe.set_block_cache_enabled(false);
+  const isa::Target& target = golden.target();
+  isa::Decoded decoded;
+  std::array<std::uint8_t, isa::kMaxInstructionLength> window{};
+  for (std::uint64_t step = 0;; ++step) {
+    const sim::MachineSnapshot before = sim::capture(golden);
+    std::size_t fetched = 0;
+    EXPECT_EQ(golden.memory().try_fetch(before.cpu.rip, window, fetched), AccessFault::kNone);
+    EXPECT_TRUE(target.try_decode(std::span<const std::uint8_t>(window.data(), fetched),
+                                  before.cpu.rip, decoded).ok());
+    const isa::Effects fx = isa::effects(decoded.instr, target);
+    const std::string where =
+        "step " + std::to_string(step) + ": " + target.print(decoded.instr);
+    const StopReason reason = golden.advance(step + 1, std::nullopt);
+    if (reason == StopReason::kCrashed) {
+      ADD_FAILURE() << where << " crashed the golden run";
+      return step;
+    }
+
+    const Cpu& after = golden.cpu();
+    for (unsigned r = 0; r < isa::kRegCount; ++r) {
+      if (after.gpr[r] != before.cpu.gpr[r]) {
+        EXPECT_TRUE(fx.writes_reg(isa::reg_from_number(r))) << where << " wrote gpr" << r;
+      }
+    }
+    if (!(after.flags == before.cpu.flags)) {
+      EXPECT_TRUE(fx.writes_flags) << where;
+    }
+
+    const auto expect_same_effects = [&](const std::string& poison, bool flags) {
+      const StopReason probed = probe.advance(step + 1, std::nullopt);
+      const std::string context = where + " with " + poison;
+      ASSERT_EQ(probed, reason) << context;
+      EXPECT_EQ(probe.output(), golden.output()) << context;
+      EXPECT_TRUE(probe.memory().equals(golden.memory())) << context;
+      if (reason == StopReason::kExited) {
+        EXPECT_EQ(probe.exit_code(), golden.exit_code()) << context;
+        return;
+      }
+      EXPECT_EQ(probe.cpu().rip, after.rip) << context;
+      if (flags) {
+        EXPECT_TRUE(probe.cpu().flags == after.flags) << context;
+      }
+      for (unsigned r = 0; r < isa::kRegCount; ++r) {
+        if (!fx.writes_reg(isa::reg_from_number(r))) continue;
+        EXPECT_EQ(probe.cpu().gpr[r], after.gpr[r]) << context << ": gpr" << r;
+      }
+    };
+    for (unsigned r = 0; r < isa::kRegCount; ++r) {
+      if (fx.reads_reg(isa::reg_from_number(r))) continue;
+      sim::restore(before, probe);
+      probe.cpu().gpr[r] ^= 0xA5A5'A5A5'A5A5'A5A5ULL;
+      expect_same_effects("gpr" + std::to_string(r) + " poisoned", /*flags=*/true);
+    }
+    if (!fx.reads_flags) {
+      sim::restore(before, probe);
+      probe.cpu().flags = Flags::from_rflags(~before.cpu.flags.to_rflags());
+      expect_same_effects("every flag flipped", fx.writes_flags);
+    }
+    if (testing::Test::HasFailure() || reason == StopReason::kExited) return step + 1;
+  }
+}
+
+/// The builtins and the frozen synth corpus for `arch`, each as built,
+/// with every instruction protected by the Tables I–III patterns, and
+/// Hybrid-hardened, so the runs also step through the stack, flag and
+/// call shapes that only the rewriters emit. Good and bad runs of each.
+void expect_effects_cover_golden_runs(isa::Arch arch) {
+  std::vector<guests::Guest> guests;
+  for (const guests::Guest* guest : guests::all_guests(arch)) guests.push_back(*guest);
+  for (const synth_corpus::CorpusSeed& entry : synth_corpus::kCorpus) {
+    guests.push_back(guests::synth::generate(entry.seed, arch));
+  }
+  std::uint64_t steps = 0;
+  for (const guests::Guest& guest : guests) {
+    const elf::Image built = guests::build_image(guest);
+    bir::Module protected_module = guests::build_module(guest);
+    for (std::size_t i = protected_module.text.size(); i-- > 0;) {
+      (void)patch::protect_instruction(protected_module, i);
+    }
+    const std::pair<const char*, elf::Image> images[] = {
+        {"built", built},
+        {"patterns", bir::assemble(protected_module)},
+        {"hybrid", harden::hybrid_harden(built).hardened},
+    };
+    for (const auto& [form, image] : images) {
+      for (const std::string& input : {guest.good_input, guest.bad_input}) {
+        SCOPED_TRACE(guest.name + " " + form + (input == guest.good_input ? " good" : " bad"));
+        steps += expect_effects_cover_run(image, input);
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(steps, 20000u);
+}
+
+TEST(EffectsTable, CoversEveryGoldenStepOnX64) {
+  expect_effects_cover_golden_runs(isa::Arch::kX64);
+}
+
+TEST(EffectsTable, CoversEveryGoldenStepOnRv32i) {
+  expect_effects_cover_golden_runs(isa::Arch::kRv32i);
 }
 
 }  // namespace

@@ -332,12 +332,46 @@ Guest exit_after_rax_write_guest() {
       "no:\n" + x64_write_and_exit("msg_no", 3, 1));
 }
 
+/// On the YES path rax holds 60 at a call whose callee loads a write(2),
+/// so the syscall after the call prints and does not exit: the exit rule
+/// must forget rax across the call, or the lifted program ends there.
+Guest syscall_after_call_guest() {
+  return yes_no_guest(
+      "syscall_after_call", isa::Arch::kX64, "A", "!",
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mov rax, 0\n"
+      "    mov rdi, 0\n"
+      "    mov rsi, offset buf\n"
+      "    mov rdx, 1\n"
+      "    syscall\n"
+      "    mov rsi, offset buf\n"
+      "    movzx rbx, byte ptr [rsi]\n"
+      "    cmp rbx, 65\n"
+      "    jne no\n"
+      "yes:\n"
+      "    mov rax, 60\n"
+      "    call set_write\n"
+      "    syscall\n"
+      "    mov rax, 60\n"
+      "    mov rdi, 0\n"
+      "    syscall\n"
+      "no:\n" + x64_write_and_exit("msg_no", 3, 1) +
+      "set_write:\n"
+      "    mov rax, 1\n"
+      "    mov rdi, 1\n"
+      "    mov rsi, offset msg_yes\n"
+      "    mov rdx, 4\n"
+      "    ret\n");
+}
+
 /// Hand-written guests for shapes the builtins and the synth corpus miss.
 const std::vector<Guest>& crafted_guests() {
   static const std::vector<Guest> guests = {
       sar32_guest(), jump_only_block_guest(isa::Arch::kX64),
       jump_only_block_guest(isa::Arch::kRv32i), flags_after_dec_guest(),
-      exit_after_rax_write_guest()};
+      exit_after_rax_write_guest(), syscall_after_call_guest()};
   return guests;
 }
 
@@ -583,6 +617,29 @@ TEST(LiftShapes, ShiftByClIsATypedLiftError) {
     EXPECT_EQ(error.kind(), support::ErrorKind::kLift);
     EXPECT_NE(std::string(error.what()).find("shift count must be immediate"), std::string::npos)
         << error.what();
+  }
+}
+
+TEST(LiftShapes, ErrorsPrintTheInstructionInTheTargetsDialect) {
+  Guest guest;
+  guest.name = "mvflags_rv32i";
+  guest.arch = isa::Arch::kRv32i;
+  guest.assembly =
+      ".global _start\n"
+      ".section .text\n"
+      "_start:\n"
+      "    mvflags a1\n"
+      "    mov a0, 60\n"
+      "    mov a5, 0\n"
+      "    syscall\n";
+  const elf::Image image = guests::build_image(guest);
+  EXPECT_EQ(emu::run_image(image, "").exit_code, 0);
+  try {
+    (void)lift::lift(image);
+    FAIL() << "mvflags lifted";
+  } catch (const support::Error& error) {
+    EXPECT_EQ(error.kind(), support::ErrorKind::kLift);
+    EXPECT_NE(std::string(error.what()).find("'mvflags a1'"), std::string::npos) << error.what();
   }
 }
 

@@ -430,22 +430,68 @@ TEST(AsmParser, RejectsMalformedInput) {
 // ---- semantics ------------------------------------------------------------------
 
 TEST(Semantics, TerminatorsAndBranches) {
-  EXPECT_TRUE(is_terminator(jmp("x")));
-  EXPECT_TRUE(is_terminator(ret()));
-  EXPECT_FALSE(is_terminator(jcc(Cond::e, "x")));
-  EXPECT_FALSE(is_terminator(call("x")));
-  EXPECT_TRUE(is_cond_branch(jcc(Cond::e, "x")));
+  const Target& x64 = target(Arch::kX64);
+  EXPECT_EQ(effects(jmp("x"), x64).flow, Flow::kJump);
+  EXPECT_EQ(effects(ret(), x64).flow, Flow::kReturn);
+  EXPECT_EQ(effects(jcc(Cond::e, "x"), x64).flow, Flow::kBranch);
+  EXPECT_EQ(effects(call("x"), x64).flow, Flow::kCall);
+  EXPECT_EQ(effects(hlt(), x64).flow, Flow::kTrap);
+  EXPECT_EQ(effects(syscall_(), x64).flow, Flow::kNext);
+  EXPECT_FALSE(falls_through(Flow::kJump));
+  EXPECT_FALSE(falls_through(Flow::kReturn));
+  EXPECT_TRUE(falls_through(Flow::kBranch));
+  EXPECT_TRUE(falls_through(Flow::kCall));
 }
 
 TEST(Semantics, FlagBehaviour) {
-  EXPECT_TRUE(writes_flags(add(Reg::rax, imm(1))));
-  EXPECT_TRUE(writes_flags(cmp(Reg::rax, imm(1))));
-  EXPECT_FALSE(writes_flags(mov(Reg::rax, imm(1))));
-  EXPECT_FALSE(writes_flags(lea(Reg::rax, mem(Reg::rbx, 0))));
-  EXPECT_TRUE(reads_flags(jcc(Cond::e, "x")));
-  EXPECT_TRUE(reads_flags(setcc(Cond::e, Reg::rax)));
-  EXPECT_TRUE(reads_flags(pushfq()));
-  EXPECT_FALSE(reads_flags(mov(Reg::rax, imm(1))));
+  const Target& x64 = target(Arch::kX64);
+  EXPECT_TRUE(effects(add(Reg::rax, imm(1)), x64).writes_flags);
+  EXPECT_TRUE(effects(cmp(Reg::rax, imm(1)), x64).writes_flags);
+  EXPECT_FALSE(effects(mov(Reg::rax, imm(1)), x64).writes_flags);
+  EXPECT_FALSE(effects(lea(Reg::rax, mem(Reg::rbx, 0)), x64).writes_flags);
+  EXPECT_TRUE(effects(jcc(Cond::e, "x"), x64).reads_flags);
+  EXPECT_TRUE(effects(setcc(Cond::e, Reg::rax), x64).reads_flags);
+  EXPECT_TRUE(effects(pushfq(), x64).reads_flags);
+  EXPECT_FALSE(effects(mov(Reg::rax, imm(1)), x64).reads_flags);
+  // inc keeps CF, and a shift by a count that masks to 0 keeps every flag.
+  EXPECT_TRUE(effects(make1(Mnemonic::kInc, Reg::rax), x64).reads_flags);
+  EXPECT_FALSE(effects(make2(Mnemonic::kShl, Reg::rax, imm(3)), x64).reads_flags);
+  EXPECT_TRUE(effects(make2(Mnemonic::kShl, Reg::rax, imm(64)), x64).reads_flags);
+  EXPECT_TRUE(effects(make2(Mnemonic::kShl, Reg::rax, Reg::rcx, Width::b64), x64).reads_flags);
+}
+
+TEST(Semantics, RegisterEffects) {
+  const Target& x64 = target(Arch::kX64);
+  const Target& rv32i = target(Arch::kRv32i);
+  const auto bits = [](std::initializer_list<Reg> regs) {
+    RegSet set = 0;
+    for (const Reg reg : regs) set |= reg_bit(reg);
+    return set;
+  };
+  // Memory operands read their address registers; rip-relative ones none.
+  const Effects store = effects(mov(mem_index(Reg::rbx, Reg::rcx, 8), Reg::rdx), x64);
+  EXPECT_EQ(store.reads, bits({Reg::rbx, Reg::rcx, Reg::rdx}));
+  EXPECT_EQ(store.writes, 0);
+  MemOperand rip_relative{std::nullopt, std::nullopt, 1, 0x1000, true, {}};
+  EXPECT_EQ(effects(mov(Reg::rax, rip_relative), x64).reads, 0);
+  // An 8-bit write merges into its register; xor r, r reads nothing.
+  EXPECT_EQ(effects(mov(Reg::rax, imm(1), Width::b8), x64).reads, bits({Reg::rax}));
+  EXPECT_EQ(effects(mov(Reg::rax, imm(1), Width::b32), x64).reads, 0);
+  EXPECT_EQ(effects(setcc(Cond::e, Reg::rcx), x64).reads, bits({Reg::rcx}));
+  EXPECT_EQ(effects(xor_(Reg::rax, Reg::rax), x64).reads, 0);
+  EXPECT_EQ(effects(xor_(Reg::rax, Reg::rbx), x64).reads, bits({Reg::rax, Reg::rbx}));
+  // Implicit operands: the stack pointer, the link register, syscall's ABI.
+  EXPECT_EQ(effects(push(Reg::rbx), x64).writes, bits({Reg::rsp}));
+  EXPECT_EQ(effects(pop(Reg::rbx), x64).writes, bits({Reg::rbx, Reg::rsp}));
+  EXPECT_EQ(effects(call("f"), x64).writes, bits({Reg::rsp}));
+  EXPECT_EQ(effects(ret(), x64).reads, bits({Reg::rsp}));
+  EXPECT_EQ(effects(call("f"), rv32i).writes, bits({rv32i.link_register()}));
+  EXPECT_EQ(effects(ret(), rv32i).reads, bits({rv32i.link_register()}));
+  EXPECT_EQ(effects(ret(), rv32i).writes, 0);
+  const Effects sys = effects(syscall_(), x64);
+  EXPECT_EQ(sys.reads, bits({Reg::rax, Reg::rdi, Reg::rsi, Reg::rdx}));
+  EXPECT_EQ(sys.writes, bits({Reg::rax, Reg::rcx, Reg::r11}));
+  EXPECT_TRUE(sys.reads_flags);  // r11 receives the flags image
 }
 
 }  // namespace

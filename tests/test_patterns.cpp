@@ -474,6 +474,37 @@ TEST(Patterns, FlagsLivenessDetectsConsumingJcc) {
   EXPECT_EQ(run.exit_code, 0);
 }
 
+TEST(Patterns, CallGuardSkipsACalleeThatWritesOnlyPartOfRax) {
+  // f merges one byte into rax, so the rest of the caller's rax survives
+  // the call: poisoning rax before it would change the good path.
+  bir::Module module = bir::module_from_assembly(
+      ".global _start\n"
+      "_start:\n"
+      "    mov rax, 321\n"
+      "    call f\n"
+      "    mov rdi, rax\n"
+      "    mov rax, 60\n"
+      "    syscall\n"
+      "f:\n"
+      "    mov rsi, offset buf\n"
+      "    mov al, byte ptr [rsi]\n"
+      "    ret\n"
+      ".section .data\n"
+      "buf: .byte 7\n");
+  std::size_t call = SIZE_MAX;
+  for (std::size_t i = 0; i < module.text.size(); ++i) {
+    if (module.text[i].is_instruction() &&
+        module.text[i].instr->mnemonic == isa::Mnemonic::kCall) {
+      call = i;
+    }
+  }
+  ASSERT_NE(call, SIZE_MAX);
+  EXPECT_EQ(patch::protect_instruction(module, call), PatternKind::kNone);
+  const emu::RunResult run = emu::run_image(bir::assemble(module), "");
+  ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
+  EXPECT_EQ(run.exit_code, 256 + 7);
+}
+
 TEST(Patterns, StackFramePushesBelowTheRedZone) {
   // The guest keeps 5 at [rsp-8], below rsp, where the SysV red zone lets
   // a leaf function keep data. A Table I form that pushes a scratch with

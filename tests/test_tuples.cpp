@@ -449,8 +449,12 @@ TEST(Engine, PairWindowReusesEveryPairPastAMaskedWrite) {
       if (same_state(golden[s], machine)) masked = s;
     }
     if (first.spec.kind == emu::FaultSpec::Kind::kSkip) {
-      if (t1 == kMaskedWrite) EXPECT_EQ(masked, std::optional(kMaskedWrite + 2));
-      if (t1 == kStoredWrite) EXPECT_EQ(masked, std::nullopt);
+      if (t1 == kMaskedWrite) {
+        EXPECT_EQ(masked, std::optional(kMaskedWrite + 2));
+      }
+      if (t1 == kStoredWrite) {
+        EXPECT_EQ(masked, std::nullopt);
+      }
     }
     if (!masked) continue;
     for (const PlannedFault& second : plan) {
