@@ -98,20 +98,6 @@ const isa::Target& extract_target_flag(std::vector<std::string>& args) {
   return *selected;
 }
 
-/// Applies the --target selection for one run() invocation and restores the
-/// previous one on the way out — in-process callers (tests, batch) must not
-/// inherit a stale target.
-class TargetScope {
- public:
-  explicit TargetScope(isa::Arch arch) : previous_(active_target()) {
-    set_active_target(arch);
-  }
-  ~TargetScope() { set_active_target(previous_); }
-
- private:
-  isa::Arch previous_;
-};
-
 /// Arms the obs layer for one run() invocation and writes the requested
 /// artifacts on the way out, then disarms everything — sequential
 /// in-process invocations (tests, the batch driver) must not leak tracing
@@ -233,8 +219,6 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     err << "r2r: " << error.what() << "\n";
     return 2;
   }
-  const TargetScope target_scope(target->arch());
-
   if (argv.empty() || argv[0] == "--help" || argv[0] == "-h" || argv[0] == "help") {
     out << top_level_help();
     return argv.empty() ? 2 : 0;
@@ -261,7 +245,7 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
   }
   const ObsScope obs_scope(obs_options, err);
   try {
-    return command->run(parser, out, err);
+    return command->run(parser, target->arch(), out, err);
   } catch (const support::Error& error) {
     // With --progress a throttled '\r' line may still be pending on this
     // stream; blank it first so the diagnostic doesn't overstrike it.

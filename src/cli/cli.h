@@ -33,12 +33,13 @@
 namespace r2r::cli {
 
 /// One registered subcommand: its parser factory doubles as the help/docs
-/// source, its runner gets the parsed flags plus the output streams.
+/// source, its runner gets the parsed flags, the --target selection and the
+/// output streams.
 struct Command {
   std::string_view name;
   std::string_view summary;  ///< one line for the top-level help
   ArgParser (*make_parser)();
-  int (*run)(const ArgParser& args, std::ostream& out, std::ostream& err);
+  int (*run)(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 };
 
 /// The registry, in help order.
@@ -103,24 +104,24 @@ void write_elf_file(const std::string& path, std::string_view bytes, std::ostrea
 // ---- subcommand entry points (one per src/cli/cmd_*.cpp) --------------------
 
 ArgParser make_lift_parser();
-int run_lift(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_lift(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_harden_parser();
-int run_harden(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_harden(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_campaign_parser();
-int run_campaign_cmd(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_campaign_cmd(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_fixpoint_parser();
-int run_fixpoint(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_fixpoint(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_synth_parser();
-int run_synth(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_synth(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_batch_parser();
-int run_batch(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_batch(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_serve_parser();
-int run_serve(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_serve(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_submit_parser();
-int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_submit(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_status_parser();
-int run_status(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_status(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 ArgParser make_shutdown_parser();
-int run_shutdown(const ArgParser& args, std::ostream& out, std::ostream& err);
+int run_shutdown(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err);
 
 }  // namespace r2r::cli

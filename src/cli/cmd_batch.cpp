@@ -73,6 +73,7 @@ struct BatchRow {
 
 struct BatchPlan {
   std::string cmd;
+  isa::Arch arch = isa::Arch::kX64;  ///< the --target every row's guest resolves on
   svc::JobSpec job;  ///< every row's job but its guest
 };
 
@@ -108,7 +109,7 @@ std::string spec_identity(const std::string& spec) {
 BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
   BatchRow row;
   svc::JobSpec job = plan.job;
-  job.guest = load_guest(spec);
+  job.guest = load_guest(spec, plan.arch);
   row.name = job.guest.name;
 
   if (plan.cmd == "campaign") {
@@ -166,9 +167,10 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
 
 }  // namespace
 
-int run_batch(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_batch(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err) {
   BatchPlan plan;
   plan.cmd = args.value_or("--cmd", "campaign");
+  plan.arch = arch;
   if (plan.cmd != "campaign" && plan.cmd != "fixpoint" && plan.cmd != "harden" &&
       plan.cmd != "lift") {
     err << "r2r batch: unknown --cmd '" << plan.cmd

@@ -21,14 +21,14 @@ ArgParser make_campaign_parser() {
   return parser;
 }
 
-int run_campaign_cmd(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_campaign_cmd(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err) {
   if (args.positionals().size() != 1) {
     err << "r2r campaign: expected exactly one guest spec (try 'r2r campaign --help')\n";
     return 2;
   }
   const svc::JobSpec spec =
       job_spec_from(args, svc::JobKind::kCampaign,
-                    load_guest(args.positionals()[0], overrides_from(args)));
+                    load_guest(args.positionals()[0], arch, overrides_from(args)));
   return print_job(args, svc::execute_job(spec), out, err);
 }
 

@@ -39,7 +39,7 @@ ArgParser make_harden_parser() {
   return parser;
 }
 
-int run_harden(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_harden(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err) {
   if (args.positionals().size() != 1) {
     err << "r2r harden: expected exactly one guest spec (try 'r2r harden --help')\n";
     return 2;
@@ -47,7 +47,7 @@ int run_harden(const ArgParser& args, std::ostream& out, std::ostream& err) {
   if (conflicting_approaches(args, err)) return 2;
   const svc::JobSpec spec =
       job_spec_from(args, svc::JobKind::kHarden,
-                    load_guest(args.positionals()[0], overrides_from(args)));
+                    load_guest(args.positionals()[0], arch, overrides_from(args)));
   harden::HybridConfig hybrid;
   if (!spec.patterns) {
     const std::string name = args.value_or("--countermeasure", "branch-hardening");

@@ -52,12 +52,12 @@ std::string bir_listing(const guests::Guest& guest, const elf::Image& image,
 
 }  // namespace
 
-int run_lift(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_lift(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err) {
   if (args.positionals().size() != 1) {
     err << "r2r lift: expected exactly one guest spec (try 'r2r lift --help')\n";
     return 2;
   }
-  const guests::Guest guest = load_guest(args.positionals()[0], overrides_from(args));
+  const guests::Guest guest = load_guest(args.positionals()[0], arch, overrides_from(args));
   const elf::Image image = guests::build_image(guest);
 
   std::string text;

@@ -68,7 +68,7 @@ ArgParser make_serve_parser() {
   return parser;
 }
 
-int run_serve(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_serve(const ArgParser& args, isa::Arch /*arch*/, std::ostream& out, std::ostream& err) {
   if (!args.positionals().empty()) {
     err << "r2r serve: takes no positional arguments (try 'r2r serve --help')\n";
     return 2;
@@ -117,7 +117,7 @@ ArgParser make_submit_parser() {
   return parser;
 }
 
-int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_submit(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err) {
   if (args.positionals().size() != 1) {
     err << "r2r submit: expected exactly one guest spec (try 'r2r submit --help')\n";
     return 2;
@@ -131,7 +131,7 @@ int run_submit(const ArgParser& args, std::ostream& out, std::ostream& err) {
   }
   const svc::JobSpec spec =
       job_spec_from(args, svc::job_kind_from(cmd),
-                    load_guest(args.positionals()[0], overrides_from(args)));
+                    load_guest(args.positionals()[0], arch, overrides_from(args)));
   const std::uint64_t priority =
       args.count_or("--priority", 0, std::numeric_limits<int>::max());
   const unsigned timeout_ms = connect_timeout_from(args);
@@ -170,7 +170,7 @@ ArgParser make_status_parser() {
   return parser;
 }
 
-int run_status(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_status(const ArgParser& args, isa::Arch /*arch*/, std::ostream& out, std::ostream& err) {
   const Format format = format_from(args);
   const unsigned timeout_ms = connect_timeout_from(args);
   try {
@@ -217,7 +217,7 @@ ArgParser make_shutdown_parser() {
   return parser;
 }
 
-int run_shutdown(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_shutdown(const ArgParser& args, isa::Arch /*arch*/, std::ostream& out, std::ostream& err) {
   const unsigned timeout_ms = connect_timeout_from(args);
   try {
     svc::Client client = connect_from(args, timeout_ms);

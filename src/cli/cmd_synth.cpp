@@ -67,12 +67,13 @@ std::string printable(const std::string& bytes) {
 
 }  // namespace
 
-int run_synth(const ArgParser& args, std::ostream& out, std::ostream& err) {
+int run_synth(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ostream& err) {
   if (!args.positionals().empty()) {
     err << "r2r synth: takes no positional arguments (try 'r2r synth --help')\n";
     return 2;
   }
   guests::synth::SynthConfig config;
+  config.arch = arch;
   config.min_key_len = static_cast<unsigned>(args.count_or("--min-key-len", 4));
   config.max_key_len = static_cast<unsigned>(args.count_or("--max-key-len", 8));
   config.max_noise_helpers = static_cast<unsigned>(args.count_or("--max-noise-helpers", 3));

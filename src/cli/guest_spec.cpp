@@ -34,8 +34,6 @@ void write_file(const std::string& path, std::string_view bytes) {
 
 namespace {
 
-isa::Arch g_active_target = isa::Arch::kX64;
-
 std::string resolve_input(const std::string& value) {
   if (!value.empty() && value.front() == '@') return read_file(value.substr(1));
   return value;
@@ -56,17 +54,14 @@ void derive_oracle(guests::Guest& guest) {
 
 }  // namespace
 
-void set_active_target(isa::Arch arch) { g_active_target = arch; }
-
-isa::Arch active_target() { return g_active_target; }
-
-guests::Guest load_guest(const std::string& spec, const GuestOverrides& overrides) {
+guests::Guest load_guest(const std::string& spec, isa::Arch arch,
+                         const GuestOverrides& overrides) {
   guests::Guest guest;
   // Built-in and synth guests carry a hand-/generator-maintained oracle;
   // file guests (and any guest whose inputs were overridden) get theirs
   // derived by running the assembled image below.
   bool needs_oracle = false;
-  if (const guests::Guest* builtin = guests::find_guest(spec, active_target())) {
+  if (const guests::Guest* builtin = guests::find_guest(spec, arch)) {
     guest = *builtin;
   } else if (spec.rfind("synth:", 0) == 0) {
     const auto seed = support::parse_integer(spec.substr(6));
@@ -74,10 +69,10 @@ guests::Guest load_guest(const std::string& spec, const GuestOverrides& override
       fail(ErrorKind::kInvalidArgument,
            "malformed synth spec '" + spec + "' (expected synth:<seed>)");
     }
-    guest = guests::synth::generate(static_cast<std::uint64_t>(*seed), active_target());
+    guest = guests::synth::generate(static_cast<std::uint64_t>(*seed), arch);
   } else if (spec.size() > 2 && spec.ends_with(".s")) {
     guest.name = fs::path(spec).stem().string();
-    guest.arch = active_target();
+    guest.arch = arch;
     guest.assembly = read_file(spec);
     const std::string stem = (fs::path(spec).parent_path() / guest.name).string();
     if (fs::exists(stem + ".good")) guest.good_input = read_file(stem + ".good");
@@ -87,7 +82,7 @@ guests::Guest load_guest(const std::string& spec, const GuestOverrides& override
              guests::find_guest(spec, isa::Arch::kRv32i) != nullptr) {
     fail(ErrorKind::kInvalidArgument,
          "guest '" + spec + "' has no port for target '" +
-             std::string(isa::target(active_target()).name()) + "'");
+             std::string(isa::target(arch).name()) + "'");
   } else {
     fail(ErrorKind::kInvalidArgument,
          "unknown guest spec '" + spec +

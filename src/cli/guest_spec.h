@@ -24,14 +24,6 @@
 
 namespace r2r::cli {
 
-/// Process-wide target selection (the --target global flag). load_guest
-/// resolves built-in names against this target's registry, generates synth
-/// guests in its dialect, and stamps file guests with it; cli::run() scopes
-/// the setting to one invocation, so in-process callers (tests, the batch
-/// driver) never leak a target into the next run.
-void set_active_target(isa::Arch arch);
-isa::Arch active_target();
-
 /// Inline input overrides (the --good-input / --bad-input flags). A value
 /// of the form "@path" reads the bytes of `path` instead.
 struct GuestOverrides {
@@ -39,12 +31,16 @@ struct GuestOverrides {
   std::optional<std::string> bad_input;
 };
 
-/// Resolves `spec` into a fully-populated Guest. For ".s" file specs the
+/// Resolves `spec` on target `arch` (the --target flag) into a fully
+/// populated Guest: built-in names resolve against the target's registry,
+/// synth guests are generated in its dialect, and file guests are stamped
+/// with it, since a bundle does not record its target. For ".s" specs the
 /// expected outputs/exit codes are derived by running the assembled image
 /// on the resolved inputs (missing inputs leave the oracle fields empty —
 /// enough for `lift`, rejected later by commands that need a campaign).
 /// Throws support::Error{kInvalidArgument} on an unresolvable spec.
-guests::Guest load_guest(const std::string& spec, const GuestOverrides& overrides = {});
+guests::Guest load_guest(const std::string& spec, isa::Arch arch,
+                         const GuestOverrides& overrides = {});
 
 /// Writes <dir>/<name>.s, .good, .bad and .expect.json; creates `dir` if
 /// missing. Returns the paths written, in that order.

@@ -44,6 +44,20 @@ Effects effects(const Instruction& instr, const Target& target) noexcept {
   };
 
   const Width w = instr.width;
+  const FlagSet tested = [&]() -> FlagSet {  // the flags a condition tests
+    switch (instr.cond) {
+      case Cond::o: case Cond::no: return kOF;
+      case Cond::b: case Cond::ae: return kCF;
+      case Cond::e: case Cond::ne: return kZF;
+      case Cond::be: case Cond::a: return kCF | kZF;
+      case Cond::s: case Cond::ns: return kSF;
+      case Cond::p: case Cond::np: return kPF;
+      case Cond::l: case Cond::ge: return kSF | kOF;
+      case Cond::le: case Cond::g: return kZF | kSF | kOF;
+      case Cond::none: return 0;
+    }
+    return 0;
+  }();
   switch (instr.mnemonic) {
     case Mnemonic::kMov:
     case Mnemonic::kMovzx:
@@ -52,7 +66,7 @@ Effects effects(const Instruction& instr, const Target& target) noexcept {
     case Mnemonic::kXor:
       if (reg(0) != 0 && reg(0) == reg(1)) {  // zeroes whatever the register held
         write(0, w);
-        fx.writes_flags = true;
+        fx.writes_flags = kAllFlags;
         break;
       }
       [[fallthrough]];
@@ -61,12 +75,12 @@ Effects effects(const Instruction& instr, const Target& target) noexcept {
     case Mnemonic::kAnd:
     case Mnemonic::kOr:
     case Mnemonic::kImul:
-    case Mnemonic::kNeg: update(0); read(1); fx.writes_flags = true; break;
+    case Mnemonic::kNeg: update(0); read(1); fx.writes_flags = kAllFlags; break;
     case Mnemonic::kCmp:
-    case Mnemonic::kTest: read(0); read(1); fx.writes_flags = true; break;
+    case Mnemonic::kTest: read(0); read(1); fx.writes_flags = kAllFlags; break;
     case Mnemonic::kNot: update(0); break;
     case Mnemonic::kInc:
-    case Mnemonic::kDec: update(0); fx.reads_flags = fx.writes_flags = true; break;  // keep CF
+    case Mnemonic::kDec: update(0); fx.writes_flags = kAllFlags & ~kCF; break;
     case Mnemonic::kShl:
     case Mnemonic::kShr:
     case Mnemonic::kSar: {
@@ -75,34 +89,35 @@ Effects effects(const Instruction& instr, const Target& target) noexcept {
       // A count that masks to 0 keeps the flags; only an immediate is known not to.
       const auto* count =
           instr.arity() == 2 ? std::get_if<ImmOperand>(&instr.operands[1]) : nullptr;
-      fx.reads_flags = count == nullptr || (count->value & (w == Width::b64 ? 63 : 31)) == 0;
-      fx.writes_flags = true;
+      const bool may_keep = count == nullptr || (count->value & (w == Width::b64 ? 63 : 31)) == 0;
+      fx.reads_flags = may_keep ? kAllFlags : 0;
+      fx.writes_flags = kAllFlags;
       break;
     }
     case Mnemonic::kPush: read(0); stack(); break;
     case Mnemonic::kPop: write(0, Width::b64); stack(); break;
-    case Mnemonic::kPushfq: stack(); fx.reads_flags = true; break;
-    case Mnemonic::kPopfq: stack(); fx.writes_flags = true; break;
+    case Mnemonic::kPushfq: stack(); fx.reads_flags = kAllFlags; break;
+    case Mnemonic::kPopfq: stack(); fx.writes_flags = kAllFlags; break;
     case Mnemonic::kJmp: read(0); fx.flow = Flow::kJump; break;
-    case Mnemonic::kJcc: read(0); fx.reads_flags = true; fx.flow = Flow::kBranch; break;
+    case Mnemonic::kJcc: read(0); fx.reads_flags = tested; fx.flow = Flow::kBranch; break;
     case Mnemonic::kCall: read(0); link(fx.writes); fx.flow = Flow::kCall; break;
     case Mnemonic::kJmpReg: read(0); fx.flow = Flow::kIndirectJump; break;
     case Mnemonic::kCallReg: read(0); link(fx.writes); fx.flow = Flow::kIndirectCall; break;
     case Mnemonic::kRet: link(fx.reads); fx.flow = Flow::kReturn; break;
-    case Mnemonic::kSetcc: write(0, Width::b8); fx.reads_flags = true; break;
+    case Mnemonic::kSetcc: write(0, Width::b8); fx.reads_flags = tested; break;
     // A false condition keeps the destination (at 32 bits, zero-extended).
-    case Mnemonic::kCmovcc: update(0); read(1); fx.reads_flags = true; break;
+    case Mnemonic::kCmovcc: update(0); read(1); fx.reads_flags = tested; break;
     case Mnemonic::kSyscall:  // rcx receives the return address, r11 the flags
       fx.reads = reg_bit(Reg::rax) | reg_bit(Reg::rdi) | reg_bit(Reg::rsi) | reg_bit(Reg::rdx);
       fx.writes = reg_bit(Reg::rax) | reg_bit(Reg::rcx) | reg_bit(Reg::r11);
-      fx.reads_flags = true;
+      fx.reads_flags = kAllFlags;
       break;
     case Mnemonic::kNop: break;
     case Mnemonic::kHlt:
     case Mnemonic::kInt3:
     case Mnemonic::kUd2: fx.flow = Flow::kTrap; break;
-    case Mnemonic::kReadFlags: write(0, w); fx.reads_flags = true; break;
-    case Mnemonic::kWriteFlags: read(0); fx.writes_flags = true; break;
+    case Mnemonic::kReadFlags: write(0, w); fx.reads_flags = kAllFlags; break;
+    case Mnemonic::kWriteFlags: read(0); fx.writes_flags = kAllFlags; break;
   }
   return fx;
 }

@@ -20,6 +20,17 @@ static_assert(kRegCount <= 16, "RegSet holds one bit per register");
 
 constexpr RegSet reg_bit(Reg reg) noexcept { return static_cast<RegSet>(1U << reg_number(reg)); }
 
+/// The arithmetic flags as a bit set, numbered as the flag-flip fault
+/// numbers them: CF, PF, AF, ZF, SF, OF.
+using FlagSet = std::uint8_t;
+inline constexpr FlagSet kCF = 1U << 0;
+inline constexpr FlagSet kPF = 1U << 1;
+inline constexpr FlagSet kAF = 1U << 2;
+inline constexpr FlagSet kZF = 1U << 3;
+inline constexpr FlagSet kSF = 1U << 4;
+inline constexpr FlagSet kOF = 1U << 5;
+inline constexpr FlagSet kAllFlags = kCF | kPF | kAF | kZF | kSF | kOF;
+
 /// How control leaves an instruction.
 enum class Flow : std::uint8_t {
   kNext,          ///< to the next one (syscall too: exit(2) ends the run, not the flow)
@@ -41,10 +52,12 @@ constexpr bool falls_through(Flow flow) noexcept {
 struct Effects {
   RegSet reads = 0;   ///< registers whose value may reach what the instruction writes
   RegSet writes = 0;  ///< registers it may change
-  /// The arithmetic flags as one unit: read when one may reach the result
-  /// (inc keeps CF, so it reads them), written when one may change.
-  bool reads_flags = false;
-  bool writes_flags = false;
+  /// Flags whose value may reach what it writes (a jcc, setcc or cmov
+  /// reads its condition's), and flags it may change. A flag it passes
+  /// through is neither: inc and dec write all but CF. A shift whose count
+  /// may mask to 0 passes every flag through then, so it reads them all.
+  FlagSet reads_flags = 0;
+  FlagSet writes_flags = 0;
   Flow flow = Flow::kNext;
 
   [[nodiscard]] bool reads_reg(Reg reg) const noexcept { return (reads & reg_bit(reg)) != 0; }

@@ -404,6 +404,7 @@ std::string ensure_fault_handler(bir::Module& module) {
 bool flags_live_after(const bir::Module& module, std::size_t index) {
   const isa::Target& target = isa::target(module.arch);
   std::set<std::size_t> visited;
+  isa::FlagSet live = isa::kAllFlags;  // the flags a pattern's compare would clobber
   std::size_t i = index + 1;
   while (true) {
     if (i >= module.text.size()) return false;
@@ -413,13 +414,14 @@ bool flags_live_after(const bir::Module& module, std::size_t index) {
     const Instruction& instr = *item.instr;
     const isa::Effects fx = isa::effects(instr, target);
     // Policy: flags are dead across calls (SysV) and syscalls (the kernel
-    // clobbers rflags), and any flag write kills them all, although inc
-    // and dec keep CF: the flags are one unit here, not six.
+    // clobbers rflags).
     if (fx.flow == isa::Flow::kCall || fx.flow == isa::Flow::kIndirectCall ||
-        instr.mnemonic == Mnemonic::kSyscall || fx.writes_flags) {
+        instr.mnemonic == Mnemonic::kSyscall) {
       return false;
     }
-    if (fx.reads_flags) return true;
+    if ((fx.reads_flags & live) != 0) return true;
+    live &= static_cast<isa::FlagSet>(~fx.writes_flags);
+    if (live == 0) return false;
     switch (fx.flow) {
       case isa::Flow::kJump: {
         if (!isa::is_label(instr.op(0))) return true;

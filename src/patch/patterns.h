@@ -116,9 +116,10 @@ PatternKind protect_instruction(bir::Module& module, std::size_t index);
 PatternKind reinforce_instruction(bir::Module& module, std::size_t index,
                                   std::uint64_t pair_window, unsigned order = 2);
 
-/// True if arithmetic flags may be observed after item `index` before being
-/// rewritten (conservative forward scan; used to decide whether the mov
-/// pattern must save/restore RFLAGS around its verification compare).
+/// True if an arithmetic flag may be read after item `index` before an
+/// instruction rewrites it (conservative forward scan, flag by flag; used to
+/// decide whether the mov pattern must save/restore RFLAGS around its
+/// verification compare).
 bool flags_live_after(const bir::Module& module, std::size_t index);
 
 }  // namespace r2r::patch

@@ -85,30 +85,6 @@ void run_sharded_state(unsigned configured_threads, std::size_t count, std::size
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// A sweep worker's machine; `block_cache` selects its dispatch mode.
-emu::Machine worker_machine(const elf::Image& image, const std::string& stdin_data,
-                            bool block_cache) {
-  emu::Machine machine(image, stdin_data);
-  machine.set_block_cache_enabled(block_cache);
-  return machine;
-}
-
-/// An order-1 profile worker's state: the faulted machine, plus the golden
-/// machine the pair-window check runs in lockstep with it (only when the
-/// check runs).
-struct ProfileMachines {
-  emu::Machine faulted;
-  std::optional<emu::Machine> golden;
-};
-
-/// An order-k classification worker's state: its machine, built when it
-/// first simulates a tuple (a level that reuse classifies whole builds
-/// none), and the plan indices of the tuple in hand.
-struct TupleWorker {
-  std::optional<emu::Machine> machine;
-  std::vector<std::uint32_t> tuple;
-};
-
 /// [begin, end) range of each trace index's fault group within the order-1
 /// plan (the plan is grouped by ascending trace index).
 std::vector<std::pair<std::size_t, std::size_t>> index_ranges(
@@ -564,44 +540,73 @@ Engine::FaultProfile Engine::finish_with_pruning(emu::Machine& machine,
   }
 }
 
-Engine::FaultProfile Engine::profile_one(emu::Machine& machine, emu::Machine* golden,
-                                         const PlannedFault& fault, std::uint64_t window,
-                                         std::atomic<std::uint64_t>& pruned) const {
-  const std::uint64_t index = fault.spec.trace_index;
-  const std::size_t nearest =
-      std::min<std::size_t>(index / interval_, chain_.size() - 1);
-  const std::uint64_t boundary = (index / interval_ + 1) * interval_;
-  timed_restore(chain_[nearest], machine);
+struct Engine::Worker {
+  std::optional<emu::Machine> faulted;
+  std::optional<emu::Machine> golden;
+  std::vector<std::uint32_t> set;  ///< an order-k level's fault set in hand
+};
 
-  // The pair-window check: steps s in (index, index + window] before the
-  // boundary (which finish_with_pruning compares) and inside the golden
-  // trace, so the golden machine never ends in it.
+Engine::FaultProfile Engine::simulate(Worker& worker, std::span<const std::uint32_t> set,
+                                      const std::vector<PlannedFault>& plan,
+                                      std::uint64_t window, std::uint64_t* hits,
+                                      std::atomic<std::uint64_t>& pruned) const {
+  const auto built = [&](std::optional<emu::Machine>& machine) -> emu::Machine& {
+    if (!machine) {
+      machine.emplace(image_, bad_input_);
+      machine->set_block_cache_enabled(config_.block_cache);
+    }
+    return *machine;
+  };
+  const auto nearest = [&](std::uint64_t index) -> const MachineSnapshot& {
+    return chain_[std::min<std::size_t>(index / interval_, chain_.size() - 1)];
+  };
+  emu::Machine& machine = built(worker.faulted);
+  timed_restore(nearest(plan[set.front()].spec.trace_index), machine);
+  if (hits != nullptr) {
+    for (std::size_t i = 0; i < set.size(); ++i) hits[i] = plan[set[i]].address;
+  }
+
+  // One leg per earlier fault: fault i-1 armed, paused just before fault i
+  // strikes (every trace index is below the fuel). A leg that terminates
+  // classifies the set; the later faults never fire and keep their golden
+  // hit addresses, as for a set reused from its first fault.
+  for (std::size_t i = 1; i < set.size(); ++i) {
+    const StopReason reason =
+        machine.advance(plan[set[i]].spec.trace_index, plan[set[i - 1]].spec);
+    if (reason != StopReason::kFuelExhausted) return stopped_profile(machine, reason);
+    if (hits != nullptr) hits[i] = machine.cpu().rip;
+  }
+
+  // The pair-window check of the last fault: steps s in (index, index +
+  // window] before the boundary (which finish_with_pruning compares) and
+  // inside the golden trace, so the golden machine never ends in it.
+  const emu::FaultSpec& fault = plan[set.back()].spec;
+  const std::uint64_t index = fault.trace_index;
+  const std::uint64_t boundary = (index / interval_ + 1) * interval_;
   const std::uint64_t last =
       std::min({index + window, boundary - 1, refs_.bad_trace.size() - 1});
   std::uint64_t reconverge = kNeverStep;
-  if (golden != nullptr && last > index) {
-    bool golden_restored = false;
-    for (std::uint64_t s = index + 1; s <= last; ++s) {
-      const StopReason reason = machine.advance(s, fault.spec);
-      if (reason != StopReason::kFuelExhausted) return stopped_profile(machine, reason);
-      // A full-state match needs equal rips, so the golden machine is
-      // restored at the first step where they agree and advanced only to
-      // such steps.
-      if (machine.cpu().rip != refs_.bad_trace[s].address) continue;
-      if (!golden_restored) {
-        timed_restore(chain_[nearest], *golden);
-        golden_restored = true;
-      }
-      golden->advance(s, std::nullopt);
-      if (same_state(machine, *golden)) {
-        reconverge = s;
-        break;
-      }
+  emu::Machine* golden = nullptr;
+  for (std::uint64_t s = index + 1; s <= last; ++s) {
+    const StopReason reason = machine.advance(s, fault);
+    if (reason != StopReason::kFuelExhausted) return stopped_profile(machine, reason);
+    // A full-state match needs equal rips, so the golden machine is
+    // restored at the first step where they agree and advanced only to
+    // such steps.
+    if (machine.cpu().rip != refs_.bad_trace[s].address) continue;
+    if (golden == nullptr) {
+      golden = &built(worker.golden);
+      timed_restore(nearest(index), *golden);
+    }
+    golden->advance(s, std::nullopt);
+    if (same_state(machine, *golden)) {
+      reconverge = s;
+      break;
     }
   }
   // Past the window the run goes on as in the order-1 sweep, so its outcome,
   // end step and pruning stay Engine::run's.
-  FaultProfile profile = finish_with_pruning(machine, fault.spec, boundary, pruned);
+  FaultProfile profile = finish_with_pruning(machine, fault, boundary, pruned);
   if (reconverge != kNeverStep) profile.reconverge_step = reconverge;
   return profile;
 }
@@ -610,20 +615,13 @@ void Engine::profile_all(const std::vector<PlannedFault>& plan, std::uint64_t wi
                          std::vector<FaultProfile>& profiles,
                          std::atomic<std::uint64_t>& pruned, obs::Progress& progress) const {
   profiles.assign(plan.size(), FaultProfile{});
-  run_sharded_state(
-      config_.threads, plan.size(), /*chunk=*/64, "sim.worker", &progress,
-      [&]() {
-        ProfileMachines state{worker_machine(image_, bad_input_, config_.block_cache),
-                              std::nullopt};
-        if (window != 0) {
-          state.golden.emplace(worker_machine(image_, bad_input_, config_.block_cache));
-        }
-        return state;
-      },
-      [&](ProfileMachines& state, std::size_t i) {
-        emu::Machine* golden = state.golden ? &*state.golden : nullptr;
-        profiles[i] = profile_one(state.faulted, golden, plan[i], window, pruned);
-      });
+  run_sharded_state(config_.threads, plan.size(), /*chunk=*/64, "sim.worker", &progress,
+                    [] { return Worker{}; },
+                    [&](Worker& worker, std::size_t i) {
+                      const auto fault = static_cast<std::uint32_t>(i);
+                      profiles[i] = simulate(worker, {&fault, 1}, plan, window,
+                                             /*hits=*/nullptr, pruned);
+                    });
 }
 
 CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
@@ -668,40 +666,6 @@ CampaignResult Engine::run(const FaultModels& models) const {
         .set(static_cast<std::int64_t>(plan.size() * 1'000'000'000ull / sweep_ns));
   }
   return result;
-}
-
-Outcome Engine::simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple,
-                               std::size_t arity, const std::vector<PlannedFault>& plan,
-                               std::uint64_t* hits,
-                               std::atomic<std::uint64_t>& converged) const {
-  const std::uint64_t t1 = plan[tuple[0]].spec.trace_index;
-  const std::size_t nearest = std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
-  timed_restore(chain_[nearest], machine);
-  if (hits != nullptr) {
-    for (std::size_t i = 0; i < arity; ++i) hits[i] = plan[tuple[i]].address;
-  }
-
-  // Legs 1..arity-1: run with fault i armed, pausing just before fault
-  // i+1's injection point. A leg that terminates classifies the whole tuple
-  // (the remaining faults never fire; their hit slots keep the golden
-  // addresses, as for a tuple reused from its first fault).
-  for (std::size_t leg = 1; leg < arity; ++leg) {
-    const std::uint64_t fuel = std::min(plan[tuple[leg]].spec.trace_index, fuel_);
-    const StopReason reason = machine.advance(fuel, plan[tuple[leg - 1]].spec);
-    if (reason != StopReason::kFuelExhausted || fuel >= fuel_) {
-      return classify_stopped(machine, reason);
-    }
-    // Paused exactly before dynamic step t(leg): rip is the instruction the
-    // next fault actually strikes.
-    if (hits != nullptr) hits[leg] = machine.cpu().rip;
-  }
-
-  // Final leg: the last fault armed, with the same convergence pruning as
-  // the order-1 sweep past its injection point.
-  const std::uint64_t t_last = plan[tuple[arity - 1]].spec.trace_index;
-  return finish_with_pruning(machine, plan[tuple[arity - 1]].spec,
-                             (t_last / interval_ + 1) * interval_, converged)
-      .outcome;
 }
 
 TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
@@ -802,10 +766,14 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
                              count);
       run_sharded_state(
           config_.threads, plan.size(), /*chunk=*/1, "sim.tuple_worker", nullptr,
-          [&]() { return TupleWorker{std::nullopt, std::vector<std::uint32_t>(m)}; },
-          [&](TupleWorker& worker, std::size_t i) {
+          [&] {
+            Worker worker;
+            worker.set.resize(m);
+            return worker;
+          },
+          [&](Worker& worker, std::size_t i) {
             const FaultProfile& first = profiles[i];
-            std::uint32_t* tuple = worker.tuple.data();
+            std::uint32_t* tuple = worker.set.data();
             std::uint64_t suffix = 0;
             std::uint64_t prefix = 0;
             for (std::uint64_t n = starts[i]; n < starts[i + 1]; ++n) {
@@ -818,12 +786,9 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
                 outcomes[n] = first.outcome;
                 ++prefix;
               } else {
-                if (!worker.machine) {
-                  worker.machine.emplace(
-                      worker_machine(image_, bad_input_, config_.block_cache));
-                }
-                outcomes[n] = simulate_tuple(*worker.machine, tuple, m, plan,
-                                             /*hits=*/nullptr, converged);
+                outcomes[n] = simulate(worker, worker.set, plan, /*window=*/0,
+                                       /*hits=*/nullptr, converged)
+                                  .outcome;
               }
             }
             reused_suffix.fetch_add(suffix, std::memory_order_relaxed);
@@ -877,10 +842,10 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
       std::atomic<std::uint64_t> replay_converged{0};
       run_sharded_state(
           config_.threads, found, /*chunk=*/64, "sim.tuple_worker", nullptr,
-          [&]() { return worker_machine(image_, bad_input_, config_.block_cache); },
-          [&](emu::Machine& machine, std::size_t j) {
-            simulate_tuple(machine, &successes[j * m], m, plan,
-                           result.vulnerabilities[j].hit_addresses.data(), replay_converged);
+          [] { return Worker{}; },
+          [&](Worker& worker, std::size_t j) {
+            simulate(worker, {&successes[j * m], m}, plan, /*window=*/0,
+                     result.vulnerabilities[j].hit_addresses.data(), replay_converged);
           });
     }
   }

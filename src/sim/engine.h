@@ -421,41 +421,33 @@ class Engine {
   [[nodiscard]] FaultProfile stopped_profile(const emu::Machine& machine,
                                              emu::StopReason reason) const noexcept;
 
-  /// Simulates one planned fault on a worker-owned machine and records its
-  /// profile. With convergence pruning enabled the boundary scan both
-  /// classifies early and yields the reconvergence step the order-k sweep
-  /// prunes with; `pruned` counts runs classified that way. With `golden`
-  /// non-null, each step of the first `window` after the fault and before
-  /// the next boundary where the faulted rip is the golden trace's address
-  /// is also compared against `golden`, restored from the same checkpoint
-  /// and advanced with no fault armed; a match sets reconverge_step and
-  /// changes nothing else of the profile.
-  FaultProfile profile_one(emu::Machine& machine, emu::Machine* golden,
-                           const PlannedFault& fault, std::uint64_t window,
-                           std::atomic<std::uint64_t>& pruned) const;
+  /// A sweep worker's state (defined in engine.cpp): the faulted machine and
+  /// the golden machine of the pair-window check, each built on first use.
+  struct Worker;
 
   /// Runs `machine` to completion with `fault` armed, scanning checkpoint
   /// boundaries from `boundary` on and pruning as soon as the state matches
-  /// golden. The one boundary loop shared by the order-1 and order-k sweeps;
-  /// `pruned` counts runs classified via the state match.
+  /// golden. `pruned` counts runs classified via the state match.
   FaultProfile finish_with_pruning(emu::Machine& machine, const emu::FaultSpec& fault,
                                    std::uint64_t boundary,
                                    std::atomic<std::uint64_t>& pruned) const;
 
-  /// Simulates one k-tuple: rehydrate before the first fault, then one leg
-  /// per fault — fault i armed, paused just before fault i+1's injection
-  /// point — with the final leg finished under convergence pruning. A leg
-  /// that terminates early classifies immediately (the remaining faults
-  /// never fire). `tuple` holds `arity` order-1 plan indices. When `hits`
-  /// is non-null, hits[i] receives the address fault i+1 actually strikes:
-  /// the golden address for the first fault and for legs the run never
-  /// reaches, else the machine's rip at the pause before it. Classification
-  /// passes null; run_tuples asks for hits only when it replays a
-  /// successful tuple.
-  Outcome simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple,
-                         std::size_t arity, const std::vector<PlannedFault>& plan,
-                         std::uint64_t* hits,
-                         std::atomic<std::uint64_t>& converged) const;
+  /// The one fault-set simulator behind phase A, every order-k level and the
+  /// hit replay. `set` holds order-1 plan indices in ascending trace order
+  /// (one for a single fault). It restores the checkpoint nearest the first
+  /// fault, then runs one leg per earlier fault — fault i armed, paused just
+  /// before fault i+1 strikes; a leg that terminates classifies the set, as
+  /// the later faults never fire. When `hits` is non-null, hits[i] receives
+  /// the address fault i actually strikes: the rip at the pause before it,
+  /// or its golden address for the first fault and for faults the run never
+  /// reaches. With a non-zero `window`, each step of the last fault's first
+  /// `window` before the next boundary where the faulted rip is the golden
+  /// trace's address is compared against the worker's golden machine; a
+  /// match sets reconverge_step and changes nothing else of the profile.
+  /// finish_with_pruning runs the rest; `pruned` counts its state matches.
+  FaultProfile simulate(Worker& worker, std::span<const std::uint32_t> set,
+                        const std::vector<PlannedFault>& plan, std::uint64_t window,
+                        std::uint64_t* hits, std::atomic<std::uint64_t>& pruned) const;
 
   /// The one order-1 aggregation shared by run() and run_tuples() phase A —
   /// what keeps the two sweeps bit-identical by construction.
@@ -464,9 +456,9 @@ class Engine {
                                   std::uint64_t pruned) const;
 
   /// Profiles every fault of `plan` into `profiles` — the shared heart of
-  /// run() and run_tuples() phase A: profile_one per fault across the
+  /// run() and run_tuples() phase A: simulate() per fault across the
   /// worker threads, slot i written only by fault i. A non-zero `window`
-  /// gives each worker a golden machine for the pair-window check.
+  /// runs the pair-window check.
   void profile_all(const std::vector<PlannedFault>& plan, std::uint64_t window,
                    std::vector<FaultProfile>& profiles,
                    std::atomic<std::uint64_t>& pruned, obs::Progress& progress) const;

@@ -17,6 +17,7 @@
 #include "emu/machine.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
+#include "guests/synth.h"
 #include "sim/engine.h"
 #include "support/strings.h"
 
@@ -367,6 +368,24 @@ TEST(Cli, BatchDiscoversBundleDirectoriesAndLifts) {
   EXPECT_NE(result.out.find("synth_3"), std::string::npos);
   EXPECT_NE(result.out.find("synth_4"), std::string::npos);
   EXPECT_NE(result.out.find("2 guest(s), 2 ok, 0 failed"), std::string::npos);
+}
+
+TEST(Cli, SynthAndBatchFollowTheTarget) {
+  // synth generates for --target; a bundle does not record its target, so
+  // batch resolves it on the --target it is given.
+  const CliResult printed = run_cli({"--target", "rv32i", "synth", "--seed", "3"});
+  ASSERT_EQ(printed.exit_code, 0);
+  EXPECT_NE(printed.out.find(guests::synth::generate(3, isa::Arch::kRv32i).assembly),
+            std::string::npos);
+  const std::string dir = temp_path("rv32i_bundles");
+  ASSERT_EQ(run_cli({"--target", "rv32i", "synth", "--seed", "3", "--count", "2", "--out",
+                     dir})
+                .exit_code,
+            0);
+  const CliResult batch = run_cli({"--target=rv32i", "batch", "--dir", dir, "--model", "skip"});
+  EXPECT_EQ(batch.exit_code, 0) << batch.out;
+  EXPECT_NE(batch.out.find("2 guest(s), 2 ok, 0 failed, 0 errored"), std::string::npos)
+      << batch.out;
 }
 
 // A guest spec that cannot even be resolved is an *infrastructure* error

@@ -15,6 +15,7 @@
 #include "harden/hybrid.h"
 #include "isa/condition.h"
 #include "isa/semantics.h"
+#include "isa/target.h"
 #include "machine_oracle.h"
 #include "patch/patterns.h"
 #include "sim/snapshot.h"
@@ -931,14 +932,26 @@ TEST(LazyFlags, MatrixProgramsRunTheirConsumers) {
 
 // ---- the isa effects table against the machine -------------------------------------
 
+/// The flags as an isa::FlagSet: bit i is kFlagMembers[i].
+constexpr std::array<bool Flags::*, 6> kFlagMembers = {&Flags::cf, &Flags::pf, &Flags::af,
+                                                       &Flags::zf, &Flags::sf, &Flags::of};
+
+isa::FlagSet flag_bits(const Flags& flags) {
+  isa::FlagSet set = 0;
+  for (std::size_t i = 0; i < kFlagMembers.size(); ++i) {
+    if (flags.*kFlagMembers[i]) set |= static_cast<isa::FlagSet>(1U << i);
+  }
+  return set;
+}
+
 /// Checks isa::effects against every step of the run of `image` on `input`,
 /// replayed one step at a time on uncached machines:
-///  (a) every register the step changed is in `writes`, and changed flags
-///      imply `writes_flags`;
+///  (a) every register and every flag the step changed is in `writes` and
+///      `writes_flags`;
 ///  (b) poisoning any register outside `reads` before the step leaves the
 ///      written registers, the flags, rip, memory and output as they were;
-///  (c) when `reads_flags` is false, flipping every flag before the step
-///      does the same, the flags compared only when the step writes them.
+///  (c) flipping any flag outside `reads_flags` before the step does the
+///      same, only the flags the step writes compared.
 /// A step that ends the run (exit(2)) writes no register, so there the
 /// run end, exit code, output and memory are compared. Returns the steps.
 std::uint64_t expect_effects_cover_run(const elf::Image& image, const std::string& input) {
@@ -970,11 +983,10 @@ std::uint64_t expect_effects_cover_run(const elf::Image& image, const std::strin
         EXPECT_TRUE(fx.writes_reg(isa::reg_from_number(r))) << where << " wrote gpr" << r;
       }
     }
-    if (!(after.flags == before.cpu.flags)) {
-      EXPECT_TRUE(fx.writes_flags) << where;
-    }
+    const isa::FlagSet changed = flag_bits(after.flags) ^ flag_bits(before.cpu.flags);
+    EXPECT_EQ(changed & ~fx.writes_flags, 0) << where << " wrote flags " << int{changed};
 
-    const auto expect_same_effects = [&](const std::string& poison, bool flags) {
+    const auto expect_same_effects = [&](const std::string& poison, isa::FlagSet flags) {
       const StopReason probed = probe.advance(step + 1, std::nullopt);
       const std::string context = where + " with " + poison;
       ASSERT_EQ(probed, reason) << context;
@@ -985,9 +997,7 @@ std::uint64_t expect_effects_cover_run(const elf::Image& image, const std::strin
         return;
       }
       EXPECT_EQ(probe.cpu().rip, after.rip) << context;
-      if (flags) {
-        EXPECT_TRUE(probe.cpu().flags == after.flags) << context;
-      }
+      EXPECT_EQ((flag_bits(probe.cpu().flags) ^ flag_bits(after.flags)) & flags, 0) << context;
       for (unsigned r = 0; r < isa::kRegCount; ++r) {
         if (!fx.writes_reg(isa::reg_from_number(r))) continue;
         EXPECT_EQ(probe.cpu().gpr[r], after.gpr[r]) << context << ": gpr" << r;
@@ -997,12 +1007,13 @@ std::uint64_t expect_effects_cover_run(const elf::Image& image, const std::strin
       if (fx.reads_reg(isa::reg_from_number(r))) continue;
       sim::restore(before, probe);
       probe.cpu().gpr[r] ^= 0xA5A5'A5A5'A5A5'A5A5ULL;
-      expect_same_effects("gpr" + std::to_string(r) + " poisoned", /*flags=*/true);
+      expect_same_effects("gpr" + std::to_string(r) + " poisoned", isa::kAllFlags);
     }
-    if (!fx.reads_flags) {
+    for (std::size_t f = 0; f < kFlagMembers.size(); ++f) {
+      if ((fx.reads_flags >> f & 1U) != 0) continue;
       sim::restore(before, probe);
-      probe.cpu().flags = Flags::from_rflags(~before.cpu.flags.to_rflags());
-      expect_same_effects("every flag flipped", fx.writes_flags);
+      probe.cpu().flags.*kFlagMembers[f] ^= true;
+      expect_same_effects("flag " + std::to_string(f) + " flipped", fx.writes_flags);
     }
     if (testing::Test::HasFailure() || reason == StopReason::kExited) return step + 1;
   }
@@ -1047,6 +1058,38 @@ TEST(EffectsTable, CoversEveryGoldenStepOnX64) {
 
 TEST(EffectsTable, CoversEveryGoldenStepOnRv32i) {
   expect_effects_cover_golden_runs(isa::Arch::kRv32i);
+}
+
+TEST(EffectsTable, ConditionsReadExactlyTheFlagsTheyTest) {
+  // The golden runs need not reach every condition in every flag state,
+  // so the condition rows are held to evaluate() over all 64 states: a
+  // jcc, setcc or cmov reads a flag exactly when flipping it alone can
+  // change the condition.
+  const auto flags_of = [](unsigned bits) {
+    Flags flags;
+    for (std::size_t i = 0; i < kFlagMembers.size(); ++i) {
+      flags.*kFlagMembers[i] = (bits >> i & 1U) != 0;
+    }
+    return flags;
+  };
+  const isa::Target& x64 = isa::target(isa::Arch::kX64);
+  for (unsigned c = 0; c < 16; ++c) {
+    const auto cond = static_cast<Cond>(c);
+    isa::FlagSet tested = 0;
+    for (unsigned bits = 0; bits < 64; ++bits) {
+      for (std::size_t f = 0; f < kFlagMembers.size(); ++f) {
+        if (evaluate(cond, flags_of(bits)) != evaluate(cond, flags_of(bits ^ 1U << f))) {
+          tested |= static_cast<isa::FlagSet>(1U << f);
+        }
+      }
+    }
+    isa::Instruction cmov = isa::make2(isa::Mnemonic::kCmovcc, Reg::rax, Reg::rbx);
+    cmov.cond = cond;
+    for (const isa::Instruction& instr : {isa::jcc(cond, "x"), isa::setcc(cond, Reg::rax), cmov}) {
+      EXPECT_EQ(isa::effects(instr, x64).reads_flags, tested)
+          << x64.print(instr) << " tests flags " << int{tested};
+    }
+  }
 }
 
 }  // namespace

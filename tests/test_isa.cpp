@@ -445,19 +445,26 @@ TEST(Semantics, TerminatorsAndBranches) {
 
 TEST(Semantics, FlagBehaviour) {
   const Target& x64 = target(Arch::kX64);
-  EXPECT_TRUE(effects(add(Reg::rax, imm(1)), x64).writes_flags);
-  EXPECT_TRUE(effects(cmp(Reg::rax, imm(1)), x64).writes_flags);
-  EXPECT_FALSE(effects(mov(Reg::rax, imm(1)), x64).writes_flags);
-  EXPECT_FALSE(effects(lea(Reg::rax, mem(Reg::rbx, 0)), x64).writes_flags);
-  EXPECT_TRUE(effects(jcc(Cond::e, "x"), x64).reads_flags);
-  EXPECT_TRUE(effects(setcc(Cond::e, Reg::rax), x64).reads_flags);
-  EXPECT_TRUE(effects(pushfq(), x64).reads_flags);
-  EXPECT_FALSE(effects(mov(Reg::rax, imm(1)), x64).reads_flags);
-  // inc keeps CF, and a shift by a count that masks to 0 keeps every flag.
-  EXPECT_TRUE(effects(make1(Mnemonic::kInc, Reg::rax), x64).reads_flags);
-  EXPECT_FALSE(effects(make2(Mnemonic::kShl, Reg::rax, imm(3)), x64).reads_flags);
-  EXPECT_TRUE(effects(make2(Mnemonic::kShl, Reg::rax, imm(64)), x64).reads_flags);
-  EXPECT_TRUE(effects(make2(Mnemonic::kShl, Reg::rax, Reg::rcx, Width::b64), x64).reads_flags);
+  EXPECT_EQ(effects(add(Reg::rax, imm(1)), x64).writes_flags, kAllFlags);
+  EXPECT_EQ(effects(cmp(Reg::rax, imm(1)), x64).writes_flags, kAllFlags);
+  EXPECT_EQ(effects(mov(Reg::rax, imm(1)), x64).writes_flags, 0);
+  EXPECT_EQ(effects(lea(Reg::rax, mem(Reg::rbx, 0)), x64).writes_flags, 0);
+  // A jcc, setcc or cmov reads the flags its condition tests, and no other.
+  EXPECT_EQ(effects(jcc(Cond::b, "x"), x64).reads_flags, kCF);
+  EXPECT_EQ(effects(jcc(Cond::b, "x"), x64).writes_flags, 0);
+  EXPECT_EQ(effects(jcc(Cond::le, "x"), x64).reads_flags, kZF | kSF | kOF);
+  EXPECT_EQ(effects(setcc(Cond::e, Reg::rax), x64).reads_flags, kZF);
+  EXPECT_EQ(effects(pushfq(), x64).reads_flags, kAllFlags);
+  EXPECT_EQ(effects(mov(Reg::rax, imm(1)), x64).reads_flags, 0);
+  // inc passes CF through: it writes every other flag and reads none.
+  const Effects inc = effects(make1(Mnemonic::kInc, Reg::rax), x64);
+  EXPECT_EQ(inc.writes_flags, kPF | kAF | kZF | kSF | kOF);
+  EXPECT_EQ(inc.reads_flags, 0);
+  // A shift by a count that masks to 0 keeps every flag, so it reads them.
+  EXPECT_EQ(effects(make2(Mnemonic::kShl, Reg::rax, imm(3)), x64).reads_flags, 0);
+  EXPECT_EQ(effects(make2(Mnemonic::kShl, Reg::rax, imm(64)), x64).reads_flags, kAllFlags);
+  EXPECT_EQ(effects(make2(Mnemonic::kShl, Reg::rax, Reg::rcx, Width::b64), x64).reads_flags,
+            kAllFlags);
 }
 
 TEST(Semantics, RegisterEffects) {
@@ -491,7 +498,7 @@ TEST(Semantics, RegisterEffects) {
   const Effects sys = effects(syscall_(), x64);
   EXPECT_EQ(sys.reads, bits({Reg::rax, Reg::rdi, Reg::rsi, Reg::rdx}));
   EXPECT_EQ(sys.writes, bits({Reg::rax, Reg::rcx, Reg::r11}));
-  EXPECT_TRUE(sys.reads_flags);  // r11 receives the flags image
+  EXPECT_EQ(sys.reads_flags, kAllFlags);  // r11 receives the flags image
 }
 
 }  // namespace

@@ -436,9 +436,31 @@ TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
   EXPECT_TRUE(stats.unpatchable.empty());
 }
 
+/// Protects the first `mov r, 1` of `source`, after which the flags are
+/// live, and expects the patched guest to exit 0 as the original does.
+void expect_mov_keeps_live_flags(const std::string& source) {
+  bir::Module module = bir::module_from_assembly(source);
+  std::size_t index = SIZE_MAX;
+  for (std::size_t i = 0; i < module.text.size() && index == SIZE_MAX; ++i) {
+    if (module.text[i].is_instruction() &&
+        module.text[i].instr->mnemonic == isa::Mnemonic::kMov &&
+        isa::is_imm(module.text[i].instr->op(1)) &&
+        std::get<isa::ImmOperand>(module.text[i].instr->op(1)).value == 1) {
+      index = i;
+    }
+  }
+  ASSERT_NE(index, SIZE_MAX);
+  EXPECT_TRUE(patch::flags_live_after(module, index));
+  ASSERT_EQ(patch::protect_instruction(module, index), PatternKind::kMov);
+  const emu::RunResult run = emu::run_image(bir::assemble(module), "");
+  ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
+  EXPECT_EQ(run.exit_code, 0);
+}
+
 TEST(Patterns, FlagsLivenessDetectsConsumingJcc) {
-  // mov between cmp and jcc: flags are live, pattern must preserve them.
-  bir::Module module = bir::module_from_assembly(
+  // mov between cmp and jcc: flags are live, pattern must preserve them
+  // (the jne must not fire).
+  expect_mov_keeps_live_flags(
       ".global _start\n"
       "_start:\n"
       "    mov rbx, 7\n"
@@ -452,26 +474,26 @@ TEST(Patterns, FlagsLivenessDetectsConsumingJcc) {
       "    mov rax, 60\n"
       "    mov rdi, 1\n"
       "    syscall\n");
-  const auto index = [&module]() -> std::size_t {
-    for (std::size_t i = 0; i < module.text.size(); ++i) {
-      if (module.text[i].is_instruction() &&
-          module.text[i].instr->mnemonic == isa::Mnemonic::kMov &&
-          isa::is_imm(module.text[i].instr->op(1)) &&
-          std::get<isa::ImmOperand>(module.text[i].instr->op(1)).value == 1) {
-        return i;
-      }
-    }
-    return SIZE_MAX;
-  }();
-  ASSERT_NE(index, SIZE_MAX);
-  EXPECT_TRUE(patch::flags_live_after(module, index));
-  ASSERT_EQ(patch::protect_instruction(module, index), PatternKind::kMov);
+}
 
-  // Behaviour must be unchanged: exit 0 (the jne must not fire).
-  const elf::Image image = bir::assemble(module);
-  const emu::RunResult run = emu::run_image(image, "");
-  ASSERT_EQ(run.reason, emu::StopReason::kExited) << run.crash_detail;
-  EXPECT_EQ(run.exit_code, 0);
+TEST(Patterns, FlagsLivenessFollowsCarryThroughInc) {
+  // inc writes every flag but CF, so the cmp's carry still reaches the jb:
+  // the pattern's compare must not clobber it (3 < 7, so jb is taken).
+  expect_mov_keeps_live_flags(
+      ".global _start\n"
+      "_start:\n"
+      "    mov rbx, 3\n"
+      "    cmp rbx, 7\n"
+      "    mov rcx, 1\n"   // <- patched mov with live CF
+      "    inc rdx\n"
+      "    jb yes\n"
+      "    mov rax, 60\n"
+      "    mov rdi, 1\n"
+      "    syscall\n"
+      "yes:\n"
+      "    mov rax, 60\n"
+      "    mov rdi, 0\n"
+      "    syscall\n");
 }
 
 TEST(Patterns, CallGuardSkipsACalleeThatWritesOnlyPartOfRax) {
@@ -643,7 +665,7 @@ struct SeedGolden {
 
 constexpr GuestGolden kProtectGolden[] = {
     {"pincheck", isa::Arch::kX64,
-     {2490, "42be77df162c6b2f25105b26defc1eb9c0f1a89d4b80f1b364d61f212e572710"}},
+     {2550, "7b115837bdaeb0f6c4698bd036831cb94abee0482103e8d81972f8e5ed371dbe"}},
     {"bootloader", isa::Arch::kX64,
      {2326, "80d4d5bbca858c49e9dd5a531d36c15117b42176db8b849997914b8ceb0c38b1"}},
     {"toymov", isa::Arch::kX64,
