@@ -6,6 +6,7 @@
 #include "isa/printer.h"
 #include "isa/target.h"
 #include "obs/trace.h"
+#include "support/bits.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -104,38 +105,25 @@ bool resolve(const isa::Instruction& instr, const SymbolMap& symbols,
   return complete;
 }
 
-}  // namespace
+/// Defines `name` at `address` (a second definition must agree) and
+/// returns its entry, which stays put while `symbols` grows.
+std::uint64_t& define(SymbolMap& symbols, const std::string& name, std::uint64_t address) {
+  const auto [it, inserted] = symbols.emplace(name, address);
+  check(inserted || it->second == address, ErrorKind::kRewrite, "duplicate symbol: ", name);
+  return it->second;
+}
 
-elf::Image assemble(Module& module) {
-  obs::Span span("bir.assemble");
-  const isa::Target& target = isa::target(module.arch);
-  SymbolMap symbols;
-  const auto define = [&symbols](const std::string& name, std::uint64_t address) {
-    const auto [it, inserted] = symbols.emplace(name, address);
-    check(inserted || it->second == address, ErrorKind::kRewrite, "duplicate symbol: ", name);
-  };
-
-  // --- data layout (bases are fixed, so this is final) ----------------------
-  for (DataSection& section : module.data_sections) {
-    std::uint64_t cursor = section.base;
-    for (DataBlock& block : section.blocks) {
-      if (block.align > 1) {
-        cursor = (cursor + block.align - 1) & ~(block.align - 1);
-      }
-      block.address = cursor;
-      for (const std::string& label : block.labels) define(label, cursor);
-      cursor += block.bytes.size();
-    }
-  }
-
-  // --- text layout: one encode per instruction ---------------------------------
-  // Data bases are fixed and every earlier label already holds its final
-  // address, so an instruction whose symbols are all defined when it is
-  // reached gets its final bytes here. One that names a text label defined
-  // later (a forward branch or call, a mov of a later label) is encoded
-  // with a placeholder target: every such encoding has a fixed size
-  // (rel32 branches, movabs / fused-mov symbol immediates), and the
-  // forward pass below writes the real bytes over the placeholder.
+/// Lays .text out with every branch at full width and returns its bytes.
+///
+/// Data bases are fixed and every earlier label already holds its final
+/// address, so an instruction whose symbols are all defined when it is
+/// reached gets its final bytes at once. One that names a text label
+/// defined later (a forward branch or call, a mov of a later label) is
+/// encoded with a placeholder target: every such encoding has a fixed size
+/// (rel32 branches, movabs / fused-mov symbol immediates), and the forward
+/// pass writes the real bytes over the placeholder.
+std::vector<std::uint8_t> layout_text(Module& module, const isa::Target& target,
+                                      SymbolMap& symbols) {
   struct Forward {
     std::size_t index;  ///< into module.text
     std::size_t size;   ///< placeholder bytes
@@ -147,7 +135,7 @@ elf::Image assemble(Module& module) {
   for (std::size_t index = 0; index < module.text.size(); ++index) {
     CodeItem& item = module.text[index];
     item.address = cursor;
-    for (const std::string& label : item.labels) define(label, cursor);
+    for (const std::string& label : item.labels) define(symbols, label, cursor);
     if (item.is_instruction()) {
       const bool complete = resolve(*item.instr, symbols, cursor, true, item, target, scratch);
       const isa::Encoding bytes = target.encode(scratch, item.address);
@@ -159,7 +147,7 @@ elf::Image assemble(Module& module) {
     cursor = module.text_base + text_bytes.size();
   }
 
-  // --- forward references: every label is defined now ------------------------
+  // Forward references: every label is defined now.
   for (const Forward& forward : forwards) {
     const CodeItem& item = module.text[forward.index];
     resolve(*item.instr, symbols, 0, false, item, target, scratch);
@@ -171,6 +159,190 @@ elf::Image assemble(Module& module) {
               text_bytes.begin() + static_cast<std::ptrdiff_t>(item.address - module.text_base));
   }
   text_bytes.shrink_to_fit();  // the image holds .text for as long as it lives
+  return text_bytes;
+}
+
+/// A jmp or jcc to a label: the branches relaxation may shorten.
+bool is_label_branch(const isa::Instruction& instr) {
+  return (instr.mnemonic == isa::Mnemonic::kJmp || instr.mnemonic == isa::Mnemonic::kJcc) &&
+         instr.arity() == 1 && isa::is_label(instr.operands[0]);
+}
+
+/// Writes `branch` (a label branch) into `out` resolved to `destination`,
+/// without the copy of its label and the lookup that resolve() makes.
+void resolve_branch(const isa::Instruction& branch, std::uint64_t destination,
+                    isa::Instruction& out) {
+  isa::refill(out, branch.mnemonic, branch.width,
+              isa::ImmOperand{static_cast<std::int64_t>(destination), {}});
+  out.cond = branch.cond;
+}
+
+/// True when `instr`'s bytes depend on where it or a text label lands: a
+/// label operand, a symbol immediate, or a rip-relative or symbolic memory
+/// operand.
+bool moves_with_layout(const isa::Instruction& instr) {
+  for (const isa::Operand& op : instr.operands) {
+    if (isa::is_label(op)) return true;
+    if (const auto* imm = std::get_if<isa::ImmOperand>(&op);
+        imm != nullptr && !imm->label.empty()) {
+      return true;
+    }
+    if (const auto* mem = std::get_if<isa::MemOperand>(&op);
+        mem != nullptr && (mem->rip_relative || !mem->label.empty())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Lays .text out with branch relaxation and returns its bytes. Every
+/// label branch starts in the target's short form and grows to full width
+/// only when its displacement does not fit; sizes only grow, so the
+/// fix-point ends after at most one round per branch. Each instruction is
+/// encoded once while sizing; only label branches and instructions whose
+/// bytes move with the layout are encoded again, at their final address.
+std::vector<std::uint8_t> layout_relaxed_text(Module& module, const isa::Target& target,
+                                              SymbolMap& symbols) {
+  const std::size_t short_length = target.short_branch_length();
+  /// An item encoded again once the layout is final.
+  struct Fixup {
+    std::size_t index;       ///< into module.text
+    std::uint64_t offset;    ///< in the all-short layout
+    std::size_t size;        ///< bytes in the all-short layout
+    bool branch = false;     ///< a label branch
+    std::size_t growth = 0;  ///< a branch's full minus short length
+    const std::uint64_t* destination = nullptr;  ///< a branch's label value
+    bool full = false;       ///< a branch whose short form does not reach
+  };
+  struct TextLabel {
+    std::uint64_t* address;  ///< its entry in `symbols`
+    std::uint64_t offset;    ///< in the all-short layout
+  };
+  std::vector<Fixup> fixups;
+  std::vector<TextLabel> labels;
+  std::vector<std::uint8_t> sized;  ///< the all-short layout; fixups are placeholders
+  isa::Instruction scratch;
+
+  for (std::size_t index = 0; index < module.text.size(); ++index) {
+    CodeItem& item = module.text[index];
+    const std::uint64_t offset = sized.size();
+    item.address = module.text_base + offset;
+    for (const std::string& label : item.labels) {
+      labels.push_back(TextLabel{&define(symbols, label, item.address), offset});
+    }
+    if (!item.is_instruction()) {
+      sized.insert(sized.end(), item.raw.begin(), item.raw.end());
+      continue;
+    }
+    if (is_label_branch(*item.instr)) {
+      resolve_branch(*item.instr, item.address, scratch);  // for its full length
+      const std::size_t full_length = target.encode(scratch, item.address).size();
+      fixups.push_back(Fixup{index, offset, short_length, true, full_length - short_length});
+      sized.resize(sized.size() + short_length);
+      continue;
+    }
+    resolve(*item.instr, symbols, item.address, true, item, target, scratch);
+    const isa::Encoding bytes = target.encode(scratch, item.address);
+    if (moves_with_layout(*item.instr)) fixups.push_back(Fixup{index, offset, bytes.size()});
+    sized.insert(sized.end(), bytes.begin(), bytes.end());
+  }
+  for (Fixup& fixup : fixups) {
+    if (!fixup.branch) continue;
+    const isa::Instruction& branch = *module.text[fixup.index].instr;
+    const auto it = symbols.find(std::get<isa::LabelOperand>(branch.operands[0]).name);
+    // An undefined label stays full width; its final encode reports it.
+    fixup.full = it == symbols.end();
+    if (!fixup.full) fixup.destination = &it->second;
+  }
+
+  // Each round places labels and branches after the branches grown in
+  // earlier rounds, then grows every short branch that does not reach. A
+  // branch grown in this round moves nothing until the next, so no
+  // branch is measured against a stale label.
+  std::uint64_t growth = 0;  ///< of every full branch, once the rounds end
+  for (bool grew = true; grew;) {
+    grew = false;
+    std::size_t next = 0;
+    growth = 0;
+    for (const TextLabel& label : labels) {
+      for (; next < fixups.size() && fixups[next].offset < label.offset; ++next) {
+        if (fixups[next].full) growth += fixups[next].growth;
+      }
+      *label.address = module.text_base + label.offset + growth;
+    }
+    growth = 0;
+    for (Fixup& fixup : fixups) {
+      if (fixup.full) {
+        growth += fixup.growth;
+      } else if (fixup.branch) {
+        const std::uint64_t end = module.text_base + fixup.offset + growth + short_length;
+        fixup.full = !support::fits_int8(static_cast<std::int64_t>(*fixup.destination - end));
+        grew |= fixup.full;
+      }
+    }
+  }
+
+  // Final addresses, then the bytes: the runs between fixups are copied,
+  // each fixup is encoded at its final address.
+  std::uint64_t shift = 0;
+  std::size_t next = 0;
+  for (std::size_t index = 0; index < module.text.size(); ++index) {
+    for (; next < fixups.size() && fixups[next].index < index; ++next) {
+      if (fixups[next].full) shift += fixups[next].growth;
+    }
+    module.text[index].address += shift;
+  }
+  std::vector<std::uint8_t> text_bytes;
+  text_bytes.reserve(sized.size() + growth);
+  std::uint64_t copied = 0;
+  for (const Fixup& fixup : fixups) {
+    text_bytes.insert(text_bytes.end(), sized.begin() + static_cast<std::ptrdiff_t>(copied),
+                      sized.begin() + static_cast<std::ptrdiff_t>(fixup.offset));
+    const CodeItem& item = module.text[fixup.index];
+    if (fixup.destination != nullptr) {
+      resolve_branch(*item.instr, *fixup.destination, scratch);
+    } else {
+      resolve(*item.instr, symbols, 0, false, item, target, scratch);
+    }
+    const bool short_form = fixup.branch && !fixup.full;
+    const isa::Encoding bytes = short_form ? target.encode_short_branch(scratch, item.address)
+                                           : target.encode(scratch, item.address);
+    if (bytes.size() != fixup.size + (fixup.full ? fixup.growth : 0)) {
+      support::fail(ErrorKind::kRewrite, "layout drift at " + target.print(*item.instr));
+    }
+    text_bytes.insert(text_bytes.end(), bytes.begin(), bytes.end());
+    copied = fixup.offset + fixup.size;
+  }
+  text_bytes.insert(text_bytes.end(), sized.begin() + static_cast<std::ptrdiff_t>(copied),
+                    sized.end());
+  return text_bytes;
+}
+
+}  // namespace
+
+elf::Image assemble(Module& module) {
+  obs::Span span("bir.assemble");
+  const isa::Target& target = isa::target(module.arch);
+  SymbolMap symbols;
+
+  // --- data layout (bases are fixed, so this is final) ----------------------
+  for (DataSection& section : module.data_sections) {
+    std::uint64_t cursor = section.base;
+    for (DataBlock& block : section.blocks) {
+      if (block.align > 1) {
+        cursor = (cursor + block.align - 1) & ~(block.align - 1);
+      }
+      block.address = cursor;
+      for (const std::string& label : block.labels) define(symbols, label, cursor);
+      cursor += block.bytes.size();
+    }
+  }
+
+  // --- text layout ---------------------------------------------------------------
+  std::vector<std::uint8_t> text_bytes =
+      module.relax_branches && target.short_branch_length() != 0
+          ? layout_relaxed_text(module, target, symbols)
+          : layout_text(module, target, symbols);
 
   // --- image assembly ------------------------------------------------------------
   elf::Image image;

@@ -73,6 +73,11 @@ class Module {
   std::vector<DataSection> data_sections;
   std::string entry_symbol = "_start";
   std::vector<std::string> globals;
+  /// assemble() gives each jmp/jcc to a label the target's short form
+  /// where it reaches (branch relaxation). lower::lower sets it; parsed,
+  /// recovered and patched modules keep every branch at full width, so
+  /// their bytes stay independent of this choice.
+  bool relax_branches = false;
 
   /// Index of the instruction item currently assembled at `address`.
   [[nodiscard]] std::optional<std::size_t> index_of_address(std::uint64_t address) const;

@@ -213,6 +213,9 @@ int run_batch(const ArgParser& args, isa::Arch arch, std::ostream& out, std::ost
     err << "r2r batch: no guests (pass specs and/or --dir; try 'r2r batch --help')\n";
     return 2;
   }
+  // A bundle generated for another target is a usage error, raised before
+  // any guest runs.
+  for (const std::string& spec : specs) check_bundle_target(spec, plan.arch);
 
   unsigned workers = static_cast<unsigned>(args.count_or("-j", 1));
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());

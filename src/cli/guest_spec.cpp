@@ -39,6 +39,33 @@ std::string resolve_input(const std::string& value) {
   return value;
 }
 
+/// True for a path spec: assembly with sidecar files.
+bool is_bundle_spec(const std::string& spec) {
+  return spec.size() > 2 && spec.ends_with(".s");
+}
+
+/// <dir>/<stem> of a path spec, to which the sidecar suffixes are added.
+std::string bundle_stem(const std::string& spec) {
+  const fs::path path(spec);
+  return (path.parent_path() / path.stem()).string();
+}
+
+/// The "target" field of a bundle's <stem>.expect.json; empty when the
+/// file or the field is missing (bundles written before targets were
+/// recorded, and hand-written ones).
+std::string recorded_target(const std::string& spec) {
+  const std::string path = bundle_stem(spec) + ".expect.json";
+  if (!fs::exists(path)) return {};
+  const std::string expect = read_file(path);
+  const std::size_t key = expect.find("\"target\"");
+  if (key == std::string::npos) return {};
+  const std::size_t open = expect.find('"', expect.find(':', key));
+  if (open == std::string::npos) return {};
+  const std::size_t close = expect.find('"', open + 1);
+  if (close == std::string::npos) return {};
+  return expect.substr(open + 1, close - open - 1);
+}
+
 /// Fills the oracle fields of a file-based guest by running the assembled
 /// image on its inputs (the CLI analogue of the hand-maintained expected
 /// outputs of the built-in guests).
@@ -53,6 +80,16 @@ void derive_oracle(guests::Guest& guest) {
 }
 
 }  // namespace
+
+void check_bundle_target(const std::string& spec, isa::Arch arch) {
+  if (!is_bundle_spec(spec)) return;
+  const std::string recorded = recorded_target(spec);
+  const std::string wanted(isa::target(arch).name());
+  if (recorded.empty() || recorded == wanted) return;
+  fail(ErrorKind::kInvalidArgument, "guest bundle '" + spec + "' was generated for target '" +
+                                        recorded + "', not '" + wanted + "' (pass --target=" +
+                                        recorded + ")");
+}
 
 guests::Guest load_guest(const std::string& spec, isa::Arch arch,
                          const GuestOverrides& overrides) {
@@ -70,11 +107,12 @@ guests::Guest load_guest(const std::string& spec, isa::Arch arch,
            "malformed synth spec '" + spec + "' (expected synth:<seed>)");
     }
     guest = guests::synth::generate(static_cast<std::uint64_t>(*seed), arch);
-  } else if (spec.size() > 2 && spec.ends_with(".s")) {
+  } else if (is_bundle_spec(spec)) {
+    check_bundle_target(spec, arch);
     guest.name = fs::path(spec).stem().string();
     guest.arch = arch;
     guest.assembly = read_file(spec);
-    const std::string stem = (fs::path(spec).parent_path() / guest.name).string();
+    const std::string stem = bundle_stem(spec);
     if (fs::exists(stem + ".good")) guest.good_input = read_file(stem + ".good");
     if (fs::exists(stem + ".bad")) guest.bad_input = read_file(stem + ".bad");
     needs_oracle = !guest.good_input.empty() || !guest.bad_input.empty();
@@ -109,6 +147,7 @@ std::vector<std::string> write_guest_bundle(const guests::Guest& guest,
 
   std::string expect = "{\n";
   expect += "  \"name\": " + support::json_quote(guest.name) + ",\n";
+  expect += "  \"target\": " + support::json_quote(isa::target(guest.arch).name()) + ",\n";
   expect += "  \"good_exit\": " + std::to_string(guest.good_exit) + ",\n";
   expect += "  \"bad_exit\": " + std::to_string(guest.bad_exit) + ",\n";
   expect += "  \"good_output\": " + support::json_quote(guest.good_output) + ",\n";

@@ -34,7 +34,7 @@ struct GuestOverrides {
 /// Resolves `spec` on target `arch` (the --target flag) into a fully
 /// populated Guest: built-in names resolve against the target's registry,
 /// synth guests are generated in its dialect, and file guests are stamped
-/// with it, since a bundle does not record its target. For ".s" specs the
+/// with it after check_bundle_target(). For ".s" specs the
 /// expected outputs/exit codes are derived by running the assembled image
 /// on the resolved inputs (missing inputs leave the oracle fields empty —
 /// enough for `lift`, rejected later by commands that need a campaign).
@@ -42,8 +42,14 @@ struct GuestOverrides {
 guests::Guest load_guest(const std::string& spec, isa::Arch arch,
                          const GuestOverrides& overrides = {});
 
-/// Writes <dir>/<name>.s, .good, .bad and .expect.json; creates `dir` if
-/// missing. Returns the paths written, in that order.
+/// Throws Error{kInvalidArgument}, naming both targets, when `spec` is a
+/// ".s" bundle whose <stem>.expect.json records a target other than
+/// `arch`. Other specs, and bundles that record no target, pass.
+void check_bundle_target(const std::string& spec, isa::Arch arch);
+
+/// Writes <dir>/<name>.s, .good, .bad and .expect.json (which records the
+/// guest's target); creates `dir` if missing. Returns the paths written,
+/// in that order.
 std::vector<std::string> write_guest_bundle(const guests::Guest& guest,
                                             const std::string& dir);
 

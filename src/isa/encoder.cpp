@@ -613,4 +613,20 @@ Encoding encode(const Instruction& instr, std::uint64_t address) {
   return out.finish();
 }
 
+Encoding encode_short_branch(const Instruction& instr, std::uint64_t address) {
+  Encoding out;
+  if (instr.mnemonic == Mnemonic::kJcc && instr.cond != Cond::none) {
+    out.push_back(static_cast<std::uint8_t>(0x70 + static_cast<std::uint8_t>(instr.cond)));
+  } else {
+    check(instr.mnemonic == Mnemonic::kJmp, ErrorKind::kEncode,
+          "only jmp and jcc have a rel8 form");
+    out.push_back(0xEB);
+  }
+  const std::int64_t rel = static_cast<std::int64_t>(branch_target(instr)) -
+                           static_cast<std::int64_t>(address + kShortBranchLength);
+  check(fits_int8(rel), ErrorKind::kEncode, "pc-relative target out of rel8 range");
+  out.push_back(static_cast<std::uint8_t>(static_cast<std::int8_t>(rel)));
+  return out;
+}
+
 }  // namespace r2r::isa

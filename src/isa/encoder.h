@@ -52,6 +52,16 @@ class Encoding {
 
 /// Encodes one instruction placed at `address`. Throws Error{kEncode} for
 /// instructions outside the subset (e.g. 16-bit width, unresolved labels).
+/// Branches take their rel32 form.
 Encoding encode(const Instruction& instr, std::uint64_t address);
+
+/// Length of a short branch: opcode and rel8.
+inline constexpr std::size_t kShortBranchLength = 2;
+
+/// Encodes a resolved jmp or jcc placed at `address` in its short form,
+/// EB rel8 or 70+cc rel8, whose displacement is measured from the
+/// branch's end. Throws Error{kEncode} for any other instruction and when
+/// the target lies outside [-128, 127] of that end.
+Encoding encode_short_branch(const Instruction& instr, std::uint64_t address);
 
 }  // namespace r2r::isa

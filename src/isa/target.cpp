@@ -1,6 +1,9 @@
 #include "isa/target.h"
 
 #include <array>
+#include <string>
+
+#include "support/error.h"
 
 namespace r2r::isa {
 
@@ -17,6 +20,12 @@ Decoded Target::decode(std::span<const std::uint8_t> bytes, std::uint64_t addres
   const DecodeStatus status = try_decode(bytes, address, out);
   if (!status.ok()) [[unlikely]] throw decode_error(status);
   return out;
+}
+
+Encoding Target::encode_short_branch(const Instruction& /*instr*/,
+                                     std::uint64_t /*address*/) const {
+  support::fail(support::ErrorKind::kEncode,
+                std::string(name()) + " branches have no short form");
 }
 
 namespace {

@@ -4,7 +4,7 @@
 // The shared pipeline IR is the abstract isa::Instruction (mnemonic + cond +
 // width + operands). A Target supplies the per-ISA pieces around it:
 //
-//   * machine-code codec     try_decode() / encode()
+//   * machine-code codec     try_decode() / encode() / encode_short_branch()
 //     (decode() is the base class's throwing wrapper over try_decode())
 //   * register file syntax   reg_name() / parse_reg()
 //   * assembler dialect      print() / parse_instruction() / parse_assembly()
@@ -110,6 +110,18 @@ class Target {
   /// target's subset.
   [[nodiscard]] virtual Encoding encode(const Instruction& instr,
                                         std::uint64_t address) const = 0;
+
+  /// Length of the short form of a jmp or jcc, whose displacement is a
+  /// signed byte measured from the branch's end; 0 when the target's
+  /// branches have one width (rv32i). bir::assemble gives each label
+  /// branch of a relaxed module this form where the displacement fits.
+  [[nodiscard]] virtual std::size_t short_branch_length() const noexcept { return 0; }
+
+  /// Encodes a resolved jmp or jcc in its short form. Throws
+  /// Error{kEncode} when the target has none or the displacement does not
+  /// fit in it.
+  [[nodiscard]] virtual Encoding encode_short_branch(const Instruction& instr,
+                                                     std::uint64_t address) const;
 
   // ---- register-file syntax ------------------------------------------------
   [[nodiscard]] virtual std::string_view reg_name(Reg reg, Width width) const noexcept = 0;

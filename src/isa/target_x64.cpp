@@ -31,6 +31,15 @@ class X64Target final : public Target {
     return isa::encode(instr, address);
   }
 
+  [[nodiscard]] std::size_t short_branch_length() const noexcept override {
+    return kShortBranchLength;
+  }
+
+  [[nodiscard]] Encoding encode_short_branch(const Instruction& instr,
+                                             std::uint64_t address) const override {
+    return isa::encode_short_branch(instr, address);
+  }
+
   [[nodiscard]] std::string_view reg_name(Reg reg, Width width) const noexcept override {
     return isa::reg_name(reg, width);
   }

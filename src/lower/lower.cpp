@@ -69,6 +69,9 @@ constexpr Reg kScratch = Reg::r11;
 /// Base of the ".r2rstate" section that holds the module globals.
 constexpr std::uint64_t kStateBase = 0x90'0000;
 
+/// The exit syscall's number; it reads only its status argument.
+constexpr std::int64_t kExitSyscall = 60;
+
 /// What the lowering tracks per instruction of the function.
 struct ValueState {
   const ir::BasicBlock* block = nullptr;  ///< defining block
@@ -220,6 +223,25 @@ class FunctionLowerer {
     return raw;
   }
 
+  /// `mov reg, value` in its shortest form. On a 64-bit machine a value in
+  /// [0, 2^32) loads as mov r32, imm32, which zero-extends: 5 bytes on
+  /// x64 against 7 for mov r64, imm32 and 10 for movabs.
+  [[nodiscard]] Instruction load_constant(Reg reg, std::int64_t value) const {
+    const bool zero_extends =
+        natural() == Width::b64 && value >= 0 && value <= std::int64_t{0xFFFF'FFFF};
+    return isa::mov(reg, isa::imm(value), zero_extends ? Width::b32 : natural());
+  }
+
+  /// What a constant or global operand loads as: the legalized constant or
+  /// the global's address.
+  [[nodiscard]] std::int64_t immediate_of(const Value* value) const {
+    if (value->kind() == Value::Kind::kGlobal) {
+      return static_cast<std::int64_t>(static_cast<const ir::GlobalVariable*>(value)->address);
+    }
+    return legal_constant(
+        static_cast<std::int64_t>(static_cast<const ir::Constant*>(value)->value()));
+  }
+
   /// Truncates `dst` (holding a full-width computation) to `type`. A no-op
   /// when the type already fills the machine word.
   void emit_mask(Reg dst, Type type) {
@@ -229,7 +251,7 @@ class FunctionLowerer {
     if (fits_alu_imm(mask)) {
       code_.push_back(isa::and_(dst, isa::imm(mask), natural()));
     } else {
-      code_.push_back(isa::mov(kScratch, isa::imm(legal_constant(mask)), natural()));
+      code_.push_back(load_constant(kScratch, legal_constant(mask)));
       code_.push_back(isa::and_(dst, kScratch, natural()));
     }
   }
@@ -387,24 +409,12 @@ class FunctionLowerer {
       return *held;
     }
     const Reg reg = alloc_reg(pinned);
-    switch (value->kind()) {
-      case Value::Kind::kConstant: {
-        const auto raw =
-            static_cast<std::int64_t>(static_cast<const ir::Constant*>(value)->value());
-        code_.push_back(isa::mov(reg, isa::imm(legal_constant(raw)), natural()));
-        break;
-      }
-      case Value::Kind::kGlobal: {
-        const auto* global = static_cast<const ir::GlobalVariable*>(value);
-        code_.push_back(isa::mov(
-            reg, isa::imm(static_cast<std::int64_t>(global->address)), natural()));
-        break;
-      }
-      case Value::Kind::kInstr:
-        check(current_slot(value) >= 0, ErrorKind::kLower,
-              "use of a value that was never defined or spilled");
-        code_.push_back(isa::mov(reg, slot_operand(value), natural()));
-        break;
+    if (value->kind() == Value::Kind::kInstr) {
+      check(current_slot(value) >= 0, ErrorKind::kLower,
+            "use of a value that was never defined or spilled");
+      code_.push_back(isa::mov(reg, slot_operand(value), natural()));
+    } else {
+      code_.push_back(load_constant(reg, immediate_of(value)));
     }
     bind(reg, value, /*dirty=*/false);
     pinned |= bit(reg);
@@ -661,7 +671,7 @@ class FunctionLowerer {
           if (fits_alu_imm(case_value)) {
             code_.push_back(isa::cmp(value, isa::imm(case_value), natural()));
           } else {
-            code_.push_back(isa::mov(kScratch, isa::imm(case_value), natural()));
+            code_.push_back(load_constant(kScratch, case_value));
             code_.push_back(isa::cmp(value, kScratch, natural()));
           }
           code_.push_back(isa::jcc(Cond::e, target_label(instr.targets[c + 1])));
@@ -788,40 +798,31 @@ class FunctionLowerer {
   void lower_call(const ir::Instr& instr) {
     const ir::Function& callee = *instr.callee;
     if (callee.is_intrinsic() && callee.name() == ir::kTrapIntrinsic) {
-      code_.push_back(isa::mov(Reg::rax, isa::imm(60), natural()));
-      code_.push_back(isa::mov(Reg::rdi, isa::imm(patch::kDetectedExit), natural()));
+      code_.push_back(load_constant(Reg::rax, kExitSyscall));
+      code_.push_back(load_constant(Reg::rdi, patch::kDetectedExit));
       code_.push_back(isa::syscall_());
       cache_reset();  // never returns; nothing to preserve
       return;
     }
     if (callee.is_intrinsic() && callee.name() == ir::kSyscallIntrinsic) {
+      // exit reads only its status: the number and one argument load.
+      const Value* number = instr.operands[0];
+      const bool exits =
+          number->kind() == Value::Kind::kConstant &&
+          static_cast<const ir::Constant*>(number)->value() == std::uint64_t{kExitSyscall};
+      const std::size_t args = exits ? 2 : 4;
       // Argument values must be reloadable once the cache is dropped.
-      for (const Value* arg : instr.operands) ensure_slot_current(arg);
+      for (std::size_t i = 0; i < args; ++i) ensure_slot_current(instr.operands[i]);
       flush_and_clear();
-      const Reg abi[4] = {Reg::rax, Reg::rdi, Reg::rsi, Reg::rdx};
-      for (int i = 0; i < 4; ++i) {
-        const Value* arg = instr.operands[static_cast<std::size_t>(i)];
-        switch (arg->kind()) {
-          case Value::Kind::kConstant:
-            code_.push_back(isa::mov(
-                abi[i],
-                isa::imm(legal_constant(static_cast<std::int64_t>(
-                    static_cast<const ir::Constant*>(arg)->value()))),
-                natural()));
-            break;
-          case Value::Kind::kGlobal:
-            code_.push_back(isa::mov(
-                abi[i],
-                isa::imm(static_cast<std::int64_t>(
-                    static_cast<const ir::GlobalVariable*>(arg)->address)),
-                natural()));
-            break;
-          case Value::Kind::kInstr:
-            check(current_slot(arg) >= 0, ErrorKind::kLower,
-                  "syscall argument lost before the call");
-            code_.push_back(isa::mov(abi[i], slot_operand(arg), natural()));
-            break;
+      constexpr Reg kAbi[4] = {Reg::rax, Reg::rdi, Reg::rsi, Reg::rdx};
+      for (std::size_t i = 0; i < args; ++i) {
+        const Value* arg = instr.operands[i];
+        if (arg->kind() != Value::Kind::kInstr) {
+          code_.push_back(load_constant(kAbi[i], immediate_of(arg)));
+          continue;
         }
+        check(current_slot(arg) >= 0, ErrorKind::kLower, "syscall argument lost before the call");
+        code_.push_back(isa::mov(kAbi[i], slot_operand(arg), natural()));
       }
       code_.push_back(isa::syscall_());
       define(&instr, Reg::rax);
@@ -852,6 +853,7 @@ bir::Module lower(const ir::Module& module, const std::vector<bir::DataSection>&
                   const LowerOptions& options) {
   bir::Module out;
   out.arch = options.arch;  // .text at bir::Module's default base
+  out.relax_branches = true;
   out.entry_symbol = module.entry_function;
   out.globals.push_back(module.entry_function);
 

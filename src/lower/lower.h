@@ -17,10 +17,17 @@
 //  * on a 32-bit target an `and` whose constant has all low 32 bits set is
 //    a register alias (the register holds the low word only);
 //  * sext i32 -> i64 is the identity on a 32-bit target and shl 32; sar 32
-//    on x64 (the subset has no movsxd).
+//    on x64 (the subset has no movsxd);
+//  * a constant or address in [0, 2^32) loads as mov r32, imm32 on x64,
+//    which zero-extends (5 bytes against 7 for mov r64, imm32 and 10 for
+//    movabs); other values keep the 64-bit forms;
+//  * the lowered module asks for branch relaxation
+//    (bir::Module::relax_branches): on x64, bir::assemble gives each
+//    jmp/jcc rel8 where it reaches.
 //
 // Lowered intrinsics:
-//   r2r.syscall(n, a0, a1, a2) -> mov rax/rdi/rsi/rdx + syscall
+//   r2r.syscall(n, a0, a1, a2) -> mov rax/rdi/rsi/rdx + syscall; when n is
+//                                 the constant 60 (exit), mov rax/rdi only
 //   r2r.trap()                 -> exit(42)  (the fault response)
 #pragma once
 

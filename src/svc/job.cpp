@@ -140,8 +140,10 @@ std::string JobSpec::cache_key() const {
   // an order-k campaign without tuple patch sites says so in words.
   // Schema 8: harden ELFs changed bytes: the Hybrid state section's zero
   // tail is bss, and a Table I pattern that pushes with dead flags opens
-  // the x64 red zone first.
-  canonical.set("r2rd_cache_key_schema", "8");
+  // the x64 red zone first. Schema 9: Hybrid harden ELFs changed bytes:
+  // the x64 lowering loads constants below 2^32 as mov r32, relaxes
+  // branches to rel8, and an exit syscall loads rax and rdi only.
+  canonical.set("r2rd_cache_key_schema", "9");
   append_identity_fields(*this, canonical);
   return support::sha256_hex(encode_message(canonical));
 }

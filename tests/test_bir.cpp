@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bir/assemble.h"
@@ -119,12 +121,15 @@ TEST(Assemble, EachInstructionIsItsEncodingAtItsFinalAddress) {
   // Forward jmp, jcc and call; a backward branch and a branch to its own
   // label; a mov of a later text label (the fixed-size symbol form) and
   // a mov of a data label. Each instruction's bytes are what encode()
-  // makes of it with every label resolved, placed at its address.
-  for (const isa::Target* target : isa::all_targets()) {
-    SCOPED_TRACE(std::string(target->name()));
+  // makes of it with every label resolved, placed at its address. Relaxed,
+  // every jmp and jcc here reaches in the short form where the target
+  // has one.
+  for (const bool relax : {false, true}) for (const isa::Target* target : isa::all_targets()) {
+    SCOPED_TRACE(std::string(target->name()) + (relax ? " relaxed" : ""));
     const isa::Width w = target->natural_width();
     Module module;
     module.arch = target->arch();
+    module.relax_branches = relax;
     const auto add = [&module](std::vector<std::string> labels, isa::Instruction instr) {
       CodeItem item;
       item.labels = std::move(labels);
@@ -165,7 +170,12 @@ TEST(Assemble, EachInstructionIsItsEncodingAtItsFinalAddress) {
           imm->value = address_of(imm->label);  // the label keeps the mov's symbol form
         }
       }
-      const isa::Encoding expected = target->encode(resolved, item.address);
+      const bool short_branch = relax && target->short_branch_length() != 0 &&
+                                (resolved.mnemonic == isa::Mnemonic::kJmp ||
+                                 resolved.mnemonic == isa::Mnemonic::kJcc);
+      const isa::Encoding expected = short_branch
+                                         ? target->encode_short_branch(resolved, item.address)
+                                         : target->encode(resolved, item.address);
       EXPECT_EQ(item.address, text.vaddr + offset);
       ASSERT_LE(offset + expected.size(), text.data.size());
       EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
@@ -175,6 +185,140 @@ TEST(Assemble, EachInstructionIsItsEncodingAtItsFinalAddress) {
     }
     EXPECT_EQ(offset, text.data.size());
   }
+}
+
+// ---- branch relaxation ---------------------------------------------------------
+
+/// Appends an instruction item carrying `labels` to `module`.
+void add_item(Module& module, std::vector<std::string> labels, isa::Instruction instr) {
+  CodeItem item;
+  item.labels = std::move(labels);
+  item.instr = std::move(instr);
+  module.text.push_back(std::move(item));
+}
+
+/// An x64 module whose one branch (jmp, or jne) targets the label
+/// "target", `displacement` bytes from the branch's end in its short form;
+/// nops fill the distance. Returns the branch's item index through
+/// `branch_index`.
+Module branch_at(bool conditional, std::int64_t displacement, bool relax,
+                 std::size_t& branch_index) {
+  Module module;
+  module.relax_branches = relax;
+  const isa::Instruction branch =
+      conditional ? isa::jcc(Cond::ne, "target") : isa::jmp("target");
+  if (displacement >= 0) {
+    branch_index = 0;
+    add_item(module, {"_start"}, branch);
+    for (std::int64_t i = 0; i < displacement; ++i) add_item(module, {}, isa::nop());
+    add_item(module, {"target"}, isa::ret());
+  } else {
+    // The target is the first nop; the short branch ends |displacement|
+    // bytes after it.
+    const std::int64_t nops = -displacement - static_cast<std::int64_t>(isa::kShortBranchLength);
+    add_item(module, {"_start", "target"}, isa::nop());
+    for (std::int64_t i = 1; i < nops; ++i) add_item(module, {}, isa::nop());
+    branch_index = module.text.size();
+    add_item(module, {}, branch);
+    add_item(module, {}, isa::ret());
+  }
+  return module;
+}
+
+/// Length of the branch at `index` as assembled; fails unless its bytes
+/// decode to a branch to the "target" label.
+std::size_t assembled_branch_length(Module& module, std::size_t index) {
+  const elf::Image image = assemble(module);
+  const elf::Segment& text = *image.find_segment(".text");
+  const std::uint64_t address = module.text[index].address;
+  const std::span<const std::uint8_t> bytes(text.data.data() + (address - text.vaddr),
+                                            text.data.size() - (address - text.vaddr));
+  const isa::Decoded decoded = isa::target(module.arch).decode(bytes, address);
+  EXPECT_EQ(static_cast<std::uint64_t>(std::get<isa::ImmOperand>(decoded.instr.op(0)).value),
+            image.find_symbol("target")->value);
+  return decoded.length;
+}
+
+TEST(Relaxation, ABranchStaysShortExactlyWhileRel8Reaches) {
+  for (const bool conditional : {false, true}) {
+    const std::size_t full = conditional ? 6 : 5;
+    for (const auto& [displacement, length] :
+         std::vector<std::pair<std::int64_t, std::size_t>>{
+             {-128, 2}, {127, 2}, {-129, full}, {128, full}, {0, 2}}) {
+      SCOPED_TRACE((conditional ? "jne at " : "jmp at ") + std::to_string(displacement));
+      std::size_t index = 0;
+      Module module = branch_at(conditional, displacement, true, index);
+      EXPECT_EQ(assembled_branch_length(module, index), length);
+    }
+  }
+}
+
+TEST(Relaxation, ABranchPushedOutOfReachByAnotherGrowsToo) {
+  // Short, b ends at 2 and reaches lb at +127; a ends at 4 and misses la
+  // at +128. a grows by 3, which moves lb to +130 from b: both end long.
+  Module module;
+  module.relax_branches = true;
+  add_item(module, {"_start"}, isa::jmp("lb"));
+  add_item(module, {}, isa::jmp("la"));
+  for (int i = 0; i < 125; ++i) add_item(module, {}, isa::nop());
+  add_item(module, {"lb"}, isa::nop());
+  add_item(module, {}, isa::nop());
+  add_item(module, {}, isa::nop());
+  add_item(module, {"la"}, isa::ret());
+  const elf::Image image = assemble(module);
+  EXPECT_EQ(module.text[1].address - module.text[0].address, 5u);
+  EXPECT_EQ(module.text[2].address - module.text[1].address, 5u);
+  EXPECT_EQ(image.find_symbol("lb")->value, module.text_base + 135);
+  EXPECT_EQ(image.find_symbol("la")->value, module.text_base + 138);
+  const elf::Segment& text = *image.find_segment(".text");
+  EXPECT_EQ(text.data[0], 0xE9);
+  EXPECT_EQ(text.data[5], 0xE9);
+}
+
+TEST(Relaxation, ABranchWhoseEndsBothMoveStaysShort) {
+  // c grows; the backward branch b at -128 and its label both lie after
+  // c, so b still reaches. Measuring b after c's growth against a label
+  // placed before it would grow b too.
+  Module module;
+  module.relax_branches = true;
+  add_item(module, {"_start"}, isa::jmp("far"));
+  add_item(module, {"l"}, isa::nop());
+  for (int i = 1; i < 126; ++i) add_item(module, {}, isa::nop());
+  const std::size_t b = module.text.size();
+  add_item(module, {}, isa::jmp("l"));
+  for (int i = 0; i < 130; ++i) add_item(module, {}, isa::nop());
+  add_item(module, {"far"}, isa::ret());
+  assemble(module);
+  EXPECT_EQ(module.text[1].address - module.text[0].address, 5u);
+  EXPECT_EQ(module.text[b + 1].address - module.text[b].address, 2u);
+}
+
+TEST(Relaxation, AModuleNotRelaxedKeepsItsRel32Branches) {
+  for (const bool conditional : {false, true}) {
+    for (const std::int64_t displacement : {-128, 0, 127}) {
+      std::size_t index = 0;
+      Module plain = branch_at(conditional, displacement, false, index);
+      EXPECT_EQ(assembled_branch_length(plain, index), conditional ? 6u : 5u);
+    }
+  }
+}
+
+TEST(Relaxation, Rv32iBranchesKeepTheirWidth) {
+  // rv32i has no short form: a relaxed module assembles to the same bytes.
+  const auto build = [](bool relax) {
+    Module module = module_from_assembly(
+        ".global _start\n"
+        "_start:\n"
+        "    cmp a0, 1\n"
+        "    jne done\n"
+        "    jmp _start\n"
+        "done:\n"
+        "    ret\n",
+        isa::Arch::kRv32i);
+    module.relax_branches = relax;
+    return write_elf(assemble(module));
+  };
+  EXPECT_EQ(build(true), build(false));
 }
 
 TEST(Assemble, UndefinedLabelFails) {
@@ -247,15 +391,18 @@ TEST(Diagnostics, UndefinedLabelAtLayoutNamesReferencingLine) {
 }
 
 TEST(Diagnostics, UndefinedLabelAmongForwardReferencesKeepsItsMessage) {
-  Module module = module_from_assembly(
-      ".global _start\n"
-      "_start:\n"
-      "    jmp done\n"
-      "    jmp nowhere\n"
-      "done:\n"
-      "    ret\n");
-  EXPECT_EQ(error_message([&] { assemble(module); }),
-            "rewrite: undefined label: 'nowhere' (line 4: jmp nowhere)");
+  for (const bool relax : {false, true}) {
+    Module module = module_from_assembly(
+        ".global _start\n"
+        "_start:\n"
+        "    jmp done\n"
+        "    jmp nowhere\n"
+        "done:\n"
+        "    ret\n");
+    module.relax_branches = relax;
+    EXPECT_EQ(error_message([&] { assemble(module); }),
+              "rewrite: undefined label: 'nowhere' (line 4: jmp nowhere)");
+  }
 }
 
 TEST(Diagnostics, UndefinedDataSymbolNamesReferencingLine) {
@@ -281,9 +428,12 @@ TEST(Diagnostics, SynthesizedItemsCarryNoSourceLine) {
 }
 
 TEST(Assemble, DuplicateLabelFails) {
-  Module module = module_from_assembly(
-      ".global _start\n_start:\n    nop\n_start:\n    nop\n");
-  EXPECT_THROW(assemble(module), support::Error);
+  for (const bool relax : {false, true}) {
+    Module module = module_from_assembly(
+        ".global _start\n_start:\n    nop\n_start:\n    nop\n");
+    module.relax_branches = relax;
+    EXPECT_THROW(assemble(module), support::Error);
+  }
 }
 
 // ---- recovery -----------------------------------------------------------------

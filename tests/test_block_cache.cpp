@@ -21,6 +21,7 @@
 #include "emu/machine.h"
 #include "guests/guests.h"
 #include "guests/synth.h"
+#include "harden/hybrid.h"
 #include "isa/target.h"
 #include "machine_oracle.h"
 #include "obs/metrics.h"
@@ -66,29 +67,36 @@ std::vector<emu::TraceEntry> golden_trace(const elf::Image& image,
   return machine.run(config).trace;
 }
 
+/// Every fault kind injected at `step`.
+std::vector<FaultSpec> faults_at(std::uint64_t step) {
+  return {
+      FaultSpec{FaultSpec::Kind::kSkip, step, 0},
+      FaultSpec{FaultSpec::Kind::kBitFlip, step, 3},
+      FaultSpec{FaultSpec::Kind::kRegisterBitFlip, step, 0 * 64 + 5},
+      FaultSpec{FaultSpec::Kind::kFlagFlip, step, 3},
+  };
+}
+
 /// Every fault kind injected at a mid-trace step.
 std::vector<FaultSpec> mid_trace_faults(const std::vector<emu::TraceEntry>& trace) {
-  const std::uint64_t mid = trace.size() / 2;
-  return {
-      FaultSpec{FaultSpec::Kind::kSkip, mid, 0},
-      FaultSpec{FaultSpec::Kind::kBitFlip, mid, 3},
-      FaultSpec{FaultSpec::Kind::kRegisterBitFlip, mid, 0 * 64 + 5},
-      FaultSpec{FaultSpec::Kind::kFlagFlip, mid, 3},
-  };
+  return faults_at(trace.size() / 2);
 }
 
 // ---- differential oracle: builtin guests + frozen synth corpus --------------
 
-/// Both runs of `guest` fault-free, then every fault kind at a mid-trace
-/// step of the bad-input run.
-void expect_guest_identical(const guests::Guest& guest) {
-  const elf::Image image = guests::build_image(guest);
+/// Both runs of `image` on `guest`'s inputs fault-free, then every fault
+/// kind at a mid-trace step of the bad-input run.
+void expect_image_identical(const elf::Image& image, const guests::Guest& guest) {
   oracle::expect_cached_equals_uncached(image, guest.good_input);
   oracle::expect_cached_equals_uncached(image, guest.bad_input);
   for (const FaultSpec& fault : mid_trace_faults(golden_trace(image, guest.bad_input))) {
     SCOPED_TRACE("fault kind " + std::string(sim::kind_name(fault.kind)));
     oracle::expect_cached_equals_uncached(image, guest.bad_input, fault);
   }
+}
+
+void expect_guest_identical(const guests::Guest& guest) {
+  expect_image_identical(guests::build_image(guest), guest);
 }
 
 class BlockCacheDifferential : public testing::TestWithParam<isa::Arch> {};
@@ -156,6 +164,38 @@ INSTANTIATE_TEST_SUITE_P(Targets, BlockCacheDifferential,
                          [](const testing::TestParamInfo<isa::Arch>& info) {
                            return std::string(isa::to_string(info.param));
                          });
+
+// Hybrid images are where the block cache and the loop fast-forward meet
+// 2-byte branches and mov r32 constants: the lowering relaxes branches to
+// rel8 and loads constants in [0, 2^32) zero-extended. Every fault kind
+// strikes at six steps spread over the bad-input run.
+TEST(BlockCacheHybrid, X64GuestsAndFrozenCorpusFaultlessAndEveryFaultKind) {
+  std::vector<guests::Guest> corpus;
+  for (const guests::Guest* guest : guests::all_guests(isa::Arch::kX64)) corpus.push_back(*guest);
+  for (const synth_corpus::CorpusSeed& corpus_seed : synth_corpus::kCorpus) {
+    corpus.push_back(guests::synth::generate(corpus_seed.seed, isa::Arch::kX64));
+  }
+  for (const guests::Guest& guest : corpus) {
+    SCOPED_TRACE(guest.name);
+    const elf::Image image = harden::hybrid_harden(guests::build_image(guest)).hardened;
+    // The bad-input run takes at least one rel8 branch.
+    const elf::Segment& text = *image.find_segment(".text");
+    const std::vector<emu::TraceEntry> trace = golden_trace(image, guest.bad_input);
+    EXPECT_TRUE(std::any_of(trace.begin(), trace.end(), [&](const emu::TraceEntry& entry) {
+      const std::uint8_t opcode = text.data[entry.address - text.vaddr];
+      return entry.length == 2 && (opcode == 0xEB || (opcode & 0xF0) == 0x70);
+    }));
+    expect_image_identical(image, guest);
+    oracle::MachinePair pair(image, guest.bad_input);
+    for (std::uint64_t k = 1; k < 6; ++k) {
+      for (const FaultSpec& fault : faults_at(trace.size() * k / 6)) {
+        SCOPED_TRACE(std::string(sim::kind_name(fault.kind)) + " at step " +
+                     std::to_string(fault.trace_index));
+        oracle::expect_cached_equals_uncached(pair, fault, oracle::kLongPauseStride);
+      }
+    }
+  }
+}
 
 // ---- specialized handlers -----------------------------------------------------
 

@@ -371,8 +371,7 @@ TEST(Cli, BatchDiscoversBundleDirectoriesAndLifts) {
 }
 
 TEST(Cli, SynthAndBatchFollowTheTarget) {
-  // synth generates for --target; a bundle does not record its target, so
-  // batch resolves it on the --target it is given.
+  // synth generates for --target, and batch runs the bundles on it.
   const CliResult printed = run_cli({"--target", "rv32i", "synth", "--seed", "3"});
   ASSERT_EQ(printed.exit_code, 0);
   EXPECT_NE(printed.out.find(guests::synth::generate(3, isa::Arch::kRv32i).assembly),
@@ -386,6 +385,31 @@ TEST(Cli, SynthAndBatchFollowTheTarget) {
   EXPECT_EQ(batch.exit_code, 0) << batch.out;
   EXPECT_NE(batch.out.find("2 guest(s), 2 ok, 0 failed, 0 errored"), std::string::npos)
       << batch.out;
+}
+
+TEST(Cli, BundlesRecordTheirTarget) {
+  // x64 bundles under --target rv32i are a usage error naming both
+  // targets, raised before any guest runs.
+  const std::string dir = temp_path("x64_bundles");
+  ASSERT_EQ(run_cli({"synth", "--seed", "3", "--count", "2", "--out", dir}).exit_code, 0);
+  const std::string expect = cli::read_file((fs::path(dir) / "synth_3.expect.json").string());
+  EXPECT_NE(expect.find("\"target\": \"x64\""), std::string::npos) << expect;
+  const CliResult batch = run_cli({"--target", "rv32i", "batch", "--dir", dir, "--model", "skip"});
+  EXPECT_EQ(batch.exit_code, 2);
+  EXPECT_NE(batch.err.find("generated for target 'x64', not 'rv32i'"), std::string::npos)
+      << batch.err;
+  EXPECT_EQ(batch.out, "");
+  const std::string spec = (fs::path(dir) / "synth_3.s").string();
+  EXPECT_EQ(run_cli({"--target=rv32i", "campaign", spec, "--model", "skip"}).exit_code, 2);
+  EXPECT_EQ(run_cli({"batch", "--dir", dir, "--model", "skip"}).exit_code, 0);
+
+  // A bundle that records no target loads on the target it is given.
+  std::string unrecorded = expect;
+  unrecorded.erase(unrecorded.find("  \"target\""),
+                   unrecorded.find('\n', unrecorded.find("\"target\"")) + 1 -
+                       unrecorded.find("  \"target\""));
+  cli::write_file((fs::path(dir) / "synth_3.expect.json").string(), unrecorded);
+  EXPECT_EQ(run_cli({"campaign", spec, "--model", "skip"}).exit_code, 0);
 }
 
 // A guest spec that cannot even be resolved is an *infrastructure* error

@@ -101,7 +101,15 @@ TEST(HybridDriver, LiftLowerOverheadBudget) {
   HybridConfig none;
   none.countermeasure = HybridCountermeasure::kNone;
   const HybridResult result = hybrid_harden(guests::build_image(guests::pincheck()), none);
-  EXPECT_LE(result.overhead_percent(), 60.0);
+  EXPECT_LE(result.overhead_percent(), 30.0);
+}
+
+TEST(HybridDriver, BranchHardeningOverheadBudget) {
+  // Table V's Hybrid column: branch hardening on the two case studies.
+  const HybridResult pincheck = hybrid_harden(guests::build_image(guests::pincheck()));
+  EXPECT_LE(pincheck.overhead_percent(), 370.0);
+  const HybridResult bootloader = hybrid_harden(guests::build_image(guests::bootloader()));
+  EXPECT_LE(bootloader.overhead_percent(), 355.0);
 }
 
 TEST(HybridDriver, CleanupReducesCodeSize) {
@@ -169,29 +177,29 @@ struct CaseStudyGolden {
 constexpr CaseStudyGolden kCaseStudyGolden[] = {
     {"pincheck",
      isa::Arch::kX64,
-     {{857, "22344e984be316dbbc2117eb8f86cd4b3aad52c2ce6749d34856aa8af7ef5889"},
-      {2892, "341ff12678d81977dcdb288fc71eb3e6883647a3230a79028575451f04704ee6"},
-      {3158, "1998b0730896f69027ba0e974e305aac02b5e75b8944dd882c7f3989b9c2cda5"}}},
+     {{701, "f1026507f9d03e29c26928af31c0fb5218b15c1edc264a47ad41f15038927b5a"},
+      {2531, "ecdadd5781f92978ff88db6c90cd999e7e236c11a14ada78fec5b24d3b622a21"},
+      {2620, "ec22c2db4fd5dbd5390c046e23a9c828afb39cfd8a1831a5e0d177ee55998795"}}},
     {"bootloader",
      isa::Arch::kX64,
-     {{929, "d8c41de0a2dd51d3e49078b9aed4a16646fcce20d07ab8719cadb20a889e92cf"},
-      {2709, "b8ed1ada08f52e891448c0fea2517b0a9d7a59bfb41071f4a52bd9233a600632"},
-      {3419, "7663be6842bd9dfcfa826ba134e4058ba2a48ac45ab658dc7314e468d3c74162"}}},
+     {{790, "fc056cab8617132be6dfa95c47efdda1520b6791e517da365ab7f771f7d6cc88"},
+      {2364, "969efecf449d9cd87263e1dc1b59a8d8f8caab930a931c23972eb533570ffff0"},
+      {2828, "a1ca79980ce66187ea9e231f101220a6a2bfb4c6ca3937d8522d903929491e2f"}}},
     {"toymov",
      isa::Arch::kX64,
-     {{174, "a53e07fa5dbaba3406ce2fed341580a134f0cda7f77c812cba0a38b4d64929bc"},
-      {424, "e185de10917599b742be326c16669f845573287bbc2acc5cef9db2f98095d261"},
-      {345, "e43272ee05ab9fe1701740794a01871c071776d71b8d9f177dd2623a7ac6ec6c"}}},
+     {{110, "d6c9ad16227693385d0139d4234c7cfdf2d60219cad176977a598fc63771d5ce"},
+      {326, "46d80d2c494c1c7f508e5d8042a19d4a4d9089413ac6772cbbc12e154e501fac"},
+      {252, "076d84c9da7a6c65458adbb5f06fa7a710aec4959f3280e4b0bcc6deaa8baea7"}}},
     {"pincheck",
      isa::Arch::kRv32i,
-     {{928, "3322453591dd3b236b3946e6a6e138086593f077936c212d460ffce4072f0ce2"},
-      {3276, "cda350f350c0dc858fcf639fb618eebd323a3ed0cffd7fe9b194189b9914e20b"},
-      {6108, "aa28a157e9a6311bcbf48d36e96dd4e4f67de4f57bc808605a90d9d361ef4204"}}},
+     {{880, "078c364fd045949741982c5bc81f7298564e3b6ef82b53d0363fd64099da996d"},
+      {3228, "2c1a2e34e44a58967dbbc121322098c13ce3bfa691599c831543d95c718ddbc9"},
+      {6060, "0a18748f55d09b96dd99d7f8cfb27e99e6bf530079554462f8a532f672f433ee"}}},
     {"toymov",
      isa::Arch::kRv32i,
-     {{156, "97faddf479f7b2a39b0a4f869a85934d8385bf5733c489361a928a8b9c6a5492"},
-      {436, "100cb9a8945d7e66594436a8ed7ae81b7ffdf55312142f7695cf379d7be164b7"},
-      {540, "c5a287d738b72cff6cb13b2f1f8e64ae0abf395098a04c340a0e243cbfc3f9d2"}}},
+     {{132, "1999d9bcd63a0d5c430350f0b1d1449b7c8e23ac2d53d904281845416eec902b"},
+      {412, "a114d77da1c256f5ec24d5c4a3b775b82ec131030f740f70fdfe7fcb80ea5903"},
+      {516, "1edd54877a61efecc5b4c4fa3c0a0d70a659ea732204e0afadba6a131631683c"}}},
 };
 
 TEST(HybridGolden, CaseStudiesUnderEveryCountermeasure) {
@@ -211,7 +219,7 @@ TEST(HybridGolden, CaseStudiesUnderEveryCountermeasure) {
 TEST(HybridGolden, PincheckWithoutCleanup) {
   const elf::Image input = guests::build_image(guests::pincheck());
   expect_golden(input, golden_config(HybridCountermeasure::kBranchHardening, false),
-                {6505, "1a585cb82aad6852265ece32e63eaa51a54a0b4175f3ce22ce51776f215fc4a9"});
+                {6219, "ed44d932575f9908227bd90258fe2fef93bd33b7473ae2a8157084d51c5f73f0"});
 }
 
 struct SynthGolden {
@@ -223,32 +231,32 @@ struct SynthGolden {
 /// One row per synth_corpus::kCorpus seed, in its order.
 constexpr SynthGolden kSynthGolden[] = {
     {10,
-     {1938, "8b7b71fc1a5a135d59019b41942aba4d146bc61f350f4285b134583be0f92ad9"},
-     {2176, "43857ca89ec9d8e47161ffb7bee2db6d8c26c32d8795a0bfec52eb1603dac80a"}},
+     {1680, "0cd68849ee58593291992a2ab5522d18065aa426b132b01f27d21202da70ae93"},
+     {2140, "e167b1ecd479f5350d45b773feae189f5c2fec864fae64984d7d94243a7e4e38"}},
     {20,
-     {1904, "0f4aac66cbe6155b43d43cb362d3787c397afc169095649eea2e002202ed63c6"},
-     {2188, "378651e1128d3a8149e9aa7c440b4fc6d87169da2f202fc6e5f209c42c5b1fc5"}},
+     {1649, "bdee7a640f1c5f73969bac0f3b1e3c7c542a63c73a1f56f13d713187c2936213"},
+     {2152, "f3b100a4297337031f5b65b38fe4943067ab8210a7ce6b81b4b29c23afba64e7"}},
     {2,
-     {3339, "f253686ce61465973a808c4443fe4a2bfa784f26e636d29bd4eb9cfbb21f603b"},
-     {3868, "581e9692065909d89f146d98973004fa1d526acd8fcc9ca2f6392bd96719753b"}},
+     {2953, "fd1b02f9aa966432a83a1c9dfb2a0a1fac7845f92a20913b36705aabe51db745"},
+     {3832, "f63266155bc406aa6a2d2849b361452e7e1c88ceebf917a1e62eb5ea53aae247"}},
     {8,
-     {2832, "c958a25e08e0e0cf9a69143c986b202add19933010e6763f9d6e1cccfb550ae5"},
-     {3196, "7d7fb1b3fc308609e31af35a411485dc304fa03ff651fbc79fddf09d2a3e3c15"}},
+     {2481, "acef6c7515134a5a97a235f15c07f34bf65dc392c9cf42012ba42d3c77c78a03"},
+     {3160, "263c1960cff50c7ed3801878826161ac21a14101d06dea3fa8138207a78931f5"}},
     {9,
-     {4848, "5829188e58a4221165e27d32599ea9712c898a88c491fdfd0e50b00e148ebfa6"},
-     {5556, "c93fc0c08e592913a963245d3c90cb614717a72ab809f5740d6e5777ffe63345"}},
+     {4359, "fb18d8094e0efc6f344033b53bf50d5fcfaca49b19ae27554e9746706cd1f80c"},
+     {5520, "446e7c1febd4667c013c6e079f96e53a0654db89be3697d8a5fa2b1a57e92851"}},
     {15,
-     {3492, "ffc825dd031c18340c9c3bae50550a8d3de984fc74a8c2bf8c21890cab095d26"},
-     {3928, "9bc2835675af9f99f2d35b7afe677d2f0bf4665bc9c3289d908d29b8603b943b"}},
+     {3106, "1a2dc5a7c261f17c46c31f7bc04e61a010fcb3b594255194fb42399356ad8b6d"},
+     {3892, "156ed22b550b3ff86ab145fde760fc90ce9efe6adca4550a094f23c3ba3e274f"}},
     {23,
-     {1538, "29bd784d7adb1f058b368d8627a10da2e2cbc77bfa546837018f4c320ead1f89"},
-     {1692, "ea3ccc342c518715a9cf9da5b5220e81c1b423d0b725f995f1a146802a7b9234"}},
+     {1316, "06cf7f43157082860f9beb806a5ac328536418fc1d60facdc6463fa0920af21d"},
+     {1656, "a932d5a8e6bff7fa9a6fe98fde55733f92733e874a59bd20e04647ef7d8b311a"}},
     {36,
-     {2482, "283536b96c5aff7cba154ef9bfd5b05a306512103389906742131c43d4c38c5a"},
-     {2852, "857dfd04936e8ba023439567a44b74f829554129af2fb77d8db037d2ce3c18b7"}},
+     {2177, "5bc9b932bf96713c726075db7893e932fa524faed2fd591a225543593f030c2f"},
+     {2816, "95e3e79bfa53c4345da96e0e6cbbfe9e8de284c0d437c13ffa12318e0b0bb7c3"}},
     {77,
-     {2519, "50c36cee4d3d3ce019a6d4a6a0c41346c9b903d88fc4b497f9e7270dfd756daf"},
-     {2888, "86b3ef7c329e1220f101608a2c1974161ccb753e64df1da9e8876e703dc04d20"}},
+     {2214, "46c88622c8e31c460cdc0bb5fa6c5cb4628e4747f97e5a120f0652037ba758b5"},
+     {2852, "99973b0bb8f41e15f406729dd5d71735be5a5d962a14eb1274a29ef5a08848ca"}},
 };
 
 TEST(HybridGolden, FrozenSynthCorpusUnderBranchHardening) {

@@ -306,8 +306,61 @@ TEST(Decoder, StatusCarriesWhatTheMessageNeeds) {
   EXPECT_EQ(reg.value, 3u);
 }
 
+TEST(EncoderDecoder, ShortBranchesRoundTripAtBothEndsOfTheirReach) {
+  // The rel8 displacement is measured from the branch's end, so the
+  // reachable targets run from end - 128 to end + 127.
+  const std::uint64_t end = kAddr + kShortBranchLength;
+  for (const std::int64_t displacement : {std::int64_t{-128}, std::int64_t{127}}) {
+    const std::uint64_t destination = end + static_cast<std::uint64_t>(displacement);
+    std::vector<Instruction> branches = {
+        make1(Mnemonic::kJmp, imm(static_cast<std::int64_t>(destination)))};
+    for (unsigned cc = 0; cc < 16; ++cc) {
+      Instruction jump = make1(Mnemonic::kJcc, imm(static_cast<std::int64_t>(destination)));
+      jump.cond = static_cast<Cond>(cc);
+      branches.push_back(jump);
+    }
+    for (const Instruction& branch : branches) {
+      SCOPED_TRACE(print(branch) + " at displacement " + std::to_string(displacement));
+      const Encoding bytes = encode_short_branch(branch, kAddr);
+      ASSERT_EQ(bytes.size(), kShortBranchLength);
+      EXPECT_EQ(bytes[0], branch.mnemonic == Mnemonic::kJmp
+                              ? 0xEB
+                              : 0x70 + static_cast<unsigned>(branch.cond));
+      EXPECT_EQ(static_cast<std::int8_t>(bytes[1]), displacement);
+      const Decoded decoded = decode(bytes, kAddr);
+      EXPECT_EQ(decoded.length, kShortBranchLength);
+      EXPECT_EQ(decoded.instr, branch);
+      EXPECT_EQ(target(Arch::kX64).encode_short_branch(branch, kAddr), bytes);
+    }
+  }
+}
+
+TEST(EncoderDecoder, ShortBranchRefusesWhatRel8CannotReach) {
+  const std::uint64_t end = kAddr + kShortBranchLength;
+  const auto refused = [](const Instruction& instr) {
+    try {
+      (void)encode_short_branch(instr, kAddr);
+    } catch (const support::Error& error) {
+      return error.kind() == support::ErrorKind::kEncode;
+    }
+    return false;
+  };
+  for (const std::uint64_t destination : {end - 129, end + 128}) {
+    Instruction je = make1(Mnemonic::kJcc, imm(static_cast<std::int64_t>(destination)));
+    je.cond = Cond::e;
+    EXPECT_TRUE(refused(make1(Mnemonic::kJmp, imm(static_cast<std::int64_t>(destination)))));
+    EXPECT_TRUE(refused(je));
+  }
+  // Only jmp and jcc have the form; rv32i branches have one width.
+  EXPECT_TRUE(refused(make1(Mnemonic::kCall, imm(static_cast<std::int64_t>(end)))));
+  EXPECT_EQ(target(Arch::kRv32i).short_branch_length(), 0u);
+  EXPECT_THROW((void)target(Arch::kRv32i).encode_short_branch(
+                   make1(Mnemonic::kJmp, imm(static_cast<std::int64_t>(end))), kAddr),
+               support::Error);
+}
+
 TEST(Decoder, DecodesShortBranchForms) {
-  // rel8 jumps are decode-only (the encoder always emits rel32).
+  // The encoder emits these only through encode_short_branch().
   const std::vector<std::uint8_t> jmp_rel8{0xEB, 0x10};
   const Decoded decoded = decode(jmp_rel8, kAddr);
   EXPECT_EQ(decoded.instr.mnemonic, Mnemonic::kJmp);

@@ -8,6 +8,7 @@
 #include "ir/builder.h"
 #include "ir/interpreter.h"
 #include "ir/verifier.h"
+#include "isa/target.h"
 #include "lower/lower.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -397,6 +398,78 @@ TEST(Lowering, SignExtensionOfNegative32BitValueOnX64) {
   emit_exit(builder, module, builder.zext(negative, Type::kI64));
   module.entry_function = "_start";
   EXPECT_EQ(run_lowered(module).exit_code, 1);
+}
+
+TEST(Lowering, ConstantsBelow2To32LoadAsZeroExtendingMovR32OnX64) {
+  // Each constant reaches a register through value_to_reg (a + zero, then
+  // a compare with the constant); the run checks the value came out whole.
+  for (const std::uint64_t constant :
+       {std::uint64_t{0}, std::uint64_t{0x7FFF'FFFF}, std::uint64_t{0x8000'0000},
+        std::uint64_t{0xFFFF'FFFF}, std::uint64_t{0x1'0000'0000}, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(constant);
+    ir::Module module;
+    GlobalVariable* zero = module.add_global("zero", 8);
+    Function* main = module.add_function("_start");
+    Builder builder(module);
+    builder.set_insert_point(main->add_block("entry"));
+    Instr* sum = builder.add(builder.const_i64(constant), builder.load(Type::kI64, zero));
+    Instr* same = builder.icmp(Pred::kEq, sum, builder.const_i64(constant));
+    emit_exit(builder, module, builder.zext(same, Type::kI64));
+    module.entry_function = "_start";
+    EXPECT_EQ(run_lowered(module).exit_code, 1);
+
+    // mov r32, imm32 exactly for the values in [0, 2^32).
+    for (const bir::CodeItem& item : lower(module, {}).text) {
+      const isa::Instruction& instr = *item.instr;
+      if (instr.mnemonic != isa::Mnemonic::kMov || !isa::is_reg(instr.op(0)) ||
+          !isa::is_imm(instr.op(1))) {
+        continue;
+      }
+      const std::int64_t value = std::get<isa::ImmOperand>(instr.op(1)).value;
+      const bool zero_extends = value >= 0 && value <= std::int64_t{0xFFFF'FFFF};
+      EXPECT_EQ(instr.width, zero_extends ? isa::Width::b32 : isa::Width::b64) << value;
+    }
+  }
+}
+
+/// Number of `mov` instructions of `lowered` that write `reg`.
+unsigned movs_into(const bir::Module& lowered, isa::Reg reg) {
+  unsigned count = 0;
+  for (const bir::CodeItem& item : lowered.text) {
+    if (item.is_instruction() && item.instr->mnemonic == isa::Mnemonic::kMov &&
+        item.instr->op(0) == isa::Operand{reg}) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(Lowering, ExitLoadsOnlyTheNumberAndItsStatus) {
+  // write(1, msg, 2) loads all four argument registers; exit(0) loads rax
+  // and rdi only.
+  ir::Module module;
+  GlobalVariable* msg = module.add_global("msg", 8, {'o', 'k'});
+  Function* main = module.add_function("_start");
+  Builder builder(module);
+  builder.set_insert_point(main->add_block("entry"));
+  Function* syscall_fn = module.get_intrinsic(ir::kSyscallIntrinsic, Type::kI64, 4);
+  builder.call(syscall_fn, {builder.const_i64(1), builder.const_i64(1), msg,
+                            builder.const_i64(2)});
+  emit_exit(builder, module, builder.const_i64(0));
+  module.entry_function = "_start";
+  for (const isa::Arch arch : {isa::Arch::kX64, isa::Arch::kRv32i}) {
+    SCOPED_TRACE(std::string(isa::to_string(arch)));
+    LowerOptions options;
+    options.arch = arch;
+    const bir::Module lowered = lower(module, {}, options);
+    EXPECT_EQ(movs_into(lowered, isa::Reg::rax), 2u);
+    EXPECT_EQ(movs_into(lowered, isa::Reg::rdi), 2u);
+    EXPECT_EQ(movs_into(lowered, isa::Reg::rsi), 1u);
+    EXPECT_EQ(movs_into(lowered, isa::Reg::rdx), 1u);
+    const emu::RunResult run = emu::run_image(lower_to_image(module, {}, options), "");
+    EXPECT_EQ(run.exit_code, 0);
+    EXPECT_EQ(run.output, "ok");
+  }
 }
 
 TEST(Lowering, GuestDataSectionsKeepTheirBase) {
